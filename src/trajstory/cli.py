@@ -19,7 +19,7 @@ from .errors import (ConfigurationError, EXIT_CONFIG, EXIT_INFRA, EXIT_OK,
                      NotFoundError, ParseError, StoryValidationError,
                      TrajstoryError)
 from .gazetteer import Gazetteer, GazetteerConfig, default_fixture_path
-from .geo import BoundingBox, bbox_of
+from .geo import BoundingBox, bbox_of_coords
 from .heatgrid import build_grid, export_grid, summarize_for_story, top_hotspots
 from .ingest import SCHEMAS, parse_dataset, select_trajectory, trip_endpoints
 from .mapdoc import emit_map, write_map
@@ -204,11 +204,13 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     ds = parse_dataset(args.dataset, args.schema)
     endpoints = trip_endpoints(ds)
     print(f"source: {ds.source_path}")
-    print(f"trajectories: {len(ds.trajectories)}")
+    print(f"trajectories: {len(ds)}")
     print(f"skipped rows: {ds.skipped_rows}")
+    print("skipped by reason: " + ", ".join(f"{reason} {n}"
+                                            for reason, n in ds.skipped_by_reason.items()))
     print(f"endpoints: {len(endpoints)}")
-    if endpoints:
-        box = bbox_of(endpoints)
+    if len(endpoints):
+        box = bbox_of_coords(endpoints)
         print(f"endpoint bbox: lon [{box.min_lon:.4f}, {box.max_lon:.4f}] "
               f"lat [{box.min_lat:.4f}, {box.max_lat:.4f}]")
     return EXIT_OK
@@ -217,7 +219,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 def cmd_heatmap(args: argparse.Namespace) -> int:
     ds = parse_dataset(args.dataset, args.schema)
     endpoints = trip_endpoints(ds)
-    if not endpoints:
+    if not len(endpoints):
         raise ParseError(f"dataset {args.dataset!r} produced no usable trajectories")
     grid = build_grid(endpoints, cell_size_m=args.cell_size)
     hotspots = top_hotspots(grid, args.top)
@@ -272,7 +274,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
         ctx = GroundingContext(trajectory=traj.points)
     else:
         endpoints = trip_endpoints(ds)
-        if not endpoints:
+        if not len(endpoints):
             raise ParseError(f"dataset {args.dataset!r} produced no usable trajectories")
         grid = build_grid(endpoints, cell_size_m=args.cell_size)
         hotspots = top_hotspots(grid, args.top)

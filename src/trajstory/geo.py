@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 EARTH_RADIUS_M = 6_371_008.8
 
 
@@ -60,6 +62,19 @@ def haversine_distance(a: GeoPoint, b: GeoPoint) -> float:
     dlat = lat2 - lat1
     h = math.sin(dlat / 2) ** 2 + math.cos(lat1) * math.cos(lat2) * math.sin(dlon / 2) ** 2
     return 2.0 * EARTH_RADIUS_M * math.asin(math.sqrt(h))
+
+
+def haversine_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise great-circle distances in meters between two (N, 2) lon/lat arrays.
+
+    The same formula as ``haversine_distance``; numpy's trigonometry may
+    differ from ``math`` in the last bit.
+    """
+    lon1, lat1 = np.radians(a[:, 0]), np.radians(a[:, 1])
+    lon2, lat2 = np.radians(b[:, 0]), np.radians(b[:, 1])
+    h = (np.sin((lat2 - lat1) / 2) ** 2
+         + np.cos(lat1) * np.cos(lat2) * np.sin((lon2 - lon1) / 2) ** 2)
+    return 2.0 * EARTH_RADIUS_M * np.arcsin(np.sqrt(h))
 
 
 def meters_per_degree(lat: float) -> tuple[float, float]:
@@ -119,3 +134,11 @@ def bbox_of(points: Iterable[GeoPoint]) -> BoundingBox:
         elif p.lat > max_lat:
             max_lat = p.lat
     return BoundingBox(min_lon, min_lat, max_lon, max_lat)
+
+
+def bbox_of_coords(coords: np.ndarray) -> BoundingBox:
+    """Tightest box around a float (N, 2) lon/lat array. Raises on an empty input."""
+    if not len(coords):
+        raise ValueError("bbox_of_coords needs at least one point")
+    lo, hi = coords.min(axis=0).tolist(), coords.max(axis=0).tolist()
+    return BoundingBox(lo[0], lo[1], hi[0], hi[1])

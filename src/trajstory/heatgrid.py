@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .geo import BoundingBox, GeoPoint, bbox_of, meters_per_degree
+from .geo import BoundingBox, GeoPoint, bbox_of_coords, meters_per_degree
 
 DEFAULT_CELL_SIZE_M = 250.0
 
@@ -46,16 +46,19 @@ class Hotspot:
     rank: int
 
 
-def build_grid(points: Iterable[GeoPoint], cell_size_m: float = DEFAULT_CELL_SIZE_M,
+def build_grid(points: np.ndarray, cell_size_m: float = DEFAULT_CELL_SIZE_M,
                bbox: BoundingBox | None = None) -> HeatGrid:
-    """Count points into a grid over ``bbox`` (default: tightest box)."""
+    """Count (lon, lat) points, a float (N, 2) array, into a grid over ``bbox``.
+
+    ``bbox`` defaults to the tightest box around the points.
+    """
     if cell_size_m <= 0:
         raise ValueError(f"cell_size_m must be positive, got {cell_size_m}")
-    points = list(points)
+    points = np.asarray(points, dtype=np.float64).reshape(-1, 2)
     if bbox is None:
-        if not points:
+        if not len(points):
             raise ValueError("cannot build a grid from no points and no bbox")
-        bbox = bbox_of(points)
+        bbox = bbox_of_coords(points)
 
     kx, ky = meters_per_degree(bbox.center.lat)
     width_m = (bbox.max_lon - bbox.min_lon) * kx
@@ -63,17 +66,17 @@ def build_grid(points: Iterable[GeoPoint], cell_size_m: float = DEFAULT_CELL_SIZ
     cols = max(1, math.ceil(width_m / cell_size_m))
     rows = max(1, math.ceil(height_m / cell_size_m))
 
-    counts = np.zeros((rows, cols), dtype=np.int64)
-    out = 0
-    for p in points:
-        if not bbox.contains(p):
-            out += 1
-            continue
-        col = min(int((p.lon - bbox.min_lon) * kx // cell_size_m), cols - 1)
-        row = min(int((p.lat - bbox.min_lat) * ky // cell_size_m), rows - 1)
-        counts[row, col] += 1
+    lon, lat = points[:, 0], points[:, 1]
+    inside = ((lon >= bbox.min_lon) & (lon <= bbox.max_lon)
+              & (lat >= bbox.min_lat) & (lat <= bbox.max_lat))
+    lon, lat = lon[inside], lat[inside]
+    col = np.minimum(((lon - bbox.min_lon) * kx // cell_size_m).astype(np.int64), cols - 1)
+    row = np.minimum(((lat - bbox.min_lat) * ky // cell_size_m).astype(np.int64), rows - 1)
+    counts = np.bincount(row * cols + col, minlength=rows * cols).reshape(rows, cols)
+    total = len(lon)
     return HeatGrid(bbox=bbox, cell_size_m=cell_size_m, rows=rows, cols=cols,
-                    counts=counts, total_in_bbox=len(points) - out, out_of_bbox=out)
+                    counts=counts.astype(np.int64, copy=False), total_in_bbox=total,
+                    out_of_bbox=len(points) - total)
 
 
 def top_hotspots(grid: HeatGrid, k: int) -> list[Hotspot]:

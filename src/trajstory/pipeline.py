@@ -175,9 +175,11 @@ def execute(req: StoryRequest, backend: StoryBackend) -> StoryResult:
         ds = parse_dataset(req.dataset_path, req.dataset_schema)
     except OSError as exc:
         raise ConfigurationError(f"cannot read dataset {req.dataset_path!r}: {exc}") from exc
-    if not ds.trajectories:
+    if not len(ds):
         raise ParseError(f"dataset {req.dataset_path!r} produced no usable trajectories")
-    record("ingest", f"{len(ds.trajectories)} trajectories, {ds.skipped_rows} rows skipped", t0)
+    reasons = ", ".join(f"{n} {reason}" for reason, n in ds.skipped_by_reason.items() if n)
+    record("ingest", f"{len(ds)} trajectories, {ds.skipped_rows} rows skipped"
+                     + (f" ({reasons})" if reasons else ""), t0)
 
     t0 = time.perf_counter()
     traj: Trajectory | None = None

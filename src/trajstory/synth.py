@@ -121,10 +121,8 @@ def generate_dataset(spec: SyntheticSpec) -> Dataset:
                 start.lat + (end.lat - start.lat) * t + rng.gauss(0.0, 25.0) / ky))
         points.append(end)
         trajectories.append(Trajectory(id=f"synt{i:05d}", points=points,
-                                       start_time=1_372_636_800 + 600 * i,
-                                       sample_interval=15.0))
-    return Dataset(trajectories=trajectories,
-                   source_path=f"synthetic:seed={spec.seed}", skipped_rows=0)
+                                       start_time=1_372_636_800 + 600 * i))
+    return Dataset.from_trajectories(trajectories, source_path=f"synthetic:seed={spec.seed}")
 
 
 def inject_hallucinations(story: Story, far_pois: list[POI]) -> Story:
@@ -173,12 +171,13 @@ def write_kaggle_csv(ds: Dataset, path: str | Path, bad_rows: int = 0,
     (dataset, bad_rows, seed). Returns the total data-row count.
     """
     good = []
-    for traj in ds.trajectories:
+    offsets = ds.offsets.tolist()
+    for i, trip_id in enumerate(ds.ids):
         row = {c: "" for c in KAGGLE_COLUMNS}
-        row.update(TRIP_ID=traj.id, CALL_TYPE="A", TAXI_ID="20000100",
-                   TIMESTAMP=str(traj.start_time or 0), DAY_TYPE="A",
+        row.update(TRIP_ID=trip_id, CALL_TYPE="A", TAXI_ID="20000100",
+                   TIMESTAMP=str(ds.start_times[i] or 0), DAY_TYPE="A",
                    MISSING_DATA="False",
-                   POLYLINE=json.dumps([[p.lon, p.lat] for p in traj.points]))
+                   POLYLINE=json.dumps(ds.coords[offsets[i]:offsets[i + 1]].tolist()))
         good.append(row)
     rows = list(good)
     rng = random.Random(seed)

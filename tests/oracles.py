@@ -6,7 +6,13 @@ library code, so shared bugs are unlikely.
 
 from __future__ import annotations
 
-from trajstory.geo import GeoPoint, haversine_distance
+import csv
+import json
+from typing import IO
+
+from trajstory.errors import ParseError
+from trajstory.geo import GeoPoint, haversine_distance, meters_per_degree
+from trajstory.ingest import Trajectory
 
 
 def dense_polyline_distance(q: GeoPoint, line: list[GeoPoint],
@@ -55,6 +61,25 @@ def full_sort_hotspots(grid, k: int) -> list[tuple[int, int, int]]:
     return cells[:k]
 
 
+def reference_grid_counts(points: list[GeoPoint], rows: int, cols: int, bbox,
+                          cell_size_m: float) -> tuple[list[list[int]], int]:
+    """(per-cell counts, points outside bbox): one point at a time, Python floats.
+
+    The loop build_grid used before it counted with np.bincount.
+    """
+    kx, ky = meters_per_degree(bbox.center.lat)
+    counts = [[0] * cols for _ in range(rows)]
+    out = 0
+    for p in points:
+        if not bbox.contains(p):
+            out += 1
+            continue
+        col = min(int((p.lon - bbox.min_lon) * kx // cell_size_m), cols - 1)
+        row = min(int((p.lat - bbox.min_lat) * ky // cell_size_m), rows - 1)
+        counts[row][col] += 1
+    return counts, out
+
+
 def brute_force_clusters(points: list[GeoPoint], threshold_m: float) -> list[set[int]]:
     """Single-linkage by repeated merging until a fixed point."""
     clusters = [{i} for i in range(len(points))]
@@ -77,3 +102,60 @@ def brute_force_clusters(points: list[GeoPoint], threshold_m: float) -> list[set
 def brute_force_near(center: GeoPoint, radius_m: float, pois) -> set[str]:
     """Names of POIs within the radius, order-free."""
     return {p.name for p in pois if haversine_distance(center, p.location) <= radius_m}
+
+
+def _reference_point(lon, lat) -> GeoPoint | None:
+    try:
+        return GeoPoint(float(lon), float(lat))
+    except (TypeError, ValueError):
+        return None
+
+
+def _reference_polyline(raw: str) -> list[GeoPoint] | None:
+    """Decode a bracketed [[lon,lat],...] list; None if anything is off."""
+    try:
+        pairs = json.loads(raw)
+    except (json.JSONDecodeError, TypeError):
+        return None
+    if not isinstance(pairs, list):
+        return None
+    points = []
+    for pair in pairs:
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+            return None
+        p = _reference_point(pair[0], pair[1])
+        if p is None:
+            return None
+        points.append(p)
+    return points
+
+
+def reference_parse_kaggle(stream: IO[str]) -> tuple[list[Trajectory], int]:
+    """(trajectories, skipped rows): one GeoPoint per vertex, via csv.DictReader.
+
+    The per-point parser the columnar one replaced, kept as its reference.
+    It raises on inputs the columnar parser counts as bad JSON (integers
+    too large for a float, nesting deeper than the recursion limit).
+    """
+    reader = csv.DictReader(stream)
+    if reader.fieldnames is None or "POLYLINE" not in reader.fieldnames:
+        raise ParseError("kaggle_porto header is missing the POLYLINE column")
+    trajectories, skipped = [], 0
+    for row in reader:
+        if (row.get("MISSING_DATA") or "").strip().lower() == "true":
+            skipped += 1
+            continue
+        points = _reference_polyline(row.get("POLYLINE") or "")
+        if points is None or len(points) < 2:
+            skipped += 1
+            continue
+        trip_id = (row.get("TRIP_ID") or "").strip() or f"row{reader.line_num}"
+        start_time = None
+        ts = (row.get("TIMESTAMP") or "").strip()
+        if ts:
+            try:
+                start_time = int(ts)
+            except ValueError:
+                start_time = None
+        trajectories.append(Trajectory(id=trip_id, points=points, start_time=start_time))
+    return trajectories, skipped

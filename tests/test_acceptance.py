@@ -166,7 +166,7 @@ def test_criterion_7_ingestion_counts(tmp_path):
     assert total == 1000
 
     parsed = parse_dataset(str(path), "kaggle_porto")
-    assert len(parsed.trajectories) == 937
+    assert len(parsed) == 937
     assert parsed.skipped_rows == 63
     assert len(trip_endpoints(parsed)) == 937
 

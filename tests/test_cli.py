@@ -1,10 +1,11 @@
+import csv
 import json
 
 import pytest
 
 from trajstory.cli import main, parse_config
 from trajstory.errors import ConfigurationError
-from trajstory.ingest import parse_dataset, trip_endpoints
+from trajstory.ingest import KAGGLE_COLUMNS, parse_dataset, trip_endpoints
 
 
 @pytest.fixture()
@@ -43,8 +44,10 @@ class TestIngestCommand:
         assert code == 0
         ds = parse_dataset(str(cluster_csv), "kaggle_porto")
         lines = out.splitlines()
-        assert f"trajectories: {len(ds.trajectories)}" in lines
+        assert f"trajectories: {len(ds)}" in lines
         assert f"skipped rows: {ds.skipped_rows}" in lines
+        assert "skipped by reason: missing_data 0, bad_json 0, too_short 0, " \
+               "out_of_range 0" in lines
         assert f"endpoints: {len(trip_endpoints(ds))}" in lines
         assert lines[-1].startswith("endpoint bbox: lon [")
 
@@ -58,6 +61,40 @@ class TestIngestCommand:
         code, _, err = run(capsys, "ingest", str(tmp_path / "absent.csv"))
         assert code == 2
         assert "absent.csv" in err
+
+    @staticmethod
+    def long_row_csv(path):
+        """One trip of 5,000 full-precision points: a POLYLINE over csv's default limit."""
+        poly = json.dumps([[-8.6 + i * 1.234567e-6, 41.1 + i * 7.654321e-7]
+                           for i in range(5000)])
+        assert len(poly) > 131_072
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(KAGGLE_COLUMNS)
+            writer.writerow(["long", "A", "", "", "20000100", "1372636800", "A",
+                             "False", poly])
+        return path
+
+    def test_long_polyline_row_parses(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "ingest", str(self.long_row_csv(tmp_path / "long.csv")))
+        assert code == 0
+        assert "trajectories: 1" in out.splitlines()
+
+    def test_csv_error_is_a_parse_error(self, capsys, tmp_path, monkeypatch):
+        path = self.long_row_csv(tmp_path / "long.csv")
+        limit = csv.field_size_limit()
+        monkeypatch.setattr("trajstory.ingest._MAX_FIELD_CHARS", 100_000)
+        code, _, err = run(capsys, "ingest", str(path))
+        assert code == 3
+        assert "line 2" in err and "field larger than field limit" in err
+        assert csv.field_size_limit() == limit
+
+    def test_non_utf8_file_is_a_parse_error(self, capsys, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(",".join(KAGGLE_COLUMNS).encode() + b"\nS\xe3o,A\n")
+        code, _, err = run(capsys, "ingest", str(path))
+        assert code == 3
+        assert "not UTF-8" in err
 
 
 class TestHeatmapCommand:

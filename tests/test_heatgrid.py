@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import full_sort_hotspots
+from helpers import coords
+from oracles import full_sort_hotspots, reference_grid_counts
 from trajstory.geo import BoundingBox, GeoPoint
 from trajstory.heatgrid import (HeatGrid, build_grid, export_grid,
                                 summarize_for_story, top_hotspots)
@@ -18,14 +19,14 @@ micro_points = st.builds(GeoPoint, micro_lon, micro_lat)
 class TestBuildGrid:
     def test_rejects_nonpositive_cell(self):
         with pytest.raises(ValueError):
-            build_grid([GeoPoint(-8.6, 41.1)], cell_size_m=0)
+            build_grid(coords([GeoPoint(-8.6, 41.1)]), cell_size_m=0)
 
     def test_rejects_empty_without_bbox(self):
         with pytest.raises(ValueError):
             build_grid([])
 
     def test_single_point_makes_degenerate_grid(self):
-        grid = build_grid([GeoPoint(-8.6, 41.1)])
+        grid = build_grid(coords([GeoPoint(-8.6, 41.1)]))
         assert (grid.rows, grid.cols) == (1, 1)
         assert grid.counts[0, 0] == 1
         assert grid.total_in_bbox == 1
@@ -35,14 +36,14 @@ class TestBuildGrid:
         box = BoundingBox(-8.62, 41.14, -8.60, 41.15)
         pts = [GeoPoint(-8.61, 41.145), GeoPoint(-8.59, 41.145),
                GeoPoint(-8.61, 41.16)]
-        grid = build_grid(pts, bbox=box)
+        grid = build_grid(coords(pts), bbox=box)
         assert grid.total_in_bbox == 1
         assert grid.out_of_bbox == 2
         assert grid.counts.sum() == 1
 
     def test_bbox_corners_both_land_in_grid(self):
         box = BoundingBox(-8.62, 41.14, -8.60, 41.15)
-        grid = build_grid([GeoPoint(-8.62, 41.14), GeoPoint(-8.60, 41.15)],
+        grid = build_grid(coords([GeoPoint(-8.62, 41.14), GeoPoint(-8.60, 41.15)]),
                           bbox=box)
         assert grid.counts[0, 0] == 1
         # the max edge closes the last cell instead of spilling out
@@ -52,13 +53,13 @@ class TestBuildGrid:
     def test_cell_count_matches_metric_extent(self):
         # 0.02 deg of longitude at this latitude is ~1.7 km: 7 cells of 250 m
         box = BoundingBox(-8.62, 41.14, -8.60, 41.15)
-        grid = build_grid([GeoPoint(-8.61, 41.145)], bbox=box)
+        grid = build_grid(coords([GeoPoint(-8.61, 41.145)]), bbox=box)
         assert grid.cols == 7
         assert grid.rows == 5
 
     @given(points=st.lists(micro_points, min_size=1, max_size=200))
     def test_conservation_auto_bbox(self, points):
-        grid = build_grid(points)
+        grid = build_grid(coords(points))
         assert int(grid.counts.sum()) == len(points)
         assert grid.out_of_bbox == 0
         assert grid.total_in_bbox == len(points)
@@ -66,7 +67,7 @@ class TestBuildGrid:
     @given(points=st.lists(micro_points, min_size=1, max_size=200))
     def test_conservation_with_clipping_bbox(self, points):
         box = BoundingBox(-8.70, 41.05, -8.55, 41.20)
-        grid = build_grid(points, bbox=box)
+        grid = build_grid(coords(points), bbox=box)
         assert int(grid.counts.sum()) + grid.out_of_bbox == len(points)
 
     @given(points=st.lists(micro_points, min_size=1, max_size=80),
@@ -74,8 +75,8 @@ class TestBuildGrid:
     def test_longitude_translation_preserves_counts(self, points, shift_milli):
         delta = shift_milli / 1e3
         moved = [GeoPoint(p.lon + delta, p.lat) for p in points]
-        a = build_grid(points)
-        b = build_grid(moved)
+        a = build_grid(coords(points))
+        b = build_grid(coords(moved))
         assert (a.rows, a.cols) == (b.rows, b.cols)
         assert np.array_equal(a.counts, b.counts)
 
@@ -86,18 +87,30 @@ class TestBuildGrid:
         # latitude shift rescales columns; only conservation survives
         delta = shift_milli / 1e3
         moved = [GeoPoint(p.lon, p.lat + delta) for p in points]
-        b = build_grid(moved)
+        b = build_grid(coords(moved))
         assert int(b.counts.sum()) + b.out_of_bbox == len(points)
+
+
+    @given(points=st.lists(st.builds(GeoPoint, st.floats(-8.75, -8.45),
+                                     st.floats(41.0, 41.3)), min_size=1, max_size=60),
+           clip=st.booleans(), cell=st.sampled_from([50.0, 250.0, 333.3, 1000.0]))
+    def test_counts_match_the_per_point_loop(self, points, clip, cell):
+        # arbitrary floats, so draws land on and beside cell edges
+        box = BoundingBox(-8.70, 41.05, -8.55, 41.20) if clip else None
+        grid = build_grid(coords(points), cell_size_m=cell, bbox=box)
+        counts, out = reference_grid_counts(points, grid.rows, grid.cols, grid.bbox, cell)
+        assert grid.counts.tolist() == counts
+        assert grid.out_of_bbox == out
 
 
 class TestTopHotspots:
     def test_negative_k_rejected(self):
-        grid = build_grid([GeoPoint(-8.6, 41.1)])
+        grid = build_grid(coords([GeoPoint(-8.6, 41.1)]))
         with pytest.raises(ValueError):
             top_hotspots(grid, -1)
 
     def test_k_zero_and_k_beyond_nonzero_cells(self):
-        grid = build_grid([GeoPoint(-8.6, 41.1)])
+        grid = build_grid(coords([GeoPoint(-8.6, 41.1)]))
         assert top_hotspots(grid, 0) == []
         assert len(top_hotspots(grid, 10)) == 1
 
@@ -126,7 +139,7 @@ class TestTopHotspots:
         assert order == [(1, 1), (0, 1), (0, 2), (2, 0)]
 
     def test_hotspot_center_is_cell_center(self):
-        grid = build_grid([GeoPoint(-8.6, 41.1)])
+        grid = build_grid(coords([GeoPoint(-8.6, 41.1)]))
         spot = top_hotspots(grid, 1)[0]
         assert spot.center == grid.cell_center(spot.cell_row, spot.cell_col)
 
@@ -146,7 +159,7 @@ class TestSummary:
         assert f"share {share:.1f}%" in lines[4]
 
     def test_no_hotspot_section_when_empty(self):
-        grid = build_grid([GeoPoint(-8.6, 41.1)])
+        grid = build_grid(coords([GeoPoint(-8.6, 41.1)]))
         assert "busiest" not in summarize_for_story(grid, [])
 
 

@@ -1,13 +1,18 @@
 import csv
 import io
+import itertools
+import json
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from helpers import iter_points, point_list_round_trip, trajectories
+from oracles import reference_parse_kaggle
 from trajstory.errors import ConfigurationError, NotFoundError, ParseError
 from trajstory.geo import GeoPoint
-from trajstory.ingest import (Dataset, Trajectory, iter_points, parse_dataset,
-                              point_list_round_trip, select_trajectory,
+from trajstory.ingest import (KAGGLE_COLUMNS, SKIP_REASONS, Dataset, Trajectory,
+                              parse_dataset, select_trajectory,
                               to_point_list, trajectory_digest, trip_endpoints,
                               write_point_list)
 from trajstory.synth import SyntheticSpec, generate_dataset, write_kaggle_csv
@@ -43,8 +48,8 @@ class TestKaggleParsing:
     def test_happy_path(self):
         ds = parse_dataset(kaggle_csv([("t1", "1372636858", "False", GOOD_POLY)]),
                            "kaggle_porto")
-        assert len(ds.trajectories) == 1
-        traj = ds.trajectories[0]
+        assert len(ds) == 1
+        traj = trajectories(ds)[0]
         assert traj.id == "t1"
         assert traj.start_time == 1372636858
         assert traj.points[0] == GeoPoint(-8.61, 41.14)
@@ -57,7 +62,7 @@ class TestKaggleParsing:
             ("t2", "2", "TRUE", GOOD_POLY),
             ("t3", "3", "False", GOOD_POLY),
         ]), "kaggle_porto")
-        assert [t.id for t in ds.trajectories] == ["t3"]
+        assert [t.id for t in trajectories(ds)] == ["t3"]
         assert ds.skipped_rows == 2
 
     @pytest.mark.parametrize("poly", [
@@ -73,7 +78,7 @@ class TestKaggleParsing:
         ds = parse_dataset(kaggle_csv([("bad", "1", "False", poly),
                                        ("ok", "2", "False", GOOD_POLY)]),
                            "kaggle_porto")
-        assert [t.id for t in ds.trajectories] == ["ok"]
+        assert [t.id for t in trajectories(ds)] == ["ok"]
         assert ds.skipped_rows == 1
 
     def test_row_count_conservation(self):
@@ -82,17 +87,17 @@ class TestKaggleParsing:
                 ("c", "3", "False", "oops"),
                 ("d", "4", "False", GOOD_POLY)]
         ds = parse_dataset(kaggle_csv(rows), "kaggle_porto")
-        assert len(ds.trajectories) + ds.skipped_rows == len(rows)
+        assert len(ds) + ds.skipped_rows == len(rows)
 
     def test_blank_trip_id_gets_row_fallback(self):
         ds = parse_dataset(kaggle_csv([("", "1", "False", GOOD_POLY)]),
                            "kaggle_porto")
-        assert ds.trajectories[0].id.startswith("row")
+        assert trajectories(ds)[0].id.startswith("row")
 
     def test_unparseable_timestamp_becomes_none(self):
         ds = parse_dataset(kaggle_csv([("t1", "later", "False", GOOD_POLY)]),
                            "kaggle_porto")
-        assert ds.trajectories[0].start_time is None
+        assert trajectories(ds)[0].start_time is None
 
 
 class TestPointListParsing:
@@ -100,21 +105,21 @@ class TestPointListParsing:
         path = tmp_path / "walk.txt"
         path.write_text("lon,lat\n-8.61,41.14\n\n-8.62,41.15\n-8.63,41.16\n")
         ds = parse_dataset(str(path), "point_list")
-        assert len(ds.trajectories) == 1
-        traj = ds.trajectories[0]
+        assert len(ds) == 1
+        traj = trajectories(ds)[0]
         assert traj.id == "walk"
         assert len(traj.points) == 3
         assert ds.skipped_rows == 1  # the header line
 
     def test_single_usable_point_yields_no_trajectory(self):
         ds = parse_dataset(io.StringIO("-8.61,41.14\n"), "point_list")
-        assert ds.trajectories == []
+        assert trajectories(ds) == []
 
     def test_malformed_lines_counted(self):
         ds = parse_dataset(io.StringIO("-8.61,41.14\nxyz\n-8.62;41.15\n-8.63,41.16\n"),
                            "point_list")
         assert ds.skipped_rows == 2
-        assert len(ds.trajectories[0].points) == 2
+        assert len(trajectories(ds)[0].points) == 2
 
     @given(points=st.lists(
         st.builds(GeoPoint,
@@ -133,7 +138,7 @@ class TestPointListParsing:
         path = tmp_path / "t.txt"
         write_point_list(traj, str(path))
         ds = parse_dataset(str(path), "point_list")
-        assert trip_endpoints(ds) == [GeoPoint(-8.62, 41.15)]
+        assert trip_endpoints(ds).tolist() == [[-8.62, 41.15]]
 
 
 class TestSelection:
@@ -144,7 +149,7 @@ class TestSelection:
         long_near = Trajectory(id="a", points=[GeoPoint(-8.61, 41.14),
                                                GeoPoint(-8.611, 41.141),
                                                GeoPoint(-8.612, 41.142)])
-        return Dataset(trajectories=[short_far, long_near])
+        return Dataset.from_trajectories([short_far, long_near])
 
     def test_unknown_criterion(self):
         with pytest.raises(ConfigurationError):
@@ -161,9 +166,28 @@ class TestSelection:
 
     def test_tie_breaks_to_lowest_id(self):
         p = [GeoPoint(-8.61, 41.14), GeoPoint(-8.62, 41.15)]
-        ds = Dataset(trajectories=[Trajectory(id="z", points=list(p)),
-                                   Trajectory(id="a", points=list(p))])
+        ds = Dataset.from_trajectories([Trajectory(id="z", points=list(p)),
+                                        Trajectory(id="a", points=list(p))])
         assert select_trajectory(ds, "longest_by_points").id == "a"
+
+    def test_length_tie_breaks_to_lowest_id(self):
+        p = [GeoPoint(-8.61, 41.14), GeoPoint(-8.62, 41.15), GeoPoint(-8.60, 41.16)]
+        ds = Dataset.from_trajectories([Trajectory(id="m", points=p[:2]),
+                                        Trajectory(id="z", points=list(p)),
+                                        Trajectory(id="a", points=list(p))])
+        assert select_trajectory(ds, "longest_by_length").id == "a"
+
+    @given(trips=st.lists(st.lists(st.builds(GeoPoint, st.floats(-8.75, -8.45),
+                                             st.floats(41.0, 41.3)),
+                                   min_size=2, max_size=8), min_size=1, max_size=12))
+    def test_longest_by_length_matches_the_per_point_lengths(self, trips):
+        ds = Dataset.from_trajectories(
+            Trajectory(id=f"t{i:02d}", points=p) for i, p in enumerate(trips))
+        lengths = [t.path_length_m() for t in trajectories(ds)]
+        chosen = select_trajectory(ds, "longest_by_length")
+        # numpy's trigonometry and summation order may move the last bits
+        assert lengths[int(chosen.id[1:])] >= max(lengths) * (1 - 1e-12)
+        assert chosen == ds.trajectory(int(chosen.id[1:]))
 
     def test_by_id(self):
         ds = self.dataset()
@@ -201,16 +225,16 @@ class TestSynthCsvRoundTrip:
         total = write_kaggle_csv(ds, path, bad_rows=7, seed=2)
         assert total == 27
         back = parse_dataset(str(path), "kaggle_porto")
-        assert len(back.trajectories) == 20
+        assert len(back) == 20
         assert back.skipped_rows == 7
-        assert [t.id for t in back.trajectories] == [t.id for t in ds.trajectories]
-        assert [len(t.points) for t in back.trajectories] == \
-               [len(t.points) for t in ds.trajectories]
+        assert [t.id for t in trajectories(back)] == [t.id for t in trajectories(ds)]
+        assert [len(t.points) for t in trajectories(back)] == \
+               [len(t.points) for t in trajectories(ds)]
 
     def test_iter_points_covers_every_vertex(self):
         ds = generate_dataset(SyntheticSpec(seed=5, n_trajectories=4))
-        assert len(list(iter_points(ds.trajectories))) == \
-               sum(len(t.points) for t in ds.trajectories)
+        assert len(list(iter_points(trajectories(ds)))) == \
+               sum(len(t.points) for t in trajectories(ds))
 
 
 def test_to_point_list_uses_full_precision():
@@ -218,3 +242,141 @@ def test_to_point_list_uses_full_precision():
     traj = Trajectory(id="t", points=[p])
     assert f"{p.lon!r},{p.lat!r}" in to_point_list(traj)
     assert float(to_point_list(traj).split(",")[0]) == p.lon
+
+
+SKIP_CASES = [
+    ("True", GOOD_POLY, "missing_data"),
+    ("False", "[[-8.61,41.14],[", "bad_json"),
+    ("False", "not json", "bad_json"),
+    ("False", "{\"lon\": 1}", "bad_json"),
+    ("False", "[[-8.61],[-8.62,41.15]]", "bad_json"),
+    ("False", "[[-8.61,41.14,0],[-8.62,41.15,0]]", "bad_json"),
+    ("False", "[[-8.61,\"north\"],[-8.62,41.15]]", "bad_json"),
+    ("False", "[[-8.61,[41.14]],[-8.62,41.15]]", "bad_json"),
+    # integers no float can hold, and nesting past the recursion limit
+    ("False", "[[1" + "0" * 400 + ",41.14],[-8.62,41.15]]", "bad_json"),
+    ("False", "[[1" + "0" * 5000 + ",41.14],[-8.62,41.15]]", "bad_json"),
+    ("False", "[" * 100_000 + "]" * 100_000, "bad_json"),
+    ("False", "[]", "too_short"),
+    ("False", "[[-8.61,41.14]]", "too_short"),
+    ("False", "[[-8.61,95.0],[-8.62,41.15]]", "out_of_range"),
+    ("False", "[[-8.61,NaN],[-8.62,41.15]]", "out_of_range"),
+    ("False", "[[-8.61,null],[-8.62,41.15]]", "out_of_range"),
+    ("False", "[[-Infinity,41.14],[-8.62,41.15]]", "out_of_range"),
+]
+
+
+class TestSkipReasons:
+    @pytest.mark.parametrize("missing,poly,reason", SKIP_CASES)
+    def test_each_unusable_row_counts_under_one_reason(self, missing, poly, reason):
+        ds = parse_dataset(kaggle_csv([("bad", "1", missing, poly),
+                                       ("ok", "2", "False", GOOD_POLY)]),
+                           "kaggle_porto")
+        assert ds.ids == ["ok"]
+        assert ds.skipped_by_reason == {**dict.fromkeys(SKIP_REASONS, 0), reason: 1}
+
+    def test_planted_bad_rows_sum_to_skipped_rows(self, tmp_path):
+        ds = generate_dataset(SyntheticSpec(seed=5, n_trajectories=20))
+        path = tmp_path / "synt.csv"
+        write_kaggle_csv(ds, path, bad_rows=8, seed=2)   # two of each of four shapes
+        back = parse_dataset(str(path), "kaggle_porto")
+        assert back.skipped_by_reason == {"missing_data": 2, "bad_json": 2,
+                                          "too_short": 4, "out_of_range": 0}
+        assert sum(back.skipped_by_reason.values()) == back.skipped_rows == 8
+        assert len(back) + back.skipped_rows == 28
+
+    def test_point_list_lines(self):
+        ds = parse_dataset(io.StringIO("lon,lat\n-8.61,41.14\n200,41.1\nnan,41.1\n"
+                                       "-8.62,41.15\n"), "point_list")
+        assert ds.skipped_by_reason == {"missing_data": 0, "bad_json": 1,
+                                        "too_short": 0, "out_of_range": 2}
+        assert ds.coords.tolist() == [[-8.61, 41.14], [-8.62, 41.15]]
+
+    def test_range_check_spans_block_boundaries(self, monkeypatch):
+        monkeypatch.setattr("trajstory.ingest._BLOCK_ROWS", 2)
+        rows = [(f"t{i}", str(i), "False",
+                 "[[-8.61,95.0],[-8.62,41.15]]" if i % 3 == 1 else GOOD_POLY)
+                for i in range(7)]
+        ds = parse_dataset(kaggle_csv(rows), "kaggle_porto")
+        assert ds.ids == ["t0", "t2", "t3", "t5", "t6"]
+        assert ds.start_times == [0, 2, 3, 5, 6]
+        assert ds.offsets.tolist() == [0, 3, 6, 9, 12, 15]
+        assert ds.skipped_by_reason["out_of_range"] == 2
+
+
+# -- the columnar parser against the per-point reference ----------------------
+
+in_range_pair = st.tuples(
+    st.one_of(st.floats(-180, 180), st.sampled_from([-0.0, -180.0, 180.0])),
+    st.one_of(st.floats(-90, 90), st.sampled_from([-0.0, -90.0, 90.0]))).map(list)
+coordinate = st.one_of(
+    st.floats(-180, 180),
+    st.floats(),                                # NaN, infinities, out of range
+    st.integers(-400, 400),
+    st.booleans(),
+    st.none(),
+    st.floats(-200, 200).map(repr),             # numeric strings
+    st.sampled_from([" 1.5 ", "1_0", "nan", "-inf", "0x1", "", "１２"]),
+    st.text(max_size=3),
+    st.lists(st.floats(-10, 10), max_size=2),   # nested
+)
+value_pair = st.lists(coordinate, min_size=2, max_size=2)
+any_pair = st.lists(coordinate, max_size=3)     # ragged, nested or malformed
+polyline_value = st.one_of(
+    st.lists(in_range_pair, min_size=2, max_size=6),
+    st.lists(in_range_pair, max_size=1),
+    st.lists(st.one_of(in_range_pair, value_pair), min_size=2, max_size=4),
+    st.lists(st.one_of(in_range_pair, any_pair), max_size=4),
+    st.one_of(st.none(), st.booleans(), st.integers(), st.text(max_size=4),
+              st.dictionaries(st.text(max_size=2), st.integers(), max_size=2)),
+)
+polyline_json = polyline_value.map(json.dumps)
+polyline_text = st.one_of(
+    polyline_json,
+    polyline_json,
+    polyline_json.map(lambda t: t.replace(",", ", ").replace("[", " [ ")),
+    polyline_json.flatmap(lambda t: st.integers(0, len(t)).map(lambda n: t[:n])),
+    st.sampled_from(["[[-8.61,41.14],[", "[[-8.61,41.14],[-8.62,41.15]]",
+                     "[[-8.61,41.14]]", "[]"]),     # the four bad-row shapes of synth
+    st.text(max_size=8),
+)
+column_values = {
+    "TRIP_ID": st.one_of(st.sampled_from(["t1", "t2", "", " t3 "]), st.text(max_size=3)),
+    "TIMESTAMP": st.one_of(st.integers().map(str), st.sampled_from(["", " 42 ", "later"]),
+                           st.text(max_size=3)),
+    "MISSING_DATA": st.sampled_from(["False", "True", "TRUE", " true ", "", "no"]),
+    "POLYLINE": polyline_text,
+}
+
+
+@st.composite
+def kaggle_files(draw):
+    """Kaggle-schema CSV text: shuffled, missing and repeated columns; short and blank rows."""
+    header = draw(st.permutations(["POLYLINE"] + draw(
+        st.lists(st.sampled_from(KAGGLE_COLUMNS), max_size=len(KAGGLE_COLUMNS) + 2))))
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    for _ in range(draw(st.integers(0, 8))):
+        row = [draw(column_values.get(c, st.just("x"))) for c in header]
+        short = draw(st.integers(0, 4)) == 0
+        writer.writerow(row[:draw(st.integers(0, len(row)))] if short else row)
+    return buf.getvalue()
+
+
+class TestAgainstReferenceParser:
+    @settings(max_examples=300, deadline=None)
+    @given(text=kaggle_files())
+    def test_same_trips_bits_and_skips(self, text):
+        want, want_skipped = reference_parse_kaggle(io.StringIO(text, newline=""))
+        ds = parse_dataset(io.StringIO(text, newline=""), "kaggle_porto")
+        assert ds.ids == [t.id for t in want]
+        assert ds.start_times == [t.start_time for t in want]
+        assert ds.offsets.tolist() == [0] + list(
+            itertools.accumulate(len(t.points) for t in want))
+        want_xy = np.array([(p.lon, p.lat) for t in want for p in t.points],
+                           dtype=np.float64).reshape(-1, 2)
+        assert ds.coords.dtype == np.float64
+        assert ds.coords.tobytes() == want_xy.tobytes()
+        assert ds.skipped_rows == want_skipped
+        assert sum(ds.skipped_by_reason.values()) == ds.skipped_rows

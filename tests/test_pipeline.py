@@ -7,7 +7,7 @@ from trajstory.errors import (ConfigurationError, InfrastructureError,
 from trajstory.pipeline import (AgentPlan, StoryRequest, execute, plan,
                                 write_bundle)
 from trajstory.story import NarrativeSpec, TemplateBackend
-from trajstory.synth import ScriptedBackend
+from trajstory.synth import ScriptedBackend, write_kaggle_csv
 from trajstory.validation import GroundingPolicy
 
 GOOD_STORY = "The day ends at [[POI: Avenida dos Aliados]].\n"
@@ -206,6 +206,16 @@ class TestIngestFailures:
                         "TIMESTAMP,DAY_TYPE,MISSING_DATA,POLYLINE\n")
         with pytest.raises(ParseError, match="no usable trajectories"):
             execute(heatmap_request(path), TemplateBackend())
+
+
+    def test_trace_counts_skipped_rows_by_reason(self, cluster_dataset, tmp_path):
+        path = tmp_path / "salted.csv"
+        write_kaggle_csv(cluster_dataset, path, bad_rows=8, seed=1)
+        result = execute(heatmap_request(path), TemplateBackend())
+        ingest = result.trace[0]
+        assert ingest.step == "ingest"
+        assert ingest.detail == ("400 trajectories, 8 rows skipped "
+                                 "(2 missing_data, 2 bad_json, 4 too_short)")
 
 
 class TestWriteBundle:

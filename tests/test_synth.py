@@ -3,6 +3,7 @@ import math
 import pytest
 
 from conftest import PORTO_CLUSTERS
+from helpers import trajectories
 from trajstory.geo import GeoPoint, haversine_distance
 from trajstory.ingest import parse_dataset
 from trajstory.story import NarrativeSpec, Story, count_words, extract_mentions
@@ -53,19 +54,19 @@ class TestGenerateDataset:
                              endpoint_clusters=list(PORTO_CLUSTERS))
         a = generate_dataset(spec)
         b = generate_dataset(spec)
-        assert a.trajectories == b.trajectories
+        assert trajectories(a) == trajectories(b)
         assert a.source_path == "synthetic:seed=42"
 
     def test_different_seeds_differ(self):
         a = generate_dataset(SyntheticSpec(seed=1, n_trajectories=5))
         b = generate_dataset(SyntheticSpec(seed=2, n_trajectories=5))
-        assert a.trajectories != b.trajectories
+        assert trajectories(a) != trajectories(b)
 
     def test_shape_of_each_trajectory(self):
         spec = SyntheticSpec(seed=3, n_trajectories=25, min_points=5, max_points=9)
         ds = generate_dataset(spec)
-        assert len(ds.trajectories) == 25
-        for i, traj in enumerate(ds.trajectories):
+        assert len(ds) == 25
+        for i, traj in enumerate(trajectories(ds)):
             assert traj.id == f"synt{i:05d}"
             assert 5 <= len(traj.points) <= 9
             assert traj.start_time == 1_372_636_800 + 600 * i
@@ -75,7 +76,7 @@ class TestGenerateDataset:
         spec = SyntheticSpec(
             seed=9, n_trajectories=40,
             endpoint_clusters=[EndpointCluster(center, 1.0, 0.0)])
-        for traj in generate_dataset(spec).trajectories:
+        for traj in trajectories(generate_dataset(spec)):
             assert traj.points[-1] == center
 
     def test_endpoints_track_the_cluster_mix(self):
@@ -83,7 +84,7 @@ class TestGenerateDataset:
                              endpoint_clusters=list(PORTO_CLUSTERS))
         ds = generate_dataset(spec)
         counts = [0] * len(PORTO_CLUSTERS)
-        for traj in ds.trajectories:
+        for traj in trajectories(ds):
             end = traj.points[-1]
             dists = [haversine_distance(end, c.center) for c in PORTO_CLUSTERS]
             counts[dists.index(min(dists))] += 1
@@ -97,14 +98,14 @@ class TestGenerateDataset:
             endpoint_clusters=[EndpointCluster(center, 1.0, 120.0)])
         ds = generate_dataset(spec)
         d2 = [haversine_distance(t.points[-1], center) ** 2
-              for t in ds.trajectories]
+              for t in trajectories(ds)]
         # 2-d gaussian: E[d^2] = 2 sigma^2
         rms = math.sqrt(sum(d2) / len(d2))
         assert rms == pytest.approx(120.0 * math.sqrt(2), rel=0.05)
 
     def test_uniform_endpoints_stay_in_the_bbox(self):
         ds = generate_dataset(SyntheticSpec(seed=5, n_trajectories=200))
-        for traj in ds.trajectories:
+        for traj in trajectories(ds):
             assert PORTO_BBOX.contains(traj.points[-1])
             assert PORTO_BBOX.contains(traj.points[0])
 
@@ -151,7 +152,7 @@ class TestKaggleWriter:
         total = write_kaggle_csv(ds, path, bad_rows=13, seed=4)
         assert total == 63
         parsed = parse_dataset(str(path), "kaggle_porto")
-        assert len(parsed.trajectories) == 50
+        assert len(parsed) == 50
         assert parsed.skipped_rows == 13
 
     def test_parsed_geometry_matches_the_source(self, tmp_path):
@@ -159,8 +160,8 @@ class TestKaggleWriter:
         path = tmp_path / "taxi.csv"
         write_kaggle_csv(ds, path)
         parsed = parse_dataset(str(path), "kaggle_porto")
-        by_id = {t.id: t for t in parsed.trajectories}
-        for traj in ds.trajectories:
+        by_id = {t.id: t for t in trajectories(parsed)}
+        for traj in trajectories(ds):
             assert by_id[traj.id].points == traj.points
             assert by_id[traj.id].start_time == traj.start_time
 
