@@ -16,8 +16,7 @@ from .heatgrid import HeatGrid, Hotspot, build_grid, summarize_for_story, top_ho
 from .ingest import (Dataset, Trajectory, parse_dataset, select_trajectory,
                      trip_endpoints)
 from .mapdoc import MapDocument, emit_map, render_geojson, render_html
-from .pipeline import (AgentPlan, StoryRequest, StoryResult, execute, plan,
-                       write_bundle)
+from .pipeline import StoryRequest, StoryResult, execute, plan, write_bundle
 from .story import (NarrativeSpec, RemoteBackend, Story, StoryBackend,
                     StoryContext, TemplateBackend, build_prompt, count_words,
                     extract_mentions, generate_story, strip_markup)
@@ -27,7 +26,7 @@ from .validation import (GroundingContext, GroundingPolicy, ValidationReport,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AgentPlan", "BoundingBox", "ConfigurationError", "Dataset",
+    "BoundingBox", "ConfigurationError", "Dataset",
     "EARTH_RADIUS_M", "Gazetteer", "GazetteerConfig", "GeoPoint",
     "GroundingContext", "GroundingPolicy", "HeatGrid", "Hotspot",
     "InfrastructureError", "MalformedStoryError", "MapDocument",

@@ -19,6 +19,7 @@ import os
 import threading
 import time
 import unicodedata
+import urllib.parse
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import Callable
@@ -76,26 +77,44 @@ def _viewbox_param(b: BoundingBox) -> str:
     return f"{b.min_lon!r},{b.min_lat!r},{b.max_lon!r},{b.max_lat!r}"
 
 
-def _http_fetch(url: str, params: dict) -> object:
-    import requests
+def request_json(url: str, what: str, timeout: float, body: dict | None = None,
+                 headers: dict | None = None) -> object:
+    """GET ``url``, or POST ``body`` as JSON when given, and decode the JSON reply.
 
+    Transport failures and HTTP error statuses raise InfrastructureError; a
+    reply that is not JSON raises ProtocolError. ``what`` names the service
+    in the message.
+    """
+    # Imported here: urllib.request loads ssl, about 7 MB of resident memory
+    # that an offline run never needs.
+    import http.client
+    import urllib.request
+
+    data = None if body is None else json.dumps(body).encode("utf-8")
+    sent = {"User-Agent": "trajstory/0.1", **(headers or {})}
+    if data is not None:
+        sent["Content-Type"] = "application/json"
     try:
-        resp = requests.get(url, params=params,
-                            headers={"User-Agent": "trajstory/0.1"}, timeout=20)
-        resp.raise_for_status()
-    except requests.RequestException as exc:
-        raise InfrastructureError(f"gazetteer request failed: {exc}") from exc
+        request = urllib.request.Request(url, data=data, headers=sent)
+        with urllib.request.urlopen(request, timeout=timeout) as resp:
+            payload = resp.read()
+    except (OSError, ValueError, http.client.HTTPException) as exc:
+        raise InfrastructureError(f"{what} request failed: {exc}") from exc
     try:
-        return resp.json()
+        return json.loads(payload)
     except ValueError as exc:
-        raise ProtocolError(f"gazetteer returned non-JSON payload: {exc}") from exc
+        raise ProtocolError(f"{what} returned non-JSON payload: {exc}") from exc
+
+
+def _http_fetch(url: str, params: dict) -> object:
+    return request_json(f"{url}?{urllib.parse.urlencode(params)}", "gazetteer", timeout=20)
 
 
 class Gazetteer:
     """Loaded fixture + cache with an optional remote leg.
 
     ``fetch`` takes (url, params) and returns the decoded JSON payload;
-    tests inject a fake, production uses the requests-based default. Reads
+    tests inject a fake, production uses the urllib-based default. Reads
     are safe to share across threads; cache appends are serialized.
     """
 
@@ -182,14 +201,15 @@ class Gazetteer:
     # -- remote ------------------------------------------------------------
 
     def _throttle(self) -> None:
+        """Reserve the next remote slot under the lock, then wait for it outside."""
         with self._lock:
             now = self._clock()
+            slot = now
             if self._last_remote is not None:
-                wait = self._last_remote + 1.0 / self.cfg.rate_limit - now
-                if wait > 0:
-                    self._sleep(wait)
-                    now = self._clock()
-            self._last_remote = now
+                slot = max(now, self._last_remote + 1.0 / self.cfg.rate_limit)
+            self._last_remote = slot
+        if slot > now:
+            self._sleep(slot - now)
 
     def _search_remote(self, query: str, viewbox: BoundingBox | None, limit: int) -> list[POI]:
         params = {"q": query, "format": "json", "limit": str(limit)}
@@ -277,16 +297,3 @@ class Gazetteer:
                 f"bulk geocode: {len(failures)} name(s) failed: " + "; ".join(failures))
         return results
 
-
-def geocode(name: str, cfg: GazetteerConfig, fetch: FetchFn | None = None) -> POI | None:
-    return Gazetteer(cfg, fetch=fetch).geocode(name)
-
-
-def pois_near(center: GeoPoint, radius_m: float, cfg: GazetteerConfig,
-              fetch: FetchFn | None = None) -> list[POI]:
-    return Gazetteer(cfg, fetch=fetch).pois_near(center, radius_m)
-
-
-def bulk_geocode(names: list[str], cfg: GazetteerConfig,
-                 fetch: FetchFn | None = None) -> dict[str, POI | None]:
-    return Gazetteer(cfg, fetch=fetch).bulk_geocode(names)

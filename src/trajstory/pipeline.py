@@ -1,9 +1,12 @@
 """Orchestration: plan the expert steps, run them, retry on bad stories.
 
 The planner is deliberately deterministic. With only two modes there is
-nothing to learn, and a fixed plan keeps every run replayable. The retry
-loop closes the generate-validate circuit: each failing report is distilled
-into corrective instructions that ride along in the next prompt.
+nothing to learn, and a fixed plan keeps every run replayable. The plan is
+the list of steps that runs: each step reads and fills one ``RunState``,
+and one helper times it, traces it and tags its infrastructure failures
+with the step's name. The retry loop closes the generate-validate circuit:
+each failing report is distilled into corrective instructions that ride
+along in the next prompt.
 """
 
 from __future__ import annotations
@@ -11,14 +14,17 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
+from typing import Callable
 
 from .errors import (ConfigurationError, InfrastructureError, MalformedStoryError,
                      ParseError, StoryValidationError)
-from .gazetteer import Gazetteer, GazetteerConfig, POI
+from .gazetteer import Gazetteer, GazetteerConfig, POI, normalize_name
 from .geo import GeoPoint
-from .heatgrid import DEFAULT_CELL_SIZE_M, build_grid, summarize_for_story, top_hotspots
-from .ingest import (SCHEMAS, SELECTION_CRITERIA, Trajectory, parse_dataset,
+from .heatgrid import (DEFAULT_CELL_SIZE_M, HeatGrid, Hotspot, build_grid,
+                       summarize_for_story, top_hotspots)
+from .ingest import (SCHEMAS, SELECTION_CRITERIA, Dataset, Trajectory, parse_dataset,
                      select_trajectory, trajectory_digest, trip_endpoints)
 from .mapdoc import (DEFAULT_CLUSTER_DISTANCE_M, MapDocument, _padded_bbox, emit_map,
                      render_geojson, render_html)
@@ -33,7 +39,7 @@ from .validation import (GroundingContext, GroundingPolicy, ValidationReport,
 class StoryRequest:
     """Everything one run needs; the CLI builds this from config + flags."""
 
-    dataset_path: str
+    dataset_path: str = ""
     mode: str = "heatmap"
     spec: NarrativeSpec = field(default_factory=NarrativeSpec)
     policy: GroundingPolicy = field(default_factory=GroundingPolicy)
@@ -48,20 +54,6 @@ class StoryRequest:
     cluster_distance_m: float = DEFAULT_CLUSTER_DISTANCE_M
     trajectory_samples: int = 20
     region_name: str = "Porto"
-
-
-@dataclass(frozen=True)
-class PlanStep:
-    name: str
-    params: dict
-
-
-@dataclass
-class AgentPlan:
-    steps: list[PlanStep]
-
-    def names(self) -> list[str]:
-        return [s.name for s in self.steps]
 
 
 @dataclass
@@ -80,13 +72,143 @@ class StoryResult:
     trace: list[TraceEntry]
 
 
-def plan(req: StoryRequest) -> AgentPlan:
-    """Derive the fixed six-step plan for the request's mode.
+@dataclass
+class RunState:
+    """What the steps of one run hand each other; each step fills its part."""
+
+    req: StoryRequest
+    backend: StoryBackend | None = None
+    story: Story | None = None          # the latest draft, or the story being graded
+    attempt: int = 1
+    trace: list[TraceEntry] = field(default_factory=list)
+    ds: Dataset | None = None
+    grid: HeatGrid | None = None        # heatmap analytics
+    hotspots: list[Hotspot] = field(default_factory=list)
+    traj: Trajectory | None = None      # single_trajectory analytics
+    grounding: GroundingContext | None = None
+    story_ctx: StoryContext | None = None
+    report: ValidationReport | None = None
+    doc: MapDocument | None = None
+    # The run's own copy of the spec: retry feedback accumulates here.
+    spec: NarrativeSpec = field(init=False)
+
+    def __post_init__(self):
+        self.spec = replace(self.req.spec,
+                            extra_instructions=list(self.req.spec.extra_instructions))
+
+    @cached_property
+    def gazetteer(self) -> Gazetteer:
+        return Gazetteer(self.req.gazetteer)
+
+
+Step = tuple[str, Callable[[RunState], str]]
+
+
+# -- steps: each fills its part of the run and returns its trace detail -------
+
+def _ingest(run: RunState) -> str:
+    req = run.req
+    try:
+        ds = parse_dataset(req.dataset_path, req.dataset_schema)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot read dataset {req.dataset_path!r}: {exc}") from exc
+    if not len(ds):
+        raise ParseError(f"dataset {req.dataset_path!r} produced no usable trajectories")
+    run.ds = ds
+    reasons = ", ".join(f"{n} {reason}" for reason, n in ds.skipped_by_reason.items() if n)
+    return (f"{len(ds)} trajectories, {ds.skipped_rows} rows skipped"
+            + (f" ({reasons})" if reasons else ""))
+
+
+def _hotspot_analytics(run: RunState) -> str:
+    run.grid = build_grid(trip_endpoints(run.ds), cell_size_m=run.req.cell_size_m)
+    run.hotspots = top_hotspots(run.grid, run.req.hotspot_k)
+    run.grounding = GroundingContext(hotspot_centers=[h.center for h in run.hotspots])
+    return f"{run.grid.rows}x{run.grid.cols} grid, {len(run.hotspots)} hotspots"
+
+
+def _route_analytics(run: RunState) -> str:
+    run.traj = select_trajectory(run.ds, run.req.selection, run.req.selection_id)
+    run.grounding = GroundingContext(trajectory=run.traj.points)
+    return f"selected {run.traj.id} ({len(run.traj.points)} points)"
+
+
+def _sample_points(traj: Trajectory, n_samples: int) -> list[GeoPoint]:
+    """Every k-th point plus the final one; caps gazetteer queries per path."""
+    step = max(1, len(traj.points) // n_samples)
+    sampled = traj.points[::step]
+    if sampled[-1] is not traj.points[-1]:
+        sampled.append(traj.points[-1])
+    return sampled
+
+
+def _discover(run: RunState, centers: list[GeoPoint], summary: str) -> str:
+    """Gather the story's material: the data digest and the known POIs near ``centers``.
+
+    Per-center results are flattened; the first occurrence of a name wins.
+    """
+    radius = run.req.discovery_radius_m
+    candidates: dict[str, POI] = {}
+    for center in centers:
+        for poi in run.gazetteer.pois_near(center, radius):
+            candidates.setdefault(normalize_name(poi.name), poi)
+    run.story_ctx = StoryContext(data_summary=summary,
+                                 candidate_pois=list(candidates.values()),
+                                 region_name=run.req.region_name)
+    return f"{len(candidates)} candidate POIs within {radius:.0f} m"
+
+
+def _hotspot_discovery(run: RunState) -> str:
+    return _discover(run, run.grounding.hotspot_centers,
+                     summarize_for_story(run.grid, run.hotspots))
+
+
+def _route_discovery(run: RunState) -> str:
+    return _discover(run, _sample_points(run.traj, run.req.trajectory_samples),
+                     trajectory_digest(run.traj))
+
+
+def _generate(run: RunState) -> str:
+    prompt = build_prompt(run.spec, run.story_ctx)
+    try:
+        run.story = generate_story(prompt, run.backend, run.spec, run.story_ctx)
+    except MalformedStoryError as exc:
+        run.story = None
+        run.report = malformed_story_report(str(exc))
+        return f"attempt {run.attempt}: unparseable story ({exc})"
+    return (f"attempt {run.attempt}: {run.story.word_count} words, "
+            f"{len(run.story.mentions)} mentions")
+
+
+def _validate(run: RunState) -> str:
+    run.report = validate_story(run.story, run.grounding, run.req.policy, run.gazetteer)
+    return (f"attempt {run.attempt}: {'pass' if run.report.overall else 'fail'}, "
+            f"grounded fraction {run.report.grounded_fraction:.2f}")
+
+
+def _emit(run: RunState) -> str:
+    grounded = [POI(name=p.name, location=p.location, source="report")
+                for p in run.report.per_poi if p.verdict == "grounded"]
+    if grounded or run.traj is not None:
+        run.doc = emit_map(grounded, trajectory=run.traj,
+                           cluster_distance_m=run.req.cluster_distance_m)
+    else:
+        run.doc = MapDocument(markers=[], paths=[], legend=[],
+                              bbox=_padded_bbox(run.grounding.hotspot_centers))
+    return f"{len(run.doc.markers)} markers, {len(run.doc.legend)} legend rows"
+
+
+# -- planning and running ------------------------------------------------------
+
+def plan(req: StoryRequest) -> list[Step]:
+    """The ``(name, fn)`` steps that run for this request, in order.
 
     All request validation happens here; every violation is reported in one
     ConfigurationError rather than surfacing piecemeal.
     """
     problems = []
+    if not req.dataset_path:
+        problems.append("no dataset given (config key 'dataset' or --dataset)")
     if req.mode not in MODES:
         problems.append(f"unknown mode {req.mode!r}")
     if req.spec.mode != req.mode:
@@ -113,48 +235,39 @@ def plan(req: StoryRequest) -> AgentPlan:
     if problems:
         raise ConfigurationError("invalid request: " + "; ".join(problems))
 
-    steps = [PlanStep("ingest", {"path": req.dataset_path, "schema": req.dataset_schema})]
     if req.mode == "heatmap":
-        steps.append(PlanStep("analytics", {"op": "grid_hotspots",
-                                            "cell_size_m": req.cell_size_m,
-                                            "hotspot_k": req.hotspot_k}))
-        steps.append(PlanStep("discovery", {"centers": "hotspots",
-                                            "radius_m": req.discovery_radius_m}))
+        analytics, discovery = _hotspot_analytics, _hotspot_discovery
     else:
-        steps.append(PlanStep("analytics", {"op": "select_trajectory",
-                                            "criterion": req.selection,
-                                            "trajectory_id": req.selection_id}))
-        steps.append(PlanStep("discovery", {"centers": "trajectory_samples",
-                                            "samples": req.trajectory_samples,
-                                            "radius_m": req.discovery_radius_m}))
-    steps.append(PlanStep("generate", {"max_words": req.spec.max_words,
-                                       "min_pois": req.spec.min_pois,
-                                       "max_retries": req.max_retries}))
-    steps.append(PlanStep("validate", {
-        "threshold_m": (req.policy.hotspot_threshold_m if req.mode == "heatmap"
-                        else req.policy.trajectory_threshold_m)}))
-    steps.append(PlanStep("emit", {"cluster_distance_m": req.cluster_distance_m}))
-    return AgentPlan(steps=steps)
+        analytics, discovery = _route_analytics, _route_discovery
+    return [("ingest", _ingest), ("analytics", analytics), ("discovery", discovery),
+            ("generate", _generate), ("validate", _validate), ("emit", _emit)]
 
 
-def _sample_points(traj: Trajectory, n_samples: int) -> list[GeoPoint]:
-    """Every k-th point plus the final one; caps gazetteer queries per path."""
-    step = max(1, len(traj.points) // n_samples)
-    sampled = traj.points[::step]
-    if sampled[-1] is not traj.points[-1]:
-        sampled.append(traj.points[-1])
-    return sampled
+def _run_step(run: RunState, step: Step) -> None:
+    """Run one step: time it, trace it, tag its infrastructure failures."""
+    name, fn = step
+    t0 = time.perf_counter()
+    try:
+        detail = fn(run)
+    except InfrastructureError as exc:
+        exc.step = name
+        raise
+    run.trace.append(TraceEntry(name, detail, time.perf_counter() - t0))
 
 
-def _merge_candidates(batches: list[list[POI]]) -> list[POI]:
-    """Flatten per-center discovery results, first occurrence of a name wins."""
-    from .gazetteer import normalize_name
+def run_steps(req: StoryRequest, names: tuple[str, ...],
+              story: Story | None = None) -> RunState:
+    """Run only the named steps of ``plan(req)``, in plan order, on a fresh run.
 
-    seen: dict[str, POI] = {}
-    for batch in batches:
-        for poi in batch:
-            seen.setdefault(normalize_name(poi.name), poi)
-    return list(seen.values())
+    This is how a command reuses part of the pipeline: grading an existing
+    ``story`` takes ingest, analytics and validate, with no digest and no
+    discovery.
+    """
+    run = RunState(req, story=story)
+    for step in plan(req):
+        if step[0] in names:
+            _run_step(run, step)
+    return run
 
 
 def execute(req: StoryRequest, backend: StoryBackend) -> StoryResult:
@@ -164,125 +277,72 @@ def execute(req: StoryRequest, backend: StoryBackend) -> StoryResult:
     every attempt fails; infrastructure errors propagate tagged with the
     step that hit them.
     """
-    plan(req)
-    trace: list[TraceEntry] = []
-
-    def record(step: str, detail: str, t0: float) -> None:
-        trace.append(TraceEntry(step, detail, time.perf_counter() - t0))
-
-    t0 = time.perf_counter()
-    try:
-        ds = parse_dataset(req.dataset_path, req.dataset_schema)
-    except OSError as exc:
-        raise ConfigurationError(f"cannot read dataset {req.dataset_path!r}: {exc}") from exc
-    if not len(ds):
-        raise ParseError(f"dataset {req.dataset_path!r} produced no usable trajectories")
-    reasons = ", ".join(f"{n} {reason}" for reason, n in ds.skipped_by_reason.items() if n)
-    record("ingest", f"{len(ds)} trajectories, {ds.skipped_rows} rows skipped"
-                     + (f" ({reasons})" if reasons else ""), t0)
-
-    t0 = time.perf_counter()
-    traj: Trajectory | None = None
-    if req.mode == "heatmap":
-        endpoints = trip_endpoints(ds)
-        grid = build_grid(endpoints, cell_size_m=req.cell_size_m)
-        hotspots = top_hotspots(grid, req.hotspot_k)
-        summary = summarize_for_story(grid, hotspots)
-        centers = [h.center for h in hotspots]
-        grounding = GroundingContext(hotspot_centers=centers)
-        record("analytics", f"{grid.rows}x{grid.cols} grid, {len(hotspots)} hotspots", t0)
-    else:
-        traj = select_trajectory(ds, req.selection, req.selection_id)
-        summary = trajectory_digest(traj)
-        centers = _sample_points(traj, req.trajectory_samples)
-        grounding = GroundingContext(trajectory=traj.points)
-        record("analytics", f"selected {traj.id} ({len(traj.points)} points)", t0)
-
-    t0 = time.perf_counter()
-    gaz = Gazetteer(req.gazetteer)
-    try:
-        candidates = _merge_candidates(
-            [gaz.pois_near(c, req.discovery_radius_m) for c in centers])
-    except InfrastructureError as exc:
-        raise InfrastructureError(str(exc), step="discovery") from exc
-    record("discovery", f"{len(candidates)} candidate POIs "
-                        f"within {req.discovery_radius_m:.0f} m", t0)
-
-    spec = replace(req.spec, extra_instructions=list(req.spec.extra_instructions))
-    story_ctx = StoryContext(data_summary=summary, candidate_pois=candidates,
-                             region_name=req.region_name)
-    story: Story | None = None
-    report: ValidationReport | None = None
-    attempts = 0
+    *setup, generate, validate, emit = plan(req)
+    run = RunState(req, backend=backend)
+    for step in setup:
+        _run_step(run, step)
     for attempt in range(1, req.max_retries + 1):
-        attempts = attempt
-        prompt = build_prompt(spec, story_ctx)
-        t0 = time.perf_counter()
-        try:
-            story = generate_story(prompt, backend, spec, story_ctx)
-        except MalformedStoryError as exc:
-            story = None
-            report = malformed_story_report(str(exc))
-            record("generate", f"attempt {attempt}: unparseable story ({exc})", t0)
-        except InfrastructureError as exc:
-            raise InfrastructureError(str(exc), step="generate") from exc
-        else:
-            record("generate", f"attempt {attempt}: {story.word_count} words, "
-                               f"{len(story.mentions)} mentions", t0)
-            t0 = time.perf_counter()
-            report = validate_story(story, grounding, req.policy, gaz)
-            record("validate", f"attempt {attempt}: "
-                               f"{'pass' if report.overall else 'fail'}, "
-                               f"grounded fraction {report.grounded_fraction:.2f}", t0)
-        if report.overall:
+        run.attempt = attempt
+        _run_step(run, generate)
+        if run.story is not None:
+            _run_step(run, validate)
+        if run.report.overall:
             break
         if attempt < req.max_retries:
-            fb = feedback_text(report)
-            spec.extra_instructions.append(fb)
-            trace.append(TraceEntry("feedback", fb, 0.0))
-
-    if report is None or not report.overall:
+            fb = feedback_text(run.report)
+            run.spec.extra_instructions.append(fb)
+            run.trace.append(TraceEntry("feedback", fb, 0.0))
+    if not run.report.overall:
         raise StoryValidationError(
-            f"story failed validation after {attempts} attempt(s)",
-            report=report, trace=trace, story=story)
+            f"story failed validation after {run.attempt} attempt(s)",
+            report=run.report, trace=run.trace, story=run.story)
+    _run_step(run, emit)
+    return StoryResult(story=run.story, report=run.report, map=run.doc,
+                       attempts=run.attempt, trace=run.trace)
 
-    t0 = time.perf_counter()
-    grounded = [POI(name=p.name, location=p.location, source="report")
-                for p in report.per_poi if p.verdict == "grounded"]
-    if grounded or traj is not None:
-        doc = emit_map(grounded, trajectory=traj,
-                       cluster_distance_m=req.cluster_distance_m)
-    else:
-        doc = MapDocument(markers=[], paths=[], legend=[],
-                          bbox=_padded_bbox(centers))
-    record("emit", f"{len(doc.markers)} markers, {len(doc.legend)} legend rows", t0)
-    return StoryResult(story=story, report=report, map=doc,
-                       attempts=attempts, trace=trace)
+
+# -- artifacts -----------------------------------------------------------------
+
+def _json_text(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+
+
+def report_files(report: ValidationReport) -> dict[str, str]:
+    """``report.json`` and ``report.txt``, by file name."""
+    return {"report.json": _json_text(report_to_dict(report)),
+            "report.txt": summarize_report(report) + "\n"}
+
+
+def write_files(out_dir: str | Path, files: dict[str, str]) -> list[Path]:
+    """Write each ``name: text`` as UTF-8 in ``out_dir``; returns the paths written."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    written = []
+    for name, text in files.items():
+        path = out / name
+        path.write_text(text, encoding="utf-8")
+        written.append(path)
+    return written
 
 
 def write_bundle(result: StoryResult, out_dir: str | Path,
                  with_html: bool = True) -> list[Path]:
     """Drop the run's artifacts in ``out_dir``; returns the paths written."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    written = []
-
-    def emit(name: str, text: str) -> None:
-        path = out / name
-        path.write_text(text, encoding="utf-8")
-        written.append(path)
-
-    emit("story.txt", result.story.text)
-    emit("story.json", json.dumps(story_to_dict(result.story), indent=2,
-                                  sort_keys=True, ensure_ascii=False) + "\n")
-    emit("report.json", json.dumps(report_to_dict(result.report), indent=2,
-                                   sort_keys=True, ensure_ascii=False) + "\n")
-    emit("report.txt", summarize_report(result.report) + "\n")
-    emit("map.geojson", render_geojson(result.map))
+    files = {"story.txt": result.story.text,
+             "story.json": _json_text(story_to_dict(result.story)),
+             **report_files(result.report),
+             "map.geojson": render_geojson(result.map)}
     if with_html:
-        emit("map.html", render_html(result.map))
+        files["map.html"] = render_html(result.map)
     trace_rows = [{"step": t.step, "detail": t.detail, "seconds": t.seconds}
                   for t in result.trace]
-    emit("trace.json", json.dumps({"attempts": result.attempts, "steps": trace_rows},
-                                  indent=2, sort_keys=True, ensure_ascii=False) + "\n")
-    return written
+    files["trace.json"] = _json_text({"attempts": result.attempts, "steps": trace_rows})
+    return write_files(out_dir, files)
+
+
+def write_failure(exc: StoryValidationError, out_dir: str | Path) -> list[Path]:
+    """What a run that failed validation leaves: its last report and draft."""
+    files = report_files(exc.report) if exc.report is not None else {}
+    if exc.story is not None:
+        files["story.txt"] = exc.story.text
+    return write_files(out_dir, files)

@@ -13,9 +13,8 @@ import os
 from dataclasses import dataclass, field
 from typing import Callable, Protocol
 
-from .errors import (ConfigurationError, InfrastructureError, MalformedStoryError,
-                     ParseError, ProtocolError)
-from .gazetteer import POI
+from .errors import ConfigurationError, MalformedStoryError, ParseError, ProtocolError
+from .gazetteer import POI, request_json
 
 MARKUP_OPEN = "[[POI:"
 MARKUP_CLOSE = "]]"
@@ -266,17 +265,7 @@ PostFn = Callable[[str, dict, dict], dict]
 
 
 def _http_post(url: str, body: dict, headers: dict) -> dict:
-    import requests
-
-    try:
-        resp = requests.post(url, json=body, headers=headers, timeout=120)
-        resp.raise_for_status()
-    except requests.RequestException as exc:
-        raise InfrastructureError(f"story backend request failed: {exc}") from exc
-    try:
-        return resp.json()
-    except ValueError as exc:
-        raise ProtocolError(f"story backend returned non-JSON payload: {exc}") from exc
+    return request_json(url, "story backend", timeout=120, body=body, headers=headers)
 
 
 class RemoteBackend:

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import ConfigurationError, InfrastructureError
+from .errors import ConfigurationError
 from .gazetteer import Gazetteer, GazetteerConfig, normalize_name
 from .geo import GeoPoint, haversine_distance, point_to_polyline_distance
-from .story import Story
+from .story import Mention, Story
 
 GROUNDED = "grounded"
 UNGEOCODABLE = "ungeocodable"
@@ -87,6 +87,14 @@ def _grounded_fraction(per_poi: list[PoiVerdict], policy: GroundingPolicy) -> fl
     return grounded / denom if denom else 1.0
 
 
+def distinct_names(mentions: list[Mention]) -> list[str]:
+    """The first spelling of each place, by normalized name, in story order."""
+    display: dict[str, str] = {}
+    for m in mentions:
+        display.setdefault(normalize_name(m.name), m.name)
+    return list(display.values())
+
+
 def validate_story(story: Story, ctx: GroundingContext, policy: GroundingPolicy,
                    gazetteer: Gazetteer | GazetteerConfig) -> ValidationReport:
     """Grade one story: spatial verdict per distinct POI plus structural checks.
@@ -109,14 +117,8 @@ def validate_story(story: Story, ctx: GroundingContext, policy: GroundingPolicy,
         threshold = policy.hotspot_threshold_m
         distance_to = lambda p: min(haversine_distance(p, c) for c in ctx.hotspot_centers)
 
-    display: dict[str, str] = {}
-    for m in story.mentions:
-        display.setdefault(normalize_name(m.name), m.name)
-    names = list(display.values())
-    try:
-        located = gaz.bulk_geocode(names)
-    except InfrastructureError as exc:
-        raise InfrastructureError(str(exc), step="validation") from exc
+    names = distinct_names(story.mentions)
+    located = gaz.bulk_geocode(names)
 
     per_poi = []
     for name in names:

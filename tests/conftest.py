@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import http.server
 import re
+import threading
+import urllib.parse
 from pathlib import Path
 
 import pytest
@@ -105,3 +108,48 @@ def cluster_csv(cluster_dataset, tmp_path) -> Path:
 @pytest.fixture(scope="session")
 def central_route(gazetteer) -> list[GeoPoint]:
     return [gazetteer.geocode(name).location for name in CENTRAL_ROUTE_NAMES]
+
+
+class _RecordingHandler(http.server.BaseHTTPRequestHandler):
+    """Records each request on the server and answers with ``server.reply``."""
+
+    def _answer(self):
+        url = urllib.parse.urlsplit(self.path)
+        request = {
+            "method": self.command,
+            "path": url.path,
+            "query": dict(urllib.parse.parse_qsl(url.query, keep_blank_values=True)),
+            "headers": {k.lower(): v for k, v in self.headers.items()},
+            "body": self.rfile.read(int(self.headers.get("Content-Length") or 0)),
+        }
+        self.server.seen.append(request)
+        status, payload = self.server.reply(request)
+        self.send_response(status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(payload)))
+        self.end_headers()
+        self.wfile.write(payload)
+
+    do_GET = do_POST = _answer
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def loopback(monkeypatch):
+    """An HTTP server on 127.0.0.1. Set ``reply(request) -> (status, bytes)``;
+    ``seen`` lists the requests received, ``url`` is the server's base URL."""
+    for var in ("http_proxy", "HTTP_PROXY", "all_proxy", "ALL_PROXY"):
+        monkeypatch.delenv(var, raising=False)
+    server = http.server.HTTPServer(("127.0.0.1", 0), _RecordingHandler)
+    server.seen = []
+    server.reply = lambda request: (200, b"[]")
+    server.url = f"http://127.0.0.1:{server.server_port}"
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
+    thread.start()
+    yield server
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=5)
+    assert not thread.is_alive()

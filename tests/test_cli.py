@@ -1,9 +1,11 @@
 import csv
 import json
+import re
+from pathlib import Path
 
 import pytest
 
-from trajstory.cli import main, parse_config
+from trajstory.cli import COMMAND_FLAGS, CONFIG_KEYS, main, parse_config
 from trajstory.errors import ConfigurationError
 from trajstory.ingest import KAGGLE_COLUMNS, parse_dataset, trip_endpoints
 
@@ -278,6 +280,23 @@ class TestMapCommand:
         roles = [f["properties"]["role"] for f in geo["features"]]
         assert roles[0] == "trajectory"
 
+    def test_legend_names_the_places_validation_grades(self, capsys, tmp_path,
+                                                      route_file):
+        story = tmp_path / "story.txt"
+        story.write_text("Past [[POI: Ribeira]], [[POI: RIBEIRA]], [[POI: Aliados Avenue]] "
+                         "and [[POI: Avenida dos Aliados]].\n", encoding="utf-8")
+        data = ["--dataset", str(route_file), "--schema", "point_list"]
+        code, _, _ = run(capsys, "map", str(story), *data,
+                         "--output-dir", str(tmp_path / "map"))
+        assert code == 0
+        code, _, _ = run(capsys, "validate", str(story), *data,
+                         "--output-dir", str(tmp_path / "rep"))
+        assert code == 0
+        geo = json.loads((tmp_path / "map" / "map.geojson").read_text(encoding="utf-8"))
+        report = json.loads((tmp_path / "rep" / "report.json").read_text(encoding="utf-8"))
+        assert [name for _, name in geo["legend"]] == [p["name"] for p in report["per_poi"]] \
+            == ["Ribeira", "Aliados Avenue", "Avenida dos Aliados"]
+
     def test_nothing_mappable_is_a_config_error(self, capsys, tmp_path):
         story = tmp_path / "story.txt"
         story.write_text("Only [[POI: Atlantis Pier]] here.\n", encoding="utf-8")
@@ -285,3 +304,132 @@ class TestMapCommand:
                            "--output-dir", str(tmp_path / "map"))
         assert code == 2
         assert "nothing to map" in err
+
+
+LATIN1_STORY = "Past [[POI: São Bento Station]].\n".encode("latin-1")
+
+
+@pytest.mark.parametrize("command, config, story, flags, code, message", [
+    ("story", None, None, ["--max-words", "0"], 2, "max_words must be positive"),
+    ("story", b"rate_limit = 0\n", None, [], 2, "rate_limit must be positive"),
+    ("story", b"min_grounded_fraction = 2\n", None, [], 2,
+     "min_grounded_fraction must be in [0, 1]"),
+    ("story", b"hotspot_threshold_m = nan\n", None, [], 2, "expected a finite number"),
+    ("story", b"max_words = many\n", None, [], 2, "config key max_words"),
+    ("story", b"max_word = 80\n", None, [], 2, "unknown config key 'max_word'"),
+    ("story", "audience = S\xe3o Paulo\n".encode("latin-1"), None, [], 2, "not UTF-8"),
+    ("validate", "tone = s\xe9rieux\n".encode("latin-1"), b"[[POI: Ribeira]]\n", [], 2,
+     "not UTF-8"),
+    ("validate", None, LATIN1_STORY, [], 3, "not UTF-8"),
+    ("map", None, LATIN1_STORY, [], 3, "not UTF-8"),
+], ids=["max-words-0", "rate-limit-0", "fraction-2", "nan", "not-a-number",
+        "unknown-key", "latin1-config", "latin1-config-validate",
+        "latin1-story-validate", "latin1-story-map"])
+def test_hostile_input_gets_a_stable_exit_code(capsys, tmp_path, cluster_csv, command,
+                                               config, story, flags, code, message):
+    argv = [command]
+    if story is not None:
+        (tmp_path / "story.txt").write_bytes(story)
+        argv.append(str(tmp_path / "story.txt"))
+    if command != "map":
+        argv += ["--dataset", str(cluster_csv)]
+    if config is not None:
+        (tmp_path / "run.cfg").write_bytes(config)
+        argv += ["--config", str(tmp_path / "run.cfg")]
+    got, _, err = run(capsys, *argv, "--offline", "--output-dir", str(tmp_path / "out"),
+                      *flags)
+    assert got == code
+    assert message in err
+
+
+class TestStepTags:
+    """A gazetteer outage reaches the CLI tagged with the step it hit."""
+
+    def online_config(self, tmp_path, loopback, extra=""):
+        cfg = tmp_path / "online.cfg"
+        cfg.write_text(f"offline = false\ngazetteer_url = {loopback.url}\n"
+                       f"rate_limit = 1000\n{extra}")
+        return cfg
+
+    def test_outage_in_discovery(self, capsys, tmp_path, cluster_csv, loopback):
+        loopback.reply = lambda r: (500, b"{}")
+        cfg = self.online_config(tmp_path, loopback)
+        code, _, err = run(capsys, "story", "--dataset", str(cluster_csv),
+                           "--config", str(cfg), "--output-dir", str(tmp_path / "out"))
+        assert code == 4
+        assert "(step: discovery)" in err
+
+    def test_outage_in_validate(self, capsys, tmp_path, cluster_csv, loopback):
+        # area searches (discovery) succeed; looking up a name fails
+        loopback.reply = lambda r: (200, b"[]") if r["query"]["q"] == "" else (500, b"{}")
+        story = "A stop at [[POI: Atlantis Pier]].\n"
+        responses = tmp_path / "responses.json"
+        responses.write_text(json.dumps([story]))
+        cfg = self.online_config(tmp_path, loopback,
+                                 f"responses_file = {responses}\nmin_pois = 1\n")
+        code, _, err = run(capsys, "story", "--dataset", str(cluster_csv),
+                           "--backend", "scripted", "--config", str(cfg),
+                           "--output-dir", str(tmp_path / "out"))
+        assert code == 4
+        assert "(step: validate)" in err
+        (tmp_path / "story.txt").write_text(story, encoding="utf-8")
+        code, _, err = run(capsys, "validate", str(tmp_path / "story.txt"),
+                           "--dataset", str(cluster_csv), "--config", str(cfg))
+        assert code == 4
+        assert "(step: validate)" in err
+
+
+class TestStoryValidateParity:
+    """``story --config C`` and ``validate --config C`` grade a story the same way."""
+
+    @pytest.mark.parametrize("mode", ["heatmap", "single_trajectory"])
+    def test_same_config_same_report(self, capsys, tmp_path, cluster_csv, route_file,
+                                     mode):
+        if mode == "heatmap":
+            keys = (f"dataset = {cluster_csv}\nmode = heatmap\n"
+                    "min_pois = 15\nmax_words = 150\nhotspot_threshold_m = 900\n")
+        else:
+            keys = (f"dataset = {route_file}\nschema = point_list\n"
+                    "mode = single_trajectory\ndiscovery_radius_m = 300\n"
+                    "trajectory_threshold_m = 400\nmin_pois = 5\nmax_words = 200\n")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(keys + "require_geocode = false\nmin_grounded_fraction = 0.9\n")
+        story_dir, validate_dir = tmp_path / "story", tmp_path / "validate"
+        code, _, _ = run(capsys, "story", "--config", str(cfg),
+                         "--output-dir", str(story_dir))
+        assert code == 0
+        code, _, _ = run(capsys, "validate", str(story_dir / "story.txt"),
+                         "--config", str(cfg), "--output-dir", str(validate_dir))
+        assert code == 0
+        assert (validate_dir / "report.json").read_bytes() \
+            == (story_dir / "report.json").read_bytes()
+
+    def test_validate_honours_the_configured_threshold(self, capsys, tmp_path,
+                                                       route_file):
+        story = tmp_path / "story.txt"
+        story.write_text("Past [[POI: Ribeira]] to [[POI: Foz do Douro]].\n",
+                         encoding="utf-8")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("schema = point_list\ntrajectory_threshold_m = 100000000\n")
+        code, out, _ = run(capsys, "validate", str(story), "--dataset", str(route_file),
+                           "--config", str(cfg))
+        assert code == 0
+        assert "Foz do Douro: grounded" in out
+
+
+class TestReadme:
+    """The README's config key list and flag table match the CLI's table."""
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+
+    def test_lists_every_config_key(self):
+        section = self.readme.split("### Config files", 1)[1]
+        key_list = section.split("Recognized keys:", 1)[1].strip().split("\n\n", 1)[0]
+        assert set(re.findall(r"`([a-z_]+)`", key_list)) == set(CONFIG_KEYS)
+
+    def test_lists_each_commands_flags(self):
+        rows = dict(re.findall(r"^\| `([a-z]+)` \| (.*) \|$", self.readme, re.M))
+        assert rows.keys() == COMMAND_FLAGS.keys()
+        for command, keys in COMMAND_FLAGS.items():
+            assert set(re.findall(r"`(--[a-z-]+)`", rows[command])) \
+                == {CONFIG_KEYS[key][1] for key in keys}, command

@@ -212,6 +212,25 @@ class TestRateLimit:
         gaz.geocode("two")
         assert ft.sleeps == [pytest.approx(0.5)]
 
+    def test_sleeps_outside_the_lock_and_keeps_the_interval(self):
+        ft = FakeTime()
+        held, starts = [], []
+
+        def sleep(seconds):
+            held.append(gaz._lock.locked())
+            ft.sleep(seconds)
+
+        def fetch(url, params):
+            starts.append(ft.t)
+            return []
+
+        gaz = Gazetteer(online_cfg(rate_limit=4.0), fetch=fetch,
+                        clock=ft.clock, sleep=sleep)
+        gaz.geocode("one")
+        gaz.geocode("two")
+        assert held == [False]
+        assert starts[1] - starts[0] >= 1.0 / 4.0
+
     def test_no_sleep_after_enough_wall_time(self):
         ft = FakeTime()
         gaz = Gazetteer(online_cfg(rate_limit=2.0), fetch=RecordingFetch([]),

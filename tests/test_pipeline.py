@@ -1,12 +1,16 @@
 import json
+from dataclasses import replace
 
 import pytest
 
 from trajstory.errors import (ConfigurationError, InfrastructureError,
                               ParseError, StoryValidationError)
-from trajstory.pipeline import (AgentPlan, StoryRequest, execute, plan,
+from trajstory.geo import haversine_distance
+from trajstory.ingest import select_trajectory
+from trajstory.pipeline import (StoryRequest, execute, plan, run_steps,
                                 write_bundle)
-from trajstory.story import NarrativeSpec, TemplateBackend
+from trajstory.story import (NarrativeSpec, Story, TemplateBackend, count_words,
+                             extract_mentions)
 from trajstory.synth import ScriptedBackend, write_kaggle_csv
 from trajstory.validation import GroundingPolicy
 
@@ -35,32 +39,59 @@ def route_file(tmp_path, central_route):
     return path
 
 
+STEP_NAMES = ["ingest", "analytics", "discovery", "generate", "validate", "emit"]
+
+
+def far_story(mode):
+    """A story naming one place about 6 km from downtown Porto."""
+    text = "All roads lead to [[POI: Matosinhos Beach]].\n"
+    return Story(text=text, mentions=extract_mentions(text), word_count=count_words(text),
+                 spec=NarrativeSpec(mode=mode, min_pois=0), backend_id="external")
+
+
 class TestPlan:
     def test_heatmap_steps(self, cluster_csv):
-        p = plan(heatmap_request(cluster_csv))
-        assert p.names() == ["ingest", "analytics", "discovery",
-                             "generate", "validate", "emit"]
-        by_name = {s.name: s.params for s in p.steps}
-        assert by_name["analytics"]["op"] == "grid_hotspots"
-        assert by_name["discovery"]["centers"] == "hotspots"
-        assert by_name["validate"]["threshold_m"] == 1000.0
+        req = heatmap_request(cluster_csv)
+        assert [name for name, _ in plan(req)] == STEP_NAMES
+        run = run_steps(req, ("ingest", "analytics", "discovery"))
+        # analytics builds the grid and grounds on its hotspots
+        assert run.traj is None and run.grid is not None
+        centers = [h.center for h in run.hotspots]
+        assert run.grounding.hotspot_centers == centers
+        # discovery searches around the hotspot centers
+        assert run.story_ctx.candidate_pois
+        for poi in run.story_ctx.candidate_pois:
+            assert min(haversine_distance(poi.location, c) for c in centers) <= 1000.0
+        # validate grades against the hotspot threshold
+        lenient = replace(req, policy=GroundingPolicy(trajectory_threshold_m=0.0,
+                                                      hotspot_threshold_m=1e7))
+        graded = run_steps(lenient, ("ingest", "analytics", "validate"),
+                           story=far_story("heatmap"))
+        assert graded.report.overall
 
     def test_single_trajectory_steps(self, cluster_csv):
         req = StoryRequest(dataset_path=str(cluster_csv), mode="single_trajectory",
                            spec=NarrativeSpec(mode="single_trajectory"))
-        p = plan(req)
-        assert p.names() == ["ingest", "analytics", "discovery",
-                             "generate", "validate", "emit"]
-        by_name = {s.name: s.params for s in p.steps}
-        assert by_name["analytics"]["op"] == "select_trajectory"
-        assert by_name["analytics"]["criterion"] == "longest_by_points"
-        assert by_name["discovery"]["centers"] == "trajectory_samples"
-        assert by_name["validate"]["threshold_m"] == 500.0
+        assert [name for name, _ in plan(req)] == STEP_NAMES
+        run = run_steps(req, ("ingest", "analytics", "discovery"))
+        # analytics selects the trip by the default criterion, longest_by_points
+        assert run.traj.id == select_trajectory(run.ds, "longest_by_points").id
+        assert run.grounding.trajectory == run.traj.points
+        # discovery searches around samples of the trajectory
+        for poi in run.story_ctx.candidate_pois:
+            assert min(haversine_distance(poi.location, p)
+                       for p in run.traj.points) <= 1000.0
+        # validate grades against the trajectory threshold
+        lenient = replace(req, policy=GroundingPolicy(trajectory_threshold_m=1e7,
+                                                      hotspot_threshold_m=0.0))
+        graded = run_steps(lenient, ("ingest", "analytics", "validate"),
+                           story=far_story("single_trajectory"))
+        assert graded.report.overall
 
     def test_same_request_same_plan(self, cluster_csv):
         req = heatmap_request(cluster_csv)
         assert plan(req) == plan(req)
-        assert isinstance(plan(req), AgentPlan)
+        assert all(callable(fn) for _, fn in plan(req))
 
     def test_all_violations_reported_at_once(self, cluster_csv):
         req = heatmap_request(cluster_csv, max_retries=0,
