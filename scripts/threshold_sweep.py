@@ -12,11 +12,12 @@ import argparse
 import sys
 
 from trajstory.gazetteer import Gazetteer, GazetteerConfig
+from trajstory.pipeline import discover
 from trajstory.story import (NarrativeSpec, StoryContext, TemplateBackend,
                              generate_story)
 from trajstory.synth import inject_hallucinations
 from trajstory.validation import (GroundingContext, GroundingPolicy,
-                                  validate_story)
+                                  grounding_rule, validate_story)
 
 ROUTE_NAMES = [
     "Palácio de Cristal Gardens", "Igreja do Carmo", "Livraria Lello",
@@ -38,14 +39,11 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     gaz = Gazetteer(GazetteerConfig())
-    route = [gaz.geocode(name).location for name in ROUTE_NAMES]
-    candidates = []
-    seen = set()
-    for vertex in route:
-        for poi in gaz.pois_near(vertex, 250.0):
-            if poi.name not in seen:
-                seen.add(poi.name)
-                candidates.append(poi)
+    grounding = GroundingContext(trajectory=[gaz.geocode(name).location
+                                             for name in ROUTE_NAMES])
+    # the honest story's material: the places within 250 m of the route
+    candidates = discover(gaz, grounding_rule(
+        grounding, "single_trajectory", GroundingPolicy(trajectory_threshold_m=250.0)))
 
     spec = NarrativeSpec(mode="single_trajectory", min_pois=10, max_words=400)
     ctx = StoryContext(data_summary="a downtown walking route",
@@ -57,7 +55,6 @@ def main(argv=None):
     print(f"story: {len(story.mentions)} mentions, {len(planted)} planted far POIs")
     print(f"{'threshold_m':>11}  {'flagged':>7}  {'precision':>9}  {'recall':>6}")
 
-    grounding = GroundingContext(trajectory=route)
     for threshold in args.thresholds:
         policy = GroundingPolicy(trajectory_threshold_m=threshold)
         report = validate_story(story, grounding, policy, gaz)

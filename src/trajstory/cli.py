@@ -92,8 +92,6 @@ CONFIG_KEYS = {
     "hotspot_k": (int, "--top", StoryRequest, "hotspot_k"),
     "cell_size_m": (_float, "--cell-size", StoryRequest, "cell_size_m"),
     "cluster_distance_m": (_float, "--cluster-distance", StoryRequest, "cluster_distance_m"),
-    "trajectory_samples": (int, None, StoryRequest, "trajectory_samples"),
-    "discovery_radius_m": (_float, "--discovery-radius", StoryRequest, "discovery_radius_m"),
     "max_retries": (int, "--max-retries", StoryRequest, "max_retries"),
     "region_name": (str, None, StoryRequest, "region_name"),
     "audience": (str, "--audience", NarrativeSpec, "audience"),
@@ -126,8 +124,7 @@ COMMAND_FLAGS = {
     "ingest": ("schema",),
     "heatmap": ("schema", "cell_size_m", "hotspot_k"),
     "story": ("dataset", "schema", "mode", "backend", "audience", "max_words",
-              "min_pois", "max_retries", "discovery_radius_m", "include_blurbs",
-              "selection", "trajectory_id"),
+              "min_pois", "max_retries", "include_blurbs", "selection", "trajectory_id"),
     "validate": ("dataset", "schema", "mode", "selection", "trajectory_id",
                  "cell_size_m", "hotspot_k", "trajectory_threshold_m",
                  "hotspot_threshold_m", "min_pois", "max_words"),
@@ -295,9 +292,10 @@ def cmd_map(args: argparse.Namespace) -> int:
         else:
             pois.append(replace(poi, name=name))
     traj = run_steps(req, ("ingest", "analytics")).traj if req.dataset_path else None
-    if not pois and traj is None:
-        raise ConfigurationError("nothing to map: no geocodable POIs and no dataset")
-    doc = emit_map(pois, trajectory=traj, cluster_distance_m=req.cluster_distance_m)
+    try:
+        doc = emit_map(pois, trajectory=traj, cluster_distance_m=req.cluster_distance_m)
+    except ValueError as exc:   # nothing to map, or a negative cluster distance
+        raise ConfigurationError(str(exc)) from None
     out = _out_dir(args)
     write_map(doc, out / "map.geojson", out / "map.html")
     print(f"markers: {len(doc.markers)}  legend rows: {len(doc.legend)}")

@@ -25,7 +25,7 @@ from datetime import datetime, timezone
 from typing import Callable
 
 from .errors import InfrastructureError, ProtocolError
-from .geo import BoundingBox, GeoPoint, haversine_distance, meters_per_degree
+from .geo import BoundingBox, GeoPoint
 
 FetchFn = Callable[[str, dict], object]
 
@@ -172,16 +172,6 @@ class Gazetteer:
                 index[entry["key"]] = poi
         return index
 
-    def fixture_pois(self) -> list[POI]:
-        """Distinct fixture entries in file order (aliases collapsed)."""
-        out = []
-        seen = set()
-        for poi in self._fixture.values():
-            if id(poi) not in seen:
-                seen.add(id(poi))
-                out.append(poi)
-        return out
-
     def _cache_key(self, name: str) -> str:
         bias = _viewbox_param(self.cfg.region_bias) if self.cfg.region_bias else "none"
         return f"{normalize_name(name)}|{bias}"
@@ -253,27 +243,21 @@ class Gazetteer:
         self._append_cache(key, results[0])
         return results[0]
 
-    def pois_near(self, center: GeoPoint, radius_m: float) -> list[POI]:
-        """All known POIs within ``radius_m``, distance ascending, name on ties."""
-        if radius_m < 0:
-            raise ValueError(f"radius_m must be >= 0, got {radius_m}")
+    def known_pois(self, area: BoundingBox) -> list[POI]:
+        """Every place known by name: cache and fixture, one POI per normalized name.
+
+        The fixture wins a name the cache also holds. When online, the hits of
+        one bounded search over ``area`` join the pool under names it lacks.
+        """
         pool: dict[str, POI] = {}
         for poi in self._cache.values():
             pool.setdefault(normalize_name(poi.name), poi)
         for poi in self._fixture.values():
             pool[normalize_name(poi.name)] = poi
         if not self.cfg.offline_only:
-            kx, ky = meters_per_degree(center.lat)
-            box = BoundingBox(max(-180.0, center.lon - radius_m / kx),
-                              max(-90.0, center.lat - radius_m / ky),
-                              min(180.0, center.lon + radius_m / kx),
-                              min(90.0, center.lat + radius_m / ky))
-            for poi in self._search_remote("", box, limit=50):
+            for poi in self._search_remote("", area, limit=50):
                 pool.setdefault(normalize_name(poi.name), poi)
-        hits = [(haversine_distance(center, poi.location), poi) for poi in pool.values()]
-        hits = [(d, poi) for d, poi in hits if d <= radius_m]
-        hits.sort(key=lambda t: (t[0], t[1].name))
-        return [poi for _, poi in hits]
+        return list(pool.values())
 
     def bulk_geocode(self, names: list[str]) -> dict[str, POI | None]:
         """Geocode every name; per-name results match individual calls.

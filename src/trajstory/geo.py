@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -83,36 +83,57 @@ def meters_per_degree(lat: float) -> tuple[float, float]:
     return m_per_deg_lat * math.cos(math.radians(lat)), m_per_deg_lat
 
 
-def point_to_polyline_distance(p: GeoPoint, line: Sequence[GeoPoint]) -> float:
-    """Minimum distance in meters from ``p`` to a polyline.
+def segment_distances(p: GeoPoint, line: Sequence[GeoPoint]) -> Iterator[float]:
+    """Distance in meters from ``p`` to each segment of a polyline, in route order.
 
     Each segment is treated as locally planar (equirectangular projection
     centered on the segment); the foot of the perpendicular is mapped back to
-    geographic coordinates and measured with the haversine. Endpoint
-    distances are always included as candidates, so the result never exceeds
-    the distance to the nearest vertex. The planar approximation is accurate
-    to well below 0.1% for segments up to ~50 km.
+    geographic coordinates and measured with the haversine. Both endpoint
+    distances are always candidates, so a segment is never farther than its
+    nearer vertex. The planar approximation is accurate to well below 0.1%
+    for segments up to ~50 km. A one-point line is one degenerate segment.
     """
     if not line:
         raise ValueError("empty polyline: a trajectory needs at least one point")
-
-    best = min(haversine_distance(p, v) for v in line)
+    d_a = haversine_distance(p, line[0])
+    if len(line) == 1:
+        yield d_a
     for a, b in zip(line, line[1:]):
+        d_b = haversine_distance(p, b)
+        best = d_a if d_a <= d_b else d_b
         lat0 = (a.lat + b.lat) / 2.0
         kx, ky = meters_per_degree(lat0)
         ax, ay = (a.lon - p.lon) * kx, (a.lat - p.lat) * ky
         bx, by = (b.lon - p.lon) * kx, (b.lat - p.lat) * ky
         dx, dy = bx - ax, by - ay
         seg_len_sq = dx * dx + dy * dy
-        if seg_len_sq == 0.0:
-            continue
-        t = -(ax * dx + ay * dy) / seg_len_sq
-        if 0.0 < t < 1.0:
-            foot = GeoPoint(a.lon + t * (b.lon - a.lon), a.lat + t * (b.lat - a.lat))
-            d = haversine_distance(p, foot)
-            if d < best:
-                best = d
-    return best
+        if seg_len_sq != 0.0:
+            t = -(ax * dx + ay * dy) / seg_len_sq
+            if 0.0 < t < 1.0:
+                foot = GeoPoint(a.lon + t * (b.lon - a.lon), a.lat + t * (b.lat - a.lat))
+                d = haversine_distance(p, foot)
+                if d < best:
+                    best = d
+        yield best
+        d_a = d_b
+
+
+def point_to_polyline_distance(p: GeoPoint, line: Sequence[GeoPoint]) -> float:
+    """Minimum distance in meters from ``p`` to a polyline: its nearest segment."""
+    return min(segment_distances(p, line))
+
+
+def bbox_within(points: Iterable[GeoPoint], radius_m: float) -> BoundingBox:
+    """A box holding every point within ``radius_m`` of the box around ``points``."""
+    raw = bbox_of(points)
+    dlat = math.degrees(radius_m / EARTH_RADIUS_M)
+    min_lat, max_lat = max(-90.0, raw.min_lat - dlat), min(90.0, raw.max_lat + dlat)
+    half_arc = min(radius_m / (2.0 * EARTH_RADIUS_M), math.pi / 2.0)
+    ratio = math.sin(half_arc) / math.cos(math.radians(max(-min_lat, max_lat)))
+    dlon = math.degrees(2.0 * math.asin(ratio)) if ratio < 1.0 else 360.0
+    # clamped to the valid range: the box never wraps across the antimeridian
+    return BoundingBox(max(-180.0, raw.min_lon - dlon), min_lat,
+                       min(180.0, raw.max_lon + dlon), max_lat)
 
 
 def bbox_of(points: Iterable[GeoPoint]) -> BoundingBox:

@@ -15,9 +15,11 @@ from typing import Sequence
 
 import numpy as np
 
+from .errors import ConfigurationError
 from .geo import BoundingBox, GeoPoint, bbox_of_coords, meters_per_degree
 
 DEFAULT_CELL_SIZE_M = 250.0
+MAX_GRID_CELLS = 10_000_000     # 80 MB of int64 counts
 
 
 @dataclass
@@ -34,7 +36,8 @@ class HeatGrid:
         kx, ky = meters_per_degree(self.bbox.center.lat)
         lon = self.bbox.min_lon + (col + 0.5) * self.cell_size_m / kx
         lat = self.bbox.min_lat + (row + 0.5) * self.cell_size_m / ky
-        return GeoPoint(lon, lat)
+        # the last cell can reach past the antimeridian or the pole
+        return GeoPoint(min(lon, 180.0), min(lat, 90.0))
 
 
 @dataclass(frozen=True)
@@ -63,8 +66,11 @@ def build_grid(points: np.ndarray, cell_size_m: float = DEFAULT_CELL_SIZE_M,
     kx, ky = meters_per_degree(bbox.center.lat)
     width_m = (bbox.max_lon - bbox.min_lon) * kx
     height_m = (bbox.max_lat - bbox.min_lat) * ky
-    cols = max(1, math.ceil(width_m / cell_size_m))
-    rows = max(1, math.ceil(height_m / cell_size_m))
+    cols, rows = (max(1, math.ceil(min(m / cell_size_m, MAX_GRID_CELLS + 1)))
+                  for m in (width_m, height_m))
+    if rows * cols > MAX_GRID_CELLS:
+        raise ConfigurationError(f"a {cell_size_m} m grid over this area needs more "
+                                 f"than {MAX_GRID_CELLS} cells; raise cell_size_m")
 
     lon, lat = points[:, 0], points[:, 1]
     inside = ((lon >= bbox.min_lon) & (lon <= bbox.max_lon)

@@ -291,16 +291,6 @@ def select_trajectory(ds: Dataset, criterion: str, trajectory_id: str | None = N
     return ds.trajectory(min(tied, key=ds.ids.__getitem__))
 
 
-def to_point_list(traj: Trajectory) -> str:
-    """Serialize to point_list text; floats round-trip exactly via repr."""
-    return "".join(f"{p.lon!r},{p.lat!r}\n" for p in traj.points)
-
-
-def write_point_list(traj: Trajectory, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(to_point_list(traj))
-
-
 def trajectory_digest(traj: Trajectory) -> str:
     """Deterministic plain-text summary of one trajectory for prompting."""
     start, end = traj.points[0], traj.points[-1]

@@ -9,6 +9,7 @@ collection and, on request, a static HTML page over public map tiles.
 
 from __future__ import annotations
 
+import html
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -188,11 +189,18 @@ data.features.forEach(function (f) {{
 
 
 def render_html(doc: MapDocument, title: str = "trajstory map") -> str:
-    """Self-contained page over OpenStreetMap raster tiles; no server needed."""
-    legend_items = "\n".join(f"  <li value=\"{number}\">{name}</li>"
-                             for number, name in doc.legend)
-    return _HTML_PAGE.format(title=title, legend_items=legend_items,
-                             geojson=render_geojson(doc).rstrip("\n"))
+    """Self-contained page over OpenStreetMap raster tiles; no server needed.
+
+    Names are text: the legend and title are HTML-escaped, and the embedded
+    GeoJSON spells ``&<>`` as JSON escapes, so no name can close ``<script>``.
+    """
+    legend_items = "\n".join(f"  <li value=\"{n}\">{html.escape(name, quote=False)}</li>"
+                             for n, name in doc.legend)
+    geojson = render_geojson(doc).rstrip("\n")
+    for char, escape in (("&", "\\u0026"), ("<", "\\u003c"), (">", "\\u003e")):
+        geojson = geojson.replace(char, escape)
+    return _HTML_PAGE.format(title=html.escape(title, quote=False),
+                             legend_items=legend_items, geojson=geojson)
 
 
 def write_map(doc: MapDocument, geojson_path: str | Path,

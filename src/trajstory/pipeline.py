@@ -20,8 +20,8 @@ from typing import Callable
 
 from .errors import (ConfigurationError, InfrastructureError, MalformedStoryError,
                      ParseError, StoryValidationError)
-from .gazetteer import Gazetteer, GazetteerConfig, POI, normalize_name
-from .geo import GeoPoint
+from .gazetteer import Gazetteer, GazetteerConfig, POI
+from .geo import bbox_within
 from .heatgrid import (DEFAULT_CELL_SIZE_M, HeatGrid, Hotspot, build_grid,
                        summarize_for_story, top_hotspots)
 from .ingest import (SCHEMAS, SELECTION_CRITERIA, Dataset, Trajectory, parse_dataset,
@@ -30,9 +30,10 @@ from .mapdoc import (DEFAULT_CLUSTER_DISTANCE_M, MapDocument, _padded_bbox, emit
                      render_geojson, render_html)
 from .story import (MODES, NarrativeSpec, Story, StoryBackend, StoryContext,
                     build_prompt, generate_story, story_to_dict)
-from .validation import (GroundingContext, GroundingPolicy, ValidationReport,
-                         feedback_text, malformed_story_report, report_to_dict,
-                         summarize_report, validate_story)
+from .validation import (GroundingContext, GroundingPolicy, GroundingRule,
+                         ValidationReport, feedback_text, grounding_rule,
+                         malformed_story_report, report_to_dict, summarize_report,
+                         validate_story)
 
 
 @dataclass
@@ -48,11 +49,9 @@ class StoryRequest:
     selection_id: str | None = None
     hotspot_k: int = 5
     max_retries: int = 3
-    discovery_radius_m: float = 1000.0
     dataset_schema: str = "kaggle_porto"
     cell_size_m: float = DEFAULT_CELL_SIZE_M
     cluster_distance_m: float = DEFAULT_CLUSTER_DISTANCE_M
-    trajectory_samples: int = 20
     region_name: str = "Porto"
 
 
@@ -133,39 +132,27 @@ def _route_analytics(run: RunState) -> str:
     return f"selected {run.traj.id} ({len(run.traj.points)} points)"
 
 
-def _sample_points(traj: Trajectory, n_samples: int) -> list[GeoPoint]:
-    """Every k-th point plus the final one; caps gazetteer queries per path."""
-    step = max(1, len(traj.points) // n_samples)
-    sampled = traj.points[::step]
-    if sampled[-1] is not traj.points[-1]:
-        sampled.append(traj.points[-1])
-    return sampled
+def discover(gazetteer: Gazetteer, rule: GroundingRule) -> list[POI]:
+    """The known POIs ``rule`` grounds, by (first piece in reach, distance to it, name)."""
+    ranked = []
+    for poi in gazetteer.known_pois(bbox_within(rule.evidence, rule.threshold_m)):
+        for i, d in enumerate(rule.distances(poi.location)):
+            if d <= rule.threshold_m:
+                ranked.append((i, d, poi.name, poi))
+                break
+    ranked.sort(key=lambda t: t[:3])
+    return [t[3] for t in ranked]
 
 
-def _discover(run: RunState, centers: list[GeoPoint], summary: str) -> str:
-    """Gather the story's material: the data digest and the known POIs near ``centers``.
-
-    Per-center results are flattened; the first occurrence of a name wins.
-    """
-    radius = run.req.discovery_radius_m
-    candidates: dict[str, POI] = {}
-    for center in centers:
-        for poi in run.gazetteer.pois_near(center, radius):
-            candidates.setdefault(normalize_name(poi.name), poi)
-    run.story_ctx = StoryContext(data_summary=summary,
-                                 candidate_pois=list(candidates.values()),
+def _discover(run: RunState) -> str:
+    """Gather the story's material: the data digest and the places validation grounds."""
+    rule = grounding_rule(run.grounding, run.req.mode, run.req.policy)
+    candidates = discover(run.gazetteer, rule)
+    summary = (trajectory_digest(run.traj) if run.traj is not None
+               else summarize_for_story(run.grid, run.hotspots))
+    run.story_ctx = StoryContext(data_summary=summary, candidate_pois=candidates,
                                  region_name=run.req.region_name)
-    return f"{len(candidates)} candidate POIs within {radius:.0f} m"
-
-
-def _hotspot_discovery(run: RunState) -> str:
-    return _discover(run, run.grounding.hotspot_centers,
-                     summarize_for_story(run.grid, run.hotspots))
-
-
-def _route_discovery(run: RunState) -> str:
-    return _discover(run, _sample_points(run.traj, run.req.trajectory_samples),
-                     trajectory_digest(run.traj))
+    return f"{len(candidates)} candidate POIs within {rule.threshold_m:.0f} m"
 
 
 def _generate(run: RunState) -> str:
@@ -217,8 +204,6 @@ def plan(req: StoryRequest) -> list[Step]:
         problems.append(f"unknown dataset schema {req.dataset_schema!r}")
     if req.max_retries < 1:
         problems.append(f"max_retries must be >= 1, got {req.max_retries}")
-    if req.discovery_radius_m <= 0:
-        problems.append(f"discovery_radius_m must be > 0, got {req.discovery_radius_m}")
     if req.cell_size_m <= 0:
         problems.append(f"cell_size_m must be > 0, got {req.cell_size_m}")
     if req.cluster_distance_m < 0:
@@ -230,16 +215,11 @@ def plan(req: StoryRequest) -> list[Step]:
             problems.append(f"unknown selection criterion {req.selection!r}")
         if req.selection == "by_id" and not req.selection_id:
             problems.append("selection 'by_id' needs selection_id")
-        if req.trajectory_samples < 1:
-            problems.append(f"trajectory_samples must be >= 1, got {req.trajectory_samples}")
     if problems:
         raise ConfigurationError("invalid request: " + "; ".join(problems))
 
-    if req.mode == "heatmap":
-        analytics, discovery = _hotspot_analytics, _hotspot_discovery
-    else:
-        analytics, discovery = _route_analytics, _route_discovery
-    return [("ingest", _ingest), ("analytics", analytics), ("discovery", discovery),
+    analytics = _hotspot_analytics if req.mode == "heatmap" else _route_analytics
+    return [("ingest", _ingest), ("analytics", analytics), ("discovery", _discover),
             ("generate", _generate), ("validate", _validate), ("emit", _emit)]
 
 

@@ -117,25 +117,6 @@ def strip_markup(text: str) -> str:
     return "".join(out)
 
 
-def reinsert_markup(plain: str, mentions: list[Mention]) -> str:
-    """Inverse of strip_markup for canonically written spans.
-
-    ``mentions`` carry offsets into the marked-up text; exact for spans
-    written as ``[[POI: name]]`` (the only form the backends emit).
-    """
-    out = []
-    pos = 0
-    delta = 0
-    for m in mentions:
-        p_start = m.start - delta
-        out.append(plain[pos:p_start])
-        out.append(f"{MARKUP_OPEN} {m.name}{MARKUP_CLOSE}")
-        pos = p_start + len(m.name)
-        delta += (m.end - m.start) - len(m.name)
-    out.append(plain[pos:])
-    return "".join(out)
-
-
 def count_words(text: str) -> int:
     """Whitespace-run word count with markup delimiters removed first.
 
@@ -208,15 +189,16 @@ _CONNECTIVES = ("First comes", "Then", "After that,", "Close by,", "Further on,"
 def template_backend(ctx: StoryContext, spec: NarrativeSpec) -> str:
     """Deterministic three-act story over the candidate POIs.
 
-    Act II walks the candidates in the order given (discovery emits them
-    distance-ordered), marking each one and attaching blurbs while the word
+    Act II walks the candidates in the order given (discovery emits them in
+    evidence order), marking each one and attaching blurbs while the word
     budget allows; blurbs are the first thing dropped to stay under
     ``max_words``.
     """
     if len(ctx.candidate_pois) < spec.min_pois:
+        threshold = "trajectory" if spec.mode == "single_trajectory" else "hotspot"
         raise ConfigurationError(
             f"only {len(ctx.candidate_pois)} candidate POIs for min_pois="
-            f"{spec.min_pois}; widen the discovery radius")
+            f"{spec.min_pois}; raise {threshold}_threshold_m or lower min_pois")
     act1 = _ACT1[spec.mode].format(region=ctx.region_name)
     act3 = _ACT3[spec.mode]
     budget = spec.max_words - count_words(act1) - count_words(act3)

@@ -2,17 +2,20 @@
 
 A mention is only as good as its distance to the evidence: each named POI
 is geocoded and measured against the trajectory (or the hotspot centers),
-and anything too far out is flagged as a spatial hallucination. Structural
-checks cover the word cap, the POI quota, and markup health.
+and anything too far out is flagged as a spatial hallucination. Discovery
+offers places by the same ``GroundingRule``. Structural checks cover the
+word cap, the POI quota, and markup health.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Iterator
 
 from .errors import ConfigurationError
 from .gazetteer import Gazetteer, GazetteerConfig, normalize_name
-from .geo import GeoPoint, haversine_distance, point_to_polyline_distance
+from .geo import (GeoPoint, haversine_distance, point_to_polyline_distance,
+                  segment_distances)
 from .story import Mention, Story
 
 GROUNDED = "grounded"
@@ -47,6 +50,38 @@ class GroundingContext:
 
     trajectory: list[GeoPoint] | None = None
     hotspot_centers: list[GeoPoint] | None = None
+
+
+@dataclass(frozen=True)
+class GroundingRule:
+    """A place is grounded when some piece of evidence lies within ``threshold_m``."""
+
+    threshold_m: float
+    evidence: list[GeoPoint]    # the trip's points, or the hotspot centers by rank
+    along_path: bool            # the pieces are the trip's segments, in route order
+
+    def distances(self, p: GeoPoint) -> Iterator[float]:
+        """Distance from ``p`` to each piece of evidence, in evidence order."""
+        if self.along_path:
+            return segment_distances(p, self.evidence)
+        return (haversine_distance(p, c) for c in self.evidence)
+
+    def nearest(self, p: GeoPoint) -> float:
+        """The least of ``distances(p)``: what grading measures."""
+        if self.along_path:
+            return point_to_polyline_distance(p, self.evidence)
+        return min(self.distances(p))
+
+
+def grounding_rule(ctx: GroundingContext, mode: str, policy: GroundingPolicy) -> GroundingRule:
+    """The rule ``mode`` grounds by: its evidence in ``ctx`` and its threshold in ``policy``."""
+    if mode == "single_trajectory":
+        if not ctx.trajectory:
+            raise ConfigurationError("single_trajectory validation needs ctx.trajectory")
+        return GroundingRule(policy.trajectory_threshold_m, ctx.trajectory, along_path=True)
+    if not ctx.hotspot_centers:
+        raise ConfigurationError("heatmap validation needs ctx.hotspot_centers")
+    return GroundingRule(policy.hotspot_threshold_m, ctx.hotspot_centers, along_path=False)
 
 
 @dataclass(frozen=True)
@@ -106,16 +141,7 @@ def validate_story(story: Story, ctx: GroundingContext, policy: GroundingPolicy,
     """
     gaz = gazetteer if isinstance(gazetteer, Gazetteer) else Gazetteer(gazetteer)
     spec = story.spec
-    if spec.mode == "single_trajectory":
-        if not ctx.trajectory:
-            raise ConfigurationError("single_trajectory validation needs ctx.trajectory")
-        threshold = policy.trajectory_threshold_m
-        distance_to = lambda p: point_to_polyline_distance(p, ctx.trajectory)
-    else:
-        if not ctx.hotspot_centers:
-            raise ConfigurationError("heatmap validation needs ctx.hotspot_centers")
-        threshold = policy.hotspot_threshold_m
-        distance_to = lambda p: min(haversine_distance(p, c) for c in ctx.hotspot_centers)
+    rule = grounding_rule(ctx, spec.mode, policy)
 
     names = distinct_names(story.mentions)
     located = gaz.bulk_geocode(names)
@@ -126,8 +152,8 @@ def validate_story(story: Story, ctx: GroundingContext, policy: GroundingPolicy,
         if poi is None:
             per_poi.append(PoiVerdict(name=name, verdict=UNGEOCODABLE))
             continue
-        d = distance_to(poi.location)
-        verdict = GROUNDED if d <= threshold else HALLUCINATION
+        d = rule.nearest(poi.location)
+        verdict = GROUNDED if d <= rule.threshold_m else HALLUCINATION
         per_poi.append(PoiVerdict(name=name, verdict=verdict, distance_m=d,
                                   location=poi.location))
 

@@ -17,14 +17,14 @@ from trajstory.geo import GeoPoint, point_to_polyline_distance
 from trajstory.heatgrid import build_grid, top_hotspots
 from trajstory.ingest import parse_dataset, trip_endpoints
 from trajstory.mapdoc import emit_map, render_geojson
-from trajstory.pipeline import StoryRequest, execute, write_bundle
+from trajstory.pipeline import StoryRequest, discover, execute, write_bundle
 from trajstory.story import (NarrativeSpec, StoryContext, TemplateBackend,
                              generate_story)
 from trajstory.synth import (PORTO_BBOX, ScriptedBackend, SyntheticSpec,
                              generate_dataset, inject_hallucinations,
                              write_kaggle_csv)
 from trajstory.validation import (GroundingContext, GroundingPolicy,
-                                  validate_story)
+                                  grounding_rule, validate_story)
 
 SEED = 20260825
 
@@ -49,13 +49,9 @@ def test_criterion_1_offline_heatmap_story(cluster_csv):
 
 def test_criterion_2_hallucination_separation(gazetteer, central_route):
     """Legit mentions hug the route; five planted far POIs get flagged, exactly."""
-    candidates = []
-    seen = set()
-    for vertex in central_route:
-        for poi in gazetteer.pois_near(vertex, 250.0):
-            if poi.name not in seen:
-                seen.add(poi.name)
-                candidates.append(poi)
+    route = GroundingContext(trajectory=central_route)
+    candidates = discover(gazetteer, grounding_rule(
+        route, "single_trajectory", GroundingPolicy(trajectory_threshold_m=250.0)))
     assert len(candidates) >= 10
     for poi in candidates:
         d = point_to_polyline_distance(poi.location, central_route)
@@ -72,8 +68,7 @@ def test_criterion_2_hallucination_separation(gazetteer, central_route):
         assert d > 2000.0, f"{poi.name} only {d:.1f} m out"
     doctored = inject_hallucinations(story, far)
 
-    report = validate_story(doctored, GroundingContext(trajectory=central_route),
-                            GroundingPolicy(), gazetteer)
+    report = validate_story(doctored, route, GroundingPolicy(), gazetteer)
     flagged = {p.name for p in report.flagged()}
     planted = set(FAR_POI_NAMES)
     assert flagged == planted
@@ -143,7 +138,7 @@ def test_criterion_5_retry_loop_counts(cluster_csv):
 
 def test_criterion_6_map_emission(gazetteer):
     """18 fixture POIs: full legend, oracle-identical clusters, stable bytes."""
-    pois = gazetteer.fixture_pois()[:18]
+    pois = gazetteer.known_pois(PORTO_BBOX)[:18]
     doc = emit_map(pois, cluster_distance_m=150.0)
 
     assert doc.legend == [(i + 1, poi.name) for i, poi in enumerate(pois)]
@@ -154,7 +149,7 @@ def test_criterion_6_map_emission(gazetteer):
     for marker in doc.markers:
         assert PORTO_BBOX.contains(marker.center)
 
-    again = emit_map(gazetteer.fixture_pois()[:18], cluster_distance_m=150.0)
+    again = emit_map(gazetteer.known_pois(PORTO_BBOX)[:18], cluster_distance_m=150.0)
     assert render_geojson(doc).encode() == render_geojson(again).encode()
 
 

@@ -1,13 +1,17 @@
+import contextlib
 import csv
+import io
 import json
 import re
 from pathlib import Path
 
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 from trajstory.cli import COMMAND_FLAGS, CONFIG_KEYS, main, parse_config
 from trajstory.errors import ConfigurationError
 from trajstory.ingest import KAGGLE_COLUMNS, parse_dataset, trip_endpoints
+from trajstory.synth import SyntheticSpec, generate_dataset, write_kaggle_csv
 
 
 @pytest.fixture()
@@ -168,6 +172,23 @@ class TestStoryCommand:
         assert (out_dir / "story.txt").read_text(encoding="utf-8") \
             == "A stop at [[POI: Atlantis Pier]].\n"
 
+    def test_too_few_places_stop_at_the_first_generation(self, capsys, tmp_path,
+                                                         cluster_csv):
+        # the seed-7 set's longest trip passes 11 fixture places within 500 m
+        code, _, err = run(capsys, "story", "--dataset", str(cluster_csv),
+                           "--mode", "single_trajectory", "--offline",
+                           "--output-dir", str(tmp_path / "out"))
+        assert code == 2
+        assert "only 11 candidate POIs for min_pois=15" in err
+        assert "trajectory_threshold_m" in err and "min_pois" in err
+        assert not (tmp_path / "out" / "report.txt").exists()
+
+    def test_removed_discovery_radius_flag(self, capsys, cluster_csv):
+        with pytest.raises(SystemExit) as exit_:
+            main(["story", "--dataset", str(cluster_csv), "--discovery-radius", "300"])
+        assert exit_.value.code == 2
+        assert "--discovery-radius" in capsys.readouterr().err
+
     def test_missing_dataset_is_a_config_error(self, capsys, tmp_path):
         code, _, err = run(capsys, "story", "--offline",
                            "--output-dir", str(tmp_path / "x"))
@@ -322,9 +343,20 @@ LATIN1_STORY = "Past [[POI: São Bento Station]].\n".encode("latin-1")
      "not UTF-8"),
     ("validate", None, LATIN1_STORY, [], 3, "not UTF-8"),
     ("map", None, LATIN1_STORY, [], 3, "not UTF-8"),
+    ("map", None, b"[[POI: Ribeira]]\n", ["--cluster-distance", "-1"], 2,
+     "cluster_distance_m must be >= 0"),
+    ("story", b"discovery_radius_m = 300\n", None, [], 2,
+     "unknown config key 'discovery_radius_m'"),
+    ("story", b"trajectory_samples = 20\n", None, [], 2,
+     "unknown config key 'trajectory_samples'"),
+    ("story", b"cell_size_m = 0.5\n", None, [], 2, "raise cell_size_m"),
+    ("story", b"hotspot_threshold_m = 1e308\nmin_pois = 30\n", None, [], 2,
+     "only 25 candidate POIs for min_pois=30"),
 ], ids=["max-words-0", "rate-limit-0", "fraction-2", "nan", "not-a-number",
         "unknown-key", "latin1-config", "latin1-config-validate",
-        "latin1-story-validate", "latin1-story-map"])
+        "latin1-story-validate", "latin1-story-map", "map-negative-cluster-distance",
+        "removed-discovery-radius", "removed-trajectory-samples", "oversized-grid",
+        "threshold-past-the-antipode"])
 def test_hostile_input_gets_a_stable_exit_code(capsys, tmp_path, cluster_csv, command,
                                                config, story, flags, code, message):
     argv = [command]
@@ -342,18 +374,19 @@ def test_hostile_input_gets_a_stable_exit_code(capsys, tmp_path, cluster_csv, co
     assert message in err
 
 
+def online_config(tmp_path, loopback, extra=""):
+    cfg = tmp_path / "online.cfg"
+    cfg.write_text(f"offline = false\ngazetteer_url = {loopback.url}\n"
+                   f"rate_limit = 1000\n{extra}")
+    return cfg
+
+
 class TestStepTags:
     """A gazetteer outage reaches the CLI tagged with the step it hit."""
 
-    def online_config(self, tmp_path, loopback, extra=""):
-        cfg = tmp_path / "online.cfg"
-        cfg.write_text(f"offline = false\ngazetteer_url = {loopback.url}\n"
-                       f"rate_limit = 1000\n{extra}")
-        return cfg
-
     def test_outage_in_discovery(self, capsys, tmp_path, cluster_csv, loopback):
         loopback.reply = lambda r: (500, b"{}")
-        cfg = self.online_config(tmp_path, loopback)
+        cfg = online_config(tmp_path, loopback)
         code, _, err = run(capsys, "story", "--dataset", str(cluster_csv),
                            "--config", str(cfg), "--output-dir", str(tmp_path / "out"))
         assert code == 4
@@ -365,8 +398,8 @@ class TestStepTags:
         story = "A stop at [[POI: Atlantis Pier]].\n"
         responses = tmp_path / "responses.json"
         responses.write_text(json.dumps([story]))
-        cfg = self.online_config(tmp_path, loopback,
-                                 f"responses_file = {responses}\nmin_pois = 1\n")
+        cfg = online_config(tmp_path, loopback,
+                            f"responses_file = {responses}\nmin_pois = 1\n")
         code, _, err = run(capsys, "story", "--dataset", str(cluster_csv),
                            "--backend", "scripted", "--config", str(cfg),
                            "--output-dir", str(tmp_path / "out"))
@@ -377,6 +410,22 @@ class TestStepTags:
                            "--dataset", str(cluster_csv), "--config", str(cfg))
         assert code == 4
         assert "(step: validate)" in err
+
+
+class TestOnlineDiscovery:
+    """Online discovery asks the gazetteer for the evidence area exactly once."""
+
+    @pytest.mark.parametrize("mode", ["heatmap", "single_trajectory"])
+    def test_one_area_query_per_story(self, capsys, tmp_path, cluster_csv, route_file,
+                                      loopback, mode):
+        dataset = ["--dataset", str(cluster_csv)] if mode == "heatmap" else \
+            ["--dataset", str(route_file), "--schema", "point_list", "--min-pois", "5"]
+        cfg = online_config(tmp_path, loopback)
+        code, _, _ = run(capsys, "story", *dataset, "--mode", mode, "--config", str(cfg),
+                         "--output-dir", str(tmp_path / "out"))
+        assert code == 0
+        assert [r["query"]["q"] for r in loopback.seen] == [""]
+        assert loopback.seen[0]["query"]["bounded"] == "1"
 
 
 class TestStoryValidateParity:
@@ -390,7 +439,7 @@ class TestStoryValidateParity:
                     "min_pois = 15\nmax_words = 150\nhotspot_threshold_m = 900\n")
         else:
             keys = (f"dataset = {route_file}\nschema = point_list\n"
-                    "mode = single_trajectory\ndiscovery_radius_m = 300\n"
+                    "mode = single_trajectory\n"
                     "trajectory_threshold_m = 400\nmin_pois = 5\nmax_words = 200\n")
         cfg = tmp_path / "run.cfg"
         cfg.write_text(keys + "require_geocode = false\nmin_grounded_fraction = 0.9\n")
@@ -433,3 +482,50 @@ class TestReadme:
         for command, keys in COMMAND_FLAGS.items():
             assert set(re.findall(r"`(--[a-z-]+)`", rows[command])) \
                 == {CONFIG_KEYS[key][1] for key in keys}, command
+
+
+# Values a hand-edited config might hold: numbers of every size and sign,
+# booleans, the enumerated words, boxes and free text.
+_config_values = st.one_of(
+    st.sampled_from(["0", "-1", "1", "3", "0.5", "1e-9", "1e-300", "1e308", "nan", "-inf",
+                     "true", "off", "", "heatmap", "single_trajectory", "point_list",
+                     "kaggle_porto", "by_id", "longest_by_length", "synt000001",
+                     "-8.7,41.0,-8.5,41.3", "1,2,3"]),
+    st.integers(-10**9, 10**9).map(str),
+    st.floats(allow_nan=False).map(repr),
+    st.text(st.characters(blacklist_characters="#=\r\n", blacklist_categories=("Cs",)),
+            max_size=12),
+)
+
+
+@pytest.fixture(scope="module")
+def tiny_trips(tmp_path_factory):
+    path = tmp_path_factory.mktemp("tiny") / "trips.csv"
+    write_kaggle_csv(generate_dataset(SyntheticSpec(seed=3, n_trajectories=12)), path,
+                     bad_rows=2, seed=3)
+    story = path.with_name("story.txt")
+    story.write_text("By [[POI: Ribeira]] and [[POI: Atlantis Pier]].\n", encoding="utf-8")
+    return path, story
+
+
+# ``backend`` stays the offline template: a fuzzed remote backend could reach out.
+@settings(max_examples=200, deadline=None)
+@given(command=st.sampled_from(["ingest", "heatmap", "story", "validate", "map"]),
+       config=st.dictionaries(st.sampled_from(sorted(set(CONFIG_KEYS) - {"backend"})),
+                              _config_values, max_size=6))
+def test_fuzzed_config_ends_in_a_documented_exit_code(tiny_trips, tmp_path_factory,
+                                                      command, config):
+    trips, story = tiny_trips
+    cfg = tmp_path_factory.mktemp("cfg") / "run.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in config.items()), encoding="utf-8")
+    argv = {"ingest": [str(trips)], "heatmap": [str(trips)],
+            "story": ["--dataset", str(trips)],
+            "validate": [str(story), "--dataset", str(trips)],
+            "map": [str(story), "--dataset", str(trips)]}[command]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command, *argv, "--config", str(cfg), "--offline",
+                     "--output-dir", str(cfg.parent / "out")])
+    event(f"{command} exit {code}")
+    assert code in (0, 2, 3, 5), err.getvalue()
+    assert "Traceback" not in err.getvalue()

@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 
 import pytest
 
@@ -7,8 +8,11 @@ from trajstory.errors import InfrastructureError, ProtocolError
 from trajstory.gazetteer import (Gazetteer, GazetteerConfig, POI,
                                  default_fixture_path, normalize_name)
 from trajstory.geo import BoundingBox, GeoPoint, haversine_distance
+from trajstory.pipeline import discover
+from trajstory.validation import GroundingContext, GroundingPolicy, grounding_rule
 
 ALIADOS = GeoPoint(-8.6107, 41.1480)
+WORLD = BoundingBox(-180.0, -90.0, 180.0, 90.0)
 
 
 class RecordingFetch:
@@ -64,7 +68,7 @@ class TestConfig:
 
 class TestFixtureLookups:
     def test_packaged_fixture_loads(self, gazetteer):
-        pois = gazetteer.fixture_pois()
+        pois = gazetteer.known_pois(WORLD)
         assert len(pois) == 25
         assert all(p.source == "fixture" for p in pois)
 
@@ -86,7 +90,8 @@ class TestFixtureLookups:
         fetch = RecordingFetch()
         gaz = Gazetteer(GazetteerConfig(), fetch=fetch)
         gaz.geocode("Atlantis Pier")
-        gaz.pois_near(ALIADOS, 2000.0)
+        gaz.known_pois(WORLD)
+        pois_near(gaz, ALIADOS, 2000.0)
         assert fetch.calls == []
 
 
@@ -189,6 +194,41 @@ class TestCacheJournal:
         assert gaz.geocode("Sea Terminal") is not None
 
 
+def _append_entries(cache_path, worker, count):
+    """One writer process: ``count`` remote hits, each appended to the journal."""
+    def fetch(url, params):
+        i = int(params["q"].rsplit("-", 1)[1])
+        return [{"name": params["q"], "lon": str(-8.0 - worker / 10),
+                 "lat": str(41.0 + i / 1000), "blurb": f"entry {i} of writer {worker} " * 40}]
+    gaz = Gazetteer(online_cfg(cache_path=cache_path), fetch=fetch, sleep=lambda s: None)
+    for i in range(count):
+        gaz.geocode(f"place {worker}-{i}")
+
+
+class TestConcurrentWriters:
+    def test_four_processes_append_without_tearing(self, tmp_path):
+        cache = tmp_path / "cache.jsonl"
+        context = multiprocessing.get_context("spawn")
+        writers = [context.Process(target=_append_entries, args=(str(cache), w, 200))
+                   for w in range(4)]
+        for p in writers:
+            p.start()
+        for p in writers:
+            p.join(timeout=120)
+        assert [p.exitcode for p in writers] == [0] * 4
+
+        lines = cache.read_text(encoding="utf-8").splitlines()
+        assert len(lines) == 800
+        assert len({json.loads(line)["key"] for line in lines}) == 800
+        gaz = Gazetteer(GazetteerConfig(cache_path=str(cache)))
+        for w in range(4):
+            for i in range(200):
+                poi = gaz.geocode(f"place {w}-{i}")
+                assert poi.source == "cache"
+                assert poi.location == GeoPoint(-8.0 - w / 10, 41.0 + i / 1000)
+                assert poi.blurb == f"entry {i} of writer {w} " * 40
+
+
 class FakeTime:
     def __init__(self):
         self.t = 0.0
@@ -241,19 +281,28 @@ class TestRateLimit:
         assert ft.sleeps == []
 
 
+def pois_near(gaz, center, radius_m):
+    """The pipeline's discovery around one hotspot center grounded within ``radius_m``."""
+    rule = grounding_rule(GroundingContext(hotspot_centers=[center]), "heatmap",
+                          GroundingPolicy(hotspot_threshold_m=radius_m))
+    return discover(gaz, rule)
+
+
 class TestPoisNear:
+    """Discovery around one hotspot center: the known POIs within its threshold."""
+
     def test_negative_radius_rejected(self, gazetteer):
         with pytest.raises(ValueError):
-            gazetteer.pois_near(ALIADOS, -1.0)
+            pois_near(gazetteer, ALIADOS, -1.0)
 
     def test_membership_matches_brute_force(self, gazetteer):
         for radius in (0.0, 300.0, 1000.0, 3000.0):
-            got = {p.name for p in gazetteer.pois_near(ALIADOS, radius)}
-            want = brute_force_near(ALIADOS, radius, gazetteer.fixture_pois())
+            got = {p.name for p in pois_near(gazetteer, ALIADOS, radius)}
+            want = brute_force_near(ALIADOS, radius, gazetteer.known_pois(WORLD))
             assert got == want, f"radius {radius}"
 
     def test_sorted_by_distance_then_name(self, gazetteer):
-        hits = gazetteer.pois_near(ALIADOS, 2000.0)
+        hits = pois_near(gazetteer, ALIADOS, 2000.0)
         dists = [haversine_distance(ALIADOS, p.location) for p in hits]
         assert dists == sorted(dists)
 
@@ -262,7 +311,7 @@ class TestPoisNear:
                   remote_item("Pop-up Market", -8.6105, 41.1482)]
         fetch = RecordingFetch(remote)
         gaz = Gazetteer(online_cfg(), fetch=fetch)
-        hits = gaz.pois_near(ALIADOS, 500.0)
+        hits = pois_near(gaz, ALIADOS, 500.0)
         by_name = {p.name: p for p in hits}
         assert by_name["Avenida dos Aliados"].source == "fixture"
         assert by_name["Pop-up Market"].source == "remote"

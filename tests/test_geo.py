@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import dense_polyline_distance, dense_polyline_distance_spaced
 from trajstory.geo import (EARTH_RADIUS_M, BoundingBox, GeoPoint, bbox_of,
-                           haversine_distance, meters_per_degree,
-                           point_to_polyline_distance)
+                           bbox_within, haversine_distance, meters_per_degree,
+                           point_to_polyline_distance, segment_distances)
 
 # Downtown-to-Boavista pair, checked against two independent high-precision
 # great-circle formulas (50-digit arithmetic); they agreed to 20 digits.
@@ -155,6 +155,59 @@ class TestPointToPolyline:
             got = point_to_polyline_distance(q, line)
             want = dense_polyline_distance(q, line)
             assert abs(got - want) <= max(1.0, 0.005 * want)
+
+
+class TestSegmentDistances:
+    def test_empty_line_rejected(self):
+        with pytest.raises(ValueError):
+            list(segment_distances(GOLDEN_A, []))
+
+    def test_single_vertex_is_one_degenerate_segment(self):
+        assert list(segment_distances(GOLDEN_A, [GOLDEN_B])) == \
+            [haversine_distance(GOLDEN_A, GOLDEN_B)]
+
+    @settings(deadline=None, max_examples=25)
+    @given(q=city_points, line=city_lines)
+    def test_one_distance_per_segment_in_route_order(self, q, line):
+        got = list(segment_distances(q, line))
+        assert len(got) == len(line) - 1
+        for d, a, b in zip(got, line, line[1:]):
+            want = dense_polyline_distance_spaced(q, [a, b], spacing_m=5.0)
+            assert abs(d - want) <= max(3.0, 0.01 * want)
+        assert min(got) == point_to_polyline_distance(q, line)
+
+
+class TestBboxWithin:
+    @settings(max_examples=200)
+    @given(evidence=st.lists(st.builds(GeoPoint, st.floats(-170.0, 170.0),
+                                       st.floats(-80.0, 80.0)), min_size=1, max_size=4),
+           radius=st.floats(0.0, 50_000.0),
+           pick=st.integers(0, 3),
+           bearing=st.floats(0.0, 2 * math.pi),
+           fraction=st.floats(0.0, 1.0))
+    def test_holds_every_point_within_the_radius(self, evidence, radius, pick,
+                                                 bearing, fraction):
+        box = bbox_within(evidence, radius)
+        assert all(box.contains(p) for p in evidence)
+        # a point up to ``radius`` from an evidence point, in any direction
+        c = evidence[pick % len(evidence)]
+        kx, ky = meters_per_degree(c.lat)
+        r = radius * fraction
+        q = GeoPoint(c.lon + r * math.cos(bearing) / kx, c.lat + r * math.sin(bearing) / ky)
+        if haversine_distance(q, c) <= radius:
+            assert box.contains(q)
+
+    def test_pads_by_the_radius_and_clamps(self):
+        box = bbox_within([GOLDEN_A], 1000.0)
+        kx, ky = meters_per_degree(GOLDEN_A.lat)
+        assert box.max_lat - GOLDEN_A.lat == pytest.approx(1000.0 / ky, rel=1e-9)
+        assert box.max_lon - GOLDEN_A.lon == pytest.approx(1000.0 / kx, rel=1e-3)
+        polar = bbox_within([GeoPoint(179.9, 89.9)], 50_000.0)
+        assert (polar.min_lon, polar.max_lon, polar.max_lat) == (-180.0, 180.0, 90.0)
+
+    @pytest.mark.parametrize("radius_m", [2.1e7, 4.5e7, 1e308])
+    def test_a_radius_past_the_antipode_covers_the_globe(self, radius_m):
+        assert bbox_within([GOLDEN_A], radius_m) == BoundingBox(-180.0, -90.0, 180.0, 90.0)
 
 
 class TestBoundingBox:

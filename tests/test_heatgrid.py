@@ -4,7 +4,9 @@ from hypothesis import given, strategies as st
 
 from helpers import coords
 from oracles import full_sort_hotspots, reference_grid_counts
-from trajstory.geo import BoundingBox, GeoPoint
+from trajstory.geo import BoundingBox, GeoPoint, meters_per_degree
+from trajstory.errors import ConfigurationError
+from trajstory import heatgrid
 from trajstory.heatgrid import (HeatGrid, build_grid, export_grid,
                                 summarize_for_story, top_hotspots)
 from trajstory.ingest import trip_endpoints
@@ -17,6 +19,37 @@ micro_points = st.builds(GeoPoint, micro_lon, micro_lat)
 
 
 class TestBuildGrid:
+    @pytest.mark.parametrize("cell_size_m", [0.5, 1e-3, 1e-300])
+    def test_refuses_an_oversized_grid_before_allocating(self, cell_size_m):
+        import tracemalloc
+        pts = coords([GeoPoint(-8.70, 41.10), GeoPoint(-8.55, 41.20)])
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigurationError, match="raise cell_size_m"):
+                build_grid(pts, cell_size_m=cell_size_m)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    @pytest.mark.parametrize("corner, cell_size_m", [
+        ((179.9999, 89.9999), 250.0), ((-8.61, 41.15), 3e7)])
+    def test_centers_stay_on_the_globe(self, corner, cell_size_m):
+        pts = coords([GeoPoint(*corner), GeoPoint(corner[0] - 1e-4, corner[1] - 1e-4)])
+        grid = build_grid(pts, cell_size_m=cell_size_m)
+        spot, = top_hotspots(grid, 1)
+        assert spot.center.lon <= 180.0 and spot.center.lat <= 90.0
+
+    def test_cap_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(heatgrid, "MAX_GRID_CELLS", 12)
+        kx, ky = meters_per_degree(0.0)
+        pts = coords([GeoPoint(0.0, 0.0)])
+        # 4 x 3 cells of 100 m fit; 4 x 4 do not
+        grid = build_grid(pts, 100.0, bbox=BoundingBox(0.0, 0.0, 350.0 / kx, 250.0 / ky))
+        assert (grid.rows, grid.cols) == (3, 4)
+        with pytest.raises(ConfigurationError):
+            build_grid(pts, 100.0, bbox=BoundingBox(0.0, 0.0, 350.0 / kx, 350.0 / ky))
+
     def test_rejects_nonpositive_cell(self):
         with pytest.raises(ValueError):
             build_grid(coords([GeoPoint(-8.6, 41.1)]), cell_size_m=0)

@@ -7,14 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import iter_points, point_list_round_trip, trajectories
+from helpers import (iter_points, point_list_round_trip, to_point_list, trajectories,
+                     write_point_list)
 from oracles import reference_parse_kaggle
 from trajstory.errors import ConfigurationError, NotFoundError, ParseError
 from trajstory.geo import GeoPoint
 from trajstory.ingest import (KAGGLE_COLUMNS, SKIP_REASONS, Dataset, Trajectory,
-                              parse_dataset, select_trajectory,
-                              to_point_list, trajectory_digest, trip_endpoints,
-                              write_point_list)
+                              parse_dataset, select_trajectory, trajectory_digest,
+                              trip_endpoints)
 from trajstory.synth import SyntheticSpec, generate_dataset, write_kaggle_csv
 
 HEADER = ["TRIP_ID", "CALL_TYPE", "ORIGIN_CALL", "ORIGIN_STAND", "TAXI_ID",

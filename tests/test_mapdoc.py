@@ -167,3 +167,28 @@ class TestGeoJson:
         write_map(doc, geo, html)
         assert json.loads(geo.read_text())["type"] == "FeatureCollection"
         assert html.read_text().startswith("<!DOCTYPE html>")
+
+
+class TestHtmlEscaping:
+    """Legend names come from story text; none of them can inject markup."""
+
+    EVIL = "Pier</script><script>alert(1)</script>"
+
+    def test_names_and_title_cannot_inject_script(self):
+        doc = emit_map([poi_at(self.EVIL), poi_at("Fish & Chips <Bar>", east_m=500.0)])
+        page = render_html(doc, title="<b>map</b> & more")
+        assert "alert(1)" in page
+        assert "<script>alert" not in page
+        plain = render_html(emit_map([poi_at("A")]))
+        assert page.count("</script>") == plain.count("</script>")
+        assert "<title>&lt;b&gt;map&lt;/b&gt; &amp; more</title>" in page
+        assert ('<li value="1">Pier&lt;/script&gt;&lt;script&gt;alert(1)&lt;/script&gt;</li>'
+                in page)
+        assert '<li value="2">Fish &amp; Chips &lt;Bar&gt;</li>' in page
+
+    def test_embedded_geojson_decodes_to_the_same_document(self):
+        doc = emit_map([poi_at(self.EVIL), poi_at("Fish & Chips", east_m=500.0)])
+        page = render_html(doc)
+        embedded = page.split("var data = ", 1)[1].split(";\nvar map", 1)[0]
+        assert "<" not in embedded and ">" not in embedded and "&" not in embedded
+        assert json.loads(embedded) == json.loads(render_geojson(doc))

@@ -2,17 +2,22 @@ import json
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import CENTRAL_ROUTE_NAMES
 from trajstory.errors import (ConfigurationError, InfrastructureError,
                               ParseError, StoryValidationError)
-from trajstory.geo import haversine_distance
+from trajstory.gazetteer import Gazetteer, GazetteerConfig
+from trajstory.geo import (BoundingBox, GeoPoint, haversine_distance,
+                           point_to_polyline_distance)
 from trajstory.ingest import select_trajectory
-from trajstory.pipeline import (StoryRequest, execute, plan, run_steps,
+from trajstory.pipeline import (StoryRequest, discover, execute, plan, run_steps,
                                 write_bundle)
 from trajstory.story import (NarrativeSpec, Story, TemplateBackend, count_words,
                              extract_mentions)
 from trajstory.synth import ScriptedBackend, write_kaggle_csv
-from trajstory.validation import GroundingPolicy
+from trajstory.validation import (GROUNDED, GroundingContext, GroundingPolicy,
+                                  grounding_rule, validate_story)
 
 GOOD_STORY = "The day ends at [[POI: Avenida dos Aliados]].\n"
 UNPARSEABLE = "a story with no markup at all\n"
@@ -58,7 +63,7 @@ class TestPlan:
         assert run.traj is None and run.grid is not None
         centers = [h.center for h in run.hotspots]
         assert run.grounding.hotspot_centers == centers
-        # discovery searches around the hotspot centers
+        # discovery offers the places within the hotspot threshold of a center
         assert run.story_ctx.candidate_pois
         for poi in run.story_ctx.candidate_pois:
             assert min(haversine_distance(poi.location, c) for c in centers) <= 1000.0
@@ -77,10 +82,9 @@ class TestPlan:
         # analytics selects the trip by the default criterion, longest_by_points
         assert run.traj.id == select_trajectory(run.ds, "longest_by_points").id
         assert run.grounding.trajectory == run.traj.points
-        # discovery searches around samples of the trajectory
+        # discovery offers the places within the trajectory threshold of the path
         for poi in run.story_ctx.candidate_pois:
-            assert min(haversine_distance(poi.location, p)
-                       for p in run.traj.points) <= 1000.0
+            assert point_to_polyline_distance(poi.location, run.traj.points) <= 500.0
         # validate grades against the trajectory threshold
         lenient = replace(req, policy=GroundingPolicy(trajectory_threshold_m=1e7,
                                                       hotspot_threshold_m=0.0))
@@ -95,13 +99,13 @@ class TestPlan:
 
     def test_all_violations_reported_at_once(self, cluster_csv):
         req = heatmap_request(cluster_csv, max_retries=0,
-                              discovery_radius_m=-5.0, cell_size_m=0.0)
+                              cluster_distance_m=-5.0, cell_size_m=0.0)
         with pytest.raises(ConfigurationError) as err:
             plan(req)
         msg = str(err.value)
         assert msg.startswith("invalid request: ")
         assert "max_retries" in msg
-        assert "discovery_radius_m" in msg
+        assert "cluster_distance_m" in msg
         assert "cell_size_m" in msg
 
     def test_mode_mismatch_with_spec(self, cluster_csv):
@@ -155,7 +159,7 @@ class TestExecuteSingleTrajectory:
             dataset_schema="point_list",
             spec=NarrativeSpec(mode="single_trajectory", min_pois=5,
                                max_words=200),
-            discovery_radius_m=300.0)
+            policy=GroundingPolicy(trajectory_threshold_m=300.0))
 
     def test_route_story_grounds_on_the_path(self, route_file, central_route):
         result = execute(self.request(route_file), TemplateBackend())
@@ -164,6 +168,109 @@ class TestExecuteSingleTrajectory:
         assert result.map.paths == [central_route]
         for verdict in result.report.per_poi:
             assert verdict.distance_m <= 300.0
+
+
+    def test_shipped_defaults_pass_on_the_first_attempt(self, tmp_path, gazetteer,
+                                                        central_route):
+        # A stub vertex 30% of the way from the first stop toward a market
+        # leaves that market 759 m off the path: near a sampled vertex, but
+        # outside the 500 m grounding threshold.
+        a = central_route[0]
+        b = gazetteer.geocode("Mercado do Bom Sucesso").location
+        stub = GeoPoint(a.lon + 0.3 * (b.lon - a.lon), a.lat + 0.3 * (b.lat - a.lat))
+        route = [stub] + central_route
+        assert point_to_polyline_distance(b, route) == pytest.approx(759.1, abs=0.1)
+        path = tmp_path / "stub.txt"
+        path.write_text("".join(f"{p.lon!r},{p.lat!r}\n" for p in route))
+        req = StoryRequest(dataset_path=str(path), dataset_schema="point_list",
+                           mode="single_trajectory",
+                           spec=NarrativeSpec(mode="single_trajectory"))
+        result = execute(req, TemplateBackend())
+        assert result.attempts == 1
+        assert result.report.overall
+        assert [p.verdict for p in result.report.per_poi] == [GROUNDED] * 15
+        assert "Mercado do Bom Sucesso" not in {p.name for p in result.report.per_poi}
+
+
+# Places near downtown Porto, where the fixture lives, and grounding
+# thresholds from nothing to well past the fixture's spread.
+porto_points = st.builds(GeoPoint, st.floats(-8.70, -8.57), st.floats(41.13, 41.18))
+
+
+class TestDiscovery:
+    """Discovery offers exactly the places the validator grounds."""
+
+    @staticmethod
+    def rule(evidence, threshold_m, along_path):
+        if along_path:
+            ctx, mode = GroundingContext(trajectory=evidence), "single_trajectory"
+        else:
+            ctx, mode = GroundingContext(hotspot_centers=evidence), "heatmap"
+        policy = GroundingPolicy(trajectory_threshold_m=threshold_m,
+                                 hotspot_threshold_m=threshold_m)
+        return ctx, mode, policy
+
+    @settings(max_examples=60, deadline=None)
+    @given(evidence=st.lists(porto_points, min_size=1, max_size=6),
+           threshold_m=st.floats(0.0, 3000.0), along_path=st.booleans())
+    def test_discovered_iff_grounded(self, gazetteer, evidence, threshold_m, along_path):
+        ctx, mode, policy = self.rule(evidence, threshold_m, along_path)
+        discovered = [p.name for p in discover(gazetteer, grounding_rule(ctx, mode, policy))]
+        assert len(discovered) == len(set(discovered))
+        names = [p.name for p in gazetteer.known_pois(BoundingBox(-180, -90, 180, 90))]
+        text = " ".join(f"[[POI: {name}]]" for name in names)
+        story = Story(text=text, mentions=extract_mentions(text),
+                      word_count=count_words(text), backend_id="test",
+                      spec=NarrativeSpec(mode=mode, min_pois=0, max_words=10**6))
+        report = validate_story(story, ctx, policy, gazetteer)
+        grounded = {p.name for p in report.per_poi if p.verdict == GROUNDED}
+        assert set(discovered) == grounded
+
+    def test_route_order(self, gazetteer, central_route):
+        # every route vertex is a fixture place: it is first in reach of the
+        # segment that ends at it (the first place, of the segment it starts)
+        ctx, mode, policy = self.rule(central_route, 1.0, along_path=True)
+        got = [p.name for p in discover(gazetteer, grounding_rule(ctx, mode, policy))]
+        want = sorted(CENTRAL_ROUTE_NAMES,
+                      key=lambda n: (max(0, CENTRAL_ROUTE_NAMES.index(n) - 1), n))
+        assert got == want
+
+    def test_heatmap_order_is_by_hotspot_rank_then_distance(self, gazetteer):
+        centers = [GeoPoint(-8.6290, 41.1580), GeoPoint(-8.6107, 41.1480)]
+        ctx, mode, policy = self.rule(centers, 600.0, along_path=False)
+        got = discover(gazetteer, grounding_rule(ctx, mode, policy))
+        firsts = [next(i for i, c in enumerate(centers)
+                       if haversine_distance(p.location, c) <= 600.0) for p in got]
+        assert firsts == sorted(firsts) and firsts[0] == 0 and firsts[-1] == 1
+        for rank in (0, 1):
+            dists = [haversine_distance(p.location, centers[rank])
+                     for p, first in zip(got, firsts) if first == rank]
+            assert dists == sorted(dists)
+
+    @pytest.mark.parametrize("along_path", [False, True])
+    def test_online_sends_one_area_query_covering_the_threshold(self, gazetteer,
+                                                                along_path):
+        calls = []
+
+        def fetch(url, params):
+            calls.append(params)
+            return [{"name": "Pop-up Market", "lon": "-8.6105", "lat": "41.1482"}]
+
+        gaz = Gazetteer(GazetteerConfig(offline_only=False, base_url="https://geo.example"),
+                        fetch=fetch)
+        evidence = [GeoPoint(-8.6290, 41.1580), GeoPoint(-8.6107, 41.1480),
+                    GeoPoint(-8.5855, 41.1486)]
+        ctx, mode, policy = self.rule(evidence, 800.0, along_path)
+        rule = grounding_rule(ctx, mode, policy)
+        got = {p.name for p in discover(gaz, rule)}
+        assert len(calls) == 1
+        params = calls[0]
+        assert (params["q"], params["limit"], params["bounded"]) == ("", "50", "1")
+        box = BoundingBox(*map(float, params["viewbox"].split(",")))
+        reachable = [p for p in gazetteer.known_pois(box)
+                     if rule.nearest(p.location) <= 800.0]
+        assert reachable and all(box.contains(p.location) for p in reachable)
+        assert {p.name for p in reachable} | {"Pop-up Market"} == got
 
 
 class TestRetryLoop:

@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import STORY18_NAMES, STORY_FIXTURE
+from helpers import reinsert_markup
 from trajstory.errors import (ConfigurationError, MalformedStoryError,
                               ParseError, ProtocolError)
 from trajstory.gazetteer import POI
@@ -10,8 +11,8 @@ from trajstory.geo import GeoPoint
 from trajstory.story import (MARKUP_CLOSE, MARKUP_OPEN, Mention, NarrativeSpec,
                              RemoteBackend, Story, StoryContext, TOKEN_ENV_VAR,
                              TemplateBackend, build_prompt, count_words,
-                             extract_mentions, generate_story, reinsert_markup,
-                             strip_markup, template_backend)
+                             extract_mentions, generate_story, strip_markup,
+                             template_backend)
 
 
 def make_ctx(n_pois=20, region="Porto", summary="endpoints: 400", blurb=None):
@@ -149,7 +150,8 @@ class TestTemplateBackend:
         assert "First comes" in out and "Then" in out
 
     def test_too_few_candidates(self):
-        with pytest.raises(ConfigurationError, match="widen the discovery radius"):
+        with pytest.raises(ConfigurationError,
+                           match="raise hotspot_threshold_m or lower min_pois"):
             template_backend(make_ctx(3), NarrativeSpec(min_pois=10))
 
     def test_word_cap_too_tight_for_min_pois(self):
