@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable
 
 import numpy as np
 
 EARTH_RADIUS_M = 6_371_008.8
+M_PER_DEG_LAT = EARTH_RADIUS_M * math.pi / 180.0
 
 
 @dataclass(frozen=True)
@@ -61,6 +62,11 @@ def haversine_distance(a: GeoPoint, b: GeoPoint) -> float:
     dlon = lon2 - lon1
     dlat = lat2 - lat1
     h = math.sin(dlat / 2) ** 2 + math.cos(lat1) * math.cos(lat2) * math.sin(dlon / 2) ** 2
+    return arc_m(h)
+
+
+def arc_m(h: float) -> float:
+    """Meters of great circle for the haversine term ``h``; increasing in ``h``."""
     return 2.0 * EARTH_RADIUS_M * math.asin(math.sqrt(h))
 
 
@@ -79,53 +85,85 @@ def haversine_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def meters_per_degree(lat: float) -> tuple[float, float]:
     """(m per degree of longitude, m per degree of latitude) at latitude ``lat``."""
-    m_per_deg_lat = EARTH_RADIUS_M * math.pi / 180.0
-    return m_per_deg_lat * math.cos(math.radians(lat)), m_per_deg_lat
+    return M_PER_DEG_LAT * math.cos(math.radians(lat)), M_PER_DEG_LAT
 
 
-def segment_distances(p: GeoPoint, line: Sequence[GeoPoint]) -> Iterator[float]:
-    """Distance in meters from ``p`` to each segment of a polyline, in route order.
+def as_coords(points: Iterable[GeoPoint]) -> np.ndarray:
+    """GeoPoints as a float64 (N, 2) lon/lat array."""
+    return np.array([(p.lon, p.lat) for p in points], dtype=np.float64).reshape(-1, 2)
 
-    Each segment is treated as locally planar (equirectangular projection
-    centered on the segment); the foot of the perpendicular is mapped back to
-    geographic coordinates and measured with the haversine. Both endpoint
-    distances are always candidates, so a segment is never farther than its
-    nearer vertex. The planar approximation is accurate to well below 0.1%
-    for segments up to ~50 km. A one-point line is one degenerate segment.
+
+def haversine_h(p: GeoPoint, lon: np.ndarray, lat: np.ndarray) -> np.ndarray:
+    """``haversine_distance``'s term ``h`` from ``p`` to each (lon, lat), in the same
+    operation order; ``arc_m`` of an element is its distance in meters.
+
+    A float's ``** 2`` calls libm ``pow``, which is not always the rounded
+    ``x * x`` that numpy's ``** 2`` gives; ``float_power`` calls ``pow`` too.
     """
-    if not line:
+    lon1, lat1 = math.radians(p.lon), math.radians(p.lat)
+    lat2 = np.radians(lat)
+    return (np.float_power(np.sin((lat2 - lat1) / 2), 2)
+            + math.cos(lat1) * np.cos(lat2)
+            * np.float_power(np.sin((np.radians(lon) - lon1) / 2), 2))
+
+
+def segment_h(p: GeoPoint, coords: np.ndarray) -> np.ndarray:
+    """Haversine term from ``p`` to each segment of a polyline, in route order.
+
+    ``coords`` is the line's float (N, 2) lon/lat array. Each segment is
+    treated as locally planar (equirectangular projection centered on the
+    segment); the foot of the perpendicular is mapped back to geographic
+    coordinates and measured with the haversine. Both endpoints are always
+    candidates, so a segment is never farther than its nearer vertex. The
+    planar approximation is accurate to well below 0.1% for segments up to
+    ~50 km. A one-point line is one degenerate segment. ``arc_m`` of an
+    element is its distance in meters.
+    """
+    if not len(coords):
         raise ValueError("empty polyline: a trajectory needs at least one point")
-    d_a = haversine_distance(p, line[0])
-    if len(line) == 1:
-        yield d_a
-    for a, b in zip(line, line[1:]):
-        d_b = haversine_distance(p, b)
-        best = d_a if d_a <= d_b else d_b
-        lat0 = (a.lat + b.lat) / 2.0
-        kx, ky = meters_per_degree(lat0)
-        ax, ay = (a.lon - p.lon) * kx, (a.lat - p.lat) * ky
-        bx, by = (b.lon - p.lon) * kx, (b.lat - p.lat) * ky
-        dx, dy = bx - ax, by - ay
-        seg_len_sq = dx * dx + dy * dy
-        if seg_len_sq != 0.0:
-            t = -(ax * dx + ay * dy) / seg_len_sq
-            if 0.0 < t < 1.0:
-                foot = GeoPoint(a.lon + t * (b.lon - a.lon), a.lat + t * (b.lat - a.lat))
-                d = haversine_distance(p, foot)
-                if d < best:
-                    best = d
-        yield best
-        d_a = d_b
+    lon, lat = coords[:, 0], coords[:, 1]
+    h = haversine_h(p, lon, lat)
+    if len(coords) == 1:
+        return h
+    best = np.minimum(h[:-1], h[1:])
+    a_lon, a_lat, b_lon, b_lat = lon[:-1], lat[:-1], lon[1:], lat[1:]
+    kx, ky = M_PER_DEG_LAT * np.cos(np.radians((a_lat + b_lat) / 2.0)), M_PER_DEG_LAT
+    ax, ay = (a_lon - p.lon) * kx, (a_lat - p.lat) * ky
+    dx, dy = (b_lon - p.lon) * kx - ax, (b_lat - p.lat) * ky - ay
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # a zero-length segment gives NaN here, which the range test drops
+        t = -(ax * dx + ay * dy) / (dx * dx + dy * dy)
+    inner = np.flatnonzero((t > 0.0) & (t < 1.0))
+    t = t[inner]
+    a_lon, a_lat = a_lon[inner], a_lat[inner]
+    foot = haversine_h(p, a_lon + t * (b_lon[inner] - a_lon), a_lat + t * (b_lat[inner] - a_lat))
+    best[inner] = np.minimum(best[inner], foot)
+    return best
 
 
-def point_to_polyline_distance(p: GeoPoint, line: Sequence[GeoPoint]) -> float:
+def point_to_polyline_distance(p: GeoPoint, coords: np.ndarray) -> float:
     """Minimum distance in meters from ``p`` to a polyline: its nearest segment."""
-    return min(segment_distances(p, line))
+    return arc_m(segment_h(p, coords).min())
 
 
-def bbox_within(points: Iterable[GeoPoint], radius_m: float) -> BoundingBox:
-    """A box holding every point within ``radius_m`` of the box around ``points``."""
-    raw = bbox_of(points)
+def first_within(h: np.ndarray, radius_m: float) -> tuple[int, float] | None:
+    """(index, meters) of the first element of ``h`` within ``radius_m``, or None.
+
+    A vectorized bound picks the candidates (a slightly wider cap, so none
+    is missed); the exact ``arc_m`` test decides among them in order.
+    """
+    cap = math.sin(min(radius_m / (2.0 * EARTH_RADIUS_M), math.pi / 2.0)) ** 2
+    for i in np.flatnonzero(h <= cap * (1.0 + 1e-9)).tolist():
+        d = arc_m(h[i])
+        if d <= radius_m:
+            return i, d
+    return None
+
+
+def bbox_within(coords: np.ndarray, radius_m: float) -> BoundingBox:
+    """A box holding every point within ``radius_m`` of the box around a float
+    (N, 2) lon/lat array."""
+    raw = bbox_of_coords(coords)
     dlat = math.degrees(radius_m / EARTH_RADIUS_M)
     min_lat, max_lat = max(-90.0, raw.min_lat - dlat), min(90.0, raw.max_lat + dlat)
     half_arc = min(radius_m / (2.0 * EARTH_RADIUS_M), math.pi / 2.0)

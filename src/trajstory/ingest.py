@@ -29,7 +29,7 @@ from typing import IO, Iterable
 import numpy as np
 
 from .errors import ConfigurationError, NotFoundError, ParseError
-from .geo import GeoPoint, haversine_distance, haversine_distances
+from .geo import GeoPoint, as_coords, haversine_distance, haversine_distances
 
 SCHEMAS = ("kaggle_porto", "point_list")
 SELECTION_CRITERIA = ("longest_by_points", "longest_by_length", "by_id")
@@ -102,8 +102,7 @@ class Dataset:
         """Pack Trajectory objects into columns, in order."""
         trajectories = list(trajectories)
         offsets = _offsets([len(t.points) for t in trajectories])
-        coords = np.array([(p.lon, p.lat) for t in trajectories for p in t.points],
-                          dtype=np.float64).reshape(-1, 2)
+        coords = as_coords(p for t in trajectories for p in t.points)
         return cls(coords=coords, offsets=offsets, ids=[t.id for t in trajectories],
                    start_times=[t.start_time for t in trajectories],
                    source_path=source_path)

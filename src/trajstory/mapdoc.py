@@ -188,15 +188,17 @@ data.features.forEach(function (f) {{
 """
 
 
-def render_html(doc: MapDocument, title: str = "trajstory map") -> str:
+def render_html(doc: MapDocument, geojson: str, title: str = "trajstory map") -> str:
     """Self-contained page over OpenStreetMap raster tiles; no server needed.
 
-    Names are text: the legend and title are HTML-escaped, and the embedded
-    GeoJSON spells ``&<>`` as JSON escapes, so no name can close ``<script>``.
+    ``geojson`` is ``render_geojson(doc)``, encoded once by the caller for
+    both files. Names are text: the legend and title are HTML-escaped, and
+    the embedded GeoJSON spells ``&<>`` as JSON escapes, so no name can
+    close ``<script>``.
     """
     legend_items = "\n".join(f"  <li value=\"{n}\">{html.escape(name, quote=False)}</li>"
                              for n, name in doc.legend)
-    geojson = render_geojson(doc).rstrip("\n")
+    geojson = geojson.rstrip("\n")
     for char, escape in (("&", "\\u0026"), ("<", "\\u003c"), (">", "\\u003e")):
         geojson = geojson.replace(char, escape)
     return _HTML_PAGE.format(title=html.escape(title, quote=False),
@@ -205,6 +207,7 @@ def render_html(doc: MapDocument, title: str = "trajstory map") -> str:
 
 def write_map(doc: MapDocument, geojson_path: str | Path,
               html_path: str | Path | None = None) -> None:
-    Path(geojson_path).write_text(render_geojson(doc), encoding="utf-8")
+    geojson = render_geojson(doc)
+    Path(geojson_path).write_text(geojson, encoding="utf-8")
     if html_path is not None:
-        Path(html_path).write_text(render_html(doc), encoding="utf-8")
+        Path(html_path).write_text(render_html(doc, geojson), encoding="utf-8")

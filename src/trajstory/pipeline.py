@@ -136,10 +136,9 @@ def discover(gazetteer: Gazetteer, rule: GroundingRule) -> list[POI]:
     """The known POIs ``rule`` grounds, by (first piece in reach, distance to it, name)."""
     ranked = []
     for poi in gazetteer.known_pois(bbox_within(rule.evidence, rule.threshold_m)):
-        for i, d in enumerate(rule.distances(poi.location)):
-            if d <= rule.threshold_m:
-                ranked.append((i, d, poi.name, poi))
-                break
+        reach = rule.first_in_reach(poi.location)
+        if reach is not None:
+            ranked.append((*reach, poi.name, poi))
     ranked.sort(key=lambda t: t[:3])
     return [t[3] for t in ranked]
 
@@ -308,12 +307,13 @@ def write_files(out_dir: str | Path, files: dict[str, str]) -> list[Path]:
 def write_bundle(result: StoryResult, out_dir: str | Path,
                  with_html: bool = True) -> list[Path]:
     """Drop the run's artifacts in ``out_dir``; returns the paths written."""
+    geojson = render_geojson(result.map)
     files = {"story.txt": result.story.text,
              "story.json": _json_text(story_to_dict(result.story)),
              **report_files(result.report),
-             "map.geojson": render_geojson(result.map)}
+             "map.geojson": geojson}
     if with_html:
-        files["map.html"] = render_html(result.map)
+        files["map.html"] = render_html(result.map, geojson)
     trace_rows = [{"step": t.step, "detail": t.detail, "seconds": t.seconds}
                   for t in result.trace]
     files["trace.json"] = _json_text({"attempts": result.attempts, "steps": trace_rows})

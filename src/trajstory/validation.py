@@ -10,12 +10,13 @@ word cap, the POI quota, and markup health.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+
+import numpy as np
 
 from .errors import ConfigurationError
 from .gazetteer import Gazetteer, GazetteerConfig, normalize_name
-from .geo import (GeoPoint, haversine_distance, point_to_polyline_distance,
-                  segment_distances)
+from .geo import (GeoPoint, arc_m, as_coords, first_within, haversine_h,
+                  point_to_polyline_distance, segment_h)
 from .story import Mention, Story
 
 GROUNDED = "grounded"
@@ -52,25 +53,30 @@ class GroundingContext:
     hotspot_centers: list[GeoPoint] | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroundingRule:
     """A place is grounded when some piece of evidence lies within ``threshold_m``."""
 
     threshold_m: float
-    evidence: list[GeoPoint]    # the trip's points, or the hotspot centers by rank
+    evidence: np.ndarray        # (N, 2) lon/lat: the trip's points, or the hotspot centers by rank
     along_path: bool            # the pieces are the trip's segments, in route order
 
-    def distances(self, p: GeoPoint) -> Iterator[float]:
-        """Distance from ``p`` to each piece of evidence, in evidence order."""
+    def piece_h(self, p: GeoPoint) -> np.ndarray:
+        """Haversine term from ``p`` to each piece of evidence, in evidence order."""
         if self.along_path:
-            return segment_distances(p, self.evidence)
-        return (haversine_distance(p, c) for c in self.evidence)
+            return segment_h(p, self.evidence)
+        return haversine_h(p, self.evidence[:, 0], self.evidence[:, 1])
 
     def nearest(self, p: GeoPoint) -> float:
-        """The least of ``distances(p)``: what grading measures."""
+        """Distance from ``p`` to its nearest piece of evidence: what grading measures."""
         if self.along_path:
+            # the same value as below, through the entry point perfbench's tracer times
             return point_to_polyline_distance(p, self.evidence)
-        return min(self.distances(p))
+        return arc_m(self.piece_h(p).min())
+
+    def first_in_reach(self, p: GeoPoint) -> tuple[int, float] | None:
+        """(index, distance) of the first piece within the threshold: what discovery keeps."""
+        return first_within(self.piece_h(p), self.threshold_m)
 
 
 def grounding_rule(ctx: GroundingContext, mode: str, policy: GroundingPolicy) -> GroundingRule:
@@ -78,10 +84,12 @@ def grounding_rule(ctx: GroundingContext, mode: str, policy: GroundingPolicy) ->
     if mode == "single_trajectory":
         if not ctx.trajectory:
             raise ConfigurationError("single_trajectory validation needs ctx.trajectory")
-        return GroundingRule(policy.trajectory_threshold_m, ctx.trajectory, along_path=True)
+        return GroundingRule(policy.trajectory_threshold_m, as_coords(ctx.trajectory),
+                             along_path=True)
     if not ctx.hotspot_centers:
         raise ConfigurationError("heatmap validation needs ctx.hotspot_centers")
-    return GroundingRule(policy.hotspot_threshold_m, ctx.hotspot_centers, along_path=False)
+    return GroundingRule(policy.hotspot_threshold_m, as_coords(ctx.hotspot_centers),
+                         along_path=False)
 
 
 @dataclass(frozen=True)

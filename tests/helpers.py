@@ -5,8 +5,6 @@ from __future__ import annotations
 import io
 from typing import Iterable
 
-import numpy as np
-
 from trajstory.geo import GeoPoint
 from trajstory.ingest import Dataset, Trajectory, parse_dataset
 from trajstory.story import MARKUP_CLOSE, MARKUP_OPEN, Mention
@@ -15,11 +13,6 @@ from trajstory.story import MARKUP_CLOSE, MARKUP_OPEN, Mention
 def trajectories(ds: Dataset) -> list[Trajectory]:
     """Every trip of ``ds`` as a Trajectory of GeoPoints."""
     return [ds.trajectory(i) for i in range(len(ds))]
-
-
-def coords(points: Iterable[GeoPoint]) -> np.ndarray:
-    """GeoPoints as the float (N, 2) lon/lat array build_grid takes."""
-    return np.array([(p.lon, p.lat) for p in points], dtype=np.float64).reshape(-1, 2)
 
 
 def point_list_round_trip(traj: Trajectory) -> Trajectory:

@@ -52,6 +52,40 @@ def dense_polyline_distance_spaced(q: GeoPoint, line: list[GeoPoint],
     return best
 
 
+def reference_segment_distances(p: GeoPoint, line: list[GeoPoint]) -> list[float]:
+    """Distance in meters from ``p`` to each segment of ``line``, in route order.
+
+    The library's scalar formula, one GeoPoint at a time: a locally planar
+    foot of the perpendicular (kept only for 0 < t < 1) against both
+    endpoints, each measured with ``haversine_distance``. A one-point line is
+    one degenerate segment.
+    """
+    if not line:
+        raise ValueError("empty polyline")
+    out = []
+    d_a = haversine_distance(p, line[0])
+    if len(line) == 1:
+        out.append(d_a)
+    for a, b in zip(line, line[1:]):
+        d_b = haversine_distance(p, b)
+        best = d_a if d_a <= d_b else d_b
+        kx, ky = meters_per_degree((a.lat + b.lat) / 2.0)
+        ax, ay = (a.lon - p.lon) * kx, (a.lat - p.lat) * ky
+        bx, by = (b.lon - p.lon) * kx, (b.lat - p.lat) * ky
+        dx, dy = bx - ax, by - ay
+        seg_len_sq = dx * dx + dy * dy
+        if seg_len_sq != 0.0:
+            t = -(ax * dx + ay * dy) / seg_len_sq
+            if 0.0 < t < 1.0:
+                foot = GeoPoint(a.lon + t * (b.lon - a.lon), a.lat + t * (b.lat - a.lat))
+                d = haversine_distance(p, foot)
+                if d < best:
+                    best = d
+        out.append(best)
+        d_a = d_b
+    return out
+
+
 def full_sort_hotspots(grid, k: int) -> list[tuple[int, int, int]]:
     """(row, col, count) for the k busiest nonzero cells; full sort, no heap."""
     cells = [(r, c, int(grid.counts[r, c]))

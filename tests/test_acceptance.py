@@ -14,6 +14,7 @@ from oracles import (brute_force_clusters, dense_polyline_distance,
                      full_sort_hotspots)
 from trajstory.errors import StoryValidationError
 from trajstory.geo import GeoPoint, point_to_polyline_distance
+from trajstory.geo import as_coords as coords
 from trajstory.heatgrid import build_grid, top_hotspots
 from trajstory.ingest import parse_dataset, trip_endpoints
 from trajstory.mapdoc import emit_map, render_geojson
@@ -54,7 +55,7 @@ def test_criterion_2_hallucination_separation(gazetteer, central_route):
         route, "single_trajectory", GroundingPolicy(trajectory_threshold_m=250.0)))
     assert len(candidates) >= 10
     for poi in candidates:
-        d = point_to_polyline_distance(poi.location, central_route)
+        d = point_to_polyline_distance(poi.location, coords(central_route))
         assert d < 250.0, f"{poi.name} at {d:.1f} m"
 
     spec = NarrativeSpec(mode="single_trajectory", min_pois=10, max_words=400)
@@ -64,7 +65,7 @@ def test_criterion_2_hallucination_separation(gazetteer, central_route):
 
     far = [gazetteer.geocode(name) for name in FAR_POI_NAMES]
     for poi in far:
-        d = point_to_polyline_distance(poi.location, central_route)
+        d = point_to_polyline_distance(poi.location, coords(central_route))
         assert d > 2000.0, f"{poi.name} only {d:.1f} m out"
     doctored = inject_hallucinations(story, far)
 
@@ -105,7 +106,7 @@ def test_criterion_4_distance_against_dense_oracle():
     for case in range(100):
         line = [pt() for _ in range(rng.randint(2, 6))]
         q = pt()
-        got = point_to_polyline_distance(q, line)
+        got = point_to_polyline_distance(q, coords(line))
         want = dense_polyline_distance(q, line, samples=1000)
         tol = max(1.0, 0.005 * want)
         assert got == pytest.approx(want, abs=tol), f"case {case}"

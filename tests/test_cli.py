@@ -2,14 +2,18 @@ import contextlib
 import csv
 import io
 import json
+import random
 import re
 from pathlib import Path
 
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
+from conftest import CENTRAL_ROUTE_NAMES, FAR_POI_NAMES
+from oracles import reference_segment_distances
 from trajstory.cli import COMMAND_FLAGS, CONFIG_KEYS, main, parse_config
 from trajstory.errors import ConfigurationError
+from trajstory.geo import GeoPoint
 from trajstory.ingest import KAGGLE_COLUMNS, parse_dataset, trip_endpoints
 from trajstory.synth import SyntheticSpec, generate_dataset, write_kaggle_csv
 
@@ -260,6 +264,29 @@ class TestValidateCommand:
                            "--dataset", str(cluster_csv), "--mode", "heatmap")
         assert code == 0
         assert "validation: PASS" in out
+
+    def test_report_distances_equal_the_scalar_reference(self, capsys, tmp_path):
+        # a seeded 2,500-point walk that doubles back inside downtown Porto
+        rng = random.Random(41)
+        trace = [GeoPoint(-8.6150, 41.1450)]
+        for _ in range(2499):
+            p = trace[-1]
+            trace.append(GeoPoint(min(-8.6050, max(-8.6260, p.lon + rng.gauss(0, 1e-4))),
+                                  min(41.1500, max(41.1390, p.lat + rng.gauss(0, 1e-4)))))
+        data = tmp_path / "trace.txt"
+        data.write_text("".join(f"{p.lon!r},{p.lat!r}\n" for p in trace))
+        names = CENTRAL_ROUTE_NAMES + FAR_POI_NAMES
+        story = self.write_story(tmp_path, " ".join(f"[[POI: {n}]]" for n in names))
+        out_dir = tmp_path / "rep"
+        code, _, _ = run(capsys, "validate", str(story), "--dataset", str(data),
+                         "--mode", "single_trajectory", "--schema", "point_list",
+                         "--offline", "--output-dir", str(out_dir))
+        assert code == 5
+        report = json.loads((out_dir / "report.json").read_text(encoding="utf-8"))
+        assert [p["name"] for p in report["per_poi"]] == names
+        for p in report["per_poi"]:
+            want = min(reference_segment_distances(GeoPoint(p["lon"], p["lat"]), trace))
+            assert p["distance_m"] == want, p["name"]
 
     def test_unknown_trajectory_id_maps_to_exit_2(self, capsys, tmp_path,
                                                   route_file):

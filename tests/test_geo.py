@@ -4,10 +4,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import dense_polyline_distance, dense_polyline_distance_spaced
-from trajstory.geo import (EARTH_RADIUS_M, BoundingBox, GeoPoint, bbox_of,
+from oracles import (dense_polyline_distance, dense_polyline_distance_spaced,
+                     reference_segment_distances)
+from trajstory.geo import (EARTH_RADIUS_M, BoundingBox, GeoPoint, arc_m, bbox_of,
                            bbox_within, haversine_distance, meters_per_degree,
-                           point_to_polyline_distance, segment_distances)
+                           point_to_polyline_distance, segment_h)
+from trajstory.geo import as_coords as coords
+from trajstory.validation import GroundingContext, GroundingPolicy, grounding_rule
 
 # Downtown-to-Boavista pair, checked against two independent high-precision
 # great-circle formulas (50-digit arithmetic); they agreed to 20 digits.
@@ -84,20 +87,20 @@ class TestMetersPerDegree:
 class TestPointToPolyline:
     def test_empty_line_rejected(self):
         with pytest.raises(ValueError):
-            point_to_polyline_distance(GOLDEN_A, [])
+            point_to_polyline_distance(GOLDEN_A, coords([]))
 
     def test_single_vertex_falls_back_to_haversine(self):
-        d = point_to_polyline_distance(GOLDEN_A, [GOLDEN_B])
+        d = point_to_polyline_distance(GOLDEN_A, coords([GOLDEN_B]))
         assert d == pytest.approx(haversine_distance(GOLDEN_A, GOLDEN_B), rel=1e-12)
 
     def test_vertex_hit_is_zero(self):
         line = [GeoPoint(-8.62, 41.14), GeoPoint(-8.60, 41.15), GeoPoint(-8.59, 41.16)]
-        assert point_to_polyline_distance(line[1], line) == 0.0
+        assert point_to_polyline_distance(line[1], coords(line)) == 0.0
 
     def test_point_on_segment_interior(self):
         a, b = GeoPoint(-8.62, 41.14), GeoPoint(-8.58, 41.16)
         mid = GeoPoint((a.lon + b.lon) / 2, (a.lat + b.lat) / 2)
-        assert point_to_polyline_distance(mid, [a, b]) < 1.0
+        assert point_to_polyline_distance(mid, coords([a, b])) < 1.0
 
     def test_perpendicular_offset_from_parallel_segment(self):
         # segment runs along a parallel; a point 0.01 deg north is one
@@ -105,31 +108,31 @@ class TestPointToPolyline:
         line = [GeoPoint(-8.62, 41.15), GeoPoint(-8.60, 41.15)]
         q = GeoPoint(-8.61, 41.16)
         _, ky = meters_per_degree(41.15)
-        assert point_to_polyline_distance(q, line) == pytest.approx(0.01 * ky, rel=1e-3)
+        assert point_to_polyline_distance(q, coords(line)) == pytest.approx(0.01 * ky, rel=1e-3)
 
     def test_beyond_endpoint_clamps_to_vertex(self):
         line = [GeoPoint(-8.62, 41.15), GeoPoint(-8.60, 41.15)]
         q = GeoPoint(-8.55, 41.15)
-        assert point_to_polyline_distance(q, line) == pytest.approx(
+        assert point_to_polyline_distance(q, coords(line)) == pytest.approx(
             haversine_distance(q, line[-1]), rel=1e-9)
 
     @given(q=city_points, line=city_lines)
     def test_never_exceeds_best_vertex_distance(self, q, line):
-        d = point_to_polyline_distance(q, line)
+        d = point_to_polyline_distance(q, coords(line))
         assert d <= min(haversine_distance(q, v) for v in line) + 1e-9
         assert d >= 0.0
 
     @given(q=city_points, line=city_lines)
     def test_reversal_invariance(self, q, line):
-        assert point_to_polyline_distance(q, line) == pytest.approx(
-            point_to_polyline_distance(q, list(reversed(line))), abs=1e-6)
+        assert point_to_polyline_distance(q, coords(line)) == pytest.approx(
+            point_to_polyline_distance(q, coords(reversed(line))), abs=1e-6)
 
     @given(q=city_points, a=city_lines, b=city_lines)
     def test_concatenation_takes_the_min(self, q, a, b):
         joined = a + b
-        d_joined = point_to_polyline_distance(q, joined)
-        d_parts = min(point_to_polyline_distance(q, a),
-                      point_to_polyline_distance(q, b))
+        d_joined = point_to_polyline_distance(q, coords(joined))
+        d_parts = min(point_to_polyline_distance(q, coords(a)),
+                      point_to_polyline_distance(q, coords(b)))
         # joined adds one bridging segment, so it can only get closer
         assert d_joined <= d_parts + 1e-9
 
@@ -138,7 +141,7 @@ class TestPointToPolyline:
     def test_matches_dense_oracle_spot_checks(self, data):
         q = data.draw(city_points)
         line = data.draw(st.lists(city_points, min_size=2, max_size=3))
-        got = point_to_polyline_distance(q, line)
+        got = point_to_polyline_distance(q, coords(line))
         want = dense_polyline_distance_spaced(q, line, spacing_m=5.0)
         # the oracle can overestimate by up to half its sample spacing when
         # the point sits right on the line; 3 m absorbs that
@@ -152,7 +155,7 @@ class TestPointToPolyline:
             line = [GeoPoint(rng.uniform(-8.70, -8.50), rng.uniform(41.05, 41.25))
                     for _ in range(rng.randint(2, 6))]
             q = GeoPoint(rng.uniform(-8.70, -8.50), rng.uniform(41.05, 41.25))
-            got = point_to_polyline_distance(q, line)
+            got = point_to_polyline_distance(q, coords(line))
             want = dense_polyline_distance(q, line)
             assert abs(got - want) <= max(1.0, 0.005 * want)
 
@@ -160,21 +163,109 @@ class TestPointToPolyline:
 class TestSegmentDistances:
     def test_empty_line_rejected(self):
         with pytest.raises(ValueError):
-            list(segment_distances(GOLDEN_A, []))
+            segment_h(GOLDEN_A, coords([]))
 
     def test_single_vertex_is_one_degenerate_segment(self):
-        assert list(segment_distances(GOLDEN_A, [GOLDEN_B])) == \
+        assert [arc_m(h) for h in segment_h(GOLDEN_A, coords([GOLDEN_B]))] == \
             [haversine_distance(GOLDEN_A, GOLDEN_B)]
 
     @settings(deadline=None, max_examples=25)
     @given(q=city_points, line=city_lines)
     def test_one_distance_per_segment_in_route_order(self, q, line):
-        got = list(segment_distances(q, line))
+        got = [arc_m(h) for h in segment_h(q, coords(line))]
         assert len(got) == len(line) - 1
         for d, a, b in zip(got, line, line[1:]):
             want = dense_polyline_distance_spaced(q, [a, b], spacing_m=5.0)
             assert abs(d - want) <= max(3.0, 0.01 * want)
-        assert min(got) == point_to_polyline_distance(q, line)
+        assert min(got) == point_to_polyline_distance(q, coords(line))
+
+
+# Routes in the Porto box drawn from a small pool of places, so vertices
+# repeat (zero-length segments) and routes double back on themselves.
+porto_places = st.builds(GeoPoint, st.floats(-8.70, -8.50), st.floats(41.10, 41.25))
+
+
+@st.composite
+def porto_routes(draw):
+    pool = draw(st.lists(porto_places, min_size=1, max_size=5))
+    line = [pool[i] for i in draw(st.lists(st.integers(0, len(pool) - 1),
+                                           min_size=1, max_size=12))]
+    if draw(st.booleans()):
+        line = line + line[::-1]            # out and back
+    return line
+
+
+@st.composite
+def queries_near(draw, line):
+    """A free point, a vertex, or a point off a segment with its foot at ``t``."""
+    kind = draw(st.sampled_from(["free", "vertex", "foot"]))
+    if kind == "free":
+        return draw(porto_places)
+    if kind == "vertex":
+        return draw(st.sampled_from(line))
+    i = draw(st.integers(0, len(line) - 1))
+    a, b = line[i], line[min(i + 1, len(line) - 1)]
+    t = draw(st.sampled_from([0.0, 5e-324, 1e-15, 1e-9, 1e-6, 0.5,
+                              1 - 1e-6, 1 - 1e-9, 1 - 1e-15, 1.0]) | st.floats(0.0, 1.0))
+    off = draw(st.floats(-400.0, 400.0))
+    kx, ky = meters_per_degree((a.lat + b.lat) / 2.0)
+    dx, dy = (b.lon - a.lon) * kx, (b.lat - a.lat) * ky
+    norm = math.hypot(dx, dy) or 1.0
+    nx, ny = (-dy / norm, dx / norm) if dx or dy else (0.0, 1.0)
+    return GeoPoint(a.lon + t * (b.lon - a.lon) + off * nx / kx,
+                    a.lat + t * (b.lat - a.lat) + off * ny / ky)
+
+
+def reference_first_in_reach(distances, threshold_m):
+    return next(((i, d) for i, d in enumerate(distances) if d <= threshold_m), None)
+
+
+class TestAgainstScalarReference:
+    """The array kernels give exactly the scalar formula's distances."""
+
+    @staticmethod
+    def thresholds(data, distances):
+        exact = st.sampled_from(distances)
+        return data.draw(st.floats(0.0, 3000.0) | exact
+                         | exact.map(lambda d: math.nextafter(d, -math.inf)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), line=porto_routes())
+    def test_route_grading_and_discovery(self, data, line):
+        q = data.draw(queries_near(line))
+        want = reference_segment_distances(q, line)
+        assert [arc_m(h) for h in segment_h(q, coords(line))] == want
+        assert point_to_polyline_distance(q, coords(line)) == min(want)
+        threshold = self.thresholds(data, want)
+        rule = grounding_rule(GroundingContext(trajectory=line), "single_trajectory",
+                              GroundingPolicy(trajectory_threshold_m=max(threshold, 0.0)))
+        assert rule.nearest(q) == min(want)
+        assert rule.first_in_reach(q) == reference_first_in_reach(want, rule.threshold_m)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), centers=st.lists(porto_places, min_size=1, max_size=6))
+    def test_hotspot_grading_and_discovery(self, data, centers):
+        q = data.draw(porto_places | st.sampled_from(centers))
+        want = [haversine_distance(q, c) for c in centers]
+        threshold = self.thresholds(data, want)
+        rule = grounding_rule(GroundingContext(hotspot_centers=centers), "heatmap",
+                              GroundingPolicy(hotspot_threshold_m=max(threshold, 0.0)))
+        assert rule.nearest(q) == min(want)
+        assert rule.first_in_reach(q) == reference_first_in_reach(want, rule.threshold_m)
+
+    def test_long_backtracking_walk(self):
+        rng = random.Random(20261018)
+        line = [GeoPoint(-8.615, 41.145)]
+        for _ in range(3000):
+            p = line[-1]
+            line.append(GeoPoint(min(-8.605, max(-8.626, p.lon + rng.gauss(0, 2e-4))),
+                                 min(41.150, max(41.139, p.lat + rng.gauss(0, 2e-4)))))
+        arr = coords(line)
+        for _ in range(20):
+            q = GeoPoint(rng.uniform(-8.64, -8.59), rng.uniform(41.13, 41.16))
+            want = reference_segment_distances(q, line)
+            assert point_to_polyline_distance(q, arr) == min(want)
+            assert [arc_m(h) for h in segment_h(q, arr)] == want
 
 
 class TestBboxWithin:
@@ -187,7 +278,7 @@ class TestBboxWithin:
            fraction=st.floats(0.0, 1.0))
     def test_holds_every_point_within_the_radius(self, evidence, radius, pick,
                                                  bearing, fraction):
-        box = bbox_within(evidence, radius)
+        box = bbox_within(coords(evidence), radius)
         assert all(box.contains(p) for p in evidence)
         # a point up to ``radius`` from an evidence point, in any direction
         c = evidence[pick % len(evidence)]
@@ -198,16 +289,16 @@ class TestBboxWithin:
             assert box.contains(q)
 
     def test_pads_by_the_radius_and_clamps(self):
-        box = bbox_within([GOLDEN_A], 1000.0)
+        box = bbox_within(coords([GOLDEN_A]), 1000.0)
         kx, ky = meters_per_degree(GOLDEN_A.lat)
         assert box.max_lat - GOLDEN_A.lat == pytest.approx(1000.0 / ky, rel=1e-9)
         assert box.max_lon - GOLDEN_A.lon == pytest.approx(1000.0 / kx, rel=1e-3)
-        polar = bbox_within([GeoPoint(179.9, 89.9)], 50_000.0)
+        polar = bbox_within(coords([GeoPoint(179.9, 89.9)]), 50_000.0)
         assert (polar.min_lon, polar.max_lon, polar.max_lat) == (-180.0, 180.0, 90.0)
 
     @pytest.mark.parametrize("radius_m", [2.1e7, 4.5e7, 1e308])
     def test_a_radius_past_the_antipode_covers_the_globe(self, radius_m):
-        assert bbox_within([GOLDEN_A], radius_m) == BoundingBox(-180.0, -90.0, 180.0, 90.0)
+        assert bbox_within(coords([GOLDEN_A]), radius_m) == BoundingBox(-180.0, -90.0, 180.0, 90.0)
 
 
 class TestBoundingBox:

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import coords
 from oracles import full_sort_hotspots, reference_grid_counts
 from trajstory.geo import BoundingBox, GeoPoint, meters_per_degree
+from trajstory.geo import as_coords as coords
 from trajstory.errors import ConfigurationError
 from trajstory import heatgrid
 from trajstory.heatgrid import (HeatGrid, build_grid, export_grid,

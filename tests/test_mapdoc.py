@@ -151,7 +151,8 @@ class TestGeoJson:
         assert text.index('"bbox"') < text.index('"features"') < text.index('"legend"')
 
     def test_render_html_embeds_map_and_legend(self):
-        html = render_html(self.build(), title="porto endpoints")
+        doc = self.build()
+        html = render_html(doc, render_geojson(doc), title="porto endpoints")
         assert "<title>porto endpoints</title>" in html
         assert "https://tile.openstreetmap.org/{z}/{x}/{y}.png" in html
         assert "leaflet@1.9.4" in html
@@ -176,10 +177,11 @@ class TestHtmlEscaping:
 
     def test_names_and_title_cannot_inject_script(self):
         doc = emit_map([poi_at(self.EVIL), poi_at("Fish & Chips <Bar>", east_m=500.0)])
-        page = render_html(doc, title="<b>map</b> & more")
+        page = render_html(doc, render_geojson(doc), title="<b>map</b> & more")
         assert "alert(1)" in page
         assert "<script>alert" not in page
-        plain = render_html(emit_map([poi_at("A")]))
+        plain_doc = emit_map([poi_at("A")])
+        plain = render_html(plain_doc, render_geojson(plain_doc))
         assert page.count("</script>") == plain.count("</script>")
         assert "<title>&lt;b&gt;map&lt;/b&gt; &amp; more</title>" in page
         assert ('<li value="1">Pier&lt;/script&gt;&lt;script&gt;alert(1)&lt;/script&gt;</li>'
@@ -188,7 +190,7 @@ class TestHtmlEscaping:
 
     def test_embedded_geojson_decodes_to_the_same_document(self):
         doc = emit_map([poi_at(self.EVIL), poi_at("Fish & Chips", east_m=500.0)])
-        page = render_html(doc)
+        page = render_html(doc, render_geojson(doc))
         embedded = page.split("var data = ", 1)[1].split(";\nvar map", 1)[0]
         assert "<" not in embedded and ">" not in embedded and "&" not in embedded
         assert json.loads(embedded) == json.loads(render_geojson(doc))

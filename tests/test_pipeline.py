@@ -10,6 +10,7 @@ from trajstory.errors import (ConfigurationError, InfrastructureError,
 from trajstory.gazetteer import Gazetteer, GazetteerConfig
 from trajstory.geo import (BoundingBox, GeoPoint, haversine_distance,
                            point_to_polyline_distance)
+from trajstory.geo import as_coords as coords
 from trajstory.ingest import select_trajectory
 from trajstory.pipeline import (StoryRequest, discover, execute, plan, run_steps,
                                 write_bundle)
@@ -84,7 +85,7 @@ class TestPlan:
         assert run.grounding.trajectory == run.traj.points
         # discovery offers the places within the trajectory threshold of the path
         for poi in run.story_ctx.candidate_pois:
-            assert point_to_polyline_distance(poi.location, run.traj.points) <= 500.0
+            assert point_to_polyline_distance(poi.location, coords(run.traj.points)) <= 500.0
         # validate grades against the trajectory threshold
         lenient = replace(req, policy=GroundingPolicy(trajectory_threshold_m=1e7,
                                                       hotspot_threshold_m=0.0))
@@ -179,7 +180,7 @@ class TestExecuteSingleTrajectory:
         b = gazetteer.geocode("Mercado do Bom Sucesso").location
         stub = GeoPoint(a.lon + 0.3 * (b.lon - a.lon), a.lat + 0.3 * (b.lat - a.lat))
         route = [stub] + central_route
-        assert point_to_polyline_distance(b, route) == pytest.approx(759.1, abs=0.1)
+        assert point_to_polyline_distance(b, coords(route)) == pytest.approx(759.1, abs=0.1)
         path = tmp_path / "stub.txt"
         path.write_text("".join(f"{p.lon!r},{p.lat!r}\n" for p in route))
         req = StoryRequest(dataset_path=str(path), dataset_schema="point_list",
