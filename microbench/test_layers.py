@@ -5,7 +5,8 @@ Run from the repository root:
     PYTHONPATH=src python -m pytest microbench -p no:cacheprovider
 
 Each input is seeded: a 50,000-vertex walk that doubles back inside
-downtown Porto, as one vehicle's shift would.
+downtown Porto, as one vehicle's shift would, and a Kaggle-schema file of
+20,000 synthetic trips with 1% bad rows (ten decode blocks).
 """
 
 from __future__ import annotations
@@ -15,9 +16,12 @@ import pytest
 
 from trajstory.gazetteer import Gazetteer, GazetteerConfig
 from trajstory.geo import GeoPoint, point_to_polyline_distance
-from trajstory.ingest import Trajectory
+from trajstory.heatgrid import build_grid, top_hotspots
+from trajstory.ingest import (Trajectory, parse_dataset, select_trajectory,
+                              trip_endpoints)
 from trajstory.mapdoc import emit_map, render_geojson
 from trajstory.story import NarrativeSpec, Story, count_words, extract_mentions
+from trajstory.synth import SyntheticSpec, generate_dataset, write_kaggle_csv
 from trajstory.validation import GroundingContext, GroundingPolicy, validate_story
 
 DOWNTOWN = (-8.6260, 41.1390, -8.6050, 41.1500)
@@ -50,6 +54,19 @@ def points(walk) -> list[GeoPoint]:
 
 
 @pytest.fixture(scope="module")
+def kaggle_file(tmp_path_factory) -> str:
+    path = tmp_path_factory.mktemp("kaggle") / "trips.csv"
+    write_kaggle_csv(generate_dataset(SyntheticSpec(seed=20_000, n_trajectories=20_000)),
+                     path, bad_rows=200, seed=1)
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def trips(kaggle_file):
+    return parse_dataset(kaggle_file, "kaggle_porto")
+
+
+@pytest.fixture(scope="module")
 def gazetteer() -> Gazetteer:
     return Gazetteer(GazetteerConfig())
 
@@ -72,3 +89,20 @@ def test_render_geojson_50k_path(benchmark, points, gazetteer):
     doc = emit_map([gazetteer.geocode(name) for name in NAMES[:13]],
                    Trajectory(id="shift", points=points))
     benchmark(render_geojson, doc)
+
+
+def test_parse_dataset_20k_trips(benchmark, kaggle_file):
+    ds = benchmark.pedantic(parse_dataset, (kaggle_file, "kaggle_porto"), rounds=3)
+    assert len(ds) == 20_000
+
+
+def test_build_grid_20k_endpoints(benchmark, trips):
+    benchmark(build_grid, trip_endpoints(trips))
+
+
+def test_top_hotspots(benchmark, trips):
+    benchmark(top_hotspots, build_grid(trip_endpoints(trips)), 5)
+
+
+def test_select_trajectory_longest_by_length(benchmark, trips):
+    benchmark(select_trajectory, trips, "longest_by_length")

@@ -15,13 +15,20 @@ Rows that cannot yield a usable trajectory (empty or malformed polyline,
 fewer than 2 points, coordinates outside WGS84 range, MISSING_DATA flag) are
 counted in ``skipped_rows``, by reason, never silently dropped. Real GPS
 exports are dirty; a bad row is data about the data.
+
+A Kaggle file of more than one block of rows has its POLYLINE JSON decoded
+by up to two forked worker processes, one per usable core, while this
+process reads the CSV; the result is the same as decoding in-process.
 """
 
 from __future__ import annotations
 
+import collections
+import contextlib
 import csv
 import itertools
 import json
+import logging
 import os
 from dataclasses import dataclass, field
 from typing import IO, Iterable
@@ -30,6 +37,8 @@ import numpy as np
 
 from .errors import ConfigurationError, NotFoundError, ParseError
 from .geo import GeoPoint, as_coords, haversine_distance, haversine_distances
+
+log = logging.getLogger(__name__)
 
 SCHEMAS = ("kaggle_porto", "point_list")
 SELECTION_CRITERIA = ("longest_by_points", "longest_by_length", "by_id")
@@ -45,9 +54,9 @@ SKIP_REASONS = ("missing_data", "bad_json", "too_short", "out_of_range")
 # csv's default field limit (131,072 characters) cuts off POLYLINEs of
 # about 3,200 points; real trips can be longer.
 _MAX_FIELD_CHARS = 2**31 - 1
-# Kaggle rows decoded between two vectorized range checks; bounds the
-# memory held in per-row arrays.
-_BLOCK_ROWS = 8192
+# Kaggle rows per decoded block: one vectorized range check each, and the
+# unit sent to a worker, so it bounds the POLYLINE text in flight.
+_BLOCK_ROWS = 2048
 
 
 @dataclass
@@ -145,8 +154,8 @@ def _decode_polyline(raw: str) -> np.ndarray | str:
     return xy if len(xy) >= 2 else "too_short"
 
 
-def _parse_kaggle(stream: IO[str], source_path: str) -> Dataset:
-    reader = csv.reader(stream)
+def _parse_kaggle(lines: Iterable[str], source_path: str) -> Dataset:
+    reader = csv.reader(lines)
     limit = csv.field_size_limit(_MAX_FIELD_CHARS)
     try:
         return _read_kaggle(reader, source_path)
@@ -154,6 +163,116 @@ def _parse_kaggle(stream: IO[str], source_path: str) -> Dataset:
         raise ParseError(f"{source_path}: line {reader.line_num}: {exc}") from None
     finally:
         csv.field_size_limit(limit)
+
+
+def _decode_block(texts: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray,
+                                              dict[str, int]]:
+    """Decode a block of POLYLINE texts into the trips it keeps.
+
+    Returns the kept trips' coordinates, one after another, their lengths,
+    their positions in ``texts``, and the texts skipped, by reason.
+    """
+    skipped = _no_skips()
+    xys, rows = [np.empty((0, 2))], []
+    for i, text in enumerate(texts):
+        xy = _decode_polyline(text)
+        if isinstance(xy, str):
+            skipped[xy] += 1
+        else:
+            xys.append(xy)
+            rows.append(i)
+    n = np.array([len(xy) for xy in xys[1:]], dtype=np.int64)
+    xy = np.concatenate(xys)
+    keep = np.logical_and.reduceat(_in_range(xy), np.cumsum(n) - n)
+    skipped["out_of_range"] += int(len(keep) - keep.sum())
+    return xy[np.repeat(keep, n)], n[keep], np.array(rows, dtype=np.int64)[keep], skipped
+
+
+def _decode_worker(conn) -> None:
+    """Worker process: answer each block of texts with ``_decode_block``, until None."""
+    import signal
+    signal.signal(signal.SIGINT, signal.SIG_IGN)    # Ctrl-C is the parent's to handle
+    while (texts := conn.recv()) is not None:
+        conn.send(_decode_block(texts))
+
+
+def _fork_workers() -> int:
+    """Decode workers for a file of more than one block: up to two, one per usable core.
+
+    0, to decode in-process, where one core is usable or no worker can be forked.
+    """
+    try:
+        workers = min(2, len(os.sched_getaffinity(0)))
+    except AttributeError:                          # no affinity on this platform
+        workers = min(2, os.cpu_count() or 1)
+    if workers < 2:
+        return 0
+    import multiprocessing                          # only multi-block files pay for it
+    if "fork" not in multiprocessing.get_all_start_methods() \
+            or multiprocessing.current_process().daemon:   # a daemon may not fork workers
+        return 0
+    return workers
+
+
+def _decode_in_workers(blocks, workers: int):
+    """``(rest, _decode_block(texts))`` per ``(texts, rest)`` block, in block order.
+
+    Blocks go round-robin to forked workers, each with its own pipe and at
+    most one block in flight, so results arrive in block order on this
+    thread and neither end of a pipe can block the other. No worker
+    outlives the generator.
+    """
+    import multiprocessing
+    # forked, not spawned: a worker starts with numpy already imported, and
+    # runs only json and numpy code
+    ctx = multiprocessing.get_context("fork")
+    conns, procs = [], []
+    pending = collections.deque()                   # (block number, rest) in flight
+    finished = False
+
+    def stopped(i: int) -> ParseError:
+        procs[i].join()                 # its end of the pipe is closed: it has exited
+        return ParseError(f"a POLYLINE decoding worker stopped (exit code {procs[i].exitcode})")
+
+    def send(i: int, texts: list[str] | None) -> None:
+        try:
+            conns[i].send(texts)
+        except OSError:
+            raise stopped(i) from None
+
+    def receive():
+        k, rest = pending.popleft()
+        try:
+            return rest, conns[k % workers].recv()
+        except (EOFError, OSError):
+            raise stopped(k % workers) from None
+
+    try:
+        for _ in range(workers):
+            conn, child = ctx.Pipe()
+            conns.append(conn)
+            proc = ctx.Process(target=_decode_worker, args=(child,), daemon=True)
+            proc.start()
+            procs.append(proc)
+            child.close()
+        for k, (texts, rest) in enumerate(blocks):
+            done = receive() if len(pending) == workers else None
+            send(k % workers, texts)
+            pending.append((k, rest))
+            if done is not None:
+                yield done
+        while pending:
+            yield receive()
+        for i in range(workers):
+            send(i, None)
+        finished = True
+    finally:
+        for proc in procs:
+            if not finished:
+                proc.kill()
+            proc.join()
+        for conn in conns:
+            conn.close()
 
 
 def _read_kaggle(reader, source_path: str) -> Dataset:
@@ -169,17 +288,14 @@ def _read_kaggle(reader, source_path: str) -> Dataset:
     def cell(row: list[str], i: int | None) -> str:
         return row[i] if i is not None and i < len(row) else ""
 
-    def decoded_rows():
-        """(coordinates, trip id, start time) per decodable row; counts the rest."""
+    def row_blocks():
+        """Rows not flagged MISSING_DATA, in blocks of (POLYLINE texts, (trip ids, start times))."""
+        texts, ids, times = [], [], []
         for row in reader:
             if not row:
                 continue                # a blank line is not a row
             if cell(row, missing).strip().lower() == "true":
                 skipped["missing_data"] += 1
-                continue
-            xy = _decode_polyline(cell(row, polyline))
-            if isinstance(xy, str):
-                skipped[xy] += 1
                 continue
             start_time = None
             ts = cell(row, timestamp).strip()
@@ -188,31 +304,45 @@ def _read_kaggle(reader, source_path: str) -> Dataset:
                     start_time = int(ts)
                 except ValueError:
                     start_time = None
-            yield xy, cell(row, trip).strip() or f"row{reader.line_num}", start_time
+            texts.append(cell(row, polyline))
+            ids.append(cell(row, trip).strip() or f"row{reader.line_num}")
+            times.append(start_time)
+            if len(texts) == _BLOCK_ROWS:
+                yield texts, (ids, times)
+                texts, ids, times = [], [], []
+        if texts:
+            yield texts, (ids, times)
+
+    blocks = row_blocks()
+    head = list(itertools.islice(blocks, 2))
+    workers = _fork_workers() if len(head) > 1 else 0
+    blocks = itertools.chain(head, blocks)
+    decoded = (_decode_in_workers(blocks, workers) if workers else
+               ((rest, _decode_block(texts)) for texts, rest in blocks))
 
     chunks, lengths = [np.empty((0, 2))], [np.zeros(0, dtype=np.int64)]
     ids: list[str] = []
     start_times: list[int | None] = []
-    rows = decoded_rows()
-    while block := list(itertools.islice(rows, _BLOCK_ROWS)):
-        xys, block_ids, block_times = zip(*block)
-        n = np.array([len(xy) for xy in xys], dtype=np.int64)
-        xy = np.concatenate(xys)
-        keep = np.logical_and.reduceat(_in_range(xy), np.cumsum(n) - n)
-        skipped["out_of_range"] += int(len(keep) - keep.sum())
-        chunks.append(xy[np.repeat(keep, n)])
-        lengths.append(n[keep])
-        ids += itertools.compress(block_ids, keep)
-        start_times += itertools.compress(block_times, keep)
+    with contextlib.closing(decoded):               # stops the workers on any error
+        for (block_ids, block_times), (xy, n, kept, block_skipped) in decoded:
+            chunks.append(xy)
+            lengths.append(n)
+            kept = kept.tolist()
+            ids += map(block_ids.__getitem__, kept)
+            start_times += map(block_times.__getitem__, kept)
+            for reason, count in block_skipped.items():
+                skipped[reason] += count
+    log.info("%s: %d rows in %d blocks, %d decode workers, skipped %s", source_path,
+             len(ids) + sum(skipped.values()), len(chunks) - 1, workers, skipped)
     return Dataset(coords=np.concatenate(chunks), offsets=_offsets(np.concatenate(lengths)),
                    ids=ids, start_times=start_times, source_path=source_path,
                    skipped_by_reason=skipped)
 
 
-def _parse_point_list(stream: IO[str], source_path: str) -> Dataset:
+def _parse_point_list(lines: Iterable[str], source_path: str) -> Dataset:
     skipped = _no_skips()
     values: list[float] = []
-    for line in stream:
+    for line in lines:
         line = line.strip()
         if not line:
             continue
@@ -231,6 +361,7 @@ def _parse_point_list(stream: IO[str], source_path: str) -> Dataset:
     ok = _in_range(xy)
     skipped["out_of_range"] = int(len(ok) - ok.sum())
     xy = xy[ok]
+    log.info("%s: %d points kept, skipped %s", source_path, len(xy), skipped)
     if len(xy) < 2:
         return Dataset(source_path=source_path, skipped_by_reason=skipped)
     name = os.path.splitext(os.path.basename(source_path))[0] or "trajectory"
@@ -241,6 +372,8 @@ def _parse_point_list(stream: IO[str], source_path: str) -> Dataset:
 def parse_dataset(source: str | IO[str], schema: str) -> Dataset:
     """Parse ``source`` (path or text stream) under the given schema.
 
+    A leading byte-order mark is not part of the data.
+
     For kaggle_porto, skipped_rows + len(dataset) equals the number of data
     rows. For point_list, rows are points: the file parses to at most one
     trajectory and skipped_rows counts unusable lines.
@@ -250,9 +383,10 @@ def parse_dataset(source: str | IO[str], schema: str) -> Dataset:
     parser = _parse_kaggle if schema == "kaggle_porto" else _parse_point_list
     try:
         if isinstance(source, str):
-            with open(source, encoding="utf-8", newline="") as fh:
+            with open(source, encoding="utf-8-sig", newline="") as fh:
                 return parser(fh, source)
-        return parser(source, getattr(source, "name", "<stream>"))
+        first = source.readline().removeprefix("\ufeff")     # a byte-order mark is no data
+        return parser(itertools.chain([first], source), getattr(source, "name", "<stream>"))
     except UnicodeDecodeError as exc:
         raise ParseError(f"dataset is not UTF-8 text: {exc}") from None
 

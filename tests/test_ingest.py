@@ -1,7 +1,13 @@
+import contextlib
 import csv
 import io
 import itertools
 import json
+import logging
+import multiprocessing
+import os
+import signal
+import types
 
 import numpy as np
 import pytest
@@ -10,6 +16,8 @@ from hypothesis import given, settings, strategies as st
 from helpers import (iter_points, point_list_round_trip, to_point_list, trajectories,
                      write_point_list)
 from oracles import reference_parse_kaggle
+from trajstory import ingest
+from trajstory.cli import main
 from trajstory.errors import ConfigurationError, NotFoundError, ParseError
 from trajstory.geo import GeoPoint
 from trajstory.ingest import (KAGGLE_COLUMNS, SKIP_REASONS, Dataset, Trajectory,
@@ -33,6 +41,27 @@ def kaggle_csv(rows):
 
 
 GOOD_POLY = "[[-8.61,41.14],[-8.62,41.15],[-8.63,41.16]]"
+
+needs_fork = pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                                reason="decode workers are forked")
+
+
+@contextlib.contextmanager
+def deadline(seconds=60):
+    """Fail the test, rather than stall the suite, if the body hangs.
+
+    pytest.fail raises an exception no ``except Exception`` in the program
+    can catch, so the CLI cannot turn it into an exit code.
+    """
+    def expire(signum, frame):
+        pytest.fail(f"no result within {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestKaggleParsing:
@@ -99,6 +128,15 @@ class TestKaggleParsing:
                            "kaggle_porto")
         assert trajectories(ds)[0].start_time is None
 
+    @pytest.mark.parametrize("from_path", [True, False])
+    def test_byte_order_mark_is_not_part_of_the_header(self, tmp_path, from_path):
+        text = "\ufeff" + kaggle_csv([("t1", "1", "False", GOOD_POLY)]).getvalue()
+        path = tmp_path / "bom.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        ds = parse_dataset(str(path) if from_path else io.StringIO(text, newline=""),
+                           "kaggle_porto")
+        assert ds.ids == ["t1"]
+
 
 class TestPointListParsing:
     def test_header_and_blanks_tolerated(self, tmp_path):
@@ -110,6 +148,15 @@ class TestPointListParsing:
         assert traj.id == "walk"
         assert len(traj.points) == 3
         assert ds.skipped_rows == 1  # the header line
+
+    @pytest.mark.parametrize("from_path", [True, False])
+    def test_byte_order_mark_is_not_part_of_the_first_point(self, tmp_path, from_path):
+        text = "\ufeff-8.61,41.14\n-8.62,41.15\n"
+        path = tmp_path / "walk.txt"
+        path.write_text(text, encoding="utf-8")
+        ds = parse_dataset(str(path) if from_path else io.StringIO(text), "point_list")
+        assert ds.coords.tolist() == [[-8.61, 41.14], [-8.62, 41.15]]
+        assert ds.skipped_rows == 0
 
     def test_single_usable_point_yields_no_trajectory(self):
         ds = parse_dataset(io.StringIO("-8.61,41.14\n"), "point_list")
@@ -368,6 +415,22 @@ class TestAgainstReferenceParser:
     @settings(max_examples=300, deadline=None)
     @given(text=kaggle_files())
     def test_same_trips_bits_and_skips(self, text):
+        self.check(text)
+
+    # two-row blocks send every example of more than two rows through two
+    # forked decode workers; each such parse forks, so fewer examples
+    @needs_fork
+    @settings(max_examples=100, deadline=None)
+    @given(text=kaggle_files())
+    def test_same_through_the_decode_workers(self, text):
+        with deadline(), pytest.MonkeyPatch.context() as mp:
+            mp.setattr("trajstory.ingest._BLOCK_ROWS", 2)
+            mp.setattr("trajstory.ingest._fork_workers", lambda: 2)
+            self.check(text)
+        assert multiprocessing.active_children() == []
+
+    @staticmethod
+    def check(text):
         want, want_skipped = reference_parse_kaggle(io.StringIO(text, newline=""))
         ds = parse_dataset(io.StringIO(text, newline=""), "kaggle_porto")
         assert ds.ids == [t.id for t in want]
@@ -380,3 +443,130 @@ class TestAgainstReferenceParser:
         assert ds.coords.tobytes() == want_xy.tobytes()
         assert ds.skipped_rows == want_skipped
         assert sum(ds.skipped_by_reason.values()) == ds.skipped_rows
+
+
+# -- the block-parallel decode ---------------------------------------------------
+
+def decode_workers(monkeypatch, workers):
+    """Make every multi-block parse use ``workers`` forked workers (0: in-process),
+    whatever the machine's cores; returns the list each such parse appends to."""
+    calls = []
+
+    def fork_workers():
+        calls.append(workers)
+        return workers
+    monkeypatch.setattr("trajstory.ingest._fork_workers", fork_workers)
+    return calls
+
+
+@needs_fork
+class TestParallelDecode:
+    @pytest.fixture(autouse=True)
+    def _deadline(self):
+        with deadline():
+            yield
+
+    @staticmethod
+    def synth_csv(path):
+        """A seeded synth file with bad rows, plus rows with no trip id and out of range."""
+        ds = generate_dataset(SyntheticSpec(seed=11, n_trajectories=300))
+        write_kaggle_csv(ds, path, bad_rows=40, seed=4)
+        with open(path, "a", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            for i in range(30):
+                poly = "[[-8.61,95.0],[-8.62,41.15]]" if i % 3 else GOOD_POLY
+                writer.writerow(["" if i % 2 else f"x{i}", "A", "", "", "1", str(i), "A",
+                                 "False", poly])
+        return path
+
+    def test_workers_and_in_process_give_the_same_dataset(self, tmp_path, monkeypatch,
+                                                          caplog):
+        path = str(self.synth_csv(tmp_path / "trips.csv"))
+        monkeypatch.setattr("trajstory.ingest._BLOCK_ROWS", 64)
+        caplog.set_level(logging.INFO, logger="trajstory.ingest")
+        decode_workers(monkeypatch, 2)
+        parallel = parse_dataset(path, "kaggle_porto")
+        assert "in 6 blocks, 2 decode workers" in caplog.text
+        assert multiprocessing.active_children() == []
+        decode_workers(monkeypatch, 0)
+        serial = parse_dataset(path, "kaggle_porto")
+        assert parallel.ids == serial.ids
+        assert parallel.start_times == serial.start_times
+        assert parallel.offsets.tobytes() == serial.offsets.tobytes()
+        assert parallel.coords.tobytes() == serial.coords.tobytes()
+        assert parallel.skipped_by_reason == serial.skipped_by_reason
+        assert serial.skipped_by_reason == {"missing_data": 10, "bad_json": 10,
+                                            "too_short": 20, "out_of_range": 20}
+        assert parallel.ids[-3:] == ["row363", "x24", "row369"]
+
+    def test_one_block_or_one_core_forks_nothing(self, tmp_path, monkeypatch, caplog):
+        path = str(self.synth_csv(tmp_path / "trips.csv"))
+        caplog.set_level(logging.INFO, logger="trajstory.ingest")
+        parse_dataset(path, "kaggle_porto")                 # 370 rows: one block
+        assert "in 1 blocks, 0 decode workers" in caplog.text
+        monkeypatch.setattr("trajstory.ingest._BLOCK_ROWS", 64)
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0}, raising=False)
+        parse_dataset(path, "kaggle_porto")
+        assert "in 6 blocks, 0 decode workers" in caplog.text
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid: set(range(8)),
+                            raising=False)
+        assert ingest._fork_workers() == 2
+        # a daemonic process, such as a multiprocessing.Pool worker, may not fork
+        monkeypatch.setattr("multiprocessing.current_process",
+                            lambda: types.SimpleNamespace(daemon=True))
+        assert ingest._fork_workers() == 0
+
+    @staticmethod
+    def third_block_fault_csv(path, fault: bytes):
+        """Three blocks of 50 rows of 20 points; ``fault`` replaces row 120's POLYLINE."""
+        poly = json.dumps([[-8.61 + i * 1e-4, 41.14 + i * 1e-4] for i in range(20)])
+        lines = [",".join(KAGGLE_COLUMNS).encode()]
+        for i in range(150):
+            text = fault if i == 120 else b'"' + poly.encode() + b'"'
+            lines.append(f"t{i},A,,,1,{i},A,False,".encode() + text)
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        return path
+
+    def run_both_ways(self, monkeypatch, capsys, path):
+        """(exit code, stderr) of ``trajstory ingest`` with workers, then in-process."""
+        monkeypatch.setattr("trajstory.ingest._BLOCK_ROWS", 50)
+        results = []
+        for workers in (2, 0):
+            calls = decode_workers(monkeypatch, workers)
+            code = main(["ingest", str(path)])
+            results.append((code, capsys.readouterr().err))
+            assert calls == [workers]       # the fault was read after the first two blocks
+            assert multiprocessing.active_children() == []
+        return results
+
+    def test_csv_error_in_the_third_block(self, tmp_path, monkeypatch, capsys):
+        path = self.third_block_fault_csv(tmp_path / "long.csv", b'"' + b"[" * 2000 + b'"')
+        monkeypatch.setattr("trajstory.ingest._MAX_FIELD_CHARS", 1000)
+        parallel, serial = self.run_both_ways(monkeypatch, capsys, path)
+        assert parallel == serial
+        assert parallel[0] == 3
+        assert "line 122: field larger than field limit (1000)" in parallel[1]
+
+    def test_non_utf8_byte_in_the_third_block(self, tmp_path, monkeypatch, capsys):
+        path = self.third_block_fault_csv(tmp_path / "latin1.csv", b"S\xe3o")
+        assert path.stat().st_size > 3 * 8192           # past the first read of the text layer
+        parallel, serial = self.run_both_ways(monkeypatch, capsys, path)
+        assert parallel == serial
+        assert parallel[0] == 3
+        assert "not UTF-8" in parallel[1]
+
+    def test_a_worker_that_dies_is_a_parse_error(self, tmp_path, monkeypatch, capsys):
+        path = self.synth_csv(tmp_path / "trips.csv")
+        monkeypatch.setattr("trajstory.ingest._BLOCK_ROWS", 64)
+        parent, decode = os.getpid(), ingest._decode_block
+
+        def die_in_a_worker(texts):
+            if os.getpid() != parent:
+                os._exit(7)
+            return decode(texts)
+        monkeypatch.setattr("trajstory.ingest._decode_block", die_in_a_worker)
+        decode_workers(monkeypatch, 2)
+        code = main(["ingest", str(path)])
+        assert code == 3
+        assert "decoding worker stopped (exit code 7)" in capsys.readouterr().err
+        assert multiprocessing.active_children() == []
