@@ -18,10 +18,10 @@ from trajstory.gazetteer import Gazetteer, GazetteerConfig
 from trajstory.geo import GeoPoint, point_to_polyline_distance
 from trajstory.heatgrid import build_grid, top_hotspots
 from trajstory.ingest import (Trajectory, parse_dataset, select_trajectory,
-                              trip_endpoints)
+                              trajectory_digest, trip_endpoints)
 from trajstory.mapdoc import emit_map, render_geojson
 from trajstory.story import NarrativeSpec, Story, count_words, extract_mentions
-from trajstory.synth import SyntheticSpec, generate_dataset, write_kaggle_csv
+from trajstory.synth import PORTO_BBOX, SyntheticSpec, generate_dataset, write_kaggle_csv
 from trajstory.validation import GroundingContext, GroundingPolicy, validate_story
 
 DOWNTOWN = (-8.6260, 41.1390, -8.6050, 41.1500)
@@ -49,11 +49,6 @@ def walk() -> np.ndarray:
 
 
 @pytest.fixture(scope="module")
-def points(walk) -> list[GeoPoint]:
-    return [GeoPoint(lon, lat) for lon, lat in walk.tolist()]
-
-
-@pytest.fixture(scope="module")
 def kaggle_file(tmp_path_factory) -> str:
     path = tmp_path_factory.mktemp("kaggle") / "trips.csv"
     write_kaggle_csv(generate_dataset(SyntheticSpec(seed=20_000, n_trajectories=20_000)),
@@ -75,20 +70,28 @@ def test_point_to_polyline_distance(benchmark, walk):
     benchmark(point_to_polyline_distance, GeoPoint(-8.6744, 41.1488), walk)
 
 
-def test_validate_story_18_names(benchmark, points, gazetteer):
+def test_validate_story_18_names(benchmark, walk, gazetteer):
     text = " ".join(f"[[POI: {name}]]" for name in NAMES)
     story = Story(text=text, mentions=extract_mentions(text), word_count=count_words(text),
                   backend_id="microbench",
                   spec=NarrativeSpec(mode="single_trajectory", min_pois=0, max_words=10**6))
-    ctx = GroundingContext(trajectory=points)
+    ctx = GroundingContext(trajectory=walk)
     report = benchmark(validate_story, story, ctx, GroundingPolicy(), gazetteer)
     assert len(report.per_poi) == len(NAMES)
 
 
-def test_render_geojson_50k_path(benchmark, points, gazetteer):
+def test_render_geojson_50k_path(benchmark, walk, gazetteer):
     doc = emit_map([gazetteer.geocode(name) for name in NAMES[:13]],
-                   Trajectory(id="shift", points=points))
+                   Trajectory(id="shift", coords=walk))
     benchmark(render_geojson, doc)
+
+
+def test_trajectory_digest_50k_path(benchmark, walk):
+    benchmark(trajectory_digest, Trajectory(id="shift", coords=walk))
+
+
+def test_known_pois_porto(benchmark, gazetteer):
+    assert benchmark(gazetteer.known_pois, PORTO_BBOX)
 
 
 def test_parse_dataset_20k_trips(benchmark, kaggle_file):

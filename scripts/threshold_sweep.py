@@ -12,6 +12,7 @@ import argparse
 import sys
 
 from trajstory.gazetteer import Gazetteer, GazetteerConfig
+from trajstory.geo import as_coords
 from trajstory.pipeline import discover
 from trajstory.story import (NarrativeSpec, StoryContext, TemplateBackend,
                              generate_story)
@@ -39,8 +40,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     gaz = Gazetteer(GazetteerConfig())
-    grounding = GroundingContext(trajectory=[gaz.geocode(name).location
-                                             for name in ROUTE_NAMES])
+    grounding = GroundingContext(trajectory=as_coords(gaz.geocode(name).location
+                                                      for name in ROUTE_NAMES))
     # the honest story's material: the places within 250 m of the route
     candidates = discover(gaz, grounding_rule(
         grounding, "single_trajectory", GroundingPolicy(trajectory_threshold_m=250.0)))

@@ -174,27 +174,6 @@ def bbox_within(coords: np.ndarray, radius_m: float) -> BoundingBox:
                        min(180.0, raw.max_lon + dlon), max_lat)
 
 
-def bbox_of(points: Iterable[GeoPoint]) -> BoundingBox:
-    """Tightest box containing all points. Raises on an empty input."""
-    it = iter(points)
-    try:
-        first = next(it)
-    except StopIteration:
-        raise ValueError("bbox_of needs at least one point") from None
-    min_lon = max_lon = first.lon
-    min_lat = max_lat = first.lat
-    for p in it:
-        if p.lon < min_lon:
-            min_lon = p.lon
-        elif p.lon > max_lon:
-            max_lon = p.lon
-        if p.lat < min_lat:
-            min_lat = p.lat
-        elif p.lat > max_lat:
-            max_lat = p.lat
-    return BoundingBox(min_lon, min_lat, max_lon, max_lat)
-
-
 def bbox_of_coords(coords: np.ndarray) -> BoundingBox:
     """Tightest box around a float (N, 2) lon/lat array. Raises on an empty input."""
     if not len(coords):

@@ -8,8 +8,9 @@ Two source schemas:
 * ``point_list`` -- one ``lon,lat`` pair per line (header optional), the
   whole file being a single trajectory.
 
-A parsed ``Dataset`` keeps every trip in one coordinate array; ``GeoPoint``
-objects are built only for the trip a caller selects.
+A parsed ``Dataset`` keeps every trip in one coordinate array, and a
+selected ``Trajectory`` is a view of its rows, so a trip stays one
+(N, 2) array from here to the map.
 
 Rows that cannot yield a usable trajectory (empty or malformed polyline,
 fewer than 2 points, coordinates outside WGS84 range, MISSING_DATA flag) are
@@ -36,7 +37,7 @@ from typing import IO, Iterable
 import numpy as np
 
 from .errors import ConfigurationError, NotFoundError, ParseError
-from .geo import GeoPoint, as_coords, haversine_distance, haversine_distances
+from .geo import haversine_distances
 
 log = logging.getLogger(__name__)
 
@@ -59,16 +60,14 @@ _MAX_FIELD_CHARS = 2**31 - 1
 _BLOCK_ROWS = 2048
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Trajectory:
-    """One GPS trace. ``points`` keeps source order; consumers get >= 2 points."""
+    """One GPS trace: ``coords`` is its float64 (N, 2) lon/lat array in source
+    order; consumers get N >= 2."""
 
     id: str
-    points: list[GeoPoint]
+    coords: np.ndarray
     start_time: int | None = None
-
-    def path_length_m(self) -> float:
-        return sum(haversine_distance(a, b) for a, b in zip(self.points, self.points[1:]))
 
 
 def _no_skips() -> dict[str, int]:
@@ -100,18 +99,18 @@ class Dataset:
         return len(self.ids)
 
     def trajectory(self, i: int) -> Trajectory:
-        """Trip ``i`` as a Trajectory of GeoPoints."""
-        lo, hi = self.offsets[i], self.offsets[i + 1]
-        points = [GeoPoint(lon, lat) for lon, lat in self.coords[lo:hi].tolist()]
-        return Trajectory(id=self.ids[i], points=points, start_time=self.start_times[i])
+        """Trip ``i``, its coordinates a read-only view of ``coords``."""
+        view = self.coords[self.offsets[i]:self.offsets[i + 1]]
+        view.flags.writeable = False
+        return Trajectory(id=self.ids[i], coords=view, start_time=self.start_times[i])
 
     @classmethod
     def from_trajectories(cls, trajectories: Iterable[Trajectory],
                           source_path: str = "") -> Dataset:
         """Pack Trajectory objects into columns, in order."""
         trajectories = list(trajectories)
-        offsets = _offsets([len(t.points) for t in trajectories])
-        coords = as_coords(p for t in trajectories for p in t.points)
+        offsets = _offsets([len(t.coords) for t in trajectories])
+        coords = np.concatenate([np.empty((0, 2))] + [t.coords for t in trajectories])
         return cls(coords=coords, offsets=offsets, ids=[t.id for t in trajectories],
                    start_times=[t.start_time for t in trajectories],
                    source_path=source_path)
@@ -396,11 +395,11 @@ def trip_endpoints(ds: Dataset) -> np.ndarray:
     return ds.coords[ds.offsets[1:] - 1]
 
 
-def _path_lengths_m(ds: Dataset) -> np.ndarray:
-    """Haversine path length of every trip, in meters."""
-    hops = haversine_distances(ds.coords[:-1], ds.coords[1:])
-    hops[ds.offsets[1:-1] - 1] = 0.0        # from one trip's end to the next one's start
-    return np.add.reduceat(hops, ds.offsets[:-1])
+def _path_lengths_m(coords: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Haversine path length of every trip ``coords[offsets[i]:offsets[i + 1]]``, in meters."""
+    hops = haversine_distances(coords[:-1], coords[1:])
+    hops[offsets[1:-1] - 1] = 0.0           # from one trip's end to the next one's start
+    return np.add.reduceat(hops, offsets[:-1])
 
 
 def select_trajectory(ds: Dataset, criterion: str, trajectory_id: str | None = None) -> Trajectory:
@@ -419,20 +418,21 @@ def select_trajectory(ds: Dataset, criterion: str, trajectory_id: str | None = N
     if criterion == "longest_by_points":
         metric = np.diff(ds.offsets)
     else:
-        metric = _path_lengths_m(ds)
+        metric = _path_lengths_m(ds.coords, ds.offsets)
     tied = np.flatnonzero(metric == metric.max()).tolist()
     return ds.trajectory(min(tied, key=ds.ids.__getitem__))
 
 
 def trajectory_digest(traj: Trajectory) -> str:
     """Deterministic plain-text summary of one trajectory for prompting."""
-    start, end = traj.points[0], traj.points[-1]
+    (lon0, lat0), (lon1, lat1) = traj.coords[[0, -1]].tolist()
+    length_m = _path_lengths_m(traj.coords, np.array([0, len(traj.coords)]))[0]
     lines = [
         f"trajectory id: {traj.id}",
-        f"points: {len(traj.points)}",
-        f"start: ({start.lon:.4f}, {start.lat:.4f})",
-        f"end: ({end.lon:.4f}, {end.lat:.4f})",
-        f"path length: {traj.path_length_m():.0f} m",
+        f"points: {len(traj.coords)}",
+        f"start: ({lon0:.4f}, {lat0:.4f})",
+        f"end: ({lon1:.4f}, {lat1:.4f})",
+        f"path length: {length_m:.0f} m",
     ]
     if traj.start_time is not None:
         lines.insert(1, f"start time (unix): {traj.start_time}")

@@ -14,8 +14,10 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .gazetteer import POI
-from .geo import BoundingBox, GeoPoint, bbox_of, haversine_distance
+from .geo import BoundingBox, GeoPoint, as_coords, bbox_of_coords, haversine_distance
 from .ingest import Trajectory
 
 DEFAULT_CLUSTER_DISTANCE_M = 150.0
@@ -31,7 +33,7 @@ class Marker:
 @dataclass
 class MapDocument:
     markers: list[Marker]
-    paths: list[list[GeoPoint]]
+    paths: list[np.ndarray]             # float (N, 2) lon/lat arrays
     legend: list[tuple[int, str]]
     bbox: BoundingBox
 
@@ -63,8 +65,8 @@ def _cluster_indices(points: list[GeoPoint], cluster_distance_m: float) -> list[
     return sorted(groups.values(), key=lambda g: g[0])
 
 
-def _padded_bbox(points: list[GeoPoint]) -> BoundingBox:
-    raw = bbox_of(points)
+def _padded_bbox(coords: np.ndarray) -> BoundingBox:
+    raw = bbox_of_coords(coords)
     pad_lon = (raw.max_lon - raw.min_lon) * BBOX_PAD_FRACTION
     pad_lat = (raw.max_lat - raw.min_lat) * BBOX_PAD_FRACTION
     return BoundingBox(max(-180.0, raw.min_lon - pad_lon),
@@ -92,11 +94,11 @@ def emit_map(pois: list[POI], trajectory: Trajectory | None = None,
                       numbers=tuple(i + 1 for i in group))
                for group in _cluster_indices(locations, cluster_distance_m)]
 
-    extent = list(locations)
+    extent = as_coords(locations)
     paths = []
     if trajectory is not None:
-        paths.append(list(trajectory.points))
-        extent.extend(trajectory.points)
+        paths.append(trajectory.coords)
+        extent = np.concatenate([extent, trajectory.coords])
     return MapDocument(markers=markers, paths=paths, legend=legend,
                        bbox=_padded_bbox(extent))
 
@@ -119,7 +121,7 @@ def render_geojson(doc: MapDocument) -> str:
         features.append({
             "type": "Feature",
             "geometry": {"type": "LineString",
-                         "coordinates": [[p.lon, p.lat] for p in path]},
+                         "coordinates": path.tolist()},
             "properties": {"role": "trajectory"},
         })
     for marker in doc.markers:

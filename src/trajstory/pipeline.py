@@ -21,7 +21,7 @@ from typing import Callable
 from .errors import (ConfigurationError, InfrastructureError, MalformedStoryError,
                      ParseError, StoryValidationError)
 from .gazetteer import Gazetteer, GazetteerConfig, POI
-from .geo import bbox_within
+from .geo import as_coords, bbox_within
 from .heatgrid import (DEFAULT_CELL_SIZE_M, HeatGrid, Hotspot, build_grid,
                        summarize_for_story, top_hotspots)
 from .ingest import (SCHEMAS, SELECTION_CRITERIA, Dataset, Trajectory, parse_dataset,
@@ -122,14 +122,14 @@ def _ingest(run: RunState) -> str:
 def _hotspot_analytics(run: RunState) -> str:
     run.grid = build_grid(trip_endpoints(run.ds), cell_size_m=run.req.cell_size_m)
     run.hotspots = top_hotspots(run.grid, run.req.hotspot_k)
-    run.grounding = GroundingContext(hotspot_centers=[h.center for h in run.hotspots])
+    run.grounding = GroundingContext(hotspot_centers=as_coords(h.center for h in run.hotspots))
     return f"{run.grid.rows}x{run.grid.cols} grid, {len(run.hotspots)} hotspots"
 
 
 def _route_analytics(run: RunState) -> str:
     run.traj = select_trajectory(run.ds, run.req.selection, run.req.selection_id)
-    run.grounding = GroundingContext(trajectory=run.traj.points)
-    return f"selected {run.traj.id} ({len(run.traj.points)} points)"
+    run.grounding = GroundingContext(trajectory=run.traj.coords)
+    return f"selected {run.traj.id} ({len(run.traj.coords)} points)"
 
 
 def discover(gazetteer: Gazetteer, rule: GroundingRule) -> list[POI]:

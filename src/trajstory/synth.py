@@ -14,6 +14,8 @@ import random
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from .gazetteer import POI
 from .geo import BoundingBox, GeoPoint, meters_per_degree
 from .ingest import Dataset, KAGGLE_COLUMNS, Trajectory
@@ -104,23 +106,22 @@ def generate_dataset(spec: SyntheticSpec) -> Dataset:
         if spec.endpoint_clusters:
             cluster = _pick_cluster(rng, spec.endpoint_clusters)
             kx, ky = meters_per_degree(cluster.center.lat)
-            end = GeoPoint(cluster.center.lon + rng.gauss(0.0, cluster.stddev_m) / kx,
-                           cluster.center.lat + rng.gauss(0.0, cluster.stddev_m) / ky)
+            end = (cluster.center.lon + rng.gauss(0.0, cluster.stddev_m) / kx,
+                   cluster.center.lat + rng.gauss(0.0, cluster.stddev_m) / ky)
         else:
-            end = GeoPoint(rng.uniform(bbox.min_lon, bbox.max_lon),
-                           rng.uniform(bbox.min_lat, bbox.max_lat))
-        start = GeoPoint(rng.uniform(bbox.min_lon, bbox.max_lon),
-                         rng.uniform(bbox.min_lat, bbox.max_lat))
+            end = (rng.uniform(bbox.min_lon, bbox.max_lon),
+                   rng.uniform(bbox.min_lat, bbox.max_lat))
+        start = (rng.uniform(bbox.min_lon, bbox.max_lon),
+                 rng.uniform(bbox.min_lat, bbox.max_lat))
         n = rng.randint(spec.min_points, spec.max_points)
-        kx, ky = meters_per_degree((start.lat + end.lat) / 2.0)
+        kx, ky = meters_per_degree((start[1] + end[1]) / 2.0)
         points = [start]
         for step in range(1, n - 1):
             t = step / (n - 1)
-            points.append(GeoPoint(
-                start.lon + (end.lon - start.lon) * t + rng.gauss(0.0, 25.0) / kx,
-                start.lat + (end.lat - start.lat) * t + rng.gauss(0.0, 25.0) / ky))
+            points.append((start[0] + (end[0] - start[0]) * t + rng.gauss(0.0, 25.0) / kx,
+                           start[1] + (end[1] - start[1]) * t + rng.gauss(0.0, 25.0) / ky))
         points.append(end)
-        trajectories.append(Trajectory(id=f"synt{i:05d}", points=points,
+        trajectories.append(Trajectory(id=f"synt{i:05d}", coords=np.array(points),
                                        start_time=1_372_636_800 + 600 * i))
     return Dataset.from_trajectories(trajectories, source_path=f"synthetic:seed={spec.seed}")
 
@@ -168,15 +169,16 @@ def write_kaggle_csv(ds: Dataset, path: str | Path, bad_rows: int = 0,
     """Write the dataset in Kaggle taxi schema, salting in known-bad rows.
 
     Bad-row positions are seeded draws, so a file is reproducible from
-    (dataset, bad_rows, seed). Returns the total data-row count.
+    (dataset, bad_rows, seed). A trip without a start time gets an empty
+    TIMESTAMP cell. Returns the total data-row count.
     """
     good = []
     offsets = ds.offsets.tolist()
     for i, trip_id in enumerate(ds.ids):
         row = {c: "" for c in KAGGLE_COLUMNS}
         row.update(TRIP_ID=trip_id, CALL_TYPE="A", TAXI_ID="20000100",
-                   TIMESTAMP=str(ds.start_times[i] or 0), DAY_TYPE="A",
-                   MISSING_DATA="False",
+                   TIMESTAMP="" if ds.start_times[i] is None else str(ds.start_times[i]),
+                   DAY_TYPE="A", MISSING_DATA="False",
                    POLYLINE=json.dumps(ds.coords[offsets[i]:offsets[i + 1]].tolist()))
         good.append(row)
     rows = list(good)

@@ -15,8 +15,8 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .gazetteer import Gazetteer, GazetteerConfig, normalize_name
-from .geo import (GeoPoint, arc_m, as_coords, first_within, haversine_h,
-                  point_to_polyline_distance, segment_h)
+from .geo import (GeoPoint, arc_m, first_within, haversine_h, point_to_polyline_distance,
+                  segment_h)
 from .story import Mention, Story
 
 GROUNDED = "grounded"
@@ -45,12 +45,14 @@ class GroundingPolicy:
 class GroundingContext:
     """Reference geometry the story is checked against.
 
-    ``trajectory`` serves single_trajectory mode, ``hotspot_centers`` serves
-    heatmap mode; only the one matching the story's mode is consulted.
+    Both are float (N, 2) lon/lat arrays: ``trajectory`` holds the trip's
+    points and serves single_trajectory mode, ``hotspot_centers`` holds the
+    centers by rank and serves heatmap mode; only the one matching the
+    story's mode is consulted.
     """
 
-    trajectory: list[GeoPoint] | None = None
-    hotspot_centers: list[GeoPoint] | None = None
+    trajectory: np.ndarray | None = None
+    hotspot_centers: np.ndarray | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,14 +84,12 @@ class GroundingRule:
 def grounding_rule(ctx: GroundingContext, mode: str, policy: GroundingPolicy) -> GroundingRule:
     """The rule ``mode`` grounds by: its evidence in ``ctx`` and its threshold in ``policy``."""
     if mode == "single_trajectory":
-        if not ctx.trajectory:
+        if ctx.trajectory is None or not len(ctx.trajectory):
             raise ConfigurationError("single_trajectory validation needs ctx.trajectory")
-        return GroundingRule(policy.trajectory_threshold_m, as_coords(ctx.trajectory),
-                             along_path=True)
-    if not ctx.hotspot_centers:
+        return GroundingRule(policy.trajectory_threshold_m, ctx.trajectory, along_path=True)
+    if ctx.hotspot_centers is None or not len(ctx.hotspot_centers):
         raise ConfigurationError("heatmap validation needs ctx.hotspot_centers")
-    return GroundingRule(policy.hotspot_threshold_m, as_coords(ctx.hotspot_centers),
-                         along_path=False)
+    return GroundingRule(policy.hotspot_threshold_m, ctx.hotspot_centers, along_path=False)
 
 
 @dataclass(frozen=True)

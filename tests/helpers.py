@@ -3,16 +3,32 @@
 from __future__ import annotations
 
 import io
+import random
 from typing import Iterable
 
-from trajstory.geo import GeoPoint
+from trajstory.geo import GeoPoint, as_coords
 from trajstory.ingest import Dataset, Trajectory, parse_dataset
 from trajstory.story import MARKUP_CLOSE, MARKUP_OPEN, Mention
 
 
 def trajectories(ds: Dataset) -> list[Trajectory]:
-    """Every trip of ``ds`` as a Trajectory of GeoPoints."""
+    """Every trip of ``ds`` as a Trajectory."""
     return [ds.trajectory(i) for i in range(len(ds))]
+
+
+def track(id: str, points: Iterable[GeoPoint], start_time: int | None = None) -> Trajectory:
+    """A Trajectory through ``points``."""
+    return Trajectory(id=id, coords=as_coords(points), start_time=start_time)
+
+
+def points(traj: Trajectory) -> list[GeoPoint]:
+    """The trip's vertices as GeoPoints, in order."""
+    return [GeoPoint(lon, lat) for lon, lat in traj.coords.tolist()]
+
+
+def records(ds: Dataset) -> list[tuple[str, list[GeoPoint], int | None]]:
+    """Every trip of ``ds`` as a comparable (id, points, start time) record."""
+    return [(t.id, points(t), t.start_time) for t in trajectories(ds)]
 
 
 def point_list_round_trip(traj: Trajectory) -> Trajectory:
@@ -21,14 +37,25 @@ def point_list_round_trip(traj: Trajectory) -> Trajectory:
     return ds.trajectory(0)
 
 
+def backtracking_walk(rng: random.Random, steps: int = 3000) -> list[GeoPoint]:
+    """A walk of ``steps + 1`` points, drawn from ``rng``, that doubles back
+    inside downtown Porto."""
+    line = [GeoPoint(-8.615, 41.145)]
+    for _ in range(steps):
+        p = line[-1]
+        line.append(GeoPoint(min(-8.605, max(-8.626, p.lon + rng.gauss(0, 2e-4))),
+                             min(41.150, max(41.139, p.lat + rng.gauss(0, 2e-4)))))
+    return line
+
+
 def iter_points(trajs: Iterable[Trajectory]) -> Iterable[GeoPoint]:
     for t in trajs:
-        yield from t.points
+        yield from points(t)
 
 
 def to_point_list(traj: Trajectory) -> str:
     """Serialize to point_list text; floats round-trip exactly via repr."""
-    return "".join(f"{p.lon!r},{p.lat!r}\n" for p in traj.points)
+    return "".join(f"{lon!r},{lat!r}\n" for lon, lat in traj.coords.tolist())
 
 
 def write_point_list(traj: Trajectory, path: str) -> None:

@@ -11,7 +11,7 @@ import json
 from typing import IO
 
 from trajstory.errors import ParseError
-from trajstory.geo import GeoPoint, haversine_distance, meters_per_degree
+from trajstory.geo import GeoPoint, as_coords, haversine_distance, meters_per_degree
 from trajstory.ingest import Trajectory
 
 
@@ -191,5 +191,16 @@ def reference_parse_kaggle(stream: IO[str]) -> tuple[list[Trajectory], int]:
                 start_time = int(ts)
             except ValueError:
                 start_time = None
-        trajectories.append(Trajectory(id=trip_id, points=points, start_time=start_time))
+        trajectories.append(Trajectory(id=trip_id, coords=as_coords(points),
+                                       start_time=start_time))
     return trajectories, skipped
+
+
+def reference_path_length_m(traj: Trajectory) -> float:
+    """Sum of the scalar haversine over consecutive vertices, in meters.
+
+    The per-point loop the vectorized trip lengths replaced, kept as their
+    reference.
+    """
+    points = [GeoPoint(lon, lat) for lon, lat in traj.coords.tolist()]
+    return sum(haversine_distance(a, b) for a, b in zip(points, points[1:]))

@@ -50,7 +50,7 @@ def test_criterion_1_offline_heatmap_story(cluster_csv):
 
 def test_criterion_2_hallucination_separation(gazetteer, central_route):
     """Legit mentions hug the route; five planted far POIs get flagged, exactly."""
-    route = GroundingContext(trajectory=central_route)
+    route = GroundingContext(trajectory=coords(central_route))
     candidates = discover(gazetteer, grounding_rule(
         route, "single_trajectory", GroundingPolicy(trajectory_threshold_m=250.0)))
     assert len(candidates) >= 10

@@ -10,9 +10,11 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from conftest import CENTRAL_ROUTE_NAMES, FAR_POI_NAMES
+from helpers import backtracking_walk
 from oracles import reference_segment_distances
 from trajstory.cli import COMMAND_FLAGS, CONFIG_KEYS, main, parse_config
 from trajstory.errors import ConfigurationError
+from trajstory.gazetteer import default_fixture_path
 from trajstory.geo import GeoPoint
 from trajstory.ingest import KAGGLE_COLUMNS, parse_dataset, trip_endpoints
 from trajstory.synth import SyntheticSpec, generate_dataset, write_kaggle_csv
@@ -491,6 +493,51 @@ class TestStoryValidateParity:
                            "--config", str(cfg))
         assert code == 0
         assert "Foz do Douro: grounded" in out
+
+
+class TestTripStaysAnArray:
+    """``validate`` and ``map`` build GeoPoints for places and markers, not per trace point."""
+
+    def test_geopoints_are_bounded_by_names_and_markers(self, capsys, tmp_path,
+                                                        monkeypatch):
+        names = CENTRAL_ROUTE_NAMES + FAR_POI_NAMES
+        # a gazetteer that knows exactly the story's places
+        with open(default_fixture_path(), encoding="utf-8", newline="") as fh:
+            rows = [row for row in csv.DictReader(fh) if row["name"] in names]
+        assert len(rows) == len(names)
+        fixture = tmp_path / "places.csv"
+        with open(fixture, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"fixture = {fixture}\nschema = point_list\n", encoding="utf-8")
+        trace = tmp_path / "walk.txt"
+        walk = backtracking_walk(random.Random(3000), steps=2999)
+        trace.write_text("".join(f"{p.lon!r},{p.lat!r}\n" for p in walk))
+        story = tmp_path / "story.txt"
+        story.write_text(" ".join(f"[[POI: {name}]]." for name in names) + "\n",
+                         encoding="utf-8")
+
+        built = [0]
+        check_range = GeoPoint.__post_init__
+
+        def counted(point):
+            built[0] += 1
+            check_range(point)
+
+        monkeypatch.setattr(GeoPoint, "__post_init__", counted)
+        common = ["--dataset", str(trace), "--config", str(cfg), "--offline"]
+        code, out, _ = run(capsys, "validate", str(story), *common,
+                           "--output-dir", str(tmp_path / "validate"))
+        assert code in (0, 5) and f"{len(names)} spans parsed" in out
+        assert built[0] <= len(names) < len(walk)
+        built[0] = 0
+        code, out, _ = run(capsys, "map", str(story), *common,
+                           "--output-dir", str(tmp_path / "map"))
+        assert code == 0
+        markers = int(re.search(r"markers: (\d+)", out).group(1))
+        assert built[0] <= len(names) + markers < len(walk)
 
 
 class TestReadme:

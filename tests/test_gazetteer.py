@@ -7,7 +7,7 @@ from oracles import brute_force_near
 from trajstory.errors import InfrastructureError, ProtocolError
 from trajstory.gazetteer import (Gazetteer, GazetteerConfig, POI,
                                  default_fixture_path, normalize_name)
-from trajstory.geo import BoundingBox, GeoPoint, haversine_distance
+from trajstory.geo import BoundingBox, GeoPoint, as_coords, haversine_distance
 from trajstory.pipeline import discover
 from trajstory.validation import GroundingContext, GroundingPolicy, grounding_rule
 
@@ -283,7 +283,7 @@ class TestRateLimit:
 
 def pois_near(gaz, center, radius_m):
     """The pipeline's discovery around one hotspot center grounded within ``radius_m``."""
-    rule = grounding_rule(GroundingContext(hotspot_centers=[center]), "heatmap",
+    rule = grounding_rule(GroundingContext(hotspot_centers=as_coords([center])), "heatmap",
                           GroundingPolicy(hotspot_threshold_m=radius_m))
     return discover(gaz, rule)
 

@@ -4,9 +4,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import backtracking_walk
 from oracles import (dense_polyline_distance, dense_polyline_distance_spaced,
                      reference_segment_distances)
-from trajstory.geo import (EARTH_RADIUS_M, BoundingBox, GeoPoint, arc_m, bbox_of,
+from trajstory.geo import (EARTH_RADIUS_M, BoundingBox, GeoPoint, arc_m, bbox_of_coords,
                            bbox_within, haversine_distance, meters_per_degree,
                            point_to_polyline_distance, segment_h)
 from trajstory.geo import as_coords as coords
@@ -237,7 +238,7 @@ class TestAgainstScalarReference:
         assert [arc_m(h) for h in segment_h(q, coords(line))] == want
         assert point_to_polyline_distance(q, coords(line)) == min(want)
         threshold = self.thresholds(data, want)
-        rule = grounding_rule(GroundingContext(trajectory=line), "single_trajectory",
+        rule = grounding_rule(GroundingContext(trajectory=coords(line)), "single_trajectory",
                               GroundingPolicy(trajectory_threshold_m=max(threshold, 0.0)))
         assert rule.nearest(q) == min(want)
         assert rule.first_in_reach(q) == reference_first_in_reach(want, rule.threshold_m)
@@ -248,18 +249,14 @@ class TestAgainstScalarReference:
         q = data.draw(porto_places | st.sampled_from(centers))
         want = [haversine_distance(q, c) for c in centers]
         threshold = self.thresholds(data, want)
-        rule = grounding_rule(GroundingContext(hotspot_centers=centers), "heatmap",
+        rule = grounding_rule(GroundingContext(hotspot_centers=coords(centers)), "heatmap",
                               GroundingPolicy(hotspot_threshold_m=max(threshold, 0.0)))
         assert rule.nearest(q) == min(want)
         assert rule.first_in_reach(q) == reference_first_in_reach(want, rule.threshold_m)
 
     def test_long_backtracking_walk(self):
         rng = random.Random(20261018)
-        line = [GeoPoint(-8.615, 41.145)]
-        for _ in range(3000):
-            p = line[-1]
-            line.append(GeoPoint(min(-8.605, max(-8.626, p.lon + rng.gauss(0, 2e-4))),
-                                 min(41.150, max(41.139, p.lat + rng.gauss(0, 2e-4)))))
+        line = backtracking_walk(rng)
         arr = coords(line)
         for _ in range(20):
             q = GeoPoint(rng.uniform(-8.64, -8.59), rng.uniform(41.13, 41.16))
@@ -318,15 +315,15 @@ class TestBoundingBox:
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
-            bbox_of([])
+            bbox_of_coords(coords([]))
 
     def test_single_point_degenerates(self):
-        box = bbox_of([GOLDEN_A])
+        box = bbox_of_coords(coords([GOLDEN_A]))
         assert (box.min_lon, box.min_lat) == (box.max_lon, box.max_lat)
 
     @given(points=st.lists(city_points, min_size=1, max_size=30))
     def test_contains_all_inputs_and_is_tight(self, points):
-        box = bbox_of(points)
+        box = bbox_of_coords(coords(points))
         assert all(box.contains(p) for p in points)
         assert box.min_lon in {p.lon for p in points}
         assert box.max_lat in {p.lat for p in points}

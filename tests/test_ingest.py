@@ -6,6 +6,7 @@ import json
 import logging
 import multiprocessing
 import os
+import random
 import signal
 import types
 
@@ -13,14 +14,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import (iter_points, point_list_round_trip, to_point_list, trajectories,
-                     write_point_list)
-from oracles import reference_parse_kaggle
+from helpers import (backtracking_walk, iter_points, point_list_round_trip, points,
+                     to_point_list, track, trajectories, write_point_list)
+from oracles import reference_parse_kaggle, reference_path_length_m
 from trajstory import ingest
 from trajstory.cli import main
 from trajstory.errors import ConfigurationError, NotFoundError, ParseError
 from trajstory.geo import GeoPoint
-from trajstory.ingest import (KAGGLE_COLUMNS, SKIP_REASONS, Dataset, Trajectory,
+from trajstory.ingest import (KAGGLE_COLUMNS, SKIP_REASONS, Dataset,
                               parse_dataset, select_trajectory, trajectory_digest,
                               trip_endpoints)
 from trajstory.synth import SyntheticSpec, generate_dataset, write_kaggle_csv
@@ -81,8 +82,8 @@ class TestKaggleParsing:
         traj = trajectories(ds)[0]
         assert traj.id == "t1"
         assert traj.start_time == 1372636858
-        assert traj.points[0] == GeoPoint(-8.61, 41.14)
-        assert traj.points[-1] == GeoPoint(-8.63, 41.16)
+        assert points(traj)[0] == GeoPoint(-8.61, 41.14)
+        assert points(traj)[-1] == GeoPoint(-8.63, 41.16)
         assert ds.skipped_rows == 0
 
     def test_missing_data_flag_skips_row_case_insensitively(self):
@@ -146,7 +147,7 @@ class TestPointListParsing:
         assert len(ds) == 1
         traj = trajectories(ds)[0]
         assert traj.id == "walk"
-        assert len(traj.points) == 3
+        assert len(traj.coords) == 3
         assert ds.skipped_rows == 1  # the header line
 
     @pytest.mark.parametrize("from_path", [True, False])
@@ -166,22 +167,21 @@ class TestPointListParsing:
         ds = parse_dataset(io.StringIO("-8.61,41.14\nxyz\n-8.62;41.15\n-8.63,41.16\n"),
                            "point_list")
         assert ds.skipped_rows == 2
-        assert len(trajectories(ds)[0].points) == 2
+        assert len(trajectories(ds)[0].coords) == 2
 
-    @given(points=st.lists(
+    @given(vertices=st.lists(
         st.builds(GeoPoint,
                   st.floats(-8.75, -8.45, allow_nan=False),
                   st.floats(41.0, 41.3, allow_nan=False)),
         min_size=2, max_size=20))
-    def test_serialization_round_trips_exactly(self, points):
-        traj = Trajectory(id="t", points=points)
+    def test_serialization_round_trips_exactly(self, vertices):
+        traj = track("t", vertices)
         back = point_list_round_trip(traj)
-        assert [(p.lon, p.lat) for p in back.points] == \
-               [(p.lon, p.lat) for p in points]
+        assert [(p.lon, p.lat) for p in points(back)] == \
+               [(p.lon, p.lat) for p in vertices]
 
     def test_write_then_parse_from_disk(self, tmp_path):
-        traj = Trajectory(id="t", points=[GeoPoint(-8.61, 41.14),
-                                          GeoPoint(-8.62, 41.15)])
+        traj = track("t", [GeoPoint(-8.61, 41.14), GeoPoint(-8.62, 41.15)])
         path = tmp_path / "t.txt"
         write_point_list(traj, str(path))
         ds = parse_dataset(str(path), "point_list")
@@ -191,11 +191,9 @@ class TestPointListParsing:
 class TestSelection:
     @staticmethod
     def dataset():
-        short_far = Trajectory(id="b", points=[GeoPoint(-8.60, 41.10),
-                                               GeoPoint(-8.60, 41.20)])
-        long_near = Trajectory(id="a", points=[GeoPoint(-8.61, 41.14),
-                                               GeoPoint(-8.611, 41.141),
-                                               GeoPoint(-8.612, 41.142)])
+        short_far = track("b", [GeoPoint(-8.60, 41.10), GeoPoint(-8.60, 41.20)])
+        long_near = track("a", [GeoPoint(-8.61, 41.14), GeoPoint(-8.611, 41.141),
+                                GeoPoint(-8.612, 41.142)])
         return Dataset.from_trajectories([short_far, long_near])
 
     def test_unknown_criterion(self):
@@ -213,28 +211,35 @@ class TestSelection:
 
     def test_tie_breaks_to_lowest_id(self):
         p = [GeoPoint(-8.61, 41.14), GeoPoint(-8.62, 41.15)]
-        ds = Dataset.from_trajectories([Trajectory(id="z", points=list(p)),
-                                        Trajectory(id="a", points=list(p))])
+        ds = Dataset.from_trajectories([track("z", p), track("a", p)])
         assert select_trajectory(ds, "longest_by_points").id == "a"
 
     def test_length_tie_breaks_to_lowest_id(self):
         p = [GeoPoint(-8.61, 41.14), GeoPoint(-8.62, 41.15), GeoPoint(-8.60, 41.16)]
-        ds = Dataset.from_trajectories([Trajectory(id="m", points=p[:2]),
-                                        Trajectory(id="z", points=list(p)),
-                                        Trajectory(id="a", points=list(p))])
+        ds = Dataset.from_trajectories([track("m", p[:2]), track("z", p), track("a", p)])
         assert select_trajectory(ds, "longest_by_length").id == "a"
 
     @given(trips=st.lists(st.lists(st.builds(GeoPoint, st.floats(-8.75, -8.45),
                                              st.floats(41.0, 41.3)),
                                    min_size=2, max_size=8), min_size=1, max_size=12))
     def test_longest_by_length_matches_the_per_point_lengths(self, trips):
-        ds = Dataset.from_trajectories(
-            Trajectory(id=f"t{i:02d}", points=p) for i, p in enumerate(trips))
-        lengths = [t.path_length_m() for t in trajectories(ds)]
+        ds = Dataset.from_trajectories(track(f"t{i:02d}", p) for i, p in enumerate(trips))
+        lengths = [reference_path_length_m(t) for t in trajectories(ds)]
         chosen = select_trajectory(ds, "longest_by_length")
         # numpy's trigonometry and summation order may move the last bits
         assert lengths[int(chosen.id[1:])] >= max(lengths) * (1 - 1e-12)
-        assert chosen == ds.trajectory(int(chosen.id[1:]))
+        want = ds.trajectory(int(chosen.id[1:]))
+        assert (chosen.id, chosen.start_time) == (want.id, want.start_time)
+        assert np.array_equal(chosen.coords, want.coords)
+
+    def test_selected_trip_is_a_read_only_view_of_the_columns(self):
+        ds = self.dataset()
+        chosen = select_trajectory(ds, "longest_by_points")
+        assert np.shares_memory(chosen.coords, ds.coords)
+        assert chosen.coords.tolist() == ds.coords[2:].tolist()
+        with pytest.raises(ValueError):
+            chosen.coords[0, 0] = 0.0
+        assert ds.coords.flags.writeable
 
     def test_by_id(self):
         ds = self.dataset()
@@ -247,9 +252,8 @@ class TestSelection:
 
 class TestDigest:
     def test_contents_and_determinism(self):
-        traj = Trajectory(id="t9", points=[GeoPoint(-8.61, 41.14),
-                                           GeoPoint(-8.63, 41.16)],
-                          start_time=1372636858)
+        traj = track("t9", [GeoPoint(-8.61, 41.14), GeoPoint(-8.63, 41.16)],
+                     start_time=1372636858)
         digest = trajectory_digest(traj)
         assert digest == trajectory_digest(traj)
         assert "trajectory id: t9" in digest
@@ -260,9 +264,25 @@ class TestDigest:
         assert "path length:" in digest
 
     def test_no_start_time_line_without_timestamp(self):
-        traj = Trajectory(id="t", points=[GeoPoint(-8.61, 41.14),
-                                          GeoPoint(-8.63, 41.16)])
+        traj = track("t", [GeoPoint(-8.61, 41.14), GeoPoint(-8.63, 41.16)])
         assert "start time" not in trajectory_digest(traj)
+
+    @staticmethod
+    def length_line(traj):
+        (line,) = [x for x in trajectory_digest(traj).splitlines()
+                   if x.startswith("path length:")]
+        return line
+
+    def test_path_length_matches_the_scalar_reference_on_a_long_walk(self):
+        traj = track("walk", backtracking_walk(random.Random(20261018)))
+        assert len(traj.coords) == 3001
+        assert self.length_line(traj) == f"path length: {reference_path_length_m(traj):.0f} m"
+
+    def test_path_length_matches_the_scalar_reference_on_synthetic_trips(self):
+        ds = generate_dataset(SyntheticSpec(seed=31, n_trajectories=500, max_points=200))
+        for traj in trajectories(ds):
+            assert self.length_line(traj) == \
+                f"path length: {reference_path_length_m(traj):.0f} m"
 
 
 class TestSynthCsvRoundTrip:
@@ -275,18 +295,18 @@ class TestSynthCsvRoundTrip:
         assert len(back) == 20
         assert back.skipped_rows == 7
         assert [t.id for t in trajectories(back)] == [t.id for t in trajectories(ds)]
-        assert [len(t.points) for t in trajectories(back)] == \
-               [len(t.points) for t in trajectories(ds)]
+        assert [len(t.coords) for t in trajectories(back)] == \
+               [len(t.coords) for t in trajectories(ds)]
 
     def test_iter_points_covers_every_vertex(self):
         ds = generate_dataset(SyntheticSpec(seed=5, n_trajectories=4))
         assert len(list(iter_points(trajectories(ds)))) == \
-               sum(len(t.points) for t in trajectories(ds))
+               sum(len(t.coords) for t in trajectories(ds))
 
 
 def test_to_point_list_uses_full_precision():
     p = GeoPoint(-8.612345678901234, 41.14)
-    traj = Trajectory(id="t", points=[p])
+    traj = track("t", [p])
     assert f"{p.lon!r},{p.lat!r}" in to_point_list(traj)
     assert float(to_point_list(traj).split(",")[0]) == p.lon
 
@@ -436,8 +456,8 @@ class TestAgainstReferenceParser:
         assert ds.ids == [t.id for t in want]
         assert ds.start_times == [t.start_time for t in want]
         assert ds.offsets.tolist() == [0] + list(
-            itertools.accumulate(len(t.points) for t in want))
-        want_xy = np.array([(p.lon, p.lat) for t in want for p in t.points],
+            itertools.accumulate(len(t.coords) for t in want))
+        want_xy = np.array([(p.lon, p.lat) for t in want for p in points(t)],
                            dtype=np.float64).reshape(-1, 2)
         assert ds.coords.dtype == np.float64
         assert ds.coords.tobytes() == want_xy.tobytes()

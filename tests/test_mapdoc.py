@@ -1,11 +1,13 @@
 import json
 import random
 
+import numpy as np
 import pytest
 
 from oracles import brute_force_clusters
 from trajstory.gazetteer import POI
 from trajstory.geo import GeoPoint, haversine_distance, meters_per_degree
+from trajstory.geo import as_coords as coords
 from trajstory.ingest import Trajectory
 from trajstory.mapdoc import (BBOX_PAD_FRACTION, DEFAULT_CLUSTER_DISTANCE_M,
                               MapDocument, Marker, emit_map, render_geojson,
@@ -93,10 +95,10 @@ class TestDocumentShape:
             emit_map([])
 
     def test_path_only_map(self):
-        track = Trajectory(id="t", points=[BASE, GeoPoint(-8.60, 41.16)])
+        track = Trajectory(id="t", coords=coords([BASE, GeoPoint(-8.60, 41.16)]))
         doc = emit_map([], trajectory=track)
         assert doc.markers == [] and doc.legend == []
-        assert doc.paths == [track.points]
+        assert len(doc.paths) == 1 and np.array_equal(doc.paths[0], track.coords)
         assert doc.bbox.contains(BASE)
 
     def test_bbox_pads_ten_percent_per_side(self):
@@ -108,11 +110,12 @@ class TestDocumentShape:
         assert doc.bbox.max_lat == pytest.approx(41.1600 + 0.0100 * BBOX_PAD_FRACTION)
 
     def test_bbox_covers_markers_and_paths(self):
-        track = Trajectory(id="t", points=[GeoPoint(-8.65, 41.12), BASE])
+        vertices = [GeoPoint(-8.65, 41.12), BASE]
+        track = Trajectory(id="t", coords=coords(vertices))
         doc = emit_map([poi_at("A", east_m=900.0)], trajectory=track)
         for m in doc.markers:
             assert doc.bbox.contains(m.center)
-        for p in track.points:
+        for p in vertices:
             assert doc.bbox.contains(p)
 
     def test_default_threshold_exported(self):
@@ -121,7 +124,7 @@ class TestDocumentShape:
 
 class TestGeoJson:
     def build(self):
-        track = Trajectory(id="t", points=[BASE, GeoPoint(-8.6000, 41.1550)])
+        track = Trajectory(id="t", coords=coords([BASE, GeoPoint(-8.6000, 41.1550)]))
         pois = [poi_at("Bolhão Market"), poi_at("Ribeira", east_m=40.0),
                 poi_at("Sé", east_m=500.0)]
         return emit_map(pois, trajectory=track)

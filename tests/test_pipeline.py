@@ -1,6 +1,7 @@
 import json
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -63,7 +64,7 @@ class TestPlan:
         # analytics builds the grid and grounds on its hotspots
         assert run.traj is None and run.grid is not None
         centers = [h.center for h in run.hotspots]
-        assert run.grounding.hotspot_centers == centers
+        assert np.array_equal(run.grounding.hotspot_centers, coords(centers))
         # discovery offers the places within the hotspot threshold of a center
         assert run.story_ctx.candidate_pois
         for poi in run.story_ctx.candidate_pois:
@@ -82,10 +83,10 @@ class TestPlan:
         run = run_steps(req, ("ingest", "analytics", "discovery"))
         # analytics selects the trip by the default criterion, longest_by_points
         assert run.traj.id == select_trajectory(run.ds, "longest_by_points").id
-        assert run.grounding.trajectory == run.traj.points
+        assert np.array_equal(run.grounding.trajectory, run.traj.coords)
         # discovery offers the places within the trajectory threshold of the path
         for poi in run.story_ctx.candidate_pois:
-            assert point_to_polyline_distance(poi.location, coords(run.traj.points)) <= 500.0
+            assert point_to_polyline_distance(poi.location, run.traj.coords) <= 500.0
         # validate grades against the trajectory threshold
         lenient = replace(req, policy=GroundingPolicy(trajectory_threshold_m=1e7,
                                                       hotspot_threshold_m=0.0))
@@ -166,7 +167,8 @@ class TestExecuteSingleTrajectory:
         result = execute(self.request(route_file), TemplateBackend())
         assert result.attempts == 1
         assert result.report.overall
-        assert result.map.paths == [central_route]
+        assert len(result.map.paths) == 1
+        assert np.array_equal(result.map.paths[0], coords(central_route))
         for verdict in result.report.per_poi:
             assert verdict.distance_m <= 300.0
 
@@ -204,9 +206,9 @@ class TestDiscovery:
     @staticmethod
     def rule(evidence, threshold_m, along_path):
         if along_path:
-            ctx, mode = GroundingContext(trajectory=evidence), "single_trajectory"
+            ctx, mode = GroundingContext(trajectory=coords(evidence)), "single_trajectory"
         else:
-            ctx, mode = GroundingContext(hotspot_centers=evidence), "heatmap"
+            ctx, mode = GroundingContext(hotspot_centers=coords(evidence)), "heatmap"
         policy = GroundingPolicy(trajectory_threshold_m=threshold_m,
                                  hotspot_threshold_m=threshold_m)
         return ctx, mode, policy

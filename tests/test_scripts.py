@@ -1,11 +1,16 @@
-"""Smoke tests: the two scripts in ``scripts/`` run end to end, offline."""
+"""Smoke tests: the two scripts in ``scripts/`` and the microbenchmarks run end
+to end, offline."""
 
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
 
 
 def load(name):
@@ -32,3 +37,14 @@ def test_threshold_sweep_separates_the_planted_places(capsys):
     assert rows[500.0] == (5, 1.0, 1.0)
     assert rows[0.0][1] < 1.0 and rows[0.0][2] == 1.0
     assert rows[8000.0][2] < 1.0
+
+
+def test_microbenchmarks_run_against_the_current_api():
+    pytest.importorskip("pytest_benchmark")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                      env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "pytest", "microbench", "--benchmark-disable",
+                           "-q", "-p", "no:cacheprovider"],
+                          cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stdout[-4000:] + done.stderr[-4000:]

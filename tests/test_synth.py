@@ -3,9 +3,9 @@ import math
 import pytest
 
 from conftest import PORTO_CLUSTERS
-from helpers import trajectories
+from helpers import points, records, track, trajectories
 from trajstory.geo import GeoPoint, haversine_distance
-from trajstory.ingest import parse_dataset
+from trajstory.ingest import Dataset, parse_dataset, trajectory_digest
 from trajstory.story import NarrativeSpec, Story, count_words, extract_mentions
 from trajstory.synth import (EndpointCluster, PORTO_BBOX, ScriptedBackend,
                              SyntheticSpec, generate_dataset,
@@ -54,13 +54,13 @@ class TestGenerateDataset:
                              endpoint_clusters=list(PORTO_CLUSTERS))
         a = generate_dataset(spec)
         b = generate_dataset(spec)
-        assert trajectories(a) == trajectories(b)
+        assert records(a) == records(b)
         assert a.source_path == "synthetic:seed=42"
 
     def test_different_seeds_differ(self):
         a = generate_dataset(SyntheticSpec(seed=1, n_trajectories=5))
         b = generate_dataset(SyntheticSpec(seed=2, n_trajectories=5))
-        assert trajectories(a) != trajectories(b)
+        assert records(a) != records(b)
 
     def test_shape_of_each_trajectory(self):
         spec = SyntheticSpec(seed=3, n_trajectories=25, min_points=5, max_points=9)
@@ -68,7 +68,7 @@ class TestGenerateDataset:
         assert len(ds) == 25
         for i, traj in enumerate(trajectories(ds)):
             assert traj.id == f"synt{i:05d}"
-            assert 5 <= len(traj.points) <= 9
+            assert 5 <= len(traj.coords) <= 9
             assert traj.start_time == 1_372_636_800 + 600 * i
 
     def test_zero_stddev_pins_every_endpoint_to_the_center(self):
@@ -77,7 +77,7 @@ class TestGenerateDataset:
             seed=9, n_trajectories=40,
             endpoint_clusters=[EndpointCluster(center, 1.0, 0.0)])
         for traj in trajectories(generate_dataset(spec)):
-            assert traj.points[-1] == center
+            assert points(traj)[-1] == center
 
     def test_endpoints_track_the_cluster_mix(self):
         spec = SyntheticSpec(seed=11, n_trajectories=10_000,
@@ -85,7 +85,7 @@ class TestGenerateDataset:
         ds = generate_dataset(spec)
         counts = [0] * len(PORTO_CLUSTERS)
         for traj in trajectories(ds):
-            end = traj.points[-1]
+            end = points(traj)[-1]
             dists = [haversine_distance(end, c.center) for c in PORTO_CLUSTERS]
             counts[dists.index(min(dists))] += 1
         for cluster, n in zip(PORTO_CLUSTERS, counts):
@@ -97,7 +97,7 @@ class TestGenerateDataset:
             seed=13, n_trajectories=4000,
             endpoint_clusters=[EndpointCluster(center, 1.0, 120.0)])
         ds = generate_dataset(spec)
-        d2 = [haversine_distance(t.points[-1], center) ** 2
+        d2 = [haversine_distance(points(t)[-1], center) ** 2
               for t in trajectories(ds)]
         # 2-d gaussian: E[d^2] = 2 sigma^2
         rms = math.sqrt(sum(d2) / len(d2))
@@ -106,8 +106,8 @@ class TestGenerateDataset:
     def test_uniform_endpoints_stay_in_the_bbox(self):
         ds = generate_dataset(SyntheticSpec(seed=5, n_trajectories=200))
         for traj in trajectories(ds):
-            assert PORTO_BBOX.contains(traj.points[-1])
-            assert PORTO_BBOX.contains(traj.points[0])
+            assert PORTO_BBOX.contains(points(traj)[-1])
+            assert PORTO_BBOX.contains(points(traj)[0])
 
 
 class TestInjection:
@@ -162,8 +162,20 @@ class TestKaggleWriter:
         parsed = parse_dataset(str(path), "kaggle_porto")
         by_id = {t.id: t for t in trajectories(parsed)}
         for traj in trajectories(ds):
-            assert by_id[traj.id].points == traj.points
+            assert points(by_id[traj.id]) == points(traj)
             assert by_id[traj.id].start_time == traj.start_time
+
+    def test_start_times_round_trip_with_none_and_zero(self, tmp_path):
+        walk = [GeoPoint(-8.61, 41.14), GeoPoint(-8.62, 41.15)]
+        ds = Dataset.from_trajectories([track("none", walk), track("zero", walk, start_time=0),
+                                        track("set", walk, start_time=1_372_636_800)])
+        path = tmp_path / "taxi.csv"
+        write_kaggle_csv(ds, path)
+        parsed = parse_dataset(str(path), "kaggle_porto")
+        assert parsed.ids == ["none", "zero", "set"]
+        assert parsed.start_times == [None, 0, 1_372_636_800]
+        assert "start time" not in trajectory_digest(parsed.trajectory(0))
+        assert "start time (unix): 0" in trajectory_digest(parsed.trajectory(1))
 
     def test_bad_row_placement_is_seeded(self, tmp_path):
         ds = generate_dataset(SyntheticSpec(seed=23, n_trajectories=20))

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from conftest import CENTRAL_ROUTE_NAMES, FAR_POI_NAMES
 from trajstory.errors import ConfigurationError, InfrastructureError
 from trajstory.gazetteer import Gazetteer, GazetteerConfig
+from trajstory.geo import as_coords as coords
 from trajstory.story import NarrativeSpec, count_words, extract_mentions
 from trajstory.validation import (GROUNDED, HALLUCINATION, UNGEOCODABLE,
                                   GroundingContext, GroundingPolicy,
@@ -28,7 +29,7 @@ def marked(*names):
 def verdicts_by_name(gazetteer, central_route):
     """Validate a story holding every central and far fixture name once."""
     story = make_story(marked(*CENTRAL_ROUTE_NAMES, *FAR_POI_NAMES))
-    ctx = GroundingContext(trajectory=central_route)
+    ctx = GroundingContext(trajectory=coords(central_route))
     report = validate_story(story, ctx, GroundingPolicy(), gazetteer)
     return {p.name: p for p in report.per_poi}
 
@@ -48,7 +49,7 @@ class TestSpatialVerdicts:
 
     def test_unknown_name_is_ungeocodable(self, gazetteer, central_route):
         story = make_story(marked("Atlantis Pier"))
-        report = validate_story(story, GroundingContext(trajectory=central_route),
+        report = validate_story(story, GroundingContext(trajectory=coords(central_route)),
                                 GroundingPolicy(), gazetteer)
         (v,) = report.per_poi
         assert v == PoiVerdict(name="Atlantis Pier", verdict=UNGEOCODABLE)
@@ -58,7 +59,7 @@ class TestSpatialVerdicts:
         aliados = gazetteer.geocode("Avenida dos Aliados").location
         far_center = gazetteer.geocode("Matosinhos Beach").location
         story = make_story(marked("Avenida dos Aliados"), mode="heatmap")
-        ctx = GroundingContext(hotspot_centers=[far_center, aliados])
+        ctx = GroundingContext(hotspot_centers=coords([far_center, aliados]))
         report = validate_story(story, ctx, GroundingPolicy(), gazetteer)
         assert report.per_poi[0].verdict == GROUNDED
         assert report.per_poi[0].distance_m == pytest.approx(0.0, abs=1e-6)
@@ -67,15 +68,15 @@ class TestSpatialVerdicts:
         heat = make_story(marked("Ribeira"), mode="heatmap")
         single = make_story(marked("Ribeira"))
         with pytest.raises(ConfigurationError):
-            validate_story(heat, GroundingContext(trajectory=central_route),
+            validate_story(heat, GroundingContext(trajectory=coords(central_route)),
                            GroundingPolicy(), gazetteer)
         with pytest.raises(ConfigurationError):
-            validate_story(single, GroundingContext(hotspot_centers=[central_route[0]]),
+            validate_story(single, GroundingContext(hotspot_centers=coords([central_route[0]])),
                            GroundingPolicy(), gazetteer)
 
     def test_accepts_a_config_in_place_of_a_gazetteer(self, central_route):
         story = make_story(marked("Ribeira"))
-        report = validate_story(story, GroundingContext(trajectory=central_route),
+        report = validate_story(story, GroundingContext(trajectory=coords(central_route)),
                                 GroundingPolicy(), GazetteerConfig())
         assert report.per_poi[0].verdict == GROUNDED
 
@@ -86,20 +87,20 @@ class TestSpatialVerdicts:
         gaz = Gazetteer(GazetteerConfig(offline_only=False), fetch=fetch)
         story = make_story(marked("Atlantis Pier"))
         with pytest.raises(InfrastructureError) as err:
-            validate_story(story, GroundingContext(trajectory=central_route),
+            validate_story(story, GroundingContext(trajectory=coords(central_route)),
                            GroundingPolicy(), gaz)
 
 
 class TestDeduplication:
     def test_case_variants_collapse_to_one_verdict(self, gazetteer, central_route):
         story = make_story(marked("Ribeira", "  RIBEIRA ", "ribeira"))
-        report = validate_story(story, GroundingContext(trajectory=central_route),
+        report = validate_story(story, GroundingContext(trajectory=coords(central_route)),
                                 GroundingPolicy(), gazetteer)
         assert [p.name for p in report.per_poi] == ["Ribeira"]
 
     def test_repeats_cannot_pad_the_poi_quota(self, gazetteer, central_route):
         story = make_story(marked("Ribeira", "Ribeira", "Ribeira"), min_pois=2)
-        report = validate_story(story, GroundingContext(trajectory=central_route),
+        report = validate_story(story, GroundingContext(trajectory=coords(central_route)),
                                 GroundingPolicy(), gazetteer)
         check = {c.name: c for c in report.structural}["min_pois"]
         assert not check.passed
@@ -108,7 +109,7 @@ class TestDeduplication:
 
     def test_repeated_far_name_is_penalized_once(self, gazetteer, central_route):
         story = make_story(marked("Foz do Douro", "Foz do Douro"))
-        report = validate_story(story, GroundingContext(trajectory=central_route),
+        report = validate_story(story, GroundingContext(trajectory=coords(central_route)),
                                 GroundingPolicy(), gazetteer)
         assert len(report.flagged()) == 1
 
@@ -116,7 +117,7 @@ class TestDeduplication:
 class TestStructuralChecks:
     def test_word_cap_violation(self, gazetteer, central_route):
         story = make_story("word " * 30 + marked("Ribeira"), max_words=10)
-        report = validate_story(story, GroundingContext(trajectory=central_route),
+        report = validate_story(story, GroundingContext(trajectory=coords(central_route)),
                                 GroundingPolicy(), gazetteer)
         check = {c.name: c for c in report.structural}["max_words"]
         assert not check.passed
@@ -125,7 +126,7 @@ class TestStructuralChecks:
 
     def test_parsed_story_passes_markup_check(self, gazetteer, central_route):
         story = make_story(marked("Ribeira", "Bolhão Market"))
-        report = validate_story(story, GroundingContext(trajectory=central_route),
+        report = validate_story(story, GroundingContext(trajectory=coords(central_route)),
                                 GroundingPolicy(), gazetteer)
         check = {c.name: c for c in report.structural}["markup"]
         assert check.passed
@@ -135,7 +136,7 @@ class TestStructuralChecks:
                                                               central_route):
         story = make_story("no markup here [[POI: x]]")
         story.mentions = []
-        report = validate_story(story, GroundingContext(trajectory=central_route),
+        report = validate_story(story, GroundingContext(trajectory=coords(central_route)),
                                 GroundingPolicy(), gazetteer)
         assert report.grounded_fraction == 1.0
         assert report.overall
@@ -156,7 +157,7 @@ class TestPolicy:
     def test_require_geocode_false_drops_unknowns_from_the_fraction(
             self, gazetteer, central_route):
         story = make_story(marked("Ribeira", "Atlantis Pier"))
-        ctx = GroundingContext(trajectory=central_route)
+        ctx = GroundingContext(trajectory=coords(central_route))
         strict = validate_story(story, ctx, GroundingPolicy(), gazetteer)
         lax = validate_story(story, ctx, GroundingPolicy(require_geocode=False),
                              gazetteer)
@@ -168,7 +169,7 @@ class TestPolicy:
 
     def test_fraction_gate(self, gazetteer, central_route):
         story = make_story(marked("Ribeira", "Foz do Douro"))
-        ctx = GroundingContext(trajectory=central_route)
+        ctx = GroundingContext(trajectory=coords(central_route))
         policy = GroundingPolicy(min_grounded_fraction=0.5)
         assert validate_story(story, ctx, policy, gazetteer).overall
         policy = GroundingPolicy(min_grounded_fraction=0.6)
@@ -182,7 +183,7 @@ class TestPolicy:
             t1, t2 = t2, t1
         story = make_story(marked("Ribeira", "Jardim do Morro",
                                   "Estádio do Dragão", "Foz do Douro"))
-        ctx = GroundingContext(trajectory=central_route)
+        ctx = GroundingContext(trajectory=coords(central_route))
 
         def grounded_at(t):
             policy = GroundingPolicy(trajectory_threshold_m=float(t))
@@ -195,7 +196,7 @@ class TestPolicy:
 class TestInjectionSeparation:
     def test_flagged_set_is_exactly_the_planted_set(self, gazetteer, central_route):
         story = make_story(marked(*CENTRAL_ROUTE_NAMES, *FAR_POI_NAMES))
-        ctx = GroundingContext(trajectory=central_route)
+        ctx = GroundingContext(trajectory=coords(central_route))
         report = validate_story(story, ctx, GroundingPolicy(), gazetteer)
         flagged = {p.name for p in report.flagged()}
         assert flagged == set(FAR_POI_NAMES)
@@ -206,7 +207,7 @@ class TestInjectionSeparation:
 
     def test_same_story_same_report(self, gazetteer, central_route):
         story = make_story(marked(*CENTRAL_ROUTE_NAMES[:3], *FAR_POI_NAMES[:2]))
-        ctx = GroundingContext(trajectory=central_route)
+        ctx = GroundingContext(trajectory=coords(central_route))
         a = validate_story(story, ctx, GroundingPolicy(), gazetteer)
         b = validate_story(story, ctx, GroundingPolicy(), gazetteer)
         assert a == b
@@ -216,7 +217,7 @@ class TestFeedback:
     def build_report(self, gazetteer, central_route):
         story = make_story(marked("Foz do Douro", "Atlantis Pier", "Ribeira"),
                            min_pois=5)
-        ctx = GroundingContext(trajectory=central_route)
+        ctx = GroundingContext(trajectory=coords(central_route))
         return validate_story(story, ctx, GroundingPolicy(), gazetteer)
 
     def test_names_every_problem_in_report_order(self, gazetteer, central_route):
@@ -250,7 +251,7 @@ class TestFeedback:
 class TestExports:
     def test_dict_shape(self, gazetteer, central_route):
         story = make_story(marked("Ribeira", "Atlantis Pier"))
-        report = validate_story(story, GroundingContext(trajectory=central_route),
+        report = validate_story(story, GroundingContext(trajectory=coords(central_route)),
                                 GroundingPolicy(), gazetteer)
         d = report_to_dict(report)
         assert d["overall"] == "fail"
@@ -266,7 +267,7 @@ class TestExports:
 
     def test_summary_layout(self, gazetteer, central_route):
         story = make_story(marked("Ribeira", "Foz do Douro"))
-        report = validate_story(story, GroundingContext(trajectory=central_route),
+        report = validate_story(story, GroundingContext(trajectory=coords(central_route)),
                                 GroundingPolicy(), gazetteer)
         lines = summarize_report(report).splitlines()
         assert lines[0] == "validation: FAIL"
