@@ -22,7 +22,7 @@ from trajstory.ingest import (Trajectory, parse_dataset, select_trajectory,
 from trajstory.mapdoc import emit_map, render_geojson
 from trajstory.story import NarrativeSpec, Story, count_words, extract_mentions
 from trajstory.synth import PORTO_BBOX, SyntheticSpec, generate_dataset, write_kaggle_csv
-from trajstory.validation import GroundingContext, GroundingPolicy, validate_story
+from trajstory.validation import GroundingPolicy, GroundingRule, validate_story
 
 DOWNTOWN = (-8.6260, 41.1390, -8.6050, 41.1500)
 # 13 places on the walk's ground and 5 well away from it
@@ -75,8 +75,8 @@ def test_validate_story_18_names(benchmark, walk, gazetteer):
     story = Story(text=text, mentions=extract_mentions(text), word_count=count_words(text),
                   backend_id="microbench",
                   spec=NarrativeSpec(mode="single_trajectory", min_pois=0, max_words=10**6))
-    ctx = GroundingContext(trajectory=walk)
-    report = benchmark(validate_story, story, ctx, GroundingPolicy(), gazetteer)
+    rule = GroundingRule(GroundingPolicy(), walk, along_path=True)
+    report = benchmark(validate_story, story, rule, gazetteer)
     assert len(report.per_poi) == len(NAMES)
 
 

@@ -49,7 +49,6 @@ def main(argv=None):
 
     request = StoryRequest(
         dataset_path=str(csv_path),
-        mode="heatmap",
         spec=NarrativeSpec(audience=args.audience),
     )
     result = execute(request, TemplateBackend())

@@ -17,8 +17,7 @@ from trajstory.pipeline import discover
 from trajstory.story import (NarrativeSpec, StoryContext, TemplateBackend,
                              generate_story)
 from trajstory.synth import inject_hallucinations
-from trajstory.validation import (GroundingContext, GroundingPolicy,
-                                  grounding_rule, validate_story)
+from trajstory.validation import GroundingPolicy, GroundingRule, validate_story
 
 ROUTE_NAMES = [
     "Palácio de Cristal Gardens", "Igreja do Carmo", "Livraria Lello",
@@ -40,11 +39,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     gaz = Gazetteer(GazetteerConfig())
-    grounding = GroundingContext(trajectory=as_coords(gaz.geocode(name).location
-                                                      for name in ROUTE_NAMES))
+    route = as_coords(gaz.geocode(name).location for name in ROUTE_NAMES)
     # the honest story's material: the places within 250 m of the route
-    candidates = discover(gaz, grounding_rule(
-        grounding, "single_trajectory", GroundingPolicy(trajectory_threshold_m=250.0)))
+    candidates = discover(gaz, GroundingRule(GroundingPolicy(trajectory_threshold_m=250.0),
+                                             route, along_path=True))
 
     spec = NarrativeSpec(mode="single_trajectory", min_pois=10, max_words=400)
     ctx = StoryContext(data_summary="a downtown walking route",
@@ -57,8 +55,9 @@ def main(argv=None):
     print(f"{'threshold_m':>11}  {'flagged':>7}  {'precision':>9}  {'recall':>6}")
 
     for threshold in args.thresholds:
-        policy = GroundingPolicy(trajectory_threshold_m=threshold)
-        report = validate_story(story, grounding, policy, gaz)
+        rule = GroundingRule(GroundingPolicy(trajectory_threshold_m=threshold), route,
+                             along_path=True)
+        report = validate_story(story, rule, gaz)
         flagged = {p.name for p in report.flagged()}
         hits = len(flagged & planted)
         precision = hits / len(flagged) if flagged else 1.0

@@ -19,7 +19,7 @@ from .pipeline import StoryRequest, StoryResult, execute, plan, write_bundle
 from .story import (NarrativeSpec, RemoteBackend, Story, StoryBackend,
                     StoryContext, TemplateBackend, build_prompt, count_words,
                     extract_mentions, generate_story, strip_markup)
-from .validation import (GroundingContext, GroundingPolicy, ValidationReport,
+from .validation import (GroundingPolicy, GroundingRule, ValidationReport,
                          feedback_text, validate_story)
 
 __version__ = "0.1.0"
@@ -27,7 +27,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundingBox", "ConfigurationError", "Dataset",
     "EARTH_RADIUS_M", "Gazetteer", "GazetteerConfig", "GeoPoint",
-    "GroundingContext", "GroundingPolicy", "HeatGrid", "Hotspot",
+    "GroundingPolicy", "GroundingRule", "HeatGrid", "Hotspot",
     "InfrastructureError", "MalformedStoryError", "MapDocument",
     "NarrativeSpec", "NotFoundError", "POI", "ParseError", "ProtocolError",
     "RemoteBackend", "Story", "StoryBackend", "StoryContext", "StoryRequest",

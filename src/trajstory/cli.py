@@ -168,7 +168,7 @@ def _build(cls, values: dict[str, object], **given):
 
 def build_request(values: dict[str, object]) -> StoryRequest:
     spec = _build(NarrativeSpec, values)
-    return _build(StoryRequest, values, mode=spec.mode, spec=spec,
+    return _build(StoryRequest, values, spec=spec,
                   policy=_build(GroundingPolicy, values),
                   gazetteer=_build(GazetteerConfig, values))
 

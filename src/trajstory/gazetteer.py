@@ -14,6 +14,7 @@ last entry per key wins.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import os
 import threading
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import Callable
 
-from .errors import InfrastructureError, ProtocolError
+from .errors import ConfigurationError, InfrastructureError, ProtocolError
 from .geo import BoundingBox, GeoPoint
 
 FetchFn = Callable[[str, dict], object]
@@ -137,17 +138,31 @@ class Gazetteer:
         index: dict[str, POI] = {}
         if not path:
             return index
-        with open(path, encoding="utf-8", newline="") as fh:
-            for row in csv.DictReader(fh):
+        with open(path, "rb") as fh:
+            data = fh.read()
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = data.count(b"\n", 0, exc.start) + 1
+            raise ConfigurationError(f"fixture {path}: line {line}: not UTF-8 text") from None
+        reader = csv.DictReader(io.StringIO(text, newline=""))
+        for row in reader:
+            try:
                 poi = POI(name=row["name"],
                           location=GeoPoint(float(row["lon"]), float(row["lat"])),
                           category=row.get("category") or None,
                           source="fixture",
                           blurb=row.get("blurb") or None)
-                index.setdefault(normalize_name(poi.name), poi)
-                for alias in (row.get("aliases") or "").split("|"):
-                    if alias.strip():
-                        index.setdefault(normalize_name(alias), poi)
+            except KeyError as exc:
+                raise ConfigurationError(
+                    f"fixture {path}: line {reader.line_num}: no {exc} column") from None
+            except (TypeError, ValueError) as exc:
+                raise ConfigurationError(
+                    f"fixture {path}: line {reader.line_num}: {exc}") from None
+            index.setdefault(normalize_name(poi.name), poi)
+            for alias in (row.get("aliases") or "").split("|"):
+                if alias.strip():
+                    index.setdefault(normalize_name(alias), poi)
         return index
 
     @staticmethod
@@ -155,21 +170,20 @@ class Gazetteer:
         index: dict[str, POI] = {}
         if not path or not os.path.exists(path):
             return index
-        with open(path, encoding="utf-8") as fh:
+        with open(path, "rb") as fh:
             for line in fh:
                 line = line.strip()
                 if not line:
                     continue
                 try:
-                    entry = json.loads(line)
-                    poi = POI(name=entry["name"],
-                              location=GeoPoint(entry["lon"], entry["lat"]),
-                              category=entry.get("category"),
-                              source="cache",
-                              blurb=entry.get("blurb"))
-                except (json.JSONDecodeError, KeyError, TypeError, ValueError):
-                    continue    # a torn tail line must not poison the journal
-                index[entry["key"]] = poi
+                    entry = json.loads(line.decode("utf-8"))
+                    index[entry["key"]] = POI(name=entry["name"],
+                                              location=GeoPoint(entry["lon"], entry["lat"]),
+                                              category=entry.get("category"),
+                                              source="cache",
+                                              blurb=entry.get("blurb"))
+                except (KeyError, TypeError, ValueError):
+                    continue    # a torn or foreign line must not poison the journal
         return index
 
     def _cache_key(self, name: str) -> str:

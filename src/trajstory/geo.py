@@ -45,11 +45,6 @@ class BoundingBox:
         if self.min_lat > self.max_lat:
             raise ValueError(f"min_lat {self.min_lat} > max_lat {self.max_lat}")
 
-    def contains(self, p: GeoPoint) -> bool:
-        """Inclusive on all four edges."""
-        return (self.min_lon <= p.lon <= self.max_lon
-                and self.min_lat <= p.lat <= self.max_lat)
-
     @property
     def center(self) -> GeoPoint:
         return GeoPoint((self.min_lon + self.max_lon) / 2.0,

@@ -28,10 +28,9 @@ from .ingest import (SCHEMAS, SELECTION_CRITERIA, Dataset, Trajectory, parse_dat
                      select_trajectory, trajectory_digest, trip_endpoints)
 from .mapdoc import (DEFAULT_CLUSTER_DISTANCE_M, MapDocument, _padded_bbox, emit_map,
                      render_geojson, render_html)
-from .story import (MODES, NarrativeSpec, Story, StoryBackend, StoryContext,
+from .story import (NarrativeSpec, Story, StoryBackend, StoryContext,
                     build_prompt, generate_story, story_to_dict)
-from .validation import (GroundingContext, GroundingPolicy, GroundingRule,
-                         ValidationReport, feedback_text, grounding_rule,
+from .validation import (GroundingPolicy, GroundingRule, ValidationReport, feedback_text,
                          malformed_story_report, report_to_dict, summarize_report,
                          validate_story)
 
@@ -41,7 +40,6 @@ class StoryRequest:
     """Everything one run needs; the CLI builds this from config + flags."""
 
     dataset_path: str = ""
-    mode: str = "heatmap"
     spec: NarrativeSpec = field(default_factory=NarrativeSpec)
     policy: GroundingPolicy = field(default_factory=GroundingPolicy)
     gazetteer: GazetteerConfig = field(default_factory=GazetteerConfig)
@@ -84,7 +82,7 @@ class RunState:
     grid: HeatGrid | None = None        # heatmap analytics
     hotspots: list[Hotspot] = field(default_factory=list)
     traj: Trajectory | None = None      # single_trajectory analytics
-    grounding: GroundingContext | None = None
+    rule: GroundingRule | None = None   # built by analytics; discovery and validation share it
     story_ctx: StoryContext | None = None
     report: ValidationReport | None = None
     doc: MapDocument | None = None
@@ -122,13 +120,14 @@ def _ingest(run: RunState) -> str:
 def _hotspot_analytics(run: RunState) -> str:
     run.grid = build_grid(trip_endpoints(run.ds), cell_size_m=run.req.cell_size_m)
     run.hotspots = top_hotspots(run.grid, run.req.hotspot_k)
-    run.grounding = GroundingContext(hotspot_centers=as_coords(h.center for h in run.hotspots))
+    run.rule = GroundingRule(run.req.policy, as_coords(h.center for h in run.hotspots),
+                             along_path=False)
     return f"{run.grid.rows}x{run.grid.cols} grid, {len(run.hotspots)} hotspots"
 
 
 def _route_analytics(run: RunState) -> str:
     run.traj = select_trajectory(run.ds, run.req.selection, run.req.selection_id)
-    run.grounding = GroundingContext(trajectory=run.traj.coords)
+    run.rule = GroundingRule(run.req.policy, run.traj.coords, along_path=True)
     return f"selected {run.traj.id} ({len(run.traj.coords)} points)"
 
 
@@ -145,13 +144,12 @@ def discover(gazetteer: Gazetteer, rule: GroundingRule) -> list[POI]:
 
 def _discover(run: RunState) -> str:
     """Gather the story's material: the data digest and the places validation grounds."""
-    rule = grounding_rule(run.grounding, run.req.mode, run.req.policy)
-    candidates = discover(run.gazetteer, rule)
+    candidates = discover(run.gazetteer, run.rule)
     summary = (trajectory_digest(run.traj) if run.traj is not None
                else summarize_for_story(run.grid, run.hotspots))
     run.story_ctx = StoryContext(data_summary=summary, candidate_pois=candidates,
                                  region_name=run.req.region_name)
-    return f"{len(candidates)} candidate POIs within {rule.threshold_m:.0f} m"
+    return f"{len(candidates)} candidate POIs within {run.rule.threshold_m:.0f} m"
 
 
 def _generate(run: RunState) -> str:
@@ -167,7 +165,7 @@ def _generate(run: RunState) -> str:
 
 
 def _validate(run: RunState) -> str:
-    run.report = validate_story(run.story, run.grounding, run.req.policy, run.gazetteer)
+    run.report = validate_story(run.story, run.rule, run.gazetteer)
     return (f"attempt {run.attempt}: {'pass' if run.report.overall else 'fail'}, "
             f"grounded fraction {run.report.grounded_fraction:.2f}")
 
@@ -180,7 +178,7 @@ def _emit(run: RunState) -> str:
                            cluster_distance_m=run.req.cluster_distance_m)
     else:
         run.doc = MapDocument(markers=[], paths=[], legend=[],
-                              bbox=_padded_bbox(run.grounding.hotspot_centers))
+                              bbox=_padded_bbox(run.rule.evidence))
     return f"{len(run.doc.markers)} markers, {len(run.doc.legend)} legend rows"
 
 
@@ -192,13 +190,10 @@ def plan(req: StoryRequest) -> list[Step]:
     All request validation happens here; every violation is reported in one
     ConfigurationError rather than surfacing piecemeal.
     """
+    mode = req.spec.mode        # NarrativeSpec has checked it is one of MODES
     problems = []
     if not req.dataset_path:
         problems.append("no dataset given (config key 'dataset' or --dataset)")
-    if req.mode not in MODES:
-        problems.append(f"unknown mode {req.mode!r}")
-    if req.spec.mode != req.mode:
-        problems.append(f"request mode {req.mode!r} != narrative spec mode {req.spec.mode!r}")
     if req.dataset_schema not in SCHEMAS:
         problems.append(f"unknown dataset schema {req.dataset_schema!r}")
     if req.max_retries < 1:
@@ -207,9 +202,9 @@ def plan(req: StoryRequest) -> list[Step]:
         problems.append(f"cell_size_m must be > 0, got {req.cell_size_m}")
     if req.cluster_distance_m < 0:
         problems.append(f"cluster_distance_m must be >= 0, got {req.cluster_distance_m}")
-    if req.mode == "heatmap" and req.hotspot_k < 1:
+    if mode == "heatmap" and req.hotspot_k < 1:
         problems.append(f"hotspot_k must be >= 1, got {req.hotspot_k}")
-    if req.mode == "single_trajectory":
+    if mode == "single_trajectory":
         if req.selection not in SELECTION_CRITERIA:
             problems.append(f"unknown selection criterion {req.selection!r}")
         if req.selection == "by_id" and not req.selection_id:
@@ -217,7 +212,7 @@ def plan(req: StoryRequest) -> list[Step]:
     if problems:
         raise ConfigurationError("invalid request: " + "; ".join(problems))
 
-    analytics = _hotspot_analytics if req.mode == "heatmap" else _route_analytics
+    analytics = _hotspot_analytics if mode == "heatmap" else _route_analytics
     return [("ingest", _ingest), ("analytics", analytics), ("discovery", _discover),
             ("generate", _generate), ("validate", _validate), ("emit", _emit)]
 

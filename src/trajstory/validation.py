@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
-from .gazetteer import Gazetteer, GazetteerConfig, normalize_name
+from .gazetteer import Gazetteer, normalize_name
 from .geo import (GeoPoint, arc_m, first_within, haversine_h, point_to_polyline_distance,
                   segment_h)
 from .story import Mention, Story
@@ -41,27 +40,21 @@ class GroundingPolicy:
                 f"min_grounded_fraction must be in [0, 1], got {self.min_grounded_fraction}")
 
 
-@dataclass
-class GroundingContext:
-    """Reference geometry the story is checked against.
-
-    Both are float (N, 2) lon/lat arrays: ``trajectory`` holds the trip's
-    points and serves single_trajectory mode, ``hotspot_centers`` holds the
-    centers by rank and serves heatmap mode; only the one matching the
-    story's mode is consulted.
-    """
-
-    trajectory: np.ndarray | None = None
-    hotspot_centers: np.ndarray | None = None
-
-
 @dataclass(frozen=True, eq=False)
 class GroundingRule:
-    """A place is grounded when some piece of evidence lies within ``threshold_m``."""
+    """A place is grounded when some piece of evidence lies within ``threshold_m``.
 
-    threshold_m: float
+    The analytics step builds one per run, from the policy and its evidence.
+    """
+
+    policy: GroundingPolicy
     evidence: np.ndarray        # (N, 2) lon/lat: the trip's points, or the hotspot centers by rank
     along_path: bool            # the pieces are the trip's segments, in route order
+
+    @property
+    def threshold_m(self) -> float:
+        policy = self.policy
+        return policy.trajectory_threshold_m if self.along_path else policy.hotspot_threshold_m
 
     def piece_h(self, p: GeoPoint) -> np.ndarray:
         """Haversine term from ``p`` to each piece of evidence, in evidence order."""
@@ -79,17 +72,6 @@ class GroundingRule:
     def first_in_reach(self, p: GeoPoint) -> tuple[int, float] | None:
         """(index, distance) of the first piece within the threshold: what discovery keeps."""
         return first_within(self.piece_h(p), self.threshold_m)
-
-
-def grounding_rule(ctx: GroundingContext, mode: str, policy: GroundingPolicy) -> GroundingRule:
-    """The rule ``mode`` grounds by: its evidence in ``ctx`` and its threshold in ``policy``."""
-    if mode == "single_trajectory":
-        if ctx.trajectory is None or not len(ctx.trajectory):
-            raise ConfigurationError("single_trajectory validation needs ctx.trajectory")
-        return GroundingRule(policy.trajectory_threshold_m, ctx.trajectory, along_path=True)
-    if ctx.hotspot_centers is None or not len(ctx.hotspot_centers):
-        raise ConfigurationError("heatmap validation needs ctx.hotspot_centers")
-    return GroundingRule(policy.hotspot_threshold_m, ctx.hotspot_centers, along_path=False)
 
 
 @dataclass(frozen=True)
@@ -138,8 +120,7 @@ def distinct_names(mentions: list[Mention]) -> list[str]:
     return list(display.values())
 
 
-def validate_story(story: Story, ctx: GroundingContext, policy: GroundingPolicy,
-                   gazetteer: Gazetteer | GazetteerConfig) -> ValidationReport:
+def validate_story(story: Story, rule: GroundingRule, gazetteer: Gazetteer) -> ValidationReport:
     """Grade one story: spatial verdict per distinct POI plus structural checks.
 
     Mentions are deduplicated by normalized name first, so repeating a name
@@ -147,12 +128,9 @@ def validate_story(story: Story, ctx: GroundingContext, policy: GroundingPolicy,
     transport failures surface as InfrastructureError (retry material), not
     as a failing report.
     """
-    gaz = gazetteer if isinstance(gazetteer, Gazetteer) else Gazetteer(gazetteer)
     spec = story.spec
-    rule = grounding_rule(ctx, spec.mode, policy)
-
     names = distinct_names(story.mentions)
-    located = gaz.bulk_geocode(names)
+    located = gazetteer.bulk_geocode(names)
 
     per_poi = []
     for name in names:
@@ -172,8 +150,8 @@ def validate_story(story: Story, ctx: GroundingContext, policy: GroundingPolicy,
                         f"{story.word_count} words, cap {spec.max_words}"),
         StructuralCheck("markup", True, f"{len(story.mentions)} spans parsed"),
     ]
-    fraction = _grounded_fraction(per_poi, policy)
-    overall = fraction >= policy.min_grounded_fraction and all(c.passed for c in structural)
+    fraction = _grounded_fraction(per_poi, rule.policy)
+    overall = fraction >= rule.policy.min_grounded_fraction and all(c.passed for c in structural)
     return ValidationReport(per_poi=per_poi, structural=structural,
                             grounded_fraction=fraction, overall=overall)
 

@@ -6,9 +6,14 @@ import io
 import random
 from typing import Iterable
 
-from trajstory.geo import GeoPoint, as_coords
+from trajstory.geo import BoundingBox, GeoPoint, as_coords
 from trajstory.ingest import Dataset, Trajectory, parse_dataset
 from trajstory.story import MARKUP_CLOSE, MARKUP_OPEN, Mention
+
+
+def contains(box: BoundingBox, p: GeoPoint) -> bool:
+    """Whether ``box`` holds ``p``, inclusive on all four edges."""
+    return box.min_lon <= p.lon <= box.max_lon and box.min_lat <= p.lat <= box.max_lat
 
 
 def trajectories(ds: Dataset) -> list[Trajectory]:

@@ -10,6 +10,7 @@ import csv
 import json
 from typing import IO
 
+from helpers import contains
 from trajstory.errors import ParseError
 from trajstory.geo import GeoPoint, as_coords, haversine_distance, meters_per_degree
 from trajstory.ingest import Trajectory
@@ -105,7 +106,7 @@ def reference_grid_counts(points: list[GeoPoint], rows: int, cols: int, bbox,
     counts = [[0] * cols for _ in range(rows)]
     out = 0
     for p in points:
-        if not bbox.contains(p):
+        if not contains(bbox, p):
             out += 1
             continue
         col = min(int((p.lon - bbox.min_lon) * kx // cell_size_m), cols - 1)

@@ -10,6 +10,7 @@ import time
 import pytest
 
 from conftest import FAR_POI_NAMES, PORTO_CLUSTERS
+from helpers import contains
 from oracles import (brute_force_clusters, dense_polyline_distance,
                      full_sort_hotspots)
 from trajstory.errors import StoryValidationError
@@ -24,15 +25,14 @@ from trajstory.story import (NarrativeSpec, StoryContext, TemplateBackend,
 from trajstory.synth import (PORTO_BBOX, ScriptedBackend, SyntheticSpec,
                              generate_dataset, inject_hallucinations,
                              write_kaggle_csv)
-from trajstory.validation import (GroundingContext, GroundingPolicy,
-                                  grounding_rule, validate_story)
+from trajstory.validation import GroundingPolicy, GroundingRule, validate_story
 
 SEED = 20260825
 
 
 def heatmap_request(csv_path, **kw):
     kw.setdefault("spec", NarrativeSpec())
-    return StoryRequest(dataset_path=str(csv_path), mode="heatmap", **kw)
+    return StoryRequest(dataset_path=str(csv_path), **kw)
 
 
 def test_criterion_1_offline_heatmap_story(cluster_csv):
@@ -50,9 +50,9 @@ def test_criterion_1_offline_heatmap_story(cluster_csv):
 
 def test_criterion_2_hallucination_separation(gazetteer, central_route):
     """Legit mentions hug the route; five planted far POIs get flagged, exactly."""
-    route = GroundingContext(trajectory=coords(central_route))
-    candidates = discover(gazetteer, grounding_rule(
-        route, "single_trajectory", GroundingPolicy(trajectory_threshold_m=250.0)))
+    route = coords(central_route)
+    candidates = discover(gazetteer, GroundingRule(
+        GroundingPolicy(trajectory_threshold_m=250.0), route, along_path=True))
     assert len(candidates) >= 10
     for poi in candidates:
         d = point_to_polyline_distance(poi.location, coords(central_route))
@@ -69,7 +69,8 @@ def test_criterion_2_hallucination_separation(gazetteer, central_route):
         assert d > 2000.0, f"{poi.name} only {d:.1f} m out"
     doctored = inject_hallucinations(story, far)
 
-    report = validate_story(doctored, route, GroundingPolicy(), gazetteer)
+    report = validate_story(doctored, GroundingRule(GroundingPolicy(), route, along_path=True),
+                            gazetteer)
     flagged = {p.name for p in report.flagged()}
     planted = set(FAR_POI_NAMES)
     assert flagged == planted
@@ -148,7 +149,7 @@ def test_criterion_6_map_emission(gazetteer):
             for g in brute_force_clusters([p.location for p in pois], 150.0)}
     assert got == want
     for marker in doc.markers:
-        assert PORTO_BBOX.contains(marker.center)
+        assert contains(PORTO_BBOX, marker.center)
 
     again = emit_map(gazetteer.known_pois(PORTO_BBOX)[:18], cluster_distance_m=150.0)
     assert render_geojson(doc).encode() == render_geojson(again).encode()

@@ -18,6 +18,7 @@ from trajstory.gazetteer import default_fixture_path
 from trajstory.geo import GeoPoint
 from trajstory.ingest import KAGGLE_COLUMNS, parse_dataset, trip_endpoints
 from trajstory.synth import SyntheticSpec, generate_dataset, write_kaggle_csv
+from trajstory.validation import GroundingRule
 
 
 @pytest.fixture()
@@ -359,35 +360,52 @@ class TestMapCommand:
 LATIN1_STORY = "Past [[POI: São Bento Station]].\n".encode("latin-1")
 
 
-@pytest.mark.parametrize("command, config, story, flags, code, message", [
-    ("story", None, None, ["--max-words", "0"], 2, "max_words must be positive"),
-    ("story", b"rate_limit = 0\n", None, [], 2, "rate_limit must be positive"),
+@pytest.mark.parametrize("command, config, story, flags, code, message, fixture", [
+    ("story", None, None, ["--max-words", "0"], 2, "max_words must be positive", None),
+    ("story", b"rate_limit = 0\n", None, [], 2, "rate_limit must be positive", None),
     ("story", b"min_grounded_fraction = 2\n", None, [], 2,
-     "min_grounded_fraction must be in [0, 1]"),
-    ("story", b"hotspot_threshold_m = nan\n", None, [], 2, "expected a finite number"),
-    ("story", b"max_words = many\n", None, [], 2, "config key max_words"),
-    ("story", b"max_word = 80\n", None, [], 2, "unknown config key 'max_word'"),
-    ("story", "audience = S\xe3o Paulo\n".encode("latin-1"), None, [], 2, "not UTF-8"),
+     "min_grounded_fraction must be in [0, 1]", None),
+    ("story", b"hotspot_threshold_m = nan\n", None, [], 2, "expected a finite number", None),
+    ("story", b"max_words = many\n", None, [], 2, "config key max_words", None),
+    ("story", b"max_word = 80\n", None, [], 2, "unknown config key 'max_word'", None),
+    ("story", "audience = S\xe3o Paulo\n".encode("latin-1"), None, [], 2, "not UTF-8", None),
     ("validate", "tone = s\xe9rieux\n".encode("latin-1"), b"[[POI: Ribeira]]\n", [], 2,
-     "not UTF-8"),
-    ("validate", None, LATIN1_STORY, [], 3, "not UTF-8"),
-    ("map", None, LATIN1_STORY, [], 3, "not UTF-8"),
+     "not UTF-8", None),
+    ("validate", None, LATIN1_STORY, [], 3, "not UTF-8", None),
+    ("map", None, LATIN1_STORY, [], 3, "not UTF-8", None),
     ("map", None, b"[[POI: Ribeira]]\n", ["--cluster-distance", "-1"], 2,
-     "cluster_distance_m must be >= 0"),
+     "cluster_distance_m must be >= 0", None),
     ("story", b"discovery_radius_m = 300\n", None, [], 2,
-     "unknown config key 'discovery_radius_m'"),
+     "unknown config key 'discovery_radius_m'", None),
     ("story", b"trajectory_samples = 20\n", None, [], 2,
-     "unknown config key 'trajectory_samples'"),
-    ("story", b"cell_size_m = 0.5\n", None, [], 2, "raise cell_size_m"),
+     "unknown config key 'trajectory_samples'", None),
+    ("story", b"cell_size_m = 0.5\n", None, [], 2, "raise cell_size_m", None),
     ("story", b"hotspot_threshold_m = 1e308\nmin_pois = 30\n", None, [], 2,
-     "only 25 candidate POIs for min_pois=30"),
+     "only 25 candidate POIs for min_pois=30", None),
+    ("validate", None, b"[[POI: Ribeira]]\n", [], 2,
+     "places.csv: line 3: could not convert string to float: 'west'",
+     b"name,lon,lat\nRibeira,-8.6132,41.1406\nBolhao,west,41.1497\n"),
+    ("validate", None, b"[[POI: Ribeira]]\n", [], 2,
+     "places.csv: line 2: latitude out of range: 95.0", b"name,lon,lat\nRibeira,-8.6,95\n"),
+    ("validate", None, b"[[POI: Ribeira]]\n", [], 2,
+     "places.csv: line 2: no 'name' column", b"title,lon,lat\nRibeira,-8.6,41.1\n"),
+    ("validate", None, b"[[POI: Ribeira]]\n", [], 2,
+     "places.csv: line 2: POI name must be non-empty", b"name,lon,lat\n,-8.6,41.1\n"),
+    ("validate", None, b"[[POI: Ribeira]]\n", [], 2,
+     "places.csv: line 3: not UTF-8 text",
+     "name,lon,lat\nRibeira,-8.6,41.1\nS\xe3o Bento,-8.61,41.15\n".encode("latin-1")),
 ], ids=["max-words-0", "rate-limit-0", "fraction-2", "nan", "not-a-number",
         "unknown-key", "latin1-config", "latin1-config-validate",
         "latin1-story-validate", "latin1-story-map", "map-negative-cluster-distance",
         "removed-discovery-radius", "removed-trajectory-samples", "oversized-grid",
-        "threshold-past-the-antipode"])
+        "threshold-past-the-antipode", "fixture-non-numeric-lon", "fixture-lat-95",
+        "fixture-no-name-column", "fixture-empty-name", "fixture-latin1"])
 def test_hostile_input_gets_a_stable_exit_code(capsys, tmp_path, cluster_csv, command,
-                                               config, story, flags, code, message):
+                                               config, story, flags, code, message,
+                                               fixture):
+    if fixture is not None:
+        (tmp_path / "places.csv").write_bytes(fixture)
+        config = (config or b"") + f"fixture = {tmp_path / 'places.csv'}\n".encode()
     argv = [command]
     if story is not None:
         (tmp_path / "story.txt").write_bytes(story)
@@ -538,6 +556,53 @@ class TestTripStaysAnArray:
         assert code == 0
         markers = int(re.search(r"markers: (\d+)", out).group(1))
         assert built[0] <= len(names) + markers < len(walk)
+
+
+class TestOneRulePerRun:
+    """Each run builds one grounding rule, however many attempts it grades."""
+
+    @pytest.fixture()
+    def built(self, monkeypatch):
+        built = []
+        init = GroundingRule.__init__
+
+        def counted(rule, *args, **kwargs):
+            built.append(rule)
+            init(rule, *args, **kwargs)
+
+        monkeypatch.setattr(GroundingRule, "__init__", counted)
+        return built
+
+    def test_scripted_heatmap_story_with_three_graded_attempts(self, capsys, tmp_path,
+                                                               cluster_csv, built):
+        unknown = "All roads lead to [[POI: Atlantis Pier]].\n"
+        responses = tmp_path / "responses.json"
+        responses.write_text(json.dumps(
+            [unknown, unknown, "The day ends at [[POI: Avenida dos Aliados]].\n"]))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"responses_file = {responses}\nmin_pois = 1\n")
+        code, out, _ = run(capsys, "story", "--dataset", str(cluster_csv), "--offline",
+                           "--backend", "scripted", "--config", str(cfg),
+                           "--output-dir", str(tmp_path / "out"))
+        assert code == 0 and "after 3 attempt(s)" in out
+        assert len(built) == 1
+
+    def test_shipped_default_single_trajectory_story(self, capsys, tmp_path, route_file,
+                                                     built):
+        code, out, _ = run(capsys, "story", "--dataset", str(route_file), "--offline",
+                           "--schema", "point_list", "--mode", "single_trajectory",
+                           "--output-dir", str(tmp_path / "out"))
+        assert code == 0 and "after 1 attempt(s)" in out
+        assert len(built) == 1
+
+    def test_validate_command(self, capsys, tmp_path, route_file, built):
+        story = tmp_path / "story.txt"
+        story.write_text("Past [[POI: Ribeira]] to [[POI: Foz do Douro]].\n",
+                         encoding="utf-8")
+        code, _, _ = run(capsys, "validate", str(story), "--dataset", str(route_file),
+                         "--schema", "point_list", "--offline")
+        assert code == 5
+        assert len(built) == 1
 
 
 class TestReadme:

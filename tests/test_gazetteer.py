@@ -9,7 +9,7 @@ from trajstory.gazetteer import (Gazetteer, GazetteerConfig, POI,
                                  default_fixture_path, normalize_name)
 from trajstory.geo import BoundingBox, GeoPoint, as_coords, haversine_distance
 from trajstory.pipeline import discover
-from trajstory.validation import GroundingContext, GroundingPolicy, grounding_rule
+from trajstory.validation import GroundingPolicy, GroundingRule
 
 ALIADOS = GeoPoint(-8.6107, 41.1480)
 WORLD = BoundingBox(-180.0, -90.0, 180.0, 90.0)
@@ -193,6 +193,20 @@ class TestCacheJournal:
         gaz = Gazetteer(online_cfg(cache_path=str(cache)), fetch=RecordingFetch([]))
         assert gaz.geocode("Sea Terminal") is not None
 
+    def test_foreign_lines_are_skipped_like_torn_ones(self, tmp_path):
+        cache = tmp_path / "cache.jsonl"
+        entry = {"key": "sea terminal|none", "name": "Sea Terminal",
+                 "lon": -8.65, "lat": 41.18, "category": None, "blurb": None}
+        no_key = {k: v for k, v in entry.items() if k != "key"}
+        list_key = {**entry, "key": ["sea terminal", "none"]}
+        latin1 = json.dumps({**entry, "key": "s\xe3o bento|none"},
+                            ensure_ascii=False).encode("latin-1")
+        cache.write_bytes(b"\n".join([json.dumps(no_key).encode(), json.dumps(list_key).encode(),
+                                      latin1, json.dumps(entry).encode(), b""]))
+        index = Gazetteer._load_cache(str(cache))
+        assert list(index) == ["sea terminal|none"]
+        assert index["sea terminal|none"].location == GeoPoint(-8.65, 41.18)
+
 
 def _append_entries(cache_path, worker, count):
     """One writer process: ``count`` remote hits, each appended to the journal."""
@@ -283,8 +297,8 @@ class TestRateLimit:
 
 def pois_near(gaz, center, radius_m):
     """The pipeline's discovery around one hotspot center grounded within ``radius_m``."""
-    rule = grounding_rule(GroundingContext(hotspot_centers=as_coords([center])), "heatmap",
-                          GroundingPolicy(hotspot_threshold_m=radius_m))
+    rule = GroundingRule(GroundingPolicy(hotspot_threshold_m=radius_m), as_coords([center]),
+                         along_path=False)
     return discover(gaz, rule)
 
 

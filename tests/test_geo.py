@@ -4,14 +4,14 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import backtracking_walk
+from helpers import backtracking_walk, contains
 from oracles import (dense_polyline_distance, dense_polyline_distance_spaced,
                      reference_segment_distances)
 from trajstory.geo import (EARTH_RADIUS_M, BoundingBox, GeoPoint, arc_m, bbox_of_coords,
                            bbox_within, haversine_distance, meters_per_degree,
                            point_to_polyline_distance, segment_h)
 from trajstory.geo import as_coords as coords
-from trajstory.validation import GroundingContext, GroundingPolicy, grounding_rule
+from trajstory.validation import GroundingPolicy, GroundingRule
 
 # Downtown-to-Boavista pair, checked against two independent high-precision
 # great-circle formulas (50-digit arithmetic); they agreed to 20 digits.
@@ -238,8 +238,8 @@ class TestAgainstScalarReference:
         assert [arc_m(h) for h in segment_h(q, coords(line))] == want
         assert point_to_polyline_distance(q, coords(line)) == min(want)
         threshold = self.thresholds(data, want)
-        rule = grounding_rule(GroundingContext(trajectory=coords(line)), "single_trajectory",
-                              GroundingPolicy(trajectory_threshold_m=max(threshold, 0.0)))
+        rule = GroundingRule(GroundingPolicy(trajectory_threshold_m=max(threshold, 0.0)),
+                             coords(line), along_path=True)
         assert rule.nearest(q) == min(want)
         assert rule.first_in_reach(q) == reference_first_in_reach(want, rule.threshold_m)
 
@@ -249,8 +249,8 @@ class TestAgainstScalarReference:
         q = data.draw(porto_places | st.sampled_from(centers))
         want = [haversine_distance(q, c) for c in centers]
         threshold = self.thresholds(data, want)
-        rule = grounding_rule(GroundingContext(hotspot_centers=coords(centers)), "heatmap",
-                              GroundingPolicy(hotspot_threshold_m=max(threshold, 0.0)))
+        rule = GroundingRule(GroundingPolicy(hotspot_threshold_m=max(threshold, 0.0)),
+                             coords(centers), along_path=False)
         assert rule.nearest(q) == min(want)
         assert rule.first_in_reach(q) == reference_first_in_reach(want, rule.threshold_m)
 
@@ -276,14 +276,14 @@ class TestBboxWithin:
     def test_holds_every_point_within_the_radius(self, evidence, radius, pick,
                                                  bearing, fraction):
         box = bbox_within(coords(evidence), radius)
-        assert all(box.contains(p) for p in evidence)
+        assert all(contains(box, p) for p in evidence)
         # a point up to ``radius`` from an evidence point, in any direction
         c = evidence[pick % len(evidence)]
         kx, ky = meters_per_degree(c.lat)
         r = radius * fraction
         q = GeoPoint(c.lon + r * math.cos(bearing) / kx, c.lat + r * math.sin(bearing) / ky)
         if haversine_distance(q, c) <= radius:
-            assert box.contains(q)
+            assert contains(box, q)
 
     def test_pads_by_the_radius_and_clamps(self):
         box = bbox_within(coords([GOLDEN_A]), 1000.0)
@@ -305,9 +305,9 @@ class TestBoundingBox:
 
     def test_contains_is_inclusive(self):
         box = BoundingBox(-8.7, 41.0, -8.5, 41.3)
-        assert box.contains(GeoPoint(-8.7, 41.0))
-        assert box.contains(GeoPoint(-8.5, 41.3))
-        assert not box.contains(GeoPoint(-8.4999, 41.1))
+        assert contains(box, GeoPoint(-8.7, 41.0))
+        assert contains(box, GeoPoint(-8.5, 41.3))
+        assert not contains(box, GeoPoint(-8.4999, 41.1))
 
     def test_center(self):
         box = BoundingBox(-8.7, 41.0, -8.5, 41.3)
@@ -324,6 +324,6 @@ class TestBoundingBox:
     @given(points=st.lists(city_points, min_size=1, max_size=30))
     def test_contains_all_inputs_and_is_tight(self, points):
         box = bbox_of_coords(coords(points))
-        assert all(box.contains(p) for p in points)
+        assert all(contains(box, p) for p in points)
         assert box.min_lon in {p.lon for p in points}
         assert box.max_lat in {p.lat for p in points}

@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from helpers import contains
 from oracles import brute_force_clusters
 from trajstory.gazetteer import POI
 from trajstory.geo import GeoPoint, haversine_distance, meters_per_degree
@@ -99,7 +100,7 @@ class TestDocumentShape:
         doc = emit_map([], trajectory=track)
         assert doc.markers == [] and doc.legend == []
         assert len(doc.paths) == 1 and np.array_equal(doc.paths[0], track.coords)
-        assert doc.bbox.contains(BASE)
+        assert contains(doc.bbox, BASE)
 
     def test_bbox_pads_ten_percent_per_side(self):
         pois = [poi_at("A"), POI(name="B", location=GeoPoint(-8.6000, 41.1600))]
@@ -114,9 +115,9 @@ class TestDocumentShape:
         track = Trajectory(id="t", coords=coords(vertices))
         doc = emit_map([poi_at("A", east_m=900.0)], trajectory=track)
         for m in doc.markers:
-            assert doc.bbox.contains(m.center)
+            assert contains(doc.bbox, m.center)
         for p in vertices:
-            assert doc.bbox.contains(p)
+            assert contains(doc.bbox, p)
 
     def test_default_threshold_exported(self):
         assert DEFAULT_CLUSTER_DISTANCE_M == 150.0

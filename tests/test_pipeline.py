@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import CENTRAL_ROUTE_NAMES
+from helpers import contains
 from trajstory.errors import (ConfigurationError, InfrastructureError,
                               ParseError, StoryValidationError)
 from trajstory.gazetteer import Gazetteer, GazetteerConfig
@@ -18,8 +19,7 @@ from trajstory.pipeline import (StoryRequest, discover, execute, plan, run_steps
 from trajstory.story import (NarrativeSpec, Story, TemplateBackend, count_words,
                              extract_mentions)
 from trajstory.synth import ScriptedBackend, write_kaggle_csv
-from trajstory.validation import (GROUNDED, GroundingContext, GroundingPolicy,
-                                  grounding_rule, validate_story)
+from trajstory.validation import GROUNDED, GroundingPolicy, GroundingRule, validate_story
 
 GOOD_STORY = "The day ends at [[POI: Avenida dos Aliados]].\n"
 UNPARSEABLE = "a story with no markup at all\n"
@@ -31,7 +31,7 @@ FB_UNKNOWN = "Do not mention Atlantis Pier: it could not be located."
 
 def heatmap_request(csv_path, **kw):
     kw.setdefault("spec", NarrativeSpec())
-    return StoryRequest(dataset_path=str(csv_path), mode="heatmap", **kw)
+    return StoryRequest(dataset_path=str(csv_path), **kw)
 
 
 def lenient_heatmap_request(csv_path, **kw):
@@ -64,7 +64,8 @@ class TestPlan:
         # analytics builds the grid and grounds on its hotspots
         assert run.traj is None and run.grid is not None
         centers = [h.center for h in run.hotspots]
-        assert np.array_equal(run.grounding.hotspot_centers, coords(centers))
+        assert not run.rule.along_path
+        assert np.array_equal(run.rule.evidence, coords(centers))
         # discovery offers the places within the hotspot threshold of a center
         assert run.story_ctx.candidate_pois
         for poi in run.story_ctx.candidate_pois:
@@ -77,13 +78,14 @@ class TestPlan:
         assert graded.report.overall
 
     def test_single_trajectory_steps(self, cluster_csv):
-        req = StoryRequest(dataset_path=str(cluster_csv), mode="single_trajectory",
+        req = StoryRequest(dataset_path=str(cluster_csv),
                            spec=NarrativeSpec(mode="single_trajectory"))
         assert [name for name, _ in plan(req)] == STEP_NAMES
         run = run_steps(req, ("ingest", "analytics", "discovery"))
         # analytics selects the trip by the default criterion, longest_by_points
         assert run.traj.id == select_trajectory(run.ds, "longest_by_points").id
-        assert np.array_equal(run.grounding.trajectory, run.traj.coords)
+        assert run.rule.along_path
+        assert np.array_equal(run.rule.evidence, run.traj.coords)
         # discovery offers the places within the trajectory threshold of the path
         for poi in run.story_ctx.candidate_pois:
             assert point_to_polyline_distance(poi.location, run.traj.coords) <= 500.0
@@ -110,16 +112,9 @@ class TestPlan:
         assert "cluster_distance_m" in msg
         assert "cell_size_m" in msg
 
-    def test_mode_mismatch_with_spec(self, cluster_csv):
-        req = StoryRequest(dataset_path=str(cluster_csv), mode="single_trajectory",
-                           spec=NarrativeSpec(mode="heatmap"))
-        with pytest.raises(ConfigurationError, match="narrative spec mode"):
-            plan(req)
-
     def test_by_id_needs_an_id(self, cluster_csv):
-        req = StoryRequest(dataset_path=str(cluster_csv), mode="single_trajectory",
-                           spec=NarrativeSpec(mode="single_trajectory"),
-                           selection="by_id")
+        req = StoryRequest(dataset_path=str(cluster_csv),
+                           spec=NarrativeSpec(mode="single_trajectory"), selection="by_id")
         with pytest.raises(ConfigurationError, match="selection_id"):
             plan(req)
 
@@ -142,7 +137,7 @@ class TestExecuteHeatmap:
         assert {name for _, name in result.map.legend} == mentioned
         assert result.map.paths == []
         for marker in result.map.markers:
-            assert result.map.bbox.contains(marker.center)
+            assert contains(result.map.bbox, marker.center)
 
     def test_replay_is_deterministic(self, cluster_csv):
         from trajstory.mapdoc import render_geojson
@@ -157,8 +152,7 @@ class TestExecuteHeatmap:
 class TestExecuteSingleTrajectory:
     def request(self, route_file):
         return StoryRequest(
-            dataset_path=str(route_file), mode="single_trajectory",
-            dataset_schema="point_list",
+            dataset_path=str(route_file), dataset_schema="point_list",
             spec=NarrativeSpec(mode="single_trajectory", min_pois=5,
                                max_words=200),
             policy=GroundingPolicy(trajectory_threshold_m=300.0))
@@ -186,7 +180,6 @@ class TestExecuteSingleTrajectory:
         path = tmp_path / "stub.txt"
         path.write_text("".join(f"{p.lon!r},{p.lat!r}\n" for p in route))
         req = StoryRequest(dataset_path=str(path), dataset_schema="point_list",
-                           mode="single_trajectory",
                            spec=NarrativeSpec(mode="single_trajectory"))
         result = execute(req, TemplateBackend())
         assert result.attempts == 1
@@ -205,43 +198,37 @@ class TestDiscovery:
 
     @staticmethod
     def rule(evidence, threshold_m, along_path):
-        if along_path:
-            ctx, mode = GroundingContext(trajectory=coords(evidence)), "single_trajectory"
-        else:
-            ctx, mode = GroundingContext(hotspot_centers=coords(evidence)), "heatmap"
         policy = GroundingPolicy(trajectory_threshold_m=threshold_m,
                                  hotspot_threshold_m=threshold_m)
-        return ctx, mode, policy
+        return GroundingRule(policy, coords(evidence), along_path)
 
     @settings(max_examples=60, deadline=None)
     @given(evidence=st.lists(porto_points, min_size=1, max_size=6),
            threshold_m=st.floats(0.0, 3000.0), along_path=st.booleans())
     def test_discovered_iff_grounded(self, gazetteer, evidence, threshold_m, along_path):
-        ctx, mode, policy = self.rule(evidence, threshold_m, along_path)
-        discovered = [p.name for p in discover(gazetteer, grounding_rule(ctx, mode, policy))]
+        rule = self.rule(evidence, threshold_m, along_path)
+        discovered = [p.name for p in discover(gazetteer, rule)]
         assert len(discovered) == len(set(discovered))
         names = [p.name for p in gazetteer.known_pois(BoundingBox(-180, -90, 180, 90))]
         text = " ".join(f"[[POI: {name}]]" for name in names)
         story = Story(text=text, mentions=extract_mentions(text),
                       word_count=count_words(text), backend_id="test",
-                      spec=NarrativeSpec(mode=mode, min_pois=0, max_words=10**6))
-        report = validate_story(story, ctx, policy, gazetteer)
+                      spec=NarrativeSpec(min_pois=0, max_words=10**6))
+        report = validate_story(story, rule, gazetteer)
         grounded = {p.name for p in report.per_poi if p.verdict == GROUNDED}
         assert set(discovered) == grounded
 
     def test_route_order(self, gazetteer, central_route):
         # every route vertex is a fixture place: it is first in reach of the
         # segment that ends at it (the first place, of the segment it starts)
-        ctx, mode, policy = self.rule(central_route, 1.0, along_path=True)
-        got = [p.name for p in discover(gazetteer, grounding_rule(ctx, mode, policy))]
+        got = [p.name for p in discover(gazetteer, self.rule(central_route, 1.0, along_path=True))]
         want = sorted(CENTRAL_ROUTE_NAMES,
                       key=lambda n: (max(0, CENTRAL_ROUTE_NAMES.index(n) - 1), n))
         assert got == want
 
     def test_heatmap_order_is_by_hotspot_rank_then_distance(self, gazetteer):
         centers = [GeoPoint(-8.6290, 41.1580), GeoPoint(-8.6107, 41.1480)]
-        ctx, mode, policy = self.rule(centers, 600.0, along_path=False)
-        got = discover(gazetteer, grounding_rule(ctx, mode, policy))
+        got = discover(gazetteer, self.rule(centers, 600.0, along_path=False))
         firsts = [next(i for i, c in enumerate(centers)
                        if haversine_distance(p.location, c) <= 600.0) for p in got]
         assert firsts == sorted(firsts) and firsts[0] == 0 and firsts[-1] == 1
@@ -263,8 +250,7 @@ class TestDiscovery:
                         fetch=fetch)
         evidence = [GeoPoint(-8.6290, 41.1580), GeoPoint(-8.6107, 41.1480),
                     GeoPoint(-8.5855, 41.1486)]
-        ctx, mode, policy = self.rule(evidence, 800.0, along_path)
-        rule = grounding_rule(ctx, mode, policy)
+        rule = self.rule(evidence, 800.0, along_path)
         got = {p.name for p in discover(gaz, rule)}
         assert len(calls) == 1
         params = calls[0]
@@ -272,7 +258,7 @@ class TestDiscovery:
         box = BoundingBox(*map(float, params["viewbox"].split(",")))
         reachable = [p for p in gazetteer.known_pois(box)
                      if rule.nearest(p.location) <= 800.0]
-        assert reachable and all(box.contains(p.location) for p in reachable)
+        assert reachable and all(contains(box, p.location) for p in reachable)
         assert {p.name for p in reachable} | {"Pop-up Market"} == got
 
 

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from conftest import PORTO_CLUSTERS
-from helpers import points, records, track, trajectories
+from helpers import contains, points, records, track, trajectories
 from trajstory.geo import GeoPoint, haversine_distance
 from trajstory.ingest import Dataset, parse_dataset, trajectory_digest
 from trajstory.story import NarrativeSpec, Story, count_words, extract_mentions
@@ -106,8 +106,8 @@ class TestGenerateDataset:
     def test_uniform_endpoints_stay_in_the_bbox(self):
         ds = generate_dataset(SyntheticSpec(seed=5, n_trajectories=200))
         for traj in trajectories(ds):
-            assert PORTO_BBOX.contains(points(traj)[-1])
-            assert PORTO_BBOX.contains(points(traj)[0])
+            assert contains(PORTO_BBOX, points(traj)[-1])
+            assert contains(PORTO_BBOX, points(traj)[0])
 
 
 class TestInjection:

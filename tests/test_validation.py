@@ -3,12 +3,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import CENTRAL_ROUTE_NAMES, FAR_POI_NAMES
-from trajstory.errors import ConfigurationError, InfrastructureError
+from trajstory.errors import InfrastructureError
 from trajstory.gazetteer import Gazetteer, GazetteerConfig
 from trajstory.geo import as_coords as coords
 from trajstory.story import NarrativeSpec, count_words, extract_mentions
 from trajstory.validation import (GROUNDED, HALLUCINATION, UNGEOCODABLE,
-                                  GroundingContext, GroundingPolicy,
+                                  GroundingPolicy, GroundingRule,
                                   PoiVerdict, Story, ValidationReport,
                                   feedback_text, malformed_story_report,
                                   report_to_dict, summarize_report,
@@ -21,6 +21,11 @@ def make_story(text, mode="single_trajectory", min_pois=0, max_words=10_000):
                  word_count=count_words(text), spec=spec, backend_id="test")
 
 
+def along(route, **policy):
+    """The rule a single-trajectory run grounds by, along ``route``."""
+    return GroundingRule(GroundingPolicy(**policy), coords(route), along_path=True)
+
+
 def marked(*names):
     return " ".join(f"[[POI: {n}]]." for n in names)
 
@@ -29,8 +34,7 @@ def marked(*names):
 def verdicts_by_name(gazetteer, central_route):
     """Validate a story holding every central and far fixture name once."""
     story = make_story(marked(*CENTRAL_ROUTE_NAMES, *FAR_POI_NAMES))
-    ctx = GroundingContext(trajectory=coords(central_route))
-    report = validate_story(story, ctx, GroundingPolicy(), gazetteer)
+    report = validate_story(story, along(central_route), gazetteer)
     return {p.name: p for p in report.per_poi}
 
 
@@ -49,8 +53,7 @@ class TestSpatialVerdicts:
 
     def test_unknown_name_is_ungeocodable(self, gazetteer, central_route):
         story = make_story(marked("Atlantis Pier"))
-        report = validate_story(story, GroundingContext(trajectory=coords(central_route)),
-                                GroundingPolicy(), gazetteer)
+        report = validate_story(story, along(central_route), gazetteer)
         (v,) = report.per_poi
         assert v == PoiVerdict(name="Atlantis Pier", verdict=UNGEOCODABLE)
         assert not report.overall
@@ -59,26 +62,10 @@ class TestSpatialVerdicts:
         aliados = gazetteer.geocode("Avenida dos Aliados").location
         far_center = gazetteer.geocode("Matosinhos Beach").location
         story = make_story(marked("Avenida dos Aliados"), mode="heatmap")
-        ctx = GroundingContext(hotspot_centers=coords([far_center, aliados]))
-        report = validate_story(story, ctx, GroundingPolicy(), gazetteer)
+        rule = GroundingRule(GroundingPolicy(), coords([far_center, aliados]), along_path=False)
+        report = validate_story(story, rule, gazetteer)
         assert report.per_poi[0].verdict == GROUNDED
         assert report.per_poi[0].distance_m == pytest.approx(0.0, abs=1e-6)
-
-    def test_mode_requires_matching_geometry(self, gazetteer, central_route):
-        heat = make_story(marked("Ribeira"), mode="heatmap")
-        single = make_story(marked("Ribeira"))
-        with pytest.raises(ConfigurationError):
-            validate_story(heat, GroundingContext(trajectory=coords(central_route)),
-                           GroundingPolicy(), gazetteer)
-        with pytest.raises(ConfigurationError):
-            validate_story(single, GroundingContext(hotspot_centers=coords([central_route[0]])),
-                           GroundingPolicy(), gazetteer)
-
-    def test_accepts_a_config_in_place_of_a_gazetteer(self, central_route):
-        story = make_story(marked("Ribeira"))
-        report = validate_story(story, GroundingContext(trajectory=coords(central_route)),
-                                GroundingPolicy(), GazetteerConfig())
-        assert report.per_poi[0].verdict == GROUNDED
 
     def test_transport_failure_is_infrastructure_not_a_verdict(self, central_route):
         def fetch(url, params):
@@ -87,21 +74,18 @@ class TestSpatialVerdicts:
         gaz = Gazetteer(GazetteerConfig(offline_only=False), fetch=fetch)
         story = make_story(marked("Atlantis Pier"))
         with pytest.raises(InfrastructureError) as err:
-            validate_story(story, GroundingContext(trajectory=coords(central_route)),
-                           GroundingPolicy(), gaz)
+            validate_story(story, along(central_route), gaz)
 
 
 class TestDeduplication:
     def test_case_variants_collapse_to_one_verdict(self, gazetteer, central_route):
         story = make_story(marked("Ribeira", "  RIBEIRA ", "ribeira"))
-        report = validate_story(story, GroundingContext(trajectory=coords(central_route)),
-                                GroundingPolicy(), gazetteer)
+        report = validate_story(story, along(central_route), gazetteer)
         assert [p.name for p in report.per_poi] == ["Ribeira"]
 
     def test_repeats_cannot_pad_the_poi_quota(self, gazetteer, central_route):
         story = make_story(marked("Ribeira", "Ribeira", "Ribeira"), min_pois=2)
-        report = validate_story(story, GroundingContext(trajectory=coords(central_route)),
-                                GroundingPolicy(), gazetteer)
+        report = validate_story(story, along(central_route), gazetteer)
         check = {c.name: c for c in report.structural}["min_pois"]
         assert not check.passed
         assert check.detail == "1 distinct POIs, need at least 2"
@@ -109,16 +93,14 @@ class TestDeduplication:
 
     def test_repeated_far_name_is_penalized_once(self, gazetteer, central_route):
         story = make_story(marked("Foz do Douro", "Foz do Douro"))
-        report = validate_story(story, GroundingContext(trajectory=coords(central_route)),
-                                GroundingPolicy(), gazetteer)
+        report = validate_story(story, along(central_route), gazetteer)
         assert len(report.flagged()) == 1
 
 
 class TestStructuralChecks:
     def test_word_cap_violation(self, gazetteer, central_route):
         story = make_story("word " * 30 + marked("Ribeira"), max_words=10)
-        report = validate_story(story, GroundingContext(trajectory=coords(central_route)),
-                                GroundingPolicy(), gazetteer)
+        report = validate_story(story, along(central_route), gazetteer)
         check = {c.name: c for c in report.structural}["max_words"]
         assert not check.passed
         assert check.detail == "31 words, cap 10"
@@ -126,8 +108,7 @@ class TestStructuralChecks:
 
     def test_parsed_story_passes_markup_check(self, gazetteer, central_route):
         story = make_story(marked("Ribeira", "Bolhão Market"))
-        report = validate_story(story, GroundingContext(trajectory=coords(central_route)),
-                                GroundingPolicy(), gazetteer)
+        report = validate_story(story, along(central_route), gazetteer)
         check = {c.name: c for c in report.structural}["markup"]
         assert check.passed
         assert check.detail == "2 spans parsed"
@@ -136,8 +117,7 @@ class TestStructuralChecks:
                                                               central_route):
         story = make_story("no markup here [[POI: x]]")
         story.mentions = []
-        report = validate_story(story, GroundingContext(trajectory=coords(central_route)),
-                                GroundingPolicy(), gazetteer)
+        report = validate_story(story, along(central_route), gazetteer)
         assert report.grounded_fraction == 1.0
         assert report.overall
 
@@ -157,10 +137,8 @@ class TestPolicy:
     def test_require_geocode_false_drops_unknowns_from_the_fraction(
             self, gazetteer, central_route):
         story = make_story(marked("Ribeira", "Atlantis Pier"))
-        ctx = GroundingContext(trajectory=coords(central_route))
-        strict = validate_story(story, ctx, GroundingPolicy(), gazetteer)
-        lax = validate_story(story, ctx, GroundingPolicy(require_geocode=False),
-                             gazetteer)
+        strict = validate_story(story, along(central_route), gazetteer)
+        lax = validate_story(story, along(central_route, require_geocode=False), gazetteer)
         assert strict.grounded_fraction == pytest.approx(0.5)
         assert not strict.overall
         assert lax.grounded_fraction == pytest.approx(1.0)
@@ -169,11 +147,10 @@ class TestPolicy:
 
     def test_fraction_gate(self, gazetteer, central_route):
         story = make_story(marked("Ribeira", "Foz do Douro"))
-        ctx = GroundingContext(trajectory=coords(central_route))
-        policy = GroundingPolicy(min_grounded_fraction=0.5)
-        assert validate_story(story, ctx, policy, gazetteer).overall
-        policy = GroundingPolicy(min_grounded_fraction=0.6)
-        assert not validate_story(story, ctx, policy, gazetteer).overall
+        rule = along(central_route, min_grounded_fraction=0.5)
+        assert validate_story(story, rule, gazetteer).overall
+        rule = along(central_route, min_grounded_fraction=0.6)
+        assert not validate_story(story, rule, gazetteer).overall
 
     @given(t1=st.integers(0, 8000), t2=st.integers(0, 8000))
     @settings(max_examples=40, deadline=None)
@@ -183,11 +160,10 @@ class TestPolicy:
             t1, t2 = t2, t1
         story = make_story(marked("Ribeira", "Jardim do Morro",
                                   "Estádio do Dragão", "Foz do Douro"))
-        ctx = GroundingContext(trajectory=coords(central_route))
 
         def grounded_at(t):
-            policy = GroundingPolicy(trajectory_threshold_m=float(t))
-            report = validate_story(story, ctx, policy, gazetteer)
+            rule = along(central_route, trajectory_threshold_m=float(t))
+            report = validate_story(story, rule, gazetteer)
             return {p.name for p in report.per_poi if p.verdict == GROUNDED}
 
         assert grounded_at(t1) <= grounded_at(t2)
@@ -196,8 +172,7 @@ class TestPolicy:
 class TestInjectionSeparation:
     def test_flagged_set_is_exactly_the_planted_set(self, gazetteer, central_route):
         story = make_story(marked(*CENTRAL_ROUTE_NAMES, *FAR_POI_NAMES))
-        ctx = GroundingContext(trajectory=coords(central_route))
-        report = validate_story(story, ctx, GroundingPolicy(), gazetteer)
+        report = validate_story(story, along(central_route), gazetteer)
         flagged = {p.name for p in report.flagged()}
         assert flagged == set(FAR_POI_NAMES)
         precision = len(flagged & set(FAR_POI_NAMES)) / len(flagged)
@@ -207,9 +182,9 @@ class TestInjectionSeparation:
 
     def test_same_story_same_report(self, gazetteer, central_route):
         story = make_story(marked(*CENTRAL_ROUTE_NAMES[:3], *FAR_POI_NAMES[:2]))
-        ctx = GroundingContext(trajectory=coords(central_route))
-        a = validate_story(story, ctx, GroundingPolicy(), gazetteer)
-        b = validate_story(story, ctx, GroundingPolicy(), gazetteer)
+        rule = along(central_route)
+        a = validate_story(story, rule, gazetteer)
+        b = validate_story(story, rule, gazetteer)
         assert a == b
 
 
@@ -217,8 +192,7 @@ class TestFeedback:
     def build_report(self, gazetteer, central_route):
         story = make_story(marked("Foz do Douro", "Atlantis Pier", "Ribeira"),
                            min_pois=5)
-        ctx = GroundingContext(trajectory=coords(central_route))
-        return validate_story(story, ctx, GroundingPolicy(), gazetteer)
+        return validate_story(story, along(central_route), gazetteer)
 
     def test_names_every_problem_in_report_order(self, gazetteer, central_route):
         report = self.build_report(gazetteer, central_route)
@@ -251,8 +225,7 @@ class TestFeedback:
 class TestExports:
     def test_dict_shape(self, gazetteer, central_route):
         story = make_story(marked("Ribeira", "Atlantis Pier"))
-        report = validate_story(story, GroundingContext(trajectory=coords(central_route)),
-                                GroundingPolicy(), gazetteer)
+        report = validate_story(story, along(central_route), gazetteer)
         d = report_to_dict(report)
         assert d["overall"] == "fail"
         assert d["grounded_fraction"] == pytest.approx(0.5)
@@ -267,8 +240,7 @@ class TestExports:
 
     def test_summary_layout(self, gazetteer, central_route):
         story = make_story(marked("Ribeira", "Foz do Douro"))
-        report = validate_story(story, GroundingContext(trajectory=coords(central_route)),
-                                GroundingPolicy(), gazetteer)
+        report = validate_story(story, along(central_route), gazetteer)
         lines = summarize_report(report).splitlines()
         assert lines[0] == "validation: FAIL"
         assert lines[1] == ("POIs: 1 grounded, 1 flagged, 0 ungeocodable "
