@@ -19,7 +19,7 @@ from trajstory.geo import GeoPoint, point_to_polyline_distance
 from trajstory.heatgrid import build_grid, top_hotspots
 from trajstory.ingest import (Trajectory, parse_dataset, select_trajectory,
                               trajectory_digest, trip_endpoints)
-from trajstory.mapdoc import emit_map, render_geojson
+from trajstory.mapdoc import emit_map, render_geojson, render_html
 from trajstory.story import NarrativeSpec, Story, count_words, extract_mentions
 from trajstory.synth import PORTO_BBOX, SyntheticSpec, generate_dataset, write_kaggle_csv
 from trajstory.validation import GroundingPolicy, GroundingRule, validate_story
@@ -80,10 +80,19 @@ def test_validate_story_18_names(benchmark, walk, gazetteer):
     assert len(report.per_poi) == len(NAMES)
 
 
-def test_render_geojson_50k_path(benchmark, walk, gazetteer):
-    doc = emit_map([gazetteer.geocode(name) for name in NAMES[:13]],
-                   Trajectory(id="shift", coords=walk))
-    benchmark(render_geojson, doc)
+@pytest.fixture(scope="module")
+def shift_map(walk, gazetteer):
+    return emit_map([gazetteer.geocode(name) for name in NAMES[:13]],
+                    Trajectory(id="shift", coords=walk))
+
+
+def test_render_geojson_50k_path(benchmark, shift_map):
+    benchmark(render_geojson, shift_map)
+
+
+def test_render_html_50k_path(benchmark, shift_map):
+    page = benchmark(render_html, shift_map, render_geojson(shift_map))
+    assert page.startswith("<!DOCTYPE html>")
 
 
 def test_trajectory_digest_50k_path(benchmark, walk):

@@ -26,7 +26,7 @@ from .gazetteer import Gazetteer, GazetteerConfig
 from .geo import BoundingBox, bbox_of_coords
 from .heatgrid import export_grid, summarize_for_story
 from .ingest import parse_dataset, trip_endpoints
-from .mapdoc import emit_map, write_map
+from .mapdoc import emit_map, render_geojson, render_html
 from .pipeline import (StoryRequest, execute, report_files, run_steps, write_bundle,
                        write_failure, write_files)
 from .story import (Mention, NarrativeSpec, RemoteBackend, Story, TemplateBackend,
@@ -296,11 +296,12 @@ def cmd_map(args: argparse.Namespace) -> int:
         doc = emit_map(pois, trajectory=traj, cluster_distance_m=req.cluster_distance_m)
     except ValueError as exc:   # nothing to map, or a negative cluster distance
         raise ConfigurationError(str(exc)) from None
-    out = _out_dir(args)
-    write_map(doc, out / "map.geojson", out / "map.html")
+    geojson = render_geojson(doc)
+    paths = write_files(_out_dir(args), {"map.geojson": geojson,
+                                         "map.html": render_html(doc, geojson)})
     print(f"markers: {len(doc.markers)}  legend rows: {len(doc.legend)}")
-    print(f"wrote {out / 'map.geojson'}")
-    print(f"wrote {out / 'map.html'}")
+    for path in paths:
+        print(f"wrote {path}")
     return EXIT_OK
 
 

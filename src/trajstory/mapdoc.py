@@ -12,7 +12,6 @@ from __future__ import annotations
 import html
 import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -108,20 +107,42 @@ def _centroid(points: list[GeoPoint]) -> GeoPoint:
                     sum(p.lat for p in points) / len(points))
 
 
+# A path's place in the dumped document. A JSON string never holds a bare
+# '"', so this text can only be a "coordinates" key over an empty list, which
+# no marker has: the document holds it once per path, in path order.
+_PATH_SLOT = '"coordinates": []'
+# One vertex as json.dumps(indent=2) lays it out inside a LineString feature.
+_VERTEX = "\n          [\n            %r,\n            %r\n          ]"
+
+
+def _coordinate_block(path: np.ndarray) -> str:
+    """The indented JSON of ``path.tolist()``, formatted in one pass.
+
+    ``%r`` and ``json.dumps`` both write a finite float as ``float.__repr__``;
+    non-finite values are respelled the way ``json.dumps`` spells them.
+    """
+    if len(path) == 0:
+        return "[]"
+    block = "[" + ",".join([_VERTEX] * len(path)) % tuple(path.ravel().tolist()) + "\n        ]"
+    if not np.isfinite(path).all():
+        block = block.replace("inf", "Infinity").replace("nan", "NaN")
+    return block
+
+
 def render_geojson(doc: MapDocument) -> str:
     """Serialize as a FeatureCollection; byte-stable for equal documents.
 
     Paths come first (drawn under the markers), then markers in number
     order. The legend rides along as a foreign member, which the format
-    grammar permits.
+    grammar permits. Path coordinates are formatted in bulk and spliced into
+    the ``json.dumps`` text, to the same bytes as dumping ``path.tolist()``.
     """
     names = dict(doc.legend)
     features = []
-    for path in doc.paths:
+    for _ in doc.paths:
         features.append({
             "type": "Feature",
-            "geometry": {"type": "LineString",
-                         "coordinates": path.tolist()},
+            "geometry": {"type": "LineString", "coordinates": []},
             "properties": {"role": "trajectory"},
         })
     for marker in doc.markers:
@@ -141,7 +162,11 @@ def render_geojson(doc: MapDocument) -> str:
         "features": features,
         "legend": [[number, name] for number, name in doc.legend],
     }
-    return json.dumps(collection, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    text = json.dumps(collection, sort_keys=True, indent=2, ensure_ascii=False)
+    pieces = text.split(_PATH_SLOT)
+    for i, path in enumerate(doc.paths):
+        pieces[i] += '"coordinates": ' + _coordinate_block(path)
+    return "".join(pieces) + "\n"
 
 
 _HTML_PAGE = """<!DOCTYPE html>
@@ -206,10 +231,3 @@ def render_html(doc: MapDocument, geojson: str, title: str = "trajstory map") ->
     return _HTML_PAGE.format(title=html.escape(title, quote=False),
                              legend_items=legend_items, geojson=geojson)
 
-
-def write_map(doc: MapDocument, geojson_path: str | Path,
-              html_path: str | Path | None = None) -> None:
-    geojson = render_geojson(doc)
-    Path(geojson_path).write_text(geojson, encoding="utf-8")
-    if html_path is not None:
-        Path(html_path).write_text(render_html(doc, geojson), encoding="utf-8")

@@ -12,6 +12,7 @@ along in the next prompt.
 from __future__ import annotations
 
 import json
+import os
 import time
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -288,15 +289,26 @@ def report_files(report: ValidationReport) -> dict[str, str]:
 
 
 def write_files(out_dir: str | Path, files: dict[str, str]) -> list[Path]:
-    """Write each ``name: text`` as UTF-8 in ``out_dir``; returns the paths written."""
+    """Write each ``name: text`` as UTF-8 in ``out_dir``; returns the paths written.
+
+    All or nothing: every text goes to a temporary sibling first, and only
+    once all of them are written is each renamed over its target. A failed
+    write removes the temporaries and leaves the old files as they were.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written = []
-    for name, text in files.items():
-        path = out / name
-        path.write_text(text, encoding="utf-8")
-        written.append(path)
-    return written
+    paths = [out / name for name in files]
+    staged = [out / f".{name}.{os.getpid()}.tmp" for name in files]
+    try:
+        for tmp, text in zip(staged, files.values()):
+            tmp.write_text(text, encoding="utf-8")
+        for tmp, path in zip(staged, paths):
+            os.replace(tmp, path)
+    except BaseException:
+        for tmp in staged:
+            tmp.unlink(missing_ok=True)
+        raise
+    return paths
 
 
 def write_bundle(result: StoryResult, out_dir: str | Path,

@@ -205,3 +205,38 @@ def reference_path_length_m(traj: Trajectory) -> float:
     """
     points = [GeoPoint(lon, lat) for lon, lat in traj.coords.tolist()]
     return sum(haversine_distance(a, b) for a, b in zip(points, points[1:]))
+
+
+def reference_render_geojson(doc) -> str:
+    """The map document through ``json.dumps`` alone, paths as ``path.tolist()``.
+
+    The library's encoder before it formatted path coordinates in bulk: the
+    exact bytes ``render_geojson`` must keep.
+    """
+    names = dict(doc.legend)
+    features = []
+    for path in doc.paths:
+        features.append({
+            "type": "Feature",
+            "geometry": {"type": "LineString",
+                         "coordinates": path.tolist()},
+            "properties": {"role": "trajectory"},
+        })
+    for marker in doc.markers:
+        features.append({
+            "type": "Feature",
+            "geometry": {"type": "Point",
+                         "coordinates": [marker.center.lon, marker.center.lat]},
+            "properties": {
+                "role": "poi",
+                "numbers": list(marker.numbers),
+                "labels": [names[n] for n in marker.numbers],
+            },
+        })
+    collection = {
+        "type": "FeatureCollection",
+        "bbox": [doc.bbox.min_lon, doc.bbox.min_lat, doc.bbox.max_lon, doc.bbox.max_lat],
+        "features": features,
+        "legend": [[number, name] for number, name in doc.legend],
+    }
+    return json.dumps(collection, sort_keys=True, indent=2, ensure_ascii=False) + "\n"

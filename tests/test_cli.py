@@ -357,6 +357,48 @@ class TestMapCommand:
         assert "nothing to map" in err
 
 
+class TestArtifactsAreWholeOrUnchanged:
+    """A write that fails part way leaves the previous files byte for byte."""
+
+    OLD = {"story": ["story.txt", "story.json", "report.json", "report.txt",
+                     "map.geojson", "map.html", "trace.json"],
+           "map": ["map.geojson", "map.html"],
+           "validate": ["report.json"]}
+
+    @pytest.mark.parametrize("command, fail_at", [("story", 2), ("map", 2), ("validate", 1)])
+    def test_failed_write_keeps_the_old_files(self, capsys, tmp_path, monkeypatch,
+                                              cluster_csv, route_file, command, fail_at):
+        story = tmp_path / "story.txt"
+        story.write_text("Past [[POI: Ribeira]] to [[POI: São Bento Station]].\n",
+                         encoding="utf-8")
+        argv = {"story": ["story", "--dataset", str(cluster_csv)],
+                "map": ["map", str(story)],
+                "validate": ["validate", str(story), "--dataset", str(route_file),
+                             "--schema", "point_list"]}[command]
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        for name in self.OLD[command] + ["notes.txt"]:
+            (out_dir / name).write_bytes(f"old {name}\n".encode())
+        before = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+
+        real_write_text = Path.write_text
+        written = []
+
+        def write_text(path, data, *args, **kwargs):
+            written.append(path.name)
+            if len(written) == fail_at:
+                real_write_text(path, data[:7], *args, **kwargs)   # a torn file
+                raise OSError(28, "No space left on device")
+            return real_write_text(path, data, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "write_text", write_text)
+        code, _, err = run(capsys, *argv, "--offline", "--output-dir", str(out_dir))
+        assert code == 2
+        assert "No space left on device" in err
+        assert len(written) == fail_at
+        assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
+
+
 LATIN1_STORY = "Past [[POI: São Bento Station]].\n".encode("latin-1")
 
 

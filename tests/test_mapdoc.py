@@ -3,16 +3,18 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from helpers import contains
-from oracles import brute_force_clusters
+from oracles import brute_force_clusters, reference_render_geojson
 from trajstory.gazetteer import POI
-from trajstory.geo import GeoPoint, haversine_distance, meters_per_degree
+from trajstory.geo import BoundingBox, GeoPoint, haversine_distance, meters_per_degree
 from trajstory.geo import as_coords as coords
 from trajstory.ingest import Trajectory
 from trajstory.mapdoc import (BBOX_PAD_FRACTION, DEFAULT_CLUSTER_DISTANCE_M,
                               MapDocument, Marker, emit_map, render_geojson,
-                              render_html, write_map)
+                              render_html)
+from trajstory.pipeline import write_files
 
 BASE = GeoPoint(-8.6100, 41.1500)
 _, KY = meters_per_degree(BASE.lat)
@@ -163,15 +165,86 @@ class TestGeoJson:
         assert '<li value="1">Bolhão Market</li>' in html
         assert '"type": "FeatureCollection"' in html
 
-    def test_write_map(self, tmp_path):
+    def test_write_files(self, tmp_path):
         doc = self.build()
+        geojson = render_geojson(doc)
         geo = tmp_path / "m.geojson"
         html = tmp_path / "m.html"
-        write_map(doc, geo)
+        write_files(tmp_path, {"m.geojson": geojson})
         assert geo.exists() and not html.exists()
-        write_map(doc, geo, html)
+        write_files(tmp_path, {"m.geojson": geojson, "m.html": render_html(doc, geojson)})
         assert json.loads(geo.read_text())["type"] == "FeatureCollection"
         assert html.read_text().startswith("<!DOCTYPE html>")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.geojson", "m.html"]
+
+
+# The text the encoder splits the dumped document at: as a legend name it
+# must come out as a name, not as a path.
+SPLICE_TEXT = '"coordinates": []'
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e-7, 1e16, 1e308, -1e308,
+               180.0, -180.0, 90.0, -90.0]
+EDGE_NAMES = ["", "nul\x00byte", 'say "hi"', "back\\slash", "Pier</script>",
+              "Bolhão São Bento ✓", SPLICE_TEXT]
+
+coordinates = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(-180.0, 180.0),
+                        st.floats(allow_nan=False, allow_infinity=False))
+path_arrays = st.lists(st.tuples(coordinates, coordinates), max_size=40).map(
+    lambda rows: np.array(rows, dtype=float).reshape(-1, 2))
+legend_names = st.one_of(st.sampled_from(EDGE_NAMES), st.text())
+lons, lats = st.floats(-180.0, 180.0), st.floats(-90.0, 90.0)
+
+
+@st.composite
+def map_documents(draw):
+    """Any document ``emit_map`` could build, and ones it never would."""
+    names = draw(st.lists(legend_names, max_size=6))
+    markers, number = [], 1
+    while number <= len(names):
+        size = draw(st.integers(1, len(names) - number + 1))
+        markers.append(Marker(GeoPoint(draw(lons), draw(lats)),
+                              tuple(range(number, number + size))))
+        number += size
+    lon_a, lon_b, lat_a, lat_b = draw(lons), draw(lons), draw(lats), draw(lats)
+    return MapDocument(markers=markers, paths=draw(st.lists(path_arrays, max_size=2)),
+                       legend=list(enumerate(names, start=1)),
+                       bbox=BoundingBox(min(lon_a, lon_b), min(lat_a, lat_b),
+                                        max(lon_a, lon_b), max(lat_a, lat_b)))
+
+
+def document(paths, names=("Ribeira",)):
+    return MapDocument(markers=[Marker(BASE, tuple(range(1, len(names) + 1)))] if names else [],
+                       paths=[np.asarray(p, dtype=float).reshape(-1, 2) for p in paths],
+                       legend=list(enumerate(names, start=1)),
+                       bbox=BoundingBox(-180.0, -90.0, 180.0, 90.0))
+
+
+class TestBulkPathEncoder:
+    """``render_geojson`` writes paths in bulk, to the bytes of plain ``json.dumps``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(doc=map_documents())
+    @example(doc=document([], names=("Ribeira", "Sé")))
+    @example(doc=document([[]]))
+    @example(doc=document([[EDGE_FLOATS[:2]]]))
+    @example(doc=document([np.reshape(EDGE_FLOATS, (-1, 2)), [[-8.61, 41.15]]],
+                          names=EDGE_NAMES))
+    @example(doc=document([[[1e-7, 1e16]]], names=(SPLICE_TEXT, SPLICE_TEXT)))
+    def test_matches_the_json_dumps_reference(self, doc):
+        assert render_geojson(doc) == reference_render_geojson(doc)
+
+    def test_long_path_matches_the_reference(self):
+        walk = np.cumsum(np.random.default_rng(9).normal(0.0, 1e-4, (5_000, 2)), axis=0)
+        doc = document([walk + (BASE.lon, BASE.lat), walk[:1]], names=EDGE_NAMES)
+        text = render_geojson(doc)
+        assert text == reference_render_geojson(doc)
+        assert [name for _, name in json.loads(text)["legend"]] == EDGE_NAMES
+
+    def test_non_finite_values_are_spelled_as_json_dumps_spells_them(self):
+        doc = document([[[float("nan"), 41.15], [float("inf"), float("-inf")], [-0.0, 1.0]]])
+        text = render_geojson(doc)
+        assert text == reference_render_geojson(doc)
+        assert "NaN" in text and "-Infinity" in text
+        assert "nan" not in text and "inf" not in text
 
 
 class TestHtmlEscaping:
