@@ -17,8 +17,7 @@ import pytest
 from trajstory.gazetteer import Gazetteer, GazetteerConfig
 from trajstory.geo import GeoPoint, point_to_polyline_distance
 from trajstory.heatgrid import build_grid, top_hotspots
-from trajstory.ingest import (Trajectory, parse_dataset, select_trajectory,
-                              trajectory_digest, trip_endpoints)
+from trajstory.ingest import Trajectory, parse_dataset, trajectory_digest
 from trajstory.mapdoc import emit_map, render_geojson, render_html
 from trajstory.story import NarrativeSpec, Story, count_words, extract_mentions
 from trajstory.synth import PORTO_BBOX, SyntheticSpec, generate_dataset, write_kaggle_csv
@@ -108,13 +107,16 @@ def test_parse_dataset_20k_trips(benchmark, kaggle_file):
     assert len(ds) == 20_000
 
 
+def test_parse_dataset_20k_trips_longest_by_length(benchmark, kaggle_file):
+    ds = benchmark.pedantic(parse_dataset,
+                            (kaggle_file, "kaggle_porto", ("longest_by_length", None)),
+                            rounds=3)
+    assert ds.selected is not None
+
+
 def test_build_grid_20k_endpoints(benchmark, trips):
-    benchmark(build_grid, trip_endpoints(trips))
+    benchmark(build_grid, trips.endpoints)
 
 
 def test_top_hotspots(benchmark, trips):
-    benchmark(top_hotspots, build_grid(trip_endpoints(trips)), 5)
-
-
-def test_select_trajectory_longest_by_length(benchmark, trips):
-    benchmark(select_trajectory, trips, "longest_by_length")
+    benchmark(top_hotspots, build_grid(trips.endpoints), 5)

@@ -41,10 +41,10 @@ def main(argv=None):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    ds = generate_dataset(SyntheticSpec(seed=args.seed, n_trajectories=args.trips,
-                                        endpoint_clusters=CLUSTERS))
+    trips = generate_dataset(SyntheticSpec(seed=args.seed, n_trajectories=args.trips,
+                                           endpoint_clusters=CLUSTERS))
     csv_path = out / "trips.csv"
-    total = write_kaggle_csv(ds, csv_path, bad_rows=args.bad_rows, seed=args.seed)
+    total = write_kaggle_csv(trips, csv_path, bad_rows=args.bad_rows, seed=args.seed)
     print(f"wrote {csv_path} ({total} rows, {args.bad_rows} deliberately bad)")
 
     request = StoryRequest(

@@ -12,8 +12,7 @@ from .gazetteer import POI, Gazetteer, GazetteerConfig, normalize_name
 from .geo import (EARTH_RADIUS_M, BoundingBox, GeoPoint, haversine_distance,
                   meters_per_degree, point_to_polyline_distance)
 from .heatgrid import HeatGrid, Hotspot, build_grid, summarize_for_story, top_hotspots
-from .ingest import (Dataset, Trajectory, parse_dataset, select_trajectory,
-                     trip_endpoints)
+from .ingest import Dataset, Trajectory, parse_dataset
 from .mapdoc import MapDocument, emit_map, render_geojson, render_html
 from .pipeline import StoryRequest, StoryResult, execute, plan, write_bundle
 from .story import (NarrativeSpec, RemoteBackend, Story, StoryBackend,
@@ -37,6 +36,6 @@ __all__ = [
     "feedback_text", "generate_story", "haversine_distance",
     "meters_per_degree", "normalize_name", "parse_dataset", "plan",
     "point_to_polyline_distance", "render_geojson", "render_html",
-    "select_trajectory", "strip_markup", "summarize_for_story",
-    "top_hotspots", "trip_endpoints", "validate_story", "write_bundle",
+    "strip_markup", "summarize_for_story",
+    "top_hotspots", "validate_story", "write_bundle",
 ]

@@ -24,8 +24,8 @@ from .errors import (ConfigurationError, EXIT_CONFIG, EXIT_INFRA, EXIT_OK,
                      TrajstoryError)
 from .gazetteer import Gazetteer, GazetteerConfig
 from .geo import BoundingBox, bbox_of_coords
-from .heatgrid import export_grid, summarize_for_story
-from .ingest import parse_dataset, trip_endpoints
+from .heatgrid import grid_files, summarize_for_story
+from .ingest import parse_dataset
 from .mapdoc import emit_map, render_geojson, render_html
 from .pipeline import (StoryRequest, execute, report_files, run_steps, write_bundle,
                        write_failure, write_files)
@@ -218,7 +218,7 @@ def _out_dir(args: argparse.Namespace, default: str = "out") -> Path:
 def cmd_ingest(args: argparse.Namespace) -> int:
     req = build_request(load_settings(args))
     ds = parse_dataset(req.dataset_path, req.dataset_schema)
-    endpoints = trip_endpoints(ds)
+    endpoints = ds.endpoints
     print(f"source: {ds.source_path}")
     print(f"trajectories: {len(ds)}")
     print(f"skipped rows: {ds.skipped_rows}")
@@ -236,9 +236,8 @@ def cmd_heatmap(args: argparse.Namespace) -> int:
     req = build_request({**load_settings(args), "mode": "heatmap"})
     run = run_steps(req, ("ingest", "analytics"))
     print(summarize_for_story(run.grid, run.hotspots), end="")
-    out = _out_dir(args)
-    export_grid(run.grid, out / "grid.csv", out / "grid_meta.txt")
-    log.info("wrote %s and %s", out / "grid.csv", out / "grid_meta.txt")
+    paths = write_files(_out_dir(args), grid_files(run.grid))
+    log.info("wrote %s", " and ".join(map(str, paths)))
     return EXIT_OK
 
 

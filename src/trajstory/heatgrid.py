@@ -122,14 +122,12 @@ def summarize_for_story(grid: HeatGrid, hotspots: Sequence[Hotspot]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def export_grid(grid: HeatGrid, csv_path: str, meta_path: str | None = None) -> None:
-    """Write the count matrix as CSV plus a sidecar header for renderers."""
-    if meta_path is None:
-        meta_path = csv_path + ".meta"
-    np.savetxt(csv_path, grid.counts, fmt="%d", delimiter=",")
+def grid_files(grid: HeatGrid) -> dict[str, str]:
+    """The count matrix as ``grid.csv``, plus a ``grid_meta.txt`` header for renderers."""
     b = grid.bbox
-    with open(meta_path, "w", encoding="utf-8") as fh:
-        fh.write(f"min_lon = {b.min_lon!r}\nmin_lat = {b.min_lat!r}\n"
-                 f"max_lon = {b.max_lon!r}\nmax_lat = {b.max_lat!r}\n"
-                 f"cell_size_m = {grid.cell_size_m!r}\nrows = {grid.rows}\ncols = {grid.cols}\n"
-                 f"total_in_bbox = {grid.total_in_bbox}\nout_of_bbox = {grid.out_of_bbox}\n")
+    return {"grid.csv": "".join(",".join(map(str, row)) + "\n" for row in grid.counts.tolist()),
+            "grid_meta.txt": (
+                f"min_lon = {b.min_lon!r}\nmin_lat = {b.min_lat!r}\n"
+                f"max_lon = {b.max_lon!r}\nmax_lat = {b.max_lat!r}\n"
+                f"cell_size_m = {grid.cell_size_m!r}\nrows = {grid.rows}\ncols = {grid.cols}\n"
+                f"total_in_bbox = {grid.total_in_bbox}\nout_of_bbox = {grid.out_of_bbox}\n")}

@@ -1,4 +1,4 @@
-"""Parse trajectory datasets into columns and pull out the pieces the pipeline needs.
+"""Parse trajectory datasets into what a run reads of them.
 
 Two source schemas:
 
@@ -8,9 +8,10 @@ Two source schemas:
 * ``point_list`` -- one ``lon,lat`` pair per line (header optional), the
   whole file being a single trajectory.
 
-A parsed ``Dataset`` keeps every trip in one coordinate array, and a
-selected ``Trajectory`` is a view of its rows, so a trip stays one
-(N, 2) array from here to the map.
+A parse folds the file, one block of trips at a time, into a ``Dataset``
+that keeps each trip's final point and, when a selection is asked for, the
+one selected ``Trajectory``: so memory grows with the number of trips, not
+of points, and the selected trip stays one (N, 2) array from here to the map.
 
 Rows that cannot yield a usable trajectory (empty or malformed polyline,
 fewer than 2 points, coordinates outside WGS84 range, MISSING_DATA flag) are
@@ -36,7 +37,7 @@ from typing import IO, Iterable
 
 import numpy as np
 
-from .errors import ConfigurationError, NotFoundError, ParseError
+from .errors import ConfigurationError, ParseError
 from .geo import haversine_distances
 
 log = logging.getLogger(__name__)
@@ -76,51 +77,71 @@ def _no_skips() -> dict[str, int]:
 
 @dataclass(eq=False)
 class Dataset:
-    """Trips as columns: trip ``i`` is ``coords[offsets[i]:offsets[i + 1]]``.
+    """What one parse keeps: each trip's final point, the rows that gave no
+    trip, and the trip a selection asked for.
 
-    ``coords`` is a float64 (N, 2) array of (lon, lat) rows and ``offsets`` an
-    int64 array of ``len(ids) + 1`` entries starting at 0. Every trip has at
-    least 2 points. ``skipped_by_reason`` counts the source rows that gave no
-    trip, one key per SKIP_REASONS entry.
+    ``endpoints`` is a float64 (T, 2) array of (lon, lat) rows, one per kept
+    trip, in file order. ``skipped_by_reason`` counts the source rows that
+    gave no trip, one key per SKIP_REASONS entry. ``selected`` is the trip the
+    parse's selection picked: None when no selection was asked for, the file
+    kept no trip, or no trip has the ``by_id`` id.
     """
 
-    coords: np.ndarray = field(default_factory=lambda: np.empty((0, 2)))
-    offsets: np.ndarray = field(default_factory=lambda: np.zeros(1, dtype=np.int64))
-    ids: list[str] = field(default_factory=list)
-    start_times: list[int | None] = field(default_factory=list)
+    endpoints: np.ndarray = field(default_factory=lambda: np.empty((0, 2)))
     source_path: str = ""
     skipped_by_reason: dict[str, int] = field(default_factory=_no_skips)
+    selected: Trajectory | None = None
 
     @property
     def skipped_rows(self) -> int:
         return sum(self.skipped_by_reason.values())
 
     def __len__(self) -> int:
-        return len(self.ids)
-
-    def trajectory(self, i: int) -> Trajectory:
-        """Trip ``i``, its coordinates a read-only view of ``coords``."""
-        view = self.coords[self.offsets[i]:self.offsets[i + 1]]
-        view.flags.writeable = False
-        return Trajectory(id=self.ids[i], coords=view, start_time=self.start_times[i])
-
-    @classmethod
-    def from_trajectories(cls, trajectories: Iterable[Trajectory],
-                          source_path: str = "") -> Dataset:
-        """Pack Trajectory objects into columns, in order."""
-        trajectories = list(trajectories)
-        offsets = _offsets([len(t.coords) for t in trajectories])
-        coords = np.concatenate([np.empty((0, 2))] + [t.coords for t in trajectories])
-        return cls(coords=coords, offsets=offsets, ids=[t.id for t in trajectories],
-                   start_times=[t.start_time for t in trajectories],
-                   source_path=source_path)
+        return len(self.endpoints)
 
 
-def _offsets(lengths) -> np.ndarray:
-    """Trip offsets (0, then the running total) for the given trip lengths."""
-    offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
-    np.cumsum(lengths, dtype=np.int64, out=offsets[1:])
-    return offsets
+class _Fold:
+    """Folds blocks of trips, in file order, into what a Dataset keeps.
+
+    A block's coordinates can go once it is added: the fold copies out each
+    trip's final point and, under a selection, the best trip so far. The
+    selection rules: ``longest_by_points`` and ``longest_by_length`` take the
+    largest, ties going to the lowest id (the earliest trip, among equal
+    ids); ``by_id`` takes the first trip with that id.
+    """
+
+    def __init__(self, selection: tuple[str, str | None] | None):
+        self.criterion, self.wanted = selection or (None, None)
+        self.ends = [np.empty((0, 2))]
+        self.key: tuple | None = None           # (-metric, id) of ``selected``
+        self.selected: Trajectory | None = None
+
+    def add(self, xy: np.ndarray, n: np.ndarray, ids: list[str],
+            start_times: list[int | None]) -> None:
+        """Fold one block: trips of ``n`` points each, laid end to end in ``xy``."""
+        offsets = np.concatenate(([0], np.cumsum(n)))
+        self.ends.append(xy[offsets[1:] - 1])
+        if not ids or self.criterion is None:
+            return
+        if self.criterion == "by_id":
+            if self.selected is not None or self.wanted not in ids:
+                return
+            i = ids.index(self.wanted)
+        else:
+            metric = n if self.criterion == "longest_by_points" else _path_lengths_m(xy, offsets)
+            top = metric.max()
+            i = min(np.flatnonzero(metric == top).tolist(), key=ids.__getitem__)
+            key = (-top.item(), ids[i])
+            if self.key is not None and not key < self.key:
+                return
+            self.key = key
+        coords = xy[offsets[i]:offsets[i + 1]].copy()
+        coords.flags.writeable = False
+        self.selected = Trajectory(id=ids[i], coords=coords, start_time=start_times[i])
+
+    def dataset(self, source_path: str, skipped: dict[str, int]) -> Dataset:
+        return Dataset(endpoints=np.concatenate(self.ends), source_path=source_path,
+                       skipped_by_reason=skipped, selected=self.selected)
 
 
 def _in_range(xy: np.ndarray) -> np.ndarray:
@@ -153,11 +174,11 @@ def _decode_polyline(raw: str) -> np.ndarray | str:
     return xy if len(xy) >= 2 else "too_short"
 
 
-def _parse_kaggle(lines: Iterable[str], source_path: str) -> Dataset:
+def _parse_kaggle(lines: Iterable[str], source_path: str, fold: _Fold) -> Dataset:
     reader = csv.reader(lines)
     limit = csv.field_size_limit(_MAX_FIELD_CHARS)
     try:
-        return _read_kaggle(reader, source_path)
+        return _read_kaggle(reader, source_path, fold)
     except csv.Error as exc:
         raise ParseError(f"{source_path}: line {reader.line_num}: {exc}") from None
     finally:
@@ -274,7 +295,7 @@ def _decode_in_workers(blocks, workers: int):
             conn.close()
 
 
-def _read_kaggle(reader, source_path: str) -> Dataset:
+def _read_kaggle(reader, source_path: str, fold: _Fold) -> Dataset:
     header = next(reader, None)
     if header is None or "POLYLINE" not in header:
         raise ParseError("kaggle_porto header is missing the POLYLINE column")
@@ -319,26 +340,20 @@ def _read_kaggle(reader, source_path: str) -> Dataset:
     decoded = (_decode_in_workers(blocks, workers) if workers else
                ((rest, _decode_block(texts)) for texts, rest in blocks))
 
-    chunks, lengths = [np.empty((0, 2))], [np.zeros(0, dtype=np.int64)]
-    ids: list[str] = []
-    start_times: list[int | None] = []
     with contextlib.closing(decoded):               # stops the workers on any error
         for (block_ids, block_times), (xy, n, kept, block_skipped) in decoded:
-            chunks.append(xy)
-            lengths.append(n)
             kept = kept.tolist()
-            ids += map(block_ids.__getitem__, kept)
-            start_times += map(block_times.__getitem__, kept)
+            fold.add(xy, n, list(map(block_ids.__getitem__, kept)),
+                     list(map(block_times.__getitem__, kept)))
             for reason, count in block_skipped.items():
                 skipped[reason] += count
+    ds = fold.dataset(source_path, skipped)
     log.info("%s: %d rows in %d blocks, %d decode workers, skipped %s", source_path,
-             len(ids) + sum(skipped.values()), len(chunks) - 1, workers, skipped)
-    return Dataset(coords=np.concatenate(chunks), offsets=_offsets(np.concatenate(lengths)),
-                   ids=ids, start_times=start_times, source_path=source_path,
-                   skipped_by_reason=skipped)
+             len(ds) + ds.skipped_rows, len(fold.ends) - 1, workers, skipped)
+    return ds
 
 
-def _parse_point_list(lines: Iterable[str], source_path: str) -> Dataset:
+def _parse_point_list(lines: Iterable[str], source_path: str, fold: _Fold) -> Dataset:
     skipped = _no_skips()
     values: list[float] = []
     for line in lines:
@@ -361,17 +376,19 @@ def _parse_point_list(lines: Iterable[str], source_path: str) -> Dataset:
     skipped["out_of_range"] = int(len(ok) - ok.sum())
     xy = xy[ok]
     log.info("%s: %d points kept, skipped %s", source_path, len(xy), skipped)
-    if len(xy) < 2:
-        return Dataset(source_path=source_path, skipped_by_reason=skipped)
-    name = os.path.splitext(os.path.basename(source_path))[0] or "trajectory"
-    return Dataset(coords=xy, offsets=_offsets([len(xy)]), ids=[name], start_times=[None],
-                   source_path=source_path, skipped_by_reason=skipped)
+    if len(xy) >= 2:
+        name = os.path.splitext(os.path.basename(source_path))[0] or "trajectory"
+        fold.add(xy, np.array([len(xy)]), [name], [None])
+    return fold.dataset(source_path, skipped)
 
 
-def parse_dataset(source: str | IO[str], schema: str) -> Dataset:
+def parse_dataset(source: str | IO[str], schema: str,
+                  selection: tuple[str, str | None] | None = None) -> Dataset:
     """Parse ``source`` (path or text stream) under the given schema.
 
-    A leading byte-order mark is not part of the data.
+    ``selection`` is a ``(criterion, trajectory_id)`` pair naming the one
+    trip to keep whole, as ``Dataset.selected``; the id is read only by
+    ``by_id``. A leading byte-order mark is not part of the data.
 
     For kaggle_porto, skipped_rows + len(dataset) equals the number of data
     rows. For point_list, rows are points: the file parses to at most one
@@ -379,48 +396,35 @@ def parse_dataset(source: str | IO[str], schema: str) -> Dataset:
     """
     if schema not in SCHEMAS:
         raise ConfigurationError(f"unknown dataset schema {schema!r}; expected one of {SCHEMAS}")
+    if selection is not None:
+        criterion, trajectory_id = selection
+        if criterion not in SELECTION_CRITERIA:
+            raise ConfigurationError(f"unknown selection criterion {criterion!r}; "
+                                     f"expected one of {SELECTION_CRITERIA}")
+        if criterion == "by_id" and trajectory_id is None:
+            raise ConfigurationError("selection criterion by_id needs a trajectory id")
     parser = _parse_kaggle if schema == "kaggle_porto" else _parse_point_list
+    fold = _Fold(selection)
     try:
         if isinstance(source, str):
             with open(source, encoding="utf-8-sig", newline="") as fh:
-                return parser(fh, source)
+                return parser(fh, source, fold)
         first = source.readline().removeprefix("\ufeff")     # a byte-order mark is no data
-        return parser(itertools.chain([first], source), getattr(source, "name", "<stream>"))
+        return parser(itertools.chain([first], source), getattr(source, "name", "<stream>"),
+                      fold)
     except UnicodeDecodeError as exc:
         raise ParseError(f"dataset is not UTF-8 text: {exc}") from None
 
 
-def trip_endpoints(ds: Dataset) -> np.ndarray:
-    """Final point of each trajectory as a float64 (T, 2) array, dataset order."""
-    return ds.coords[ds.offsets[1:] - 1]
-
-
 def _path_lengths_m(coords: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Haversine path length of every trip ``coords[offsets[i]:offsets[i + 1]]``, in meters."""
-    hops = haversine_distances(coords[:-1], coords[1:])
-    hops[offsets[1:-1] - 1] = 0.0           # from one trip's end to the next one's start
-    return np.add.reduceat(hops, offsets[:-1])
+    """Haversine path length of every trip ``coords[offsets[i]:offsets[i + 1]]``, in meters.
 
-
-def select_trajectory(ds: Dataset, criterion: str, trajectory_id: str | None = None) -> Trajectory:
-    """Pick one trajectory. Ties on the longest_* criteria break to the lowest id."""
-    if criterion not in SELECTION_CRITERIA:
-        raise ConfigurationError(
-            f"unknown selection criterion {criterion!r}; expected one of {SELECTION_CRITERIA}")
-    if not len(ds):
-        raise ValueError("cannot select from an empty dataset")
-    if criterion == "by_id":
-        if trajectory_id is None:
-            raise ConfigurationError("selection criterion by_id needs a trajectory id")
-        if trajectory_id not in ds.ids:
-            raise NotFoundError(f"no trajectory with id {trajectory_id!r}")
-        return ds.trajectory(ds.ids.index(trajectory_id))
-    if criterion == "longest_by_points":
-        metric = np.diff(ds.offsets)
-    else:
-        metric = _path_lengths_m(ds.coords, ds.offsets)
-    tied = np.flatnonzero(metric == metric.max()).tolist()
-    return ds.trajectory(min(tied, key=ds.ids.__getitem__))
+    Each trip sums its own hops and nothing else, so its length has the same
+    bits wherever the trip sits in ``coords``.
+    """
+    hops = np.delete(haversine_distances(coords[:-1], coords[1:]),
+                     offsets[1:-1] - 1)     # from one trip's end to the next one's start
+    return np.add.reduceat(hops, offsets[:-1] - np.arange(len(offsets) - 1))
 
 
 def trajectory_digest(traj: Trajectory) -> str:

@@ -20,13 +20,13 @@ from pathlib import Path
 from typing import Callable
 
 from .errors import (ConfigurationError, InfrastructureError, MalformedStoryError,
-                     ParseError, StoryValidationError)
+                     NotFoundError, ParseError, StoryValidationError)
 from .gazetteer import Gazetteer, GazetteerConfig, POI
 from .geo import as_coords, bbox_within
 from .heatgrid import (DEFAULT_CELL_SIZE_M, HeatGrid, Hotspot, build_grid,
                        summarize_for_story, top_hotspots)
 from .ingest import (SCHEMAS, SELECTION_CRITERIA, Dataset, Trajectory, parse_dataset,
-                     select_trajectory, trajectory_digest, trip_endpoints)
+                     trajectory_digest)
 from .mapdoc import (DEFAULT_CLUSTER_DISTANCE_M, MapDocument, _padded_bbox, emit_map,
                      render_geojson, render_html)
 from .story import (NarrativeSpec, Story, StoryBackend, StoryContext,
@@ -106,8 +106,11 @@ Step = tuple[str, Callable[[RunState], str]]
 
 def _ingest(run: RunState) -> str:
     req = run.req
+    # a heatmap reads only the endpoints; a route story keeps its one trip
+    selection = ((req.selection, req.selection_id)
+                 if req.spec.mode == "single_trajectory" else None)
     try:
-        ds = parse_dataset(req.dataset_path, req.dataset_schema)
+        ds = parse_dataset(req.dataset_path, req.dataset_schema, selection)
     except OSError as exc:
         raise ConfigurationError(f"cannot read dataset {req.dataset_path!r}: {exc}") from exc
     if not len(ds):
@@ -119,7 +122,7 @@ def _ingest(run: RunState) -> str:
 
 
 def _hotspot_analytics(run: RunState) -> str:
-    run.grid = build_grid(trip_endpoints(run.ds), cell_size_m=run.req.cell_size_m)
+    run.grid = build_grid(run.ds.endpoints, cell_size_m=run.req.cell_size_m)
     run.hotspots = top_hotspots(run.grid, run.req.hotspot_k)
     run.rule = GroundingRule(run.req.policy, as_coords(h.center for h in run.hotspots),
                              along_path=False)
@@ -127,7 +130,9 @@ def _hotspot_analytics(run: RunState) -> str:
 
 
 def _route_analytics(run: RunState) -> str:
-    run.traj = select_trajectory(run.ds, run.req.selection, run.req.selection_id)
+    run.traj = run.ds.selected
+    if run.traj is None:        # a dataset with trips lacks only a by_id trip
+        raise NotFoundError(f"no trajectory with id {run.req.selection_id!r}")
     run.rule = GroundingRule(run.req.policy, run.traj.coords, along_path=True)
     return f"selected {run.traj.id} ({len(run.traj.coords)} points)"
 

@@ -1,6 +1,6 @@
 """Seeded synthetic data and scripted backends for tests and demos.
 
-Everything here produces ordinary pipeline inputs (datasets, stories,
+Everything here produces ordinary pipeline inputs (trajectories, stories,
 Kaggle-schema CSV files); nothing downstream can tell synthetic from real.
 Default geometry mimics the Porto metro extent so the distance thresholds
 carry over unchanged.
@@ -18,7 +18,7 @@ import numpy as np
 
 from .gazetteer import POI
 from .geo import BoundingBox, GeoPoint, meters_per_degree
-from .ingest import Dataset, KAGGLE_COLUMNS, Trajectory
+from .ingest import KAGGLE_COLUMNS, Trajectory
 from .story import NarrativeSpec, Story, StoryContext, count_words, extract_mentions
 
 PORTO_BBOX = BoundingBox(-8.70, 41.10, -8.50, 41.25)
@@ -91,11 +91,11 @@ def _pick_cluster(rng: random.Random, clusters: list[EndpointCluster]) -> Endpoi
     return clusters[-1]
 
 
-def generate_dataset(spec: SyntheticSpec) -> Dataset:
+def generate_dataset(spec: SyntheticSpec) -> list[Trajectory]:
     """Random-walk trajectories whose final points follow the cluster mix.
 
     One seeded generator drives every draw in sequence, so equal specs give
-    equal datasets. Without clusters, endpoints fall uniformly in the bbox.
+    equal trajectories. Without clusters, endpoints fall uniformly in the bbox.
     The last point of each walk is exactly the sampled endpoint; the
     endpoint statistics downstream depend on that.
     """
@@ -123,7 +123,7 @@ def generate_dataset(spec: SyntheticSpec) -> Dataset:
         points.append(end)
         trajectories.append(Trajectory(id=f"synt{i:05d}", coords=np.array(points),
                                        start_time=1_372_636_800 + 600 * i))
-    return Dataset.from_trajectories(trajectories, source_path=f"synthetic:seed={spec.seed}")
+    return trajectories
 
 
 def inject_hallucinations(story: Story, far_pois: list[POI]) -> Story:
@@ -164,22 +164,21 @@ def _bad_row(kind: int, i: int) -> dict:
     return row
 
 
-def write_kaggle_csv(ds: Dataset, path: str | Path, bad_rows: int = 0,
+def write_kaggle_csv(trajectories: list[Trajectory], path: str | Path, bad_rows: int = 0,
                      seed: int = 0) -> int:
-    """Write the dataset in Kaggle taxi schema, salting in known-bad rows.
+    """Write the trajectories in Kaggle taxi schema, salting in known-bad rows.
 
     Bad-row positions are seeded draws, so a file is reproducible from
-    (dataset, bad_rows, seed). A trip without a start time gets an empty
+    (trajectories, bad_rows, seed). A trip without a start time gets an empty
     TIMESTAMP cell. Returns the total data-row count.
     """
     good = []
-    offsets = ds.offsets.tolist()
-    for i, trip_id in enumerate(ds.ids):
+    for traj in trajectories:
         row = {c: "" for c in KAGGLE_COLUMNS}
-        row.update(TRIP_ID=trip_id, CALL_TYPE="A", TAXI_ID="20000100",
-                   TIMESTAMP="" if ds.start_times[i] is None else str(ds.start_times[i]),
+        row.update(TRIP_ID=traj.id, CALL_TYPE="A", TAXI_ID="20000100",
+                   TIMESTAMP="" if traj.start_time is None else str(traj.start_time),
                    DAY_TYPE="A", MISSING_DATA="False",
-                   POLYLINE=json.dumps(ds.coords[offsets[i]:offsets[i + 1]].tolist()))
+                   POLYLINE=json.dumps(traj.coords.tolist()))
         good.append(row)
     rows = list(good)
     rng = random.Random(seed)

@@ -1,4 +1,4 @@
-"""Test-side conveniences over the library's columnar types."""
+"""Test-side conveniences over the library's types."""
 
 from __future__ import annotations
 
@@ -6,8 +6,10 @@ import io
 import random
 from typing import Iterable
 
+import numpy as np
+
 from trajstory.geo import BoundingBox, GeoPoint, as_coords
-from trajstory.ingest import Dataset, Trajectory, parse_dataset
+from trajstory.ingest import Trajectory, parse_dataset
 from trajstory.story import MARKUP_CLOSE, MARKUP_OPEN, Mention
 
 
@@ -16,9 +18,9 @@ def contains(box: BoundingBox, p: GeoPoint) -> bool:
     return box.min_lon <= p.lon <= box.max_lon and box.min_lat <= p.lat <= box.max_lat
 
 
-def trajectories(ds: Dataset) -> list[Trajectory]:
-    """Every trip of ``ds`` as a Trajectory."""
-    return [ds.trajectory(i) for i in range(len(ds))]
+def endpoints(trajs: Iterable[Trajectory]) -> np.ndarray:
+    """The final point of each trip, as a float64 (T, 2) array."""
+    return np.array([t.coords[-1] for t in trajs], dtype=np.float64).reshape(-1, 2)
 
 
 def track(id: str, points: Iterable[GeoPoint], start_time: int | None = None) -> Trajectory:
@@ -31,15 +33,16 @@ def points(traj: Trajectory) -> list[GeoPoint]:
     return [GeoPoint(lon, lat) for lon, lat in traj.coords.tolist()]
 
 
-def records(ds: Dataset) -> list[tuple[str, list[GeoPoint], int | None]]:
-    """Every trip of ``ds`` as a comparable (id, points, start time) record."""
-    return [(t.id, points(t), t.start_time) for t in trajectories(ds)]
+def records(trajs: Iterable[Trajectory]) -> list[tuple[str, list[GeoPoint], int | None]]:
+    """Each trip as a comparable (id, points, start time) record."""
+    return [(t.id, points(t), t.start_time) for t in trajs]
 
 
 def point_list_round_trip(traj: Trajectory) -> Trajectory:
     """Serialize then re-parse; pins the round-trip contract."""
-    ds = parse_dataset(io.StringIO(to_point_list(traj)), "point_list")
-    return ds.trajectory(0)
+    ds = parse_dataset(io.StringIO(to_point_list(traj)), "point_list",
+                       ("longest_by_points", None))
+    return ds.selected
 
 
 def backtracking_walk(rng: random.Random, steps: int = 3000) -> list[GeoPoint]:

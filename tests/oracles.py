@@ -10,10 +10,12 @@ import csv
 import json
 from typing import IO
 
+import numpy as np
+
 from helpers import contains
-from trajstory.errors import ParseError
+from trajstory.errors import ConfigurationError, NotFoundError, ParseError
 from trajstory.geo import GeoPoint, as_coords, haversine_distance, meters_per_degree
-from trajstory.ingest import Trajectory
+from trajstory.ingest import SELECTION_CRITERIA, Trajectory, _path_lengths_m
 
 
 def dense_polyline_distance(q: GeoPoint, line: list[GeoPoint],
@@ -205,6 +207,36 @@ def reference_path_length_m(traj: Trajectory) -> float:
     """
     points = [GeoPoint(lon, lat) for lon, lat in traj.coords.tolist()]
     return sum(haversine_distance(a, b) for a, b in zip(points, points[1:]))
+
+
+def reference_select_trajectory(trajectories: list[Trajectory], criterion: str,
+                                trajectory_id: str | None = None) -> Trajectory:
+    """Pick one trip out of all of them at once. Ties on the longest_* criteria
+    break to the lowest id, and ``by_id`` takes the first trip with that id.
+
+    The selection rule from before a parse folded it block by block, kept as
+    its reference over ``reference_parse_kaggle``'s trips. The lengths come
+    from one ``_path_lengths_m`` call over all the trips laid end to end: a
+    tie is a tie of those bits, which the scalar ``reference_path_length_m``
+    does not reproduce to the last bit.
+    """
+    if criterion not in SELECTION_CRITERIA:
+        raise ConfigurationError(f"unknown selection criterion {criterion!r}")
+    if not trajectories:
+        raise ValueError("cannot select from an empty dataset")
+    ids = [t.id for t in trajectories]
+    if criterion == "by_id":
+        if trajectory_id not in ids:
+            raise NotFoundError(f"no trajectory with id {trajectory_id!r}")
+        return trajectories[ids.index(trajectory_id)]
+    if criterion == "longest_by_points":
+        metric = [len(t.coords) for t in trajectories]
+    else:
+        offsets = np.cumsum([0] + [len(t.coords) for t in trajectories])
+        metric = _path_lengths_m(np.concatenate([t.coords for t in trajectories]),
+                                 offsets).tolist()
+    tied = [i for i, m in enumerate(metric) if m == max(metric)]
+    return trajectories[min(tied, key=ids.__getitem__)]
 
 
 def reference_render_geojson(doc) -> str:

@@ -10,14 +10,14 @@ import time
 import pytest
 
 from conftest import FAR_POI_NAMES, PORTO_CLUSTERS
-from helpers import contains
+from helpers import contains, endpoints
 from oracles import (brute_force_clusters, dense_polyline_distance,
                      full_sort_hotspots)
 from trajstory.errors import StoryValidationError
 from trajstory.geo import GeoPoint, point_to_polyline_distance
 from trajstory.geo import as_coords as coords
 from trajstory.heatgrid import build_grid, top_hotspots
-from trajstory.ingest import parse_dataset, trip_endpoints
+from trajstory.ingest import parse_dataset
 from trajstory.mapdoc import emit_map, render_geojson
 from trajstory.pipeline import StoryRequest, discover, execute, write_bundle
 from trajstory.story import (NarrativeSpec, StoryContext, TemplateBackend,
@@ -84,10 +84,10 @@ def test_criterion_3_grid_conservation_and_hotspot_order():
     """Every one of 10,000 endpoints lands in exactly one bucket."""
     spec = SyntheticSpec(seed=SEED, n_trajectories=10_000,
                          endpoint_clusters=list(PORTO_CLUSTERS))
-    endpoints = trip_endpoints(generate_dataset(spec))
-    assert len(endpoints) == 10_000
+    ends = endpoints(generate_dataset(spec))
+    assert len(ends) == 10_000
 
-    grid = build_grid(endpoints)
+    grid = build_grid(ends)
     assert int(grid.counts.sum()) + grid.out_of_bbox == 10_000
     assert grid.total_in_bbox == int(grid.counts.sum())
 
@@ -157,15 +157,15 @@ def test_criterion_6_map_emission(gazetteer):
 
 def test_criterion_7_ingestion_counts(tmp_path):
     """1,000-row Kaggle-schema file, 63 rows known bad."""
-    ds = generate_dataset(SyntheticSpec(seed=SEED, n_trajectories=937))
+    trips = generate_dataset(SyntheticSpec(seed=SEED, n_trajectories=937))
     path = tmp_path / "trips.csv"
-    total = write_kaggle_csv(ds, path, bad_rows=63, seed=SEED)
+    total = write_kaggle_csv(trips, path, bad_rows=63, seed=SEED)
     assert total == 1000
 
     parsed = parse_dataset(str(path), "kaggle_porto")
     assert len(parsed) == 937
     assert parsed.skipped_rows == 63
-    assert len(trip_endpoints(parsed)) == 937
+    assert parsed.endpoints.tobytes() == endpoints(trips).tobytes()
 
 
 def test_criterion_8_determinism_sweep(cluster_csv, tmp_path):

@@ -16,7 +16,7 @@ from trajstory.cli import COMMAND_FLAGS, CONFIG_KEYS, main, parse_config
 from trajstory.errors import ConfigurationError
 from trajstory.gazetteer import default_fixture_path
 from trajstory.geo import GeoPoint
-from trajstory.ingest import KAGGLE_COLUMNS, parse_dataset, trip_endpoints
+from trajstory.ingest import KAGGLE_COLUMNS, parse_dataset
 from trajstory.synth import SyntheticSpec, generate_dataset, write_kaggle_csv
 from trajstory.validation import GroundingRule
 
@@ -61,7 +61,7 @@ class TestIngestCommand:
         assert f"skipped rows: {ds.skipped_rows}" in lines
         assert "skipped by reason: missing_data 0, bad_json 0, too_short 0, " \
                "out_of_range 0" in lines
-        assert f"endpoints: {len(trip_endpoints(ds))}" in lines
+        assert f"endpoints: {len(ds.endpoints)}" in lines
         assert lines[-1].startswith("endpoint bbox: lon [")
 
     def test_point_list_schema(self, capsys, route_file):
@@ -363,9 +363,11 @@ class TestArtifactsAreWholeOrUnchanged:
     OLD = {"story": ["story.txt", "story.json", "report.json", "report.txt",
                      "map.geojson", "map.html", "trace.json"],
            "map": ["map.geojson", "map.html"],
-           "validate": ["report.json"]}
+           "validate": ["report.json"],
+           "heatmap": ["grid.csv", "grid_meta.txt"]}
 
-    @pytest.mark.parametrize("command, fail_at", [("story", 2), ("map", 2), ("validate", 1)])
+    @pytest.mark.parametrize("command, fail_at", [("story", 2), ("map", 2), ("validate", 1),
+                                                  ("heatmap", 2)])
     def test_failed_write_keeps_the_old_files(self, capsys, tmp_path, monkeypatch,
                                               cluster_csv, route_file, command, fail_at):
         story = tmp_path / "story.txt"
@@ -374,7 +376,8 @@ class TestArtifactsAreWholeOrUnchanged:
         argv = {"story": ["story", "--dataset", str(cluster_csv)],
                 "map": ["map", str(story)],
                 "validate": ["validate", str(story), "--dataset", str(route_file),
-                             "--schema", "point_list"]}[command]
+                             "--schema", "point_list"],
+                "heatmap": ["heatmap", str(cluster_csv)]}[command]
         out_dir = tmp_path / "out"
         out_dir.mkdir()
         for name in self.OLD[command] + ["notes.txt"]:

@@ -1,15 +1,17 @@
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from helpers import endpoints
 from oracles import full_sort_hotspots, reference_grid_counts
 from trajstory.geo import BoundingBox, GeoPoint, meters_per_degree
 from trajstory.geo import as_coords as coords
 from trajstory.errors import ConfigurationError
 from trajstory import heatgrid
-from trajstory.heatgrid import (HeatGrid, build_grid, export_grid,
+from trajstory.heatgrid import (HeatGrid, build_grid, grid_files,
                                 summarize_for_story, top_hotspots)
-from trajstory.ingest import trip_endpoints
 
 # GPS-realistic coordinates: microdegree grid, so no draw ever sits within
 # float noise of a cell boundary
@@ -148,14 +150,14 @@ class TestTopHotspots:
         assert len(top_hotspots(grid, 10)) == 1
 
     def test_ranks_are_sequential_and_counts_descend(self, cluster_dataset):
-        grid = build_grid(trip_endpoints(cluster_dataset))
+        grid = build_grid(endpoints(cluster_dataset))
         spots = top_hotspots(grid, 8)
         assert [h.rank for h in spots] == list(range(1, len(spots) + 1))
         assert all(a.count >= b.count for a, b in zip(spots, spots[1:]))
 
     @pytest.mark.parametrize("k", [1, 5, 10])
     def test_matches_full_sort_oracle(self, cluster_dataset, k):
-        grid = build_grid(trip_endpoints(cluster_dataset))
+        grid = build_grid(endpoints(cluster_dataset))
         got = [(h.cell_row, h.cell_col, h.count) for h in top_hotspots(grid, k)]
         assert got == full_sort_hotspots(grid, k)
 
@@ -179,7 +181,7 @@ class TestTopHotspots:
 
 class TestSummary:
     def test_layout_and_share_arithmetic(self, cluster_dataset):
-        grid = build_grid(trip_endpoints(cluster_dataset))
+        grid = build_grid(endpoints(cluster_dataset))
         spots = top_hotspots(grid, 3)
         text = summarize_for_story(grid, spots)
         assert text == summarize_for_story(grid, spots)
@@ -198,10 +200,17 @@ class TestSummary:
 
 class TestExport:
     def test_csv_and_meta_round_trip(self, cluster_dataset, tmp_path):
-        grid = build_grid(trip_endpoints(cluster_dataset))
+        grid = build_grid(endpoints(cluster_dataset))
+        files = grid_files(grid)
+        assert list(files) == ["grid.csv", "grid_meta.txt"]
         csv_path = tmp_path / "grid.csv"
         meta_path = tmp_path / "grid_meta.txt"
-        export_grid(grid, str(csv_path), str(meta_path))
+        csv_path.write_text(files["grid.csv"], encoding="utf-8")
+        meta_path.write_text(files["grid_meta.txt"], encoding="utf-8")
+        # the bytes np.savetxt wrote before the grid went through write_files
+        saved = io.StringIO()
+        np.savetxt(saved, grid.counts, fmt="%d", delimiter=",")
+        assert files["grid.csv"] == saved.getvalue()
         back = np.loadtxt(csv_path, delimiter=",", dtype=np.int64, ndmin=2)
         assert np.array_equal(back, grid.counts)
         meta = dict(line.split(" = ") for line in

@@ -1,29 +1,28 @@
 import contextlib
 import csv
 import io
-import itertools
 import json
 import logging
 import multiprocessing
 import os
 import random
 import signal
+import tracemalloc
 import types
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from helpers import (backtracking_walk, iter_points, point_list_round_trip, points,
-                     to_point_list, track, trajectories, write_point_list)
-from oracles import reference_parse_kaggle, reference_path_length_m
+from helpers import (backtracking_walk, endpoints, iter_points, point_list_round_trip,
+                     points, to_point_list, track, write_point_list)
+from oracles import (reference_parse_kaggle, reference_path_length_m,
+                     reference_select_trajectory)
 from trajstory import ingest
 from trajstory.cli import main
 from trajstory.errors import ConfigurationError, NotFoundError, ParseError
 from trajstory.geo import GeoPoint
-from trajstory.ingest import (KAGGLE_COLUMNS, SKIP_REASONS, Dataset,
-                              parse_dataset, select_trajectory, trajectory_digest,
-                              trip_endpoints)
+from trajstory.ingest import KAGGLE_COLUMNS, SKIP_REASONS, parse_dataset, trajectory_digest
 from trajstory.synth import SyntheticSpec, generate_dataset, write_kaggle_csv
 
 HEADER = ["TRIP_ID", "CALL_TYPE", "ORIGIN_CALL", "ORIGIN_STAND", "TAXI_ID",
@@ -42,6 +41,20 @@ def kaggle_csv(rows):
 
 
 GOOD_POLY = "[[-8.61,41.14],[-8.62,41.15],[-8.63,41.16]]"
+# keep the trip with the most points, whole, as ``Dataset.selected``
+LONGEST = ("longest_by_points", None)
+
+
+def kaggle_rows(trips):
+    """Kaggle rows for ``kaggle_csv`` that carry each trip's id, start time and points."""
+    return [(t.id, "" if t.start_time is None else str(t.start_time), "False",
+             json.dumps(t.coords.tolist())) for t in trips]
+
+
+def select(trips, criterion, trajectory_id=None):
+    """The trip a parse of ``trips``, written as a Kaggle file, selects."""
+    return parse_dataset(kaggle_csv(kaggle_rows(trips)), "kaggle_porto",
+                         (criterion, trajectory_id)).selected
 
 needs_fork = pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                                 reason="decode workers are forked")
@@ -77,9 +90,10 @@ class TestKaggleParsing:
 
     def test_happy_path(self):
         ds = parse_dataset(kaggle_csv([("t1", "1372636858", "False", GOOD_POLY)]),
-                           "kaggle_porto")
+                           "kaggle_porto", LONGEST)
         assert len(ds) == 1
-        traj = trajectories(ds)[0]
+        assert ds.endpoints.tolist() == [[-8.63, 41.16]]
+        traj = ds.selected
         assert traj.id == "t1"
         assert traj.start_time == 1372636858
         assert points(traj)[0] == GeoPoint(-8.61, 41.14)
@@ -91,8 +105,8 @@ class TestKaggleParsing:
             ("t1", "1", "True", GOOD_POLY),
             ("t2", "2", "TRUE", GOOD_POLY),
             ("t3", "3", "False", GOOD_POLY),
-        ]), "kaggle_porto")
-        assert [t.id for t in trajectories(ds)] == ["t3"]
+        ]), "kaggle_porto", LONGEST)
+        assert (len(ds), ds.selected.id) == (1, "t3")
         assert ds.skipped_rows == 2
 
     @pytest.mark.parametrize("poly", [
@@ -107,8 +121,8 @@ class TestKaggleParsing:
     def test_unusable_polylines_are_counted_not_raised(self, poly):
         ds = parse_dataset(kaggle_csv([("bad", "1", "False", poly),
                                        ("ok", "2", "False", GOOD_POLY)]),
-                           "kaggle_porto")
-        assert [t.id for t in trajectories(ds)] == ["ok"]
+                           "kaggle_porto", LONGEST)
+        assert (len(ds), ds.selected.id) == (1, "ok")
         assert ds.skipped_rows == 1
 
     def test_row_count_conservation(self):
@@ -121,13 +135,13 @@ class TestKaggleParsing:
 
     def test_blank_trip_id_gets_row_fallback(self):
         ds = parse_dataset(kaggle_csv([("", "1", "False", GOOD_POLY)]),
-                           "kaggle_porto")
-        assert trajectories(ds)[0].id.startswith("row")
+                           "kaggle_porto", LONGEST)
+        assert ds.selected.id.startswith("row")
 
     def test_unparseable_timestamp_becomes_none(self):
         ds = parse_dataset(kaggle_csv([("t1", "later", "False", GOOD_POLY)]),
-                           "kaggle_porto")
-        assert trajectories(ds)[0].start_time is None
+                           "kaggle_porto", LONGEST)
+        assert ds.selected.start_time is None
 
     @pytest.mark.parametrize("from_path", [True, False])
     def test_byte_order_mark_is_not_part_of_the_header(self, tmp_path, from_path):
@@ -135,17 +149,17 @@ class TestKaggleParsing:
         path = tmp_path / "bom.csv"
         path.write_text(text, encoding="utf-8", newline="")
         ds = parse_dataset(str(path) if from_path else io.StringIO(text, newline=""),
-                           "kaggle_porto")
-        assert ds.ids == ["t1"]
+                           "kaggle_porto", LONGEST)
+        assert (len(ds), ds.selected.id) == (1, "t1")
 
 
 class TestPointListParsing:
     def test_header_and_blanks_tolerated(self, tmp_path):
         path = tmp_path / "walk.txt"
         path.write_text("lon,lat\n-8.61,41.14\n\n-8.62,41.15\n-8.63,41.16\n")
-        ds = parse_dataset(str(path), "point_list")
+        ds = parse_dataset(str(path), "point_list", LONGEST)
         assert len(ds) == 1
-        traj = trajectories(ds)[0]
+        traj = ds.selected
         assert traj.id == "walk"
         assert len(traj.coords) == 3
         assert ds.skipped_rows == 1  # the header line
@@ -155,19 +169,20 @@ class TestPointListParsing:
         text = "\ufeff-8.61,41.14\n-8.62,41.15\n"
         path = tmp_path / "walk.txt"
         path.write_text(text, encoding="utf-8")
-        ds = parse_dataset(str(path) if from_path else io.StringIO(text), "point_list")
-        assert ds.coords.tolist() == [[-8.61, 41.14], [-8.62, 41.15]]
+        ds = parse_dataset(str(path) if from_path else io.StringIO(text), "point_list",
+                           LONGEST)
+        assert ds.selected.coords.tolist() == [[-8.61, 41.14], [-8.62, 41.15]]
         assert ds.skipped_rows == 0
 
     def test_single_usable_point_yields_no_trajectory(self):
-        ds = parse_dataset(io.StringIO("-8.61,41.14\n"), "point_list")
-        assert trajectories(ds) == []
+        ds = parse_dataset(io.StringIO("-8.61,41.14\n"), "point_list", LONGEST)
+        assert len(ds) == 0 and ds.selected is None
 
     def test_malformed_lines_counted(self):
         ds = parse_dataset(io.StringIO("-8.61,41.14\nxyz\n-8.62;41.15\n-8.63,41.16\n"),
-                           "point_list")
+                           "point_list", LONGEST)
         assert ds.skipped_rows == 2
-        assert len(trajectories(ds)[0].coords) == 2
+        assert len(ds.selected.coords) == 2
 
     @given(vertices=st.lists(
         st.builds(GeoPoint,
@@ -185,69 +200,66 @@ class TestPointListParsing:
         path = tmp_path / "t.txt"
         write_point_list(traj, str(path))
         ds = parse_dataset(str(path), "point_list")
-        assert trip_endpoints(ds).tolist() == [[-8.62, 41.15]]
+        assert ds.endpoints.tolist() == [[-8.62, 41.15]]
 
 
 class TestSelection:
     @staticmethod
-    def dataset():
+    def trips():
         short_far = track("b", [GeoPoint(-8.60, 41.10), GeoPoint(-8.60, 41.20)])
         long_near = track("a", [GeoPoint(-8.61, 41.14), GeoPoint(-8.611, 41.141),
                                 GeoPoint(-8.612, 41.142)])
-        return Dataset.from_trajectories([short_far, long_near])
+        return [short_far, long_near]
 
     def test_unknown_criterion(self):
         with pytest.raises(ConfigurationError):
-            select_trajectory(self.dataset(), "shortest")
+            select(self.trips(), "shortest")
 
     def test_empty_dataset(self):
-        with pytest.raises(ValueError):
-            select_trajectory(Dataset(), "longest_by_points")
+        assert select([], "longest_by_points") is None
 
     def test_longest_by_points_vs_length_disagree(self):
-        ds = self.dataset()
-        assert select_trajectory(ds, "longest_by_points").id == "a"
-        assert select_trajectory(ds, "longest_by_length").id == "b"
+        assert select(self.trips(), "longest_by_points").id == "a"
+        assert select(self.trips(), "longest_by_length").id == "b"
 
     def test_tie_breaks_to_lowest_id(self):
         p = [GeoPoint(-8.61, 41.14), GeoPoint(-8.62, 41.15)]
-        ds = Dataset.from_trajectories([track("z", p), track("a", p)])
-        assert select_trajectory(ds, "longest_by_points").id == "a"
+        assert select([track("z", p), track("a", p)], "longest_by_points").id == "a"
 
     def test_length_tie_breaks_to_lowest_id(self):
         p = [GeoPoint(-8.61, 41.14), GeoPoint(-8.62, 41.15), GeoPoint(-8.60, 41.16)]
-        ds = Dataset.from_trajectories([track("m", p[:2]), track("z", p), track("a", p)])
-        assert select_trajectory(ds, "longest_by_length").id == "a"
+        trips = [track("m", p[:2]), track("z", p), track("a", p)]
+        assert select(trips, "longest_by_length").id == "a"
+        # 128 hops, the file's last trip: a trip's length must not depend on
+        # where it sits (summing a trailing 0.0 hop can move the last bit)
+        walk = backtracking_walk(random.Random(0), steps=128)
+        assert select([track("b", walk), track("a", walk)], "longest_by_length").id == "a"
 
     @given(trips=st.lists(st.lists(st.builds(GeoPoint, st.floats(-8.75, -8.45),
                                              st.floats(41.0, 41.3)),
                                    min_size=2, max_size=8), min_size=1, max_size=12))
     def test_longest_by_length_matches_the_per_point_lengths(self, trips):
-        ds = Dataset.from_trajectories(track(f"t{i:02d}", p) for i, p in enumerate(trips))
-        lengths = [reference_path_length_m(t) for t in trajectories(ds)]
-        chosen = select_trajectory(ds, "longest_by_length")
+        trips = [track(f"t{i:02d}", p) for i, p in enumerate(trips)]
+        lengths = [reference_path_length_m(t) for t in trips]
+        chosen = select(trips, "longest_by_length")
         # numpy's trigonometry and summation order may move the last bits
         assert lengths[int(chosen.id[1:])] >= max(lengths) * (1 - 1e-12)
-        want = ds.trajectory(int(chosen.id[1:]))
+        want = trips[int(chosen.id[1:])]
         assert (chosen.id, chosen.start_time) == (want.id, want.start_time)
         assert np.array_equal(chosen.coords, want.coords)
 
-    def test_selected_trip_is_a_read_only_view_of_the_columns(self):
-        ds = self.dataset()
-        chosen = select_trajectory(ds, "longest_by_points")
-        assert np.shares_memory(chosen.coords, ds.coords)
-        assert chosen.coords.tolist() == ds.coords[2:].tolist()
+    def test_selected_trip_is_a_read_only_copy(self):
+        chosen = select(self.trips(), "longest_by_points")
+        assert chosen.coords.tolist() == [[-8.61, 41.14], [-8.611, 41.141], [-8.612, 41.142]]
+        assert chosen.coords.base is None       # it keeps no decoded block alive
         with pytest.raises(ValueError):
             chosen.coords[0, 0] = 0.0
-        assert ds.coords.flags.writeable
 
     def test_by_id(self):
-        ds = self.dataset()
-        assert select_trajectory(ds, "by_id", "b").id == "b"
-        with pytest.raises(NotFoundError):
-            select_trajectory(ds, "by_id", "nope")
+        assert select(self.trips(), "by_id", "b").id == "b"
+        assert select(self.trips(), "by_id", "nope") is None
         with pytest.raises(ConfigurationError):
-            select_trajectory(ds, "by_id")
+            select(self.trips(), "by_id")
 
 
 class TestDigest:
@@ -279,29 +291,30 @@ class TestDigest:
         assert self.length_line(traj) == f"path length: {reference_path_length_m(traj):.0f} m"
 
     def test_path_length_matches_the_scalar_reference_on_synthetic_trips(self):
-        ds = generate_dataset(SyntheticSpec(seed=31, n_trajectories=500, max_points=200))
-        for traj in trajectories(ds):
+        for traj in generate_dataset(SyntheticSpec(seed=31, n_trajectories=500,
+                                                   max_points=200)):
             assert self.length_line(traj) == \
                 f"path length: {reference_path_length_m(traj):.0f} m"
 
 
 class TestSynthCsvRoundTrip:
     def test_generated_file_parses_back_identically(self, tmp_path):
-        ds = generate_dataset(SyntheticSpec(seed=5, n_trajectories=20))
+        trips = generate_dataset(SyntheticSpec(seed=5, n_trajectories=20))
         path = tmp_path / "synt.csv"
-        total = write_kaggle_csv(ds, path, bad_rows=7, seed=2)
+        total = write_kaggle_csv(trips, path, bad_rows=7, seed=2)
         assert total == 27
         back = parse_dataset(str(path), "kaggle_porto")
         assert len(back) == 20
         assert back.skipped_rows == 7
-        assert [t.id for t in trajectories(back)] == [t.id for t in trajectories(ds)]
-        assert [len(t.coords) for t in trajectories(back)] == \
-               [len(t.coords) for t in trajectories(ds)]
+        assert back.endpoints.tobytes() == endpoints(trips).tobytes()
+        for traj in trips:
+            got = parse_dataset(str(path), "kaggle_porto", ("by_id", traj.id)).selected
+            assert (got.id, got.start_time) == (traj.id, traj.start_time)
+            assert got.coords.tobytes() == traj.coords.tobytes()
 
     def test_iter_points_covers_every_vertex(self):
-        ds = generate_dataset(SyntheticSpec(seed=5, n_trajectories=4))
-        assert len(list(iter_points(trajectories(ds)))) == \
-               sum(len(t.coords) for t in trajectories(ds))
+        trips = generate_dataset(SyntheticSpec(seed=5, n_trajectories=4))
+        assert len(list(iter_points(trips))) == sum(len(t.coords) for t in trips)
 
 
 def test_to_point_list_uses_full_precision():
@@ -338,14 +351,14 @@ class TestSkipReasons:
     def test_each_unusable_row_counts_under_one_reason(self, missing, poly, reason):
         ds = parse_dataset(kaggle_csv([("bad", "1", missing, poly),
                                        ("ok", "2", "False", GOOD_POLY)]),
-                           "kaggle_porto")
-        assert ds.ids == ["ok"]
+                           "kaggle_porto", LONGEST)
+        assert (len(ds), ds.selected.id) == (1, "ok")
         assert ds.skipped_by_reason == {**dict.fromkeys(SKIP_REASONS, 0), reason: 1}
 
     def test_planted_bad_rows_sum_to_skipped_rows(self, tmp_path):
-        ds = generate_dataset(SyntheticSpec(seed=5, n_trajectories=20))
+        trips = generate_dataset(SyntheticSpec(seed=5, n_trajectories=20))
         path = tmp_path / "synt.csv"
-        write_kaggle_csv(ds, path, bad_rows=8, seed=2)   # two of each of four shapes
+        write_kaggle_csv(trips, path, bad_rows=8, seed=2)   # two of each of four shapes
         back = parse_dataset(str(path), "kaggle_porto")
         assert back.skipped_by_reason == {"missing_data": 2, "bad_json": 2,
                                           "too_short": 4, "out_of_range": 0}
@@ -354,21 +367,22 @@ class TestSkipReasons:
 
     def test_point_list_lines(self):
         ds = parse_dataset(io.StringIO("lon,lat\n-8.61,41.14\n200,41.1\nnan,41.1\n"
-                                       "-8.62,41.15\n"), "point_list")
+                                       "-8.62,41.15\n"), "point_list", LONGEST)
         assert ds.skipped_by_reason == {"missing_data": 0, "bad_json": 1,
                                         "too_short": 0, "out_of_range": 2}
-        assert ds.coords.tolist() == [[-8.61, 41.14], [-8.62, 41.15]]
+        assert ds.selected.coords.tolist() == [[-8.61, 41.14], [-8.62, 41.15]]
 
     def test_range_check_spans_block_boundaries(self, monkeypatch):
         monkeypatch.setattr("trajstory.ingest._BLOCK_ROWS", 2)
+        # row i's trip ends at latitude 41 + i
         rows = [(f"t{i}", str(i), "False",
-                 "[[-8.61,95.0],[-8.62,41.15]]" if i % 3 == 1 else GOOD_POLY)
+                 f"[[-8.61,{95.0 if i % 3 == 1 else 41.14}],[-8.62,41.15],[-8.63,{41 + i}]]")
                 for i in range(7)]
         ds = parse_dataset(kaggle_csv(rows), "kaggle_porto")
-        assert ds.ids == ["t0", "t2", "t3", "t5", "t6"]
-        assert ds.start_times == [0, 2, 3, 5, 6]
-        assert ds.offsets.tolist() == [0, 3, 6, 9, 12, 15]
+        assert ds.endpoints.tolist() == [[-8.63, 41 + i] for i in (0, 2, 3, 5, 6)]
         assert ds.skipped_by_reason["out_of_range"] == 2
+        t5 = parse_dataset(kaggle_csv(rows), "kaggle_porto", ("by_id", "t5")).selected
+        assert (t5.start_time, len(t5.coords)) == (5, 3)
 
 
 # -- the columnar parser against the per-point reference ----------------------
@@ -434,6 +448,11 @@ def kaggle_files(draw):
 class TestAgainstReferenceParser:
     @settings(max_examples=300, deadline=None)
     @given(text=kaggle_files())
+    # two trips each half a meridian long: their lengths tie on paper, and the
+    # pick follows the bits of the vectorized lengths, not of the scalar ones
+    @example(text='TRIP_ID,POLYLINE\r\n'
+                  't2,"[[0.0, 0.0], [0.0, -90.0], [0.0, 0.0]]"\r\n'
+                  't1,"[[0.0, 90.0], [0.0, 2.0], [0.0, -90.0]]"\r\n')
     def test_same_trips_bits_and_skips(self, text):
         self.check(text)
 
@@ -451,18 +470,24 @@ class TestAgainstReferenceParser:
 
     @staticmethod
     def check(text):
+        """Endpoints and skips; then the bits of the first trip of each id, and of
+        each longest_* pick, one selecting parse each."""
         want, want_skipped = reference_parse_kaggle(io.StringIO(text, newline=""))
         ds = parse_dataset(io.StringIO(text, newline=""), "kaggle_porto")
-        assert ds.ids == [t.id for t in want]
-        assert ds.start_times == [t.start_time for t in want]
-        assert ds.offsets.tolist() == [0] + list(
-            itertools.accumulate(len(t.coords) for t in want))
-        want_xy = np.array([(p.lon, p.lat) for t in want for p in points(t)],
-                           dtype=np.float64).reshape(-1, 2)
-        assert ds.coords.dtype == np.float64
-        assert ds.coords.tobytes() == want_xy.tobytes()
+        assert len(ds) == len(want)
+        assert ds.endpoints.dtype == np.float64
+        assert ds.endpoints.tobytes() == endpoints(want).tobytes()
         assert ds.skipped_rows == want_skipped
         assert sum(ds.skipped_by_reason.values()) == ds.skipped_rows
+        selections = [("by_id", trip_id) for trip_id in dict.fromkeys(t.id for t in want)]
+        if want:
+            selections += [("longest_by_points", None), ("longest_by_length", None)]
+        for selection in selections:
+            got = parse_dataset(io.StringIO(text, newline=""), "kaggle_porto",
+                                selection).selected
+            pick = reference_select_trajectory(want, *selection)
+            assert (got.id, got.start_time) == (pick.id, pick.start_time), selection
+            assert got.coords.tobytes() == pick.coords.tobytes(), selection
 
 
 # -- the block-parallel decode ---------------------------------------------------
@@ -505,19 +530,20 @@ class TestParallelDecode:
         monkeypatch.setattr("trajstory.ingest._BLOCK_ROWS", 64)
         caplog.set_level(logging.INFO, logger="trajstory.ingest")
         decode_workers(monkeypatch, 2)
-        parallel = parse_dataset(path, "kaggle_porto")
+        parallel = parse_dataset(path, "kaggle_porto", ("by_id", "row369"))
         assert "in 6 blocks, 2 decode workers" in caplog.text
         assert multiprocessing.active_children() == []
         decode_workers(monkeypatch, 0)
-        serial = parse_dataset(path, "kaggle_porto")
-        assert parallel.ids == serial.ids
-        assert parallel.start_times == serial.start_times
-        assert parallel.offsets.tobytes() == serial.offsets.tobytes()
-        assert parallel.coords.tobytes() == serial.coords.tobytes()
+        serial = parse_dataset(path, "kaggle_porto", ("by_id", "row369"))
+        assert len(parallel) == len(serial) == 310
+        assert parallel.endpoints.tobytes() == serial.endpoints.tobytes()
         assert parallel.skipped_by_reason == serial.skipped_by_reason
         assert serial.skipped_by_reason == {"missing_data": 10, "bad_json": 10,
                                             "too_short": 20, "out_of_range": 20}
-        assert parallel.ids[-3:] == ["row363", "x24", "row369"]
+        # the last row's blank trip id falls back to its line number
+        for ds in (parallel, serial):
+            assert (ds.selected.id, ds.selected.start_time) == ("row369", 27)
+            assert ds.selected.coords.tolist() == json.loads(GOOD_POLY)
 
     def test_one_block_or_one_core_forks_nothing(self, tmp_path, monkeypatch, caplog):
         path = str(self.synth_csv(tmp_path / "trips.csv"))
@@ -590,3 +616,123 @@ class TestParallelDecode:
         assert code == 3
         assert "decoding worker stopped (exit code 7)" in capsys.readouterr().err
         assert multiprocessing.active_children() == []
+
+
+# -- the fold: block by block, the same as all at once ---------------------------
+
+def zigzag(lat):
+    """16 points a few meters apart: the most points, a short way."""
+    return [[-8.61 + 1e-4 * (i % 2), lat + 1e-5 * i] for i in range(16)]
+
+
+FAR = [[-8.68, 41.12], [-8.60, 41.18], [-8.52, 41.23]]      # 3 points, the longest way
+
+
+def short(lat):
+    return [[-8.62, 41.15], [-8.621, lat], [-8.622, lat], [-8.623, lat]]
+
+
+# Four data rows per block (a MISSING_DATA row never reaches a block). The
+# trips tied on points (p*) and on length (l*) sit in different blocks, with
+# the lowest id in a later one, and p5 last in its block; "dup" spans two
+# blocks, and so does "p1", whose second trip ties the first on points and
+# id; the file's last trip ties with nothing.
+FOLD_ROWS = [
+    ("p9", "False", zigzag(41.10)), ("l7", "False", FAR),
+    ("f0", "False", short(41.160)), ("bj", "False", "[[-8.6,41.1],["),
+    ("f1", "False", short(41.161)), ("dup", "False", short(41.170)),
+    ("md", "True", FAR), ("f2", "False", short(41.162)), ("p5", "False", zigzag(41.10)),
+    ("l2", "False", FAR), ("dup", "False", short(41.171)),
+    ("ts", "False", [[-8.6, 41.1]]), ("f3", "False", short(41.163)),
+    ("p1", "False", zigzag(41.10)), ("or", "False", [[-8.6, 91.0], [-8.6, 41.1]]),
+    ("f4", "False", short(41.164)), ("l9", "False", FAR),
+    ("p1", "False", zigzag(41.11)), ("f5", "False", short(41.165)),
+]
+
+
+@needs_fork
+class TestFoldAcrossBlocks:
+    @pytest.fixture(autouse=True)
+    def _deadline(self):
+        with deadline():
+            yield
+
+    @staticmethod
+    def write(path):
+        rows = [(trip_id, str(1_000 + i), missing,
+                 poly if isinstance(poly, str) else json.dumps(poly))
+                for i, (trip_id, missing, poly) in enumerate(FOLD_ROWS)]
+        path.write_text(kaggle_csv(rows).getvalue(), encoding="utf-8", newline="")
+        return str(path)
+
+    def fold(self, path, monkeypatch, workers):
+        """(endpoints bytes, skips, (id, start time, coordinate bytes) per selection)."""
+        calls = decode_workers(monkeypatch, workers)
+        picks = {}
+        for selection in [None, ("longest_by_points", None), ("longest_by_length", None),
+                          ("by_id", "dup")]:
+            ds = parse_dataset(path, "kaggle_porto", selection)
+            if selection is None:
+                ends, skips, n = ds.endpoints.tobytes(), ds.skipped_by_reason, len(ds)
+            else:
+                t = ds.selected
+                picks[selection[0]] = (t.id, t.start_time, t.coords.tobytes())
+        assert calls == [workers] * 4 and multiprocessing.active_children() == []
+        return ends, skips, n, picks
+
+    def test_same_as_the_reference_rule_in_process_and_through_the_workers(
+            self, tmp_path, monkeypatch, caplog):
+        path = self.write(tmp_path / "fold.csv")
+        monkeypatch.setattr("trajstory.ingest._BLOCK_ROWS", 4)
+        caplog.set_level(logging.INFO, logger="trajstory.ingest")
+        serial = self.fold(path, monkeypatch, 0)
+        assert "19 rows in 5 blocks, 0 decode workers" in caplog.text
+        assert self.fold(path, monkeypatch, 2) == serial
+
+        with open(path, encoding="utf-8", newline="") as fh:
+            want, want_skipped = reference_parse_kaggle(fh)
+        ends, skips, n, picks = serial
+        assert (n, ends) == (len(want), endpoints(want).tobytes())
+        assert skips == dict.fromkeys(SKIP_REASONS, 1)
+        assert sum(skips.values()) == want_skipped
+        for criterion, trajectory_id in [("longest_by_points", None),
+                                         ("longest_by_length", None), ("by_id", "dup")]:
+            t = reference_select_trajectory(want, criterion, trajectory_id)
+            assert picks[criterion] == (t.id, t.start_time, t.coords.tobytes()), criterion
+        assert {c: p[:2] for c, p in picks.items()} == {
+            "longest_by_points": ("p1", 1013), "longest_by_length": ("l2", 1009),
+            "by_id": ("dup", 1005)}
+
+    def test_a_missing_by_id_trip_is_not_found(self, tmp_path, monkeypatch):
+        from trajstory.pipeline import StoryRequest, run_steps
+        from trajstory.story import NarrativeSpec
+        path = self.write(tmp_path / "fold.csv")
+        monkeypatch.setattr("trajstory.ingest._BLOCK_ROWS", 4)
+        decode_workers(monkeypatch, 2)
+        req = StoryRequest(dataset_path=path, spec=NarrativeSpec(mode="single_trajectory"),
+                           selection="by_id", selection_id="nope")
+        with pytest.raises(NotFoundError, match="nope"):
+            run_steps(req, ("ingest", "analytics"))
+        assert multiprocessing.active_children() == []
+
+
+def test_parse_memory_grows_with_trips_not_points(tmp_path, monkeypatch):
+    """An in-process parse of 128 blocks peaks below half its coordinates' bytes:
+    it holds one block's coordinates at a time, plus one point per trip."""
+    rng = np.random.default_rng(32)
+    xy = np.round(rng.uniform((-8.7, 41.1), (-8.5, 41.25), (1024, 40, 2)), 4)
+    rows = [(f"t{i:04d}", str(i), "False", json.dumps(trip.tolist()))
+            for i, trip in enumerate(xy)]
+    path = tmp_path / "trips.csv"
+    path.write_text(kaggle_csv(rows).getvalue(), encoding="utf-8", newline="")
+    monkeypatch.setattr("trajstory.ingest._BLOCK_ROWS", 8)
+    decode_workers(monkeypatch, 0)
+    parse_dataset(str(path), "kaggle_porto")          # warm up: lazy imports and caches
+    tracemalloc.start()
+    try:
+        ds = parse_dataset(str(path), "kaggle_porto")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < xy.nbytes / 2, (peak, xy.nbytes)
+    assert ds.endpoints.tobytes() == np.ascontiguousarray(xy[:, -1]).tobytes()

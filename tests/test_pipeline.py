@@ -7,13 +7,13 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import CENTRAL_ROUTE_NAMES
 from helpers import contains
+from oracles import reference_parse_kaggle, reference_select_trajectory
 from trajstory.errors import (ConfigurationError, InfrastructureError,
                               ParseError, StoryValidationError)
 from trajstory.gazetteer import Gazetteer, GazetteerConfig
 from trajstory.geo import (BoundingBox, GeoPoint, haversine_distance,
                            point_to_polyline_distance)
 from trajstory.geo import as_coords as coords
-from trajstory.ingest import select_trajectory
 from trajstory.pipeline import (StoryRequest, discover, execute, plan, run_steps,
                                 write_bundle)
 from trajstory.story import (NarrativeSpec, Story, TemplateBackend, count_words,
@@ -83,7 +83,11 @@ class TestPlan:
         assert [name for name, _ in plan(req)] == STEP_NAMES
         run = run_steps(req, ("ingest", "analytics", "discovery"))
         # analytics selects the trip by the default criterion, longest_by_points
-        assert run.traj.id == select_trajectory(run.ds, "longest_by_points").id
+        with open(cluster_csv, encoding="utf-8", newline="") as fh:
+            trips, _ = reference_parse_kaggle(fh)
+        want = reference_select_trajectory(trips, "longest_by_points")
+        assert run.traj is run.ds.selected
+        assert (run.traj.id, run.traj.coords.tobytes()) == (want.id, want.coords.tobytes())
         assert run.rule.along_path
         assert np.array_equal(run.rule.evidence, run.traj.coords)
         # discovery offers the places within the trajectory threshold of the path

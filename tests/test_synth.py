@@ -3,9 +3,9 @@ import math
 import pytest
 
 from conftest import PORTO_CLUSTERS
-from helpers import contains, points, records, track, trajectories
+from helpers import contains, points, records, track
 from trajstory.geo import GeoPoint, haversine_distance
-from trajstory.ingest import Dataset, parse_dataset, trajectory_digest
+from trajstory.ingest import parse_dataset, trajectory_digest
 from trajstory.story import NarrativeSpec, Story, count_words, extract_mentions
 from trajstory.synth import (EndpointCluster, PORTO_BBOX, ScriptedBackend,
                              SyntheticSpec, generate_dataset,
@@ -55,7 +55,6 @@ class TestGenerateDataset:
         a = generate_dataset(spec)
         b = generate_dataset(spec)
         assert records(a) == records(b)
-        assert a.source_path == "synthetic:seed=42"
 
     def test_different_seeds_differ(self):
         a = generate_dataset(SyntheticSpec(seed=1, n_trajectories=5))
@@ -64,9 +63,9 @@ class TestGenerateDataset:
 
     def test_shape_of_each_trajectory(self):
         spec = SyntheticSpec(seed=3, n_trajectories=25, min_points=5, max_points=9)
-        ds = generate_dataset(spec)
-        assert len(ds) == 25
-        for i, traj in enumerate(trajectories(ds)):
+        trips = generate_dataset(spec)
+        assert len(trips) == 25
+        for i, traj in enumerate(trips):
             assert traj.id == f"synt{i:05d}"
             assert 5 <= len(traj.coords) <= 9
             assert traj.start_time == 1_372_636_800 + 600 * i
@@ -76,15 +75,14 @@ class TestGenerateDataset:
         spec = SyntheticSpec(
             seed=9, n_trajectories=40,
             endpoint_clusters=[EndpointCluster(center, 1.0, 0.0)])
-        for traj in trajectories(generate_dataset(spec)):
+        for traj in generate_dataset(spec):
             assert points(traj)[-1] == center
 
     def test_endpoints_track_the_cluster_mix(self):
         spec = SyntheticSpec(seed=11, n_trajectories=10_000,
                              endpoint_clusters=list(PORTO_CLUSTERS))
-        ds = generate_dataset(spec)
         counts = [0] * len(PORTO_CLUSTERS)
-        for traj in trajectories(ds):
+        for traj in generate_dataset(spec):
             end = points(traj)[-1]
             dists = [haversine_distance(end, c.center) for c in PORTO_CLUSTERS]
             counts[dists.index(min(dists))] += 1
@@ -96,16 +94,14 @@ class TestGenerateDataset:
         spec = SyntheticSpec(
             seed=13, n_trajectories=4000,
             endpoint_clusters=[EndpointCluster(center, 1.0, 120.0)])
-        ds = generate_dataset(spec)
         d2 = [haversine_distance(points(t)[-1], center) ** 2
-              for t in trajectories(ds)]
+              for t in generate_dataset(spec)]
         # 2-d gaussian: E[d^2] = 2 sigma^2
         rms = math.sqrt(sum(d2) / len(d2))
         assert rms == pytest.approx(120.0 * math.sqrt(2), rel=0.05)
 
     def test_uniform_endpoints_stay_in_the_bbox(self):
-        ds = generate_dataset(SyntheticSpec(seed=5, n_trajectories=200))
-        for traj in trajectories(ds):
+        for traj in generate_dataset(SyntheticSpec(seed=5, n_trajectories=200)):
             assert contains(PORTO_BBOX, points(traj)[-1])
             assert contains(PORTO_BBOX, points(traj)[0])
 
@@ -147,41 +143,40 @@ class TestInjection:
 
 class TestKaggleWriter:
     def test_round_trip_counts(self, tmp_path):
-        ds = generate_dataset(SyntheticSpec(seed=21, n_trajectories=50))
+        trips = generate_dataset(SyntheticSpec(seed=21, n_trajectories=50))
         path = tmp_path / "taxi.csv"
-        total = write_kaggle_csv(ds, path, bad_rows=13, seed=4)
+        total = write_kaggle_csv(trips, path, bad_rows=13, seed=4)
         assert total == 63
         parsed = parse_dataset(str(path), "kaggle_porto")
         assert len(parsed) == 50
         assert parsed.skipped_rows == 13
 
     def test_parsed_geometry_matches_the_source(self, tmp_path):
-        ds = generate_dataset(SyntheticSpec(seed=22, n_trajectories=8))
+        trips = generate_dataset(SyntheticSpec(seed=22, n_trajectories=8))
         path = tmp_path / "taxi.csv"
-        write_kaggle_csv(ds, path)
-        parsed = parse_dataset(str(path), "kaggle_porto")
-        by_id = {t.id: t for t in trajectories(parsed)}
-        for traj in trajectories(ds):
-            assert points(by_id[traj.id]) == points(traj)
-            assert by_id[traj.id].start_time == traj.start_time
+        write_kaggle_csv(trips, path)
+        for traj in trips:
+            parsed = parse_dataset(str(path), "kaggle_porto", ("by_id", traj.id)).selected
+            assert points(parsed) == points(traj)
+            assert parsed.start_time == traj.start_time
 
     def test_start_times_round_trip_with_none_and_zero(self, tmp_path):
         walk = [GeoPoint(-8.61, 41.14), GeoPoint(-8.62, 41.15)]
-        ds = Dataset.from_trajectories([track("none", walk), track("zero", walk, start_time=0),
-                                        track("set", walk, start_time=1_372_636_800)])
+        trips = [track("none", walk), track("zero", walk, start_time=0),
+                 track("set", walk, start_time=1_372_636_800)]
         path = tmp_path / "taxi.csv"
-        write_kaggle_csv(ds, path)
-        parsed = parse_dataset(str(path), "kaggle_porto")
-        assert parsed.ids == ["none", "zero", "set"]
-        assert parsed.start_times == [None, 0, 1_372_636_800]
-        assert "start time" not in trajectory_digest(parsed.trajectory(0))
-        assert "start time (unix): 0" in trajectory_digest(parsed.trajectory(1))
+        write_kaggle_csv(trips, path)
+        parsed = [parse_dataset(str(path), "kaggle_porto", ("by_id", t.id)).selected
+                  for t in trips]
+        assert [t.start_time for t in parsed] == [None, 0, 1_372_636_800]
+        assert "start time" not in trajectory_digest(parsed[0])
+        assert "start time (unix): 0" in trajectory_digest(parsed[1])
 
     def test_bad_row_placement_is_seeded(self, tmp_path):
-        ds = generate_dataset(SyntheticSpec(seed=23, n_trajectories=20))
+        trips = generate_dataset(SyntheticSpec(seed=23, n_trajectories=20))
         a, b, c = (tmp_path / n for n in ("a.csv", "b.csv", "c.csv"))
-        write_kaggle_csv(ds, a, bad_rows=7, seed=1)
-        write_kaggle_csv(ds, b, bad_rows=7, seed=1)
-        write_kaggle_csv(ds, c, bad_rows=7, seed=2)
+        write_kaggle_csv(trips, a, bad_rows=7, seed=1)
+        write_kaggle_csv(trips, b, bad_rows=7, seed=1)
+        write_kaggle_csv(trips, c, bad_rows=7, seed=2)
         assert a.read_bytes() == b.read_bytes()
         assert a.read_bytes() != c.read_bytes()
