@@ -102,6 +102,12 @@ def test_known_pois_porto(benchmark, gazetteer):
     assert benchmark(gazetteer.known_pois, PORTO_BBOX)
 
 
+def test_emit_map_fixture_pool(benchmark, gazetteer):
+    pois = gazetteer.known_pois(PORTO_BBOX)
+    doc = benchmark(emit_map, pois, cluster_distance_m=150.0)
+    assert len(doc.legend) == len(pois)
+
+
 def test_parse_dataset_20k_trips(benchmark, kaggle_file):
     ds = benchmark.pedantic(parse_dataset, (kaggle_file, "kaggle_porto"), rounds=3)
     assert len(ds) == 20_000

@@ -9,8 +9,8 @@ from .errors import (ConfigurationError, InfrastructureError, MalformedStoryErro
                      NotFoundError, ParseError, ProtocolError,
                      StoryValidationError, TrajstoryError)
 from .gazetteer import POI, Gazetteer, GazetteerConfig, normalize_name
-from .geo import (EARTH_RADIUS_M, BoundingBox, GeoPoint, haversine_distance,
-                  meters_per_degree, point_to_polyline_distance)
+from .geo import (EARTH_RADIUS_M, BoundingBox, GeoPoint, meters_per_degree,
+                  point_to_polyline_distance)
 from .heatgrid import HeatGrid, Hotspot, build_grid, summarize_for_story, top_hotspots
 from .ingest import Dataset, Trajectory, parse_dataset
 from .mapdoc import MapDocument, emit_map, render_geojson, render_html
@@ -33,7 +33,7 @@ __all__ = [
     "StoryResult", "StoryValidationError", "Trajectory", "TrajstoryError",
     "TemplateBackend", "ValidationReport", "build_grid",
     "build_prompt", "count_words", "emit_map", "execute", "extract_mentions",
-    "feedback_text", "generate_story", "haversine_distance",
+    "feedback_text", "generate_story",
     "meters_per_degree", "normalize_name", "parse_dataset", "plan",
     "point_to_polyline_distance", "render_geojson", "render_html",
     "strip_markup", "summarize_for_story",

@@ -4,8 +4,8 @@ Configuration is a flat key=value file with ``#`` comments; flags override
 file values, and the backend auth token only ever comes from the
 environment. ``CONFIG_KEYS`` is the one list of keys: it converts their
 text, spells their flags and says which dataclass field each one sets, so
-every default is that field's default. Exit codes are stable: 0 success,
-2 configuration, 3 parse, 4 infrastructure, 5 validation failure.
+every default is that field's default. Exit codes are stable: 0 on
+success, else the ``exit_code`` that the error's class in ``errors`` declares.
 """
 
 from __future__ import annotations
@@ -18,10 +18,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .errors import (ConfigurationError, EXIT_CONFIG, EXIT_INFRA, EXIT_OK,
-                     EXIT_PARSE, EXIT_VALIDATION, InfrastructureError,
-                     NotFoundError, ParseError, StoryValidationError,
-                     TrajstoryError)
+from .errors import ConfigurationError, ParseError, StoryValidationError, TrajstoryError
 from .gazetteer import Gazetteer, GazetteerConfig
 from .geo import BoundingBox, bbox_of_coords
 from .heatgrid import grid_files, summarize_for_story
@@ -207,10 +204,8 @@ def _read_story(path: str) -> tuple[str, list[Mention]]:
     return text, mentions
 
 
-def _out_dir(args: argparse.Namespace, default: str = "out") -> Path:
-    out = Path(args.output_dir or default)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _out_dir(args: argparse.Namespace) -> Path:
+    return Path(args.output_dir or "out")
 
 
 # -- commands --------------------------------------------------------------
@@ -229,7 +224,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         box = bbox_of_coords(endpoints)
         print(f"endpoint bbox: lon [{box.min_lon:.4f}, {box.max_lon:.4f}] "
               f"lat [{box.min_lat:.4f}, {box.max_lat:.4f}]")
-    return EXIT_OK
+    return 0
 
 
 def cmd_heatmap(args: argparse.Namespace) -> int:
@@ -238,7 +233,7 @@ def cmd_heatmap(args: argparse.Namespace) -> int:
     print(summarize_for_story(run.grid, run.hotspots), end="")
     paths = write_files(_out_dir(args), grid_files(run.grid))
     log.info("wrote %s", " and ".join(map(str, paths)))
-    return EXIT_OK
+    return 0
 
 
 def cmd_story(args: argparse.Namespace) -> int:
@@ -252,14 +247,14 @@ def cmd_story(args: argparse.Namespace) -> int:
         write_failure(exc, out)
         print(f"error: {exc}", file=sys.stderr)
         print(f"failing report written to {out / 'report.txt'}", file=sys.stderr)
-        return EXIT_VALIDATION
+        return exc.exit_code
     paths = write_bundle(result, _out_dir(args))
     print(f"story passed validation after {result.attempts} attempt(s)")
     print(f"words: {result.story.word_count}  "
           f"POIs: {len(result.report.per_poi)}  markers: {len(result.map.markers)}")
     for path in paths:
         print(f"wrote {path}")
-    return EXIT_OK
+    return 0
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
@@ -275,7 +270,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
         out = _out_dir(args)
         write_files(out, {"report.json": files["report.json"]})
         log.info("wrote %s", out / "report.json")
-    return EXIT_OK if report.overall else EXIT_VALIDATION
+    return 0 if report.overall else StoryValidationError.exit_code
 
 
 def cmd_map(args: argparse.Namespace) -> int:
@@ -301,7 +296,7 @@ def cmd_map(args: argparse.Namespace) -> int:
     print(f"markers: {len(doc.markers)}  legend rows: {len(doc.legend)}")
     for path in paths:
         print(f"wrote {path}")
-    return EXIT_OK
+    return 0
 
 
 # -- argument wiring -------------------------------------------------------
@@ -349,25 +344,13 @@ def main(argv: list[str] | None = None) -> int:
                         format="%(levelname)s %(message)s")
     try:
         return args.func(args)
-    except ConfigurationError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (ParseError, NotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE if isinstance(exc, ParseError) else EXIT_CONFIG
-    except InfrastructureError as exc:
-        step = f" (step: {exc.step})" if exc.step else ""
-        print(f"infrastructure error{step}: {exc}", file=sys.stderr)
-        return EXIT_INFRA
-    except StoryValidationError as exc:
-        print(f"validation failure: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     except TrajstoryError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        step = f" (step: {exc.step})" if exc.step else ""
+        print(f"{exc.label}{step}: {exc}", file=sys.stderr)
+        return exc.exit_code
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        print(f"{TrajstoryError.label}: {exc}", file=sys.stderr)
+        return TrajstoryError.exit_code
 
 
 if __name__ == "__main__":

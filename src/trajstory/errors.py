@@ -1,18 +1,29 @@
 """Exception hierarchy shared across the pipeline.
 
-The CLI maps each class to a distinct exit code, so keep the split between
-configuration, parse, infrastructure and validation failures intact.
+Each class declares the CLI exit code and the stderr label of its family,
+so keep the split between configuration, parse, infrastructure and
+validation failures intact.
 """
 
 from __future__ import annotations
 
 
 class TrajstoryError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.
+
+    ``step`` names the pipeline step that hit the failure when the
+    orchestrator propagates it, else None.
+    """
+
+    exit_code = 2
+    label = "error"
+    step: str | None = None
 
 
 class ConfigurationError(TrajstoryError):
     """Invalid or inconsistent configuration (bad schema tag, bad request)."""
+
+    label = "configuration error"
 
 
 class ParseError(TrajstoryError):
@@ -21,6 +32,8 @@ class ParseError(TrajstoryError):
     ``offset`` carries the character position for story markup errors when
     known, else None.
     """
+
+    exit_code = 3
 
     def __init__(self, message: str, offset: int | None = None):
         super().__init__(message)
@@ -32,15 +45,10 @@ class NotFoundError(TrajstoryError):
 
 
 class InfrastructureError(TrajstoryError):
-    """Transient failure of an external dependency; safe to retry.
+    """Transient failure of an external dependency; safe to retry."""
 
-    ``step`` names the pipeline step that hit the failure when the error is
-    propagated by the orchestrator.
-    """
-
-    def __init__(self, message: str, step: str | None = None):
-        super().__init__(message)
-        self.step = step
+    exit_code = 4
+    label = "infrastructure error"
 
 
 class ProtocolError(InfrastructureError):
@@ -54,16 +62,11 @@ class MalformedStoryError(TrajstoryError):
 class StoryValidationError(TrajstoryError):
     """Generation retries exhausted; carries the last report and the trace."""
 
+    exit_code = 5
+    label = "validation failure"
+
     def __init__(self, message: str, report=None, trace=None, story=None):
         super().__init__(message)
         self.report = report
         self.trace = trace
         self.story = story
-
-
-# CLI exit codes, one per error class family.
-EXIT_OK = 0
-EXIT_CONFIG = 2
-EXIT_PARSE = 3
-EXIT_INFRA = 4
-EXIT_VALIDATION = 5

@@ -54,6 +54,8 @@ class POI:
     blurb: str | None = None
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise TypeError(f"POI name must be a string, got {type(self.name).__name__}")
         if not self.name:
             raise ValueError("POI name must be non-empty")
 
@@ -177,11 +179,10 @@ class Gazetteer:
                     continue
                 try:
                     entry = json.loads(line.decode("utf-8"))
-                    index[entry["key"]] = POI(name=entry["name"],
-                                              location=GeoPoint(entry["lon"], entry["lat"]),
+                    location = GeoPoint(float(entry["lon"]), float(entry["lat"]))
+                    index[entry["key"]] = POI(name=entry["name"], location=location,
                                               category=entry.get("category"),
-                                              source="cache",
-                                              blurb=entry.get("blurb"))
+                                              source="cache", blurb=entry.get("blurb"))
                 except (KeyError, TypeError, ValueError):
                     continue    # a torn or foreign line must not poison the journal
         return index

@@ -51,15 +51,6 @@ class BoundingBox:
                         (self.min_lat + self.max_lat) / 2.0)
 
 
-def haversine_distance(a: GeoPoint, b: GeoPoint) -> float:
-    """Great-circle distance between two points, in meters."""
-    lon1, lat1, lon2, lat2 = map(math.radians, (a.lon, a.lat, b.lon, b.lat))
-    dlon = lon2 - lon1
-    dlat = lat2 - lat1
-    h = math.sin(dlat / 2) ** 2 + math.cos(lat1) * math.cos(lat2) * math.sin(dlon / 2) ** 2
-    return arc_m(h)
-
-
 def arc_m(h: float) -> float:
     """Meters of great circle for the haversine term ``h``; increasing in ``h``."""
     return 2.0 * EARTH_RADIUS_M * math.asin(math.sqrt(h))
@@ -68,8 +59,8 @@ def arc_m(h: float) -> float:
 def haversine_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise great-circle distances in meters between two (N, 2) lon/lat arrays.
 
-    The same formula as ``haversine_distance``; numpy's trigonometry may
-    differ from ``math`` in the last bit.
+    The formula of ``haversine_h``, all in numpy, so a value may differ from
+    ``arc_m`` of its term in the last bit.
     """
     lon1, lat1 = np.radians(a[:, 0]), np.radians(a[:, 1])
     lon2, lat2 = np.radians(b[:, 0]), np.radians(b[:, 1])
@@ -89,11 +80,13 @@ def as_coords(points: Iterable[GeoPoint]) -> np.ndarray:
 
 
 def haversine_h(p: GeoPoint, lon: np.ndarray, lat: np.ndarray) -> np.ndarray:
-    """``haversine_distance``'s term ``h`` from ``p`` to each (lon, lat), in the same
-    operation order; ``arc_m`` of an element is its distance in meters.
+    """The haversine term ``h`` from ``p`` to each (lon, lat); ``arc_m`` of an
+    element is its distance in meters.
 
-    A float's ``** 2`` calls libm ``pow``, which is not always the rounded
-    ``x * x`` that numpy's ``** 2`` gives; ``float_power`` calls ``pow`` too.
+    Each element has the bits of the scalar formula over Python floats, in
+    the same operation order: a float's ``** 2`` calls libm ``pow``, which is
+    not always the rounded ``x * x`` that numpy's ``** 2`` gives, and
+    ``float_power`` calls ``pow`` too.
     """
     lon1, lat1 = math.radians(p.lon), math.radians(p.lat)
     lat2 = np.radians(lat)

@@ -4,7 +4,7 @@ Markers carry numbers only; the legend maps each number back to a POI name
 in story order. POIs within ``cluster_distance_m`` of each other collapse
 into a single marker so that neighboring labels do not pile up, which is
 why a marker can carry several numbers. Output is a GeoJSON feature
-collection and, on request, a static HTML page over public map tiles.
+collection and a static HTML page over public map tiles.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gazetteer import POI
-from .geo import BoundingBox, GeoPoint, as_coords, bbox_of_coords, haversine_distance
+from .geo import BoundingBox, GeoPoint, arc_m, as_coords, bbox_of_coords, haversine_h
 from .ingest import Trajectory
 
 DEFAULT_CLUSTER_DISTANCE_M = 150.0
@@ -42,7 +42,7 @@ def _cluster_indices(points: list[GeoPoint], cluster_distance_m: float) -> list[
 
     A pair closer than the threshold links its two clusters, so chains of
     nearby points merge transitively. At threshold 0 only coincident points
-    share a cluster.
+    share a cluster. Pairs are measured with grounding's haversine kernel.
     """
     parent = list(range(len(points)))
 
@@ -52,9 +52,12 @@ def _cluster_indices(points: list[GeoPoint], cluster_distance_m: float) -> list[
             i = parent[i]
         return i
 
-    for i in range(len(points)):
-        for j in range(i + 1, len(points)):
-            if haversine_distance(points[i], points[j]) <= cluster_distance_m:
+    coords = as_coords(points)
+    lon, lat = coords[:, 0], coords[:, 1]
+    for i, p in enumerate(points):
+        h = haversine_h(p, lon[i + 1:], lat[i + 1:])
+        for j, h_ij in enumerate(h.tolist(), i + 1):
+            if arc_m(h_ij) <= cluster_distance_m:
                 ri, rj = find(i), find(j)
                 if ri != rj:
                     parent[rj] = ri
@@ -173,7 +176,7 @@ _HTML_PAGE = """<!DOCTYPE html>
 <html>
 <head>
 <meta charset="utf-8">
-<title>{title}</title>
+<title>trajstory map</title>
 <link rel="stylesheet" href="https://unpkg.com/leaflet@1.9.4/dist/leaflet.css">
 <script src="https://unpkg.com/leaflet@1.9.4/dist/leaflet.js"></script>
 <style>
@@ -215,11 +218,11 @@ data.features.forEach(function (f) {{
 """
 
 
-def render_html(doc: MapDocument, geojson: str, title: str = "trajstory map") -> str:
+def render_html(doc: MapDocument, geojson: str) -> str:
     """Self-contained page over OpenStreetMap raster tiles; no server needed.
 
     ``geojson`` is ``render_geojson(doc)``, encoded once by the caller for
-    both files. Names are text: the legend and title are HTML-escaped, and
+    both files. Names are text: the legend is HTML-escaped, and
     the embedded GeoJSON spells ``&<>`` as JSON escapes, so no name can
     close ``<script>``.
     """
@@ -228,6 +231,5 @@ def render_html(doc: MapDocument, geojson: str, title: str = "trajstory map") ->
     geojson = geojson.rstrip("\n")
     for char, escape in (("&", "\\u0026"), ("<", "\\u003c"), (">", "\\u003e")):
         geojson = geojson.replace(char, escape)
-    return _HTML_PAGE.format(title=html.escape(title, quote=False),
-                             legend_items=legend_items, geojson=geojson)
+    return _HTML_PAGE.format(legend_items=legend_items, geojson=geojson)
 

@@ -316,16 +316,14 @@ def write_files(out_dir: str | Path, files: dict[str, str]) -> list[Path]:
     return paths
 
 
-def write_bundle(result: StoryResult, out_dir: str | Path,
-                 with_html: bool = True) -> list[Path]:
+def write_bundle(result: StoryResult, out_dir: str | Path) -> list[Path]:
     """Drop the run's artifacts in ``out_dir``; returns the paths written."""
     geojson = render_geojson(result.map)
     files = {"story.txt": result.story.text,
              "story.json": _json_text(story_to_dict(result.story)),
              **report_files(result.report),
-             "map.geojson": geojson}
-    if with_html:
-        files["map.html"] = render_html(result.map, geojson)
+             "map.geojson": geojson,
+             "map.html": render_html(result.map, geojson)}
     trace_rows = [{"step": t.step, "detail": t.detail, "seconds": t.seconds}
                   for t in result.trace]
     files["trace.json"] = _json_text({"attempts": result.attempts, "steps": trace_rows})

@@ -8,14 +8,28 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from typing import IO
 
 import numpy as np
 
 from helpers import contains
 from trajstory.errors import ConfigurationError, NotFoundError, ParseError
-from trajstory.geo import GeoPoint, as_coords, haversine_distance, meters_per_degree
+from trajstory.geo import GeoPoint, arc_m, as_coords, meters_per_degree
 from trajstory.ingest import SELECTION_CRITERIA, Trajectory, _path_lengths_m
+
+
+def haversine_distance(a: GeoPoint, b: GeoPoint) -> float:
+    """Great-circle distance between two points, in meters.
+
+    The scalar formula over Python floats; ``arc_m(geo.haversine_h(a, ...))``
+    must give the same bits.
+    """
+    lon1, lat1, lon2, lat2 = map(math.radians, (a.lon, a.lat, b.lon, b.lat))
+    dlon = lon2 - lon1
+    dlat = lat2 - lat1
+    h = math.sin(dlat / 2) ** 2 + math.cos(lat1) * math.cos(lat2) * math.sin(dlon / 2) ** 2
+    return arc_m(h)
 
 
 def dense_polyline_distance(q: GeoPoint, line: list[GeoPoint],
@@ -40,8 +54,6 @@ def dense_polyline_distance_spaced(q: GeoPoint, line: list[GeoPoint],
     Overestimates the true minimum by at most ~spacing_m / 2 (point between
     two samples), regardless of segment length.
     """
-    import math
-
     best = min(haversine_distance(q, v) for v in line)
     for a, b in zip(line, line[1:]):
         n = max(1, math.ceil(haversine_distance(a, b) / spacing_m))

@@ -12,6 +12,7 @@ from hypothesis import event, given, settings, strategies as st
 from conftest import CENTRAL_ROUTE_NAMES, FAR_POI_NAMES
 from helpers import backtracking_walk
 from oracles import reference_segment_distances
+from trajstory import cli, errors
 from trajstory.cli import COMMAND_FLAGS, CONFIG_KEYS, main, parse_config
 from trajstory.errors import ConfigurationError
 from trajstory.gazetteer import default_fixture_path
@@ -147,6 +148,23 @@ class TestStoryCommand:
             assert code == 0
         for name in ("story.txt", "map.geojson", "report.json"):
             assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
+
+    def test_cache_line_with_a_non_string_name_is_skipped(self, capsys, cluster_csv,
+                                                          tmp_path):
+        bad = json.dumps({"key": "k|none", "name": 7, "lon": -8.6, "lat": 41.1}) + "\n"
+        bundles = []
+        for journal in ("", bad):
+            run_dir = tmp_path / str(len(bundles))
+            run_dir.mkdir()
+            (run_dir / "cache.jsonl").write_text(journal, encoding="utf-8")
+            (run_dir / "run.cfg").write_text(f"cache = {run_dir / 'cache.jsonl'}\n")
+            code, _, err = run(capsys, "story", "--dataset", str(cluster_csv), "--offline",
+                               "--config", str(run_dir / "run.cfg"),
+                               "--output-dir", str(run_dir / "out"))
+            assert (code, err) == (0, "")
+            bundles.append({p.name: p.read_bytes() for p in (run_dir / "out").iterdir()
+                            if p.name != "trace.json"})
+        assert bundles[0] == bundles[1]
 
     def test_flags_override_config_values(self, capsys, cluster_csv, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -464,6 +482,46 @@ def test_hostile_input_gets_a_stable_exit_code(capsys, tmp_path, cluster_csv, co
                       *flags)
     assert got == code
     assert message in err
+
+
+def _with_step(exc, step):
+    exc.step = step
+    return exc
+
+
+# Each error class with the exit code the README gives it and the first line
+# it prints on stderr.
+EXIT_TABLE = [
+    (errors.TrajstoryError("boom"), 2, "error: boom"),
+    (errors.ConfigurationError("boom"), 2, "configuration error: boom"),
+    (errors.ParseError("boom", offset=3), 3, "error: boom"),
+    (errors.NotFoundError("boom"), 2, "error: boom"),
+    (errors.InfrastructureError("boom"), 4, "infrastructure error: boom"),
+    (errors.ProtocolError("boom"), 4, "infrastructure error: boom"),
+    (_with_step(errors.ProtocolError("boom"), "generate"), 4,
+     "infrastructure error (step: generate): boom"),
+    (errors.MalformedStoryError("boom"), 2, "error: boom"),
+    (errors.StoryValidationError("boom"), 5, "validation failure: boom"),
+    (OSError("boom"), 2, "error: boom"),
+]
+
+
+def test_exit_table_covers_every_error_class():
+    classes = {cls for cls in vars(errors).values()
+               if isinstance(cls, type) and issubclass(cls, Exception)}
+    assert classes == {type(exc) for exc, _, _ in EXIT_TABLE} - {OSError}
+
+
+@pytest.mark.parametrize("exc, code, line", EXIT_TABLE,
+                         ids=[f"{type(e).__name__}{'-step' if getattr(e, 'step', None) else ''}"
+                              for e, _, _ in EXIT_TABLE])
+def test_each_error_class_maps_to_its_exit_code_and_label(capsys, monkeypatch, exc, code,
+                                                          line):
+    def stub(args):
+        raise exc
+    monkeypatch.setattr(cli, "cmd_ingest", stub)
+    got, out, err = run(capsys, "ingest", "trips.csv")
+    assert (got, out, err.splitlines()[0]) == (code, "", line)
 
 
 def online_config(tmp_path, loopback, extra=""):

@@ -3,11 +3,11 @@ import multiprocessing
 
 import pytest
 
-from oracles import brute_force_near
+from oracles import brute_force_near, haversine_distance
 from trajstory.errors import InfrastructureError, ProtocolError
 from trajstory.gazetteer import (Gazetteer, GazetteerConfig, POI,
                                  default_fixture_path, normalize_name)
-from trajstory.geo import BoundingBox, GeoPoint, as_coords, haversine_distance
+from trajstory.geo import BoundingBox, GeoPoint, as_coords
 from trajstory.pipeline import discover
 from trajstory.validation import GroundingPolicy, GroundingRule
 
@@ -148,6 +148,15 @@ class TestRemoteLeg:
         with pytest.raises(ProtocolError):
             gaz.geocode("Sea Terminal")
 
+    @pytest.mark.parametrize("name", [5, ["x"]])
+    def test_non_string_name_is_a_protocol_error(self, name):
+        item = {**remote_item("Sea Terminal", -8.65, 41.18), "name": name}
+        gaz = Gazetteer(online_cfg(), fetch=RecordingFetch([item]))
+        with pytest.raises(ProtocolError):
+            gaz.geocode("Sea Terminal")
+        with pytest.raises(ProtocolError):
+            gaz.known_pois(WORLD)
+
     def test_transport_error_propagates(self):
         fetch = RecordingFetch(errors={"Sea Terminal": InfrastructureError("down")})
         gaz = Gazetteer(online_cfg(), fetch=fetch)
@@ -199,13 +208,25 @@ class TestCacheJournal:
                  "lon": -8.65, "lat": 41.18, "category": None, "blurb": None}
         no_key = {k: v for k, v in entry.items() if k != "key"}
         list_key = {**entry, "key": ["sea terminal", "none"]}
+        int_name = {**entry, "key": "k|none", "name": 7}
+        list_name = {**entry, "key": "x|none", "name": ["x"]}
         latin1 = json.dumps({**entry, "key": "s\xe3o bento|none"},
                             ensure_ascii=False).encode("latin-1")
         cache.write_bytes(b"\n".join([json.dumps(no_key).encode(), json.dumps(list_key).encode(),
+                                      json.dumps(int_name).encode(),
+                                      json.dumps(list_name).encode(),
                                       latin1, json.dumps(entry).encode(), b""]))
         index = Gazetteer._load_cache(str(cache))
         assert list(index) == ["sea terminal|none"]
         assert index["sea terminal|none"].location == GeoPoint(-8.65, 41.18)
+
+    def test_coordinates_are_read_as_numbers_like_the_other_legs(self, tmp_path):
+        cache = tmp_path / "cache.jsonl"
+        cache.write_text(json.dumps({"key": "sea terminal|none", "name": "Sea Terminal",
+                                     "lon": "-8.65", "lat": "41.18"}) + "\n")
+        poi = Gazetteer._load_cache(str(cache))["sea terminal|none"]
+        assert poi.location == GeoPoint(-8.65, 41.18)
+        assert type(poi.location.lon) is type(poi.location.lat) is float
 
 
 def _append_entries(cache_path, worker, count):

@@ -6,9 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import backtracking_walk, contains
 from oracles import (dense_polyline_distance, dense_polyline_distance_spaced,
-                     reference_segment_distances)
+                     haversine_distance, reference_segment_distances)
 from trajstory.geo import (EARTH_RADIUS_M, BoundingBox, GeoPoint, arc_m, bbox_of_coords,
-                           bbox_within, haversine_distance, meters_per_degree,
+                           bbox_within, meters_per_degree,
                            point_to_polyline_distance, segment_h)
 from trajstory.geo import as_coords as coords
 from trajstory.validation import GroundingPolicy, GroundingRule

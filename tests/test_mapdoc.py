@@ -1,4 +1,5 @@
 import json
+import math
 import random
 
 import numpy as np
@@ -6,9 +7,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from helpers import contains
-from oracles import brute_force_clusters, reference_render_geojson
+from oracles import brute_force_clusters, haversine_distance, reference_render_geojson
 from trajstory.gazetteer import POI
-from trajstory.geo import BoundingBox, GeoPoint, haversine_distance, meters_per_degree
+from trajstory.geo import BoundingBox, GeoPoint, meters_per_degree
 from trajstory.geo import as_coords as coords
 from trajstory.ingest import Trajectory
 from trajstory.mapdoc import (BBOX_PAD_FRACTION, DEFAULT_CLUSTER_DISTANCE_M,
@@ -25,6 +26,11 @@ def poi_at(name, east_m=0.0, north_m=0.0):
     """Fixture POI displaced from BASE by meters east/north."""
     return POI(name=name, location=GeoPoint(BASE.lon + east_m / KX,
                                             BASE.lat + north_m / KY))
+
+
+# Places anywhere on the globe, and within a few kilometers of BASE.
+places = st.one_of(st.builds(GeoPoint, st.floats(-180.0, 180.0), st.floats(-90.0, 90.0)),
+                   st.builds(GeoPoint, st.floats(-8.63, -8.59), st.floats(41.13, 41.17)))
 
 
 class TestClustering:
@@ -66,6 +72,20 @@ class TestClustering:
             got = {frozenset(i - 1 for i in m.numbers) for m in doc.markers}
             want = {frozenset(g) for g in brute_force_clusters(pts, 150.0)}
             assert got == want, f"trial {trial}"
+
+    @settings(max_examples=300, deadline=None)
+    @given(a=places, b=places)
+    @example(a=BASE, b=BASE)
+    @example(a=BASE, b=poi_at("B", east_m=150.0).location)
+    def test_threshold_at_the_pair_distance_keeps_the_scalar_bits(self, a, b):
+        """The reference scalar distance merges the pair; one ulp less splits it."""
+        pois = [POI(name="A", location=a), POI(name="B", location=b)]
+        d = haversine_distance(a, b)
+        merged = emit_map(pois, cluster_distance_m=d)
+        assert [m.numbers for m in merged.markers] == [(1, 2)]
+        if d > 0:
+            split = emit_map(pois, cluster_distance_m=math.nextafter(d, 0))
+            assert [m.numbers for m in split.markers] == [(1,), (2,)]
 
     def test_marker_numbers_partition_the_legend(self):
         rng = random.Random(7)
@@ -158,8 +178,8 @@ class TestGeoJson:
 
     def test_render_html_embeds_map_and_legend(self):
         doc = self.build()
-        html = render_html(doc, render_geojson(doc), title="porto endpoints")
-        assert "<title>porto endpoints</title>" in html
+        html = render_html(doc, render_geojson(doc))
+        assert "<title>trajstory map</title>" in html
         assert "https://tile.openstreetmap.org/{z}/{x}/{y}.png" in html
         assert "leaflet@1.9.4" in html
         assert '<li value="1">Bolhão Market</li>' in html
@@ -254,13 +274,13 @@ class TestHtmlEscaping:
 
     def test_names_and_title_cannot_inject_script(self):
         doc = emit_map([poi_at(self.EVIL), poi_at("Fish & Chips <Bar>", east_m=500.0)])
-        page = render_html(doc, render_geojson(doc), title="<b>map</b> & more")
+        page = render_html(doc, render_geojson(doc))
         assert "alert(1)" in page
         assert "<script>alert" not in page
         plain_doc = emit_map([poi_at("A")])
         plain = render_html(plain_doc, render_geojson(plain_doc))
         assert page.count("</script>") == plain.count("</script>")
-        assert "<title>&lt;b&gt;map&lt;/b&gt; &amp; more</title>" in page
+        assert "<title>trajstory map</title>" in page
         assert ('<li value="1">Pier&lt;/script&gt;&lt;script&gt;alert(1)&lt;/script&gt;</li>'
                 in page)
         assert '<li value="2">Fish &amp; Chips &lt;Bar&gt;</li>' in page

@@ -7,12 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import CENTRAL_ROUTE_NAMES
 from helpers import contains
-from oracles import reference_parse_kaggle, reference_select_trajectory
+from oracles import haversine_distance, reference_parse_kaggle, reference_select_trajectory
 from trajstory.errors import (ConfigurationError, InfrastructureError,
                               ParseError, StoryValidationError)
 from trajstory.gazetteer import Gazetteer, GazetteerConfig
-from trajstory.geo import (BoundingBox, GeoPoint, haversine_distance,
-                           point_to_polyline_distance)
+from trajstory.geo import BoundingBox, GeoPoint, point_to_polyline_distance
 from trajstory.geo import as_coords as coords
 from trajstory.pipeline import (StoryRequest, discover, execute, plan, run_steps,
                                 write_bundle)
@@ -365,9 +364,3 @@ class TestWriteBundle:
         trace = json.loads((out / "trace.json").read_text(encoding="utf-8"))
         assert trace["attempts"] == 1
         assert trace["steps"][0]["step"] == "ingest"
-
-    def test_html_is_optional(self, cluster_csv, tmp_path):
-        result = execute(heatmap_request(cluster_csv), TemplateBackend())
-        written = write_bundle(result, tmp_path / "nohtml", with_html=False)
-        assert all(p.name != "map.html" for p in written)
-        assert not (tmp_path / "nohtml" / "map.html").exists()

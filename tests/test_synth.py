@@ -4,7 +4,8 @@ import pytest
 
 from conftest import PORTO_CLUSTERS
 from helpers import contains, points, records, track
-from trajstory.geo import GeoPoint, haversine_distance
+from oracles import haversine_distance
+from trajstory.geo import GeoPoint
 from trajstory.ingest import parse_dataset, trajectory_digest
 from trajstory.story import NarrativeSpec, Story, count_words, extract_mentions
 from trajstory.synth import (EndpointCluster, PORTO_BBOX, ScriptedBackend,
