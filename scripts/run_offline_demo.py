@@ -51,14 +51,14 @@ def main(argv=None):
         dataset_path=str(csv_path),
         spec=NarrativeSpec(audience=args.audience),
     )
-    result = execute(request, TemplateBackend())
+    run = execute(request, TemplateBackend())
 
-    print(f"\nstory (attempt {result.attempts}, {result.story.word_count} words, "
-          f"{len(result.story.mentions)} POI mentions):\n")
-    print(result.story.text)
-    print(summarize_report(result.report))
+    print(f"\nstory (attempt {run.attempt}, {run.story.word_count} words, "
+          f"{len(run.story.mentions)} POI mentions):\n")
+    print(run.story.text)
+    print(summarize_report(run.report))
     print()
-    for path in write_bundle(result, out):
+    for path in write_bundle(run, out):
         print(f"wrote {path}")
     return 0
 

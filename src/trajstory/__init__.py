@@ -14,7 +14,7 @@ from .geo import (EARTH_RADIUS_M, BoundingBox, GeoPoint, meters_per_degree,
 from .heatgrid import HeatGrid, Hotspot, build_grid, summarize_for_story, top_hotspots
 from .ingest import Dataset, Trajectory, parse_dataset
 from .mapdoc import MapDocument, emit_map, render_geojson, render_html
-from .pipeline import StoryRequest, StoryResult, execute, plan, write_bundle
+from .pipeline import RunState, StoryRequest, execute, plan, write_bundle
 from .story import (NarrativeSpec, RemoteBackend, Story, StoryBackend,
                     StoryContext, TemplateBackend, build_prompt, count_words,
                     extract_mentions, generate_story, strip_markup)
@@ -29,8 +29,8 @@ __all__ = [
     "GroundingPolicy", "GroundingRule", "HeatGrid", "Hotspot",
     "InfrastructureError", "MalformedStoryError", "MapDocument",
     "NarrativeSpec", "NotFoundError", "POI", "ParseError", "ProtocolError",
-    "RemoteBackend", "Story", "StoryBackend", "StoryContext", "StoryRequest",
-    "StoryResult", "StoryValidationError", "Trajectory", "TrajstoryError",
+    "RemoteBackend", "RunState", "Story", "StoryBackend", "StoryContext",
+    "StoryRequest", "StoryValidationError", "Trajectory", "TrajstoryError",
     "TemplateBackend", "ValidationReport", "build_grid",
     "build_prompt", "count_words", "emit_map", "execute", "extract_mentions",
     "feedback_text", "generate_story",

@@ -239,19 +239,17 @@ def cmd_heatmap(args: argparse.Namespace) -> int:
 def cmd_story(args: argparse.Namespace) -> int:
     values = load_settings(args)
     req = build_request(values)
-    backend = build_backend(values)
+    out = _out_dir(args)
     try:
-        result = execute(req, backend)
+        run = execute(req, build_backend(values))
     except StoryValidationError as exc:
-        out = _out_dir(args)
-        write_failure(exc, out)
-        print(f"error: {exc}", file=sys.stderr)
+        write_failure(exc.run, out)
         print(f"failing report written to {out / 'report.txt'}", file=sys.stderr)
-        return exc.exit_code
-    paths = write_bundle(result, _out_dir(args))
-    print(f"story passed validation after {result.attempts} attempt(s)")
-    print(f"words: {result.story.word_count}  "
-          f"POIs: {len(result.report.per_poi)}  markers: {len(result.map.markers)}")
+        raise
+    paths = write_bundle(run, out)
+    print(f"story passed validation after {run.attempt} attempt(s)")
+    print(f"words: {run.story.word_count}  "
+          f"POIs: {len(run.report.per_poi)}  markers: {len(run.doc.markers)}")
     for path in paths:
         print(f"wrote {path}")
     return 0

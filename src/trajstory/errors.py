@@ -29,15 +29,11 @@ class ConfigurationError(TrajstoryError):
 class ParseError(TrajstoryError):
     """Malformed input that cannot be parsed (dataset header, story markup).
 
-    ``offset`` carries the character position for story markup errors when
-    known, else None.
+    A story markup error names its character position in the message
+    ("at offset N").
     """
 
     exit_code = 3
-
-    def __init__(self, message: str, offset: int | None = None):
-        super().__init__(message)
-        self.offset = offset
 
 
 class NotFoundError(TrajstoryError):
@@ -60,13 +56,11 @@ class MalformedStoryError(TrajstoryError):
 
 
 class StoryValidationError(TrajstoryError):
-    """Generation retries exhausted; carries the last report and the trace."""
+    """Generation retries exhausted; ``run`` is the failed run, with its last report and draft."""
 
     exit_code = 5
     label = "validation failure"
 
-    def __init__(self, message: str, report=None, trace=None, story=None):
+    def __init__(self, message: str, run=None):
         super().__init__(message)
-        self.report = report
-        self.trace = trace
-        self.story = story
+        self.run = run

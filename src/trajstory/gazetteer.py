@@ -21,7 +21,7 @@ import threading
 import time
 import unicodedata
 import urllib.parse
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from typing import Callable
 
@@ -74,6 +74,12 @@ class GazetteerConfig:
             raise ValueError(f"rate_limit must be positive, got {self.rate_limit}")
         if self.offline_only and not self.fixture_path:
             raise ValueError("offline_only requires a fixture_path")
+
+
+def _file_cache_entry(index: dict[str, POI], key: str, poi: POI) -> None:
+    """File ``poi`` under ``key``, and under its name with that key's bias unless taken."""
+    index.setdefault(f"{normalize_name(poi.name)}|{key.rpartition('|')[2]}", poi)
+    index[key] = poi
 
 
 def _viewbox_param(b: BoundingBox) -> str:
@@ -180,10 +186,10 @@ class Gazetteer:
                 try:
                     entry = json.loads(line.decode("utf-8"))
                     location = GeoPoint(float(entry["lon"]), float(entry["lat"]))
-                    index[entry["key"]] = POI(name=entry["name"], location=location,
-                                              category=entry.get("category"),
-                                              source="cache", blurb=entry.get("blurb"))
-                except (KeyError, TypeError, ValueError):
+                    _file_cache_entry(index, entry["key"], POI(
+                        name=entry["name"], location=location, category=entry.get("category"),
+                        source="cache", blurb=entry.get("blurb")))
+                except (AttributeError, KeyError, TypeError, ValueError):
                     continue    # a torn or foreign line must not poison the journal
         return index
 
@@ -193,8 +199,7 @@ class Gazetteer:
 
     def _append_cache(self, key: str, poi: POI) -> None:
         with self._lock:
-            self._cache[key] = POI(name=poi.name, location=poi.location,
-                                   category=poi.category, source="cache", blurb=poi.blurb)
+            _file_cache_entry(self._cache, key, replace(poi, source="cache"))
             if self.cfg.cache_path:
                 entry = {"key": key, "name": poi.name,
                          "lon": poi.location.lon, "lat": poi.location.lat,
@@ -243,32 +248,29 @@ class Gazetteer:
         """Resolve one name; None when it is unknown everywhere."""
         if not name or not name.strip():
             raise ValueError("cannot geocode an empty name")
-        key = self._cache_key(name)
-        hit = self._cache.get(key)
-        if hit is not None:
+        hit = self._lookup(name)
+        if hit is not None or self.cfg.offline_only:
             return hit
-        hit = self._fixture.get(normalize_name(name))
-        if hit is not None:
-            return hit
-        if self.cfg.offline_only:
-            return None
         results = self._search_remote(name.strip(), self.cfg.region_bias, limit=1)
         if not results:
             return None
-        self._append_cache(key, results[0])
+        self._append_cache(self._cache_key(name), results[0])
         return results[0]
+
+    def _lookup(self, name: str) -> POI | None:
+        """What ``geocode`` finds without the remote leg: the cache, then the fixture."""
+        return self._cache.get(self._cache_key(name)) or self._fixture.get(normalize_name(name))
 
     def known_pois(self, area: BoundingBox) -> list[POI]:
         """Every place known by name: cache and fixture, one POI per normalized name.
 
-        The fixture wins a name the cache also holds. When online, the hits of
-        one bounded search over ``area`` join the pool under names it lacks.
+        Each is offered under a name ``geocode`` resolves to it offline. When
+        online, the hits of one bounded search over ``area`` join under new names.
         """
         pool: dict[str, POI] = {}
-        for poi in self._cache.values():
-            pool.setdefault(normalize_name(poi.name), poi)
-        for poi in self._fixture.values():
-            pool[normalize_name(poi.name)] = poi
+        for poi in [*self._cache.values(), *self._fixture.values()]:
+            if self._lookup(poi.name) == poi:
+                pool.setdefault(normalize_name(poi.name), poi)
         if not self.cfg.offline_only:
             for poi in self._search_remote("", area, limit=50):
                 pool.setdefault(normalize_name(poi.name), poi)

@@ -62,17 +62,8 @@ class TraceEntry:
 
 
 @dataclass
-class StoryResult:
-    story: Story
-    report: ValidationReport
-    map: MapDocument
-    attempts: int
-    trace: list[TraceEntry]
-
-
-@dataclass
 class RunState:
-    """What the steps of one run hand each other; each step fills its part."""
+    """One run: what its steps hand each other, each filling its part; ``execute`` returns it."""
 
     req: StoryRequest
     backend: StoryBackend | None = None
@@ -250,12 +241,12 @@ def run_steps(req: StoryRequest, names: tuple[str, ...],
     return run
 
 
-def execute(req: StoryRequest, backend: StoryBackend) -> StoryResult:
-    """Run the plan end to end; at most ``max_retries`` generation attempts.
+def execute(req: StoryRequest, backend: StoryBackend) -> RunState:
+    """Run the plan end to end and return the run; at most ``max_retries`` attempts.
 
-    Raises StoryValidationError (carrying the final report and trace) when
-    every attempt fails; infrastructure errors propagate tagged with the
-    step that hit them.
+    Raises StoryValidationError carrying the run (its last report, draft and
+    trace) when every attempt fails; infrastructure errors propagate tagged
+    with the step that hit them.
     """
     *setup, generate, validate, emit = plan(req)
     run = RunState(req, backend=backend)
@@ -274,11 +265,9 @@ def execute(req: StoryRequest, backend: StoryBackend) -> StoryResult:
             run.trace.append(TraceEntry("feedback", fb, 0.0))
     if not run.report.overall:
         raise StoryValidationError(
-            f"story failed validation after {run.attempt} attempt(s)",
-            report=run.report, trace=run.trace, story=run.story)
+            f"story failed validation after {run.attempt} attempt(s)", run=run)
     _run_step(run, emit)
-    return StoryResult(story=run.story, report=run.report, map=run.doc,
-                       attempts=run.attempt, trace=run.trace)
+    return run
 
 
 # -- artifacts -----------------------------------------------------------------
@@ -316,23 +305,23 @@ def write_files(out_dir: str | Path, files: dict[str, str]) -> list[Path]:
     return paths
 
 
-def write_bundle(result: StoryResult, out_dir: str | Path) -> list[Path]:
-    """Drop the run's artifacts in ``out_dir``; returns the paths written."""
-    geojson = render_geojson(result.map)
-    files = {"story.txt": result.story.text,
-             "story.json": _json_text(story_to_dict(result.story)),
-             **report_files(result.report),
+def write_bundle(run: RunState, out_dir: str | Path) -> list[Path]:
+    """Drop a finished run's artifacts in ``out_dir``; returns the paths written."""
+    geojson = render_geojson(run.doc)
+    files = {"story.txt": run.story.text,
+             "story.json": _json_text(story_to_dict(run.story)),
+             **report_files(run.report),
              "map.geojson": geojson,
-             "map.html": render_html(result.map, geojson)}
+             "map.html": render_html(run.doc, geojson)}
     trace_rows = [{"step": t.step, "detail": t.detail, "seconds": t.seconds}
-                  for t in result.trace]
-    files["trace.json"] = _json_text({"attempts": result.attempts, "steps": trace_rows})
+                  for t in run.trace]
+    files["trace.json"] = _json_text({"attempts": run.attempt, "steps": trace_rows})
     return write_files(out_dir, files)
 
 
-def write_failure(exc: StoryValidationError, out_dir: str | Path) -> list[Path]:
+def write_failure(run: RunState, out_dir: str | Path) -> list[Path]:
     """What a run that failed validation leaves: its last report and draft."""
-    files = report_files(exc.report) if exc.report is not None else {}
-    if exc.story is not None:
-        files["story.txt"] = exc.story.text
+    files = report_files(run.report)
+    if run.story is not None:
+        files["story.txt"] = run.story.text
     return write_files(out_dir, files)

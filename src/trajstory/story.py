@@ -97,10 +97,10 @@ def extract_mentions(text: str) -> list[Mention]:
         close = text.find(MARKUP_CLOSE, start + len(MARKUP_OPEN))
         nxt = text.find(MARKUP_OPEN, start + len(MARKUP_OPEN))
         if close == -1 or (nxt != -1 and nxt < close):
-            raise ParseError(f"unclosed POI span at offset {start}", offset=start)
+            raise ParseError(f"unclosed POI span at offset {start}")
         name = text[start + len(MARKUP_OPEN):close].strip()
         if not name:
-            raise ParseError(f"empty POI span at offset {start}", offset=start)
+            raise ParseError(f"empty POI span at offset {start}")
         mentions.append(Mention(name=name, start=start, end=close + len(MARKUP_CLOSE)))
         i = close + len(MARKUP_CLOSE)
 

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import ConfigurationError
 from .gazetteer import POI
 from .geo import BoundingBox, GeoPoint, meters_per_degree
 from .ingest import KAGGLE_COLUMNS, Trajectory
@@ -27,25 +28,22 @@ PORTO_BBOX = BoundingBox(-8.70, 41.10, -8.50, 41.25)
 class ScriptedBackend:
     """Plays back a fixed response list; also records every prompt it saw.
 
-    Running past the end of the script raises: a test that does so asked
-    for more generations than it planned.
+    Running past its end is a ConfigurationError: the run wanted more drafts.
     """
 
     backend_id = "scripted"
 
     def __init__(self, responses: list[str]):
         self.responses = list(responses)
-        self.call_count = 0
         self.prompts: list[str] = []
 
     def generate(self, prompt: str, ctx: StoryContext, spec: NarrativeSpec) -> str:
-        if self.call_count >= len(self.responses):
-            raise RuntimeError(
-                f"scripted backend exhausted after {len(self.responses)} responses")
+        if len(self.prompts) >= len(self.responses):
+            raise ConfigurationError(
+                f"scripted backend exhausted after {len(self.responses)} responses; "
+                "add drafts to responses_file or lower max_retries")
         self.prompts.append(prompt)
-        text = self.responses[self.call_count]
-        self.call_count += 1
-        return text
+        return self.responses[len(self.prompts) - 1]
 
 
 @dataclass(frozen=True)

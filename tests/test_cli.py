@@ -178,24 +178,65 @@ class TestStoryCommand:
         assert story["spec"]["min_pois"] == 5
         assert story["spec"]["max_words"] == 80
 
-    def test_validation_exhaustion_exits_5_and_keeps_the_report(
-            self, capsys, cluster_csv, tmp_path):
+    @staticmethod
+    def scripted_story(capsys, tmp_path, dataset, drafts):
+        """A two-attempt scripted ``story`` run playing ``drafts``, output in ``failed/``."""
         responses = tmp_path / "responses.json"
-        responses.write_text(json.dumps(
-            ["A stop at [[POI: Atlantis Pier]].\n"] * 2))
+        responses.write_text(json.dumps(drafts))
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"responses_file = {responses}\nmin_pois = 1\n")
+        return run(capsys, "story", "--dataset", str(dataset),
+                   "--config", str(cfg), "--backend", "scripted",
+                   "--max-retries", "2", "--offline",
+                   "--output-dir", str(tmp_path / "failed"))
+
+    def test_validation_exhaustion_exits_5_and_keeps_the_report(
+            self, capsys, cluster_csv, tmp_path):
         out_dir = tmp_path / "failed"
-        code, _, err = run(capsys, "story", "--dataset", str(cluster_csv),
-                           "--config", str(cfg), "--backend", "scripted",
-                           "--max-retries", "2", "--offline",
-                           "--output-dir", str(out_dir))
+        code, _, err = self.scripted_story(capsys, tmp_path, cluster_csv,
+                                           ["A stop at [[POI: Atlantis Pier]].\n"] * 2)
         assert code == 5
         assert "2 attempt(s)" in err
         report = json.loads((out_dir / "report.json").read_text(encoding="utf-8"))
         assert report["overall"] == "fail"
         assert (out_dir / "story.txt").read_text(encoding="utf-8") \
             == "A stop at [[POI: Atlantis Pier]].\n"
+
+    def test_validation_exhaustion_reports_through_the_one_exit_handler(
+            self, capsys, cluster_csv, tmp_path):
+        code, out, err = self.scripted_story(capsys, tmp_path, cluster_csv,
+                                             ["A stop at [[POI: Atlantis Pier]].\n"] * 2)
+        assert (code, out) == (5, "")
+        assert err.splitlines() == [
+            f"failing report written to {tmp_path / 'failed' / 'report.txt'}",
+            "validation failure: story failed validation after 2 attempt(s)"]
+
+    def test_running_out_of_drafts_is_a_config_error(self, capsys, cluster_csv, tmp_path):
+        code, _, err = self.scripted_story(capsys, tmp_path, cluster_csv,
+                                           ["A stop at [[POI: Atlantis Pier]].\n"])
+        assert code == 2
+        assert err.splitlines()[0].startswith(
+            "configuration error: scripted backend exhausted")
+        assert "Traceback" not in err
+
+    def test_a_cached_place_is_graded_under_the_name_discovery_offers(self, capsys,
+                                                                      tmp_path):
+        # a remote search for "sea terminal" found a place with another name
+        trace = tmp_path / "leixoes.txt"
+        trace.write_text("-8.6919,41.1734\n-8.696,41.178\n-8.7,41.182\n-8.7037,41.1855\n")
+        cache = tmp_path / "cache.jsonl"
+        cache.write_text(json.dumps({"key": "sea terminal|none",
+                                     "name": "Terminal de Cruzeiros",
+                                     "lon": -8.7037, "lat": 41.1855}) + "\n")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"cache = {cache}\n")
+        code, _, err = run(capsys, "story", "--dataset", str(trace), "--schema", "point_list",
+                           "--mode", "single_trajectory", "--min-pois", "2", "--offline",
+                           "--config", str(cfg), "--output-dir", str(tmp_path / "out"))
+        report = json.loads((tmp_path / "out" / "report.json").read_text(encoding="utf-8"))
+        verdicts = {p["name"]: p["verdict"] for p in report["per_poi"]}
+        assert verdicts["Terminal de Cruzeiros"] == "grounded"
+        assert (code, err) == (0, "")
 
     def test_too_few_places_stop_at_the_first_generation(self, capsys, tmp_path,
                                                          cluster_csv):
@@ -494,7 +535,7 @@ def _with_step(exc, step):
 EXIT_TABLE = [
     (errors.TrajstoryError("boom"), 2, "error: boom"),
     (errors.ConfigurationError("boom"), 2, "configuration error: boom"),
-    (errors.ParseError("boom", offset=3), 3, "error: boom"),
+    (errors.ParseError("boom"), 3, "error: boom"),
     (errors.NotFoundError("boom"), 2, "error: boom"),
     (errors.InfrastructureError("boom"), 4, "infrastructure error: boom"),
     (errors.ProtocolError("boom"), 4, "infrastructure error: boom"),

@@ -2,6 +2,7 @@ import json
 import multiprocessing
 
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 from oracles import brute_force_near, haversine_distance
 from trajstory.errors import InfrastructureError, ProtocolError
@@ -208,11 +209,13 @@ class TestCacheJournal:
                  "lon": -8.65, "lat": 41.18, "category": None, "blurb": None}
         no_key = {k: v for k, v in entry.items() if k != "key"}
         list_key = {**entry, "key": ["sea terminal", "none"]}
+        int_key = {**entry, "key": 7}
         int_name = {**entry, "key": "k|none", "name": 7}
         list_name = {**entry, "key": "x|none", "name": ["x"]}
         latin1 = json.dumps({**entry, "key": "s\xe3o bento|none"},
                             ensure_ascii=False).encode("latin-1")
         cache.write_bytes(b"\n".join([json.dumps(no_key).encode(), json.dumps(list_key).encode(),
+                                      json.dumps(int_key).encode(),
                                       json.dumps(int_name).encode(),
                                       json.dumps(list_name).encode(),
                                       latin1, json.dumps(entry).encode(), b""]))
@@ -227,6 +230,65 @@ class TestCacheJournal:
         poi = Gazetteer._load_cache(str(cache))["sea terminal|none"]
         assert poi.location == GeoPoint(-8.65, 41.18)
         assert type(poi.location.lon) is type(poi.location.lat) is float
+
+
+BIAS_BOX = BoundingBox(-8.7, 41.0, -8.5, 41.3)
+_journal_names = st.sampled_from(["Sea Terminal", "Terminal de Cruzeiros", "Ribeira",
+                                  "  RIBEIRA", "Sé do Porto", "Porto Cathedral",
+                                  "Atlantis Pier"])
+_journal_entries = st.fixed_dictionaries({
+    "key": st.builds(lambda query, bias: f"{normalize_name(query)}|{bias}", _journal_names,
+                     st.sampled_from(["none", "-8.7,41.0,-8.5,41.3"])),
+    "name": _journal_names,
+    "lon": st.floats(-8.70, -8.55), "lat": st.floats(41.10, 41.20)}).map(json.dumps)
+_journal_lines = st.one_of(
+    _journal_entries,
+    st.tuples(_journal_entries, st.integers(1, 40)).map(lambda t: t[0][:t[1]]))
+
+
+class TestCacheOffersWhatItResolves:
+    """Every place ``known_pois`` offers, ``geocode`` of its name resolves to it."""
+
+    def test_a_hit_named_apart_from_its_query_is_found_by_its_name(self, tmp_path):
+        cache = tmp_path / "cache.jsonl"
+        cache.write_text(json.dumps({"key": "sea terminal|none",
+                                     "name": "Terminal de Cruzeiros",
+                                     "lon": -8.7037, "lat": 41.1855}) + "\n")
+        gaz = Gazetteer(GazetteerConfig(cache_path=str(cache)))
+        terminal = gaz.geocode("Terminal de Cruzeiros")
+        assert terminal == gaz.geocode("Sea Terminal")
+        assert terminal.location == GeoPoint(-8.7037, 41.1855)
+        assert terminal in gaz.known_pois(WORLD)
+
+    def test_a_remote_hit_is_found_by_its_name_in_the_same_run(self):
+        fetch = RecordingFetch([remote_item("Terminal de Cruzeiros", -8.7037, 41.1855)])
+        gaz = Gazetteer(online_cfg(), fetch=fetch)
+        gaz.geocode("Sea Terminal")
+        assert gaz.geocode("Terminal de Cruzeiros").source == "cache"
+        assert len(fetch.calls) == 1
+
+    def test_a_query_key_wins_over_another_entry_named_like_it(self, tmp_path):
+        cache = tmp_path / "cache.jsonl"
+        entries = [{"key": "pier|none", "name": "Sea Terminal", "lon": -8.66, "lat": 41.19},
+                   {"key": "sea terminal|none", "name": "Sea Terminal",
+                    "lon": -8.65, "lat": 41.18}]
+        for order in (entries, entries[::-1]):
+            cache.write_text("".join(json.dumps(e) + "\n" for e in order))
+            gaz = Gazetteer(GazetteerConfig(cache_path=str(cache)))
+            assert gaz.geocode("Sea Terminal").location == GeoPoint(-8.65, 41.18)
+            assert gaz.geocode("pier").location == GeoPoint(-8.66, 41.19)
+
+    @settings(max_examples=300, deadline=None)
+    @given(lines=st.lists(_journal_lines, max_size=8),
+           bias=st.sampled_from([None, BIAS_BOX]))
+    def test_every_offered_place_geocodes_to_itself(self, tmp_path_factory, lines, bias):
+        cache = tmp_path_factory.mktemp("journal") / "cache.jsonl"
+        cache.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        gaz = Gazetteer(GazetteerConfig(cache_path=str(cache), region_bias=bias))
+        offered = gaz.known_pois(WORLD)
+        event(f"{sum(p.source == 'cache' for p in offered)} cached places offered")
+        for poi in offered:
+            assert gaz.geocode(poi.name) == poi, poi.name
 
 
 def _append_entries(cache_path, worker, count):

@@ -124,23 +124,23 @@ class TestPlan:
 
 class TestExecuteHeatmap:
     def test_first_attempt_passes_offline(self, cluster_csv):
-        result = execute(heatmap_request(cluster_csv), TemplateBackend())
-        assert result.attempts == 1
-        assert result.report.overall
-        assert result.story.word_count <= 150
-        assert len({m.name for m in result.story.mentions}) >= 15
-        assert [t.step for t in result.trace] == \
+        run = execute(heatmap_request(cluster_csv), TemplateBackend())
+        assert run.attempt == 1
+        assert run.report.overall
+        assert run.story.word_count <= 150
+        assert len({m.name for m in run.story.mentions}) >= 15
+        assert [t.step for t in run.trace] == \
             ["ingest", "analytics", "discovery", "generate", "validate", "emit"]
-        assert all(t.seconds >= 0.0 for t in result.trace)
+        assert all(t.seconds >= 0.0 for t in run.trace)
 
     def test_map_reflects_the_grounded_story(self, cluster_csv):
-        result = execute(heatmap_request(cluster_csv), TemplateBackend())
-        mentioned = {m.name for m in result.story.mentions}
-        assert len(result.map.legend) == len(mentioned)
-        assert {name for _, name in result.map.legend} == mentioned
-        assert result.map.paths == []
-        for marker in result.map.markers:
-            assert contains(result.map.bbox, marker.center)
+        run = execute(heatmap_request(cluster_csv), TemplateBackend())
+        mentioned = {m.name for m in run.story.mentions}
+        assert len(run.doc.legend) == len(mentioned)
+        assert {name for _, name in run.doc.legend} == mentioned
+        assert run.doc.paths == []
+        for marker in run.doc.markers:
+            assert contains(run.doc.bbox, marker.center)
 
     def test_replay_is_deterministic(self, cluster_csv):
         from trajstory.mapdoc import render_geojson
@@ -148,8 +148,8 @@ class TestExecuteHeatmap:
         b = execute(heatmap_request(cluster_csv), TemplateBackend())
         assert a.story.text == b.story.text
         assert a.report == b.report
-        assert render_geojson(a.map) == render_geojson(b.map)
-        assert a.attempts == b.attempts
+        assert render_geojson(a.doc) == render_geojson(b.doc)
+        assert a.attempt == b.attempt
 
 
 class TestExecuteSingleTrajectory:
@@ -161,12 +161,12 @@ class TestExecuteSingleTrajectory:
             policy=GroundingPolicy(trajectory_threshold_m=300.0))
 
     def test_route_story_grounds_on_the_path(self, route_file, central_route):
-        result = execute(self.request(route_file), TemplateBackend())
-        assert result.attempts == 1
-        assert result.report.overall
-        assert len(result.map.paths) == 1
-        assert np.array_equal(result.map.paths[0], coords(central_route))
-        for verdict in result.report.per_poi:
+        run = execute(self.request(route_file), TemplateBackend())
+        assert run.attempt == 1
+        assert run.report.overall
+        assert len(run.doc.paths) == 1
+        assert np.array_equal(run.doc.paths[0], coords(central_route))
+        for verdict in run.report.per_poi:
             assert verdict.distance_m <= 300.0
 
 
@@ -184,11 +184,11 @@ class TestExecuteSingleTrajectory:
         path.write_text("".join(f"{p.lon!r},{p.lat!r}\n" for p in route))
         req = StoryRequest(dataset_path=str(path), dataset_schema="point_list",
                            spec=NarrativeSpec(mode="single_trajectory"))
-        result = execute(req, TemplateBackend())
-        assert result.attempts == 1
-        assert result.report.overall
-        assert [p.verdict for p in result.report.per_poi] == [GROUNDED] * 15
-        assert "Mercado do Bom Sucesso" not in {p.name for p in result.report.per_poi}
+        run = execute(req, TemplateBackend())
+        assert run.attempt == 1
+        assert run.report.overall
+        assert [p.verdict for p in run.report.per_poi] == [GROUNDED] * 15
+        assert "Mercado do Bom Sucesso" not in {p.name for p in run.report.per_poi}
 
 
 # Places near downtown Porto, where the fixture lives, and grounding
@@ -268,16 +268,16 @@ class TestDiscovery:
 class TestRetryLoop:
     def test_feedback_accumulates_across_attempts(self, cluster_csv):
         backend = ScriptedBackend([UNPARSEABLE, UNKNOWN_POI, GOOD_STORY])
-        result = execute(lenient_heatmap_request(cluster_csv), backend)
+        run = execute(lenient_heatmap_request(cluster_csv), backend)
 
-        assert result.attempts == 3
-        assert backend.call_count == 3
-        assert [t.step for t in result.trace] == \
+        assert run.attempt == 3
+        assert len(backend.prompts) == 3
+        assert [t.step for t in run.trace] == \
             ["ingest", "analytics", "discovery",
              "generate", "feedback",
              "generate", "validate", "feedback",
              "generate", "validate", "emit"]
-        feedback = [t.detail for t in result.trace if t.step == "feedback"]
+        feedback = [t.detail for t in run.trace if t.step == "feedback"]
         assert feedback == [FB_MARKUP, FB_UNKNOWN]
 
         assert "Additional instructions" not in backend.prompts[0]
@@ -289,8 +289,8 @@ class TestRetryLoop:
 
     def test_unparseable_attempt_is_traced(self, cluster_csv):
         backend = ScriptedBackend([UNPARSEABLE, GOOD_STORY])
-        result = execute(lenient_heatmap_request(cluster_csv), backend)
-        gen1 = [t for t in result.trace if t.step == "generate"][0]
+        run = execute(lenient_heatmap_request(cluster_csv), backend)
+        gen1 = [t for t in run.trace if t.step == "generate"][0]
         assert "attempt 1: unparseable story" in gen1.detail
 
     def test_request_spec_is_not_mutated(self, cluster_csv):
@@ -304,12 +304,12 @@ class TestRetryLoop:
         req = lenient_heatmap_request(cluster_csv, max_retries=2)
         with pytest.raises(StoryValidationError) as err:
             execute(req, backend)
-        assert backend.call_count == 2          # the third response stays unused
+        assert len(backend.prompts) == 2  # the third response stays unused
         assert "2 attempt(s)" in str(err.value)
-        assert err.value.report is not None
-        assert not err.value.report.overall
-        assert err.value.story.text == UNKNOWN_POI
-        feedback = [t for t in err.value.trace if t.step == "feedback"]
+        assert err.value.run.report is not None
+        assert not err.value.run.report.overall
+        assert err.value.run.story.text == UNKNOWN_POI
+        feedback = [t for t in err.value.run.trace if t.step == "feedback"]
         assert len(feedback) == 1               # none after the final attempt
 
     def test_backend_outage_is_tagged_infrastructure(self, cluster_csv):
@@ -341,8 +341,8 @@ class TestIngestFailures:
     def test_trace_counts_skipped_rows_by_reason(self, cluster_dataset, tmp_path):
         path = tmp_path / "salted.csv"
         write_kaggle_csv(cluster_dataset, path, bad_rows=8, seed=1)
-        result = execute(heatmap_request(path), TemplateBackend())
-        ingest = result.trace[0]
+        run = execute(heatmap_request(path), TemplateBackend())
+        ingest = run.trace[0]
         assert ingest.step == "ingest"
         assert ingest.detail == ("400 trajectories, 8 rows skipped "
                                  "(2 missing_data, 2 bad_json, 4 too_short)")
@@ -350,13 +350,13 @@ class TestIngestFailures:
 
 class TestWriteBundle:
     def test_full_bundle(self, cluster_csv, tmp_path):
-        result = execute(heatmap_request(cluster_csv), TemplateBackend())
+        run = execute(heatmap_request(cluster_csv), TemplateBackend())
         out = tmp_path / "bundle"
-        written = write_bundle(result, out)
+        written = write_bundle(run, out)
         assert [p.name for p in written] == \
             ["story.txt", "story.json", "report.json", "report.txt",
              "map.geojson", "map.html", "trace.json"]
-        assert (out / "story.txt").read_text(encoding="utf-8") == result.story.text
+        assert (out / "story.txt").read_text(encoding="utf-8") == run.story.text
         report = json.loads((out / "report.json").read_text(encoding="utf-8"))
         assert report["overall"] == "pass"
         geo = json.loads((out / "map.geojson").read_text(encoding="utf-8"))

@@ -57,7 +57,7 @@ class TestMarkup:
     def test_malformed_spans_raise_with_offset(self, bad):
         with pytest.raises(ParseError) as err:
             extract_mentions(bad)
-        assert err.value.offset == bad.index(MARKUP_OPEN)
+        assert f"at offset {bad.index(MARKUP_OPEN)}" in str(err.value)
 
     def test_strip_replaces_spans_with_bare_names(self):
         text = "Go to [[POI: Ribeira]] then [[POI: Bolhão Market]]."

@@ -5,6 +5,7 @@ import pytest
 from conftest import PORTO_CLUSTERS
 from helpers import contains, points, records, track
 from oracles import haversine_distance
+from trajstory.errors import ConfigurationError
 from trajstory.geo import GeoPoint
 from trajstory.ingest import parse_dataset, trajectory_digest
 from trajstory.story import NarrativeSpec, Story, count_words, extract_mentions
@@ -19,13 +20,13 @@ class TestScriptedBackend:
         assert backend.generate("p1", None, None) == "first"
         assert backend.generate("p2", None, None) == "second"
         assert backend.prompts == ["p1", "p2"]
-        assert backend.call_count == 2
+        assert len(backend.prompts) == 2
         assert backend.backend_id == "scripted"
 
     def test_running_past_the_script_is_an_error(self):
         backend = ScriptedBackend(["only one"])
         backend.generate("p", None, None)
-        with pytest.raises(RuntimeError, match="exhausted"):
+        with pytest.raises(ConfigurationError, match="exhausted"):
             backend.generate("p", None, None)
 
 
