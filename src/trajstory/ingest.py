@@ -18,9 +18,13 @@ fewer than 2 points, coordinates outside WGS84 range, MISSING_DATA flag) are
 counted in ``skipped_rows``, by reason, never silently dropped. Real GPS
 exports are dirty; a bad row is data about the data.
 
-A Kaggle file of more than one block of rows has its POLYLINE JSON decoded
-by up to two forked worker processes, one per usable core, while this
-process reads the CSV; the result is the same as decoding in-process.
+Of a POLYLINE in the common form (``_CANON``) only the point count and the
+final pair are read. Every other row, and every row when trip lengths are
+needed, is decoded exactly by ``_decode_polyline``, which defines every skip
+reason and every bit. A Kaggle file of more than one block of rows is
+decoded by up to two forked worker processes, one per usable core, while
+this process reads the CSV; they send back per-trip reductions, not
+coordinates, and the result is the same as decoding in-process.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ import itertools
 import json
 import logging
 import os
+import re
 from dataclasses import dataclass, field
 from typing import IO, Iterable
 
@@ -59,6 +64,16 @@ _MAX_FIELD_CHARS = 2**31 - 1
 # Kaggle rows per decoded block: one vectorized range check each, and the
 # unit sent to a worker, so it bounds the POLYLINE text in flight.
 _BLOCK_ROWS = 2048
+
+# A POLYLINE the screen certifies: two or more [lon, lat] pairs, separated by
+# "," or ", ", each number a JSON number with a fraction and no exponent that
+# is lexically inside WGS84 (|lon| < 180, |lat| < 90). Such a row decodes to
+# a kept trip, and float() of its final pair's digits gives the bits JSON
+# does. [0-9], not \d: float() reads other Unicode digits, JSON does not. The
+# fraction is required: JSON reads -0 as the integer 0, float() as -0.0.
+_LON = r"-?(?:1[0-7][0-9]|[1-9]?[0-9])\.[0-9]+"
+_LAT = r"-?[1-8]?[0-9]\.[0-9]+"
+_CANON = re.compile(rf"\[\[{_LON}, ?{_LAT}\](?:, ?\[({_LON}), ?({_LAT})\])+\]")
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,24 +118,24 @@ class Dataset:
 class _Fold:
     """Folds blocks of trips, in file order, into what a Dataset keeps.
 
-    A block's coordinates can go once it is added: the fold copies out each
-    trip's final point and, under a selection, the best trip so far. The
-    selection rules: ``longest_by_points`` and ``longest_by_length`` take the
-    largest, ties going to the lowest id (the earliest trip, among equal
+    A block gives each kept trip's final point, point count and path length
+    (under ``longest_by_length``); only a trip the selection takes is decoded.
+    The selection rules: ``longest_by_points`` and ``longest_by_length`` take
+    the largest, ties going to the lowest id (the earliest trip, among equal
     ids); ``by_id`` takes the first trip with that id.
     """
 
     def __init__(self, selection: tuple[str, str | None] | None):
         self.criterion, self.wanted = selection or (None, None)
+        self.by_length = self.criterion == "longest_by_length"    # blocks measure their trips
         self.ends = [np.empty((0, 2))]
         self.key: tuple | None = None           # (-metric, id) of ``selected``
         self.selected: Trajectory | None = None
 
-    def add(self, xy: np.ndarray, n: np.ndarray, ids: list[str],
-            start_times: list[int | None]) -> None:
-        """Fold one block: trips of ``n`` points each, laid end to end in ``xy``."""
-        offsets = np.concatenate(([0], np.cumsum(n)))
-        self.ends.append(xy[offsets[1:] - 1])
+    def add(self, ends: np.ndarray, n: np.ndarray, lengths: np.ndarray | None,
+            ids: list[str], start_times: list[int | None], coords_of) -> None:
+        """Fold one block's kept trips; ``coords_of(i)`` gives trip i's coordinates."""
+        self.ends.append(ends)
         if not ids or self.criterion is None:
             return
         if self.criterion == "by_id":
@@ -128,14 +143,14 @@ class _Fold:
                 return
             i = ids.index(self.wanted)
         else:
-            metric = n if self.criterion == "longest_by_points" else _path_lengths_m(xy, offsets)
+            metric = lengths if self.by_length else n
             top = metric.max()
             i = min(np.flatnonzero(metric == top).tolist(), key=ids.__getitem__)
             key = (-top.item(), ids[i])
             if self.key is not None and not key < self.key:
                 return
             self.key = key
-        coords = xy[offsets[i]:offsets[i + 1]].copy()
+        coords = coords_of(i)
         coords.flags.writeable = False
         self.selected = Trajectory(id=ids[i], coords=coords, start_time=start_times[i])
 
@@ -185,35 +200,50 @@ def _parse_kaggle(lines: Iterable[str], source_path: str, fold: _Fold) -> Datase
         csv.field_size_limit(limit)
 
 
-def _decode_block(texts: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray,
-                                              dict[str, int]]:
-    """Decode a block of POLYLINE texts into the trips it keeps.
+def _decode_block(texts: list[str], by_length: bool = False):
+    """Reduce a block of POLYLINE texts to what the fold reads of the trips it keeps.
 
-    Returns the kept trips' coordinates, one after another, their lengths,
-    their positions in ``texts``, and the texts skipped, by reason.
+    Returns the kept trips' final points (k, 2), point counts, path lengths
+    (None unless ``by_length``, which decodes every row exactly) and positions
+    in ``texts``, the texts skipped, by reason, and how many ``_CANON`` certified.
     """
     skipped = _no_skips()
-    xys, rows = [np.empty((0, 2))], []
+    ends, n, rows = [], [], []
+    exact, xys = [], [np.empty((0, 2))]     # the decoded trips: places in ``rows``, coordinates
     for i, text in enumerate(texts):
-        xy = _decode_polyline(text)
-        if isinstance(xy, str):
-            skipped[xy] += 1
+        m = None if by_length else _CANON.fullmatch(text)
+        if m is not None:
+            ends.append((float(m[1]), float(m[2])))
+            n.append(text.count("[") - 1)
         else:
+            xy = _decode_polyline(text)
+            if isinstance(xy, str):
+                skipped[xy] += 1
+                continue
+            exact.append(len(rows))
             xys.append(xy)
-            rows.append(i)
-    n = np.array([len(xy) for xy in xys[1:]], dtype=np.int64)
-    xy = np.concatenate(xys)
-    keep = np.logical_and.reduceat(_in_range(xy), np.cumsum(n) - n)
-    skipped["out_of_range"] += int(len(keep) - keep.sum())
-    return xy[np.repeat(keep, n)], n[keep], np.array(rows, dtype=np.int64)[keep], skipped
+            ends.append(xy[-1])
+            n.append(len(xy))
+        rows.append(i)
+    n = np.array(n, dtype=np.int64)
+    xy, n_exact = np.concatenate(xys), n[exact]
+    ok = np.logical_and.reduceat(_in_range(xy), np.cumsum(n_exact) - n_exact)
+    skipped["out_of_range"] += int(len(ok) - ok.sum())
+    keep = np.ones(len(rows), dtype=bool)
+    keep[exact] = ok
+    n = n[keep]
+    path_m = (_path_lengths_m(xy[np.repeat(ok, n_exact)], np.concatenate(([0], np.cumsum(n))))
+              if by_length else None)      # every kept trip was decoded, in order
+    return (np.array(ends, dtype=np.float64).reshape(-1, 2)[keep], n, path_m,
+            np.array(rows, dtype=np.int64)[keep], skipped, len(rows) - len(exact))
 
 
-def _decode_worker(conn) -> None:
+def _decode_worker(conn, by_length: bool) -> None:
     """Worker process: answer each block of texts with ``_decode_block``, until None."""
     import signal
     signal.signal(signal.SIGINT, signal.SIG_IGN)    # Ctrl-C is the parent's to handle
     while (texts := conn.recv()) is not None:
-        conn.send(_decode_block(texts))
+        conn.send(_decode_block(texts, by_length))
 
 
 def _fork_workers() -> int:
@@ -234,8 +264,8 @@ def _fork_workers() -> int:
     return workers
 
 
-def _decode_in_workers(blocks, workers: int):
-    """``(rest, _decode_block(texts))`` per ``(texts, rest)`` block, in block order.
+def _decode_in_workers(blocks, workers: int, by_length: bool):
+    """``(rest, _decode_block(texts, by_length))`` per ``(texts, rest)`` block, in block order.
 
     Blocks go round-robin to forked workers, each with its own pipe and at
     most one block in flight, so results arrive in block order on this
@@ -271,7 +301,7 @@ def _decode_in_workers(blocks, workers: int):
         for _ in range(workers):
             conn, child = ctx.Pipe()
             conns.append(conn)
-            proc = ctx.Process(target=_decode_worker, args=(child,), daemon=True)
+            proc = ctx.Process(target=_decode_worker, args=(child, by_length), daemon=True)
             proc.start()
             procs.append(proc)
             child.close()
@@ -309,7 +339,8 @@ def _read_kaggle(reader, source_path: str, fold: _Fold) -> Dataset:
         return row[i] if i is not None and i < len(row) else ""
 
     def row_blocks():
-        """Rows not flagged MISSING_DATA, in blocks of (POLYLINE texts, (trip ids, start times))."""
+        """Rows not flagged MISSING_DATA, in blocks of (POLYLINE texts, (trip ids,
+        start times, and the texts if a selection may decode one)))."""
         texts, ids, times = [], [], []
         for row in reader:
             if not row:
@@ -328,28 +359,34 @@ def _read_kaggle(reader, source_path: str, fold: _Fold) -> Dataset:
             ids.append(cell(row, trip).strip() or f"row{reader.line_num}")
             times.append(start_time)
             if len(texts) == _BLOCK_ROWS:
-                yield texts, (ids, times)
+                yield texts, (ids, times, fold.criterion and texts)
                 texts, ids, times = [], [], []
         if texts:
-            yield texts, (ids, times)
+            yield texts, (ids, times, fold.criterion and texts)
 
     blocks = row_blocks()
     head = list(itertools.islice(blocks, 2))
     workers = _fork_workers() if len(head) > 1 else 0
     blocks = itertools.chain(head, blocks)
-    decoded = (_decode_in_workers(blocks, workers) if workers else
-               ((rest, _decode_block(texts)) for texts, rest in blocks))
+    decoded = (_decode_in_workers(blocks, workers, fold.by_length) if workers else
+               ((rest, _decode_block(texts, fold.by_length)) for texts, rest in blocks))
+    certified = 0
 
     with contextlib.closing(decoded):               # stops the workers on any error
-        for (block_ids, block_times), (xy, n, kept, block_skipped) in decoded:
+        for (block_ids, block_times, texts), (ends, n, lengths, kept, block_skipped,
+                                              block_certified) in decoded:
             kept = kept.tolist()
-            fold.add(xy, n, list(map(block_ids.__getitem__, kept)),
-                     list(map(block_times.__getitem__, kept)))
+            fold.add(ends, n, lengths, list(map(block_ids.__getitem__, kept)),
+                     list(map(block_times.__getitem__, kept)),
+                     lambda i: _decode_polyline(texts[kept[i]]))
             for reason, count in block_skipped.items():
                 skipped[reason] += count
+            certified += block_certified
     ds = fold.dataset(source_path, skipped)
-    log.info("%s: %d rows in %d blocks, %d decode workers, skipped %s", source_path,
-             len(ds) + ds.skipped_rows, len(fold.ends) - 1, workers, skipped)
+    rows = len(ds) + ds.skipped_rows
+    log.info("%s: %d rows in %d blocks, %d decode workers, %d certified by the screen, "
+             "%d decoded exactly, skipped %s", source_path, rows, len(fold.ends) - 1,
+             workers, certified, rows - skipped["missing_data"] - certified, skipped)
     return ds
 
 
@@ -378,7 +415,8 @@ def _parse_point_list(lines: Iterable[str], source_path: str, fold: _Fold) -> Da
     log.info("%s: %d points kept, skipped %s", source_path, len(xy), skipped)
     if len(xy) >= 2:
         name = os.path.splitext(os.path.basename(source_path))[0] or "trajectory"
-        fold.add(xy, np.array([len(xy)]), [name], [None])
+        lengths = _path_lengths_m(xy, np.array([0, len(xy)])) if fold.by_length else None
+        fold.add(xy[-1:], np.array([len(xy)]), lengths, [name], [None], lambda i: xy)
     return fold.dataset(source_path, skipped)
 
 

@@ -6,6 +6,7 @@ import logging
 import multiprocessing
 import os
 import random
+import re
 import signal
 import tracemalloc
 import types
@@ -490,6 +491,212 @@ class TestAgainstReferenceParser:
             assert got.coords.tobytes() == pick.coords.tobytes(), selection
 
 
+# -- the screen: a certified row parses as the exact path decodes it --------------
+
+def screen_row(lon="-8.62", lat="41.15", first_lat="41.14", sep=", "):
+    """A four-point POLYLINE, the longest trip of ``screen_file``, with the given
+    final pair and first latitude."""
+    pairs = [("-8.61", first_lat), ("-8.615", "41.145"), ("-8.618", "41.148"), (lon, lat)]
+    return "[" + sep.join(f"[{x}{sep}{y}]" for x, y in pairs) + "]"
+
+
+# (POLYLINE, whether the screen certifies it): the JSON number grammar, the
+# WGS84 edges, the separators and the shape
+SCREEN_CASES = [
+    (screen_row(), True),
+    (screen_row(sep=","), True),
+    ("[[-8.61, 41.14],[-8.62,41.15]]", True),
+    ("[[-8.61,41.14]]", False),                         # one pair: too_short
+    ("[]", False),
+    (screen_row(lon="+1.5"), False),
+    (screen_row(lon=".5"), False),
+    (screen_row(lon="5."), False),
+    (screen_row(lon="01.5"), False),
+    (screen_row(lat="05.5"), False),
+    (screen_row(lat="-0"), False),                      # JSON: the integer 0, so +0.0
+    (screen_row(lat="-0.0"), True),
+    (screen_row(lon="-.5"), False),
+    (screen_row(lon="-8"), False),
+    (screen_row(lon="1e5"), False),
+    (screen_row(lat="1E+05"), False),
+    (screen_row(lat="1e400"), False),
+    (screen_row(lat="NaN"), False),
+    (screen_row(lon="Infinity"), False),
+    (screen_row(lon="-Infinity"), False),
+    (screen_row(lon='"-8.62"'), False),
+    (screen_row(lat="true"), False),
+    (screen_row(lon="-８.６２"), False),    # fullwidth digits
+    (screen_row(lat="٤١.١٥"), False),   # Arabic-Indic digits
+    (screen_row().replace(", ", ",\t", 1), False),
+    (screen_row().replace(", ", ",\n", 1), False),
+    (screen_row().replace(", ", ",  ", 1), False),
+    (screen_row().replace("[[", "[ [", 1), False),
+    (" " + screen_row(), False),
+    (screen_row() + " ", False),
+    (screen_row(lon="0.5"), True),
+    (screen_row(lon="99.5"), True),
+    (screen_row(lon="100.5"), True),
+    (screen_row(lon="179.99"), True),
+    (screen_row(lon="-179.99"), True),
+    (screen_row(lon="180"), False),
+    (screen_row(lon="180.0"), False),
+    (screen_row(lon="180.0000001"), False),
+    (screen_row(lon="-180.0"), False),
+    (screen_row(lon="-180"), False),
+    (screen_row(lat="89.99"), True),
+    (screen_row(lat="-89.99"), True),
+    (screen_row(lat="90"), False),
+    (screen_row(lat="90.0"), False),
+    (screen_row(lat="90.0000001"), False),
+    (screen_row(lat="-90.0"), False),
+    (screen_row(first_lat="90.5"), False),
+]
+NO_SCREEN = re.compile(r"(?!)")         # certifies nothing: every row takes the exact path
+
+
+def screen_file(polylines):
+    """Kaggle text: each POLYLINE as trip c<i>, between three-point trips."""
+    rows = [("g", "1", "False", GOOD_POLY)]
+    for i, poly in enumerate(polylines):
+        rows += [(f"c{i}", str(10 + i), "False", poly), (f"g{i}", "2", "False", GOOD_POLY)]
+    return kaggle_csv(rows).getvalue()
+
+
+def outcome(text, by_id):
+    """Endpoint bytes, skips, and (id, start time, coordinate bytes) of each pick."""
+    picks = []
+    for selection in [("longest_by_points", None), ("longest_by_length", None)] + [
+            ("by_id", trip_id) for trip_id in by_id]:
+        t = parse_dataset(io.StringIO(text, newline=""), "kaggle_porto", selection).selected
+        picks.append(t and (t.id, t.start_time, t.coords.tobytes()))
+    ds = parse_dataset(io.StringIO(text, newline=""), "kaggle_porto")
+    return ds.endpoints.tobytes(), ds.skipped_by_reason, picks
+
+
+def certified(text):
+    """Whether the block decode certifies ``text``, checked against its final point
+    and point count from the exact path when it does."""
+    ends, n, _, _, _, screened = ingest._decode_block([text])
+    if screened:
+        xy = ingest._decode_polyline(text)
+        assert (n.tolist(), ends.tobytes()) == ([len(xy)], xy[-1].tobytes())
+    return screened == 1
+
+
+class TestScreen:
+    @pytest.mark.parametrize("poly,screened", SCREEN_CASES)
+    def test_a_row_parses_as_the_exact_path_decodes_it(self, poly, screened, monkeypatch):
+        assert certified(poly) == screened
+        text = screen_file([poly])
+        got = outcome(text, ["c0"])
+        monkeypatch.setattr("trajstory.ingest._CANON", NO_SCREEN)
+        assert not certified(poly)
+        assert got == outcome(text, ["c0"])
+
+    @needs_fork
+    def test_every_row_through_the_workers(self, monkeypatch):
+        text = screen_file([poly for poly, _ in SCREEN_CASES])
+        ids = [f"c{i}" for i in range(len(SCREEN_CASES))]
+        monkeypatch.setattr("trajstory.ingest._BLOCK_ROWS", 8)
+        calls = decode_workers(monkeypatch, 2)
+        with deadline():
+            got = outcome(text, ids)
+        assert calls == [2] * (len(ids) + 3) and multiprocessing.active_children() == []
+        decode_workers(monkeypatch, 0)
+        monkeypatch.setattr("trajstory.ingest._CANON", NO_SCREEN)
+        assert got == outcome(text, ids)
+
+    @settings(max_examples=500, deadline=None)
+    @given(data=st.data())
+    def test_random_decimal_rows(self, data):
+        """The screen certifies a row exactly when it has two pairs or more and
+        every number is a plain JSON decimal lexically inside WGS84. Rows of
+        random plain decimals, with at most one number a near miss in its sign,
+        its integer part or its fraction."""
+        def decimal(limit, signs, wholes, fractions):
+            def spelled(parts):
+                sign, whole, frac = parts
+                plain = (sign != "+" and (whole == "0" or whole[0] != "0") and int(whole) < limit
+                         and len(frac) > 1 and frac.isascii())
+                return sign + whole + frac, plain
+            return st.tuples(signs, wholes, fractions).map(spelled)
+
+        def number(limit, odd):
+            signs, wholes = st.sampled_from(["", "-"]), st.integers(0, limit - 1).map(str)
+            fractions = st.text("0123456789", min_size=1, max_size=20).map(lambda f: "." + f)
+            if not odd:
+                return decimal(limit, signs, wholes, fractions)
+            return st.one_of(
+                decimal(limit, st.just("+"), wholes, fractions),
+                decimal(limit, signs, st.one_of(st.integers(limit, 999).map(str),
+                                                st.from_regex(r"0[0-9]{1,2}", fullmatch=True)),
+                        fractions),
+                decimal(limit, signs, wholes, st.one_of(
+                    st.sampled_from(["", "."]),
+                    st.text("٠١٢٣٤٥٦٧٨٩０１２３", min_size=1, max_size=3).map(lambda f: "." + f))))
+
+        n = data.draw(st.integers(1, 5), label="pairs")
+        odd = data.draw(st.one_of(st.none(), st.integers(0, 2 * n - 1)), label="odd number")
+        values = [data.draw(number(90 if k % 2 else 180, k == odd)) for k in range(2 * n)]
+        seps = st.sampled_from([",", ", "])
+        poly = "[" + data.draw(seps).join(f"[{values[k][0]}{data.draw(seps)}{values[k + 1][0]}]"
+                                          for k in range(0, 2 * n, 2)) + "]"
+        assert certified(poly) == (n >= 2 and all(plain for _, plain in values)), poly
+
+
+class TestScreenCoversTheCommonForms:
+    """The exact decode sees only the rows that are not in the common forms."""
+
+    @staticmethod
+    def counted_parse(path, monkeypatch):
+        seen, decode = [], ingest._decode_polyline
+
+        def counting(text):
+            seen.append(text)
+            return decode(text)
+        monkeypatch.setattr("trajstory.ingest._decode_polyline", counting)
+        monkeypatch.setattr("trajstory.ingest._BLOCK_ROWS", 64)
+        decode_workers(monkeypatch, 0)
+        return parse_dataset(str(path), "kaggle_porto"), seen
+
+    def test_synth_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "trips.csv"
+        write_kaggle_csv(generate_dataset(SyntheticSpec(seed=13, n_trajectories=300)),
+                         path, bad_rows=16, seed=6)
+        with open(path, encoding="utf-8", newline="") as fh:
+            bad = [row["POLYLINE"] for row in csv.DictReader(fh)
+                   if row["TRIP_ID"].startswith("bad") and row["MISSING_DATA"] != "True"]
+        ds, seen = self.counted_parse(path, monkeypatch)
+        assert (len(ds), len(bad)) == (300, 12)
+        assert seen == bad
+
+    def test_compact_kaggle_style_file(self, tmp_path, monkeypatch):
+        trips = generate_dataset(SyntheticSpec(seed=14, n_trajectories=200))
+        bad = ["[]", "[[-8.618643,41.141412]]", "[[-8.618643,41.141412],[",
+               "[[-8.618643,95.0],[-8.618499,41.141376]]", "[[-8.618643,41.141412],null]"]
+        rows = [(t.id, "1", "False", json.dumps(np.round(t.coords, 6).tolist(),
+                                                separators=(",", ":"))) for t in trips]
+        for i, poly in enumerate(bad):
+            rows.insert(40 * i + 7, (f"bad{i}", "2", "False", poly))
+        path = tmp_path / "compact.csv"
+        path.write_text(kaggle_csv(rows).getvalue(), encoding="utf-8", newline="")
+        assert rows[0][3].startswith("[[-8.")
+        ds, seen = self.counted_parse(path, monkeypatch)
+        assert (len(ds), ds.skipped_rows) == (200, 5)
+        assert seen == bad
+
+    def test_the_log_line_counts_both_sides(self, tmp_path, monkeypatch, caplog):
+        path = tmp_path / "trips.csv"
+        write_kaggle_csv(generate_dataset(SyntheticSpec(seed=13, n_trajectories=300)),
+                         path, bad_rows=16, seed=6)
+        caplog.set_level(logging.INFO, logger="trajstory.ingest")
+        self.counted_parse(path, monkeypatch)
+        assert ("316 rows in 5 blocks, 0 decode workers, 300 certified by the screen, "
+                "12 decoded exactly, skipped") in caplog.text
+        parse_dataset(str(path), "kaggle_porto", ("longest_by_length", None))
+        assert "0 certified by the screen, 312 decoded exactly" in caplog.text
+
+
 # -- the block-parallel decode ---------------------------------------------------
 
 def decode_workers(monkeypatch, workers):
@@ -606,10 +813,10 @@ class TestParallelDecode:
         monkeypatch.setattr("trajstory.ingest._BLOCK_ROWS", 64)
         parent, decode = os.getpid(), ingest._decode_block
 
-        def die_in_a_worker(texts):
+        def die_in_a_worker(texts, by_length):
             if os.getpid() != parent:
                 os._exit(7)
-            return decode(texts)
+            return decode(texts, by_length)
         monkeypatch.setattr("trajstory.ingest._decode_block", die_in_a_worker)
         decode_workers(monkeypatch, 2)
         code = main(["ingest", str(path)])
