@@ -8,7 +8,7 @@ Two source schemas:
 * ``point_list`` -- one ``lon,lat`` pair per line (header optional), the
   whole file being a single trajectory.
 
-A parse folds the file, one block of trips at a time, into a ``Dataset``
+A parse folds the file, one chunk of trips at a time, into a ``Dataset``
 that keeps each trip's final point and, when a selection is asked for, the
 one selected ``Trajectory``: so memory grows with the number of trips, not
 of points, and the selected trip stays one (N, 2) array from here to the map.
@@ -18,13 +18,21 @@ fewer than 2 points, coordinates outside WGS84 range, MISSING_DATA flag) are
 counted in ``skipped_rows``, by reason, never silently dropped. Real GPS
 exports are dirty; a bad row is data about the data.
 
-Of a POLYLINE in the common form (``_CANON``) only the point count and the
-final pair are read. Every other row, and every row when trip lengths are
-needed, is decoded exactly by ``_decode_polyline``, which defines every skip
-reason and every bit. A Kaggle file of more than one block of rows is
-decoded by up to two forked worker processes, one per usable core, while
-this process reads the CSV; they send back per-trip reductions, not
-coordinates, and the result is the same as decoding in-process.
+A Kaggle line that csv.reader provably reads as one whole record is split
+by ``_fields``; any other line goes to csv.reader. Of a POLYLINE in the
+common form (``_CANON``) only the point count and the final pair are read.
+Every other row, and every row when trip lengths are needed, is decoded
+exactly by ``_decode_polyline``, which defines every skip reason and every
+bit.
+
+A Kaggle file of two chunks or more is parsed by up to two forked workers,
+one per usable core: this process reads the header line, cuts the body into
+chunks at line ends and folds, in file order, what the workers send back
+from reading their own chunks. Where a chunk cannot be read alone (it is
+not UTF-8, csv.reader fails on it, or a quoted line end crosses a cut), or
+the selection takes a trip no worker decoded, the parse restarts in-process,
+so every error and ``row<N>`` id comes from the in-process path, which also
+parses text streams, one-chunk files and files on one-core machines.
 """
 
 from __future__ import annotations
@@ -32,13 +40,16 @@ from __future__ import annotations
 import collections
 import contextlib
 import csv
+import io
 import itertools
 import json
 import logging
+import math
 import os
 import re
+import stat
 from dataclasses import dataclass, field
-from typing import IO, Iterable
+from typing import IO, Iterable, Iterator
 
 import numpy as np
 
@@ -61,9 +72,10 @@ SKIP_REASONS = ("missing_data", "bad_json", "too_short", "out_of_range")
 # csv's default field limit (131,072 characters) cuts off POLYLINEs of
 # about 3,200 points; real trips can be longer.
 _MAX_FIELD_CHARS = 2**31 - 1
-# Kaggle rows per decoded block: one vectorized range check each, and the
-# unit sent to a worker, so it bounds the POLYLINE text in flight.
-_BLOCK_ROWS = 2048
+# Bytes of a Kaggle file's body per chunk: the byte range a decode worker
+# reads, and, counted in characters of lines, the rows decoded at once.
+_CHUNK_BYTES = 4 << 20
+_LINE_ENDS = ("", "\n", "\r", "\r\n")
 
 # A POLYLINE the screen certifies: two or more [lon, lat] pairs, separated by
 # "," or ", ", each number a JSON number with a fraction and no exponent that
@@ -73,7 +85,7 @@ _BLOCK_ROWS = 2048
 # fraction is required: JSON reads -0 as the integer 0, float() as -0.0.
 _LON = r"-?(?:1[0-7][0-9]|[1-9]?[0-9])\.[0-9]+"
 _LAT = r"-?[1-8]?[0-9]\.[0-9]+"
-_CANON = re.compile(rf"\[\[{_LON}, ?{_LAT}\](?:, ?\[({_LON}), ?({_LAT})\])+\]")
+_CANON = re.compile(rf"\[\[{_LON}, ?{_LAT}\](?:, ?\[{_LON}, ?{_LAT}\])+\]")
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,10 +128,11 @@ class Dataset:
 
 
 class _Fold:
-    """Folds blocks of trips, in file order, into what a Dataset keeps.
+    """Folds chunks of trips, in file order, into what a Dataset keeps.
 
-    A block gives each kept trip's final point, point count and path length
-    (under ``longest_by_length``); only a trip the selection takes is decoded.
+    A chunk gives each kept trip's final point, point count and path length
+    (under ``longest_by_length``), and the one trip the selection takes of
+    the chunk alone, decoded.
     The selection rules: ``longest_by_points`` and ``longest_by_length`` take
     the largest, ties going to the lowest id (the earliest trip, among equal
     ids); ``by_id`` takes the first trip with that id.
@@ -127,36 +140,56 @@ class _Fold:
 
     def __init__(self, selection: tuple[str, str | None] | None):
         self.criterion, self.wanted = selection or (None, None)
-        self.by_length = self.criterion == "longest_by_length"    # blocks measure their trips
+        self.by_length = self.criterion == "longest_by_length"    # chunks measure their trips
         self.ends = [np.empty((0, 2))]
+        self.skipped = _no_skips()
+        self.certified = 0                      # rows the screen certified
         self.key: tuple | None = None           # (-metric, id) of ``selected``
         self.selected: Trajectory | None = None
 
-    def add(self, ends: np.ndarray, n: np.ndarray, lengths: np.ndarray | None,
-            ids: list[str], start_times: list[int | None], coords_of) -> None:
-        """Fold one block's kept trips; ``coords_of(i)`` gives trip i's coordinates."""
-        self.ends.append(ends)
+    def best(self, n: np.ndarray, lengths: np.ndarray | None, ids: list[str]) -> int | None:
+        """The position in ``ids`` of the trip the selection takes of one chunk alone."""
         if not ids or self.criterion is None:
-            return
+            return None
         if self.criterion == "by_id":
-            if self.selected is not None or self.wanted not in ids:
-                return
-            i = ids.index(self.wanted)
-        else:
-            metric = lengths if self.by_length else n
-            top = metric.max()
-            i = min(np.flatnonzero(metric == top).tolist(), key=ids.__getitem__)
-            key = (-top.item(), ids[i])
+            return ids.index(self.wanted) if self.wanted in ids else None
+        metric = lengths if self.by_length else n
+        return min(np.flatnonzero(metric == metric.max()).tolist(), key=ids.__getitem__)
+
+    def add(self, ends: np.ndarray, n: np.ndarray, lengths: np.ndarray | None,
+            ids: list[str], start_times: list[int | None], pick) -> None:
+        """Fold one chunk's kept trips; ``pick`` is ``(i, coordinates)`` of the trip
+        ``best`` takes of them, or None. Raises _Restart if the fold takes another."""
+        self.ends.append(ends)
+        if self.criterion == "by_id" and self.selected is not None:
+            return
+        i = self.best(n, lengths, ids)
+        if i is None:
+            return
+        if self.criterion != "by_id":
+            key = (-(lengths if self.by_length else n)[i].item(), ids[i])
             if self.key is not None and not key < self.key:
                 return
             self.key = key
-        coords = coords_of(i)
+        if pick is None or pick[0] != i:
+            raise _Restart("the selection takes a trip no worker decoded")
+        coords = pick[1]
         coords.flags.writeable = False
         self.selected = Trajectory(id=ids[i], coords=coords, start_time=start_times[i])
 
-    def dataset(self, source_path: str, skipped: dict[str, int]) -> Dataset:
+    def add_chunk(self, base: int, chunk) -> None:
+        """Fold a ``_reduce`` result whose lines follow line ``base`` of the file."""
+        _, ends, n, lengths, ids, times, blank, skipped, certified, pick = chunk
+        for i, line in blank:
+            ids[i] = f"row{base + line}"
+        self.add(ends, n, lengths, ids, times, pick)
+        for reason, count in skipped.items():
+            self.skipped[reason] += count
+        self.certified += certified
+
+    def dataset(self, source_path: str) -> Dataset:
         return Dataset(endpoints=np.concatenate(self.ends), source_path=source_path,
-                       skipped_by_reason=skipped, selected=self.selected)
+                       skipped_by_reason=self.skipped, selected=self.selected)
 
 
 def _in_range(xy: np.ndarray) -> np.ndarray:
@@ -189,17 +222,6 @@ def _decode_polyline(raw: str) -> np.ndarray | str:
     return xy if len(xy) >= 2 else "too_short"
 
 
-def _parse_kaggle(lines: Iterable[str], source_path: str, fold: _Fold) -> Dataset:
-    reader = csv.reader(lines)
-    limit = csv.field_size_limit(_MAX_FIELD_CHARS)
-    try:
-        return _read_kaggle(reader, source_path, fold)
-    except csv.Error as exc:
-        raise ParseError(f"{source_path}: line {reader.line_num}: {exc}") from None
-    finally:
-        csv.field_size_limit(limit)
-
-
 def _decode_block(texts: list[str], by_length: bool = False):
     """Reduce a block of POLYLINE texts to what the fold reads of the trips it keeps.
 
@@ -211,9 +233,9 @@ def _decode_block(texts: list[str], by_length: bool = False):
     ends, n, rows = [], [], []
     exact, xys = [], [np.empty((0, 2))]     # the decoded trips: places in ``rows``, coordinates
     for i, text in enumerate(texts):
-        m = None if by_length else _CANON.fullmatch(text)
-        if m is not None:
-            ends.append((float(m[1]), float(m[2])))
+        if not by_length and _CANON.fullmatch(text):
+            lon, lat = text[text.rfind("[") + 1:-2].split(",")
+            ends.append((float(lon), float(lat)))
             n.append(text.count("[") - 1)
         else:
             xy = _decode_polyline(text)
@@ -238,16 +260,185 @@ def _decode_block(texts: list[str], by_length: bool = False):
             np.array(rows, dtype=np.int64)[keep], skipped, len(rows) - len(exact))
 
 
-def _decode_worker(conn, by_length: bool) -> None:
-    """Worker process: answer each block of texts with ``_decode_block``, until None."""
+class _Restart(Exception):
+    """What the decode workers read cannot be folded: the parse restarts in-process."""
+
+
+def _cell(row: list[str], i: int | None) -> str:
+    return row[i] if i is not None and i < len(row) else ""
+
+
+def _fields(line: str) -> list[str] | None:
+    """The fields of ``line`` if csv.reader reads it as one whole record, else None.
+
+    Proven only for a line with no ``"``, or with two that quote its last field
+    (the first follows a ``,``, the second ends the line), and no NUL: Python
+    3.10's csv rejects a NUL and 3.11's reads it. A line longer than the field
+    limit is refused too, so that csv.reader raises its error.
+    """
+    if "\0" in line or len(line) > _MAX_FIELD_CHARS:
+        return None
+    q = line.find('"')
+    if q < 0:
+        body = line.rstrip("\r\n")    # a line holds no line end but its last
+        return body.split(",") if body else []      # csv reads a blank line as []
+    e = line.rfind('"')
+    if 0 < q < e and line[q - 1] == "," and line[e + 1:] in _LINE_ENDS \
+            and line.find('"', q + 1, e) < 0:
+        row = line[:q - 1].split(",")
+        row.append(line[q + 1:e])
+        return row
+    return None
+
+
+def _lines(text: str):
+    """An iterator over the lines of ``text`` as the file iterator splits them."""
+    # str.splitlines also ends a line at \v, \f, \x1c-\x1e and at non-ASCII
+    # separators; a text without them it splits as the file iterator does
+    if text.isascii() and not any(c in text for c in "\v\f\x1c\x1d\x1e"):
+        return iter(text.splitlines(True))
+    return io.StringIO(text, newline="")
+
+
+def _read_rows(lines, columns: tuple[int | None, ...], selecting: bool, size: float,
+               base: int | None, tail: tuple = ()):
+    """Read Kaggle records from the text ``lines`` until they pass ``size`` characters.
+
+    None when no line is left, else ``(texts, ids, times, blank, lines, flagged)``:
+    the POLYLINE texts of the rows not flagged MISSING_DATA, with their trip
+    ids and start times when ``selecting``; the lines read, and the rows
+    flagged. ``base`` is the number of lines before ``lines``; a worker does
+    not know it, so there a blank trip id stays "" and ``blank`` maps its row
+    to the line its record ends on, counted from here. ``tail`` follows
+    ``lines``: ``(None,)`` makes a record still open at their end a csv.Error.
+    """
+    polyline, trip, timestamp, missing = columns
+    texts, ids, times, blank = [], [], [], {}
+    num = chars = flagged = 0
+    for line in lines:
+        num += 1
+        chars += len(line)
+        row = _fields(line)
+        if row is None:
+            reader = csv.reader(itertools.chain([line], lines, tail))
+            try:
+                row = next(reader)
+            except csv.Error as exc:
+                raise csv.Error(f"line {(base or 0) + num - 1 + reader.line_num}: {exc}") from None
+            num += reader.line_num - 1
+        if not row:
+            pass                                # a blank line is not a row
+        elif _cell(row, missing).strip().lower() == "true":
+            flagged += 1
+        else:
+            texts.append(_cell(row, polyline))
+            if selecting:
+                trip_id = _cell(row, trip).strip()
+                if not trip_id and base is not None:
+                    trip_id = f"row{base + num}"
+                elif not trip_id:
+                    blank[len(ids)] = num
+                ids.append(trip_id)
+                ts = _cell(row, timestamp).strip()
+                try:
+                    times.append(int(ts) if ts else None)
+                except ValueError:
+                    times.append(None)
+        if chars > size:
+            break
+    return (texts, ids, times, blank, num, flagged) if num else None
+
+
+def _reduce(rows, fold: _Fold):
+    """What ``fold`` reads of the rows ``_read_rows`` gave.
+
+    ``(lines, ends, n, lengths, ids, times, blank, skipped, certified, pick)``:
+    ``_decode_block``'s reductions with the kept trips' ids and start times,
+    ``blank`` as ``(kept position, line)``, and ``pick``, ``(i, coordinates)``
+    of the trip ``fold.best`` takes of them.
+    """
+    texts, ids, times, blank, lines, flagged = rows
+    ends, n, lengths, kept, skipped, certified = _decode_block(texts, fold.by_length)
+    skipped["missing_data"] = flagged
+    kept, pick = kept.tolist(), None
+    blank = [(i, blank[k]) for i, k in enumerate(kept) if k in blank] if blank else []
+    if ids:
+        ids, times = [ids[k] for k in kept], [times[k] for k in kept]
+        i = fold.best(n, lengths, ids)
+        if i is not None:
+            pick = i, _decode_polyline(texts[kept[i]])
+    return lines, ends, n, lengths, ids, times, blank, skipped, certified, pick
+
+
+def _columns(header: list[str] | None) -> tuple[int | None, ...]:
+    """Where POLYLINE, TRIP_ID, TIMESTAMP and MISSING_DATA sit in a row."""
+    if header is None or "POLYLINE" not in header:
+        raise ParseError("kaggle_porto header is missing the POLYLINE column")
+    # a repeated column name reads its last column, as csv.DictReader does
+    column = {name: i for i, name in enumerate(header)}
+    return tuple(column.get(name) for name in ("POLYLINE", "TRIP_ID", "TIMESTAMP", "MISSING_DATA"))
+
+
+def _kaggle_dataset(fold: _Fold, source_path: str, workers: int) -> Dataset:
+    ds = fold.dataset(source_path)
+    rows = len(ds) + ds.skipped_rows
+    log.info("%s: %d rows in %d chunks, %d decode workers, %d certified by the screen, "
+             "%d decoded exactly, skipped %s", source_path, rows, len(fold.ends) - 1,
+             workers, fold.certified, rows - fold.skipped["missing_data"] - fold.certified,
+             fold.skipped)
+    return ds
+
+
+def _parse_kaggle(lines: Iterator[str], source_path: str, fold: _Fold) -> Dataset:
+    """A Kaggle file parsed in this process, from its text ``lines``."""
+    reader = csv.reader(lines)
+    try:
+        header = next(reader, None)
+    except csv.Error as exc:
+        raise ParseError(f"{source_path}: line {reader.line_num}: {exc}") from None
+    columns, base, selecting = _columns(header), reader.line_num, fold.criterion is not None
+    try:
+        while (rows := _read_rows(lines, columns, selecting, _CHUNK_BYTES, base)) is not None:
+            chunk = _reduce(rows, fold)
+            fold.add_chunk(base, chunk)
+            base += chunk[0]
+    except csv.Error as exc:
+        raise ParseError(f"{source_path}: {exc}") from None
+    return _kaggle_dataset(fold, source_path, 0)
+
+
+def _header(line: bytes) -> list[str] | None:
+    """The header record, if csv.reader reads the UTF-8 ``line`` alone as one record."""
+    if not line.endswith(b"\n"):                   # the file's end, or cut short
+        return None
+    try:
+        lines = io.StringIO(line.decode("utf-8-sig"), newline="").readlines()
+        return next(csv.reader(lines + [None])) if len(lines) == 1 else None
+    except (UnicodeDecodeError, csv.Error):
+        return None
+
+
+def _decode_worker(conn, path: str, columns: tuple[int | None, ...], fold: _Fold) -> None:
+    """Worker process: answer each ``(start, end)`` byte range of ``path`` with the
+    ``_reduce`` of its rows, or None where they cannot be read alone: they are
+    not UTF-8, csv.reader fails on one, or a record runs past their end."""
     import signal
     signal.signal(signal.SIGINT, signal.SIG_IGN)    # Ctrl-C is the parent's to handle
-    while (texts := conn.recv()) is not None:
-        conn.send(_decode_block(texts, by_length))
+    with open(path, "rb") as fh:
+        while (job := conn.recv()) is not None:
+            start, end = job
+            fh.seek(start)
+            try:
+                rows = _read_rows(_lines(fh.read(end - start).decode("utf-8")), columns,
+                                  fold.criterion is not None, math.inf, None, (None,))
+            except (UnicodeDecodeError, csv.Error):
+                conn.send(None)
+            else:
+                conn.send(_reduce(rows, fold))
 
 
 def _fork_workers() -> int:
-    """Decode workers for a file of more than one block: up to two, one per usable core.
+    """Decode workers for a file of more than one chunk: up to two, one per usable core.
 
     0, to decode in-process, where one core is usable or no worker can be forked.
     """
@@ -257,60 +448,61 @@ def _fork_workers() -> int:
         workers = min(2, os.cpu_count() or 1)
     if workers < 2:
         return 0
-    import multiprocessing                          # only multi-block files pay for it
+    import multiprocessing                          # only multi-chunk files pay for it
     if "fork" not in multiprocessing.get_all_start_methods() \
             or multiprocessing.current_process().daemon:   # a daemon may not fork workers
         return 0
     return workers
 
 
-def _decode_in_workers(blocks, workers: int, by_length: bool):
-    """``(rest, _decode_block(texts, by_length))`` per ``(texts, rest)`` block, in block order.
+def _decode_in_workers(path: str, jobs: list[tuple[int, int]], workers: int,
+                       columns: tuple[int | None, ...], fold: _Fold):
+    """The worker's answer to each ``(start, end)`` byte range of ``path``, in file order.
 
-    Blocks go round-robin to forked workers, each with its own pipe and at
-    most one block in flight, so results arrive in block order on this
-    thread and neither end of a pipe can block the other. No worker
-    outlives the generator.
+    Jobs go round-robin to forked workers, each with its own pipe and at
+    most two jobs in flight, so results arrive in file order on this thread
+    and neither end of a pipe can block the other. No worker outlives the
+    generator.
     """
     import multiprocessing
     # forked, not spawned: a worker starts with numpy already imported, and
-    # runs only json and numpy code
+    # runs only csv, json and numpy code
     ctx = multiprocessing.get_context("fork")
     conns, procs = [], []
-    pending = collections.deque()                   # (block number, rest) in flight
+    pending = collections.deque()                   # job numbers in flight
     finished = False
 
     def stopped(i: int) -> ParseError:
         procs[i].join()                 # its end of the pipe is closed: it has exited
         return ParseError(f"a POLYLINE decoding worker stopped (exit code {procs[i].exitcode})")
 
-    def send(i: int, texts: list[str] | None) -> None:
+    def send(i: int, job: tuple[int, int] | None) -> None:
         try:
-            conns[i].send(texts)
+            conns[i].send(job)
         except OSError:
             raise stopped(i) from None
 
     def receive():
-        k, rest = pending.popleft()
+        i = pending.popleft() % workers
         try:
-            return rest, conns[k % workers].recv()
+            return conns[i].recv()
         except (EOFError, OSError):
-            raise stopped(k % workers) from None
+            raise stopped(i) from None
 
     try:
         for _ in range(workers):
             conn, child = ctx.Pipe()
             conns.append(conn)
-            proc = ctx.Process(target=_decode_worker, args=(child, by_length), daemon=True)
+            proc = ctx.Process(target=_decode_worker, args=(child, path, columns, fold),
+                               daemon=True)
             proc.start()
             procs.append(proc)
             child.close()
-        for k, (texts, rest) in enumerate(blocks):
-            done = receive() if len(pending) == workers else None
-            send(k % workers, texts)
-            pending.append((k, rest))
-            if done is not None:
-                yield done
+        for k, job in enumerate(jobs):
+            if len(pending) == 2 * workers:
+                yield receive()
+            send(k % workers, job)
+            pending.append(k)
         while pending:
             yield receive()
         for i in range(workers):
@@ -325,73 +517,49 @@ def _decode_in_workers(blocks, workers: int, by_length: bool):
             conn.close()
 
 
-def _read_kaggle(reader, source_path: str, fold: _Fold) -> Dataset:
-    header = next(reader, None)
-    if header is None or "POLYLINE" not in header:
-        raise ParseError("kaggle_porto header is missing the POLYLINE column")
-    # a repeated column name reads its last column, as csv.DictReader does
-    column = {name: i for i, name in enumerate(header)}
-    polyline, trip, timestamp, missing = (
-        column.get(name) for name in ("POLYLINE", "TRIP_ID", "TIMESTAMP", "MISSING_DATA"))
-    skipped = _no_skips()
+def _parse_in_workers(path: str, fold: _Fold) -> Dataset | None:
+    """The Kaggle file at ``path``, its body read by forked decode workers.
 
-    def cell(row: list[str], i: int | None) -> str:
-        return row[i] if i is not None and i < len(row) else ""
-
-    def row_blocks():
-        """Rows not flagged MISSING_DATA, in blocks of (POLYLINE texts, (trip ids,
-        start times, and the texts if a selection may decode one)))."""
-        texts, ids, times = [], [], []
-        for row in reader:
-            if not row:
-                continue                # a blank line is not a row
-            if cell(row, missing).strip().lower() == "true":
-                skipped["missing_data"] += 1
-                continue
-            start_time = None
-            ts = cell(row, timestamp).strip()
-            if ts:
-                try:
-                    start_time = int(ts)
-                except ValueError:
-                    start_time = None
-            texts.append(cell(row, polyline))
-            ids.append(cell(row, trip).strip() or f"row{reader.line_num}")
-            times.append(start_time)
-            if len(texts) == _BLOCK_ROWS:
-                yield texts, (ids, times, fold.criterion and texts)
-                texts, ids, times = [], [], []
-        if texts:
-            yield texts, (ids, times, fold.criterion and texts)
-
-    blocks = row_blocks()
-    head = list(itertools.islice(blocks, 2))
-    workers = _fork_workers() if len(head) > 1 else 0
-    blocks = itertools.chain(head, blocks)
-    decoded = (_decode_in_workers(blocks, workers, fold.by_length) if workers else
-               ((rest, _decode_block(texts, fold.by_length)) for texts, rest in blocks))
-    certified = 0
-
-    with contextlib.closing(decoded):               # stops the workers on any error
-        for (block_ids, block_times, texts), (ends, n, lengths, kept, block_skipped,
-                                              block_certified) in decoded:
-            kept = kept.tolist()
-            fold.add(ends, n, lengths, list(map(block_ids.__getitem__, kept)),
-                     list(map(block_times.__getitem__, kept)),
-                     lambda i: _decode_polyline(texts[kept[i]]))
-            for reason, count in block_skipped.items():
-                skipped[reason] += count
-            certified += block_certified
-    ds = fold.dataset(source_path, skipped)
-    rows = len(ds) + ds.skipped_rows
-    log.info("%s: %d rows in %d blocks, %d decode workers, %d certified by the screen, "
-             "%d decoded exactly, skipped %s", source_path, rows, len(fold.ends) - 1,
-             workers, certified, rows - skipped["missing_data"] - certified, skipped)
-    return ds
+    This process reads the header line and cuts the body into chunks of
+    about ``_CHUNK_BYTES`` at line ends, a seek and a readline each; the
+    workers read, parse and reduce the chunks, and this process folds them
+    in file order. None, to parse in-process, where the file is not a
+    regular file of two chunks or more, no worker can be forked, its first
+    line is not the whole header in UTF-8, or a chunk cannot be read alone.
+    """
+    with open(path, "rb") as fh:
+        st = os.fstat(fh.fileno())
+        if not stat.S_ISREG(st.st_mode):             # a pipe cannot be read twice
+            return None
+        header = _header(fh.readline(1 << 20))      # a longer first line parses in-process
+        cuts = [fh.tell()]
+        while cuts[-1] < st.st_size:
+            fh.seek(cuts[-1] + _CHUNK_BYTES)
+            fh.readline()
+            cuts.append(min(fh.tell(), st.st_size))
+    if len(cuts) < 3 or header is None or "POLYLINE" not in header:
+        return None
+    workers = _fork_workers()
+    if not workers:
+        return None
+    base = 1                                        # the header is line 1
+    chunks = _decode_in_workers(path, list(zip(cuts, cuts[1:])), workers,
+                                _columns(header), fold)
+    try:
+        with contextlib.closing(chunks):            # stops the workers on any error
+            for chunk in chunks:
+                if chunk is None:
+                    raise _Restart("a chunk cannot be read alone")
+                fold.add_chunk(base, chunk)
+                base += chunk[0]
+    except _Restart as exc:
+        log.info("%s: %s; parsing in-process", path, exc)
+        return None
+    return _kaggle_dataset(fold, path, workers)
 
 
 def _parse_point_list(lines: Iterable[str], source_path: str, fold: _Fold) -> Dataset:
-    skipped = _no_skips()
+    skipped = fold.skipped
     values: list[float] = []
     for line in lines:
         line = line.strip()
@@ -416,8 +584,8 @@ def _parse_point_list(lines: Iterable[str], source_path: str, fold: _Fold) -> Da
     if len(xy) >= 2:
         name = os.path.splitext(os.path.basename(source_path))[0] or "trajectory"
         lengths = _path_lengths_m(xy, np.array([0, len(xy)])) if fold.by_length else None
-        fold.add(xy[-1:], np.array([len(xy)]), lengths, [name], [None], lambda i: xy)
-    return fold.dataset(source_path, skipped)
+        fold.add(xy[-1:], np.array([len(xy)]), lengths, [name], [None], (0, xy))
+    return fold.dataset(source_path)
 
 
 def parse_dataset(source: str | IO[str], schema: str,
@@ -442,16 +610,21 @@ def parse_dataset(source: str | IO[str], schema: str,
         if criterion == "by_id" and trajectory_id is None:
             raise ConfigurationError("selection criterion by_id needs a trajectory id")
     parser = _parse_kaggle if schema == "kaggle_porto" else _parse_point_list
-    fold = _Fold(selection)
+    limit = csv.field_size_limit(_MAX_FIELD_CHARS)
     try:
         if isinstance(source, str):
-            with open(source, encoding="utf-8-sig", newline="") as fh:
-                return parser(fh, source, fold)
+            ds = _parse_in_workers(source, _Fold(selection)) if parser is _parse_kaggle else None
+            if ds is None:
+                with open(source, encoding="utf-8-sig", newline="") as fh:
+                    ds = parser(fh, source, _Fold(selection))
+            return ds
         first = source.readline().removeprefix("\ufeff")     # a byte-order mark is no data
         return parser(itertools.chain([first], source), getattr(source, "name", "<stream>"),
-                      fold)
+                      _Fold(selection))
     except UnicodeDecodeError as exc:
         raise ParseError(f"dataset is not UTF-8 text: {exc}") from None
+    finally:
+        csv.field_size_limit(limit)
 
 
 def _path_lengths_m(coords: np.ndarray, offsets: np.ndarray) -> np.ndarray:

@@ -8,6 +8,7 @@ import os
 import random
 import re
 import signal
+import tempfile
 import tracemalloc
 import types
 
@@ -374,7 +375,7 @@ class TestSkipReasons:
         assert ds.selected.coords.tolist() == [[-8.61, 41.14], [-8.62, 41.15]]
 
     def test_range_check_spans_block_boundaries(self, monkeypatch):
-        monkeypatch.setattr("trajstory.ingest._BLOCK_ROWS", 2)
+        monkeypatch.setattr("trajstory.ingest._CHUNK_BYTES", 100)
         # row i's trip ends at latitude 41 + i
         rows = [(f"t{i}", str(i), "False",
                  f"[[-8.61,{95.0 if i % 3 == 1 else 41.14}],[-8.62,41.15],[-8.63,{41 + i}]]")
@@ -457,24 +458,30 @@ class TestAgainstReferenceParser:
     def test_same_trips_bits_and_skips(self, text):
         self.check(text)
 
-    # two-row blocks send every example of more than two rows through two
-    # forked decode workers; each such parse forks, so fewer examples
+    # 64-byte chunks send every example of more than a line or two through
+    # two forked decode workers; each such parse forks, so fewer examples
     @needs_fork
     @settings(max_examples=100, deadline=None)
     @given(text=kaggle_files())
     def test_same_through_the_decode_workers(self, text):
-        with deadline(), pytest.MonkeyPatch.context() as mp:
-            mp.setattr("trajstory.ingest._BLOCK_ROWS", 2)
+        with deadline(), pytest.MonkeyPatch.context() as mp, \
+                tempfile.TemporaryDirectory() as tmp:
+            mp.setattr("trajstory.ingest._CHUNK_BYTES", 64)
             mp.setattr("trajstory.ingest._fork_workers", lambda: 2)
-            self.check(text)
+            path = os.path.join(tmp, "trips.csv")
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+            self.check(text, path)
         assert multiprocessing.active_children() == []
 
     @staticmethod
-    def check(text):
+    def check(text, path=None):
         """Endpoints and skips; then the bits of the first trip of each id, and of
-        each longest_* pick, one selecting parse each."""
+        each longest_* pick, one selecting parse each, of ``path`` if given."""
+        def source():
+            return path or io.StringIO(text, newline="")
         want, want_skipped = reference_parse_kaggle(io.StringIO(text, newline=""))
-        ds = parse_dataset(io.StringIO(text, newline=""), "kaggle_porto")
+        ds = parse_dataset(source(), "kaggle_porto")
         assert len(ds) == len(want)
         assert ds.endpoints.dtype == np.float64
         assert ds.endpoints.tobytes() == endpoints(want).tobytes()
@@ -484,8 +491,7 @@ class TestAgainstReferenceParser:
         if want:
             selections += [("longest_by_points", None), ("longest_by_length", None)]
         for selection in selections:
-            got = parse_dataset(io.StringIO(text, newline=""), "kaggle_porto",
-                                selection).selected
+            got = parse_dataset(source(), "kaggle_porto", selection).selected
             pick = reference_select_trajectory(want, *selection)
             assert (got.id, got.start_time) == (pick.id, pick.start_time), selection
             assert got.coords.tobytes() == pick.coords.tobytes(), selection
@@ -562,14 +568,21 @@ def screen_file(polylines):
     return kaggle_csv(rows).getvalue()
 
 
-def outcome(text, by_id):
-    """Endpoint bytes, skips, and (id, start time, coordinate bytes) of each pick."""
+def outcome(text, by_id, path=None):
+    """Endpoint bytes, skips, and (id, start time, coordinate bytes) of each pick,
+    parsing ``text`` from a stream, or written to ``path`` and parsed from there."""
+    if path is not None:
+        path.write_text(text, encoding="utf-8", newline="")
+
+    def parse(selection=None):
+        source = io.StringIO(text, newline="") if path is None else str(path)
+        return parse_dataset(source, "kaggle_porto", selection)
     picks = []
     for selection in [("longest_by_points", None), ("longest_by_length", None)] + [
             ("by_id", trip_id) for trip_id in by_id]:
-        t = parse_dataset(io.StringIO(text, newline=""), "kaggle_porto", selection).selected
+        t = parse(selection).selected
         picks.append(t and (t.id, t.start_time, t.coords.tobytes()))
-    ds = parse_dataset(io.StringIO(text, newline=""), "kaggle_porto")
+    ds = parse()
     return ds.endpoints.tobytes(), ds.skipped_by_reason, picks
 
 
@@ -594,14 +607,16 @@ class TestScreen:
         assert got == outcome(text, ["c0"])
 
     @needs_fork
-    def test_every_row_through_the_workers(self, monkeypatch):
+    def test_every_row_through_the_workers(self, tmp_path, monkeypatch, caplog):
+        caplog.set_level(logging.INFO, logger="trajstory.ingest")
         text = screen_file([poly for poly, _ in SCREEN_CASES])
         ids = [f"c{i}" for i in range(len(SCREEN_CASES))]
-        monkeypatch.setattr("trajstory.ingest._BLOCK_ROWS", 8)
+        monkeypatch.setattr("trajstory.ingest._CHUNK_BYTES", 512)
         calls = decode_workers(monkeypatch, 2)
         with deadline():
-            got = outcome(text, ids)
+            got = outcome(text, ids, tmp_path / "screen.csv")
         assert calls == [2] * (len(ids) + 3) and multiprocessing.active_children() == []
+        assert "cannot be read alone" not in caplog.text
         decode_workers(monkeypatch, 0)
         monkeypatch.setattr("trajstory.ingest._CANON", NO_SCREEN)
         assert got == outcome(text, ids)
@@ -655,7 +670,7 @@ class TestScreenCoversTheCommonForms:
             seen.append(text)
             return decode(text)
         monkeypatch.setattr("trajstory.ingest._decode_polyline", counting)
-        monkeypatch.setattr("trajstory.ingest._BLOCK_ROWS", 64)
+        monkeypatch.setattr("trajstory.ingest._CHUNK_BYTES", 16384)
         decode_workers(monkeypatch, 0)
         return parse_dataset(str(path), "kaggle_porto"), seen
 
@@ -691,16 +706,16 @@ class TestScreenCoversTheCommonForms:
                          path, bad_rows=16, seed=6)
         caplog.set_level(logging.INFO, logger="trajstory.ingest")
         self.counted_parse(path, monkeypatch)
-        assert ("316 rows in 5 blocks, 0 decode workers, 300 certified by the screen, "
+        assert ("316 rows in 20 chunks, 0 decode workers, 300 certified by the screen, "
                 "12 decoded exactly, skipped") in caplog.text
         parse_dataset(str(path), "kaggle_porto", ("longest_by_length", None))
         assert "0 certified by the screen, 312 decoded exactly" in caplog.text
 
 
-# -- the block-parallel decode ---------------------------------------------------
+# -- the chunk-parallel parse ----------------------------------------------------
 
 def decode_workers(monkeypatch, workers):
-    """Make every multi-block parse use ``workers`` forked workers (0: in-process),
+    """Make every multi-chunk parse use ``workers`` forked workers (0: in-process),
     whatever the machine's cores; returns the list each such parse appends to."""
     calls = []
 
@@ -734,33 +749,38 @@ class TestParallelDecode:
     def test_workers_and_in_process_give_the_same_dataset(self, tmp_path, monkeypatch,
                                                           caplog):
         path = str(self.synth_csv(tmp_path / "trips.csv"))
-        monkeypatch.setattr("trajstory.ingest._BLOCK_ROWS", 64)
+        monkeypatch.setattr("trajstory.ingest._CHUNK_BYTES", 65536)
         caplog.set_level(logging.INFO, logger="trajstory.ingest")
-        decode_workers(monkeypatch, 2)
-        parallel = parse_dataset(path, "kaggle_porto", ("by_id", "row369"))
-        assert "in 6 blocks, 2 decode workers" in caplog.text
-        assert multiprocessing.active_children() == []
-        decode_workers(monkeypatch, 0)
-        serial = parse_dataset(path, "kaggle_porto", ("by_id", "row369"))
-        assert len(parallel) == len(serial) == 310
-        assert parallel.endpoints.tobytes() == serial.endpoints.tobytes()
-        assert parallel.skipped_by_reason == serial.skipped_by_reason
-        assert serial.skipped_by_reason == {"missing_data": 10, "bad_json": 10,
-                                            "too_short": 20, "out_of_range": 20}
-        # the last row's blank trip id falls back to its line number
-        for ds in (parallel, serial):
-            assert (ds.selected.id, ds.selected.start_time) == ("row369", 27)
-            assert ds.selected.coords.tolist() == json.loads(GOOD_POLY)
+        # a blank trip id falls back to the number of the line its row ends
+        # on, which a worker does not know: picking such a trip (the last
+        # good row's) restarts the parse in-process
+        for trip_id, start_time, read in [("x24", 24, "in 6 chunks, 2 decode workers"),
+                                          ("row369", 27, "no worker decoded; parsing in-process")]:
+            caplog.clear()
+            decode_workers(monkeypatch, 2)
+            parallel = parse_dataset(path, "kaggle_porto", ("by_id", trip_id))
+            assert read in caplog.text
+            assert multiprocessing.active_children() == []
+            decode_workers(monkeypatch, 0)
+            serial = parse_dataset(path, "kaggle_porto", ("by_id", trip_id))
+            assert len(parallel) == len(serial) == 310
+            assert parallel.endpoints.tobytes() == serial.endpoints.tobytes()
+            assert parallel.skipped_by_reason == serial.skipped_by_reason
+            assert serial.skipped_by_reason == {"missing_data": 10, "bad_json": 10,
+                                                "too_short": 20, "out_of_range": 20}
+            for ds in (parallel, serial):
+                assert (ds.selected.id, ds.selected.start_time) == (trip_id, start_time)
+                assert ds.selected.coords.tolist() == json.loads(GOOD_POLY)
 
     def test_one_block_or_one_core_forks_nothing(self, tmp_path, monkeypatch, caplog):
         path = str(self.synth_csv(tmp_path / "trips.csv"))
         caplog.set_level(logging.INFO, logger="trajstory.ingest")
-        parse_dataset(path, "kaggle_porto")                 # 370 rows: one block
-        assert "in 1 blocks, 0 decode workers" in caplog.text
-        monkeypatch.setattr("trajstory.ingest._BLOCK_ROWS", 64)
+        parse_dataset(path, "kaggle_porto")                 # 370 rows: one chunk
+        assert "in 1 chunks, 0 decode workers" in caplog.text
+        monkeypatch.setattr("trajstory.ingest._CHUNK_BYTES", 65536)
         monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0}, raising=False)
         parse_dataset(path, "kaggle_porto")
-        assert "in 6 blocks, 0 decode workers" in caplog.text
+        assert "in 6 chunks, 0 decode workers" in caplog.text
         monkeypatch.setattr("os.sched_getaffinity", lambda pid: set(range(8)),
                             raising=False)
         assert ingest._fork_workers() == 2
@@ -771,7 +791,7 @@ class TestParallelDecode:
 
     @staticmethod
     def third_block_fault_csv(path, fault: bytes):
-        """Three blocks of 50 rows of 20 points; ``fault`` replaces row 120's POLYLINE."""
+        """150 rows of 20 points; ``fault`` replaces row 120's POLYLINE."""
         poly = json.dumps([[-8.61 + i * 1e-4, 41.14 + i * 1e-4] for i in range(20)])
         lines = [",".join(KAGGLE_COLUMNS).encode()]
         for i in range(150):
@@ -781,14 +801,16 @@ class TestParallelDecode:
         return path
 
     def run_both_ways(self, monkeypatch, capsys, path):
-        """(exit code, stderr) of ``trajstory ingest`` with workers, then in-process."""
-        monkeypatch.setattr("trajstory.ingest._BLOCK_ROWS", 50)
+        """(exit code, stderr) of ``trajstory ingest`` with workers, then in-process.
+
+        In three chunks: the fault is in the third."""
+        monkeypatch.setattr("trajstory.ingest._CHUNK_BYTES", path.stat().st_size // 3)
         results = []
         for workers in (2, 0):
             calls = decode_workers(monkeypatch, workers)
             code = main(["ingest", str(path)])
             results.append((code, capsys.readouterr().err))
-            assert calls == [workers]       # the fault was read after the first two blocks
+            assert calls == [workers]
             assert multiprocessing.active_children() == []
         return results
 
@@ -810,7 +832,7 @@ class TestParallelDecode:
 
     def test_a_worker_that_dies_is_a_parse_error(self, tmp_path, monkeypatch, capsys):
         path = self.synth_csv(tmp_path / "trips.csv")
-        monkeypatch.setattr("trajstory.ingest._BLOCK_ROWS", 64)
+        monkeypatch.setattr("trajstory.ingest._CHUNK_BYTES", 65536)
         parent, decode = os.getpid(), ingest._decode_block
 
         def die_in_a_worker(texts, by_length):
@@ -825,7 +847,147 @@ class TestParallelDecode:
         assert multiprocessing.active_children() == []
 
 
-# -- the fold: block by block, the same as all at once ---------------------------
+# -- the one-line proof and the chunk cuts ---------------------------------------
+
+class TestOneLineProof:
+    """``_fields`` reads a line only where csv.reader would read it as one record."""
+
+    @settings(max_examples=1000, deadline=None)
+    @given(text=st.text(alphabet='a,"\r\n\0[]1. ', max_size=40))
+    @example(text='a,"b,c"\r\n,"[1, 2]"\rx\n')
+    @example(text='"a",b\na,"b"c\na,b"c\n,""\n"",\na,"b""c"\n')
+    def test_an_accepted_line_reads_as_csv_reads_it(self, text):
+        for line in io.StringIO(text, newline=""):     # lines as the file iterator splits them
+            fields = ingest._fields(line)
+            if "\0" in line:
+                assert fields is None
+            if fields is None:
+                continue
+            assert fields == next(csv.reader([line]))
+            reader = csv.reader([line, "x\n"])
+            assert next(reader) == fields and reader.line_num == 1    # it ends on its line
+
+    def test_the_common_forms_are_accepted(self):
+        assert ingest._fields('t1,A,,,1,5,A,False,"[[-8.6, 41.1], [-8.7, 41.2]]"\r\n') == [
+            "t1", "A", "", "", "1", "5", "A", "False", "[[-8.6, 41.1], [-8.7, 41.2]]"]
+        assert ingest._fields("t2,,False,[]\n") == ["t2", "", "False", "[]"]
+        assert ingest._fields("\r\n") == []
+
+    def test_a_line_longer_than_the_field_limit_is_left_to_csv(self, monkeypatch):
+        monkeypatch.setattr("trajstory.ingest._MAX_FIELD_CHARS", 8)
+        assert ingest._fields("a,b,c\n") == ["a", "b", "c"]
+        assert ingest._fields('a,"bcdefg"\n') is None
+
+    @given(text=st.text(alphabet="a\r\n\v\f\x1c\x1d\x1e\x85\u2028\u2029", max_size=30))
+    def test_lines_split_as_the_file_iterator_splits_them(self, text):
+        assert list(ingest._lines(text)) == list(io.StringIO(text, newline=""))
+
+
+def poly(*pairs):
+    return json.dumps([list(p) for p in pairs])
+
+
+A, B, C = (-8.61, 41.14), (-8.62, 41.15), (-8.64, 41.17)
+# Kaggle rows, as bytes, that csv.reader reads differently from a plain split:
+# quoted line ends inside TRIP_ID and POLYLINE fields, "\r\n", bare "\r" and
+# "\n" line ends, blank lines and blank trip ids, a first field in quotes, a
+# form feed and a U+2028 inside an id (str.splitlines would end a line there),
+# and a last line with no line end. The two four-point trips with blank ids
+# tie on points with k9; as "row<line>" they rank "k9" < "row15" < "row4", and
+# a worker, which does not know their lines, ranks them first.
+CUT_ROWS = [
+    "\ufeffTRIP_ID,TIMESTAMP,MISSING_DATA,POLYLINE\r\n",
+    f'a1,10,False,"{poly(A, B, C)}"\r\n',
+    "\r\n",
+    f',11,False,"{poly(A, B, C, (-8.65, 41.18))}"\n',
+    f'"t\nx",12,False,"{poly(A)[:-1]},\n {poly((-8.66, 41.19))[1:]}"\r',
+    f'b2,13,True,"{poly(A, B)}"\r\n',
+    f'b3,14,False,"{poly(A)}"\n',
+    f'"c4",15,False,"{poly(A, (-8.7, 41.2))}"\r\n',
+    f'f\x0cg,16,False,"{poly(A, (-8.9, 41.3))}"\n',
+    f'u\u2028v,17,False,"{poly(A, (-8.91, 41.31))}"\r\n',
+    "\n\n",
+    f'"",18,False,"{poly(A, B, C, (-8.652, 41.182))}"\r\n',
+    f'k9,19,False,"{poly(A, B, C, (-8.651, 41.181))}"',
+]
+
+
+@needs_fork
+class TestChunkCuts:
+    """Cut anywhere, a file parses through the workers as it does in-process."""
+
+    CHUNK_BYTES = (1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377)
+    SELECTIONS = [None, ("longest_by_points", None), ("longest_by_length", None),
+                  ("by_id", "t\nx"), ("by_id", "row15")]
+
+    @pytest.fixture(autouse=True)
+    def _deadline(self):
+        with deadline(120):
+            yield
+
+    @staticmethod
+    def parse_all(path):
+        """(endpoint bytes, skips, the selected trip's id, start time and coordinate
+        bytes) under each selection."""
+        got = []
+        for selection in TestChunkCuts.SELECTIONS:
+            ds = parse_dataset(str(path), "kaggle_porto", selection)
+            t = ds.selected
+            got.append((ds.endpoints.tobytes(), ds.skipped_by_reason,
+                        t and (t.id, t.start_time, t.coords.tobytes())))
+        return got
+
+    def test_same_trips_skips_and_picks(self, tmp_path, monkeypatch, caplog):
+        path = tmp_path / "cuts.csv"
+        path.write_bytes("".join(CUT_ROWS).encode())
+        caplog.set_level(logging.INFO, logger="trajstory.ingest")
+        decode_workers(monkeypatch, 0)
+        want = self.parse_all(path)
+        with open(path, encoding="utf-8-sig", newline="") as fh:
+            ref, ref_skipped = reference_parse_kaggle(fh)
+        assert want[0][:2] == (endpoints(ref).tobytes(), {
+            "missing_data": 1, "bad_json": 0, "too_short": 1, "out_of_range": 0})
+        assert [w[2][:2] for w in want[1:]] == [("k9", 19), ("u\u2028v", 17),
+                                                ("t\nx", 12), ("row15", 18)]
+        for (_, _, got), selection in zip(want[1:], self.SELECTIONS[1:]):
+            t = reference_select_trajectory(ref, *selection)
+            assert got == (t.id, t.start_time, t.coords.tobytes())
+        read_alone = 0
+        for chunk_bytes in self.CHUNK_BYTES:
+            monkeypatch.setattr("trajstory.ingest._CHUNK_BYTES", chunk_bytes)
+            calls = decode_workers(monkeypatch, 2)
+            caplog.clear()
+            assert self.parse_all(path) == want, chunk_bytes
+            assert calls == [2] * len(self.SELECTIONS) and multiprocessing.active_children() == []
+            read_alone += caplog.text.count("2 decode workers")
+        assert read_alone >= 4         # some cuts leave every record whole
+
+    def test_same_exit_code_and_output(self, tmp_path, monkeypatch, capsys):
+        """``trajstory ingest``, also where one row is a csv.Error (its POLYLINE is
+        over the field limit)."""
+        ok = tmp_path / "cuts.csv"
+        ok.write_bytes("".join(CUT_ROWS).encode())
+        error = tmp_path / "error.csv"
+        long_row = f'e5,20,False,"{poly(A, B, C, A, B, C, A, B)}"\n'
+        error.write_bytes("".join(CUT_ROWS[:9] + [long_row] + CUT_ROWS[9:]).encode())
+        monkeypatch.setattr("trajstory.ingest._MAX_FIELD_CHARS", 100)
+
+        def ingest_outputs(path):
+            code = main(["ingest", str(path)])
+            return code, *capsys.readouterr()
+        decode_workers(monkeypatch, 0)
+        want = [ingest_outputs(ok), ingest_outputs(error)]
+        assert want[0][0] == 0 and "trajectories: 8\n" in want[0][1]
+        assert want[1][0] == 3
+        assert "error.csv: line 12: field larger than field limit (100)" in want[1][2]
+        for chunk_bytes in self.CHUNK_BYTES:
+            monkeypatch.setattr("trajstory.ingest._CHUNK_BYTES", chunk_bytes)
+            decode_workers(monkeypatch, 2)
+            assert [ingest_outputs(ok), ingest_outputs(error)] == want, chunk_bytes
+            assert multiprocessing.active_children() == []
+
+
+# -- the fold: chunk by chunk, the same as all at once ---------------------------
 
 def zigzag(lat):
     """16 points a few meters apart: the most points, a short way."""
@@ -839,11 +1001,12 @@ def short(lat):
     return [[-8.62, 41.15], [-8.621, lat], [-8.622, lat], [-8.623, lat]]
 
 
-# Four data rows per block (a MISSING_DATA row never reaches a block). The
-# trips tied on points (p*) and on length (l*) sit in different blocks, with
-# the lowest id in a later one, and p5 last in its block; "dup" spans two
-# blocks, and so does "p1", whose second trip ties the first on points and
-# id; the file's last trip ties with nothing.
+# In 300-byte chunks, most of four rows each, the trips tied on points (p*)
+# and on length (l*) sit in different chunks, with the lowest id in a later
+# one, and p5 last in its chunk; "dup" spans two chunks, and so does "p1",
+# whose second trip ties the first on points and id; the file's last trip
+# ties with nothing. 1-byte chunks hold a row each; in 1000-byte chunks p5
+# and p1 tie within one.
 FOLD_ROWS = [
     ("p9", "False", zigzag(41.10)), ("l7", "False", FAR),
     ("f0", "False", short(41.160)), ("bj", "False", "[[-8.6,41.1],["),
@@ -890,11 +1053,17 @@ class TestFoldAcrossBlocks:
     def test_same_as_the_reference_rule_in_process_and_through_the_workers(
             self, tmp_path, monkeypatch, caplog):
         path = self.write(tmp_path / "fold.csv")
-        monkeypatch.setattr("trajstory.ingest._BLOCK_ROWS", 4)
         caplog.set_level(logging.INFO, logger="trajstory.ingest")
-        serial = self.fold(path, monkeypatch, 0)
-        assert "19 rows in 5 blocks, 0 decode workers" in caplog.text
-        assert self.fold(path, monkeypatch, 2) == serial
+        results = []
+        for chunk_bytes, chunks in [(300, 7), (1, 19), (1000, 3)]:
+            monkeypatch.setattr("trajstory.ingest._CHUNK_BYTES", chunk_bytes)
+            for workers in (0, 2):
+                caplog.clear()
+                results.append(self.fold(path, monkeypatch, workers))
+                assert f"19 rows in {chunks} chunks, {workers} decode workers" in caplog.text
+                assert "cannot be read alone" not in caplog.text
+        serial = results[0]
+        assert results == [serial] * 6
 
         with open(path, encoding="utf-8", newline="") as fh:
             want, want_skipped = reference_parse_kaggle(fh)
@@ -914,7 +1083,7 @@ class TestFoldAcrossBlocks:
         from trajstory.pipeline import StoryRequest, run_steps
         from trajstory.story import NarrativeSpec
         path = self.write(tmp_path / "fold.csv")
-        monkeypatch.setattr("trajstory.ingest._BLOCK_ROWS", 4)
+        monkeypatch.setattr("trajstory.ingest._CHUNK_BYTES", 300)
         decode_workers(monkeypatch, 2)
         req = StoryRequest(dataset_path=path, spec=NarrativeSpec(mode="single_trajectory"),
                            selection="by_id", selection_id="nope")
@@ -924,15 +1093,16 @@ class TestFoldAcrossBlocks:
 
 
 def test_parse_memory_grows_with_trips_not_points(tmp_path, monkeypatch):
-    """An in-process parse of 128 blocks peaks below half its coordinates' bytes:
-    it holds one block's coordinates at a time, plus one point per trip."""
+    """An in-process parse in chunks of about eight rows peaks below half its
+    coordinates' bytes: it holds one chunk's coordinates at a time, plus one
+    point per trip."""
     rng = np.random.default_rng(32)
     xy = np.round(rng.uniform((-8.7, 41.1), (-8.5, 41.25), (1024, 40, 2)), 4)
     rows = [(f"t{i:04d}", str(i), "False", json.dumps(trip.tolist()))
             for i, trip in enumerate(xy)]
     path = tmp_path / "trips.csv"
     path.write_text(kaggle_csv(rows).getvalue(), encoding="utf-8", newline="")
-    monkeypatch.setattr("trajstory.ingest._BLOCK_ROWS", 8)
+    monkeypatch.setattr("trajstory.ingest._CHUNK_BYTES", path.stat().st_size // 128)
     decode_workers(monkeypatch, 0)
     parse_dataset(str(path), "kaggle_porto")          # warm up: lazy imports and caches
     tracemalloc.start()
