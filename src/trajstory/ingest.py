@@ -32,7 +32,8 @@ from reading their own chunks. Where a chunk cannot be read alone (it is
 not UTF-8, csv.reader fails on it, or a quoted line end crosses a cut), or
 the selection takes a trip no worker decoded, the parse restarts in-process,
 so every error and ``row<N>`` id comes from the in-process path, which also
-parses text streams, one-chunk files and files on one-core machines.
+parses text streams, named pipes, one-chunk files and files on one-core
+machines.
 """
 
 from __future__ import annotations
@@ -291,15 +292,6 @@ def _fields(line: str) -> list[str] | None:
     return None
 
 
-def _lines(text: str):
-    """An iterator over the lines of ``text`` as the file iterator splits them."""
-    # str.splitlines also ends a line at \v, \f, \x1c-\x1e and at non-ASCII
-    # separators; a text without them it splits as the file iterator does
-    if text.isascii() and not any(c in text for c in "\v\f\x1c\x1d\x1e"):
-        return iter(text.splitlines(True))
-    return io.StringIO(text, newline="")
-
-
 def _read_rows(lines, columns: tuple[int | None, ...], selecting: bool, size: float,
                base: int | None, tail: tuple = ()):
     """Read Kaggle records from the text ``lines`` until they pass ``size`` characters.
@@ -429,7 +421,8 @@ def _decode_worker(conn, path: str, columns: tuple[int | None, ...], fold: _Fold
             start, end = job
             fh.seek(start)
             try:
-                rows = _read_rows(_lines(fh.read(end - start).decode("utf-8")), columns,
+                text = fh.read(end - start).decode("utf-8")
+                rows = _read_rows(io.StringIO(text, newline=""), columns,
                                   fold.criterion is not None, math.inf, None, (None,))
             except (UnicodeDecodeError, csv.Error):
                 conn.send(None)
@@ -527,10 +520,10 @@ def _parse_in_workers(path: str, fold: _Fold) -> Dataset | None:
     regular file of two chunks or more, no worker can be forked, its first
     line is not the whole header in UTF-8, or a chunk cannot be read alone.
     """
+    st = os.stat(path)
+    if not stat.S_ISREG(st.st_mode):    # a FIFO can be opened only once: the in-process parse does
+        return None
     with open(path, "rb") as fh:
-        st = os.fstat(fh.fileno())
-        if not stat.S_ISREG(st.st_mode):             # a pipe cannot be read twice
-            return None
         header = _header(fh.readline(1 << 20))      # a longer first line parses in-process
         cuts = [fh.tell()]
         while cuts[-1] < st.st_size:

@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import csv
 import io
@@ -9,6 +10,7 @@ import random
 import re
 import signal
 import tempfile
+import threading
 import tracemalloc
 import types
 
@@ -78,6 +80,23 @@ def deadline(seconds=60):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+@contextlib.contextmanager
+def logged(name):
+    """The messages logger ``name`` logs at INFO or above in the body, as a list."""
+    lines = []
+    handler = logging.Handler(logging.INFO)
+    handler.emit = lambda record: lines.append(record.getMessage())
+    logger = logging.getLogger(name)
+    level = logger.level
+    logger.setLevel(logging.INFO)
+    logger.addHandler(handler)
+    try:
+        yield lines
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
 
 
 class TestKaggleParsing:
@@ -458,21 +477,36 @@ class TestAgainstReferenceParser:
     def test_same_trips_bits_and_skips(self, text):
         self.check(text)
 
-    # 64-byte chunks send every example of more than a line or two through
-    # two forked decode workers; each such parse forks, so fewer examples
+    # 1-byte chunks make each body line a chunk, so every example of two
+    # lines or more goes to two forked workers; each such parse forks, so
+    # fewer examples. Most such parses must be read by the workers, not
+    # restarted in-process.
     @needs_fork
-    @settings(max_examples=100, deadline=None)
-    @given(text=kaggle_files())
-    def test_same_through_the_decode_workers(self, text):
-        with deadline(), pytest.MonkeyPatch.context() as mp, \
-                tempfile.TemporaryDirectory() as tmp:
-            mp.setattr("trajstory.ingest._CHUNK_BYTES", 64)
-            mp.setattr("trajstory.ingest._fork_workers", lambda: 2)
-            path = os.path.join(tmp, "trips.csv")
-            with open(path, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
-            self.check(text, path)
-        assert multiprocessing.active_children() == []
+    def test_same_through_the_decode_workers(self):
+        took = collections.Counter()
+
+        @settings(max_examples=100, deadline=None)
+        @given(text=kaggle_files())
+        def same_through_the_workers(text):
+            with deadline(), pytest.MonkeyPatch.context() as mp, \
+                    tempfile.TemporaryDirectory() as tmp, logged("trajstory.ingest") as lines:
+                mp.setattr("trajstory.ingest._CHUNK_BYTES", 1)
+                forks = []
+                mp.setattr("trajstory.ingest._fork_workers", lambda: forks.append(2) or 2)
+                path = os.path.join(tmp, "trips.csv")
+                with open(path, "w", encoding="utf-8", newline="") as fh:
+                    fh.write(text)
+                self.check(text, path)
+            assert multiprocessing.active_children() == []
+            # a parse that forks logs "2 decode workers" unless it restarts
+            read = sum(", 2 decode workers, " in line for line in lines)
+            restarted = sum(line.endswith("; parsing in-process") for line in lines)
+            assert read + restarted == len(forks)
+            took["workers"] += read
+            took["in-process"] += restarted
+
+        same_through_the_workers()
+        assert took["workers"] > took["in-process"], took
 
     @staticmethod
     def check(text, path=None):
@@ -772,6 +806,34 @@ class TestParallelDecode:
                 assert (ds.selected.id, ds.selected.start_time) == (trip_id, start_time)
                 assert ds.selected.coords.tolist() == json.loads(GOOD_POLY)
 
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes here")
+    def test_a_fifo_is_opened_once_and_parsed_in_process(self, tmp_path, monkeypatch):
+        path = self.synth_csv(tmp_path / "trips.csv")
+        monkeypatch.setattr("trajstory.ingest._CHUNK_BYTES", 65536)
+        calls = decode_workers(monkeypatch, 2)
+        want = parse_dataset(str(path), "kaggle_porto", LONGEST)
+        fifo = tmp_path / "trips.fifo"
+        os.mkfifo(fifo)
+        opened = []
+
+        def logged_open(file, *args, **kwargs):
+            opened.append(file)
+            return open(file, *args, **kwargs)
+        monkeypatch.setattr(ingest, "open", logged_open, raising=False)
+        # the writer's open waits for the parse's; a second open by the parse
+        # can lose what the writer wrote, or wait forever for another writer
+        writer = threading.Thread(target=fifo.write_bytes, args=(path.read_bytes(),),
+                                  daemon=True)
+        writer.start()
+        got = parse_dataset(str(fifo), "kaggle_porto", LONGEST)
+        writer.join()
+        assert opened == [str(fifo)]
+        assert calls == [2]                     # the regular file's parse alone forks
+        assert got.endpoints.tobytes() == want.endpoints.tobytes()
+        assert got.skipped_by_reason == want.skipped_by_reason
+        assert (got.selected.id, got.selected.coords.tobytes()) == (
+            want.selected.id, want.selected.coords.tobytes())
+
     def test_one_block_or_one_core_forks_nothing(self, tmp_path, monkeypatch, caplog):
         path = str(self.synth_csv(tmp_path / "trips.csv"))
         caplog.set_level(logging.INFO, logger="trajstory.ingest")
@@ -878,10 +940,6 @@ class TestOneLineProof:
         assert ingest._fields("a,b,c\n") == ["a", "b", "c"]
         assert ingest._fields('a,"bcdefg"\n') is None
 
-    @given(text=st.text(alphabet="a\r\n\v\f\x1c\x1d\x1e\x85\u2028\u2029", max_size=30))
-    def test_lines_split_as_the_file_iterator_splits_them(self, text):
-        assert list(ingest._lines(text)) == list(io.StringIO(text, newline=""))
-
 
 def poly(*pairs):
     return json.dumps([list(p) for p in pairs])
@@ -926,23 +984,61 @@ class TestChunkCuts:
             yield
 
     @staticmethod
-    def parse_all(path):
+    def parse_all(path, selections):
         """(endpoint bytes, skips, the selected trip's id, start time and coordinate
         bytes) under each selection."""
         got = []
-        for selection in TestChunkCuts.SELECTIONS:
+        for selection in selections:
             ds = parse_dataset(str(path), "kaggle_porto", selection)
             t = ds.selected
             got.append((ds.endpoints.tobytes(), ds.skipped_by_reason,
                         t and (t.id, t.start_time, t.coords.tobytes())))
         return got
 
-    def test_same_trips_skips_and_picks(self, tmp_path, monkeypatch, caplog):
+    # How each parse, in the order of SELECTIONS, is read at each chunk size:
+    # "w" by the workers to the end; restarted in-process, "c" where a cut
+    # falls inside the record with quoted line ends, "p" where the selection
+    # takes a blank-id trip the workers did not decode: by_id row15 always,
+    # and longest_by_points where a blank-id four-point trip shares its chunk
+    # with another four-point trip (the worker, without the ids, picks it).
+    READ = {1: "ccccc", 2: "ccccc", 3: "ccccc", 5: "ccccc", 8: "ccccc", 13: "ccccc",
+            21: "ccccc", 34: "wwwwp", 55: "wwwwp", 89: "wwwwp", 144: "ccccc",
+            233: "wwwwp", 377: "wpwwp"}
+    # the same file with that record's quoted line ends bare "\r"s: no cut,
+    # made at "\n" bytes, falls inside it
+    READ_FLAT = {**dict.fromkeys(CHUNK_BYTES, "wwwwp"), 144: "wpwwp", 377: "wpwwp"}
+
+    @staticmethod
+    def how_read(lines):
+        """"w", "c" or "p" (see READ) for the one parse that logged ``lines``."""
+        restarts = [line for line in lines if line.endswith("; parsing in-process")]
+        if not restarts:
+            assert [", 2 decode workers, " in line for line in lines] == [True]
+            return "w"
+        return "c" if "a chunk cannot be read alone" in restarts[0] else "p"
+
+    def check_cuts(self, path, selections, read, monkeypatch):
+        """Each chunk size reads every parse as ``read`` says, and gives what the
+        parse in-process gives, which it returns."""
+        decode_workers(monkeypatch, 0)
+        want = self.parse_all(path, selections)
+        for chunk_bytes in self.CHUNK_BYTES:
+            monkeypatch.setattr("trajstory.ingest._CHUNK_BYTES", chunk_bytes)
+            calls = decode_workers(monkeypatch, 2)
+            how = ""
+            for selection, parse in zip(selections, want):
+                with logged("trajstory.ingest") as lines:
+                    got = self.parse_all(path, [selection])
+                assert got == [parse], (chunk_bytes, selection)
+                how += self.how_read(lines)
+            assert how == read[chunk_bytes], chunk_bytes
+            assert calls == [2] * len(selections) and multiprocessing.active_children() == []
+        return want
+
+    def test_same_trips_skips_and_picks(self, tmp_path, monkeypatch):
         path = tmp_path / "cuts.csv"
         path.write_bytes("".join(CUT_ROWS).encode())
-        caplog.set_level(logging.INFO, logger="trajstory.ingest")
-        decode_workers(monkeypatch, 0)
-        want = self.parse_all(path)
+        want = self.check_cuts(path, self.SELECTIONS, self.READ, monkeypatch)
         with open(path, encoding="utf-8-sig", newline="") as fh:
             ref, ref_skipped = reference_parse_kaggle(fh)
         assert want[0][:2] == (endpoints(ref).tobytes(), {
@@ -952,15 +1048,17 @@ class TestChunkCuts:
         for (_, _, got), selection in zip(want[1:], self.SELECTIONS[1:]):
             t = reference_select_trajectory(ref, *selection)
             assert got == (t.id, t.start_time, t.coords.tobytes())
-        read_alone = 0
-        for chunk_bytes in self.CHUNK_BYTES:
-            monkeypatch.setattr("trajstory.ingest._CHUNK_BYTES", chunk_bytes)
-            calls = decode_workers(monkeypatch, 2)
-            caplog.clear()
-            assert self.parse_all(path) == want, chunk_bytes
-            assert calls == [2] * len(self.SELECTIONS) and multiprocessing.active_children() == []
-            read_alone += caplog.text.count("2 decode workers")
-        assert read_alone >= 4         # some cuts leave every record whole
+
+    def test_a_record_no_cut_can_fall_inside_is_read_by_the_workers(self, tmp_path,
+                                                                     monkeypatch):
+        path = tmp_path / "flat.csv"
+        path.write_bytes("".join(row.replace("\n", "\r") if row.startswith('"t\n') else row
+                                 for row in CUT_ROWS).encode())
+        selections = [("by_id", "t\rx") if s == ("by_id", "t\nx") else s
+                      for s in self.SELECTIONS]
+        want = self.check_cuts(path, selections, self.READ_FLAT, monkeypatch)
+        assert [w[2][:2] for w in want[1:]] == [("k9", 19), ("u\u2028v", 17),
+                                                ("t\rx", 12), ("row15", 18)]
 
     def test_same_exit_code_and_output(self, tmp_path, monkeypatch, capsys):
         """``trajstory ingest``, also where one row is a csv.Error (its POLYLINE is
