@@ -6,7 +6,8 @@ Run from the repository root:
 
 Each input is seeded: a 50,000-vertex walk that doubles back inside
 downtown Porto, as one vehicle's shift would, and a Kaggle-schema file of
-20,000 synthetic trips with 1% bad rows (ten decode blocks).
+20,000 synthetic trips with 1% bad rows (about 22 MB: six 4 MiB decode
+chunks).
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from trajstory import ingest
 from trajstory.gazetteer import Gazetteer, GazetteerConfig
 from trajstory.geo import GeoPoint, point_to_polyline_distance
 from trajstory.heatgrid import build_grid, top_hotspots
@@ -58,6 +60,15 @@ def kaggle_file(tmp_path_factory) -> str:
 @pytest.fixture(scope="module")
 def trips(kaggle_file):
     return parse_dataset(kaggle_file, "kaggle_porto")
+
+
+@pytest.fixture(scope="module")
+def kaggle_chunk(kaggle_file) -> tuple[str, tuple]:
+    """The first decode chunk of ``kaggle_file``, as a worker reads it, and its columns."""
+    with open(kaggle_file, "rb") as fh:
+        columns = ingest._columns(ingest._header(fh.readline()))
+        data = fh.read(ingest._CHUNK_BYTES) + fh.readline()
+    return data.decode("utf-8"), columns
 
 
 @pytest.fixture(scope="module")
@@ -111,6 +122,17 @@ def test_emit_map_fixture_pool(benchmark, gazetteer):
 def test_parse_dataset_20k_trips(benchmark, kaggle_file):
     ds = benchmark.pedantic(parse_dataset, (kaggle_file, "kaggle_porto"), rounds=3)
     assert len(ds) == 20_000
+
+
+def test_read_chunk_4mib(benchmark, kaggle_chunk):
+    """A decode worker's work on one chunk, in-process: read its rows, screen and reduce."""
+    text, columns = kaggle_chunk
+
+    def read():
+        return ingest._reduce(ingest._read_rows(text, (None,), columns, False, None),
+                              ingest._Fold(None))
+    chunk = benchmark(read)
+    assert chunk[1] and len(chunk[2]) > 3_000        # read in bulk; the kept trips' ends
 
 
 def test_parse_dataset_20k_trips_longest_by_length(benchmark, kaggle_file):

@@ -45,7 +45,6 @@ import io
 import itertools
 import json
 import logging
-import math
 import os
 import re
 import stat
@@ -76,7 +75,6 @@ _MAX_FIELD_CHARS = 2**31 - 1
 # Bytes of a Kaggle file's body per chunk: the byte range a decode worker
 # reads, and, counted in characters of lines, the rows decoded at once.
 _CHUNK_BYTES = 4 << 20
-_LINE_ENDS = ("", "\n", "\r", "\r\n")
 
 # A POLYLINE the screen certifies: two or more [lon, lat] pairs, separated by
 # "," or ", ", each number a JSON number with a fraction and no exponent that
@@ -145,6 +143,7 @@ class _Fold:
         self.ends = [np.empty((0, 2))]
         self.skipped = _no_skips()
         self.certified = 0                      # rows the screen certified
+        self.bulk = 0                           # chunks read in bulk
         self.key: tuple | None = None           # (-metric, id) of ``selected``
         self.selected: Trajectory | None = None
 
@@ -180,13 +179,14 @@ class _Fold:
 
     def add_chunk(self, base: int, chunk) -> None:
         """Fold a ``_reduce`` result whose lines follow line ``base`` of the file."""
-        _, ends, n, lengths, ids, times, blank, skipped, certified, pick = chunk
+        _, bulk, ends, n, lengths, ids, times, blank, skipped, certified, pick = chunk
         for i, line in blank:
             ids[i] = f"row{base + line}"
         self.add(ends, n, lengths, ids, times, pick)
         for reason, count in skipped.items():
             self.skipped[reason] += count
         self.certified += certified
+        self.bulk += bulk
 
     def dataset(self, source_path: str) -> Dataset:
         return Dataset(endpoints=np.concatenate(self.ends), source_path=source_path,
@@ -231,125 +231,160 @@ def _decode_block(texts: list[str], by_length: bool = False):
     in ``texts``, the texts skipped, by reason, and how many ``_CANON`` certified.
     """
     skipped = _no_skips()
-    ends, n, rows = [], [], []
-    exact, xys = [], [np.empty((0, 2))]     # the decoded trips: places in ``rows``, coordinates
-    for i, text in enumerate(texts):
-        if not by_length and _CANON.fullmatch(text):
-            lon, lat = text[text.rfind("[") + 1:-2].split(",")
-            ends.append((float(lon), float(lat)))
-            n.append(text.count("[") - 1)
-        else:
-            xy = _decode_polyline(text)
-            if isinstance(xy, str):
-                skipped[xy] += 1
-                continue
-            exact.append(len(rows))
-            xys.append(xy)
-            ends.append(xy[-1])
-            n.append(len(xy))
-        rows.append(i)
-    n = np.array(n, dtype=np.int64)
+    screen = [None] * len(texts) if by_length else list(map(_CANON.fullmatch, texts))
+    certified = list(itertools.compress(texts, screen))
+    keep = np.array([match is not None for match in screen], dtype=bool)
+    ends, n = np.empty((len(texts), 2)), np.empty(len(texts), dtype=np.int64)
+    if certified:       # of each, the point count and float() of its final pair's digits
+        pairs = ",".join([text[text.rfind("[") + 1:-2] for text in certified]).split(",")
+        ends[keep] = np.array(list(map(float, pairs))).reshape(-1, 2)
+        n[keep] = np.fromiter(map(str.count, certified, itertools.repeat("[")), np.int64) - 1
+    exact, xys = [], [np.empty((0, 2))]     # the decoded trips: rows, coordinates
+    for i in np.flatnonzero(~keep).tolist():
+        xy = _decode_polyline(texts[i])
+        if isinstance(xy, str):
+            skipped[xy] += 1
+            continue
+        exact.append(i)
+        xys.append(xy)
+        ends[i], n[i] = xy[-1], len(xy)
     xy, n_exact = np.concatenate(xys), n[exact]
     ok = np.logical_and.reduceat(_in_range(xy), np.cumsum(n_exact) - n_exact)
     skipped["out_of_range"] += int(len(ok) - ok.sum())
-    keep = np.ones(len(rows), dtype=bool)
     keep[exact] = ok
     n = n[keep]
     path_m = (_path_lengths_m(xy[np.repeat(ok, n_exact)], np.concatenate(([0], np.cumsum(n))))
               if by_length else None)      # every kept trip was decoded, in order
-    return (np.array(ends, dtype=np.float64).reshape(-1, 2)[keep], n, path_m,
-            np.array(rows, dtype=np.int64)[keep], skipped, len(rows) - len(exact))
+    return ends[keep], n, path_m, np.flatnonzero(keep), skipped, len(certified)
 
 
 class _Restart(Exception):
     """What the decode workers read cannot be folded: the parse restarts in-process."""
 
 
-def _cell(row: list[str], i: int | None) -> str:
-    return row[i] if i is not None and i < len(row) else ""
+def _bulk_columns(text: str) -> tuple[list[list[str]], int] | None:
+    """``(columns, lines)`` where csv.reader provably reads each line of ``text`` as
+    one whole record, all of as many fields: ``columns[i]`` holds field ``i`` of
+    each. Else None.
 
-
-def _fields(line: str) -> list[str] | None:
-    """The fields of ``line`` if csv.reader reads it as one whole record, else None.
-
-    Proven only for a line with no ``"``, or with two that quote its last field
-    (the first follows a ``,``, the second ends the line), and no NUL: Python
-    3.10's csv rejects a NUL and 3.11's reads it. A line longer than the field
-    limit is refused too, so that csv.reader raises its error.
+    Proven where every ``"`` opens a field (at a line start or after a ``,``)
+    or closes one (before a ``,`` or a line end), so that a doubled ``""``
+    inside a field, which leaves two quoted parts side by side, is refused
+    (``""`` between separators is an empty field); no quoted part holds a CR
+    or LF; the text holds no NUL (Python 3.10's csv rejects one, 3.11's reads
+    it); every line ends in ``\\n`` or ``\\r\\n`` (the last may have no end); no
+    line is blank or longer than the field limit, so that csv.reader raises
+    its error; and every line has as many fields.
     """
-    if "\0" in line or len(line) > _MAX_FIELD_CHARS:
+    if "\0" in text:
         return None
-    q = line.find('"')
-    if q < 0:
-        body = line.rstrip("\r\n")    # a line holds no line end but its last
-        return body.split(",") if body else []      # csv reads a blank line as []
-    e = line.rfind('"')
-    if 0 < q < e and line[q - 1] == "," and line[e + 1:] in _LINE_ENDS \
-            and line.find('"', q + 1, e) < 0:
-        row = line[:q - 1].split(",")
-        row.append(line[q + 1:e])
-        return row
-    return None
+    parts = text.split('"')
+    quoted = parts[1::2]
+    bare = '"'.join(parts[0::2])                 # each quoted field one ``"``
+    del parts
+    if len(quoted) != bare.count('"') \
+            or any("\n" in part or "\r" in part for part in quoted):
+        return None
+    bare = bare.replace("\r\n", "\n")
+    bare += "" if bare.endswith("\n") else "\n"      # the last line may have no end
+    opened = bare.count(',"') + bare.count('\n"') + bare.startswith('"')
+    closed = bare.count('",') + bare.count('"\n')
+    if not opened == closed == len(quoted) or "\r" in bare or "\n\n" in bare \
+            or bare.startswith("\n"):
+        return None
+    if len(text) > _MAX_FIELD_CHARS and max(map(len, text.split("\n"))) > _MAX_FIELD_CHARS:
+        return None
+    cells = bare.replace("\n", ",\n,").split(",")
+    cells.pop()                                 # what follows the last line end
+    lines, width = bare.count("\n"), cells.index("\n")
+    if len(cells) != lines * (width + 1) or cells[width::width + 1].count("\n") != lines:
+        return None
+    marked = [i for i in range(width) if '"' in cells[i::width + 1]]
+    if len(marked) > 1:         # quoted fields in several columns: fill them in row order
+        quoted = iter(quoted)
+        cells = [next(quoted) if cell == '"' else cell for cell in cells]
+    columns = [cells[i::width + 1] for i in range(width)]
+    if len(marked) == 1:        # one column holds every quoted field
+        quoted = iter(quoted)
+        columns[marked[0]] = [next(quoted) if cell == '"' else cell for cell in columns[marked[0]]]
+    return columns, lines
 
 
-def _read_rows(lines, columns: tuple[int | None, ...], selecting: bool, size: float,
-               base: int | None, tail: tuple = ()):
-    """Read Kaggle records from the text ``lines`` until they pass ``size`` characters.
+def _csv_rows(text: str, more: Iterable, base: int | None) -> tuple[list, list[int], int]:
+    """csv.reader's records of the lines of ``text``, a record still open at their
+    end continuing into ``more``: ``(records, the line each ends on, lines read)``,
+    blank lines giving no record."""
+    lines = io.StringIO(text, newline="").readlines()
+    reader = csv.reader(itertools.chain(lines, more))
+    rows, ends = [], []
+    try:
+        while reader.line_num < len(lines):
+            if row := next(reader):
+                rows.append(row)
+                ends.append(reader.line_num)
+    except csv.Error as exc:
+        raise csv.Error(f"line {(base or 0) + reader.line_num}: {exc}") from None
+    return rows, ends, reader.line_num
 
-    None when no line is left, else ``(texts, ids, times, blank, lines, flagged)``:
-    the POLYLINE texts of the rows not flagged MISSING_DATA, with their trip
-    ids and start times when ``selecting``; the lines read, and the rows
-    flagged. ``base`` is the number of lines before ``lines``; a worker does
-    not know it, so there a blank trip id stays "" and ``blank`` maps its row
-    to the line its record ends on, counted from here. ``tail`` follows
-    ``lines``: ``(None,)`` makes a record still open at their end a csv.Error.
+
+def _start_time(cell: str) -> int | None:
+    try:
+        return int(cell) if cell.strip() else None
+    except ValueError:
+        return None
+
+
+def _read_rows(text: str, more: Iterable, columns: tuple[int | None, ...], selecting: bool,
+               base: int | None):
+    """Read the Kaggle records of ``text``, whole lines: in bulk where ``_bulk_columns``
+    proves them, else by csv.reader, a record still open at their end continuing
+    into ``more``; ``(None,)`` makes that a csv.Error.
+
+    ``(texts, ids, times, blank, lines, flagged, bulk)``: the POLYLINE texts of
+    the rows not flagged MISSING_DATA, with their trip ids and start times when
+    ``selecting``; the lines read, the rows flagged and whether they were read
+    in bulk. ``base`` is the number of lines before ``text``; a worker does not
+    know it, so there a blank trip id stays "" and ``blank`` maps its row to the
+    line its record ends on, counted from here.
     """
     polyline, trip, timestamp, missing = columns
-    texts, ids, times, blank = [], [], [], {}
-    num = chars = flagged = 0
-    for line in lines:
-        num += 1
-        chars += len(line)
-        row = _fields(line)
-        if row is None:
-            reader = csv.reader(itertools.chain([line], lines, tail))
-            try:
-                row = next(reader)
-            except csv.Error as exc:
-                raise csv.Error(f"line {(base or 0) + num - 1 + reader.line_num}: {exc}") from None
-            num += reader.line_num - 1
-        if not row:
-            pass                                # a blank line is not a row
-        elif _cell(row, missing).strip().lower() == "true":
-            flagged += 1
-        else:
-            texts.append(_cell(row, polyline))
-            if selecting:
-                trip_id = _cell(row, trip).strip()
-                if not trip_id and base is not None:
-                    trip_id = f"row{base + num}"
-                elif not trip_id:
-                    blank[len(ids)] = num
-                ids.append(trip_id)
-                ts = _cell(row, timestamp).strip()
-                try:
-                    times.append(int(ts) if ts else None)
-                except ValueError:
-                    times.append(None)
-        if chars > size:
-            break
-    return (texts, ids, times, blank, num, flagged) if num else None
+    bulk = _bulk_columns(text)
+    if bulk:
+        columns, num = bulk
+        ends = range(1, num + 1)
+
+        def column(i):
+            return columns[i] if i is not None and i < len(columns) else [""] * num
+    else:
+        rows, ends, num = _csv_rows(text, more, base)
+
+        def column(i):
+            return [row[i] if i is not None and i < len(row) else "" for row in rows]
+    keep = [cell.strip().lower() != "true" for cell in column(missing)]
+    texts = list(itertools.compress(column(polyline), keep))
+    ids, times, blank = [], [], {}
+    if selecting:
+        ids = [cell.strip() for cell in itertools.compress(column(trip), keep)]
+        times = [_start_time(cell) for cell in itertools.compress(column(timestamp), keep)]
+        if "" in ids:
+            lines = list(itertools.compress(ends, keep))
+            for i in [i for i, trip_id in enumerate(ids) if not trip_id]:
+                if base is None:
+                    blank[i] = lines[i]
+                else:
+                    ids[i] = f"row{base + lines[i]}"
+    return texts, ids, times, blank, num, keep.count(False), bulk is not None
 
 
 def _reduce(rows, fold: _Fold):
     """What ``fold`` reads of the rows ``_read_rows`` gave.
 
-    ``(lines, ends, n, lengths, ids, times, blank, skipped, certified, pick)``:
-    ``_decode_block``'s reductions with the kept trips' ids and start times,
+    ``(lines, bulk, ends, n, lengths, ids, times, blank, skipped, certified, pick)``:
+    the lines read and whether in bulk, ``_decode_block``'s reductions with the kept trips' ids and start times,
     ``blank`` as ``(kept position, line)``, and ``pick``, ``(i, coordinates)``
     of the trip ``fold.best`` takes of them.
     """
-    texts, ids, times, blank, lines, flagged = rows
+    texts, ids, times, blank, lines, flagged, bulk = rows
     ends, n, lengths, kept, skipped, certified = _decode_block(texts, fold.by_length)
     skipped["missing_data"] = flagged
     kept, pick = kept.tolist(), None
@@ -359,7 +394,7 @@ def _reduce(rows, fold: _Fold):
         i = fold.best(n, lengths, ids)
         if i is not None:
             pick = i, _decode_polyline(texts[kept[i]])
-    return lines, ends, n, lengths, ids, times, blank, skipped, certified, pick
+    return lines, bulk, ends, n, lengths, ids, times, blank, skipped, certified, pick
 
 
 def _columns(header: list[str] | None) -> tuple[int | None, ...]:
@@ -374,11 +409,23 @@ def _columns(header: list[str] | None) -> tuple[int | None, ...]:
 def _kaggle_dataset(fold: _Fold, source_path: str, workers: int) -> Dataset:
     ds = fold.dataset(source_path)
     rows = len(ds) + ds.skipped_rows
-    log.info("%s: %d rows in %d chunks, %d decode workers, %d certified by the screen, "
-             "%d decoded exactly, skipped %s", source_path, rows, len(fold.ends) - 1,
-             workers, fold.certified, rows - fold.skipped["missing_data"] - fold.certified,
-             fold.skipped)
+    chunks = len(fold.ends) - 1
+    log.info("%s: %d rows in %d chunks, %d decode workers, %d chunks read in bulk, %d line "
+             "by line, %d certified by the screen, %d decoded exactly, skipped %s",
+             source_path, rows, chunks, workers, fold.bulk, chunks - fold.bulk, fold.certified,
+             rows - fold.skipped["missing_data"] - fold.certified, fold.skipped)
     return ds
+
+
+def _run(lines: Iterator[str]) -> list[str]:
+    """The next lines, until they pass ``_CHUNK_BYTES`` characters."""
+    run, chars = [], 0
+    for line in lines:
+        run.append(line)
+        chars += len(line)
+        if chars > _CHUNK_BYTES:
+            break
+    return run
 
 
 def _parse_kaggle(lines: Iterator[str], source_path: str, fold: _Fold) -> Dataset:
@@ -390,8 +437,8 @@ def _parse_kaggle(lines: Iterator[str], source_path: str, fold: _Fold) -> Datase
         raise ParseError(f"{source_path}: line {reader.line_num}: {exc}") from None
     columns, base, selecting = _columns(header), reader.line_num, fold.criterion is not None
     try:
-        while (rows := _read_rows(lines, columns, selecting, _CHUNK_BYTES, base)) is not None:
-            chunk = _reduce(rows, fold)
+        while run := _run(lines):
+            chunk = _reduce(_read_rows("".join(run), lines, columns, selecting, base), fold)
             fold.add_chunk(base, chunk)
             base += chunk[0]
     except csv.Error as exc:
@@ -421,9 +468,8 @@ def _decode_worker(conn, path: str, columns: tuple[int | None, ...], fold: _Fold
             start, end = job
             fh.seek(start)
             try:
-                text = fh.read(end - start).decode("utf-8")
-                rows = _read_rows(io.StringIO(text, newline=""), columns,
-                                  fold.criterion is not None, math.inf, None, (None,))
+                rows = _read_rows(fh.read(end - start).decode("utf-8"), (None,), columns,
+                                  fold.criterion is not None, None)
             except (UnicodeDecodeError, csv.Error):
                 conn.send(None)
             else:

@@ -740,8 +740,8 @@ class TestScreenCoversTheCommonForms:
                          path, bad_rows=16, seed=6)
         caplog.set_level(logging.INFO, logger="trajstory.ingest")
         self.counted_parse(path, monkeypatch)
-        assert ("316 rows in 20 chunks, 0 decode workers, 300 certified by the screen, "
-                "12 decoded exactly, skipped") in caplog.text
+        assert ("316 rows in 20 chunks, 0 decode workers, 20 chunks read in bulk, 0 line by "
+                "line, 300 certified by the screen, 12 decoded exactly, skipped") in caplog.text
         parse_dataset(str(path), "kaggle_porto", ("longest_by_length", None))
         assert "0 certified by the screen, 312 decoded exactly" in caplog.text
 
@@ -806,6 +806,30 @@ class TestParallelDecode:
                 assert (ds.selected.id, ds.selected.start_time) == (trip_id, start_time)
                 assert ds.selected.coords.tolist() == json.loads(GOOD_POLY)
 
+    def test_a_file_quoting_every_field_is_read_in_bulk(self, tmp_path, monkeypatch, caplog):
+        """As the Kaggle export quotes every field, "" for an empty one."""
+        path = self.synth_csv(tmp_path / "trips.csv")
+        quote_all = tmp_path / "quote_all.csv"
+        with open(path, encoding="utf-8", newline="") as src, \
+                open(quote_all, "w", encoding="utf-8", newline="") as dst:
+            csv.writer(dst, quoting=csv.QUOTE_ALL).writerows(csv.reader(src))
+        assert quote_all.read_text(encoding="utf-8").count('""') > 600
+        monkeypatch.setattr("trajstory.ingest._CHUNK_BYTES", 65536)
+        caplog.set_level(logging.INFO, logger="trajstory.ingest")
+        got = []
+        for source, workers in [(path, 0), (quote_all, 0), (quote_all, 2)]:
+            decode_workers(monkeypatch, workers)
+            for selection in [None, ("by_id", "x24"), ("longest_by_length", None)]:
+                caplog.clear()
+                ds = parse_dataset(str(source), "kaggle_porto", selection)
+                assert re.search(rf"in (\d+) chunks, {workers} decode workers, \1 chunks read "
+                                 "in bulk, 0 line by line", caplog.text), caplog.text
+                got.append((ds.endpoints.tobytes(), ds.skipped_by_reason,
+                            ds.selected and (ds.selected.id, ds.selected.start_time,
+                                             ds.selected.coords.tobytes())))
+        assert got[3:6] == got[6:] == got[:3]
+        assert multiprocessing.active_children() == []
+
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes here")
     def test_a_fifo_is_opened_once_and_parsed_in_process(self, tmp_path, monkeypatch):
         path = self.synth_csv(tmp_path / "trips.csv")
@@ -838,11 +862,13 @@ class TestParallelDecode:
         path = str(self.synth_csv(tmp_path / "trips.csv"))
         caplog.set_level(logging.INFO, logger="trajstory.ingest")
         parse_dataset(path, "kaggle_porto")                 # 370 rows: one chunk
-        assert "in 1 chunks, 0 decode workers" in caplog.text
+        assert "in 1 chunks, 0 decode workers, 1 chunks read in bulk, 0 line by line" \
+            in caplog.text
         monkeypatch.setattr("trajstory.ingest._CHUNK_BYTES", 65536)
         monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0}, raising=False)
         parse_dataset(path, "kaggle_porto")
-        assert "in 6 chunks, 0 decode workers" in caplog.text
+        assert "in 6 chunks, 0 decode workers, 6 chunks read in bulk, 0 line by line" \
+            in caplog.text
         monkeypatch.setattr("os.sched_getaffinity", lambda pid: set(range(8)),
                             raising=False)
         assert ingest._fork_workers() == 2
@@ -909,36 +935,113 @@ class TestParallelDecode:
         assert multiprocessing.active_children() == []
 
 
-# -- the one-line proof and the chunk cuts ---------------------------------------
+# -- the bulk reader and the chunk cuts --------------------------------------
 
-class TestOneLineProof:
-    """``_fields`` reads a line only where csv.reader would read it as one record."""
+def csv_rows(text, columns):
+    """What ``_read_rows`` gives of ``text`` with ``base`` 0, record by record from
+    csv.reader; a record still open at the end of ``text`` is a csv.Error."""
+    def cell(row, i):
+        return row[i] if i is not None and i < len(row) else ""
+    polyline, trip, timestamp, missing = columns
+    texts, ids, times, flagged = [], [], [], 0
+    lines = io.StringIO(text, newline="").readlines()     # as the file iterator splits them
+    reader = csv.reader(lines + [None])
+    while reader.line_num < len(lines):
+        row = next(reader)
+        if not row:
+            continue
+        if cell(row, missing).strip().lower() == "true":
+            flagged += 1
+            continue
+        texts.append(cell(row, polyline))
+        ids.append(cell(row, trip).strip() or f"row{reader.line_num}")
+        ts = cell(row, timestamp).strip()
+        try:
+            times.append(int(ts) if ts else None)
+        except ValueError:
+            times.append(None)
+    return texts, ids, times, {}, reader.line_num, flagged
+
+
+def bulk_records(text):
+    """The records ``_bulk_columns`` proves of ``text``, or None."""
+    bulk = ingest._bulk_columns(text)
+    if bulk is None:
+        return None
+    columns, lines = bulk
+    assert {len(column) for column in columns} == {lines}
+    return [list(row) for row in zip(*columns)]
+
+
+column_index = st.one_of(st.none(), st.integers(0, 3))
+
+
+class TestBulkReader:
+    """``_bulk_columns`` reads text in bulk only where csv.reader would read each of
+    its lines as one whole record; ``_read_rows`` leaves the rest to csv.reader."""
 
     @settings(max_examples=1000, deadline=None)
-    @given(text=st.text(alphabet='a,"\r\n\0[]1. ', max_size=40))
-    @example(text='a,"b,c"\r\n,"[1, 2]"\rx\n')
-    @example(text='"a",b\na,"b"c\na,b"c\n,""\n"",\na,"b""c"\n')
-    def test_an_accepted_line_reads_as_csv_reads_it(self, text):
-        for line in io.StringIO(text, newline=""):     # lines as the file iterator splits them
-            fields = ingest._fields(line)
-            if "\0" in line:
-                assert fields is None
-            if fields is None:
+    @given(text=st.text(alphabet='a,"\r\n\0[]1. ', max_size=60), cut=st.integers(0, 60),
+           columns=st.tuples(st.integers(0, 3), column_index, column_index, column_index))
+    @example(text='a,"b,c"\r\n,"[1, 2]"\rx\n', cut=9, columns=(1, 0, None, None))
+    @example(text='"a",b\na,"b"c\na,b"c\n,""\n"",\na,"b""c"\n', cut=6, columns=(1, 0, 1, None))
+    @example(text='"1","a","[1]"\r\n"","true",""\r\n', cut=17, columns=(2, 0, 0, 1))
+    def test_proven_text_reads_as_csv_reads_it(self, text, cut, columns):
+        """Whole, and cut at ``cut`` as a chunk end would cut it: where the proof
+        holds, csv.reader reads each line as one record of the same fields; else
+        ``_read_rows`` reads it by csv.reader."""
+        for piece in (text, text[:cut], text[cut:]):
+            records = bulk_records(piece)
+            try:
+                want = csv_rows(piece, columns)
+            except csv.Error:
+                assert records is None
+                with pytest.raises(csv.Error):
+                    ingest._read_rows(piece, (None,), columns, True, 0)
                 continue
-            assert fields == next(csv.reader([line]))
-            reader = csv.reader([line, "x\n"])
-            assert next(reader) == fields and reader.line_num == 1    # it ends on its line
+            assert ingest._read_rows(piece, (None,), columns, True, 0) == (
+                *want, records is not None)
+            if records is None:
+                continue
+            assert "\0" not in piece                # Python 3.10's csv rejects a NUL
+            lines = io.StringIO(piece, newline="").readlines()
+            reader = csv.reader(lines + [None])
+            assert [next(reader) for _ in lines] == records
+            assert reader.line_num == len(lines)             # each record ends on its line
 
-    def test_the_common_forms_are_accepted(self):
-        assert ingest._fields('t1,A,,,1,5,A,False,"[[-8.6, 41.1], [-8.7, 41.2]]"\r\n') == [
-            "t1", "A", "", "", "1", "5", "A", "False", "[[-8.6, 41.1], [-8.7, 41.2]]"]
-        assert ingest._fields("t2,,False,[]\n") == ["t2", "", "False", "[]"]
-        assert ingest._fields("\r\n") == []
+    def test_the_common_forms_are_read_in_bulk(self):
+        poly = "[[-8.6, 41.1], [-8.7, 41.2]]"
+        assert bulk_records(f't1,A,,,1,5,A,False,"{poly}"\r\nt2,,,,,,A,False,[]\n') == [
+            ["t1", "A", "", "", "1", "5", "A", "False", poly],
+            ["t2", "", "", "", "", "", "A", "False", "[]"]]
+        quote_all = f'"t1","A","","","1","5","A","False","{poly}"\n'
+        assert bulk_records(quote_all * 2) == [["t1", "A", "", "", "1", "5", "A", "False", poly]] * 2
+        assert bulk_records(',\r\n"",""\n') == [["", ""], ["", ""]]
+        assert bulk_records("k9,19") == [["k9", "19"]]           # the last line of a file
+
+    @pytest.mark.parametrize("text", [
+        'a,"b\nc"\n',          # a quoted line end
+        'a,"b\rc"\n',
+        'a,"b\n',               # a record open at the end
+        "a\rb\n",               # a bare CR ends a line
+        "a,b\n\nc,d\n",         # a blank line
+        "\r\na,b\n",
+        "a,b\nc\n",              # lines of different widths
+        'a,b"c\n',              # a quote inside a field
+        'a,"b"c\n',
+        'a, "b"\n',
+        'a,"b""c"\n',           # an escaped quote
+        'a,"""b"\n',
+        "a,\0\n",
+    ])
+    def test_other_text_is_left_to_csv(self, text):
+        assert bulk_records(text) is None
 
     def test_a_line_longer_than_the_field_limit_is_left_to_csv(self, monkeypatch):
         monkeypatch.setattr("trajstory.ingest._MAX_FIELD_CHARS", 8)
-        assert ingest._fields("a,b,c\n") == ["a", "b", "c"]
-        assert ingest._fields('a,"bcdefg"\n') is None
+        assert bulk_records("a,b,c\nd,e,f\n") == [["a", "b", "c"], ["d", "e", "f"]]
+        assert bulk_records('a,"bcdefg"\n') is None
+        assert bulk_records('a,"b"\ncdefghi,"j"\n') is None
 
 
 def poly(*pairs):
@@ -950,7 +1053,8 @@ A, B, C = (-8.61, 41.14), (-8.62, 41.15), (-8.64, 41.17)
 # quoted line ends inside TRIP_ID and POLYLINE fields, "\r\n", bare "\r" and
 # "\n" line ends, blank lines and blank trip ids, a first field in quotes, a
 # form feed and a U+2028 inside an id (str.splitlines would end a line there),
-# and a last line with no line end. The two four-point trips with blank ids
+# rows quoting every field, with "" for an empty one and an escaped quote in
+# an id, and a last line with no line end. The two four-point trips with blank ids
 # tie on points with k9; as "row<line>" they rank "k9" < "row15" < "row4", and
 # a worker, which does not know their lines, ranks them first.
 CUT_ROWS = [
@@ -966,6 +1070,8 @@ CUT_ROWS = [
     f'u\u2028v,17,False,"{poly(A, (-8.91, 41.31))}"\r\n',
     "\n\n",
     f'"",18,False,"{poly(A, B, C, (-8.652, 41.182))}"\r\n',
+    f'"q""1","20","","{poly(A, B)}"\r\n',
+    f'"q2","","False","{poly(B, A)}"\n',
     f'k9,19,False,"{poly(A, B, C, (-8.651, 41.181))}"',
 ]
 
@@ -1006,7 +1112,7 @@ class TestChunkCuts:
             233: "wwwwp", 377: "wpwwp"}
     # the same file with that record's quoted line ends bare "\r"s: no cut,
     # made at "\n" bytes, falls inside it
-    READ_FLAT = {**dict.fromkeys(CHUNK_BYTES, "wwwwp"), 144: "wpwwp", 377: "wpwwp"}
+    READ_FLAT = {**dict.fromkeys(CHUNK_BYTES, "wwwwp"), 377: "wpwwp"}
 
     @staticmethod
     def how_read(lines):
@@ -1075,7 +1181,7 @@ class TestChunkCuts:
             return code, *capsys.readouterr()
         decode_workers(monkeypatch, 0)
         want = [ingest_outputs(ok), ingest_outputs(error)]
-        assert want[0][0] == 0 and "trajectories: 8\n" in want[0][1]
+        assert want[0][0] == 0 and "trajectories: 10\n" in want[0][1]
         assert want[1][0] == 3
         assert "error.csv: line 12: field larger than field limit (100)" in want[1][2]
         for chunk_bytes in self.CHUNK_BYTES:
