@@ -18,8 +18,10 @@ fewer than 2 points, coordinates outside WGS84 range, MISSING_DATA flag) are
 counted in ``skipped_rows``, by reason, never silently dropped. Real GPS
 exports are dirty; a bad row is data about the data.
 
-A Kaggle line that csv.reader provably reads as one whole record is split
-by ``_fields``; any other line goes to csv.reader. Of a POLYLINE in the
+A Kaggle chunk whose lines csv.reader provably reads as whole records, all
+of as many fields, is read in bulk, by one split on ``"`` (``_bulk_columns``);
+any other chunk is read line by line by csv.reader. Workers and the
+in-process parse read through the one ``_read_rows``. Of a POLYLINE in the
 common form (``_CANON``) only the point count and the final pair are read.
 Every other row, and every row when trip lengths are needed, is decoded
 exactly by ``_decode_polyline``, which defines every skip reason and every
@@ -281,9 +283,7 @@ def _bulk_columns(text: str) -> tuple[list[list[str]], int] | None:
     parts = text.split('"')
     quoted = parts[1::2]
     bare = '"'.join(parts[0::2])                 # each quoted field one ``"``
-    del parts
-    if len(quoted) != bare.count('"') \
-            or any("\n" in part or "\r" in part for part in quoted):
+    if any("\n" in part or "\r" in part for part in quoted):
         return None
     bare = bare.replace("\r\n", "\n")
     bare += "" if bare.endswith("\n") else "\n"      # the last line may have no end
@@ -350,11 +350,11 @@ def _read_rows(text: str, more: Iterable, columns: tuple[int | None, ...], selec
     polyline, trip, timestamp, missing = columns
     bulk = _bulk_columns(text)
     if bulk:
-        columns, num = bulk
+        fields, num = bulk
         ends = range(1, num + 1)
 
         def column(i):
-            return columns[i] if i is not None and i < len(columns) else [""] * num
+            return fields[i] if i is not None and i < len(fields) else [""] * num
     else:
         rows, ends, num = _csv_rows(text, more, base)
 
@@ -380,9 +380,9 @@ def _reduce(rows, fold: _Fold):
     """What ``fold`` reads of the rows ``_read_rows`` gave.
 
     ``(lines, bulk, ends, n, lengths, ids, times, blank, skipped, certified, pick)``:
-    the lines read and whether in bulk, ``_decode_block``'s reductions with the kept trips' ids and start times,
-    ``blank`` as ``(kept position, line)``, and ``pick``, ``(i, coordinates)``
-    of the trip ``fold.best`` takes of them.
+    the lines read and whether in bulk, ``_decode_block``'s reductions with the
+    kept trips' ids and start times, ``blank`` as ``(kept position, line)``, and
+    ``pick``, ``(i, coordinates)`` of the trip ``fold.best`` takes of them.
     """
     texts, ids, times, blank, lines, flagged, bulk = rows
     ends, n, lengths, kept, skipped, certified = _decode_block(texts, fold.by_length)

@@ -1015,7 +1015,8 @@ class TestBulkReader:
             ["t1", "A", "", "", "1", "5", "A", "False", poly],
             ["t2", "", "", "", "", "", "A", "False", "[]"]]
         quote_all = f'"t1","A","","","1","5","A","False","{poly}"\n'
-        assert bulk_records(quote_all * 2) == [["t1", "A", "", "", "1", "5", "A", "False", poly]] * 2
+        assert bulk_records(quote_all * 2) == [
+            ["t1", "A", "", "", "1", "5", "A", "False", poly]] * 2
         assert bulk_records(',\r\n"",""\n') == [["", ""], ["", ""]]
         assert bulk_records("k9,19") == [["k9", "19"]]           # the last line of a file
 
