@@ -299,15 +299,10 @@ def _bulk_columns(text: str) -> tuple[list[list[str]], int] | None:
     lines, width = bare.count("\n"), cells.index("\n")
     if len(cells) != lines * (width + 1) or cells[width::width + 1].count("\n") != lines:
         return None
-    marked = [i for i in range(width) if '"' in cells[i::width + 1]]
-    if len(marked) > 1:         # quoted fields in several columns: fill them in row order
+    if quoted:                  # put each quoted field back, in row order
         quoted = iter(quoted)
         cells = [next(quoted) if cell == '"' else cell for cell in cells]
-    columns = [cells[i::width + 1] for i in range(width)]
-    if len(marked) == 1:        # one column holds every quoted field
-        quoted = iter(quoted)
-        columns[marked[0]] = [next(quoted) if cell == '"' else cell for cell in columns[marked[0]]]
-    return columns, lines
+    return [cells[i::width + 1] for i in range(width)], lines
 
 
 def _csv_rows(text: str, more: Iterable, base: int | None) -> tuple[list, list[int], int]:
