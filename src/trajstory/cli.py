@@ -6,6 +6,7 @@ environment. ``CONFIG_KEYS`` is the one list of keys: it converts their
 text, spells their flags and says which dataclass field each one sets, so
 every default is that field's default. Exit codes are stable: 0 on
 success, else the ``exit_code`` that the error's class in ``errors`` declares.
+Each command imports the modules it runs, so ``--help`` never loads numpy.
 """
 
 from __future__ import annotations
@@ -15,21 +16,15 @@ import json
 import logging
 import math
 import sys
-from dataclasses import replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .errors import ConfigurationError, ParseError, StoryValidationError, TrajstoryError
-from .gazetteer import Gazetteer, GazetteerConfig
-from .geo import BoundingBox, bbox_of_coords
-from .heatgrid import grid_files, summarize_for_story
-from .ingest import parse_dataset
-from .mapdoc import emit_map, render_geojson, render_html
-from .pipeline import (StoryRequest, execute, report_files, run_steps, write_bundle,
-                       write_failure, write_files)
-from .story import (Mention, NarrativeSpec, RemoteBackend, Story, TemplateBackend,
-                    count_words, extract_mentions)
-from .synth import ScriptedBackend
-from .validation import GroundingPolicy, distinct_names
+
+if TYPE_CHECKING:
+    from .geo import BoundingBox
+    from .pipeline import StoryRequest
+    from .story import Mention
 
 log = logging.getLogger("trajstory")
 
@@ -71,47 +66,48 @@ def _float(text: str) -> float:
 
 
 def _bbox(text: str) -> BoundingBox:
+    from .geo import BoundingBox
     parts = text.split(",")
     if len(parts) != 4:
         raise ValueError(f"expected min_lon,min_lat,max_lon,max_lat, got {text!r}")
     return BoundingBox(*map(_float, parts))
 
 
-# Every config key: (converter from text, command-line flag or None, the class
-# whose field it sets, that field). The field's default is the key's default.
-# ``backend`` and ``responses_file`` set no field; build_backend reads them.
+# Every config key: (converter from text, command-line flag or None, the name of
+# the class whose field it sets, that field). The field's default is the key's
+# default. ``backend`` and ``responses_file`` set no field; build_backend reads them.
 CONFIG_KEYS = {
-    "dataset": (str, "--dataset", StoryRequest, "dataset_path"),
-    "schema": (str, "--schema", StoryRequest, "dataset_schema"),
-    "mode": (str, "--mode", NarrativeSpec, "mode"),
-    "selection": (str, "--selection", StoryRequest, "selection"),
-    "trajectory_id": (str, "--trajectory-id", StoryRequest, "selection_id"),
-    "hotspot_k": (int, "--top", StoryRequest, "hotspot_k"),
-    "cell_size_m": (_float, "--cell-size", StoryRequest, "cell_size_m"),
-    "cluster_distance_m": (_float, "--cluster-distance", StoryRequest, "cluster_distance_m"),
-    "max_retries": (int, "--max-retries", StoryRequest, "max_retries"),
-    "region_name": (str, None, StoryRequest, "region_name"),
-    "audience": (str, "--audience", NarrativeSpec, "audience"),
-    "tone": (str, None, NarrativeSpec, "tone"),
-    "max_words": (int, "--max-words", NarrativeSpec, "max_words"),
-    "min_pois": (int, "--min-pois", NarrativeSpec, "min_pois"),
-    "include_blurbs": (_bool, "--include-blurbs", NarrativeSpec, "include_blurbs"),
-    "trajectory_threshold_m": (_float, "--trajectory-threshold", GroundingPolicy,
+    "dataset": (str, "--dataset", "StoryRequest", "dataset_path"),
+    "schema": (str, "--schema", "StoryRequest", "dataset_schema"),
+    "mode": (str, "--mode", "NarrativeSpec", "mode"),
+    "selection": (str, "--selection", "StoryRequest", "selection"),
+    "trajectory_id": (str, "--trajectory-id", "StoryRequest", "selection_id"),
+    "hotspot_k": (int, "--top", "StoryRequest", "hotspot_k"),
+    "cell_size_m": (_float, "--cell-size", "StoryRequest", "cell_size_m"),
+    "cluster_distance_m": (_float, "--cluster-distance", "StoryRequest", "cluster_distance_m"),
+    "max_retries": (int, "--max-retries", "StoryRequest", "max_retries"),
+    "region_name": (str, None, "StoryRequest", "region_name"),
+    "audience": (str, "--audience", "NarrativeSpec", "audience"),
+    "tone": (str, None, "NarrativeSpec", "tone"),
+    "max_words": (int, "--max-words", "NarrativeSpec", "max_words"),
+    "min_pois": (int, "--min-pois", "NarrativeSpec", "min_pois"),
+    "include_blurbs": (_bool, "--include-blurbs", "NarrativeSpec", "include_blurbs"),
+    "trajectory_threshold_m": (_float, "--trajectory-threshold", "GroundingPolicy",
                                "trajectory_threshold_m"),
-    "hotspot_threshold_m": (_float, "--hotspot-threshold", GroundingPolicy,
+    "hotspot_threshold_m": (_float, "--hotspot-threshold", "GroundingPolicy",
                             "hotspot_threshold_m"),
-    "require_geocode": (_bool, None, GroundingPolicy, "require_geocode"),
-    "min_grounded_fraction": (_float, None, GroundingPolicy, "min_grounded_fraction"),
-    "offline": (_bool, "--offline", GazetteerConfig, "offline_only"),
-    "gazetteer_url": (str, None, GazetteerConfig, "base_url"),
-    "rate_limit": (_float, None, GazetteerConfig, "rate_limit"),
-    "region_bias": (_bbox, None, GazetteerConfig, "region_bias"),
-    "fixture": (str, None, GazetteerConfig, "fixture_path"),
-    "cache": (str, None, GazetteerConfig, "cache_path"),
+    "require_geocode": (_bool, None, "GroundingPolicy", "require_geocode"),
+    "min_grounded_fraction": (_float, None, "GroundingPolicy", "min_grounded_fraction"),
+    "offline": (_bool, "--offline", "GazetteerConfig", "offline_only"),
+    "gazetteer_url": (str, None, "GazetteerConfig", "base_url"),
+    "rate_limit": (_float, None, "GazetteerConfig", "rate_limit"),
+    "region_bias": (_bbox, None, "GazetteerConfig", "region_bias"),
+    "fixture": (str, None, "GazetteerConfig", "fixture_path"),
+    "cache": (str, None, "GazetteerConfig", "cache_path"),
     "backend": (str, "--backend", None, None),
-    "backend_url": (str, None, RemoteBackend, "url"),
-    "backend_max_tokens": (int, None, RemoteBackend, "max_tokens"),
-    "backend_temperature": (_float, None, RemoteBackend, "temperature"),
+    "backend_url": (str, None, "RemoteBackend", "url"),
+    "backend_max_tokens": (int, None, "RemoteBackend", "max_tokens"),
+    "backend_temperature": (_float, None, "RemoteBackend", "temperature"),
     "responses_file": (str, None, None, None),
 }
 
@@ -156,7 +152,7 @@ def load_settings(args: argparse.Namespace) -> dict[str, object]:
 def _build(cls, values: dict[str, object], **given):
     """``cls`` with every field whose key is in ``values``; the rest keep their defaults."""
     fields = {name: values[key] for key, (_, _, owner, name) in CONFIG_KEYS.items()
-              if owner is cls and key in values}
+              if owner == cls.__name__ and key in values}
     try:
         return cls(**fields, **given)
     except ValueError as exc:
@@ -164,16 +160,18 @@ def _build(cls, values: dict[str, object], **given):
 
 
 def build_request(values: dict[str, object]) -> StoryRequest:
-    spec = _build(NarrativeSpec, values)
-    return _build(StoryRequest, values, spec=spec,
-                  policy=_build(GroundingPolicy, values),
-                  gazetteer=_build(GazetteerConfig, values))
+    from . import gazetteer, pipeline, story, validation
+    spec = _build(story.NarrativeSpec, values)
+    return _build(pipeline.StoryRequest, values, spec=spec,
+                  policy=_build(validation.GroundingPolicy, values),
+                  gazetteer=_build(gazetteer.GazetteerConfig, values))
 
 
 def build_backend(values: dict[str, object]):
     name = values.get("backend", "template")
     if name not in BACKENDS:
         raise ConfigurationError(f"unknown backend {name!r}; expected one of {BACKENDS}")
+    from .story import RemoteBackend, TemplateBackend
     if name == "template":
         return TemplateBackend()
     if name == "remote":
@@ -190,10 +188,12 @@ def build_backend(values: dict[str, object]):
     if not isinstance(responses, list) or not all(isinstance(r, str) for r in responses):
         raise ConfigurationError(f"responses file {responses_file}: "
                                  "expected a JSON array of strings")
+    from .synth import ScriptedBackend
     return ScriptedBackend(responses)
 
 
 def _read_story(path: str) -> tuple[str, list[Mention]]:
+    from .story import extract_mentions
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
@@ -211,8 +211,9 @@ def _out_dir(args: argparse.Namespace) -> Path:
 # -- commands --------------------------------------------------------------
 
 def cmd_ingest(args: argparse.Namespace) -> int:
+    from . import geo, ingest
     req = build_request(load_settings(args))
-    ds = parse_dataset(req.dataset_path, req.dataset_schema)
+    ds = ingest.parse_dataset(req.dataset_path, req.dataset_schema)
     endpoints = ds.endpoints
     print(f"source: {ds.source_path}")
     print(f"trajectories: {len(ds)}")
@@ -221,22 +222,24 @@ def cmd_ingest(args: argparse.Namespace) -> int:
                                             for reason, n in ds.skipped_by_reason.items()))
     print(f"endpoints: {len(endpoints)}")
     if len(endpoints):
-        box = bbox_of_coords(endpoints)
+        box = geo.bbox_of_coords(endpoints)
         print(f"endpoint bbox: lon [{box.min_lon:.4f}, {box.max_lon:.4f}] "
               f"lat [{box.min_lat:.4f}, {box.max_lat:.4f}]")
     return 0
 
 
 def cmd_heatmap(args: argparse.Namespace) -> int:
+    from . import heatgrid, pipeline
     req = build_request({**load_settings(args), "mode": "heatmap"})
-    run = run_steps(req, ("ingest", "analytics"))
-    print(summarize_for_story(run.grid, run.hotspots), end="")
-    paths = write_files(_out_dir(args), grid_files(run.grid))
+    run = pipeline.run_steps(req, ("ingest", "analytics"))
+    print(heatgrid.summarize_for_story(run.grid, run.hotspots), end="")
+    paths = pipeline.write_files(_out_dir(args), heatgrid.grid_files(run.grid))
     log.info("wrote %s", " and ".join(map(str, paths)))
     return 0
 
 
 def cmd_story(args: argparse.Namespace) -> int:
+    from .pipeline import execute, write_bundle, write_failure
     values = load_settings(args)
     req = build_request(values)
     out = _out_dir(args)
@@ -256,6 +259,8 @@ def cmd_story(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
+    from .pipeline import report_files, run_steps, write_files
+    from .story import Story, count_words
     values = load_settings(args)
     text, mentions = _read_story(args.story)
     req = build_request(values)
@@ -272,10 +277,13 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_map(args: argparse.Namespace) -> int:
+    from dataclasses import replace
+
+    from . import gazetteer, mapdoc, pipeline, validation
     values = load_settings(args)
     _, mentions = _read_story(args.story)
     req = build_request({**values, "mode": "single_trajectory"})
-    located = Gazetteer(req.gazetteer).bulk_geocode(distinct_names(mentions))
+    located = gazetteer.Gazetteer(req.gazetteer).bulk_geocode(validation.distinct_names(mentions))
     pois = []
     for name, poi in located.items():
         if poi is None:
@@ -283,14 +291,14 @@ def cmd_map(args: argparse.Namespace) -> int:
                   file=sys.stderr)
         else:
             pois.append(replace(poi, name=name))
-    traj = run_steps(req, ("ingest", "analytics")).traj if req.dataset_path else None
+    traj = pipeline.run_steps(req, ("ingest", "analytics")).traj if req.dataset_path else None
     try:
-        doc = emit_map(pois, trajectory=traj, cluster_distance_m=req.cluster_distance_m)
+        doc = mapdoc.emit_map(pois, trajectory=traj, cluster_distance_m=req.cluster_distance_m)
     except ValueError as exc:   # nothing to map, or a negative cluster distance
         raise ConfigurationError(str(exc)) from None
-    geojson = render_geojson(doc)
-    paths = write_files(_out_dir(args), {"map.geojson": geojson,
-                                         "map.html": render_html(doc, geojson)})
+    geojson = mapdoc.render_geojson(doc)
+    paths = pipeline.write_files(_out_dir(args), {"map.geojson": geojson,
+                                                  "map.html": mapdoc.render_html(doc, geojson)})
     print(f"markers: {len(doc.markers)}  legend rows: {len(doc.legend)}")
     for path in paths:
         print(f"wrote {path}")

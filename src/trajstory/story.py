@@ -10,7 +10,7 @@ and the scripted playback backend in :mod:`trajstory.synth`.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Protocol
 
 from .errors import ConfigurationError, MalformedStoryError, ParseError, ProtocolError
@@ -307,13 +307,5 @@ def story_to_dict(story: Story) -> dict:
         "word_count": story.word_count,
         "mentions": [{"name": m.name, "start": m.start, "end": m.end}
                      for m in story.mentions],
-        "spec": {
-            "mode": story.spec.mode,
-            "audience": story.spec.audience,
-            "max_words": story.spec.max_words,
-            "min_pois": story.spec.min_pois,
-            "tone": story.spec.tone,
-            "include_blurbs": story.spec.include_blurbs,
-            "extra_instructions": list(story.spec.extra_instructions),
-        },
+        "spec": asdict(story.spec),
     }

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gazetteer import Gazetteer, normalize_name
-from .geo import (GeoPoint, arc_m, first_within, haversine_h, point_to_polyline_distance,
-                  segment_h)
+from .geo import GeoPoint, arc_m, first_within, haversine_h, segment_h
 from .story import Mention, Story
 
 GROUNDED = "grounded"
@@ -64,9 +63,6 @@ class GroundingRule:
 
     def nearest(self, p: GeoPoint) -> float:
         """Distance from ``p`` to its nearest piece of evidence: what grading measures."""
-        if self.along_path:
-            # the same value as below, through the entry point perfbench's tracer times
-            return point_to_polyline_distance(p, self.evidence)
         return arc_m(self.piece_h(p).min())
 
     def first_in_reach(self, p: GeoPoint) -> tuple[int, float] | None:
