@@ -91,6 +91,28 @@ def test_validate_story_18_names(benchmark, walk, gazetteer):
 
 
 @pytest.fixture(scope="module")
+def walk_file(walk, tmp_path_factory) -> str:
+    """The walk as a point_list file, every float at full precision."""
+    path = tmp_path_factory.mktemp("walk") / "shift.txt"
+    flat = list(map(repr, walk.ravel().tolist()))
+    path.write_text("".join(map("{},{}\n".format, flat[0::2], flat[1::2])), encoding="utf-8")
+    return str(path)
+
+
+def test_parse_point_list_50k(benchmark, walk_file, walk):
+    ds = benchmark(parse_dataset, walk_file, "point_list", ("longest_by_points", None))
+    assert ds.selected.coords.tobytes() == walk.tobytes()
+
+
+def test_first_in_reach_fixture_pool(benchmark, walk, gazetteer):
+    """Discovery's search on the walk: the first segment in reach of each known place."""
+    rule = GroundingRule(GroundingPolicy(), walk, along_path=True)
+    pois = gazetteer.known_pois(PORTO_BBOX)
+    reach = benchmark(lambda: [rule.first_in_reach(poi.location) for poi in pois])
+    assert any(reach)
+
+
+@pytest.fixture(scope="module")
 def shift_map(walk, gazetteer):
     return emit_map([gazetteer.geocode(name) for name in NAMES[:13]],
                     Trajectory(id="shift", coords=walk))

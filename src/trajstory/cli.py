@@ -259,21 +259,21 @@ def cmd_story(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    from .pipeline import report_files, run_steps, write_files
+    from .pipeline import report_files, run_steps, trace_json, write_files
     from .story import Story, count_words
     values = load_settings(args)
     text, mentions = _read_story(args.story)
     req = build_request(values)
     story = Story(text=text, mentions=mentions, word_count=count_words(text),
                   spec=req.spec, backend_id="external")
-    report = run_steps(req, ("ingest", "analytics", "validate"), story=story).report
-    files = report_files(report)
+    run = run_steps(req, ("ingest", "analytics", "validate"), story=story)
+    files = report_files(run.report)
     print(files["report.txt"], end="")
     if args.output_dir:
-        out = _out_dir(args)
-        write_files(out, {"report.json": files["report.json"]})
-        log.info("wrote %s", out / "report.json")
-    return 0 if report.overall else StoryValidationError.exit_code
+        paths = write_files(_out_dir(args), {"report.json": files["report.json"],
+                                             "trace.json": trace_json(run)})
+        log.info("wrote %s", " and ".join(map(str, paths)))
+    return 0 if run.report.overall else StoryValidationError.exit_code
 
 
 def cmd_map(args: argparse.Namespace) -> int:
@@ -291,14 +291,22 @@ def cmd_map(args: argparse.Namespace) -> int:
                   file=sys.stderr)
         else:
             pois.append(replace(poi, name=name))
-    traj = pipeline.run_steps(req, ("ingest", "analytics")).traj if req.dataset_path else None
+    run = (pipeline.run_steps(req, ("ingest", "analytics")) if req.dataset_path
+           else pipeline.RunState(req))
+
+    def emit(run: pipeline.RunState) -> str:
+        run.doc = mapdoc.emit_map(pois, trajectory=run.traj,
+                                  cluster_distance_m=run.req.cluster_distance_m)
+        return f"{len(run.doc.markers)} markers, {len(run.doc.legend)} legend rows"
     try:
-        doc = mapdoc.emit_map(pois, trajectory=traj, cluster_distance_m=req.cluster_distance_m)
+        pipeline.run_step(run, ("emit", emit))
     except ValueError as exc:   # nothing to map, or a negative cluster distance
         raise ConfigurationError(str(exc)) from None
+    doc = run.doc
     geojson = mapdoc.render_geojson(doc)
     paths = pipeline.write_files(_out_dir(args), {"map.geojson": geojson,
-                                                  "map.html": mapdoc.render_html(doc, geojson)})
+                                                  "map.html": mapdoc.render_html(doc, geojson),
+                                                  "trace.json": pipeline.trace_json(run)})
     print(f"markers: {len(doc.markers)}  legend rows: {len(doc.legend)}")
     for path in paths:
         print(f"wrote {path}")

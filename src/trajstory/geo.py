@@ -95,43 +95,86 @@ def haversine_h(p: GeoPoint, lon: np.ndarray, lat: np.ndarray) -> np.ndarray:
             * np.float_power(np.sin((np.radians(lon) - lon1) / 2), 2))
 
 
-def segment_h(p: GeoPoint, coords: np.ndarray) -> np.ndarray:
-    """Haversine term from ``p`` to each segment of a polyline, in route order.
+# Meters added to a limit before a segment's bound is held against it. Every
+# quantity here rounds by well under a micrometre at distances below 10 km,
+# and from there up the arc exceeds the chord by more than a millimetre.
+BOUND_SLACK_M = 1e-3
 
-    ``coords`` is the line's float (N, 2) lon/lat array. Each segment is
-    treated as locally planar (equirectangular projection centered on the
-    segment); the foot of the perpendicular is mapped back to geographic
-    coordinates and measured with the haversine. Both endpoints are always
-    candidates, so a segment is never farther than its nearer vertex. The
-    planar approximation is accurate to well below 0.1% for segments up to
-    ~50 km. A one-point line is one degenerate segment. ``arc_m`` of an
-    element is its distance in meters.
+
+class Polyline:
+    """A polyline's float (N, 2) lon/lat array, with what bounds a place's
+    distance to each of its segments.
+
+    Each vertex is also kept as a 3-D point on the sphere of radius R, and
+    each segment gets the length bound ``L = R * hypot(dlat, dlon)`` (radians)
+    of its lon/lat-linear path. A chord is never longer than the arc, so every
+    point of a segment, where ``segment_h`` puts its foot, lies at least
+    ``(c_a + c_b - L) / 2`` from a place whose chords to the segment's ends
+    are ``c_a`` and ``c_b``.
     """
-    if not len(coords):
-        raise ValueError("empty polyline: a trajectory needs at least one point")
-    lon, lat = coords[:, 0], coords[:, 1]
-    h = haversine_h(p, lon, lat)
-    if len(coords) == 1:
-        return h
-    best = np.minimum(h[:-1], h[1:])
-    a_lon, a_lat, b_lon, b_lat = lon[:-1], lat[:-1], lon[1:], lat[1:]
-    kx, ky = M_PER_DEG_LAT * np.cos(np.radians((a_lat + b_lat) / 2.0)), M_PER_DEG_LAT
-    ax, ay = (a_lon - p.lon) * kx, (a_lat - p.lat) * ky
-    dx, dy = (b_lon - p.lon) * kx - ax, (b_lat - p.lat) * ky - ay
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # a zero-length segment gives NaN here, which the range test drops
-        t = -(ax * dx + ay * dy) / (dx * dx + dy * dy)
-    inner = np.flatnonzero((t > 0.0) & (t < 1.0))
-    t = t[inner]
-    a_lon, a_lat = a_lon[inner], a_lat[inner]
-    foot = haversine_h(p, a_lon + t * (b_lon[inner] - a_lon), a_lat + t * (b_lat[inner] - a_lat))
-    best[inner] = np.minimum(best[inner], foot)
-    return best
+
+    def __init__(self, coords: np.ndarray):
+        if not len(coords):
+            raise ValueError("empty polyline: a trajectory needs at least one point")
+        self.coords = coords
+        lon, lat = np.radians(coords[:, 0]), np.radians(coords[:, 1])
+        self.xyz = _sphere_xyz(lon, lat)
+        self.length_bound = EARTH_RADIUS_M * np.hypot(np.diff(lat), np.diff(lon))
+
+    def segment_h(self, p: GeoPoint, limit_m: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """(index, haversine term) of each segment that may lie within ``limit_m``
+        of ``p``, in route order; ``arc_m`` of a term is its distance in meters.
+
+        ``limit_m`` defaults to the distance of the vertex with the smallest
+        chord to ``p``, so the nearest segment is among them. A term has the
+        bits a scan of every segment gives it: each segment is treated as
+        locally planar (equirectangular projection centered on the segment),
+        and the foot of the perpendicular is mapped back to geographic
+        coordinates and measured with the haversine. Both endpoints are
+        always candidates, so a segment is never farther than its nearer
+        vertex. The planar approximation is accurate to well below 0.1% for
+        segments up to ~50 km. A one-point line is one degenerate segment. A
+        segment with a non-finite bound is kept, so non-finite evidence gives
+        the NaN a full scan gives.
+        """
+        coords = self.coords
+        if len(coords) == 1:
+            return np.zeros(1, dtype=np.intp), haversine_h(p, coords[:, 0], coords[:, 1])
+        px, py, pz = _sphere_xyz(math.radians(p.lon), math.radians(p.lat))
+        x, y, z = self.xyz
+        chord = np.sqrt((x - px) ** 2 + (y - py) ** 2 + (z - pz) ** 2)
+        if limit_m is None:
+            j = int(np.argmin(chord))
+            h_j = haversine_h(p, coords[j:j + 1, 0], coords[j:j + 1, 1])[0]
+            limit_m = arc_m(min(h_j, 1.0))      # a term rounded past 1 has no arc
+        far = chord[:-1] + chord[1:] - self.length_bound > 2.0 * (limit_m + BOUND_SLACK_M)
+        seg = np.flatnonzero(~far)
+        a, b = coords[seg], coords[seg + 1]
+        a_lon, a_lat, b_lon, b_lat = a[:, 0], a[:, 1], b[:, 0], b[:, 1]
+        best = np.minimum(haversine_h(p, a_lon, a_lat), haversine_h(p, b_lon, b_lat))
+        kx, ky = M_PER_DEG_LAT * np.cos(np.radians((a_lat + b_lat) / 2.0)), M_PER_DEG_LAT
+        ax, ay = (a_lon - p.lon) * kx, (a_lat - p.lat) * ky
+        dx, dy = (b_lon - p.lon) * kx - ax, (b_lat - p.lat) * ky - ay
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # a zero-length segment gives NaN here, which the range test drops
+            t = -(ax * dx + ay * dy) / (dx * dx + dy * dy)
+        inner = np.flatnonzero((t > 0.0) & (t < 1.0))
+        t = t[inner]
+        a_lon, a_lat = a_lon[inner], a_lat[inner]
+        foot = haversine_h(p, a_lon + t * (b_lon[inner] - a_lon), a_lat + t * (b_lat[inner] - a_lat))
+        best[inner] = np.minimum(best[inner], foot)
+        return seg, best
+
+
+def _sphere_xyz(lon, lat):
+    """(x, y, z) of radian lon/lat on the sphere of radius R."""
+    r_cos = EARTH_RADIUS_M * np.cos(lat)
+    return r_cos * np.cos(lon), r_cos * np.sin(lon), EARTH_RADIUS_M * np.sin(lat)
 
 
 def point_to_polyline_distance(p: GeoPoint, coords: np.ndarray) -> float:
     """Minimum distance in meters from ``p`` to a polyline: its nearest segment."""
-    return arc_m(segment_h(p, coords).min())
+    return arc_m(Polyline(coords).segment_h(p)[1].min())
 
 
 def first_within(h: np.ndarray, radius_m: float) -> tuple[int, float] | None:

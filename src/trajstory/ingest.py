@@ -6,7 +6,8 @@ Two source schemas:
   column holding a bracketed list of ``[lon, lat]`` pairs. Only TRIP_ID,
   TIMESTAMP and POLYLINE are consumed; rows flagged MISSING_DATA are skipped.
 * ``point_list`` -- one ``lon,lat`` pair per line (header optional), the
-  whole file being a single trajectory.
+  whole file being a single trajectory. A file of plain numbers only is
+  read by one ``np.fromstring`` (``_plain_points``), any other line by line.
 
 A parse folds the file, one chunk of trips at a time, into a ``Dataset``
 that keeps each trip's final point and, when a selection is asked for, the
@@ -50,6 +51,7 @@ import logging
 import os
 import re
 import stat
+import warnings
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Iterator
 
@@ -592,8 +594,37 @@ def _parse_in_workers(path: str, fold: _Fold) -> Dataset | None:
     return _kaggle_dataset(fold, path, workers)
 
 
+def _plain_points(text: str) -> np.ndarray | None:
+    """The numbers of a point_list text, read by one ``np.fromstring`` when the
+    text holds only ``[-.0-9,\n]``, one comma a line and no blank line; None
+    when it does not, or when numpy does not read two numbers a line."""
+    if not text.isascii():
+        return None
+    data = text.encode("ascii")
+    seps = data.translate(None, b"-.0123456789")
+    lines = (len(seps) + 1) // 2        # the last line may lack its "\n"
+    if seps != b",\n" * (len(seps) // 2) + b"," * (len(seps) % 2):
+        return None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)  # numpy < 2: a short read warns
+        try:
+            values = np.fromstring(data.replace(b"\n", b","), sep=",")
+        except (DeprecationWarning, ValueError):      # an empty field, "-", "1.2.3", ...
+            return None
+    return values if len(values) == 2 * lines else None
+
+
 def _parse_point_list(lines: Iterable[str], source_path: str, fold: _Fold) -> Dataset:
+    """A file that ``parse_dataset`` opened is read whole, and in one pass when
+    ``_plain_points`` takes it; any other file and every stream is read line
+    by line, which defines every skip."""
     skipped = fold.skipped
+    plain = None
+    if isinstance(lines, io.TextIOWrapper):
+        text = lines.read()
+        plain = _plain_points(text)
+        # else the lines a file opened with newline="" gives
+        lines = () if plain is not None else io.StringIO(text, newline="")
     values: list[float] = []
     for line in lines:
         line = line.strip()
@@ -610,7 +641,7 @@ def _parse_point_list(lines: Iterable[str], source_path: str, fold: _Fold) -> Da
                 continue
         # a header line ("lon,lat") lands here too, which is fine
         skipped["bad_json"] += 1
-    xy = np.array(values, dtype=np.float64).reshape(-1, 2)
+    xy = np.asarray(values if plain is None else plain, dtype=np.float64).reshape(-1, 2)
     ok = _in_range(xy)
     skipped["out_of_range"] = int(len(ok) - ok.sum())
     xy = xy[ok]

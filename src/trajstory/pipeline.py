@@ -214,7 +214,7 @@ def plan(req: StoryRequest) -> list[Step]:
             ("generate", _generate), ("validate", _validate), ("emit", _emit)]
 
 
-def _run_step(run: RunState, step: Step) -> None:
+def run_step(run: RunState, step: Step) -> None:
     """Run one step: time it, trace it, tag its infrastructure failures."""
     name, fn = step
     t0 = time.perf_counter()
@@ -237,7 +237,7 @@ def run_steps(req: StoryRequest, names: tuple[str, ...],
     run = RunState(req, story=story)
     for step in plan(req):
         if step[0] in names:
-            _run_step(run, step)
+            run_step(run, step)
     return run
 
 
@@ -251,12 +251,12 @@ def execute(req: StoryRequest, backend: StoryBackend) -> RunState:
     *setup, generate, validate, emit = plan(req)
     run = RunState(req, backend=backend)
     for step in setup:
-        _run_step(run, step)
+        run_step(run, step)
     for attempt in range(1, req.max_retries + 1):
         run.attempt = attempt
-        _run_step(run, generate)
+        run_step(run, generate)
         if run.story is not None:
-            _run_step(run, validate)
+            run_step(run, validate)
         if run.report.overall:
             break
         if attempt < req.max_retries:
@@ -266,7 +266,7 @@ def execute(req: StoryRequest, backend: StoryBackend) -> RunState:
     if not run.report.overall:
         raise StoryValidationError(
             f"story failed validation after {run.attempt} attempt(s)", run=run)
-    _run_step(run, emit)
+    run_step(run, emit)
     return run
 
 
@@ -280,6 +280,12 @@ def report_files(report: ValidationReport) -> dict[str, str]:
     """``report.json`` and ``report.txt``, by file name."""
     return {"report.json": _json_text(report_to_dict(report)),
             "report.txt": summarize_report(report) + "\n"}
+
+
+def trace_json(run: RunState) -> str:
+    """``trace.json``: the run's attempts and one row per step it ran."""
+    rows = [{"step": t.step, "detail": t.detail, "seconds": t.seconds} for t in run.trace]
+    return _json_text({"attempts": run.attempt, "steps": rows})
 
 
 def write_files(out_dir: str | Path, files: dict[str, str]) -> list[Path]:
@@ -313,9 +319,7 @@ def write_bundle(run: RunState, out_dir: str | Path) -> list[Path]:
              **report_files(run.report),
              "map.geojson": geojson,
              "map.html": render_html(run.doc, geojson)}
-    trace_rows = [{"step": t.step, "detail": t.detail, "seconds": t.seconds}
-                  for t in run.trace]
-    files["trace.json"] = _json_text({"attempts": run.attempt, "steps": trace_rows})
+    files["trace.json"] = trace_json(run)
     return write_files(out_dir, files)
 
 

@@ -10,11 +10,12 @@ word cap, the POI quota, and markup health.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .gazetteer import Gazetteer, normalize_name
-from .geo import GeoPoint, arc_m, first_within, haversine_h, segment_h
+from .geo import GeoPoint, Polyline, arc_m, first_within, haversine_h
 from .story import Mention, Story
 
 GROUNDED = "grounded"
@@ -55,19 +56,28 @@ class GroundingRule:
         policy = self.policy
         return policy.trajectory_threshold_m if self.along_path else policy.hotspot_threshold_m
 
-    def piece_h(self, p: GeoPoint) -> np.ndarray:
-        """Haversine term from ``p`` to each piece of evidence, in evidence order."""
+    @cached_property
+    def _path(self) -> Polyline:
+        return Polyline(self.evidence)
+
+    def piece_h(self, p: GeoPoint, limit_m: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """(index, haversine term) of each piece of evidence that may lie within
+        ``limit_m`` of ``p`` (by default, the nearest piece among them), in
+        evidence order."""
         if self.along_path:
-            return segment_h(p, self.evidence)
-        return haversine_h(p, self.evidence[:, 0], self.evidence[:, 1])
+            return self._path.segment_h(p, limit_m)
+        return np.arange(len(self.evidence)), haversine_h(p, self.evidence[:, 0],
+                                                          self.evidence[:, 1])
 
     def nearest(self, p: GeoPoint) -> float:
         """Distance from ``p`` to its nearest piece of evidence: what grading measures."""
-        return arc_m(self.piece_h(p).min())
+        return arc_m(self.piece_h(p)[1].min())
 
     def first_in_reach(self, p: GeoPoint) -> tuple[int, float] | None:
         """(index, distance) of the first piece within the threshold: what discovery keeps."""
-        return first_within(self.piece_h(p), self.threshold_m)
+        pieces, h = self.piece_h(p, self.threshold_m)
+        hit = first_within(h, self.threshold_m)
+        return None if hit is None else (int(pieces[hit[0]]), hit[1])
 
 
 @dataclass(frozen=True)

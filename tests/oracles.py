@@ -15,7 +15,8 @@ import numpy as np
 
 from helpers import contains
 from trajstory.errors import ConfigurationError, NotFoundError, ParseError
-from trajstory.geo import GeoPoint, arc_m, as_coords, meters_per_degree
+from trajstory.geo import (M_PER_DEG_LAT, GeoPoint, arc_m, as_coords, haversine_h,
+                           meters_per_degree)
 from trajstory.ingest import SELECTION_CRITERIA, Trajectory, _path_lengths_m
 
 
@@ -99,6 +100,35 @@ def reference_segment_distances(p: GeoPoint, line: list[GeoPoint]) -> list[float
         out.append(best)
         d_a = d_b
     return out
+
+
+def full_segment_h(p: GeoPoint, coords: np.ndarray) -> np.ndarray:
+    """Haversine term from ``p`` to every segment of a polyline, in route order.
+
+    The full scan the grounding search ran before it had a bound: the same
+    elementwise formula over every segment. A one-point line is one
+    degenerate segment.
+    """
+    if not len(coords):
+        raise ValueError("empty polyline: a trajectory needs at least one point")
+    lon, lat = coords[:, 0], coords[:, 1]
+    h = haversine_h(p, lon, lat)
+    if len(coords) == 1:
+        return h
+    best = np.minimum(h[:-1], h[1:])
+    a_lon, a_lat, b_lon, b_lat = lon[:-1], lat[:-1], lon[1:], lat[1:]
+    kx, ky = M_PER_DEG_LAT * np.cos(np.radians((a_lat + b_lat) / 2.0)), M_PER_DEG_LAT
+    ax, ay = (a_lon - p.lon) * kx, (a_lat - p.lat) * ky
+    dx, dy = (b_lon - p.lon) * kx - ax, (b_lat - p.lat) * ky - ay
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # a zero-length segment gives NaN here, which the range test drops
+        t = -(ax * dx + ay * dy) / (dx * dx + dy * dy)
+    inner = np.flatnonzero((t > 0.0) & (t < 1.0))
+    t = t[inner]
+    a_lon, a_lat = a_lon[inner], a_lat[inner]
+    foot = haversine_h(p, a_lon + t * (b_lon[inner] - a_lon), a_lat + t * (b_lat[inner] - a_lat))
+    best[inner] = np.minimum(best[inner], foot)
+    return best
 
 
 def full_sort_hotspots(grid, k: int) -> list[tuple[int, int, int]]:

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import csv
 import io
@@ -309,6 +310,23 @@ class TestValidateCommand:
         report = json.loads((out_dir / "report.json").read_text(encoding="utf-8"))
         assert report["overall"] == "fail"
 
+    def test_writes_a_trace_of_its_steps_even_when_it_fails(self, capsys, tmp_path,
+                                                            monkeypatch, route_file):
+        story = self.write_story(
+            tmp_path, "Past [[POI: Ribeira]] to [[POI: Foz do Douro]].\n")
+        code, _, _ = run(capsys, "validate", str(story), "--dataset", str(route_file),
+                         "--schema", "point_list", "--output-dir", str(tmp_path / "rep"))
+        assert code == 5
+        trace = json.loads((tmp_path / "rep" / "trace.json").read_text(encoding="utf-8"))
+        assert trace["attempts"] == 1
+        assert [s["step"] for s in trace["steps"]] == ["ingest", "analytics", "validate"]
+        assert all(s["seconds"] >= 0 for s in trace["steps"])
+        assert trace["steps"][2]["detail"] == "attempt 1: fail, grounded fraction 0.50"
+        monkeypatch.chdir(tmp_path)
+        code, _, _ = run(capsys, "validate", str(story), "--dataset", str(route_file),
+                         "--schema", "point_list")
+        assert code == 5 and not (tmp_path / "out").exists()    # no --output-dir, no files
+
     def test_markup_free_story_is_a_parse_error(self, capsys, tmp_path,
                                                 route_file):
         story = self.write_story(tmp_path, "nothing marked here\n")
@@ -407,6 +425,19 @@ class TestMapCommand:
         assert [name for _, name in geo["legend"]] == [p["name"] for p in report["per_poi"]] \
             == ["Ribeira", "Aliados Avenue", "Avenida dos Aliados"]
 
+    @pytest.mark.parametrize("with_dataset", [True, False])
+    def test_writes_a_trace_of_its_steps(self, capsys, tmp_path, route_file, with_dataset):
+        story = tmp_path / "story.txt"
+        story.write_text("Down to [[POI: Ribeira]].\n", encoding="utf-8")
+        data = ["--dataset", str(route_file), "--schema", "point_list"] if with_dataset else []
+        code, out, _ = run(capsys, "map", str(story), *data, "--output-dir", str(tmp_path / "map"))
+        assert code == 0
+        trace = json.loads((tmp_path / "map" / "trace.json").read_text(encoding="utf-8"))
+        steps = ["ingest", "analytics", "emit"] if with_dataset else ["emit"]
+        assert [s["step"] for s in trace["steps"]] == steps
+        assert trace["steps"][-1]["detail"] == "1 markers, 1 legend rows"
+        assert f"wrote {tmp_path / 'map' / 'trace.json'}" in out
+
     def test_nothing_mappable_is_a_config_error(self, capsys, tmp_path):
         story = tmp_path / "story.txt"
         story.write_text("Only [[POI: Atlantis Pier]] here.\n", encoding="utf-8")
@@ -421,11 +452,11 @@ class TestArtifactsAreWholeOrUnchanged:
 
     OLD = {"story": ["story.txt", "story.json", "report.json", "report.txt",
                      "map.geojson", "map.html", "trace.json"],
-           "map": ["map.geojson", "map.html"],
-           "validate": ["report.json"],
+           "map": ["map.geojson", "map.html", "trace.json"],
+           "validate": ["report.json", "trace.json"],
            "heatmap": ["grid.csv", "grid_meta.txt"]}
 
-    @pytest.mark.parametrize("command, fail_at", [("story", 2), ("map", 2), ("validate", 1),
+    @pytest.mark.parametrize("command, fail_at", [("story", 2), ("map", 2), ("validate", 2),
                                                   ("heatmap", 2)])
     def test_failed_write_keeps_the_old_files(self, capsys, tmp_path, monkeypatch,
                                               cluster_csv, route_file, command, fail_at):
@@ -750,7 +781,8 @@ class TestOneRulePerRun:
 
 
 class TestReadme:
-    """The README's config key list and flag table match the CLI's table."""
+    """The README's config key list and flag table match the CLI's table, and
+    each test its guarantee table names exists."""
 
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 
@@ -758,6 +790,24 @@ class TestReadme:
         section = self.readme.split("### Config files", 1)[1]
         key_list = section.split("Recognized keys:", 1)[1].strip().split("\n\n", 1)[0]
         assert set(re.findall(r"`([a-z_]+)`", key_list)) == set(CONFIG_KEYS)
+
+    def test_names_an_existing_test_for_each_guarantee(self):
+        section = self.readme.split("### Guarantees and their tests", 1)[1]
+        table = section[section.index("\n| "):].split("\n\n", 1)[0]
+        rows = table.strip().splitlines()[2:]
+        assert len(rows) >= 9
+        root = Path(__file__).resolve().parents[1]
+        for row in rows:
+            ids = re.findall(r"`(tests/\w+\.py(?:::\w+)+)`", row)
+            assert ids, row
+            for test_id in ids:
+                path, *names = test_id.split("::")
+                scope = ast.parse((root / path).read_text(encoding="utf-8")).body
+                for name in names:
+                    node = next((n for n in scope if isinstance(n, (ast.ClassDef, ast.FunctionDef))
+                                 and n.name == name), None)
+                    assert node is not None, test_id
+                    scope = node.body
 
     def test_lists_each_commands_flags(self):
         rows = dict(re.findall(r"^\| `([a-z]+)` \| (.*) \|$", self.readme, re.M))
@@ -810,5 +860,26 @@ def test_fuzzed_config_ends_in_a_documented_exit_code(tiny_trips, tmp_path_facto
         code = main([command, *argv, "--config", str(cfg), "--offline",
                      "--output-dir", str(cfg.parent / "out")])
     event(f"{command} exit {code}")
+    assert code in (0, 2, 3, 5), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+
+
+# The markup pieces of tests/test_story.py's fuzzer, as whole story files.
+_hostile_story = st.lists(st.sampled_from(["[[POI:", "]]", "[[", "\x00", "é", "\n", " ",
+                                           "Ribeira", "Atlantis Pier"]),
+                          max_size=30).map("".join)
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=_hostile_story)
+def test_fuzzed_story_markup_ends_in_a_documented_exit_code(tiny_trips, tmp_path_factory, text):
+    trips, _ = tiny_trips
+    story = tmp_path_factory.mktemp("story") / "story.txt"
+    story.write_text(text, encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["validate", str(story), "--dataset", str(trips), "--offline",
+                     "--output-dir", str(story.parent / "out")])
+    event(f"exit {code}")
     assert code in (0, 2, 3, 5), err.getvalue()
     assert "Traceback" not in err.getvalue()

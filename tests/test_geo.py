@@ -1,17 +1,24 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import backtracking_walk, contains
 from oracles import (dense_polyline_distance, dense_polyline_distance_spaced,
-                     haversine_distance, reference_segment_distances)
-from trajstory.geo import (EARTH_RADIUS_M, BoundingBox, GeoPoint, arc_m, bbox_of_coords,
-                           bbox_within, meters_per_degree,
-                           point_to_polyline_distance, segment_h)
+                     full_segment_h, haversine_distance, reference_segment_distances)
+from trajstory.geo import (EARTH_RADIUS_M, BoundingBox, GeoPoint, Polyline, arc_m,
+                           bbox_of_coords, bbox_within, first_within, meters_per_degree,
+                           point_to_polyline_distance)
 from trajstory.geo import as_coords as coords
 from trajstory.validation import GroundingPolicy, GroundingRule
+
+
+def segment_h(p, line):
+    """The term of every segment: the table searched with no limit."""
+    return Polyline(line).segment_h(p, math.inf)[1]
+
 
 # Downtown-to-Boavista pair, checked against two independent high-precision
 # great-circle formulas (50-digit arithmetic); they agreed to 20 digits.
@@ -263,6 +270,112 @@ class TestAgainstScalarReference:
             want = reference_segment_distances(q, line)
             assert point_to_polyline_distance(q, arr) == min(want)
             assert [arc_m(h) for h in segment_h(q, arr)] == want
+
+
+# Where the bounded search's lines lie: downtown Porto, the equator at the
+# prime meridian, next to the north pole, and on the antimeridian.
+ANCHORS = [(-8.61, 41.14), (0.0, 0.0), (45.0, 89.9), (179.95, -20.0)]
+
+
+def _place(lon: float, lat: float) -> GeoPoint:
+    """A valid GeoPoint at ``lon, lat``: latitude clamped, longitude wrapped."""
+    return GeoPoint((lon + 180.0) % 360.0 - 180.0, min(90.0, max(-90.0, lat)))
+
+
+@st.composite
+def bounded_lines(draw):
+    """1 to 8 vertices around an anchor, with steps from 0 (a repeated vertex)
+    up to about 50 km; near the antimeridian a step can cross it."""
+    lon0, lat0 = draw(st.sampled_from(ANCHORS))
+    scale = draw(st.sampled_from([1e-8, 1e-6, 1e-3, 0.2]))       # degrees
+    offsets = st.floats(-scale, scale)
+    line = []
+    for _ in range(draw(st.integers(1, 8))):
+        if line and draw(st.booleans()):
+            line.append(draw(st.sampled_from(line)))
+        else:
+            p = _place(lon0 + draw(offsets), lat0 + draw(offsets))
+            line.append((p.lon, p.lat))
+    return line
+
+
+@st.composite
+def bounded_places(draw, line):
+    """A vertex, a point off a segment with its foot at ``t``, or a place 1,000 km away."""
+    kind = draw(st.sampled_from(["vertex", "foot", "far"]))
+    i = draw(st.integers(0, len(line) - 1))
+    (a_lon, a_lat), (b_lon, b_lat) = line[i], line[min(i + 1, len(line) - 1)]
+    if kind == "vertex":
+        return GeoPoint(a_lon, a_lat)
+    if kind == "far":
+        return _place(a_lon, a_lat + draw(st.sampled_from([-1.0, 1.0])) * 1e6 / 111_195.0)
+    t = draw(st.sampled_from([0.0, 1e-9, 0.5, 1 - 1e-9, 1.0]) | st.floats(-0.5, 1.5))
+    off = draw(st.sampled_from([0.0, 1e-6, 1e-3]) | st.floats(-2000.0, 2000.0))
+    kx, ky = meters_per_degree((a_lat + b_lat) / 2.0)
+    dx, dy = (b_lon - a_lon) * kx, (b_lat - a_lat) * ky
+    norm = math.hypot(dx, dy) or 1.0
+    nx, ny = (-dy / norm, dx / norm) if dx or dy else (0.0, 1.0)
+    return _place(a_lon + t * (b_lon - a_lon) + off * nx / max(kx, 1e-9),
+                  a_lat + t * (b_lat - a_lat) + off * ny / ky)
+
+
+class TestBoundedSearch:
+    """The chord bound leaves out only segments a full scan would not pick, and
+    the ones it keeps get the full scan's bits."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(data=st.data(), line=bounded_lines())
+    def test_equals_a_full_scan(self, data, line):
+        arr = np.array(line, dtype=np.float64)
+        q = data.draw(bounded_places(line))
+        full = full_segment_h(q, arr)
+        distances = [arc_m(h) for h in full]
+        exact = st.sampled_from(distances)
+        threshold = data.draw(st.floats(0.0, 2e6) | exact
+                              | exact.map(lambda d: math.nextafter(d, -math.inf)))
+        threshold = max(threshold, 0.0)
+        rule = GroundingRule(GroundingPolicy(trajectory_threshold_m=threshold), arr,
+                             along_path=True)
+        assert rule.nearest(q) == min(distances)
+        assert point_to_polyline_distance(q, arr) == min(distances)
+        assert rule.first_in_reach(q) == first_within(full, threshold)
+        kept, h = Polyline(arr).segment_h(q, threshold)
+        assert h.tobytes() == full[kept].tobytes()
+        assert all(distances[i] > threshold for i in set(range(len(full))) - set(kept.tolist()))
+
+    # Lines of about a metre where the bound, the chord and the vertex
+    # distance agree to their rounding: without the slack the bound drops the
+    # segment that holds the nearest point, or every segment.
+    @pytest.mark.parametrize("line,q", [
+        ([(0.0, 0.0), (-1.0099571516816227e-07, 9.685910701296663e-07)],
+         (9.90684761152376e-08, -9.501080430669851e-07)),
+        ([(0.0, 0.0), (3.209406466054491e-08, 1.6891594705829395e-08),
+          (6.418812932108982e-08, 3.378318941165879e-08)],
+         (-9.510788837220767e-11, -5.0056729202193856e-11)),
+    ])
+    def test_slack_keeps_segments_that_rounding_would_drop(self, line, q):
+        arr, q = np.array(line), GeoPoint(*q)
+        full = full_segment_h(q, arr)
+        assert point_to_polyline_distance(q, arr) == arc_m(full.min())
+
+    def test_a_long_segment_is_kept_by_its_length(self):
+        # the place sits at the middle of a 40 km segment, 20 km from either end
+        arr = np.array([(-8.8, 41.0), (-8.8, 41.36)])
+        q = GeoPoint(-8.8, 41.18)
+        assert point_to_polyline_distance(q, arr) == arc_m(full_segment_h(q, arr).min()) < 1e-6
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_evidence_gives_what_a_full_scan_gives(self, bad):
+        # nearest is NaN, as a full scan's min is; a piece in reach before the
+        # bad vertex is still found first
+        arr = np.array([(-8.61, 41.14), (-8.62, 41.15), (bad, 41.15), (-8.60, 41.14)])
+        q = GeoPoint(-8.615, 41.145)
+        rule = GroundingRule(GroundingPolicy(), arr, along_path=True)
+        with np.errstate(invalid="ignore"):
+            full = full_segment_h(q, arr)
+            assert math.isnan(rule.nearest(q)) and math.isnan(arc_m(full.min()))
+            hit = first_within(full, 500.0)
+            assert hit[0] == 0 and rule.first_in_reach(q) == hit
 
 
 class TestBboxWithin:

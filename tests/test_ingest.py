@@ -13,6 +13,7 @@ import tempfile
 import threading
 import tracemalloc
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -222,6 +223,117 @@ class TestPointListParsing:
         write_point_list(traj, str(path))
         ds = parse_dataset(str(path), "point_list")
         assert ds.endpoints.tolist() == [[-8.62, 41.15]]
+
+
+# Fields of a point_list line: plain numbers (long digit strings too, so
+# rounding shows) and the forms the one-pass read must leave to the loop.
+plain_numbers = st.builds("{}{}{}".format, st.sampled_from(["", "-"]),
+                          st.text("0123456789", min_size=1, max_size=3),
+                          st.just("") | st.text("0123456789", max_size=25).map(".".__add__))
+odd_fields = st.sampled_from(["", " 1.5", "+1.5", "1_0", "1e5", "2E-3", "nan", "inf", "-",
+                              ".", "-.", "1.2.3", "1-2", "--1", "-0", ".5", "5.", "lon", "lat"])
+
+
+@st.composite
+def point_list_texts(draw):
+    """(text, plain): point_list text in the plain form, or with odd fields,
+    line ends, blank lines, a header, a BOM or no final newline mixed in."""
+    lines = draw(st.lists(st.tuples(plain_numbers, plain_numbers).map(",".join), max_size=30))
+    plain = draw(st.booleans())
+    if not plain:
+        for _ in range(draw(st.integers(1, 4))):
+            odd = draw(st.sampled_from(["field", "fields", "one and three", "blank", "header"]))
+            numbers = st.lists(plain_numbers, min_size=4, max_size=4).map(
+                lambda n: [n[0], ",".join(n[1:])])     # as many numbers as two pairs
+            new = {"field": lambda: [",".join(draw(st.permutations(
+                       [draw(odd_fields), draw(plain_numbers)])))],
+                   "fields": lambda: [",".join(draw(st.lists(plain_numbers | odd_fields,
+                                                             max_size=3)))],
+                   "one and three": lambda: draw(numbers),
+                   "blank": lambda: [draw(st.sampled_from(["", " ", "\t"]))],
+                   "header": lambda: ["lon,lat"]}[odd]()
+            for line in new:
+                lines.insert(draw(st.integers(0, len(lines))), line)
+    end = "\n" if plain else draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = end.join(lines)
+    if lines and (plain or draw(st.booleans())):
+        text += end
+    if not plain and draw(st.booleans()):
+        text = "\ufeff" + text
+    return text, plain
+
+
+def walk_path(tmp_path_factory):
+    """One file that every example of a property overwrites."""
+    folder = tmp_path_factory.getbasetemp() / "point_list"
+    folder.mkdir(exist_ok=True)
+    return folder / "walk.txt"
+
+
+def same_dataset(a, b) -> bool:
+    """Equal down to coordinate bits, skips by reason and the selected trip."""
+    if (a.selected is None) != (b.selected is None):
+        return False
+    if a.selected is not None and (a.selected.id != b.selected.id or
+                                   a.selected.coords.tobytes() != b.selected.coords.tobytes()):
+        return False
+    return (a.endpoints.tobytes() == b.endpoints.tobytes()
+            and a.skipped_by_reason == b.skipped_by_reason)
+
+
+class TestBulkPointList:
+    """A point_list file is read in one pass when every line is two plain
+    numbers, and gives what the line-by-line loop gives."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=point_list_texts(), selection=st.sampled_from([None, LONGEST,
+                                                               ("longest_by_length", None)]))
+    def test_same_dataset_as_the_loop(self, tmp_path_factory, case, selection):
+        text, plain = case
+        path = walk_path(tmp_path_factory)
+        path.write_bytes(text.encode("utf-8"))
+        assert (ingest._plain_points(text.removeprefix("\ufeff")) is not None) >= plain
+        bulk = parse_dataset(str(path), "point_list", selection)
+        with open(path, encoding="utf-8", newline="") as fh:   # a stream: the loop
+            loop = parse_dataset(fh, "point_list", selection)
+        assert same_dataset(bulk, loop)
+
+    @settings(max_examples=100, deadline=None)
+    @given(pairs=st.lists(st.tuples(plain_numbers, plain_numbers).map(",".join), max_size=8),
+           extra=st.lists(plain_numbers, min_size=4, max_size=4),
+           at=st.tuples(st.integers(0, 8), st.integers(0, 8)))
+    def test_a_line_of_one_number_and_one_of_three_go_to_the_loop(self, tmp_path_factory,
+                                                                  pairs, extra, at):
+        # as many numbers as whole pairs, so only the per-line count tells
+        lines = list(pairs)
+        lines.insert(at[0] % (len(lines) + 1), extra[0])
+        lines.insert(at[1] % (len(lines) + 1), ",".join(extra[1:]))
+        text = "\n".join(lines) + "\n"
+        assert ingest._plain_points(text) is None
+        path = walk_path(tmp_path_factory)
+        path.write_text(text, encoding="utf-8")
+        ds = parse_dataset(str(path), "point_list", LONGEST)
+        assert ds.skipped_by_reason["bad_json"] == 2
+
+    def test_plain_text_is_read_in_one_pass(self):
+        values = ingest._plain_points("-8.61,41.14\n-8.62,41.15")
+        assert values.tolist() == [-8.61, 41.14, -8.62, 41.15]
+
+    @pytest.mark.parametrize("text", ["-8.61,41.14\n\n-8.62,41.15\n", "-8.61,41.14\r\n",
+                                      "-8.61,\n41.14,1\n", "1,2,\n", ",1\n", "1.2.3,4\n",
+                                      "-,1\n", "1,2\n3\n4,5,6\n", "lon,lat\n1,2\n"])
+    def test_other_text_goes_to_the_loop(self, text):
+        assert ingest._plain_points(text) is None
+
+    @pytest.mark.parametrize("warn", [True, False])
+    def test_a_short_read_sends_the_text_to_the_loop(self, monkeypatch, warn):
+        # numpy before 2 warns and returns what it read; later ones raise
+        def fromstring(data, sep):
+            if warn:
+                warnings.warn("string or file could not be read to its end", DeprecationWarning)
+            return np.array([1.0, 2.0])
+        monkeypatch.setattr(ingest.np, "fromstring", fromstring)
+        assert ingest._plain_points("1,2\n3,4\n") is None
 
 
 class TestSelection:

@@ -241,3 +241,31 @@ class TestGenerateStory:
         ctx = make_ctx(1)
         with pytest.raises(MalformedStoryError):
             generate_story("p", self._Fixed(text), spec, ctx)
+
+
+# Hostile markup: text built from the pieces of a span, NUL, a non-ASCII
+# letter and line ends, so openers go unclosed, nest, close twice or hold
+# nothing but blanks.
+MARKUP_PIECES = [MARKUP_OPEN, MARKUP_CLOSE, "[[", "\x00", "é", "\n", " ", "Ribeira"]
+hostile_markup = st.lists(st.sampled_from(MARKUP_PIECES), max_size=40).map("".join)
+
+
+class TestMarkupFuzz:
+    @settings(max_examples=400, deadline=None)
+    @given(text=hostile_markup)
+    def test_parses_or_raises_a_parse_error(self, text):
+        try:
+            mentions = extract_mentions(text)
+        except ParseError:
+            with pytest.raises(ParseError):
+                strip_markup(text)
+        else:
+            last = 0
+            for m in mentions:
+                span = text[m.start:m.end]
+                assert m.start >= last and span.startswith(MARKUP_OPEN)
+                assert span.endswith(MARKUP_CLOSE) and MARKUP_OPEN not in span[1:]
+                assert m.name and m.name == span[len(MARKUP_OPEN):-len(MARKUP_CLOSE)].strip()
+                last = m.end
+            assert len(strip_markup(text)) <= len(text)
+        assert count_words(text) >= 0
