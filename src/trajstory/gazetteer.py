@@ -86,13 +86,24 @@ def _viewbox_param(b: BoundingBox) -> str:
     return f"{b.min_lon!r},{b.min_lat!r},{b.max_lon!r},{b.max_lat!r}"
 
 
+def _json_value(data: bytes | str) -> object:
+    """``json.loads(data)``; ValueError also for data nested deeper than the decoder
+    reads, or holding a lone surrogate escape (``"\\ud800"``), which UTF-8 cannot write."""
+    try:
+        value = json.loads(data)
+    except RecursionError as exc:
+        raise ValueError(exc) from None
+    json.dumps(value, ensure_ascii=False).encode("utf-8")
+    return value
+
+
 def request_json(url: str, what: str, timeout: float, body: dict | None = None,
                  headers: dict | None = None) -> object:
     """GET ``url``, or POST ``body`` as JSON when given, and decode the JSON reply.
 
     Transport failures and HTTP error statuses raise InfrastructureError; a
-    reply that is not JSON raises ProtocolError. ``what`` names the service
-    in the message.
+    reply that is not JSON (``_json_value``) raises ProtocolError. ``what``
+    names the service in the message.
     """
     # Imported here: urllib.request loads ssl, about 7 MB of resident memory
     # that an offline run never needs.
@@ -110,7 +121,7 @@ def request_json(url: str, what: str, timeout: float, body: dict | None = None,
     except (OSError, ValueError, http.client.HTTPException) as exc:
         raise InfrastructureError(f"{what} request failed: {exc}") from exc
     try:
-        return json.loads(payload)
+        return _json_value(payload)
     except ValueError as exc:
         raise ProtocolError(f"{what} returned non-JSON payload: {exc}") from exc
 
@@ -184,12 +195,12 @@ class Gazetteer:
                 if not line:
                     continue
                 try:
-                    entry = json.loads(line.decode("utf-8"))
+                    entry = _json_value(line.decode("utf-8"))
                     location = GeoPoint(float(entry["lon"]), float(entry["lat"]))
                     _file_cache_entry(index, entry["key"], POI(
                         name=entry["name"], location=location, category=entry.get("category"),
                         source="cache", blurb=entry.get("blurb")))
-                except (AttributeError, KeyError, TypeError, ValueError):
+                except (AttributeError, KeyError, TypeError, ValueError, OverflowError):
                     continue    # a torn or foreign line must not poison the journal
         return index
 
@@ -238,7 +249,7 @@ class Gazetteer:
                                    category=item.get("category"),
                                    source="remote",
                                    blurb=item.get("blurb")))
-            except (TypeError, KeyError, ValueError) as exc:
+            except (TypeError, KeyError, ValueError, OverflowError) as exc:
                 raise ProtocolError(f"malformed search result {item!r}: {exc}") from exc
         return results
 

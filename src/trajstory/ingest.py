@@ -29,19 +29,19 @@ exactly by ``_decode_polyline``, which defines every skip reason and every
 bit.
 
 A Kaggle file of two chunks or more is parsed by up to two forked workers,
-one per usable core: this process reads the header line, cuts the body into
-chunks at line ends and folds, in file order, what the workers send back
-from reading their own chunks. Where a chunk cannot be read alone (it is
-not UTF-8, csv.reader fails on it, or a quoted line end crosses a cut), or
-the selection takes a trip no worker decoded, the parse restarts in-process,
-so every error and ``row<N>`` id comes from the in-process path, which also
-parses text streams, named pipes, one-chunk files and files on one-core
-machines.
+one per usable core: this process reads the header line and cuts the body
+into chunks at line ends; of ``w`` workers, worker ``i`` reads chunks ``i``,
+``i + w``, ... and sends what it reads of each on its own one-way pipe, and
+this process folds chunk ``k`` from pipe ``k % w``, so in file order. Where
+a chunk cannot be read alone (it is not UTF-8, csv.reader fails on it, or a
+quoted line end crosses a cut), or the selection takes a trip no worker
+decoded, the parse restarts in-process, so every error and ``row<N>`` id
+comes from the in-process path, which also parses text streams, named pipes,
+one-chunk files and files on one-core machines.
 """
 
 from __future__ import annotations
 
-import collections
 import contextlib
 import csv
 import io
@@ -454,15 +454,16 @@ def _header(line: bytes) -> list[str] | None:
         return None
 
 
-def _decode_worker(conn, path: str, columns: tuple[int | None, ...], fold: _Fold) -> None:
-    """Worker process: answer each ``(start, end)`` byte range of ``path`` with the
-    ``_reduce`` of its rows, or None where they cannot be read alone: they are
-    not UTF-8, csv.reader fails on one, or a record runs past their end."""
+def _decode_worker(conn, path: str, jobs: list[tuple[int, int]],
+                   columns: tuple[int | None, ...], fold: _Fold) -> None:
+    """Worker process: send on ``conn``, in order, the ``_reduce`` of the rows of each
+    ``(start, end)`` byte range of ``path`` in ``jobs``, or None where they cannot
+    be read alone: they are not UTF-8, csv.reader fails on one, or a record runs
+    past their end. A full pipe blocks the send until the parent reads."""
     import signal
     signal.signal(signal.SIGINT, signal.SIG_IGN)    # Ctrl-C is the parent's to handle
     with open(path, "rb") as fh:
-        while (job := conn.recv()) is not None:
-            start, end = job
+        for start, end in jobs:
             fh.seek(start)
             try:
                 rows = _read_rows(fh.read(end - start).decode("utf-8"), (None,), columns,
@@ -495,59 +496,37 @@ def _decode_in_workers(path: str, jobs: list[tuple[int, int]], workers: int,
                        columns: tuple[int | None, ...], fold: _Fold):
     """The worker's answer to each ``(start, end)`` byte range of ``path``, in file order.
 
-    Jobs go round-robin to forked workers, each with its own pipe and at
-    most two jobs in flight, so results arrive in file order on this thread
-    and neither end of a pipe can block the other. No worker outlives the
-    generator.
+    Worker ``i`` is forked with ``jobs[i::workers]`` and sends its answers on
+    a one-way pipe, so this thread reads job ``k`` from pipe ``k % workers``.
+    A full pipe is the only flow control: a worker waits on its send until
+    this thread reads. No worker outlives the generator.
     """
     import multiprocessing
     # forked, not spawned: a worker starts with numpy already imported, and
     # runs only csv, json and numpy code
     ctx = multiprocessing.get_context("fork")
     conns, procs = [], []
-    pending = collections.deque()                   # job numbers in flight
-    finished = False
-
-    def stopped(i: int) -> ParseError:
-        procs[i].join()                 # its end of the pipe is closed: it has exited
-        return ParseError(f"a POLYLINE decoding worker stopped (exit code {procs[i].exitcode})")
-
-    def send(i: int, job: tuple[int, int] | None) -> None:
-        try:
-            conns[i].send(job)
-        except OSError:
-            raise stopped(i) from None
-
-    def receive():
-        i = pending.popleft() % workers
-        try:
-            return conns[i].recv()
-        except (EOFError, OSError):
-            raise stopped(i) from None
-
     try:
-        for _ in range(workers):
-            conn, child = ctx.Pipe()
+        for i in range(workers):
+            conn, child = ctx.Pipe(duplex=False)
             conns.append(conn)
-            proc = ctx.Process(target=_decode_worker, args=(child, path, columns, fold),
-                               daemon=True)
+            proc = ctx.Process(target=_decode_worker, daemon=True,
+                               args=(child, path, jobs[i::workers], columns, fold))
             proc.start()
             procs.append(proc)
             child.close()
-        for k, job in enumerate(jobs):
-            if len(pending) == 2 * workers:
-                yield receive()
-            send(k % workers, job)
-            pending.append(k)
-        while pending:
-            yield receive()
-        for i in range(workers):
-            send(i, None)
-        finished = True
+        for k in range(len(jobs)):
+            i = k % workers
+            try:
+                chunk = conns[i].recv()
+            except (EOFError, OSError):
+                procs[i].join()         # its end of the pipe is closed: it has exited
+                raise ParseError("a POLYLINE decoding worker stopped "
+                                 f"(exit code {procs[i].exitcode})") from None
+            yield chunk
     finally:
         for proc in procs:
-            if not finished:
-                proc.kill()
+            proc.kill()
             proc.join()
         for conn in conns:
             conn.close()

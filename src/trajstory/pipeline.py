@@ -324,8 +324,9 @@ def write_bundle(run: RunState, out_dir: str | Path) -> list[Path]:
 
 
 def write_failure(run: RunState, out_dir: str | Path) -> list[Path]:
-    """What a run that failed validation leaves: its last report and draft."""
+    """What a run that failed validation leaves: its last report, draft and trace."""
     files = report_files(run.report)
     if run.story is not None:
         files["story.txt"] = run.story.text
+    files["trace.json"] = trace_json(run)
     return write_files(out_dir, files)

@@ -203,6 +203,18 @@ class TestStoryCommand:
         assert (out_dir / "story.txt").read_text(encoding="utf-8") \
             == "A stop at [[POI: Atlantis Pier]].\n"
 
+    def test_validation_exhaustion_keeps_the_trace_of_every_attempt(
+            self, capsys, cluster_csv, tmp_path):
+        code, _, _ = self.scripted_story(capsys, tmp_path, cluster_csv,
+                                         ["A stop at [[POI: Atlantis Pier]].\n"] * 2)
+        assert code == 5
+        out_dir = tmp_path / "failed"
+        assert sorted(p.name for p in out_dir.iterdir()) == [
+            "report.json", "report.txt", "story.txt", "trace.json"]
+        trace = json.loads((out_dir / "trace.json").read_text(encoding="utf-8"))
+        assert trace["attempts"] == 2                       # --max-retries 2
+        assert [s["step"] for s in trace["steps"]].count("generate") == 2
+
     def test_validation_exhaustion_reports_through_the_one_exit_handler(
             self, capsys, cluster_csv, tmp_path):
         code, out, err = self.scripted_story(capsys, tmp_path, cluster_csv,

@@ -158,6 +158,12 @@ class TestRemoteLeg:
         with pytest.raises(ProtocolError):
             gaz.known_pois(WORLD)
 
+    def test_a_number_too_large_for_a_float_is_a_protocol_error(self):
+        item = {**remote_item("Sea Terminal", -8.65, 41.18), "lon": 10**400}
+        gaz = Gazetteer(online_cfg(), fetch=RecordingFetch([item]))
+        with pytest.raises(ProtocolError, match="malformed search result"):
+            gaz.geocode("Sea Terminal")
+
     def test_transport_error_propagates(self):
         fetch = RecordingFetch(errors={"Sea Terminal": InfrastructureError("down")})
         gaz = Gazetteer(online_cfg(), fetch=fetch)
@@ -212,12 +218,17 @@ class TestCacheJournal:
         int_key = {**entry, "key": 7}
         int_name = {**entry, "key": "k|none", "name": 7}
         list_name = {**entry, "key": "x|none", "name": ["x"]}
+        huge_lon = {**entry, "key": "x|none", "lon": 10**400}   # too large for a float
+        surrogate = {**entry, "key": "y|none", "name": "\ud800"}  # no UTF-8 file holds it
         latin1 = json.dumps({**entry, "key": "s\xe3o bento|none"},
                             ensure_ascii=False).encode("latin-1")
         cache.write_bytes(b"\n".join([json.dumps(no_key).encode(), json.dumps(list_key).encode(),
                                       json.dumps(int_key).encode(),
                                       json.dumps(int_name).encode(),
                                       json.dumps(list_name).encode(),
+                                      json.dumps(huge_lon).encode(),
+                                      json.dumps(surrogate).encode(),
+                                      b"[" * 100_000 + b"]" * 100_000,     # nested too deep
                                       latin1, json.dumps(entry).encode(), b""]))
         index = Gazetteer._load_cache(str(cache))
         assert list(index) == ["sea terminal|none"]

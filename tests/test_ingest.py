@@ -11,6 +11,7 @@ import re
 import signal
 import tempfile
 import threading
+import time
 import tracemalloc
 import types
 import warnings
@@ -1030,13 +1031,20 @@ class TestParallelDecode:
         assert parallel[0] == 3
         assert "not UTF-8" in parallel[1]
 
-    def test_a_worker_that_dies_is_a_parse_error(self, tmp_path, monkeypatch, capsys):
+    # A worker dies on its first job, while its sibling still decodes ahead of
+    # the reader, or on the file's last chunk, once the reader has folded all
+    # that its sibling sent.
+    @pytest.mark.parametrize("dies_on", ["first job", "last chunk"])
+    def test_a_worker_that_dies_is_a_parse_error(self, tmp_path, monkeypatch, capsys, dies_on):
         path = self.synth_csv(tmp_path / "trips.csv")
+        last = "[[-8.6001,41.1001],[-8.6002,41.1002]]"
+        with open(path, "a", encoding="utf-8", newline="") as fh:
+            fh.write(f'last,A,,,1,0,A,False,"{last}"\n')
         monkeypatch.setattr("trajstory.ingest._CHUNK_BYTES", 65536)
         parent, decode = os.getpid(), ingest._decode_block
 
         def die_in_a_worker(texts, by_length):
-            if os.getpid() != parent:
+            if os.getpid() != parent and (dies_on == "first job" or texts[-1] == last):
                 os._exit(7)
             return decode(texts, by_length)
         monkeypatch.setattr("trajstory.ingest._decode_block", die_in_a_worker)
@@ -1045,6 +1053,29 @@ class TestParallelDecode:
         assert code == 3
         assert "decoding worker stopped (exit code 7)" in capsys.readouterr().err
         assert multiprocessing.active_children() == []
+
+    def test_an_interrupt_leaves_no_worker(self, tmp_path, monkeypatch):
+        path = self.synth_csv(tmp_path / "trips.csv")
+        monkeypatch.setattr("trajstory.ingest._CHUNK_BYTES", 65536)
+        parent, decode, add_chunk = os.getpid(), ingest._decode_block, ingest._Fold.add_chunk
+        decoded = []                            # a worker counts its jobs in its own copy
+
+        def stall_in_a_worker(texts, by_length):
+            decoded.append(len(texts))
+            if os.getpid() != parent and len(decoded) > 1:
+                time.sleep(600)                 # still busy when the interrupt comes
+            return decode(texts, by_length)
+
+        def interrupt_at_the_second_chunk(fold, base, chunk):
+            if base > 1:
+                raise KeyboardInterrupt
+            add_chunk(fold, base, chunk)
+        monkeypatch.setattr("trajstory.ingest._decode_block", stall_in_a_worker)
+        monkeypatch.setattr(ingest._Fold, "add_chunk", interrupt_at_the_second_chunk)
+        calls = decode_workers(monkeypatch, 2)
+        with pytest.raises(KeyboardInterrupt):
+            parse_dataset(str(path), "kaggle_porto")
+        assert calls == [2] and multiprocessing.active_children() == []
 
 
 # -- the bulk reader and the chunk cuts --------------------------------------
