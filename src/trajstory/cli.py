@@ -34,7 +34,7 @@ BACKENDS = ("template", "remote", "scripted")
 def parse_config(path: str | Path) -> dict[str, str]:
     """Flat key=value file; ``#`` starts a comment, later keys win."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")     # a byte-order mark is no key
     except UnicodeDecodeError as exc:
         raise ConfigurationError(f"config file {path} is not UTF-8 text: {exc}") from None
     cfg: dict[str, str] = {}
@@ -233,7 +233,8 @@ def cmd_heatmap(args: argparse.Namespace) -> int:
     req = build_request({**load_settings(args), "mode": "heatmap"})
     run = pipeline.run_steps(req, ("ingest", "analytics"))
     print(heatgrid.summarize_for_story(run.grid, run.hotspots), end="")
-    paths = pipeline.write_files(_out_dir(args), heatgrid.grid_files(run.grid))
+    paths = pipeline.write_files(_out_dir(args), {**heatgrid.grid_files(run.grid),
+                                                  "trace.json": pipeline.trace_json(run)})
     log.info("wrote %s", " and ".join(map(str, paths)))
     return 0
 

@@ -158,7 +158,7 @@ class Gazetteer:
         if not path:
             return index
         with open(path, "rb") as fh:
-            data = fh.read()
+            data = fh.read().removeprefix(b"\xef\xbb\xbf")    # a byte-order mark is no data
         try:
             text = data.decode("utf-8")
         except UnicodeDecodeError as exc:

@@ -31,13 +31,14 @@ bit.
 A Kaggle file of two chunks or more is parsed by up to two forked workers,
 one per usable core: this process reads the header line and cuts the body
 into chunks at line ends; of ``w`` workers, worker ``i`` reads chunks ``i``,
-``i + w``, ... and sends what it reads of each on its own one-way pipe, and
-this process folds chunk ``k`` from pipe ``k % w``, so in file order. Where
-a chunk cannot be read alone (it is not UTF-8, csv.reader fails on it, or a
-quoted line end crosses a cut), or the selection takes a trip no worker
-decoded, the parse restarts in-process, so every error and ``row<N>`` id
-comes from the in-process path, which also parses text streams, named pipes,
-one-chunk files and files on one-core machines.
+``i + w``, ... and sends on its own one-way pipe each one's kept trips' final
+points, skip counts and pick (``_Fold.pick``), and this process folds chunk
+``k`` from pipe ``k % w``, so in file order. Where a chunk cannot be read
+alone (it is not UTF-8, csv.reader fails on it, a quoted line end crosses a
+cut, or a blank trip id, whose ``row<N>`` needs a line number no worker
+knows, could change its pick), the parse restarts in-process, so every error
+and ``row<N>`` id comes from the in-process path, which also parses text
+streams, named pipes, one-chunk files and files on one-core machines.
 """
 
 from __future__ import annotations
@@ -133,9 +134,8 @@ class Dataset:
 class _Fold:
     """Folds chunks of trips, in file order, into what a Dataset keeps.
 
-    A chunk gives each kept trip's final point, point count and path length
-    (under ``longest_by_length``), and the one trip the selection takes of
-    the chunk alone, decoded.
+    A chunk gives each kept trip's final point and ``pick``, the trip the
+    selection takes of the chunk alone, decoded, with its key.
     The selection rules: ``longest_by_points`` and ``longest_by_length`` take
     the largest, ties going to the lowest id (the earliest trip, among equal
     ids); ``by_id`` takes the first trip with that id.
@@ -148,45 +148,44 @@ class _Fold:
         self.skipped = _no_skips()
         self.certified = 0                      # rows the screen certified
         self.bulk = 0                           # chunks read in bulk
-        self.key: tuple | None = None           # (-metric, id) of ``selected``
+        self.key: tuple | None = None           # the key of ``selected``
         self.selected: Trajectory | None = None
 
-    def best(self, n: np.ndarray, lengths: np.ndarray | None, ids: list[str]) -> int | None:
-        """The position in ``ids`` of the trip the selection takes of one chunk alone."""
+    def pick(self, n: np.ndarray, lengths: np.ndarray | None, ids: list[str],
+             times: list[int | None], decode) -> tuple[tuple, Trajectory] | None:
+        """``(key, trip)`` of the trip the selection takes of one chunk's kept trips
+        alone, or None; ``decode(i)`` gives trip ``i``'s coordinates. The fold
+        keeps the smaller key: ``(-metric, id)``, or ``()`` under ``by_id``.
+        Raises _Restart where a blank id, which only the in-process parse names
+        (``row<N>``), could change the pick: picked under ``longest_*`` ("" sorts
+        first), or in the chunk under ``by_id`` for a wanted id "" or ``row...``."""
         if not ids or self.criterion is None:
             return None
         if self.criterion == "by_id":
-            return ids.index(self.wanted) if self.wanted in ids else None
-        metric = lengths if self.by_length else n
-        return min(np.flatnonzero(metric == metric.max()).tolist(), key=ids.__getitem__)
+            if "" in ids and (not self.wanted or self.wanted.startswith("row")):
+                raise _Restart("a blank trip id may be the one wanted")
+            if self.wanted not in ids:
+                return None
+            i, key = ids.index(self.wanted), ()
+        else:
+            metric = lengths if self.by_length else n
+            i = min(np.flatnonzero(metric == metric.max()).tolist(), key=ids.__getitem__)
+            if not ids[i]:
+                raise _Restart("a blank trip id is picked")
+            key = (-metric[i].item(), ids[i])
+        return key, Trajectory(id=ids[i], coords=decode(i), start_time=times[i])
 
-    def add(self, ends: np.ndarray, n: np.ndarray, lengths: np.ndarray | None,
-            ids: list[str], start_times: list[int | None], pick) -> None:
-        """Fold one chunk's kept trips; ``pick`` is ``(i, coordinates)`` of the trip
-        ``best`` takes of them, or None. Raises _Restart if the fold takes another."""
+    def add(self, ends: np.ndarray, pick: tuple[tuple, Trajectory] | None) -> None:
+        """Fold one chunk's kept trips' final points and its ``pick``."""
         self.ends.append(ends)
-        if self.criterion == "by_id" and self.selected is not None:
-            return
-        i = self.best(n, lengths, ids)
-        if i is None:
-            return
-        if self.criterion != "by_id":
-            key = (-(lengths if self.by_length else n)[i].item(), ids[i])
-            if self.key is not None and not key < self.key:
-                return
-            self.key = key
-        if pick is None or pick[0] != i:
-            raise _Restart("the selection takes a trip no worker decoded")
-        coords = pick[1]
-        coords.flags.writeable = False
-        self.selected = Trajectory(id=ids[i], coords=coords, start_time=start_times[i])
+        if pick is not None and (self.key is None or pick[0] < self.key):
+            self.key, self.selected = pick
+            self.selected.coords.flags.writeable = False
 
-    def add_chunk(self, base: int, chunk) -> None:
-        """Fold a ``_reduce`` result whose lines follow line ``base`` of the file."""
-        _, bulk, ends, n, lengths, ids, times, blank, skipped, certified, pick = chunk
-        for i, line in blank:
-            ids[i] = f"row{base + line}"
-        self.add(ends, n, lengths, ids, times, pick)
+    def add_chunk(self, chunk) -> None:
+        """Fold a ``_reduce`` result."""
+        _, bulk, ends, skipped, certified, pick = chunk
+        self.add(ends, pick)
         for reason, count in skipped.items():
             self.skipped[reason] += count
         self.certified += certified
@@ -263,7 +262,7 @@ def _decode_block(texts: list[str], by_length: bool = False):
 
 
 class _Restart(Exception):
-    """What the decode workers read cannot be folded: the parse restarts in-process."""
+    """A chunk's pick needs what only the in-process parse knows: it restarts there."""
 
 
 def _bulk_columns(text: str) -> tuple[list[list[str]], int] | None:
@@ -337,12 +336,12 @@ def _read_rows(text: str, more: Iterable, columns: tuple[int | None, ...], selec
     proves them, else by csv.reader, a record still open at their end continuing
     into ``more``; ``(None,)`` makes that a csv.Error.
 
-    ``(texts, ids, times, blank, lines, flagged, bulk)``: the POLYLINE texts of
-    the rows not flagged MISSING_DATA, with their trip ids and start times when
+    ``(texts, ids, times, lines, flagged, bulk)``: the POLYLINE texts of the
+    rows not flagged MISSING_DATA, with their trip ids and start times when
     ``selecting``; the lines read, the rows flagged and whether they were read
-    in bulk. ``base`` is the number of lines before ``text``; a worker does not
-    know it, so there a blank trip id stays "" and ``blank`` maps its row to the
-    line its record ends on, counted from here.
+    in bulk. ``base`` is the number of lines before ``text``; a blank trip id
+    becomes ``row<N>``, N the line its record ends on, except in a worker,
+    which does not know ``base``: there it stays "".
     """
     polyline, trip, timestamp, missing = columns
     bulk = _bulk_columns(text)
@@ -359,39 +358,28 @@ def _read_rows(text: str, more: Iterable, columns: tuple[int | None, ...], selec
             return [row[i] if i is not None and i < len(row) else "" for row in rows]
     keep = [cell.strip().lower() != "true" for cell in column(missing)]
     texts = list(itertools.compress(column(polyline), keep))
-    ids, times, blank = [], [], {}
+    ids, times = [], []
     if selecting:
         ids = [cell.strip() for cell in itertools.compress(column(trip), keep)]
         times = [_start_time(cell) for cell in itertools.compress(column(timestamp), keep)]
-        if "" in ids:
-            lines = list(itertools.compress(ends, keep))
-            for i in [i for i, trip_id in enumerate(ids) if not trip_id]:
-                if base is None:
-                    blank[i] = lines[i]
-                else:
-                    ids[i] = f"row{base + lines[i]}"
-    return texts, ids, times, blank, num, keep.count(False), bulk is not None
+        if base is not None and "" in ids:
+            ids = [trip_id or f"row{base + line}"
+                   for trip_id, line in zip(ids, itertools.compress(ends, keep))]
+    return texts, ids, times, num, keep.count(False), bulk is not None
 
 
 def _reduce(rows, fold: _Fold):
-    """What ``fold`` reads of the rows ``_read_rows`` gave.
-
-    ``(lines, bulk, ends, n, lengths, ids, times, blank, skipped, certified, pick)``:
-    the lines read and whether in bulk, ``_decode_block``'s reductions with the
-    kept trips' ids and start times, ``blank`` as ``(kept position, line)``, and
-    ``pick``, ``(i, coordinates)`` of the trip ``fold.best`` takes of them.
-    """
-    texts, ids, times, blank, lines, flagged, bulk = rows
+    """What ``fold`` reads of the rows ``_read_rows`` gave: ``(lines, bulk, ends,
+    skipped, certified, pick)``, the lines read and whether in bulk, the kept
+    trips' final points, the skips by reason, the rows the screen certified,
+    and ``fold.pick`` of the kept trips."""
+    texts, ids, times, lines, flagged, bulk = rows
     ends, n, lengths, kept, skipped, certified = _decode_block(texts, fold.by_length)
     skipped["missing_data"] = flagged
-    kept, pick = kept.tolist(), None
-    blank = [(i, blank[k]) for i, k in enumerate(kept) if k in blank] if blank else []
-    if ids:
-        ids, times = [ids[k] for k in kept], [times[k] for k in kept]
-        i = fold.best(n, lengths, ids)
-        if i is not None:
-            pick = i, _decode_polyline(texts[kept[i]])
-    return lines, bulk, ends, n, lengths, ids, times, blank, skipped, certified, pick
+    kept = kept.tolist()
+    pick = fold.pick(n, lengths, [ids[k] for k in kept], [times[k] for k in kept],
+                     lambda i: _decode_polyline(texts[kept[i]])) if ids else None
+    return lines, bulk, ends, skipped, certified, pick
 
 
 def _columns(header: list[str] | None) -> tuple[int | None, ...]:
@@ -436,7 +424,7 @@ def _parse_kaggle(lines: Iterator[str], source_path: str, fold: _Fold) -> Datase
     try:
         while run := _run(lines):
             chunk = _reduce(_read_rows("".join(run), lines, columns, selecting, base), fold)
-            fold.add_chunk(base, chunk)
+            fold.add_chunk(chunk)
             base += chunk[0]
     except csv.Error as exc:
         raise ParseError(f"{source_path}: {exc}") from None
@@ -458,20 +446,20 @@ def _decode_worker(conn, path: str, jobs: list[tuple[int, int]],
                    columns: tuple[int | None, ...], fold: _Fold) -> None:
     """Worker process: send on ``conn``, in order, the ``_reduce`` of the rows of each
     ``(start, end)`` byte range of ``path`` in ``jobs``, or None where they cannot
-    be read alone: they are not UTF-8, csv.reader fails on one, or a record runs
-    past their end. A full pipe blocks the send until the parent reads."""
+    be read alone: they are not UTF-8, csv.reader fails on one, a record runs
+    past their end, or a blank trip id could change their pick. A full pipe
+    blocks the send until the parent reads."""
     import signal
     signal.signal(signal.SIGINT, signal.SIG_IGN)    # Ctrl-C is the parent's to handle
     with open(path, "rb") as fh:
         for start, end in jobs:
             fh.seek(start)
             try:
-                rows = _read_rows(fh.read(end - start).decode("utf-8"), (None,), columns,
-                                  fold.criterion is not None, None)
-            except (UnicodeDecodeError, csv.Error):
-                conn.send(None)
-            else:
-                conn.send(_reduce(rows, fold))
+                chunk = _reduce(_read_rows(fh.read(end - start).decode("utf-8"), (None,),
+                                           columns, fold.criterion is not None, None), fold)
+            except (UnicodeDecodeError, csv.Error, _Restart):
+                chunk = None
+            conn.send(chunk)
 
 
 def _fork_workers() -> int:
@@ -557,19 +545,14 @@ def _parse_in_workers(path: str, fold: _Fold) -> Dataset | None:
     workers = _fork_workers()
     if not workers:
         return None
-    base = 1                                        # the header is line 1
     chunks = _decode_in_workers(path, list(zip(cuts, cuts[1:])), workers,
                                 _columns(header), fold)
-    try:
-        with contextlib.closing(chunks):            # stops the workers on any error
-            for chunk in chunks:
-                if chunk is None:
-                    raise _Restart("a chunk cannot be read alone")
-                fold.add_chunk(base, chunk)
-                base += chunk[0]
-    except _Restart as exc:
-        log.info("%s: %s; parsing in-process", path, exc)
-        return None
+    with contextlib.closing(chunks):                # stops the workers on any error
+        for chunk in chunks:
+            if chunk is None:
+                log.info("%s: a chunk cannot be read alone; parsing in-process", path)
+                return None
+            fold.add_chunk(chunk)
     return _kaggle_dataset(fold, path, workers)
 
 
@@ -628,7 +611,7 @@ def _parse_point_list(lines: Iterable[str], source_path: str, fold: _Fold) -> Da
     if len(xy) >= 2:
         name = os.path.splitext(os.path.basename(source_path))[0] or "trajectory"
         lengths = _path_lengths_m(xy, np.array([0, len(xy)])) if fold.by_length else None
-        fold.add(xy[-1:], np.array([len(xy)]), lengths, [name], [None], (0, xy))
+        fold.add(xy[-1:], fold.pick(np.array([len(xy)]), lengths, [name], [None], lambda i: xy))
     return fold.dataset(source_path)
 
 

@@ -3,6 +3,7 @@ import contextlib
 import csv
 import io
 import json
+import logging
 import random
 import re
 from pathlib import Path
@@ -45,6 +46,15 @@ class TestConfigFile:
                        "\n"
                        "max_words = 130\n")
         assert parse_config(cfg) == {"mode": "heatmap", "max_words": "130"}
+
+    def test_a_byte_order_mark_is_not_part_of_the_first_key(self, tmp_path):
+        text = "mode = heatmap\nmax_words = 120\n"
+        plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbfmode")
+        assert parse_config(marked) == parse_config(plain) == {"mode": "heatmap",
+                                                                "max_words": "120"}
 
     def test_bad_line_is_rejected_with_location(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -124,6 +134,17 @@ class TestHeatmapCommand:
         assert (out_dir / "grid.csv").exists()
         meta = (out_dir / "grid_meta.txt").read_text()
         assert "rows = " in meta and "cell_size_m = " in meta
+
+    def test_writes_a_trace_of_its_steps(self, capsys, caplog, cluster_csv, tmp_path):
+        caplog.set_level(logging.INFO, logger="trajstory")
+        out_dir = tmp_path / "grid"
+        code, _, _ = run(capsys, "heatmap", str(cluster_csv), "--output-dir", str(out_dir))
+        assert code == 0
+        trace = json.loads((out_dir / "trace.json").read_text(encoding="utf-8"))
+        assert [s["step"] for s in trace["steps"]] == ["ingest", "analytics"]
+        assert trace["steps"][0]["detail"].startswith(
+            f"{len(parse_dataset(str(cluster_csv), 'kaggle_porto'))} trajectories")
+        assert str(out_dir / "trace.json") in caplog.text
 
 
 class TestStoryCommand:
@@ -466,7 +487,7 @@ class TestArtifactsAreWholeOrUnchanged:
                      "map.geojson", "map.html", "trace.json"],
            "map": ["map.geojson", "map.html", "trace.json"],
            "validate": ["report.json", "trace.json"],
-           "heatmap": ["grid.csv", "grid_meta.txt"]}
+           "heatmap": ["grid.csv", "grid_meta.txt", "trace.json"]}
 
     @pytest.mark.parametrize("command, fail_at", [("story", 2), ("map", 2), ("validate", 2),
                                                   ("heatmap", 2)])

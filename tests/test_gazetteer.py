@@ -5,7 +5,7 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from oracles import brute_force_near, haversine_distance
-from trajstory.errors import InfrastructureError, ProtocolError
+from trajstory.errors import ConfigurationError, InfrastructureError, ProtocolError
 from trajstory.gazetteer import (Gazetteer, GazetteerConfig, POI,
                                  default_fixture_path, normalize_name)
 from trajstory.geo import BoundingBox, GeoPoint, as_coords
@@ -72,6 +72,18 @@ class TestFixtureLookups:
         pois = gazetteer.known_pois(WORLD)
         assert len(pois) == 25
         assert all(p.source == "fixture" for p in pois)
+
+    def test_a_byte_order_mark_is_not_part_of_the_header(self, tmp_path):
+        """The shipped fixture saved with a BOM loads as it is; a byte that is not
+        UTF-8 is still reported on its own line."""
+        marked = tmp_path / "pois.csv"
+        with open(default_fixture_path(), "rb") as fh:
+            marked.write_bytes(b"\xef\xbb\xbf" + fh.read())
+        assert Gazetteer._load_fixture(str(marked)) == \
+            Gazetteer._load_fixture(default_fixture_path())
+        marked.write_bytes(b"\xef\xbb\xbfname,lon,lat\n\xff,-8.6,41.1\n")
+        with pytest.raises(ConfigurationError, match="line 2: not UTF-8"):
+            Gazetteer._load_fixture(str(marked))
 
     def test_alias_and_diacritic_insensitive_hits(self, gazetteer):
         direct = gazetteer.geocode("Avenida dos Aliados")
