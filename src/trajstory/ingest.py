@@ -33,12 +33,12 @@ one per usable core: this process reads the header line and cuts the body
 into chunks at line ends; of ``w`` workers, worker ``i`` reads chunks ``i``,
 ``i + w``, ... and sends on its own one-way pipe each one's kept trips' final
 points, skip counts and pick (``_Fold.pick``), and this process folds chunk
-``k`` from pipe ``k % w``, so in file order. Where a chunk cannot be read
-alone (it is not UTF-8, csv.reader fails on it, a quoted line end crosses a
-cut, or a blank trip id, whose ``row<N>`` needs a line number no worker
-knows, could change its pick), the parse restarts in-process, so every error
-and ``row<N>`` id comes from the in-process path, which also parses text
-streams, named pipes, one-chunk files and files on one-core machines.
+``k`` from pipe ``k % w``, so in file order, naming a blank-id pick
+``row<N>``. Where a chunk cannot be read alone (it is not UTF-8, csv.reader
+fails on it, a quoted line end crosses a cut, or a blank id, whose ``row<N>``
+no worker knows, could change its pick), the parse restarts in-process, so
+every error comes from the in-process path, which also parses text streams,
+named pipes, one-chunk files and files on one-core machines.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ import os
 import re
 import stat
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import IO, Iterable, Iterator
 
 import numpy as np
@@ -151,27 +151,28 @@ class _Fold:
         self.key: tuple | None = None           # the key of ``selected``
         self.selected: Trajectory | None = None
 
-    def pick(self, n: np.ndarray, lengths: np.ndarray | None, ids: list[str],
+    def pick(self, n: np.ndarray, lengths: np.ndarray | None, ids: list,
              times: list[int | None], decode) -> tuple[tuple, Trajectory] | None:
         """``(key, trip)`` of the trip the selection takes of one chunk's kept trips
         alone, or None; ``decode(i)`` gives trip ``i``'s coordinates. The fold
         keeps the smaller key: ``(-metric, id)``, or ``()`` under ``by_id``.
-        Raises _Restart where a blank id, which only the in-process parse names
-        (``row<N>``), could change the pick: picked under ``longest_*`` ("" sorts
-        first), or in the chunk under ``by_id`` for a wanted id "" or ``row...``."""
+        A worker's blank id is the int line of its record (see ``_read_rows``);
+        raises _Restart where such an id's ``row<N>`` could change the pick: a
+        blank-id trip ties for the maximum, or ``by_id`` wants a ``row...`` id."""
         if not ids or self.criterion is None:
             return None
         if self.criterion == "by_id":
-            if "" in ids and (not self.wanted or self.wanted.startswith("row")):
-                raise _Restart("a blank trip id may be the one wanted")
+            if self.wanted.startswith("row") and not all(isinstance(i, str) for i in ids):
+                raise _Restart
             if self.wanted not in ids:
                 return None
             i, key = ids.index(self.wanted), ()
         else:
             metric = lengths if self.by_length else n
-            i = min(np.flatnonzero(metric == metric.max()).tolist(), key=ids.__getitem__)
-            if not ids[i]:
-                raise _Restart("a blank trip id is picked")
+            tied = np.flatnonzero(metric == metric.max()).tolist()
+            if len(tied) > 1 and not all(isinstance(ids[i], str) for i in tied):
+                raise _Restart
+            i = min(tied, key=ids.__getitem__)
             key = (-metric[i].item(), ids[i])
         return key, Trajectory(id=ids[i], coords=decode(i), start_time=times[i])
 
@@ -182,9 +183,12 @@ class _Fold:
             self.key, self.selected = pick
             self.selected.coords.flags.writeable = False
 
-    def add_chunk(self, chunk) -> None:
-        """Fold a ``_reduce`` result."""
+    def add_chunk(self, base: int, chunk) -> None:
+        """Fold a ``_reduce`` result whose lines follow line ``base`` of the file."""
         _, bulk, ends, skipped, certified, pick = chunk
+        if pick is not None and isinstance(pick[1].id, int):    # a worker's blank id
+            trip = replace(pick[1], id=f"row{base + pick[1].id}")
+            pick = (pick[0][0], trip.id), trip
         self.add(ends, pick)
         for reason, count in skipped.items():
             self.skipped[reason] += count
@@ -341,7 +345,7 @@ def _read_rows(text: str, more: Iterable, columns: tuple[int | None, ...], selec
     ``selecting``; the lines read, the rows flagged and whether they were read
     in bulk. ``base`` is the number of lines before ``text``; a blank trip id
     becomes ``row<N>``, N the line its record ends on, except in a worker,
-    which does not know ``base``: there it stays "".
+    which does not know ``base``: there it is the int line within ``text``.
     """
     polyline, trip, timestamp, missing = columns
     bulk = _bulk_columns(text)
@@ -360,11 +364,10 @@ def _read_rows(text: str, more: Iterable, columns: tuple[int | None, ...], selec
     texts = list(itertools.compress(column(polyline), keep))
     ids, times = [], []
     if selecting:
-        ids = [cell.strip() for cell in itertools.compress(column(trip), keep)]
+        named = zip(itertools.compress(column(trip), keep), itertools.compress(ends, keep))
+        ids = [cell.strip() or (line if base is None else f"row{base + line}")
+               for cell, line in named]
         times = [_start_time(cell) for cell in itertools.compress(column(timestamp), keep)]
-        if base is not None and "" in ids:
-            ids = [trip_id or f"row{base + line}"
-                   for trip_id, line in zip(ids, itertools.compress(ends, keep))]
     return texts, ids, times, num, keep.count(False), bulk is not None
 
 
@@ -424,7 +427,7 @@ def _parse_kaggle(lines: Iterator[str], source_path: str, fold: _Fold) -> Datase
     try:
         while run := _run(lines):
             chunk = _reduce(_read_rows("".join(run), lines, columns, selecting, base), fold)
-            fold.add_chunk(chunk)
+            fold.add_chunk(base, chunk)
             base += chunk[0]
     except csv.Error as exc:
         raise ParseError(f"{source_path}: {exc}") from None
@@ -447,8 +450,8 @@ def _decode_worker(conn, path: str, jobs: list[tuple[int, int]],
     """Worker process: send on ``conn``, in order, the ``_reduce`` of the rows of each
     ``(start, end)`` byte range of ``path`` in ``jobs``, or None where they cannot
     be read alone: they are not UTF-8, csv.reader fails on one, a record runs
-    past their end, or a blank trip id could change their pick. A full pipe
-    blocks the send until the parent reads."""
+    past their end, or a blank id could change their pick (``_Fold.pick``). A
+    full pipe blocks the send until the parent reads."""
     import signal
     signal.signal(signal.SIGINT, signal.SIG_IGN)    # Ctrl-C is the parent's to handle
     with open(path, "rb") as fh:
@@ -547,12 +550,14 @@ def _parse_in_workers(path: str, fold: _Fold) -> Dataset | None:
         return None
     chunks = _decode_in_workers(path, list(zip(cuts, cuts[1:])), workers,
                                 _columns(header), fold)
+    base = 1                                        # the header is line 1
     with contextlib.closing(chunks):                # stops the workers on any error
         for chunk in chunks:
             if chunk is None:
                 log.info("%s: a chunk cannot be read alone; parsing in-process", path)
                 return None
-            fold.add_chunk(chunk)
+            fold.add_chunk(base, chunk)
+            base += chunk[0]
     return _kaggle_dataset(fold, path, workers)
 
 

@@ -283,9 +283,11 @@ def report_files(report: ValidationReport) -> dict[str, str]:
 
 
 def trace_json(run: RunState) -> str:
-    """``trace.json``: the run's attempts and one row per step it ran."""
+    """``trace.json``: how many story drafts the run generated or graded (0 where
+    it ran neither step) and one row per step it ran."""
     rows = [{"step": t.step, "detail": t.detail, "seconds": t.seconds} for t in run.trace]
-    return _json_text({"attempts": run.attempt, "steps": rows})
+    graded = any(t.step in ("generate", "validate") for t in run.trace)
+    return _json_text({"attempts": run.attempt if graded else 0, "steps": rows})
 
 
 def write_files(out_dir: str | Path, files: dict[str, str]) -> list[Path]:

@@ -142,6 +142,7 @@ class TestHeatmapCommand:
         assert code == 0
         trace = json.loads((out_dir / "trace.json").read_text(encoding="utf-8"))
         assert [s["step"] for s in trace["steps"]] == ["ingest", "analytics"]
+        assert trace["attempts"] == 0                       # no story drafted or graded
         assert trace["steps"][0]["detail"].startswith(
             f"{len(parse_dataset(str(cluster_csv), 'kaggle_porto'))} trajectories")
         assert str(out_dir / "trace.json") in caplog.text
@@ -468,6 +469,7 @@ class TestMapCommand:
         trace = json.loads((tmp_path / "map" / "trace.json").read_text(encoding="utf-8"))
         steps = ["ingest", "analytics", "emit"] if with_dataset else ["emit"]
         assert [s["step"] for s in trace["steps"]] == steps
+        assert trace["attempts"] == 0
         assert trace["steps"][-1]["detail"] == "1 markers, 1 legend rows"
         assert f"wrote {tmp_path / 'map' / 'trace.json'}" in out
 

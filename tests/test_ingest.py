@@ -600,6 +600,14 @@ class TestAgainstReferenceParser:
 
         @settings(max_examples=100, deadline=None)
         @given(text=kaggle_files())
+        # ties across chunks go to the lowest id, then the earliest trip; a
+        # later trip of an id does not replace the first under by_id
+        @example(text='TRIP_ID,TIMESTAMP,POLYLINE\r\n'
+                      f't4,1,"{SHAPES[1]}"\r\nt3,2,"{SHAPES[2]}"\r\n'
+                      f't2,3,"{SHAPES[0]}"\r\nt3,4,"{SHAPES[1]}"\r\n')
+        # a blank-id trip, row3, alone the longest: the fold names a worker's pick
+        @example(text='TRIP_ID,TIMESTAMP,POLYLINE\r\n'
+                      f't1,1,"{SHAPES[0]}"\r\n,2,"{SHAPES[1]}"\r\nt2,3,"{SHAPES[0]}"\r\n')
         def same_through_the_workers(text):
             with deadline(), pytest.MonkeyPatch.context() as mp, \
                     tempfile.TemporaryDirectory() as tmp, logged("trajstory.ingest") as lines:
@@ -609,20 +617,14 @@ class TestAgainstReferenceParser:
                 path = os.path.join(tmp, "trips.csv")
                 with open(path, "w", encoding="utf-8", newline="") as fh:
                     fh.write(text)
-                want = self.check(text, path)
+                self.check(text, path)
             assert multiprocessing.active_children() == []
             # a parse that forks logs "2 decode workers" unless it restarts
-            read = [", 2 decode workers, " in line for line in lines
-                    if ", 2 decode workers, " in line or line.endswith("; parsing in-process")]
-            assert len(read) == len(forks)
-            if forks and any(re.fullmatch(r"row[0-9]+", t.id) for t in want):
-                # a kept trip with a blank id is its 1-byte chunk's longest, and no
-                # worker knows the line its row<N> id needs: the longest_* parses,
-                # check's last two, restart by the pick rule and are not counted
-                assert read[-2:] == [False, False]
-                read = read[:-2]
-            took["workers"] += read.count(True)
-            took["in-process"] += read.count(False)
+            read = sum(", 2 decode workers, " in line for line in lines)
+            restarted = sum(line.endswith("; parsing in-process") for line in lines)
+            assert read + restarted == len(forks)
+            took["workers"] += read
+            took["in-process"] += restarted
 
         same_through_the_workers()
         assert took["workers"] > took["in-process"], took
@@ -630,8 +632,7 @@ class TestAgainstReferenceParser:
     @staticmethod
     def check(text, path=None):
         """Endpoints and skips; then the bits of the first trip of each id, and of
-        each longest_* pick, one selecting parse each, of ``path`` if given.
-        Returns the reference's trips."""
+        each longest_* pick, one selecting parse each, of ``path`` if given."""
         def source():
             return path or io.StringIO(text, newline="")
         want, want_skipped = reference_parse_kaggle(io.StringIO(text, newline=""))
@@ -649,7 +650,6 @@ class TestAgainstReferenceParser:
             pick = reference_select_trajectory(want, *selection)
             assert (got.id, got.start_time) == (pick.id, pick.start_time), selection
             assert got.coords.tobytes() == pick.coords.tobytes(), selection
-        return want
 
 
 # -- the screen: a certified row parses as the exact path decodes it --------------
@@ -1074,10 +1074,10 @@ class TestParallelDecode:
                 time.sleep(600)                 # still busy when the interrupt comes
             return decode(texts, by_length)
 
-        def interrupt_at_the_second_chunk(fold, chunk):
-            if len(fold.ends) > 1:              # the first chunk is folded
+        def interrupt_at_the_second_chunk(fold, base, chunk):
+            if base > 1:
                 raise KeyboardInterrupt
-            add_chunk(fold, chunk)
+            add_chunk(fold, base, chunk)
         monkeypatch.setattr("trajstory.ingest._decode_block", stall_in_a_worker)
         monkeypatch.setattr(ingest._Fold, "add_chunk", interrupt_at_the_second_chunk)
         calls = decode_workers(monkeypatch, 2)
@@ -1208,7 +1208,7 @@ A, B, C = (-8.61, 41.14), (-8.62, 41.15), (-8.64, 41.17)
 # rows quoting every field, with "" for an empty one and an escaped quote in
 # an id, and a last line with no line end. The two four-point trips with blank ids
 # tie on points with k9; as "row<line>" they rank "k9" < "row15" < "row4", which
-# a worker, not knowing their lines, cannot rank: it sends no pick.
+# a worker, not knowing their lines, cannot rank: it restarts the parse.
 CUT_ROWS = [
     "\ufeffTRIP_ID,TIMESTAMP,MISSING_DATA,POLYLINE\r\n",
     f'a1,10,False,"{poly(A, B, C)}"\r\n',
@@ -1256,16 +1256,15 @@ class TestChunkCuts:
     # How each parse, in the order of SELECTIONS, is read at each chunk size:
     # "w" by the workers to the end; "c" restarted in-process, where a chunk
     # cannot be read alone: a cut falls inside the record with quoted line
-    # ends, or a blank id could change the chunk's pick, which a worker cannot
-    # rank (its row<N> needs the line): by_id row15 always, and
-    # longest_by_points or longest_by_length where a blank-id trip holds or
-    # ties for its chunk's maximum.
+    # ends, or a blank id could change the chunk's pick: by_id row15 always,
+    # and longest_by_points where a blank-id four-point trip shares its chunk
+    # with another four-point trip (a worker, without the lines, cannot rank them).
     READ = {1: "ccccc", 2: "ccccc", 3: "ccccc", 5: "ccccc", 8: "ccccc", 13: "ccccc",
-            21: "ccccc", 34: "wccwc", 55: "wccwc", 89: "wccwc", 144: "ccccc",
-            233: "wcwwc", 377: "wccwc"}
+            21: "ccccc", 34: "wwwwc", 55: "wwwwc", 89: "wwwwc", 144: "ccccc",
+            233: "wwwwc", 377: "wcwwc"}
     # the same file with that record's quoted line ends bare "\r"s: no cut,
     # made at "\n" bytes, falls inside it
-    READ_FLAT = {**dict.fromkeys(CHUNK_BYTES, "wccwc"), 233: "wcwwc"}
+    READ_FLAT = {**dict.fromkeys(CHUNK_BYTES, "wwwwc"), 377: "wcwwc"}
 
     @staticmethod
     def how_read(lines):
@@ -1480,44 +1479,12 @@ def test_parse_memory_grows_with_trips_not_points(tmp_path, monkeypatch):
 SHAPES = ["[[-8.61,41.14],[-8.62,41.15]]", "[[-8.61,41.14],[-8.62,41.15],[-8.63,41.16]]",
           "[[-8.63,41.16],[-8.62,41.15],[-8.61,41.14]]", "[]"]
 PICK_SELECTIONS = [LONGEST, ("longest_by_length", None)] + [
-    ("by_id", trip_id) for trip_id in ("", "a", "row2", "row3", "row5")]
+    ("by_id", trip_id) for trip_id in ("", "a", "row2", "row3", "row5", "row10", "row12")]
 
 
 class TestPickRule:
-    """``_Fold.pick`` applies the selection rule to one chunk where it is read;
-    the fold keeps the pick of the smallest key."""
-
-    @staticmethod
-    def parse(tmp_path, monkeypatch, rows, selection, workers):
-        """The selected trip's (id, start time, coordinates) of ``rows``, each
-        ``(id, shape)`` a chunk of its own, and whether the parse restarted."""
-        path = tmp_path / "picks.csv"
-        path.write_text(kaggle_csv([(trip_id, str(i), "False", SHAPES[shape])
-                                    for i, (trip_id, shape) in enumerate(rows)]).getvalue(),
-                        encoding="utf-8", newline="")
-        monkeypatch.setattr("trajstory.ingest._CHUNK_BYTES", 1)
-        calls = decode_workers(monkeypatch, workers)
-        with deadline(), logged("trajstory.ingest") as lines:
-            t = parse_dataset(str(path), "kaggle_porto", selection).selected
-        assert calls == [workers] and multiprocessing.active_children() == []
-        return t and (t.id, t.start_time, t.coords.tolist()), any(
-            "a chunk cannot be read alone" in line for line in lines)
-
-    @needs_fork
-    @pytest.mark.parametrize("workers", [0, 2])
-    def test_ties_across_chunks_go_to_the_lowest_id(self, tmp_path, monkeypatch, workers):
-        rows = [("t5", 1), ("t3", 2), ("t4", 1), ("t3", 1), ("t9", 0), ("t2", 0)]
-        for selection in (LONGEST, ("longest_by_length", None)):
-            assert self.parse(tmp_path, monkeypatch, rows, selection, workers) == (
-                ("t3", 1, json.loads(SHAPES[2])), False)
-
-    @needs_fork
-    @pytest.mark.parametrize("workers", [0, 2])
-    def test_a_later_chunk_does_not_replace_the_first_by_id_trip(self, tmp_path, monkeypatch,
-                                                                 workers):
-        rows = [("y", 1), ("x", 0), ("y", 2), ("x", 1)]
-        assert self.parse(tmp_path, monkeypatch, rows, ("by_id", "x"), workers) == (
-            ("x", 1, json.loads(SHAPES[0])), False)
+    """``_Fold.pick`` applies the selection rule to one chunk where it is read,
+    a worker's blank id standing for its line; the fold names it ``row<N>``."""
 
     @needs_fork
     @pytest.mark.parametrize("trip_id, want", [("", None), ("row2", ("row2", 0, SHAPES[0])),
@@ -1525,42 +1492,46 @@ class TestPickRule:
     def test_by_a_blank_or_row_id_the_workers_give_the_in_process_trip(
             self, tmp_path, monkeypatch, trip_id, want):
         """Line 2's and line 5's trips have blank ids, so they are row2 and row5;
-        line 4's is literally "row5", and comes first; a blank id names no trip."""
+        line 4's is literally "row5", and comes first; a blank id names no trip.
+        Through the workers a row id restarts the parse; a blank one does not."""
+        path = tmp_path / "picks.csv"
         rows = [("", 0), ("a", 1), ("row5", 2), ("  ", 1), ("b", 2)]
+        path.write_text(kaggle_csv([(trip_id, str(i), "False", SHAPES[shape])
+                                    for i, (trip_id, shape) in enumerate(rows)]).getvalue(),
+                        encoding="utf-8", newline="")
+        monkeypatch.setattr("trajstory.ingest._CHUNK_BYTES", 1)
         want = want and (*want[:2], json.loads(want[2]))
-        assert self.parse(tmp_path, monkeypatch, rows, ("by_id", trip_id), 0) == (want, False)
-        assert self.parse(tmp_path, monkeypatch, rows, ("by_id", trip_id), 2) == (want, True)
+        for workers in (0, 2):
+            calls = decode_workers(monkeypatch, workers)
+            with deadline(), logged("trajstory.ingest") as lines:
+                t = parse_dataset(str(path), "kaggle_porto", ("by_id", trip_id)).selected
+            assert calls == [workers] and multiprocessing.active_children() == []
+            assert (t and (t.id, t.start_time, t.coords.tolist())) == want
+            assert any("a chunk cannot be read alone" in line for line in lines) == \
+                (workers > 0 and trip_id.startswith("row"))
 
     @settings(max_examples=300, deadline=None)
-    @given(rows=st.lists(st.tuples(st.sampled_from(["", " ", "a", "b", "row2", "row3", "row5"]),
+    @given(rows=st.lists(st.tuples(st.sampled_from(["", " ", "a", "b", "row3", "row10"]),
                                    st.integers(0, 3), st.booleans()), min_size=1, max_size=8),
-           cut=st.tuples(st.integers(0, 8), st.integers(0, 8)))
-    def test_blank_ids_never_restart_an_in_process_parse(self, rows, cut):
-        """A text stream with blank ids in random rows parses in-process, under
-        every selection, to the reference's pick; and read as a worker reads
-        it, a run of its lines either restarts or picks as in-process."""
+           base=st.integers(1, 12))
+    def test_a_worker_picks_as_in_process_or_restarts(self, rows, base):
+        """Rows with blank ids in random places, after line ``base``: read as a
+        worker reads them, without line numbers, and named by the fold, they
+        give the in-process pick or restart, under every selection. Read
+        in-process, they never restart."""
         text = kaggle_csv([(trip_id, str(i), "True" if missing else "False", SHAPES[shape])
                            for i, (trip_id, shape, missing) in enumerate(rows)]).getvalue()
-        want, _ = reference_parse_kaggle(io.StringIO(text, newline=""))
-        lines = io.StringIO(text, newline="").readlines()
-        start, stop = 1 + min(cut), 1 + max(cut)            # line 1 is the header
-        run = "".join(lines[start:stop])
+        body = "".join(io.StringIO(text, newline="").readlines()[1:])
         columns = ingest._columns(HEADER)
         for selection in PICK_SELECTIONS:
-            got = parse_dataset(io.StringIO(text, newline=""), "kaggle_porto", selection)
-            if selection[0] == "by_id" and selection[1] not in [t.id for t in want]:
-                assert got.selected is None
-            elif want:
-                t = reference_select_trajectory(want, *selection)
-                assert (got.selected.id, got.selected.start_time) == (t.id, t.start_time)
-                assert got.selected.coords.tobytes() == t.coords.tobytes()
-            fold = ingest._Fold(selection)
-            pick = ingest._reduce(ingest._read_rows(run, (None,), columns, True, start), fold)[-1]
+            here, alone = ingest._Fold(selection), ingest._Fold(selection)
+            here.add_chunk(base, ingest._reduce(
+                ingest._read_rows(body, (None,), columns, True, base), here))
             try:
-                alone = ingest._reduce(ingest._read_rows(run, (None,), columns, True, None),
-                                       fold)[-1]
+                alone.add_chunk(base, ingest._reduce(
+                    ingest._read_rows(body, (None,), columns, True, None), alone))
             except ingest._Restart:
                 continue
-            assert (alone and (alone[0], alone[1].id, alone[1].start_time,
-                               alone[1].coords.tobytes())) == \
-                (pick and (pick[0], pick[1].id, pick[1].start_time, pick[1].coords.tobytes()))
+            t, u = here.selected, alone.selected
+            assert (here.key, t and (t.id, t.start_time, t.coords.tobytes())) == \
+                (alone.key, u and (u.id, u.start_time, u.coords.tobytes())), selection
