@@ -17,7 +17,7 @@ import pytest
 
 from trajstory import ingest
 from trajstory.gazetteer import Gazetteer, GazetteerConfig
-from trajstory.geo import GeoPoint, point_to_polyline_distance
+from trajstory.geo import GeoPoint, Polyline
 from trajstory.heatgrid import build_grid, top_hotspots
 from trajstory.ingest import Trajectory, parse_dataset, trajectory_digest
 from trajstory.mapdoc import emit_map, render_geojson, render_html
@@ -76,8 +76,10 @@ def gazetteer() -> Gazetteer:
     return Gazetteer(GazetteerConfig())
 
 
-def test_point_to_polyline_distance(benchmark, walk):
-    benchmark(point_to_polyline_distance, GeoPoint(-8.6744, 41.1488), walk)
+def test_nearest_segment_search(benchmark, walk):
+    # the Polyline table is built in each call, as a fresh grounding rule builds it
+    place = GeoPoint(-8.6744, 41.1488)
+    benchmark(lambda: Polyline(walk).segment_h(place))
 
 
 def test_validate_story_18_names(benchmark, walk, gazetteer):

@@ -16,7 +16,7 @@ from trajstory.geo import as_coords
 from trajstory.pipeline import discover
 from trajstory.story import (NarrativeSpec, StoryContext, TemplateBackend,
                              generate_story)
-from trajstory.synth import inject_hallucinations
+from trajstory.synth import ScriptedBackend
 from trajstory.validation import GroundingPolicy, GroundingRule, validate_story
 
 ROUTE_NAMES = [
@@ -47,9 +47,10 @@ def main(argv=None):
     spec = NarrativeSpec(mode="single_trajectory", min_pois=10, max_words=400)
     ctx = StoryContext(data_summary="a downtown walking route",
                        candidate_pois=candidates, region_name="Porto")
-    story = inject_hallucinations(
-        generate_story("", TemplateBackend(), spec, ctx),
-        [gaz.geocode(name) for name in FAR_NAMES])
+    honest = generate_story("", TemplateBackend(), spec, ctx).text.rstrip("\n")
+    planted_text = "".join(f" The route also claims a detour at [[POI: {name}]]."
+                           for name in FAR_NAMES)
+    story = generate_story("", ScriptedBackend([honest + planted_text + "\n"]), spec, ctx)
     planted = set(FAR_NAMES)
     print(f"story: {len(story.mentions)} mentions, {len(planted)} planted far POIs")
     print(f"{'threshold_m':>11}  {'flagged':>7}  {'precision':>9}  {'recall':>6}")

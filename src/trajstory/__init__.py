@@ -15,7 +15,7 @@ _EXPORTS = {
     "errors": "ConfigurationError InfrastructureError MalformedStoryError NotFoundError "
               "ParseError ProtocolError StoryValidationError TrajstoryError",
     "gazetteer": "POI Gazetteer GazetteerConfig normalize_name",
-    "geo": "EARTH_RADIUS_M BoundingBox GeoPoint meters_per_degree point_to_polyline_distance",
+    "geo": "EARTH_RADIUS_M BoundingBox GeoPoint meters_per_degree",
     "heatgrid": "HeatGrid Hotspot build_grid summarize_for_story top_hotspots",
     "ingest": "Dataset Trajectory parse_dataset",
     "mapdoc": "MapDocument emit_map render_geojson render_html",

@@ -182,7 +182,7 @@ def build_backend(values: dict[str, object]):
     if not responses_file:
         raise ConfigurationError("backend 'scripted' needs config key responses_file")
     try:
-        responses = json.loads(Path(responses_file).read_text(encoding="utf-8"))
+        responses = json.loads(Path(responses_file).read_text(encoding="utf-8-sig"))
     except ValueError as exc:
         raise ConfigurationError(f"responses file {responses_file}: {exc}") from exc
     if not isinstance(responses, list) or not all(isinstance(r, str) for r in responses):

@@ -172,11 +172,6 @@ def _sphere_xyz(lon, lat):
     return r_cos * np.cos(lon), r_cos * np.sin(lon), EARTH_RADIUS_M * np.sin(lat)
 
 
-def point_to_polyline_distance(p: GeoPoint, coords: np.ndarray) -> float:
-    """Minimum distance in meters from ``p`` to a polyline: its nearest segment."""
-    return arc_m(Polyline(coords).segment_h(p)[1].min())
-
-
 def first_within(h: np.ndarray, radius_m: float) -> tuple[int, float] | None:
     """(index, meters) of the first element of ``h`` within ``radius_m``, or None.
 

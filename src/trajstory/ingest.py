@@ -43,7 +43,6 @@ named pipes, one-chunk files and files on one-core machines.
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import io
 import itertools
@@ -483,20 +482,41 @@ def _fork_workers() -> int:
     return workers
 
 
-def _decode_in_workers(path: str, jobs: list[tuple[int, int]], workers: int,
-                       columns: tuple[int | None, ...], fold: _Fold):
-    """The worker's answer to each ``(start, end)`` byte range of ``path``, in file order.
+def _parse_in_workers(path: str, fold: _Fold) -> Dataset | None:
+    """The Kaggle file at ``path``, its body read by forked decode workers.
 
-    Worker ``i`` is forked with ``jobs[i::workers]`` and sends its answers on
-    a one-way pipe, so this thread reads job ``k`` from pipe ``k % workers``.
-    A full pipe is the only flow control: a worker waits on its send until
-    this thread reads. No worker outlives the generator.
+    This process reads the header line and cuts the body into chunks of
+    about ``_CHUNK_BYTES`` at line ends, a seek and a readline each. Worker
+    ``i`` of ``w`` is forked with chunks ``i``, ``i + w``, ... and sends its
+    answers on a one-way pipe; this process folds chunk ``k`` from pipe
+    ``k % w``, so in file order. A full pipe is the only flow control: a
+    worker waits on its send until this process reads. No worker outlives
+    the call. None, to parse in-process, where the file is not a regular
+    file of two chunks or more, no worker can be forked, its first line is
+    not the whole header in UTF-8, or a chunk cannot be read alone.
     """
+    st = os.stat(path)
+    if not stat.S_ISREG(st.st_mode):    # a FIFO can be opened only once: the in-process parse does
+        return None
+    with open(path, "rb") as fh:
+        header = _header(fh.readline(1 << 20))      # a longer first line parses in-process
+        cuts = [fh.tell()]
+        while cuts[-1] < st.st_size:
+            fh.seek(cuts[-1] + _CHUNK_BYTES)
+            fh.readline()
+            cuts.append(min(fh.tell(), st.st_size))
+    if len(cuts) < 3 or header is None or "POLYLINE" not in header:
+        return None
+    workers = _fork_workers()
+    if not workers:
+        return None
     import multiprocessing
     # forked, not spawned: a worker starts with numpy already imported, and
     # runs only csv, json and numpy code
     ctx = multiprocessing.get_context("fork")
+    jobs, columns = list(zip(cuts, cuts[1:])), _columns(header)
     conns, procs = [], []
+    base = 1                                        # the header is line 1
     try:
         for i in range(workers):
             conn, child = ctx.Pipe(duplex=False)
@@ -514,50 +534,17 @@ def _decode_in_workers(path: str, jobs: list[tuple[int, int]], workers: int,
                 procs[i].join()         # its end of the pipe is closed: it has exited
                 raise ParseError("a POLYLINE decoding worker stopped "
                                  f"(exit code {procs[i].exitcode})") from None
-            yield chunk
+            if chunk is None:
+                log.info("%s: a chunk cannot be read alone; parsing in-process", path)
+                return None
+            fold.add_chunk(base, chunk)
+            base += chunk[0]
     finally:
         for proc in procs:
             proc.kill()
             proc.join()
         for conn in conns:
             conn.close()
-
-
-def _parse_in_workers(path: str, fold: _Fold) -> Dataset | None:
-    """The Kaggle file at ``path``, its body read by forked decode workers.
-
-    This process reads the header line and cuts the body into chunks of
-    about ``_CHUNK_BYTES`` at line ends, a seek and a readline each; the
-    workers read, parse and reduce the chunks, and this process folds them
-    in file order. None, to parse in-process, where the file is not a
-    regular file of two chunks or more, no worker can be forked, its first
-    line is not the whole header in UTF-8, or a chunk cannot be read alone.
-    """
-    st = os.stat(path)
-    if not stat.S_ISREG(st.st_mode):    # a FIFO can be opened only once: the in-process parse does
-        return None
-    with open(path, "rb") as fh:
-        header = _header(fh.readline(1 << 20))      # a longer first line parses in-process
-        cuts = [fh.tell()]
-        while cuts[-1] < st.st_size:
-            fh.seek(cuts[-1] + _CHUNK_BYTES)
-            fh.readline()
-            cuts.append(min(fh.tell(), st.st_size))
-    if len(cuts) < 3 or header is None or "POLYLINE" not in header:
-        return None
-    workers = _fork_workers()
-    if not workers:
-        return None
-    chunks = _decode_in_workers(path, list(zip(cuts, cuts[1:])), workers,
-                                _columns(header), fold)
-    base = 1                                        # the header is line 1
-    with contextlib.closing(chunks):                # stops the workers on any error
-        for chunk in chunks:
-            if chunk is None:
-                log.info("%s: a chunk cannot be read alone; parsing in-process", path)
-                return None
-            fold.add_chunk(base, chunk)
-            base += chunk[0]
     return _kaggle_dataset(fold, path, workers)
 
 

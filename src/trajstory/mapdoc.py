@@ -32,7 +32,7 @@ class Marker:
 @dataclass
 class MapDocument:
     markers: list[Marker]
-    paths: list[np.ndarray]             # float (N, 2) lon/lat arrays
+    path: np.ndarray | None             # the trajectory's float (N, 2) lon/lat array
     legend: list[tuple[int, str]]
     bbox: BoundingBox
 
@@ -97,11 +97,10 @@ def emit_map(pois: list[POI], trajectory: Trajectory | None = None,
                for group in _cluster_indices(locations, cluster_distance_m)]
 
     extent = as_coords(locations)
-    paths = []
-    if trajectory is not None:
-        paths.append(trajectory.coords)
-        extent = np.concatenate([extent, trajectory.coords])
-    return MapDocument(markers=markers, paths=paths, legend=legend,
+    path = None if trajectory is None else trajectory.coords
+    if path is not None:
+        extent = np.concatenate([extent, path])
+    return MapDocument(markers=markers, path=path, legend=legend,
                        bbox=_padded_bbox(extent))
 
 
@@ -110,9 +109,9 @@ def _centroid(points: list[GeoPoint]) -> GeoPoint:
                     sum(p.lat for p in points) / len(points))
 
 
-# A path's place in the dumped document. A JSON string never holds a bare
+# The path's place in the dumped document. A JSON string never holds a bare
 # '"', so this text can only be a "coordinates" key over an empty list, which
-# no marker has: the document holds it once per path, in path order.
+# no marker has: a document with a path holds it once.
 _PATH_SLOT = '"coordinates": []'
 # One vertex as json.dumps(indent=2) lays it out inside a LineString feature.
 _VERTEX = "\n          [\n            %r,\n            %r\n          ]"
@@ -135,14 +134,14 @@ def _coordinate_block(path: np.ndarray) -> str:
 def render_geojson(doc: MapDocument) -> str:
     """Serialize as a FeatureCollection; byte-stable for equal documents.
 
-    Paths come first (drawn under the markers), then markers in number
+    The path comes first (drawn under the markers), then markers in number
     order. The legend rides along as a foreign member, which the format
     grammar permits. Path coordinates are formatted in bulk and spliced into
     the ``json.dumps`` text, to the same bytes as dumping ``path.tolist()``.
     """
     names = dict(doc.legend)
     features = []
-    for _ in doc.paths:
+    if doc.path is not None:
         features.append({
             "type": "Feature",
             "geometry": {"type": "LineString", "coordinates": []},
@@ -166,10 +165,9 @@ def render_geojson(doc: MapDocument) -> str:
         "legend": [[number, name] for number, name in doc.legend],
     }
     text = json.dumps(collection, sort_keys=True, indent=2, ensure_ascii=False)
-    pieces = text.split(_PATH_SLOT)
-    for i, path in enumerate(doc.paths):
-        pieces[i] += '"coordinates": ' + _coordinate_block(path)
-    return "".join(pieces) + "\n"
+    if doc.path is not None:
+        text = text.replace(_PATH_SLOT, '"coordinates": ' + _coordinate_block(doc.path), 1)
+    return text + "\n"
 
 
 _HTML_PAGE = """<!DOCTYPE html>

@@ -174,7 +174,7 @@ def _emit(run: RunState) -> str:
         run.doc = emit_map(grounded, trajectory=run.traj,
                            cluster_distance_m=run.req.cluster_distance_m)
     else:
-        run.doc = MapDocument(markers=[], paths=[], legend=[],
+        run.doc = MapDocument(markers=[], path=None, legend=[],
                               bbox=_padded_bbox(run.rule.evidence))
     return f"{len(run.doc.markers)} markers, {len(run.doc.legend)} legend rows"
 

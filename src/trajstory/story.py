@@ -186,57 +186,50 @@ _ACT3 = {
 _CONNECTIVES = ("First comes", "Then", "After that,", "Close by,", "Further on,")
 
 
-def template_backend(ctx: StoryContext, spec: NarrativeSpec) -> str:
-    """Deterministic three-act story over the candidate POIs.
+class TemplateBackend:
+    """Deterministic three-act story over the candidate POIs; ignores the prompt.
 
     Act II walks the candidates in the order given (discovery emits them in
     evidence order), marking each one and attaching blurbs while the word
     budget allows; blurbs are the first thing dropped to stay under
-    ``max_words``.
+    ``max_words``. It marks at least one place even for ``min_pois`` 0: a
+    story without markup is malformed.
     """
-    if len(ctx.candidate_pois) < spec.min_pois:
-        threshold = "trajectory" if spec.mode == "single_trajectory" else "hotspot"
-        raise ConfigurationError(
-            f"only {len(ctx.candidate_pois)} candidate POIs for min_pois="
-            f"{spec.min_pois}; raise {threshold}_threshold_m or lower min_pois")
-    act1 = _ACT1[spec.mode].format(region=ctx.region_name)
-    act3 = _ACT3[spec.mode]
-    budget = spec.max_words - count_words(act1) - count_words(act3)
-
-    sentences: list[str] = []
-    mentioned = 0
-    for i, poi in enumerate(ctx.candidate_pois):
-        conn = _CONNECTIVES[i % len(_CONNECTIVES)]
-        marked = f"{MARKUP_OPEN} {poi.name}{MARKUP_CLOSE}"
-        variants = [f"{conn} {marked}."]
-        if spec.include_blurbs and poi.blurb:
-            variants.insert(0, f"{conn} {marked}, {poi.blurb}.")
-        chosen = next((v for v in variants if count_words(v) <= budget), None)
-        if chosen is None and mentioned < spec.min_pois:
-            bare = f"{marked}."
-            if count_words(bare) <= budget:
-                chosen = bare
-        if chosen is None:
-            if mentioned >= spec.min_pois:
-                break
-            raise ConfigurationError(
-                f"word cap {spec.max_words} cannot fit {spec.min_pois} POI mentions")
-        sentences.append(chosen)
-        mentioned += 1
-        budget -= count_words(chosen)
-
-    act2 = " ".join(sentences)
-    parts = [act1] + ([act2] if act2 else []) + [act3]
-    return "\n\n".join(parts) + "\n"
-
-
-class TemplateBackend:
-    """StoryBackend wrapper around :func:`template_backend`; ignores the prompt."""
 
     backend_id = "template"
 
     def generate(self, prompt: str, ctx: StoryContext, spec: NarrativeSpec) -> str:
-        return template_backend(ctx, spec)
+        quota = max(spec.min_pois, 1)
+        if len(ctx.candidate_pois) < quota:
+            threshold = "trajectory" if spec.mode == "single_trajectory" else "hotspot"
+            raise ConfigurationError(
+                f"only {len(ctx.candidate_pois)} candidate POIs for min_pois={spec.min_pois}; "
+                f"raise {threshold}_threshold_m" + (" or lower min_pois" if spec.min_pois else ""))
+        act1 = _ACT1[spec.mode].format(region=ctx.region_name)
+        act3 = _ACT3[spec.mode]
+        budget = spec.max_words - count_words(act1) - count_words(act3)
+
+        sentences: list[str] = []
+        for i, poi in enumerate(ctx.candidate_pois):
+            conn = _CONNECTIVES[i % len(_CONNECTIVES)]
+            marked = f"{MARKUP_OPEN} {poi.name}{MARKUP_CLOSE}"
+            variants = [f"{conn} {marked}."]
+            if spec.include_blurbs and poi.blurb:
+                variants.insert(0, f"{conn} {marked}, {poi.blurb}.")
+            if len(sentences) < quota:
+                variants.append(f"{marked}.")
+            chosen = next((v for v in variants if count_words(v) <= budget), None)
+            if chosen is None:
+                if len(sentences) >= quota:
+                    break
+                raise ConfigurationError(
+                    f"word cap {spec.max_words} cannot fit {quota} POI mentions")
+            sentences.append(chosen)
+            budget -= count_words(chosen)
+
+        act2 = " ".join(sentences)
+        parts = [act1] + ([act2] if act2 else []) + [act3]
+        return "\n\n".join(parts) + "\n"
 
 
 # -- remote backend --------------------------------------------------------

@@ -1,6 +1,6 @@
 """Seeded synthetic data and scripted backends for tests and demos.
 
-Everything here produces ordinary pipeline inputs (trajectories, stories,
+Everything here produces ordinary pipeline inputs (trajectories, story drafts,
 Kaggle-schema CSV files); nothing downstream can tell synthetic from real.
 Default geometry mimics the Porto metro extent so the distance thresholds
 carry over unchanged.
@@ -17,10 +17,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError
-from .gazetteer import POI
 from .geo import BoundingBox, GeoPoint, meters_per_degree
 from .ingest import KAGGLE_COLUMNS, Trajectory
-from .story import NarrativeSpec, Story, StoryContext, count_words, extract_mentions
+from .story import NarrativeSpec, StoryContext
 
 PORTO_BBOX = BoundingBox(-8.70, 41.10, -8.50, 41.25)
 
@@ -122,23 +121,6 @@ def generate_dataset(spec: SyntheticSpec) -> list[Trajectory]:
         trajectories.append(Trajectory(id=f"synt{i:05d}", coords=np.array(points),
                                        start_time=1_372_636_800 + 600 * i))
     return trajectories
-
-
-def inject_hallucinations(story: Story, far_pois: list[POI]) -> Story:
-    """Append one marked sentence per far POI; the failure mode on demand.
-
-    The returned story re-parses cleanly, so validators see the injected
-    names exactly as they would see genuine model output.
-    """
-    if not far_pois:
-        return story
-    text = story.text.rstrip("\n")
-    for poi in far_pois:
-        text += f" The route also claims a detour at [[POI: {poi.name}]]."
-    text += "\n"
-    return Story(text=text, mentions=extract_mentions(text),
-                 word_count=count_words(text), spec=story.spec,
-                 backend_id=story.backend_id)
 
 
 _BAD_ROW_KINDS = 4

@@ -8,14 +8,38 @@ from typing import Iterable
 
 import numpy as np
 
-from trajstory.geo import BoundingBox, GeoPoint, as_coords
+from trajstory.gazetteer import POI
+from trajstory.geo import BoundingBox, GeoPoint, Polyline, arc_m, as_coords
 from trajstory.ingest import Trajectory, parse_dataset
-from trajstory.story import MARKUP_CLOSE, MARKUP_OPEN, Mention
+from trajstory.story import (MARKUP_CLOSE, MARKUP_OPEN, Mention, Story, count_words,
+                             extract_mentions)
 
 
 def contains(box: BoundingBox, p: GeoPoint) -> bool:
     """Whether ``box`` holds ``p``, inclusive on all four edges."""
     return box.min_lon <= p.lon <= box.max_lon and box.min_lat <= p.lat <= box.max_lat
+
+
+def point_to_polyline_distance(p: GeoPoint, coords: np.ndarray) -> float:
+    """Meters from ``p`` to the nearest segment of the polyline ``coords``."""
+    return arc_m(Polyline(coords).segment_h(p)[1].min())
+
+
+def inject_hallucinations(story: Story, far_pois: list[POI]) -> Story:
+    """Append one marked sentence per far POI; the failure mode on demand.
+
+    The returned story re-parses cleanly, so validators see the injected
+    names exactly as they would see genuine model output.
+    """
+    if not far_pois:
+        return story
+    text = story.text.rstrip("\n")
+    for poi in far_pois:
+        text += f" The route also claims a detour at [[POI: {poi.name}]]."
+    text += "\n"
+    return Story(text=text, mentions=extract_mentions(text),
+                 word_count=count_words(text), spec=story.spec,
+                 backend_id=story.backend_id)
 
 
 def endpoints(trajs: Iterable[Trajectory]) -> np.ndarray:

@@ -282,18 +282,18 @@ def reference_select_trajectory(trajectories: list[Trajectory], criterion: str,
 
 
 def reference_render_geojson(doc) -> str:
-    """The map document through ``json.dumps`` alone, paths as ``path.tolist()``.
+    """The map document through ``json.dumps`` alone, the path as ``path.tolist()``.
 
     The library's encoder before it formatted path coordinates in bulk: the
     exact bytes ``render_geojson`` must keep.
     """
     names = dict(doc.legend)
     features = []
-    for path in doc.paths:
+    if doc.path is not None:
         features.append({
             "type": "Feature",
             "geometry": {"type": "LineString",
-                         "coordinates": path.tolist()},
+                         "coordinates": doc.path.tolist()},
             "properties": {"role": "trajectory"},
         })
     for marker in doc.markers:

@@ -10,11 +10,11 @@ import time
 import pytest
 
 from conftest import FAR_POI_NAMES, PORTO_CLUSTERS
-from helpers import contains, endpoints
+from helpers import contains, endpoints, inject_hallucinations, point_to_polyline_distance
 from oracles import (brute_force_clusters, dense_polyline_distance,
                      full_sort_hotspots)
 from trajstory.errors import StoryValidationError
-from trajstory.geo import GeoPoint, point_to_polyline_distance
+from trajstory.geo import GeoPoint
 from trajstory.geo import as_coords as coords
 from trajstory.heatgrid import build_grid, top_hotspots
 from trajstory.ingest import parse_dataset
@@ -23,8 +23,7 @@ from trajstory.pipeline import StoryRequest, discover, execute, write_bundle
 from trajstory.story import (NarrativeSpec, StoryContext, TemplateBackend,
                              generate_story)
 from trajstory.synth import (PORTO_BBOX, ScriptedBackend, SyntheticSpec,
-                             generate_dataset, inject_hallucinations,
-                             write_kaggle_csv)
+                             generate_dataset, write_kaggle_csv)
 from trajstory.validation import GroundingPolicy, GroundingRule, validate_story
 
 SEED = 20260825

@@ -20,6 +20,7 @@ from trajstory.errors import ConfigurationError
 from trajstory.gazetteer import default_fixture_path
 from trajstory.geo import GeoPoint
 from trajstory.ingest import KAGGLE_COLUMNS, parse_dataset
+from trajstory.story import TemplateBackend
 from trajstory.synth import SyntheticSpec, generate_dataset, write_kaggle_csv
 from trajstory.validation import GroundingRule
 
@@ -55,6 +56,14 @@ class TestConfigFile:
         assert marked.read_bytes().startswith(b"\xef\xbb\xbfmode")
         assert parse_config(marked) == parse_config(plain) == {"mode": "heatmap",
                                                                 "max_words": "120"}
+
+    def test_a_byte_order_mark_is_not_part_of_the_responses_file(self, tmp_path):
+        drafts = ["A stop at [[POI: Ribeira]].\n"]
+        responses = tmp_path / "responses.json"
+        responses.write_text(json.dumps(drafts), encoding="utf-8-sig")
+        assert responses.read_bytes().startswith(b"\xef\xbb\xbf[")
+        backend = cli.build_backend({"backend": "scripted", "responses_file": str(responses)})
+        assert backend.responses == drafts
 
     def test_bad_line_is_rejected_with_location(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -283,6 +292,38 @@ class TestStoryCommand:
         assert "only 11 candidate POIs for min_pois=15" in err
         assert "trajectory_threshold_m" in err and "min_pois" in err
         assert not (tmp_path / "out" / "report.txt").exists()
+
+    @staticmethod
+    def counted_drafts(monkeypatch):
+        """The list each template draft of a run appends to."""
+        drafts, generate = [], TemplateBackend.generate
+        monkeypatch.setattr(TemplateBackend, "generate",
+                            lambda self, *args: drafts.append(1) or generate(self, *args))
+        return drafts
+
+    def test_no_place_for_min_pois_0_stops_at_the_first_generation(self, capsys, tmp_path,
+                                                                   monkeypatch):
+        # a story must mark one place, and no known place lies within 500 m of this trip
+        trip = tmp_path / "offshore.txt"
+        trip.write_text("-9.5,40.9\n-9.51,40.91\n")
+        drafts = self.counted_drafts(monkeypatch)
+        code, _, err = run(capsys, "story", "--dataset", str(trip), "--schema", "point_list",
+                           "--mode", "single_trajectory", "--min-pois", "0", "--offline",
+                           "--output-dir", str(tmp_path / "out"))
+        assert (code, len(drafts)) == (2, 1)
+        assert err == ("configuration error: only 0 candidate POIs for min_pois=0; "
+                       "raise trajectory_threshold_m\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_no_room_for_one_place_stops_at_the_first_generation(self, capsys, tmp_path,
+                                                                 monkeypatch, cluster_csv):
+        drafts = self.counted_drafts(monkeypatch)
+        code, _, err = run(capsys, "story", "--dataset", str(cluster_csv), "--min-pois", "0",
+                           "--max-words", "30", "--offline",
+                           "--output-dir", str(tmp_path / "out"))
+        assert (code, len(drafts)) == (2, 1)
+        assert err == "configuration error: word cap 30 cannot fit 1 POI mentions\n"
+        assert not (tmp_path / "out").exists()
 
     def test_removed_discovery_radius_flag(self, capsys, cluster_csv):
         with pytest.raises(SystemExit) as exit_:

@@ -5,12 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import backtracking_walk, contains
+from helpers import backtracking_walk, contains, point_to_polyline_distance
 from oracles import (dense_polyline_distance, dense_polyline_distance_spaced,
                      full_segment_h, haversine_distance, reference_segment_distances)
 from trajstory.geo import (EARTH_RADIUS_M, BoundingBox, GeoPoint, Polyline, arc_m,
-                           bbox_of_coords, bbox_within, first_within, meters_per_degree,
-                           point_to_polyline_distance)
+                           bbox_of_coords, bbox_within, first_within, meters_per_degree)
 from trajstory.geo import as_coords as coords
 from trajstory.validation import GroundingPolicy, GroundingRule
 

@@ -121,7 +121,7 @@ class TestDocumentShape:
         track = Trajectory(id="t", coords=coords([BASE, GeoPoint(-8.60, 41.16)]))
         doc = emit_map([], trajectory=track)
         assert doc.markers == [] and doc.legend == []
-        assert len(doc.paths) == 1 and np.array_equal(doc.paths[0], track.coords)
+        assert np.array_equal(doc.path, track.coords)
         assert contains(doc.bbox, BASE)
 
     def test_bbox_pads_ten_percent_per_side(self):
@@ -198,8 +198,8 @@ class TestGeoJson:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["m.geojson", "m.html"]
 
 
-# The text the encoder splits the dumped document at: as a legend name it
-# must come out as a name, not as a path.
+# The text the encoder replaces in the dumped document: as a legend name it
+# must come out as a name, not as the path.
 SPLICE_TEXT = '"coordinates": []'
 EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e-7, 1e16, 1e308, -1e308,
                180.0, -180.0, 90.0, -90.0]
@@ -225,42 +225,42 @@ def map_documents(draw):
                               tuple(range(number, number + size))))
         number += size
     lon_a, lon_b, lat_a, lat_b = draw(lons), draw(lons), draw(lats), draw(lats)
-    return MapDocument(markers=markers, paths=draw(st.lists(path_arrays, max_size=2)),
+    return MapDocument(markers=markers, path=draw(st.none() | path_arrays),
                        legend=list(enumerate(names, start=1)),
                        bbox=BoundingBox(min(lon_a, lon_b), min(lat_a, lat_b),
                                         max(lon_a, lon_b), max(lat_a, lat_b)))
 
 
-def document(paths, names=("Ribeira",)):
+def document(path, names=("Ribeira",)):
     return MapDocument(markers=[Marker(BASE, tuple(range(1, len(names) + 1)))] if names else [],
-                       paths=[np.asarray(p, dtype=float).reshape(-1, 2) for p in paths],
+                       path=None if path is None else np.asarray(path, dtype=float).reshape(-1, 2),
                        legend=list(enumerate(names, start=1)),
                        bbox=BoundingBox(-180.0, -90.0, 180.0, 90.0))
 
 
 class TestBulkPathEncoder:
-    """``render_geojson`` writes paths in bulk, to the bytes of plain ``json.dumps``."""
+    """``render_geojson`` writes the path in bulk, to the bytes of plain ``json.dumps``."""
 
     @settings(max_examples=300, deadline=None)
     @given(doc=map_documents())
-    @example(doc=document([], names=("Ribeira", "Sé")))
-    @example(doc=document([[]]))
-    @example(doc=document([[EDGE_FLOATS[:2]]]))
-    @example(doc=document([np.reshape(EDGE_FLOATS, (-1, 2)), [[-8.61, 41.15]]],
-                          names=EDGE_NAMES))
-    @example(doc=document([[[1e-7, 1e16]]], names=(SPLICE_TEXT, SPLICE_TEXT)))
+    @example(doc=document(None, names=("Ribeira", "Sé")))
+    @example(doc=document([]))
+    @example(doc=document([EDGE_FLOATS[:2]]))
+    @example(doc=document(np.reshape(EDGE_FLOATS, (-1, 2)), names=EDGE_NAMES))
+    @example(doc=document([[-8.61, 41.15]], names=EDGE_NAMES))
+    @example(doc=document([[1e-7, 1e16]], names=(SPLICE_TEXT, SPLICE_TEXT)))
     def test_matches_the_json_dumps_reference(self, doc):
         assert render_geojson(doc) == reference_render_geojson(doc)
 
     def test_long_path_matches_the_reference(self):
         walk = np.cumsum(np.random.default_rng(9).normal(0.0, 1e-4, (5_000, 2)), axis=0)
-        doc = document([walk + (BASE.lon, BASE.lat), walk[:1]], names=EDGE_NAMES)
+        doc = document(walk + (BASE.lon, BASE.lat), names=EDGE_NAMES)
         text = render_geojson(doc)
         assert text == reference_render_geojson(doc)
         assert [name for _, name in json.loads(text)["legend"]] == EDGE_NAMES
 
     def test_non_finite_values_are_spelled_as_json_dumps_spells_them(self):
-        doc = document([[[float("nan"), 41.15], [float("inf"), float("-inf")], [-0.0, 1.0]]])
+        doc = document([[float("nan"), 41.15], [float("inf"), float("-inf")], [-0.0, 1.0]])
         text = render_geojson(doc)
         assert text == reference_render_geojson(doc)
         assert "NaN" in text and "-Infinity" in text

@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import CENTRAL_ROUTE_NAMES
-from helpers import contains
+from helpers import contains, point_to_polyline_distance
 from oracles import haversine_distance, reference_parse_kaggle, reference_select_trajectory
 from trajstory.errors import (ConfigurationError, InfrastructureError,
                               ParseError, StoryValidationError)
 from trajstory.gazetteer import Gazetteer, GazetteerConfig
-from trajstory.geo import BoundingBox, GeoPoint, point_to_polyline_distance
+from trajstory.geo import BoundingBox, GeoPoint
 from trajstory.geo import as_coords as coords
 from trajstory.pipeline import (StoryRequest, discover, execute, plan, run_steps,
                                 write_bundle)
@@ -138,7 +138,7 @@ class TestExecuteHeatmap:
         mentioned = {m.name for m in run.story.mentions}
         assert len(run.doc.legend) == len(mentioned)
         assert {name for _, name in run.doc.legend} == mentioned
-        assert run.doc.paths == []
+        assert run.doc.path is None
         for marker in run.doc.markers:
             assert contains(run.doc.bbox, marker.center)
 
@@ -164,8 +164,7 @@ class TestExecuteSingleTrajectory:
         run = execute(self.request(route_file), TemplateBackend())
         assert run.attempt == 1
         assert run.report.overall
-        assert len(run.doc.paths) == 1
-        assert np.array_equal(run.doc.paths[0], coords(central_route))
+        assert np.array_equal(run.doc.path, coords(central_route))
         for verdict in run.report.per_poi:
             assert verdict.distance_m <= 300.0
 

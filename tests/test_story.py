@@ -11,8 +11,7 @@ from trajstory.geo import GeoPoint
 from trajstory.story import (MARKUP_CLOSE, MARKUP_OPEN, Mention, NarrativeSpec,
                              RemoteBackend, Story, StoryContext, TOKEN_ENV_VAR,
                              TemplateBackend, build_prompt, count_words,
-                             extract_mentions, generate_story, strip_markup,
-                             template_backend)
+                             extract_mentions, generate_story, strip_markup)
 
 
 def make_ctx(n_pois=20, region="Porto", summary="endpoints: 400", blurb=None):
@@ -130,7 +129,7 @@ class TestPrompt:
 class TestTemplateBackend:
     def test_output_honors_its_own_contract(self):
         spec = NarrativeSpec(max_words=150, min_pois=15)
-        out = template_backend(make_ctx(20), spec)
+        out = TemplateBackend().generate("", make_ctx(20), spec)
         mentions = extract_mentions(out)
         assert len(mentions) >= 15
         assert count_words(out) <= 150
@@ -144,7 +143,7 @@ class TestTemplateBackend:
         assert a == b
 
     def test_walks_candidates_in_given_order(self):
-        out = template_backend(make_ctx(4), NarrativeSpec(min_pois=4, max_words=80))
+        out = TemplateBackend().generate("", make_ctx(4), NarrativeSpec(min_pois=4, max_words=80))
         names = [m.name for m in extract_mentions(out)]
         assert names == ["Spot A", "Spot B", "Spot C", "Spot D"]
         assert "First comes" in out and "Then" in out
@@ -152,18 +151,18 @@ class TestTemplateBackend:
     def test_too_few_candidates(self):
         with pytest.raises(ConfigurationError,
                            match="raise hotspot_threshold_m or lower min_pois"):
-            template_backend(make_ctx(3), NarrativeSpec(min_pois=10))
+            TemplateBackend().generate("", make_ctx(3), NarrativeSpec(min_pois=10))
 
     def test_word_cap_too_tight_for_min_pois(self):
         with pytest.raises(ConfigurationError, match="word cap"):
-            template_backend(make_ctx(5), NarrativeSpec(min_pois=5, max_words=45))
+            TemplateBackend().generate("", make_ctx(5), NarrativeSpec(min_pois=5, max_words=45))
 
     def test_blurbs_used_when_budget_allows_and_dropped_when_not(self):
         blurb = "a granite church with twin towers over the old town"
         roomy = NarrativeSpec(min_pois=1, max_words=200, include_blurbs=True)
         tight = NarrativeSpec(min_pois=3, max_words=54, include_blurbs=True)
-        assert blurb in template_backend(make_ctx(1, blurb=blurb), roomy)
-        squeezed = template_backend(make_ctx(3, blurb=blurb), tight)
+        assert blurb in TemplateBackend().generate("", make_ctx(1, blurb=blurb), roomy)
+        squeezed = TemplateBackend().generate("", make_ctx(3, blurb=blurb), tight)
         assert blurb not in squeezed
         assert len(extract_mentions(squeezed)) == 3
 
@@ -174,9 +173,9 @@ class TestTemplateBackend:
         if min_pois > n:
             min_pois = n
         spec = NarrativeSpec(min_pois=min_pois, max_words=max_words)
-        out = template_backend(make_ctx(n), spec)
+        out = TemplateBackend().generate("", make_ctx(n), spec)
         assert count_words(out) <= max_words
-        assert len(extract_mentions(out)) >= min_pois
+        assert len(extract_mentions(out)) >= max(min_pois, 1)
 
 
 class TestRemoteBackend:

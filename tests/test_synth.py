@@ -3,15 +3,14 @@ import math
 import pytest
 
 from conftest import PORTO_CLUSTERS
-from helpers import contains, points, records, track
+from helpers import contains, inject_hallucinations, points, records, track
 from oracles import haversine_distance
 from trajstory.errors import ConfigurationError
 from trajstory.geo import GeoPoint
 from trajstory.ingest import parse_dataset, trajectory_digest
 from trajstory.story import NarrativeSpec, Story, count_words, extract_mentions
 from trajstory.synth import (EndpointCluster, PORTO_BBOX, ScriptedBackend,
-                             SyntheticSpec, generate_dataset,
-                             inject_hallucinations, write_kaggle_csv)
+                             SyntheticSpec, generate_dataset, write_kaggle_csv)
 
 
 class TestScriptedBackend:
