@@ -21,6 +21,7 @@ from trajstory.geo import GeoPoint, Polyline
 from trajstory.heatgrid import build_grid, top_hotspots
 from trajstory.ingest import Trajectory, parse_dataset, trajectory_digest
 from trajstory.mapdoc import emit_map, render_geojson, render_html
+from trajstory.pipeline import write_files
 from trajstory.story import NarrativeSpec, Story, count_words, extract_mentions
 from trajstory.synth import PORTO_BBOX, SyntheticSpec, generate_dataset, write_kaggle_csv
 from trajstory.validation import GroundingPolicy, GroundingRule, validate_story
@@ -129,7 +130,16 @@ def test_render_geojson_50k_path(benchmark, shift_map):
 
 def test_render_html_50k_path(benchmark, shift_map):
     page = benchmark(render_html, shift_map, render_geojson(shift_map))
-    assert page.startswith("<!DOCTYPE html>")
+    assert page[0].startswith("<!DOCTYPE html>")
+
+
+def test_write_map_50k_path(benchmark, shift_map, tmp_path):
+    """Both map files, rendered and written, as one ``map`` command writes them."""
+    def write():
+        geojson = render_geojson(shift_map)
+        return write_files(tmp_path, {"map.geojson": geojson,
+                                      "map.html": render_html(shift_map, geojson)})
+    assert len(benchmark(write)) == 2
 
 
 def test_trajectory_digest_50k_path(benchmark, walk):

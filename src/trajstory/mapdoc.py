@@ -115,29 +115,35 @@ def _centroid(points: list[GeoPoint]) -> GeoPoint:
 _PATH_SLOT = '"coordinates": []'
 # One vertex as json.dumps(indent=2) lays it out inside a LineString feature.
 _VERTEX = "\n          [\n            %r,\n            %r\n          ]"
+# Vertices per coordinate part: the path's text is held once, in parts this size.
+_SLICE_VERTICES = 2048
 
 
-def _coordinate_block(path: np.ndarray) -> str:
-    """The indented JSON of ``path.tolist()``, formatted in one pass.
+def _coordinate_slices(path: np.ndarray) -> list[str]:
+    """The indented JSON of ``path.tolist()``'s items, in parts of ``_SLICE_VERTICES``.
 
     ``%r`` and ``json.dumps`` both write a finite float as ``float.__repr__``;
-    non-finite values are respelled the way ``json.dumps`` spells them.
+    non-finite values are respelled the way ``json.dumps`` spells them. A part
+    holds only numbers, brackets, commas, whitespace, ``Infinity`` and ``NaN``.
     """
-    if len(path) == 0:
-        return "[]"
-    block = "[" + ",".join([_VERTEX] * len(path)) % tuple(path.ravel().tolist()) + "\n        ]"
-    if not np.isfinite(path).all():
-        block = block.replace("inf", "Infinity").replace("nan", "NaN")
-    return block
+    parts = []
+    for start in range(0, len(path), _SLICE_VERTICES):
+        chunk = path[start:start + _SLICE_VERTICES]
+        text = ",".join([_VERTEX] * len(chunk)) % tuple(chunk.ravel().tolist())
+        if not np.isfinite(chunk).all():
+            text = text.replace("inf", "Infinity").replace("nan", "NaN")
+        parts.append("," + text if start else text)
+    return parts
 
 
-def render_geojson(doc: MapDocument) -> str:
-    """Serialize as a FeatureCollection; byte-stable for equal documents.
+def render_geojson(doc: MapDocument) -> list[str]:
+    """Serialize as a FeatureCollection, in parts; byte-stable for equal documents.
 
     The path comes first (drawn under the markers), then markers in number
     order. The legend rides along as a foreign member, which the format
-    grammar permits. Path coordinates are formatted in bulk and spliced into
-    the ``json.dumps`` text, to the same bytes as dumping ``path.tolist()``.
+    grammar permits. Joined, the parts are the ``json.dumps`` text of the
+    collection with ``path.tolist()`` as the path's coordinates: the head of
+    that text, the path's coordinates in bulk-formatted slices, then the tail.
     """
     names = dict(doc.legend)
     features = []
@@ -164,10 +170,11 @@ def render_geojson(doc: MapDocument) -> str:
         "features": features,
         "legend": [[number, name] for number, name in doc.legend],
     }
-    text = json.dumps(collection, sort_keys=True, indent=2, ensure_ascii=False)
-    if doc.path is not None:
-        text = text.replace(_PATH_SLOT, '"coordinates": ' + _coordinate_block(doc.path), 1)
-    return text + "\n"
+    text = json.dumps(collection, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    if doc.path is None or not len(doc.path):
+        return [text]
+    head, _, tail = text.partition(_PATH_SLOT)
+    return [head + '"coordinates": [', *_coordinate_slices(doc.path), "\n        ]" + tail]
 
 
 _HTML_PAGE = """<!DOCTYPE html>
@@ -216,18 +223,29 @@ data.features.forEach(function (f) {{
 """
 
 
-def render_html(doc: MapDocument, geojson: str) -> str:
-    """Self-contained page over OpenStreetMap raster tiles; no server needed.
+# The page around the embedded GeoJSON, as format strings.
+_HTML_HEAD, _HTML_TAIL = _HTML_PAGE.split("{geojson}")
 
-    ``geojson`` is ``render_geojson(doc)``, encoded once by the caller for
-    both files. Names are text: the legend is HTML-escaped, and
-    the embedded GeoJSON spells ``&<>`` as JSON escapes, so no name can
-    close ``<script>``.
+
+def _script_safe(text: str) -> str:
+    for char, escape in (("&", "\\u0026"), ("<", "\\u003c"), (">", "\\u003e")):
+        text = text.replace(char, escape)
+    return text
+
+
+def render_html(doc: MapDocument, geojson: list[str]) -> list[str]:
+    """Self-contained page over OpenStreetMap raster tiles, in parts; no server needed.
+
+    ``geojson`` is ``render_geojson(doc)``: the page reuses its coordinate
+    parts as they are, so the path's text is held once for both files. Names
+    are text: the legend is HTML-escaped, and the embedded GeoJSON spells
+    ``&<>`` as JSON escapes, so no name can close ``<script>``. Only the head
+    and tail parts can hold a name; a coordinate part holds none of ``&<>``.
     """
     legend_items = "\n".join(f"  <li value=\"{n}\">{html.escape(name, quote=False)}</li>"
                              for n, name in doc.legend)
-    geojson = geojson.rstrip("\n")
-    for char, escape in (("&", "\\u0026"), ("<", "\\u003c"), (">", "\\u003e")):
-        geojson = geojson.replace(char, escape)
-    return _HTML_PAGE.format(legend_items=legend_items, geojson=geojson)
-
+    *body, tail = geojson
+    tail = _script_safe(tail.rstrip("\n"))
+    if body:
+        body[0] = _script_safe(body[0])
+    return [_HTML_HEAD.format(legend_items=legend_items), *body, tail, _HTML_TAIL.format()]

@@ -11,6 +11,7 @@ along in the next prompt.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import time
@@ -290,26 +291,49 @@ def trace_json(run: RunState) -> str:
     return _json_text({"attempts": run.attempt if graded else 0, "steps": rows})
 
 
-def write_files(out_dir: str | Path, files: dict[str, str]) -> list[Path]:
+def _stage(tmp: Path, parts: list[str]) -> None:
+    with open(tmp, "w", encoding="utf-8") as fh:
+        fh.writelines(parts)
+
+
+def write_files(out_dir: str | Path, files: dict[str, str | list[str]]) -> list[Path]:
     """Write each ``name: text`` as UTF-8 in ``out_dir``; returns the paths written.
 
-    All or nothing: every text goes to a temporary sibling first, and only
-    once all of them are written is each renamed over its target. A failed
-    write removes the temporaries and leaves the old files as they were.
+    A text may come as a list of parts, written one after another. All or
+    nothing: every text goes to a temporary sibling first, and only once all
+    of them are written is each renamed over its target, with each old target
+    hard-linked aside beforehand. A failed write removes the temporaries; a
+    failed rename also puts the old files back and removes the new ones, so
+    the old files are left as they were.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = [out / name for name in files]
     staged = [out / f".{name}.{os.getpid()}.tmp" for name in files]
+    saved = [out / f".{name}.{os.getpid()}.old" for name in files]
+    renamed = 0
     try:
         for tmp, text in zip(staged, files.values()):
-            tmp.write_text(text, encoding="utf-8")
+            _stage(tmp, [text] if isinstance(text, str) else text)
+        for path, old in zip(paths, saved):
+            old.unlink(missing_ok=True)
+            with contextlib.suppress(FileNotFoundError):
+                os.link(path, old)
         for tmp, path in zip(staged, paths):
             os.replace(tmp, path)
+            renamed += 1
     except BaseException:
+        for path, old in zip(paths[:renamed], saved):
+            if old.exists():
+                os.replace(old, path)
+            else:
+                path.unlink()
         for tmp in staged:
             tmp.unlink(missing_ok=True)
         raise
+    finally:
+        for old in saved:
+            old.unlink(missing_ok=True)
     return paths
 
 

@@ -7,6 +7,7 @@ library code, so shared bugs are unlikely.
 from __future__ import annotations
 
 import csv
+import html
 import json
 import math
 from typing import IO
@@ -314,3 +315,18 @@ def reference_render_geojson(doc) -> str:
         "legend": [[number, name] for number, name in doc.legend],
     }
     return json.dumps(collection, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+
+
+def reference_render_html(doc) -> str:
+    """The page as one string around the whole reference GeoJSON, escaped in one pass.
+
+    The library's page before it reused the GeoJSON's parts: the exact bytes
+    ``render_html`` must keep.
+    """
+    from trajstory.mapdoc import _HTML_PAGE
+    legend_items = "\n".join(f"  <li value=\"{n}\">{html.escape(name, quote=False)}</li>"
+                             for n, name in doc.legend)
+    geojson = reference_render_geojson(doc).rstrip("\n")
+    for char, escape in (("&", "\\u0026"), ("<", "\\u003c"), (">", "\\u003e")):
+        geojson = geojson.replace(char, escape)
+    return _HTML_PAGE.format(legend_items=legend_items, geojson=geojson)

@@ -151,7 +151,7 @@ def test_criterion_6_map_emission(gazetteer):
         assert contains(PORTO_BBOX, marker.center)
 
     again = emit_map(gazetteer.known_pois(PORTO_BBOX)[:18], cluster_distance_m=150.0)
-    assert render_geojson(doc).encode() == render_geojson(again).encode()
+    assert "".join(render_geojson(doc)).encode() == "".join(render_geojson(again)).encode()
 
 
 def test_criterion_7_ingestion_counts(tmp_path):

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import logging
+import os
 import random
 import re
 from pathlib import Path
@@ -14,7 +15,7 @@ from hypothesis import event, given, settings, strategies as st
 from conftest import CENTRAL_ROUTE_NAMES, FAR_POI_NAMES
 from helpers import backtracking_walk
 from oracles import reference_segment_distances
-from trajstory import cli, errors
+from trajstory import cli, errors, pipeline
 from trajstory.cli import COMMAND_FLAGS, CONFIG_KEYS, main, parse_config
 from trajstory.errors import ConfigurationError
 from trajstory.gazetteer import default_fixture_path
@@ -524,7 +525,7 @@ class TestMapCommand:
 
 
 class TestArtifactsAreWholeOrUnchanged:
-    """A write that fails part way leaves the previous files byte for byte."""
+    """A write or a rename that fails part way leaves the previous files byte for byte."""
 
     OLD = {"story": ["story.txt", "story.json", "report.json", "report.txt",
                      "map.geojson", "map.html", "trace.json"],
@@ -532,39 +533,71 @@ class TestArtifactsAreWholeOrUnchanged:
            "validate": ["report.json", "trace.json"],
            "heatmap": ["grid.csv", "grid_meta.txt", "trace.json"]}
 
-    @pytest.mark.parametrize("command, fail_at", [("story", 2), ("map", 2), ("validate", 2),
-                                                  ("heatmap", 2)])
-    def test_failed_write_keeps_the_old_files(self, capsys, tmp_path, monkeypatch,
-                                              cluster_csv, route_file, command, fail_at):
+    @pytest.fixture
+    def command(self, tmp_path, cluster_csv, route_file):
+        """Run ``command`` over an output directory holding old files and a user's note;
+        returns that directory, the bytes it held and the command's result."""
         story = tmp_path / "story.txt"
         story.write_text("Past [[POI: Ribeira]] to [[POI: São Bento Station]].\n",
                          encoding="utf-8")
-        argv = {"story": ["story", "--dataset", str(cluster_csv)],
-                "map": ["map", str(story)],
-                "validate": ["validate", str(story), "--dataset", str(route_file),
-                             "--schema", "point_list"],
-                "heatmap": ["heatmap", str(cluster_csv)]}[command]
         out_dir = tmp_path / "out"
         out_dir.mkdir()
-        for name in self.OLD[command] + ["notes.txt"]:
-            (out_dir / name).write_bytes(f"old {name}\n".encode())
-        before = {p.name: p.read_bytes() for p in out_dir.iterdir()}
 
-        real_write_text = Path.write_text
+        def command(capsys, name, files=None):
+            argv = {"story": ["story", "--dataset", str(cluster_csv)],
+                    "map": ["map", str(story)],
+                    "validate": ["validate", str(story), "--dataset", str(route_file),
+                                 "--schema", "point_list"],
+                    "heatmap": ["heatmap", str(cluster_csv)]}[name]
+            for file in (self.OLD[name] if files is None else files) + ["notes.txt"]:
+                (out_dir / file).write_bytes(f"old {file}\n".encode())
+            before = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+            result = run(capsys, *argv, "--offline", "--output-dir", str(out_dir))
+            return out_dir, before, result
+        return command
+
+    @pytest.mark.parametrize("name, fail_at", [("story", 2), ("map", 2), ("validate", 2),
+                                               ("heatmap", 2)])
+    def test_failed_write_keeps_the_old_files(self, capsys, monkeypatch, command,
+                                              name, fail_at):
+        real_stage = pipeline._stage
         written = []
 
-        def write_text(path, data, *args, **kwargs):
-            written.append(path.name)
+        def stage(tmp, parts):
+            written.append(tmp.name)
             if len(written) == fail_at:
-                real_write_text(path, data[:7], *args, **kwargs)   # a torn file
+                real_stage(tmp, [parts[0][:7]])     # a torn file
                 raise OSError(28, "No space left on device")
-            return real_write_text(path, data, *args, **kwargs)
+            return real_stage(tmp, parts)
 
-        monkeypatch.setattr(Path, "write_text", write_text)
-        code, _, err = run(capsys, *argv, "--offline", "--output-dir", str(out_dir))
+        monkeypatch.setattr(pipeline, "_stage", stage)
+        out_dir, before, (code, _, err) = command(capsys, name)
         assert code == 2
         assert "No space left on device" in err
         assert len(written) == fail_at
+        assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
+
+    @pytest.mark.parametrize("name, fail_at", [(name, n) for name, files in OLD.items()
+                                               for n in range(1, len(files) + 1)])
+    @pytest.mark.parametrize("old_files", ["all", "none"])
+    def test_failed_rename_puts_the_old_files_back(self, capsys, monkeypatch, command,
+                                                   name, fail_at, old_files):
+        real_replace = os.replace
+        renamed = []
+
+        def replace(src, dst):
+            if Path(src).name.endswith(".tmp"):
+                renamed.append(Path(dst).name)
+                if len(renamed) == fail_at:
+                    raise OSError(5, "Input/output error")
+            return real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        out_dir, before, (code, _, err) = command(
+            capsys, name, None if old_files == "all" else [])
+        assert code == 2
+        assert "Input/output error" in err
+        assert renamed == self.OLD[name][:fail_at]
         assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
 
 

@@ -1,20 +1,22 @@
 import json
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from helpers import contains
-from oracles import brute_force_clusters, haversine_distance, reference_render_geojson
+from oracles import (brute_force_clusters, haversine_distance, reference_render_geojson,
+                     reference_render_html)
 from trajstory.gazetteer import POI
 from trajstory.geo import BoundingBox, GeoPoint, meters_per_degree
 from trajstory.geo import as_coords as coords
 from trajstory.ingest import Trajectory
 from trajstory.mapdoc import (BBOX_PAD_FRACTION, DEFAULT_CLUSTER_DISTANCE_M,
-                              MapDocument, Marker, emit_map, render_geojson,
-                              render_html)
+                              MapDocument, Marker, _SLICE_VERTICES, emit_map,
+                              render_geojson, render_html)
 from trajstory.pipeline import write_files
 
 BASE = GeoPoint(-8.6100, 41.1500)
@@ -154,7 +156,7 @@ class TestGeoJson:
 
     def test_structure(self):
         doc = self.build()
-        data = json.loads(render_geojson(doc))
+        data = json.loads("".join(render_geojson(doc)))
         assert data["type"] == "FeatureCollection"
         assert data["bbox"] == [doc.bbox.min_lon, doc.bbox.min_lat,
                                 doc.bbox.max_lon, doc.bbox.max_lat]
@@ -170,15 +172,15 @@ class TestGeoJson:
         assert first_marker["properties"]["labels"] == ["Bolhão Market", "Ribeira"]
 
     def test_serialization_is_byte_stable(self):
-        text = render_geojson(self.build())
-        assert text == render_geojson(self.build())
+        text = "".join(render_geojson(self.build()))
+        assert text == "".join(render_geojson(self.build()))
         assert text.endswith("\n")
         assert "Bolhão" in text  # not ascii-escaped
         assert text.index('"bbox"') < text.index('"features"') < text.index('"legend"')
 
     def test_render_html_embeds_map_and_legend(self):
         doc = self.build()
-        html = render_html(doc, render_geojson(doc))
+        html = "".join(render_html(doc, render_geojson(doc)))
         assert "<title>trajstory map</title>" in html
         assert "https://tile.openstreetmap.org/{z}/{x}/{y}.png" in html
         assert "leaflet@1.9.4" in html
@@ -250,21 +252,50 @@ class TestBulkPathEncoder:
     @example(doc=document([[-8.61, 41.15]], names=EDGE_NAMES))
     @example(doc=document([[1e-7, 1e16]], names=(SPLICE_TEXT, SPLICE_TEXT)))
     def test_matches_the_json_dumps_reference(self, doc):
-        assert render_geojson(doc) == reference_render_geojson(doc)
+        assert "".join(render_geojson(doc)) == reference_render_geojson(doc)
+        assert "".join(render_html(doc, render_geojson(doc))) == reference_render_html(doc)
 
     def test_long_path_matches_the_reference(self):
         walk = np.cumsum(np.random.default_rng(9).normal(0.0, 1e-4, (5_000, 2)), axis=0)
         doc = document(walk + (BASE.lon, BASE.lat), names=EDGE_NAMES)
-        text = render_geojson(doc)
+        parts = render_geojson(doc)
+        text = "".join(parts)
         assert text == reference_render_geojson(doc)
+        assert "".join(render_html(doc, parts)) == reference_render_html(doc)
         assert [name for _, name in json.loads(text)["legend"]] == EDGE_NAMES
+        # a head, the path in slices, a tail
+        assert len(parts) == 2 + math.ceil(5_000 / _SLICE_VERTICES)
 
     def test_non_finite_values_are_spelled_as_json_dumps_spells_them(self):
         doc = document([[float("nan"), 41.15], [float("inf"), float("-inf")], [-0.0, 1.0]])
-        text = render_geojson(doc)
+        text = "".join(render_geojson(doc))
         assert text == reference_render_geojson(doc)
         assert "NaN" in text and "-Infinity" in text
         assert "nan" not in text and "inf" not in text
+
+    def test_non_finite_values_past_the_first_slice(self):
+        path = np.full((_SLICE_VERTICES + 1, 2), 41.15)
+        path[-1] = float("nan"), float("-inf")
+        doc = document(path)
+        assert "".join(render_geojson(doc)) == reference_render_geojson(doc)
+        assert "".join(render_html(doc, render_geojson(doc))) == reference_render_html(doc)
+
+    def test_writing_a_long_map_holds_its_path_text_once(self, tmp_path):
+        """Both map files of a 50k-vertex trip, rendered and written, peak at 1.5x
+        the GeoJSON's bytes: the path's text exists once, in slices, with no
+        whole-document string and no whole-file encode."""
+        walk = np.cumsum(np.random.default_rng(50).normal(0.0, 1e-4, (50_000, 2)), axis=0)
+        doc = emit_map([poi_at("Ribeira"), poi_at("Sé", east_m=500.0)],
+                       trajectory=Trajectory(id="shift", coords=walk + (BASE.lon, BASE.lat)))
+        tracemalloc.start()
+        try:
+            geojson = render_geojson(doc)
+            write_files(tmp_path, {"map.geojson": geojson,
+                                   "map.html": render_html(doc, geojson)})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * (tmp_path / "map.geojson").stat().st_size
 
 
 class TestHtmlEscaping:
@@ -274,11 +305,11 @@ class TestHtmlEscaping:
 
     def test_names_and_title_cannot_inject_script(self):
         doc = emit_map([poi_at(self.EVIL), poi_at("Fish & Chips <Bar>", east_m=500.0)])
-        page = render_html(doc, render_geojson(doc))
+        page = "".join(render_html(doc, render_geojson(doc)))
         assert "alert(1)" in page
         assert "<script>alert" not in page
         plain_doc = emit_map([poi_at("A")])
-        plain = render_html(plain_doc, render_geojson(plain_doc))
+        plain = "".join(render_html(plain_doc, render_geojson(plain_doc)))
         assert page.count("</script>") == plain.count("</script>")
         assert "<title>trajstory map</title>" in page
         assert ('<li value="1">Pier&lt;/script&gt;&lt;script&gt;alert(1)&lt;/script&gt;</li>'
@@ -287,7 +318,7 @@ class TestHtmlEscaping:
 
     def test_embedded_geojson_decodes_to_the_same_document(self):
         doc = emit_map([poi_at(self.EVIL), poi_at("Fish & Chips", east_m=500.0)])
-        page = render_html(doc, render_geojson(doc))
+        page = "".join(render_html(doc, render_geojson(doc)))
         embedded = page.split("var data = ", 1)[1].split(";\nvar map", 1)[0]
         assert "<" not in embedded and ">" not in embedded and "&" not in embedded
-        assert json.loads(embedded) == json.loads(render_geojson(doc))
+        assert json.loads(embedded) == json.loads("".join(render_geojson(doc)))

@@ -148,7 +148,7 @@ class TestExecuteHeatmap:
         b = execute(heatmap_request(cluster_csv), TemplateBackend())
         assert a.story.text == b.story.text
         assert a.report == b.report
-        assert render_geojson(a.doc) == render_geojson(b.doc)
+        assert "".join(render_geojson(a.doc)) == "".join(render_geojson(b.doc))
         assert a.attempt == b.attempt
 
 
