@@ -7,7 +7,7 @@ Run from the repository root:
 Each input is seeded: a 50,000-vertex walk that doubles back inside
 downtown Porto, as one vehicle's shift would, and a Kaggle-schema file of
 20,000 synthetic trips with 1% bad rows (about 22 MB: six 4 MiB decode
-chunks).
+chunks), and a million trip endpoints around downtown Porto.
 """
 
 from __future__ import annotations
@@ -181,6 +181,13 @@ def test_parse_dataset_20k_trips_longest_by_length(benchmark, kaggle_file):
 
 def test_build_grid_20k_endpoints(benchmark, trips):
     benchmark(build_grid, trips.endpoints)
+
+
+def test_build_grid_1m_endpoints(benchmark):
+    """Paper scale: a million endpoints, counted block by block."""
+    rng = np.random.default_rng(1_000_000)
+    ends = np.column_stack([rng.normal(-8.61, 0.03, 1_000_000), rng.normal(41.15, 0.02, 1_000_000)])
+    assert benchmark(build_grid, ends).total_in_bbox == 1_000_000
 
 
 def test_top_hotspots(benchmark, trips):

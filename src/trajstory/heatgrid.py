@@ -20,6 +20,8 @@ from .geo import BoundingBox, GeoPoint, bbox_of_coords, meters_per_degree
 
 DEFAULT_CELL_SIZE_M = 250.0
 MAX_GRID_CELLS = 10_000_000     # 80 MB of int64 counts
+# Points binned at once: the temporaries grow with a block, not with the input
+_BLOCK_POINTS = 8192
 
 
 @dataclass
@@ -72,16 +74,20 @@ def build_grid(points: np.ndarray, cell_size_m: float = DEFAULT_CELL_SIZE_M,
         raise ConfigurationError(f"a {cell_size_m} m grid over this area needs more "
                                  f"than {MAX_GRID_CELLS} cells; raise cell_size_m")
 
-    lon, lat = points[:, 0], points[:, 1]
-    inside = ((lon >= bbox.min_lon) & (lon <= bbox.max_lon)
-              & (lat >= bbox.min_lat) & (lat <= bbox.max_lat))
-    lon, lat = lon[inside], lat[inside]
-    col = np.minimum(((lon - bbox.min_lon) * kx // cell_size_m).astype(np.int64), cols - 1)
-    row = np.minimum(((lat - bbox.min_lat) * ky // cell_size_m).astype(np.int64), rows - 1)
-    counts = np.bincount(row * cols + col, minlength=rows * cols).reshape(rows, cols)
-    total = len(lon)
+    counts = np.zeros(rows * cols, dtype=np.int64)
+    for start in range(0, len(points), _BLOCK_POINTS):
+        lon, lat = points[start:start + _BLOCK_POINTS].T
+        inside = ((lon >= bbox.min_lon) & (lon <= bbox.max_lon)
+                  & (lat >= bbox.min_lat) & (lat <= bbox.max_lat))
+        lon, lat = lon[inside], lat[inside]
+        col = np.minimum(((lon - bbox.min_lon) * kx // cell_size_m).astype(np.int64), cols - 1)
+        row = np.minimum(((lat - bbox.min_lat) * ky // cell_size_m).astype(np.int64), rows - 1)
+        # a sort: np.add.at is slow before numpy 1.25, a bincount allocates the grid
+        cells, n = np.unique(row * cols + col, return_counts=True)
+        counts[cells] += n
+    total = int(counts.sum())
     return HeatGrid(bbox=bbox, cell_size_m=cell_size_m, rows=rows, cols=cols,
-                    counts=counts.astype(np.int64, copy=False), total_in_bbox=total,
+                    counts=counts.reshape(rows, cols), total_in_bbox=total,
                     out_of_bbox=len(points) - total)
 
 

@@ -23,22 +23,23 @@ A Kaggle chunk whose lines csv.reader provably reads as whole records, all
 of as many fields, is read in bulk, by one split on ``"`` (``_bulk_columns``);
 any other chunk is read line by line by csv.reader. Workers and the
 in-process parse read through the one ``_read_rows``. Of a POLYLINE in the
-common form (``_CANON``) only the point count and the final pair are read.
-Every other row, and every row when trip lengths are needed, is decoded
-exactly by ``_decode_polyline``, which defines every skip reason and every
-bit.
+common form (``_CANON``) only the final pair is read, and the point count
+when a selection is asked for. Every other row, and every row when trip
+lengths are needed, is decoded exactly by ``_decode_polyline``, which
+defines every skip reason and every bit.
 
-A Kaggle file of two chunks or more is parsed by up to two forked workers,
-one per usable core: this process reads the header line and cuts the body
-into chunks at line ends; of ``w`` workers, worker ``i`` reads chunks ``i``,
-``i + w``, ... and sends on its own one-way pipe each one's kept trips' final
-points, skip counts and pick (``_Fold.pick``), and this process folds chunk
-``k`` from pipe ``k % w``, so in file order, naming a blank-id pick
-``row<N>``. Where a chunk cannot be read alone (it is not UTF-8, csv.reader
-fails on it, a quoted line end crosses a cut, or a blank id, whose ``row<N>``
-no worker knows, could change its pick), the parse restarts in-process, so
-every error comes from the in-process path, which also parses text streams,
-named pipes, one-chunk files and files on one-core machines.
+A Kaggle file of two chunks or more is parsed by up to two workers forked
+by ``os.fork``, one per usable core: this process reads the header line and
+cuts the body into chunks at line ends; of ``w`` workers, worker ``i`` reads
+chunks ``i``, ``i + w``, ... and pickles on its own one-way ``os.pipe`` each
+one's kept trips' final points, skip counts and pick (``_Fold.pick``), and
+this process folds chunk ``k`` from pipe ``k % w``, so in file order, naming
+a blank-id pick ``row<N>``. Where a chunk cannot be read alone (it is not
+UTF-8, csv.reader fails on it, a quoted line end crosses a cut, or a blank
+id, whose ``row<N>`` no worker knows, could change its pick), the parse
+restarts in-process, so every error comes from the in-process path, which
+also parses text streams, named pipes, one-chunk files and files on
+one-core machines.
 """
 
 from __future__ import annotations
@@ -49,11 +50,15 @@ import itertools
 import json
 import logging
 import os
+import pickle
 import re
+import signal
 import stat
+import sys
+import traceback
 import warnings
 from dataclasses import dataclass, field, replace
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable, Iterator, NoReturn
 
 import numpy as np
 
@@ -229,22 +234,26 @@ def _decode_polyline(raw: str) -> np.ndarray | str:
     return xy if len(xy) >= 2 else "too_short"
 
 
-def _decode_block(texts: list[str], by_length: bool = False):
-    """Reduce a block of POLYLINE texts to what the fold reads of the trips it keeps.
+def _decode_block(texts: list[str], criterion: str | None):
+    """Reduce a block of POLYLINE texts to what the fold reads of the trips it keeps,
+    under the selection ``criterion`` (None: no selection).
 
-    Returns the kept trips' final points (k, 2), point counts, path lengths
-    (None unless ``by_length``, which decodes every row exactly) and positions
-    in ``texts``, the texts skipped, by reason, and how many ``_CANON`` certified.
+    Returns the kept trips' final points (k, 2), point counts (None without a
+    selection), path lengths (None unless ``longest_by_length``, which decodes
+    every row exactly) and positions in ``texts``, the texts skipped, by
+    reason, and how many ``_CANON`` certified.
     """
+    by_length = criterion == "longest_by_length"
     skipped = _no_skips()
     screen = [None] * len(texts) if by_length else list(map(_CANON.fullmatch, texts))
     certified = list(itertools.compress(texts, screen))
     keep = np.array([match is not None for match in screen], dtype=bool)
     ends, n = np.empty((len(texts), 2)), np.empty(len(texts), dtype=np.int64)
-    if certified:       # of each, the point count and float() of its final pair's digits
+    if certified:       # of each, float() of its final pair's digits, and its point count
         pairs = ",".join([text[text.rfind("[") + 1:-2] for text in certified]).split(",")
         ends[keep] = np.array(list(map(float, pairs))).reshape(-1, 2)
-        n[keep] = np.fromiter(map(str.count, certified, itertools.repeat("[")), np.int64) - 1
+        if criterion is not None:
+            n[keep] = np.fromiter(map(str.count, certified, itertools.repeat("[")), np.int64) - 1
     exact, xys = [], [np.empty((0, 2))]     # the decoded trips: rows, coordinates
     for i in np.flatnonzero(~keep).tolist():
         xy = _decode_polyline(texts[i])
@@ -258,7 +267,7 @@ def _decode_block(texts: list[str], by_length: bool = False):
     ok = np.logical_and.reduceat(_in_range(xy), np.cumsum(n_exact) - n_exact)
     skipped["out_of_range"] += int(len(ok) - ok.sum())
     keep[exact] = ok
-    n = n[keep]
+    n = n[keep] if criterion is not None else None
     path_m = (_path_lengths_m(xy[np.repeat(ok, n_exact)], np.concatenate(([0], np.cumsum(n))))
               if by_length else None)      # every kept trip was decoded, in order
     return ends[keep], n, path_m, np.flatnonzero(keep), skipped, len(certified)
@@ -376,7 +385,7 @@ def _reduce(rows, fold: _Fold):
     trips' final points, the skips by reason, the rows the screen certified,
     and ``fold.pick`` of the kept trips."""
     texts, ids, times, lines, flagged, bulk = rows
-    ends, n, lengths, kept, skipped, certified = _decode_block(texts, fold.by_length)
+    ends, n, lengths, kept, skipped, certified = _decode_block(texts, fold.criterion)
     skipped["missing_data"] = flagged
     kept = kept.tolist()
     pick = fold.pick(n, lengths, [ids[k] for k in kept], [times[k] for k in kept],
@@ -444,24 +453,31 @@ def _header(line: bytes) -> list[str] | None:
         return None
 
 
-def _decode_worker(conn, path: str, jobs: list[tuple[int, int]],
-                   columns: tuple[int | None, ...], fold: _Fold) -> None:
-    """Worker process: send on ``conn``, in order, the ``_reduce`` of the rows of each
-    ``(start, end)`` byte range of ``path`` in ``jobs``, or None where they cannot
-    be read alone: they are not UTF-8, csv.reader fails on one, a record runs
-    past their end, or a blank id could change their pick (``_Fold.pick``). A
-    full pipe blocks the send until the parent reads."""
-    import signal
-    signal.signal(signal.SIGINT, signal.SIG_IGN)    # Ctrl-C is the parent's to handle
-    with open(path, "rb") as fh:
-        for start, end in jobs:
-            fh.seek(start)
-            try:
-                chunk = _reduce(_read_rows(fh.read(end - start).decode("utf-8"), (None,),
-                                           columns, fold.criterion is not None, None), fold)
-            except (UnicodeDecodeError, csv.Error, _Restart):
-                chunk = None
-            conn.send(chunk)
+def _decode_worker(out, path: str, jobs: list[tuple[int, int]],
+                   columns: tuple[int | None, ...], fold: _Fold) -> NoReturn:
+    """Forked worker process: pickle to ``out``, in order, the ``_reduce`` of the rows of
+    each ``(start, end)`` byte range of ``path`` in ``jobs``, or None where they cannot
+    be read alone: they are not UTF-8, csv.reader fails on one, a record runs past
+    their end, or a blank id could change their pick (``_Fold.pick``). A full pipe
+    blocks the write until the parent reads. Exits 0, or 1 with a traceback on stderr."""
+    code = 1
+    try:                                # it never returns into the code that forked it
+        signal.signal(signal.SIGINT, signal.SIG_IGN)    # Ctrl-C is the parent's to handle
+        with open(path, "rb") as fh:
+            for start, end in jobs:
+                fh.seek(start)
+                try:
+                    chunk = _reduce(_read_rows(fh.read(end - start).decode("utf-8"), (None,),
+                                               columns, fold.criterion is not None, None), fold)
+                except (UnicodeDecodeError, csv.Error, _Restart):
+                    chunk = None
+                pickle.dump(chunk, out, pickle.HIGHEST_PROTOCOL)
+                out.flush()
+        code = 0
+    except Exception:
+        traceback.print_exc()
+    finally:
+        os._exit(code)
 
 
 def _fork_workers() -> int:
@@ -473,11 +489,9 @@ def _fork_workers() -> int:
         workers = min(2, len(os.sched_getaffinity(0)))
     except AttributeError:                          # no affinity on this platform
         workers = min(2, os.cpu_count() or 1)
-    if workers < 2:
-        return 0
-    import multiprocessing                          # only multi-chunk files pay for it
-    if "fork" not in multiprocessing.get_all_start_methods() \
-            or multiprocessing.current_process().daemon:   # a daemon may not fork workers
+    mp = sys.modules.get("multiprocessing")         # read, not imported: it is large
+    if workers < 2 or not hasattr(os, "fork") \
+            or mp is not None and mp.current_process().daemon:   # a daemon may not fork workers
         return 0
     return workers
 
@@ -487,13 +501,14 @@ def _parse_in_workers(path: str, fold: _Fold) -> Dataset | None:
 
     This process reads the header line and cuts the body into chunks of
     about ``_CHUNK_BYTES`` at line ends, a seek and a readline each. Worker
-    ``i`` of ``w`` is forked with chunks ``i``, ``i + w``, ... and sends its
-    answers on a one-way pipe; this process folds chunk ``k`` from pipe
-    ``k % w``, so in file order. A full pipe is the only flow control: a
-    worker waits on its send until this process reads. No worker outlives
-    the call. None, to parse in-process, where the file is not a regular
-    file of two chunks or more, no worker can be forked, its first line is
-    not the whole header in UTF-8, or a chunk cannot be read alone.
+    ``i`` of ``w`` is forked, numpy already imported, with chunks ``i``,
+    ``i + w``, ... and pickles its answers on a one-way pipe; this process
+    folds chunk ``k`` from pipe ``k % w``, so in file order. A full pipe is
+    the only flow control: a worker waits on its write until this process
+    reads. No worker outlives the call. None, to parse in-process, where the
+    file is not a regular file of two chunks or more, no worker can be
+    forked, its first line is not the whole header in UTF-8, or a chunk
+    cannot be read alone.
     """
     st = os.stat(path)
     if not stat.S_ISREG(st.st_mode):    # a FIFO can be opened only once: the in-process parse does
@@ -510,41 +525,35 @@ def _parse_in_workers(path: str, fold: _Fold) -> Dataset | None:
     workers = _fork_workers()
     if not workers:
         return None
-    import multiprocessing
-    # forked, not spawned: a worker starts with numpy already imported, and
-    # runs only csv, json and numpy code
-    ctx = multiprocessing.get_context("fork")
     jobs, columns = list(zip(cuts, cuts[1:])), _columns(header)
-    conns, procs = [], []
+    pids, pipes = [], []
     base = 1                                        # the header is line 1
     try:
         for i in range(workers):
-            conn, child = ctx.Pipe(duplex=False)
-            conns.append(conn)
-            proc = ctx.Process(target=_decode_worker, daemon=True,
-                               args=(child, path, jobs[i::workers], columns, fold))
-            proc.start()
-            procs.append(proc)
-            child.close()
+            read_end, write_end = os.pipe()
+            pipes.append(open(read_end, "rb"))
+            with open(write_end, "wb") as out:      # this process's copy closes once forked
+                if (pid := os.fork()) == 0:
+                    _decode_worker(out, path, jobs[i::workers], columns, fold)
+            pids.append(pid)
         for k in range(len(jobs)):
             i = k % workers
             try:
-                chunk = conns[i].recv()
-            except (EOFError, OSError):
-                procs[i].join()         # its end of the pipe is closed: it has exited
-                raise ParseError("a POLYLINE decoding worker stopped "
-                                 f"(exit code {procs[i].exitcode})") from None
+                chunk = pickle.load(pipes[i])
+            except (EOFError, pickle.UnpicklingError):      # cut short: the worker has exited
+                code = os.waitstatus_to_exitcode(os.waitpid(pids.pop(i), 0)[1])
+                raise ParseError(f"a POLYLINE decoding worker stopped (exit code {code})") from None
             if chunk is None:
                 log.info("%s: a chunk cannot be read alone; parsing in-process", path)
                 return None
             fold.add_chunk(base, chunk)
             base += chunk[0]
     finally:
-        for proc in procs:
-            proc.kill()
-            proc.join()
-        for conn in conns:
-            conn.close()
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for pipe in pipes:
+            pipe.close()
     return _kaggle_dataset(fold, path, workers)
 
 

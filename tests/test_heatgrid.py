@@ -1,11 +1,12 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from helpers import endpoints
-from oracles import full_sort_hotspots, reference_grid_counts
+from oracles import full_sort_hotspots, one_pass_build_grid, reference_grid_counts
 from trajstory.geo import BoundingBox, GeoPoint, meters_per_degree
 from trajstory.geo import as_coords as coords
 from trajstory.errors import ConfigurationError
@@ -136,6 +137,62 @@ class TestBuildGrid:
         counts, out = reference_grid_counts(points, grid.rows, grid.cols, grid.bbox, cell)
         assert grid.counts.tolist() == counts
         assert grid.out_of_bbox == out
+
+
+BOX = BoundingBox(-8.70, 41.05, -8.55, 41.20)
+
+
+def box_coordinates(lo, hi, k, cell_size_m):
+    """One coordinate of ``BOX``'s axis ``[lo, hi]`` (``k`` meters a degree): on a
+    cell edge, on or a float past either end of the box, or anywhere near it."""
+    edges = int((hi - lo) * k // cell_size_m) + 1
+    return st.one_of(st.integers(0, edges).map(lambda j: lo + j * cell_size_m / k),
+                     st.sampled_from([lo, hi, np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)]),
+                     st.floats(lo - 0.05, hi + 0.05))
+
+
+class TestBlockedBinning:
+    """``build_grid`` bins its points in blocks of ``_BLOCK_POINTS``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), block=st.integers(1, 5), explicit=st.booleans(),
+           cell=st.sampled_from([250.0, 333.3, 1000.0]))
+    def test_same_grid_as_the_one_pass_binning(self, data, block, explicit, cell):
+        kx, ky = meters_per_degree(BOX.center.lat)
+        # around a multiple of the block: one short of it, on it, one past it
+        n = data.draw(st.tuples(st.integers(0, 4), st.integers(-1, 1))
+                      .map(lambda kd: max(kd[0] * block + kd[1], 0 if explicit else 1)),
+                      label="points")
+        point = st.tuples(box_coordinates(BOX.min_lon, BOX.max_lon, kx, cell),
+                          box_coordinates(BOX.min_lat, BOX.max_lat, ky, cell))
+        pts = np.array(data.draw(st.lists(point, min_size=n, max_size=n), label="pts"),
+                       dtype=np.float64).reshape(-1, 2)
+        bbox = BOX if explicit else None
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(heatgrid, "_BLOCK_POINTS", block)
+            got = build_grid(pts, cell, bbox)
+        want = one_pass_build_grid(pts, cell, bbox)
+        assert (got.bbox, got.rows, got.cols) == (want.bbox, want.rows, want.cols)
+        assert (got.counts.dtype, got.counts.shape) == (want.counts.dtype, want.counts.shape)
+        assert got.counts.tobytes() == want.counts.tobytes()
+        assert (got.total_in_bbox, got.out_of_bbox) == (want.total_in_bbox, want.out_of_bbox)
+        assert type(got.total_in_bbox) is int
+
+    def test_peak_memory_is_a_fraction_of_the_points(self):
+        """No temporary the size of the input: 200k endpoints bin below a
+        quarter of their own bytes (one pass peaked at 2.6 times them)."""
+        rng = np.random.default_rng(24)
+        pts = np.column_stack([rng.normal(-8.61, 0.03, 200_000),
+                               rng.normal(41.15, 0.02, 200_000)])
+        build_grid(pts)                                 # warm up: lazy imports and caches
+        tracemalloc.start()
+        try:
+            grid = build_grid(pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert grid.total_in_bbox == len(pts)
+        assert peak <= 0.25 * pts.nbytes, (peak, pts.nbytes)
 
 
 class TestTopHotspots:

@@ -4,11 +4,12 @@ import csv
 import io
 import json
 import logging
-import multiprocessing
 import os
+import pickle
 import random
 import re
 import signal
+import sys
 import tempfile
 import threading
 import time
@@ -62,8 +63,7 @@ def select(trips, criterion, trajectory_id=None):
     return parse_dataset(kaggle_csv(kaggle_rows(trips)), "kaggle_porto",
                          (criterion, trajectory_id)).selected
 
-needs_fork = pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
-                                reason="decode workers are forked")
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="decode workers are forked")
 
 
 @contextlib.contextmanager
@@ -612,13 +612,12 @@ class TestAgainstReferenceParser:
             with deadline(), pytest.MonkeyPatch.context() as mp, \
                     tempfile.TemporaryDirectory() as tmp, logged("trajstory.ingest") as lines:
                 mp.setattr("trajstory.ingest._CHUNK_BYTES", 1)
-                forks = []
-                mp.setattr("trajstory.ingest._fork_workers", lambda: forks.append(2) or 2)
+                forks = decode_workers(mp, 2)
                 path = os.path.join(tmp, "trips.csv")
                 with open(path, "w", encoding="utf-8", newline="") as fh:
                     fh.write(text)
                 self.check(text, path)
-            assert multiprocessing.active_children() == []
+            assert forks.reaped()
             # a parse that forks logs "2 decode workers" unless it restarts
             read = sum(", 2 decode workers, " in line for line in lines)
             restarted = sum(line.endswith("; parsing in-process") for line in lines)
@@ -743,8 +742,11 @@ def outcome(text, by_id, path=None):
 
 def certified(text):
     """Whether the block decode certifies ``text``, checked against its final point
-    and point count from the exact path when it does."""
-    ends, n, _, _, _, screened = ingest._decode_block([text])
+    and point count from the exact path when it does; without a selection it
+    gives the same final point and no point counts."""
+    ends, n, _, _, _, screened = ingest._decode_block([text], "longest_by_points")
+    unselected, no_counts = ingest._decode_block([text], None)[:2]
+    assert no_counts is None and unselected.tobytes() == ends.tobytes()
     if screened:
         xy = ingest._decode_polyline(text)
         assert (n.tolist(), ends.tobytes()) == ([len(xy)], xy[-1].tobytes())
@@ -770,7 +772,7 @@ class TestScreen:
         calls = decode_workers(monkeypatch, 2)
         with deadline():
             got = outcome(text, ids, tmp_path / "screen.csv")
-        assert calls == [2] * (len(ids) + 3) and multiprocessing.active_children() == []
+        assert calls == [2] * (len(ids) + 3) and calls.reaped()
         assert "cannot be read alone" not in caplog.text
         decode_workers(monkeypatch, 0)
         monkeypatch.setattr("trajstory.ingest._CANON", NO_SCREEN)
@@ -869,15 +871,46 @@ class TestScreenCoversTheCommonForms:
 
 # -- the chunk-parallel parse ----------------------------------------------------
 
+class Forks(list):
+    """The worker count of each multi-chunk parse; ``pids``, the workers they forked."""
+
+    def __init__(self):
+        super().__init__()
+        self.pids = []
+
+    def reaped(self) -> bool:
+        """Whether each parse forked its workers, and each of them has exited and
+        been waited for. ``os.waitpid`` raises ChildProcessError for a pid that
+        is no longer a child of this process; a worker still running, or exited
+        but not waited for, still is one."""
+        def waited(pid):
+            try:
+                os.waitpid(pid, os.WNOHANG)
+            except ChildProcessError:
+                return True
+            return False
+        return len(self.pids) == sum(self) and all(map(waited, self.pids))
+
+
+_fork = os.fork
+
+
 def decode_workers(monkeypatch, workers):
     """Make every multi-chunk parse use ``workers`` forked workers (0: in-process),
-    whatever the machine's cores; returns the list each such parse appends to."""
-    calls = []
+    whatever the machine's cores; returns the ``Forks`` each such parse appends to."""
+    calls = Forks()
 
     def fork_workers():
         calls.append(workers)
         return workers
+
+    def fork():
+        pid = _fork()
+        if pid:
+            calls.pids.append(pid)
+        return pid
     monkeypatch.setattr("trajstory.ingest._fork_workers", fork_workers)
+    monkeypatch.setattr(os, "fork", fork)
     return calls
 
 
@@ -912,10 +945,10 @@ class TestParallelDecode:
         for trip_id, start_time, read in [("x24", 24, "in 6 chunks, 2 decode workers"),
                                           ("row369", 27, "read alone; parsing in-process")]:
             caplog.clear()
-            decode_workers(monkeypatch, 2)
+            forks = decode_workers(monkeypatch, 2)
             parallel = parse_dataset(path, "kaggle_porto", ("by_id", trip_id))
             assert read in caplog.text
-            assert multiprocessing.active_children() == []
+            assert forks.reaped()
             decode_workers(monkeypatch, 0)
             serial = parse_dataset(path, "kaggle_porto", ("by_id", trip_id))
             assert len(parallel) == len(serial) == 310
@@ -939,7 +972,7 @@ class TestParallelDecode:
         caplog.set_level(logging.INFO, logger="trajstory.ingest")
         got = []
         for source, workers in [(path, 0), (quote_all, 0), (quote_all, 2)]:
-            decode_workers(monkeypatch, workers)
+            forks = decode_workers(monkeypatch, workers)
             for selection in [None, ("by_id", "x24"), ("longest_by_length", None)]:
                 caplog.clear()
                 ds = parse_dataset(str(source), "kaggle_porto", selection)
@@ -948,8 +981,8 @@ class TestParallelDecode:
                 got.append((ds.endpoints.tobytes(), ds.skipped_by_reason,
                             ds.selected and (ds.selected.id, ds.selected.start_time,
                                              ds.selected.coords.tobytes())))
+            assert forks.reaped()
         assert got[3:6] == got[6:] == got[:3]
-        assert multiprocessing.active_children() == []
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes here")
     def test_a_fifo_is_opened_once_and_parsed_in_process(self, tmp_path, monkeypatch):
@@ -997,6 +1030,11 @@ class TestParallelDecode:
         monkeypatch.setattr("multiprocessing.current_process",
                             lambda: types.SimpleNamespace(daemon=True))
         assert ingest._fork_workers() == 0
+        # a process that never imported multiprocessing is no daemon of it
+        monkeypatch.delitem(sys.modules, "multiprocessing")
+        assert ingest._fork_workers() == 2
+        monkeypatch.delattr(os, "fork")
+        assert ingest._fork_workers() == 0
 
     @staticmethod
     def third_block_fault_csv(path, fault: bytes):
@@ -1020,7 +1058,7 @@ class TestParallelDecode:
             code = main(["ingest", str(path)])
             results.append((code, capsys.readouterr().err))
             assert calls == [workers]
-            assert multiprocessing.active_children() == []
+            assert calls.reaped()
         return results
 
     def test_csv_error_in_the_third_block(self, tmp_path, monkeypatch, capsys):
@@ -1040,27 +1078,55 @@ class TestParallelDecode:
         assert "not UTF-8" in parallel[1]
 
     # A worker dies on its first job, while its sibling still decodes ahead of
-    # the reader, or on the file's last chunk, once the reader has folded all
-    # that its sibling sent.
-    @pytest.mark.parametrize("dies_on", ["first job", "last chunk"])
+    # the reader, on the file's last chunk, once the reader has folded all
+    # that its sibling sent, or after writing half its first answer.
+    @pytest.mark.parametrize("dies_on", ["first job", "last chunk", "half an answer"])
     def test_a_worker_that_dies_is_a_parse_error(self, tmp_path, monkeypatch, capsys, dies_on):
         path = self.synth_csv(tmp_path / "trips.csv")
         last = "[[-8.6001,41.1001],[-8.6002,41.1002]]"
         with open(path, "a", encoding="utf-8", newline="") as fh:
             fh.write(f'last,A,,,1,0,A,False,"{last}"\n')
         monkeypatch.setattr("trajstory.ingest._CHUNK_BYTES", 65536)
-        parent, decode = os.getpid(), ingest._decode_block
+        parent, decode, dump = os.getpid(), ingest._decode_block, pickle.dump
 
-        def die_in_a_worker(texts, by_length):
+        def die_in_a_worker(texts, criterion):
             if os.getpid() != parent and (dies_on == "first job" or texts[-1] == last):
                 os._exit(7)
-            return decode(texts, by_length)
-        monkeypatch.setattr("trajstory.ingest._decode_block", die_in_a_worker)
-        decode_workers(monkeypatch, 2)
+            return decode(texts, criterion)
+
+        def die_mid_answer(obj, file, *args):
+            if os.getpid() != parent:
+                data = pickle.dumps(obj, *args)
+                file.write(data[:len(data) // 2])
+                file.flush()
+                os._exit(7)
+            dump(obj, file, *args)
+        if dies_on == "half an answer":
+            monkeypatch.setattr(pickle, "dump", die_mid_answer)
+        else:
+            monkeypatch.setattr("trajstory.ingest._decode_block", die_in_a_worker)
+        calls = decode_workers(monkeypatch, 2)
         code = main(["ingest", str(path)])
         assert code == 3
         assert "decoding worker stopped (exit code 7)" in capsys.readouterr().err
-        assert multiprocessing.active_children() == []
+        assert calls.reaped()
+
+    def test_an_error_in_a_worker_prints_its_traceback(self, tmp_path, monkeypatch, capfd):
+        path = self.synth_csv(tmp_path / "trips.csv")
+        monkeypatch.setattr("trajstory.ingest._CHUNK_BYTES", 65536)
+        parent, decode = os.getpid(), ingest._decode_block
+
+        def fail_in_a_worker(texts, criterion):
+            if os.getpid() != parent:
+                raise ValueError("not a decode")
+            return decode(texts, criterion)
+        monkeypatch.setattr("trajstory.ingest._decode_block", fail_in_a_worker)
+        calls = decode_workers(monkeypatch, 2)
+        assert main(["ingest", str(path)]) == 3
+        err = capfd.readouterr().err
+        assert "decoding worker stopped (exit code 1)" in err
+        assert "Traceback (most recent call last):" in err and "ValueError: not a decode" in err
+        assert calls.reaped()
 
     def test_an_interrupt_leaves_no_worker(self, tmp_path, monkeypatch):
         path = self.synth_csv(tmp_path / "trips.csv")
@@ -1068,11 +1134,11 @@ class TestParallelDecode:
         parent, decode, add_chunk = os.getpid(), ingest._decode_block, ingest._Fold.add_chunk
         decoded = []                            # a worker counts its jobs in its own copy
 
-        def stall_in_a_worker(texts, by_length):
+        def stall_in_a_worker(texts, criterion):
             decoded.append(len(texts))
             if os.getpid() != parent and len(decoded) > 1:
                 time.sleep(600)                 # still busy when the interrupt comes
-            return decode(texts, by_length)
+            return decode(texts, criterion)
 
         def interrupt_at_the_second_chunk(fold, base, chunk):
             if base > 1:
@@ -1083,7 +1149,7 @@ class TestParallelDecode:
         calls = decode_workers(monkeypatch, 2)
         with pytest.raises(KeyboardInterrupt):
             parse_dataset(str(path), "kaggle_porto")
-        assert calls == [2] and multiprocessing.active_children() == []
+        assert calls == [2] and calls.reaped()
 
 
 # -- the bulk reader and the chunk cuts --------------------------------------
@@ -1291,7 +1357,7 @@ class TestChunkCuts:
                 assert got == [parse], (chunk_bytes, selection)
                 how += self.how_read(lines)
             assert how == read[chunk_bytes], chunk_bytes
-            assert calls == [2] * len(selections) and multiprocessing.active_children() == []
+            assert calls == [2] * len(selections) and calls.reaped()
         return want
 
     def test_same_trips_skips_and_picks(self, tmp_path, monkeypatch):
@@ -1339,9 +1405,9 @@ class TestChunkCuts:
         assert "error.csv: line 12: field larger than field limit (100)" in want[1][2]
         for chunk_bytes in self.CHUNK_BYTES:
             monkeypatch.setattr("trajstory.ingest._CHUNK_BYTES", chunk_bytes)
-            decode_workers(monkeypatch, 2)
+            calls = decode_workers(monkeypatch, 2)
             assert [ingest_outputs(ok), ingest_outputs(error)] == want, chunk_bytes
-            assert multiprocessing.active_children() == []
+            assert calls.reaped()
 
 
 # -- the fold: chunk by chunk, the same as all at once ---------------------------
@@ -1404,7 +1470,7 @@ class TestFoldAcrossBlocks:
             else:
                 t = ds.selected
                 picks[selection[0]] = (t.id, t.start_time, t.coords.tobytes())
-        assert calls == [workers] * 4 and multiprocessing.active_children() == []
+        assert calls == [workers] * 4 and calls.reaped()
         return ends, skips, n, picks
 
     def test_same_as_the_reference_rule_in_process_and_through_the_workers(
@@ -1441,12 +1507,12 @@ class TestFoldAcrossBlocks:
         from trajstory.story import NarrativeSpec
         path = self.write(tmp_path / "fold.csv")
         monkeypatch.setattr("trajstory.ingest._CHUNK_BYTES", 300)
-        decode_workers(monkeypatch, 2)
+        calls = decode_workers(monkeypatch, 2)
         req = StoryRequest(dataset_path=path, spec=NarrativeSpec(mode="single_trajectory"),
                            selection="by_id", selection_id="nope")
         with pytest.raises(NotFoundError, match="nope"):
             run_steps(req, ("ingest", "analytics"))
-        assert multiprocessing.active_children() == []
+        assert calls == [2] and calls.reaped()
 
 
 def test_parse_memory_grows_with_trips_not_points(tmp_path, monkeypatch):
@@ -1505,7 +1571,7 @@ class TestPickRule:
             calls = decode_workers(monkeypatch, workers)
             with deadline(), logged("trajstory.ingest") as lines:
                 t = parse_dataset(str(path), "kaggle_porto", ("by_id", trip_id)).selected
-            assert calls == [workers] and multiprocessing.active_children() == []
+            assert calls == [workers] and calls.reaped()
             assert (t and (t.id, t.start_time, t.coords.tolist())) == want
             assert any("a chunk cannot be read alone" in line for line in lines) == \
                 (workers > 0 and trip_id.startswith("row"))

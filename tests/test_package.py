@@ -98,3 +98,23 @@ def test_validate_and_map_never_import_synth(tmp_path, story_and_route, command)
     assert code == 0
     assert {"trajstory.pipeline", "numpy"} <= names
     assert "trajstory.synth" not in names
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="decode workers are forked")
+def test_a_worker_parse_imports_no_multiprocessing(tmp_path):
+    """Two decode workers parse a file of six chunks, forked without importing
+    multiprocessing and the modules it brings."""
+    from trajstory.synth import SyntheticSpec, generate_dataset, write_kaggle_csv
+    path = tmp_path / "trips.csv"
+    write_kaggle_csv(generate_dataset(SyntheticSpec(seed=11, n_trajectories=300)), path,
+                     bad_rows=40, seed=4)
+    proc = python("-c", "import logging, os, sys\n"
+                        "from trajstory import ingest\n"
+                        "logging.basicConfig(level=logging.INFO)\n"
+                        "ingest._CHUNK_BYTES = 65536\n"
+                        "os.sched_getaffinity = lambda pid: {0, 1}   # two usable cores\n"
+                        f"ingest.parse_dataset({str(path)!r}, 'kaggle_porto')\n"
+                        "print('multiprocessing' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert "in 6 chunks, 2 decode workers, " in proc.stderr
+    assert proc.stdout == "False\n"
