@@ -21,10 +21,12 @@ from trajstory.geo import GeoPoint, Polyline
 from trajstory.heatgrid import build_grid, top_hotspots
 from trajstory.ingest import Trajectory, parse_dataset, trajectory_digest
 from trajstory.mapdoc import emit_map, render_geojson, render_html
-from trajstory.pipeline import write_files
+from trajstory.pipeline import StoryRequest, write_files
 from trajstory.story import NarrativeSpec, Story, count_words, extract_mentions
 from trajstory.synth import PORTO_BBOX, SyntheticSpec, generate_dataset, write_kaggle_csv
-from trajstory.validation import GroundingPolicy, GroundingRule, validate_story
+from trajstory.validation import GroundingRule, validate_story
+
+THRESHOLD_M = StoryRequest().trajectory_threshold_m
 
 DOWNTOWN = (-8.6260, 41.1390, -8.6050, 41.1500)
 # 13 places on the walk's ground and 5 well away from it
@@ -90,7 +92,7 @@ def test_validate_story_18_names(benchmark, walk, gazetteer):
                   spec=NarrativeSpec(mode="single_trajectory", min_pois=0, max_words=10**6))
 
     def grade():        # a fresh rule builds its Polyline table, as one validate run does
-        return validate_story(story, GroundingRule(GroundingPolicy(), walk, along_path=True),
+        return validate_story(story, GroundingRule(walk, THRESHOLD_M, along_path=True),
                               gazetteer)
     report = benchmark(grade)
     assert len(report.per_poi) == len(NAMES)
@@ -112,7 +114,7 @@ def test_parse_point_list_50k(benchmark, walk_file, walk):
 
 def test_first_in_reach_fixture_pool(benchmark, walk, gazetteer):
     """Discovery's search on the walk: the first segment in reach of each known place."""
-    rule = GroundingRule(GroundingPolicy(), walk, along_path=True)
+    rule = GroundingRule(walk, THRESHOLD_M, along_path=True)
     pois = gazetteer.known_pois(PORTO_BBOX)
     reach = benchmark(lambda: [rule.first_in_reach(poi.location) for poi in pois])
     assert any(reach)

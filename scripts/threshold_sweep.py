@@ -4,7 +4,8 @@ Builds a story along a downtown walking route whose vertices sit on known
 fixture POIs, plants five far-away fixture POIs into it, then validates at
 a range of trajectory distance thresholds. Low thresholds flag honest
 mentions too (precision drops); very high thresholds let the planted ones
-through (recall drops). The default policy (500 m) sits in the wide flat
+through (recall drops). The default trajectory threshold
+(``StoryRequest().trajectory_threshold_m``, 500 m) sits in the wide flat
 region where both are 1.0.
 """
 
@@ -17,7 +18,7 @@ from trajstory.pipeline import discover
 from trajstory.story import (NarrativeSpec, StoryContext, TemplateBackend,
                              generate_story)
 from trajstory.synth import ScriptedBackend
-from trajstory.validation import GroundingPolicy, GroundingRule, validate_story
+from trajstory.validation import GroundingRule, validate_story
 
 ROUTE_NAMES = [
     "Palácio de Cristal Gardens", "Igreja do Carmo", "Livraria Lello",
@@ -41,8 +42,7 @@ def main(argv=None):
     gaz = Gazetteer(GazetteerConfig())
     route = as_coords(gaz.geocode(name).location for name in ROUTE_NAMES)
     # the honest story's material: the places within 250 m of the route
-    candidates = discover(gaz, GroundingRule(GroundingPolicy(trajectory_threshold_m=250.0),
-                                             route, along_path=True))
+    candidates = discover(gaz, GroundingRule(route, 250.0, along_path=True))
 
     spec = NarrativeSpec(mode="single_trajectory", min_pois=10, max_words=400)
     ctx = StoryContext(data_summary="a downtown walking route",
@@ -56,8 +56,7 @@ def main(argv=None):
     print(f"{'threshold_m':>11}  {'flagged':>7}  {'precision':>9}  {'recall':>6}")
 
     for threshold in args.thresholds:
-        rule = GroundingRule(GroundingPolicy(trajectory_threshold_m=threshold), route,
-                             along_path=True)
+        rule = GroundingRule(route, threshold, along_path=True)
         report = validate_story(story, rule, gaz)
         flagged = {p.name for p in report.flagged()}
         hits = len(flagged & planted)

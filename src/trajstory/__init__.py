@@ -22,7 +22,7 @@ _EXPORTS = {
     "pipeline": "RunState StoryRequest execute plan write_bundle",
     "story": "NarrativeSpec RemoteBackend Story StoryBackend StoryContext TemplateBackend "
              "build_prompt count_words extract_mentions generate_story strip_markup",
-    "validation": "GroundingPolicy GroundingRule ValidationReport feedback_text validate_story",
+    "validation": "GroundingRule ValidationReport feedback_text validate_story",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 

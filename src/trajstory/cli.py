@@ -92,12 +92,10 @@ CONFIG_KEYS = {
     "max_words": (int, "--max-words", "NarrativeSpec", "max_words"),
     "min_pois": (int, "--min-pois", "NarrativeSpec", "min_pois"),
     "include_blurbs": (_bool, "--include-blurbs", "NarrativeSpec", "include_blurbs"),
-    "trajectory_threshold_m": (_float, "--trajectory-threshold", "GroundingPolicy",
+    "trajectory_threshold_m": (_float, "--trajectory-threshold", "StoryRequest",
                                "trajectory_threshold_m"),
-    "hotspot_threshold_m": (_float, "--hotspot-threshold", "GroundingPolicy",
+    "hotspot_threshold_m": (_float, "--hotspot-threshold", "StoryRequest",
                             "hotspot_threshold_m"),
-    "require_geocode": (_bool, None, "GroundingPolicy", "require_geocode"),
-    "min_grounded_fraction": (_float, None, "GroundingPolicy", "min_grounded_fraction"),
     "offline": (_bool, "--offline", "GazetteerConfig", "offline_only"),
     "gazetteer_url": (str, None, "GazetteerConfig", "base_url"),
     "rate_limit": (_float, None, "GazetteerConfig", "rate_limit"),
@@ -160,10 +158,9 @@ def _build(cls, values: dict[str, object], **given):
 
 
 def build_request(values: dict[str, object]) -> StoryRequest:
-    from . import gazetteer, pipeline, story, validation
+    from . import gazetteer, pipeline, story
     spec = _build(story.NarrativeSpec, values)
     return _build(pipeline.StoryRequest, values, spec=spec,
-                  policy=_build(validation.GroundingPolicy, values),
                   gazetteer=_build(gazetteer.GazetteerConfig, values))
 
 

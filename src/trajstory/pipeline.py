@@ -28,11 +28,11 @@ from .heatgrid import (DEFAULT_CELL_SIZE_M, HeatGrid, Hotspot, build_grid,
                        summarize_for_story, top_hotspots)
 from .ingest import (SCHEMAS, SELECTION_CRITERIA, Dataset, Trajectory, parse_dataset,
                      trajectory_digest)
-from .mapdoc import (DEFAULT_CLUSTER_DISTANCE_M, MapDocument, _padded_bbox, emit_map,
-                     render_geojson, render_html)
+from .mapdoc import (DEFAULT_CLUSTER_DISTANCE_M, MapDocument, emit_map, render_geojson,
+                     render_html)
 from .story import (NarrativeSpec, Story, StoryBackend, StoryContext,
                     build_prompt, generate_story, story_to_dict)
-from .validation import (GroundingPolicy, GroundingRule, ValidationReport, feedback_text,
+from .validation import (GroundingRule, ValidationReport, feedback_text,
                          malformed_story_report, report_to_dict, summarize_report,
                          validate_story)
 
@@ -43,7 +43,6 @@ class StoryRequest:
 
     dataset_path: str = ""
     spec: NarrativeSpec = field(default_factory=NarrativeSpec)
-    policy: GroundingPolicy = field(default_factory=GroundingPolicy)
     gazetteer: GazetteerConfig = field(default_factory=GazetteerConfig)
     selection: str = "longest_by_points"
     selection_id: str | None = None
@@ -52,6 +51,8 @@ class StoryRequest:
     dataset_schema: str = "kaggle_porto"
     cell_size_m: float = DEFAULT_CELL_SIZE_M
     cluster_distance_m: float = DEFAULT_CLUSTER_DISTANCE_M
+    trajectory_threshold_m: float = 500.0     # grounding reach along the selected trip
+    hotspot_threshold_m: float = 1000.0       # grounding reach around each hotspot center
     region_name: str = "Porto"
 
 
@@ -116,8 +117,8 @@ def _ingest(run: RunState) -> str:
 def _hotspot_analytics(run: RunState) -> str:
     run.grid = build_grid(run.ds.endpoints, cell_size_m=run.req.cell_size_m)
     run.hotspots = top_hotspots(run.grid, run.req.hotspot_k)
-    run.rule = GroundingRule(run.req.policy, as_coords(h.center for h in run.hotspots),
-                             along_path=False)
+    run.rule = GroundingRule(as_coords(h.center for h in run.hotspots),
+                             run.req.hotspot_threshold_m, along_path=False)
     return f"{run.grid.rows}x{run.grid.cols} grid, {len(run.hotspots)} hotspots"
 
 
@@ -125,7 +126,7 @@ def _route_analytics(run: RunState) -> str:
     run.traj = run.ds.selected
     if run.traj is None:        # a dataset with trips lacks only a by_id trip
         raise NotFoundError(f"no trajectory with id {run.req.selection_id!r}")
-    run.rule = GroundingRule(run.req.policy, run.traj.coords, along_path=True)
+    run.rule = GroundingRule(run.traj.coords, run.req.trajectory_threshold_m, along_path=True)
     return f"selected {run.traj.id} ({len(run.traj.coords)} points)"
 
 
@@ -171,12 +172,8 @@ def _validate(run: RunState) -> str:
 def _emit(run: RunState) -> str:
     grounded = [POI(name=p.name, location=p.location, source="report")
                 for p in run.report.per_poi if p.verdict == "grounded"]
-    if grounded or run.traj is not None:
-        run.doc = emit_map(grounded, trajectory=run.traj,
-                           cluster_distance_m=run.req.cluster_distance_m)
-    else:
-        run.doc = MapDocument(markers=[], path=None, legend=[],
-                              bbox=_padded_bbox(run.rule.evidence))
+    run.doc = emit_map(grounded, trajectory=run.traj,
+                       cluster_distance_m=run.req.cluster_distance_m)
     return f"{len(run.doc.markers)} markers, {len(run.doc.legend)} legend rows"
 
 
@@ -198,8 +195,9 @@ def plan(req: StoryRequest) -> list[Step]:
         problems.append(f"max_retries must be >= 1, got {req.max_retries}")
     if req.cell_size_m <= 0:
         problems.append(f"cell_size_m must be > 0, got {req.cell_size_m}")
-    if req.cluster_distance_m < 0:
-        problems.append(f"cluster_distance_m must be >= 0, got {req.cluster_distance_m}")
+    for key in ("cluster_distance_m", "trajectory_threshold_m", "hotspot_threshold_m"):
+        if getattr(req, key) < 0:
+            problems.append(f"{key} must be >= 0, got {getattr(req, key)}")
     if mode == "heatmap" and req.hotspot_k < 1:
         problems.append(f"hotspot_k must be >= 1, got {req.hotspot_k}")
     if mode == "single_trajectory":

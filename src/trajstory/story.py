@@ -227,9 +227,7 @@ class TemplateBackend:
             sentences.append(chosen)
             budget -= count_words(chosen)
 
-        act2 = " ".join(sentences)
-        parts = [act1] + ([act2] if act2 else []) + [act3]
-        return "\n\n".join(parts) + "\n"
+        return "\n\n".join([act1, " ".join(sentences), act3]) + "\n"
 
 
 # -- remote backend --------------------------------------------------------

@@ -4,7 +4,8 @@ A mention is only as good as its distance to the evidence: each named POI
 is geocoded and measured against the trajectory (or the hotspot centers),
 and anything too far out is flagged as a spatial hallucination. Discovery
 offers places by the same ``GroundingRule``. Structural checks cover the
-word cap, the POI quota, and markup health.
+word cap, the POI quota, and markup health. A story passes only when every
+distinct place it names is grounded and every structural check passes.
 """
 
 from __future__ import annotations
@@ -23,38 +24,18 @@ UNGEOCODABLE = "ungeocodable"
 HALLUCINATION = "spatial_hallucination"
 
 
-@dataclass
-class GroundingPolicy:
-    """Distance thresholds and strictness knobs for spatial grounding."""
-
-    trajectory_threshold_m: float = 500.0
-    hotspot_threshold_m: float = 1000.0
-    require_geocode: bool = True
-    min_grounded_fraction: float = 1.0
-
-    def __post_init__(self):
-        if self.trajectory_threshold_m < 0 or self.hotspot_threshold_m < 0:
-            raise ValueError("grounding thresholds must be >= 0")
-        if not 0.0 <= self.min_grounded_fraction <= 1.0:
-            raise ValueError(
-                f"min_grounded_fraction must be in [0, 1], got {self.min_grounded_fraction}")
-
-
 @dataclass(frozen=True, eq=False)
 class GroundingRule:
     """A place is grounded when some piece of evidence lies within ``threshold_m``.
 
-    The analytics step builds one per run, from the policy and its evidence.
+    The analytics step builds one per run, from its evidence and the mode's
+    threshold: ``trajectory_threshold_m`` along a trip, ``hotspot_threshold_m``
+    around the hotspot centers.
     """
 
-    policy: GroundingPolicy
     evidence: np.ndarray        # (N, 2) lon/lat: the trip's points, or the hotspot centers by rank
+    threshold_m: float
     along_path: bool            # the pieces are the trip's segments, in route order
-
-    @property
-    def threshold_m(self) -> float:
-        policy = self.policy
-        return policy.trajectory_threshold_m if self.along_path else policy.hotspot_threshold_m
 
     @cached_property
     def _path(self) -> Polyline:
@@ -109,15 +90,6 @@ class ValidationReport:
         return [p for p in self.per_poi if p.verdict == UNGEOCODABLE]
 
 
-def _grounded_fraction(per_poi: list[PoiVerdict], policy: GroundingPolicy) -> float:
-    grounded = sum(1 for p in per_poi if p.verdict == GROUNDED)
-    if policy.require_geocode:
-        denom = len(per_poi)
-    else:
-        denom = sum(1 for p in per_poi if p.verdict != UNGEOCODABLE)
-    return grounded / denom if denom else 1.0
-
-
 def distinct_names(mentions: list[Mention]) -> list[str]:
     """The first spelling of each place, by normalized name, in story order."""
     display: dict[str, str] = {}
@@ -129,10 +101,12 @@ def distinct_names(mentions: list[Mention]) -> list[str]:
 def validate_story(story: Story, rule: GroundingRule, gazetteer: Gazetteer) -> ValidationReport:
     """Grade one story: spatial verdict per distinct POI plus structural checks.
 
-    Mentions are deduplicated by normalized name first, so repeating a name
-    can neither pad the POI quota nor double-penalize a miss. Gazetteer
-    transport failures surface as InfrastructureError (retry material), not
-    as a failing report.
+    The story passes when every verdict is ``grounded`` and every structural
+    check passed; ``grounded_fraction`` is grounded / distinct places (1.0
+    when it names none). Mentions are deduplicated by normalized name first,
+    so repeating a name can neither pad the POI quota nor double-penalize a
+    miss. Gazetteer transport failures surface as InfrastructureError (retry
+    material), not as a failing report.
     """
     spec = story.spec
     names = distinct_names(story.mentions)
@@ -156,10 +130,11 @@ def validate_story(story: Story, rule: GroundingRule, gazetteer: Gazetteer) -> V
                         f"{story.word_count} words, cap {spec.max_words}"),
         StructuralCheck("markup", True, f"{len(story.mentions)} spans parsed"),
     ]
-    fraction = _grounded_fraction(per_poi, rule.policy)
-    overall = fraction >= rule.policy.min_grounded_fraction and all(c.passed for c in structural)
+    grounded = sum(1 for p in per_poi if p.verdict == GROUNDED)
+    overall = grounded == len(per_poi) and all(c.passed for c in structural)
     return ValidationReport(per_poi=per_poi, structural=structural,
-                            grounded_fraction=fraction, overall=overall)
+                            grounded_fraction=grounded / len(per_poi) if per_poi else 1.0,
+                            overall=overall)
 
 
 def malformed_story_report(detail: str) -> ValidationReport:

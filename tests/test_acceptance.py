@@ -24,7 +24,7 @@ from trajstory.story import (NarrativeSpec, StoryContext, TemplateBackend,
                              generate_story)
 from trajstory.synth import (PORTO_BBOX, ScriptedBackend, SyntheticSpec,
                              generate_dataset, write_kaggle_csv)
-from trajstory.validation import GroundingPolicy, GroundingRule, validate_story
+from trajstory.validation import GroundingRule, validate_story
 
 SEED = 20260825
 
@@ -50,8 +50,7 @@ def test_criterion_1_offline_heatmap_story(cluster_csv):
 def test_criterion_2_hallucination_separation(gazetteer, central_route):
     """Legit mentions hug the route; five planted far POIs get flagged, exactly."""
     route = coords(central_route)
-    candidates = discover(gazetteer, GroundingRule(
-        GroundingPolicy(trajectory_threshold_m=250.0), route, along_path=True))
+    candidates = discover(gazetteer, GroundingRule(route, 250.0, along_path=True))
     assert len(candidates) >= 10
     for poi in candidates:
         d = point_to_polyline_distance(poi.location, coords(central_route))
@@ -68,8 +67,8 @@ def test_criterion_2_hallucination_separation(gazetteer, central_route):
         assert d > 2000.0, f"{poi.name} only {d:.1f} m out"
     doctored = inject_hallucinations(story, far)
 
-    report = validate_story(doctored, GroundingRule(GroundingPolicy(), route, along_path=True),
-                            gazetteer)
+    rule = GroundingRule(route, StoryRequest().trajectory_threshold_m, along_path=True)
+    report = validate_story(doctored, rule, gazetteer)
     flagged = {p.name for p in report.flagged()}
     planted = set(FAR_POI_NAMES)
     assert flagged == planted

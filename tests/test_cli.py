@@ -607,8 +607,14 @@ LATIN1_STORY = "Past [[POI: São Bento Station]].\n".encode("latin-1")
 @pytest.mark.parametrize("command, config, story, flags, code, message, fixture", [
     ("story", None, None, ["--max-words", "0"], 2, "max_words must be positive", None),
     ("story", b"rate_limit = 0\n", None, [], 2, "rate_limit must be positive", None),
-    ("story", b"min_grounded_fraction = 2\n", None, [], 2,
-     "min_grounded_fraction must be in [0, 1]", None),
+    ("story", b"require_geocode = false\n", None, [], 2,
+     "unknown config key 'require_geocode'", None),
+    ("story", b"min_grounded_fraction = 0.5\n", None, [], 2,
+     "unknown config key 'min_grounded_fraction'", None),
+    ("validate", None, b"[[POI: Ribeira]]\n", ["--trajectory-threshold", "-1"], 2,
+     "trajectory_threshold_m must be >= 0", None),
+    ("validate", None, b"[[POI: Ribeira]]\n", ["--hotspot-threshold", "-0.5"], 2,
+     "hotspot_threshold_m must be >= 0", None),
     ("story", b"hotspot_threshold_m = nan\n", None, [], 2, "expected a finite number", None),
     ("story", b"max_words = many\n", None, [], 2, "config key max_words", None),
     ("story", b"max_word = 80\n", None, [], 2, "unknown config key 'max_word'", None),
@@ -638,7 +644,9 @@ LATIN1_STORY = "Past [[POI: São Bento Station]].\n".encode("latin-1")
     ("validate", None, b"[[POI: Ribeira]]\n", [], 2,
      "places.csv: line 3: not UTF-8 text",
      "name,lon,lat\nRibeira,-8.6,41.1\nS\xe3o Bento,-8.61,41.15\n".encode("latin-1")),
-], ids=["max-words-0", "rate-limit-0", "fraction-2", "nan", "not-a-number",
+], ids=["max-words-0", "rate-limit-0", "removed-require-geocode",
+        "removed-min-grounded-fraction", "negative-trajectory-threshold",
+        "negative-hotspot-threshold", "nan", "not-a-number",
         "unknown-key", "latin1-config", "latin1-config-validate",
         "latin1-story-validate", "latin1-story-map", "map-negative-cluster-distance",
         "removed-discovery-radius", "removed-trajectory-samples", "oversized-grid",
@@ -773,7 +781,7 @@ class TestStoryValidateParity:
                     "mode = single_trajectory\n"
                     "trajectory_threshold_m = 400\nmin_pois = 5\nmax_words = 200\n")
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(keys + "require_geocode = false\nmin_grounded_fraction = 0.9\n")
+        cfg.write_text(keys)
         story_dir, validate_dir = tmp_path / "story", tmp_path / "validate"
         code, _, _ = run(capsys, "story", "--config", str(cfg),
                          "--output-dir", str(story_dir))

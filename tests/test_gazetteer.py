@@ -10,7 +10,7 @@ from trajstory.gazetteer import (Gazetteer, GazetteerConfig, POI,
                                  default_fixture_path, normalize_name)
 from trajstory.geo import BoundingBox, GeoPoint, as_coords
 from trajstory.pipeline import discover
-from trajstory.validation import GroundingPolicy, GroundingRule
+from trajstory.validation import GroundingRule
 
 ALIADOS = GeoPoint(-8.6107, 41.1480)
 WORLD = BoundingBox(-180.0, -90.0, 180.0, 90.0)
@@ -403,8 +403,7 @@ class TestRateLimit:
 
 def pois_near(gaz, center, radius_m):
     """The pipeline's discovery around one hotspot center grounded within ``radius_m``."""
-    rule = GroundingRule(GroundingPolicy(hotspot_threshold_m=radius_m), as_coords([center]),
-                         along_path=False)
+    rule = GroundingRule(as_coords([center]), radius_m, along_path=False)
     return discover(gaz, rule)
 
 

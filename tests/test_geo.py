@@ -11,7 +11,7 @@ from oracles import (dense_polyline_distance, dense_polyline_distance_spaced,
 from trajstory.geo import (EARTH_RADIUS_M, BoundingBox, GeoPoint, Polyline, arc_m,
                            bbox_of_coords, bbox_within, first_within, meters_per_degree)
 from trajstory.geo import as_coords as coords
-from trajstory.validation import GroundingPolicy, GroundingRule
+from trajstory.validation import GroundingRule
 
 
 def segment_h(p, line):
@@ -244,8 +244,7 @@ class TestAgainstScalarReference:
         assert [arc_m(h) for h in segment_h(q, coords(line))] == want
         assert point_to_polyline_distance(q, coords(line)) == min(want)
         threshold = self.thresholds(data, want)
-        rule = GroundingRule(GroundingPolicy(trajectory_threshold_m=max(threshold, 0.0)),
-                             coords(line), along_path=True)
+        rule = GroundingRule(coords(line), max(threshold, 0.0), along_path=True)
         assert rule.nearest(q) == min(want)
         assert rule.first_in_reach(q) == reference_first_in_reach(want, rule.threshold_m)
 
@@ -255,8 +254,7 @@ class TestAgainstScalarReference:
         q = data.draw(porto_places | st.sampled_from(centers))
         want = [haversine_distance(q, c) for c in centers]
         threshold = self.thresholds(data, want)
-        rule = GroundingRule(GroundingPolicy(hotspot_threshold_m=max(threshold, 0.0)),
-                             coords(centers), along_path=False)
+        rule = GroundingRule(coords(centers), max(threshold, 0.0), along_path=False)
         assert rule.nearest(q) == min(want)
         assert rule.first_in_reach(q) == reference_first_in_reach(want, rule.threshold_m)
 
@@ -333,8 +331,7 @@ class TestBoundedSearch:
         threshold = data.draw(st.floats(0.0, 2e6) | exact
                               | exact.map(lambda d: math.nextafter(d, -math.inf)))
         threshold = max(threshold, 0.0)
-        rule = GroundingRule(GroundingPolicy(trajectory_threshold_m=threshold), arr,
-                             along_path=True)
+        rule = GroundingRule(arr, threshold, along_path=True)
         assert rule.nearest(q) == min(distances)
         assert point_to_polyline_distance(q, arr) == min(distances)
         assert rule.first_in_reach(q) == first_within(full, threshold)
@@ -369,7 +366,7 @@ class TestBoundedSearch:
         # bad vertex is still found first
         arr = np.array([(-8.61, 41.14), (-8.62, 41.15), (bad, 41.15), (-8.60, 41.14)])
         q = GeoPoint(-8.615, 41.145)
-        rule = GroundingRule(GroundingPolicy(), arr, along_path=True)
+        rule = GroundingRule(arr, 500.0, along_path=True)
         with np.errstate(invalid="ignore"):
             full = full_segment_h(q, arr)
             assert math.isnan(rule.nearest(q)) and math.isnan(arc_m(full.min()))

@@ -18,7 +18,7 @@ from trajstory.pipeline import (StoryRequest, discover, execute, plan, run_steps
 from trajstory.story import (NarrativeSpec, Story, TemplateBackend, count_words,
                              extract_mentions)
 from trajstory.synth import ScriptedBackend, write_kaggle_csv
-from trajstory.validation import GROUNDED, GroundingPolicy, GroundingRule, validate_story
+from trajstory.validation import GROUNDED, GroundingRule, validate_story
 
 GOOD_STORY = "The day ends at [[POI: Avenida dos Aliados]].\n"
 UNPARSEABLE = "a story with no markup at all\n"
@@ -70,8 +70,7 @@ class TestPlan:
         for poi in run.story_ctx.candidate_pois:
             assert min(haversine_distance(poi.location, c) for c in centers) <= 1000.0
         # validate grades against the hotspot threshold
-        lenient = replace(req, policy=GroundingPolicy(trajectory_threshold_m=0.0,
-                                                      hotspot_threshold_m=1e7))
+        lenient = replace(req, trajectory_threshold_m=0.0, hotspot_threshold_m=1e7)
         graded = run_steps(lenient, ("ingest", "analytics", "validate"),
                            story=far_story("heatmap"))
         assert graded.report.overall
@@ -93,8 +92,7 @@ class TestPlan:
         for poi in run.story_ctx.candidate_pois:
             assert point_to_polyline_distance(poi.location, run.traj.coords) <= 500.0
         # validate grades against the trajectory threshold
-        lenient = replace(req, policy=GroundingPolicy(trajectory_threshold_m=1e7,
-                                                      hotspot_threshold_m=0.0))
+        lenient = replace(req, trajectory_threshold_m=1e7, hotspot_threshold_m=0.0)
         graded = run_steps(lenient, ("ingest", "analytics", "validate"),
                            story=far_story("single_trajectory"))
         assert graded.report.overall
@@ -105,8 +103,9 @@ class TestPlan:
         assert all(callable(fn) for _, fn in plan(req))
 
     def test_all_violations_reported_at_once(self, cluster_csv):
-        req = heatmap_request(cluster_csv, max_retries=0,
-                              cluster_distance_m=-5.0, cell_size_m=0.0)
+        req = heatmap_request(cluster_csv, max_retries=0, cluster_distance_m=-5.0,
+                              cell_size_m=0.0, trajectory_threshold_m=-1.0,
+                              hotspot_threshold_m=-0.5)
         with pytest.raises(ConfigurationError) as err:
             plan(req)
         msg = str(err.value)
@@ -114,6 +113,8 @@ class TestPlan:
         assert "max_retries" in msg
         assert "cluster_distance_m" in msg
         assert "cell_size_m" in msg
+        assert "trajectory_threshold_m must be >= 0, got -1.0" in msg
+        assert "hotspot_threshold_m must be >= 0, got -0.5" in msg
 
     def test_by_id_needs_an_id(self, cluster_csv):
         req = StoryRequest(dataset_path=str(cluster_csv),
@@ -158,7 +159,7 @@ class TestExecuteSingleTrajectory:
             dataset_path=str(route_file), dataset_schema="point_list",
             spec=NarrativeSpec(mode="single_trajectory", min_pois=5,
                                max_words=200),
-            policy=GroundingPolicy(trajectory_threshold_m=300.0))
+            trajectory_threshold_m=300.0)
 
     def test_route_story_grounds_on_the_path(self, route_file, central_route):
         run = execute(self.request(route_file), TemplateBackend())
@@ -200,9 +201,7 @@ class TestDiscovery:
 
     @staticmethod
     def rule(evidence, threshold_m, along_path):
-        policy = GroundingPolicy(trajectory_threshold_m=threshold_m,
-                                 hotspot_threshold_m=threshold_m)
-        return GroundingRule(policy, coords(evidence), along_path)
+        return GroundingRule(coords(evidence), threshold_m, along_path)
 
     @settings(max_examples=60, deadline=None)
     @given(evidence=st.lists(porto_points, min_size=1, max_size=6),

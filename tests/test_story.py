@@ -177,6 +177,24 @@ class TestTemplateBackend:
         assert count_words(out) <= max_words
         assert len(extract_mentions(out)) >= max(min_pois, 1)
 
+    @given(mode=st.sampled_from(["heatmap", "single_trajectory"]), n=st.integers(1, 25),
+           data=st.data(), max_words=st.integers(1, 250), include_blurbs=st.booleans(),
+           blurb=st.sampled_from([None, "a granite church with twin towers"]))
+    @settings(max_examples=100)
+    def test_every_story_is_three_acts(self, mode, n, data, max_words, include_blurbs,
+                                       blurb):
+        min_pois = data.draw(st.integers(0, n + 1), label="min_pois")
+        spec = NarrativeSpec(mode=mode, min_pois=min_pois, max_words=max_words,
+                             include_blurbs=include_blurbs)
+        try:
+            out = TemplateBackend().generate("", make_ctx(n, blurb=blurb), spec)
+        except ConfigurationError:
+            return          # too few candidates, or no room for the quota
+        assert out.endswith("\n")
+        acts = out[:-1].split("\n\n")
+        assert len(acts) == 3
+        assert all(act.strip() and "\n" not in act for act in acts)
+
 
 class TestRemoteBackend:
     def run(self, monkeypatch, payload, token=None):

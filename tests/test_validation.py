@@ -6,9 +6,9 @@ from conftest import CENTRAL_ROUTE_NAMES, FAR_POI_NAMES
 from trajstory.errors import InfrastructureError
 from trajstory.gazetteer import Gazetteer, GazetteerConfig
 from trajstory.geo import as_coords as coords
+from trajstory.pipeline import StoryRequest
 from trajstory.story import NarrativeSpec, count_words, extract_mentions
-from trajstory.validation import (GROUNDED, HALLUCINATION, UNGEOCODABLE,
-                                  GroundingPolicy, GroundingRule,
+from trajstory.validation import (GROUNDED, HALLUCINATION, UNGEOCODABLE, GroundingRule,
                                   PoiVerdict, Story, ValidationReport,
                                   feedback_text, malformed_story_report,
                                   report_to_dict, summarize_report,
@@ -21,9 +21,9 @@ def make_story(text, mode="single_trajectory", min_pois=0, max_words=10_000):
                  word_count=count_words(text), spec=spec, backend_id="test")
 
 
-def along(route, **policy):
+def along(route, threshold_m=StoryRequest().trajectory_threshold_m):
     """The rule a single-trajectory run grounds by, along ``route``."""
-    return GroundingRule(GroundingPolicy(**policy), coords(route), along_path=True)
+    return GroundingRule(coords(route), threshold_m, along_path=True)
 
 
 def marked(*names):
@@ -62,7 +62,8 @@ class TestSpatialVerdicts:
         aliados = gazetteer.geocode("Avenida dos Aliados").location
         far_center = gazetteer.geocode("Matosinhos Beach").location
         story = make_story(marked("Avenida dos Aliados"), mode="heatmap")
-        rule = GroundingRule(GroundingPolicy(), coords([far_center, aliados]), along_path=False)
+        rule = GroundingRule(coords([far_center, aliados]), StoryRequest().hotspot_threshold_m,
+                             along_path=False)
         report = validate_story(story, rule, gazetteer)
         assert report.per_poi[0].verdict == GROUNDED
         assert report.per_poi[0].distance_m == pytest.approx(0.0, abs=1e-6)
@@ -122,35 +123,38 @@ class TestStructuralChecks:
         assert report.overall
 
 
-class TestPolicy:
-    @pytest.mark.parametrize("kw", [
+UNKNOWN_NAMES = ["Atlantis Pier", "Nowhere Quay"]
 
-        {"trajectory_threshold_m": -1.0},
-        {"hotspot_threshold_m": -0.5},
-        {"min_grounded_fraction": 1.5},
-        {"min_grounded_fraction": -0.1},
-    ])
-    def test_rejects_bad_knobs(self, kw):
-        with pytest.raises(ValueError):
-            GroundingPolicy(**kw)
 
-    def test_require_geocode_false_drops_unknowns_from_the_fraction(
-            self, gazetteer, central_route):
+class TestPassRule:
+    def test_an_unknown_place_fails_the_story(self, gazetteer, central_route):
         story = make_story(marked("Ribeira", "Atlantis Pier"))
-        strict = validate_story(story, along(central_route), gazetteer)
-        lax = validate_story(story, along(central_route, require_geocode=False), gazetteer)
-        assert strict.grounded_fraction == pytest.approx(0.5)
-        assert not strict.overall
-        assert lax.grounded_fraction == pytest.approx(1.0)
-        assert lax.overall
-        assert len(lax.ungeocodable()) == 1  # verdict itself is unchanged
+        report = validate_story(story, along(central_route), gazetteer)
+        assert report.grounded_fraction == pytest.approx(0.5)
+        assert not report.overall
+        assert len(report.ungeocodable()) == 1
 
-    def test_fraction_gate(self, gazetteer, central_route):
-        story = make_story(marked("Ribeira", "Foz do Douro"))
-        rule = along(central_route, min_grounded_fraction=0.5)
-        assert validate_story(story, rule, gazetteer).overall
-        rule = along(central_route, min_grounded_fraction=0.6)
-        assert not validate_story(story, rule, gazetteer).overall
+    @given(picks=st.lists(st.tuples(
+               st.sampled_from(CENTRAL_ROUTE_NAMES + FAR_POI_NAMES + UNKNOWN_NAMES),
+               st.sampled_from([str, str.upper, str.lower])), min_size=1, max_size=8),
+           min_pois=st.integers(0, 6), max_words=st.integers(1, 40))
+    @settings(max_examples=80, deadline=None)
+    def test_passes_only_when_every_named_place_is_grounded(
+            self, gazetteer, central_route, picks, min_pois, max_words):
+        # near names lie on the route, far ones over 2 km off it, unknown
+        # ones in no gazetteer leg; spellings differ only in case
+        story = make_story(marked(*(spell(name) for name, spell in picks)),
+                           min_pois=min_pois, max_words=max_words)
+        report = validate_story(story, along(central_route), gazetteer)
+        named = {name for name, _ in picks}
+        grounded = named & set(CENTRAL_ROUTE_NAMES)
+        checks = {c.name: c.passed for c in report.structural}
+        assert checks == {"min_pois": len(named) >= min_pois,
+                          "max_words": story.word_count <= max_words, "markup": True}
+        assert report.grounded_fraction == len(grounded) / len(named)
+        assert report.overall == (grounded == named and all(checks.values()))
+        if report.overall:
+            assert any(p.verdict == GROUNDED for p in report.per_poi)
 
     @given(t1=st.integers(0, 8000), t2=st.integers(0, 8000))
     @settings(max_examples=40, deadline=None)
@@ -162,7 +166,7 @@ class TestPolicy:
                                   "Estádio do Dragão", "Foz do Douro"))
 
         def grounded_at(t):
-            rule = along(central_route, trajectory_threshold_m=float(t))
+            rule = along(central_route, float(t))
             report = validate_story(story, rule, gazetteer)
             return {p.name for p in report.per_poi if p.verdict == GROUNDED}
 
