@@ -20,7 +20,7 @@ from trajstory.gazetteer import Gazetteer, GazetteerConfig
 from trajstory.geo import GeoPoint, Polyline
 from trajstory.heatgrid import build_grid, top_hotspots
 from trajstory.ingest import Trajectory, parse_dataset, trajectory_digest
-from trajstory.mapdoc import emit_map, render_geojson, render_html
+from trajstory.mapdoc import emit_map, map_files, render_geojson, render_html
 from trajstory.pipeline import StoryRequest, write_files
 from trajstory.story import NarrativeSpec, Story, count_words, extract_mentions
 from trajstory.synth import PORTO_BBOX, SyntheticSpec, generate_dataset, write_kaggle_csv
@@ -127,21 +127,18 @@ def shift_map(walk, gazetteer):
 
 
 def test_render_geojson_50k_path(benchmark, shift_map):
-    benchmark(render_geojson, shift_map)
+    benchmark(lambda: list(render_geojson(shift_map)))
 
 
 def test_render_html_50k_path(benchmark, shift_map):
-    page = benchmark(render_html, shift_map, render_geojson(shift_map))
+    geojson = list(render_geojson(shift_map))
+    page = benchmark(lambda: list(render_html(shift_map, geojson)))
     assert page[0].startswith("<!DOCTYPE html>")
 
 
 def test_write_map_50k_path(benchmark, shift_map, tmp_path):
     """Both map files, rendered and written, as one ``map`` command writes them."""
-    def write():
-        geojson = render_geojson(shift_map)
-        return write_files(tmp_path, {"map.geojson": geojson,
-                                      "map.html": render_html(shift_map, geojson)})
-    assert len(benchmark(write)) == 2
+    assert len(benchmark(lambda: write_files(tmp_path, map_files(shift_map)))) == 2
 
 
 def test_trajectory_digest_50k_path(benchmark, walk):

@@ -301,9 +301,7 @@ def cmd_map(args: argparse.Namespace) -> int:
     except ValueError as exc:   # nothing to map, or a negative cluster distance
         raise ConfigurationError(str(exc)) from None
     doc = run.doc
-    geojson = mapdoc.render_geojson(doc)
-    paths = pipeline.write_files(_out_dir(args), {"map.geojson": geojson,
-                                                  "map.html": mapdoc.render_html(doc, geojson),
+    paths = pipeline.write_files(_out_dir(args), {**mapdoc.map_files(doc),
                                                   "trace.json": pipeline.trace_json(run)})
     print(f"markers: {len(doc.markers)}  legend rows: {len(doc.legend)}")
     for path in paths:

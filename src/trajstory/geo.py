@@ -117,9 +117,19 @@ class Polyline:
         if not len(coords):
             raise ValueError("empty polyline: a trajectory needs at least one point")
         self.coords = coords
-        lon, lat = np.radians(coords[:, 0]), np.radians(coords[:, 1])
-        self.xyz = _sphere_xyz(lon, lat)
-        self.length_bound = EARTH_RADIUS_M * np.hypot(np.diff(lat), np.diff(lon))
+        # In place, with one spare column: R * hypot(diff(lat), diff(lon)), then
+        # the sphere points by the operations ``segment_h`` gives ``p``, in order.
+        self.xyz = np.empty((3, len(coords)))
+        lon, lat, z = self.xyz
+        np.radians(coords.T, out=self.xyz[:2])
+        self.length_bound = bound = np.subtract(lat[1:], lat[:-1])
+        np.hypot(bound, np.subtract(lon[1:], lon[:-1], out=z[1:]), out=bound)
+        bound *= EARTH_RADIUS_M
+        np.multiply(EARTH_RADIUS_M, np.sin(lat, out=z), out=z)
+        r_cos = np.multiply(EARTH_RADIUS_M, np.cos(lat, out=lat), out=lat)
+        sin_lon = np.sin(lon)
+        np.multiply(r_cos, np.cos(lon, out=lon), out=lon)
+        np.multiply(r_cos, sin_lon, out=r_cos)
 
     def segment_h(self, p: GeoPoint, limit_m: float | None = None) -> tuple[np.ndarray, np.ndarray]:
         """(index, haversine term) of each segment that may lie within ``limit_m``
@@ -140,7 +150,9 @@ class Polyline:
         coords = self.coords
         if len(coords) == 1:
             return np.zeros(1, dtype=np.intp), haversine_h(p, coords[:, 0], coords[:, 1])
-        px, py, pz = _sphere_xyz(math.radians(p.lon), math.radians(p.lat))
+        lon, lat = math.radians(p.lon), math.radians(p.lat)
+        r_cos = EARTH_RADIUS_M * np.cos(lat)
+        px, py, pz = r_cos * np.cos(lon), r_cos * np.sin(lon), EARTH_RADIUS_M * np.sin(lat)
         x, y, z = self.xyz
         chord = np.sqrt((x - px) ** 2 + (y - py) ** 2 + (z - pz) ** 2)
         if limit_m is None:
@@ -164,12 +176,6 @@ class Polyline:
         foot = haversine_h(p, a_lon + t * (b_lon[inner] - a_lon), a_lat + t * (b_lat[inner] - a_lat))
         best[inner] = np.minimum(best[inner], foot)
         return seg, best
-
-
-def _sphere_xyz(lon, lat):
-    """(x, y, z) of radian lon/lat on the sphere of radius R."""
-    r_cos = EARTH_RADIUS_M * np.cos(lat)
-    return r_cos * np.cos(lon), r_cos * np.sin(lon), EARTH_RADIUS_M * np.sin(lat)
 
 
 def first_within(h: np.ndarray, radius_m: float) -> tuple[int, float] | None:
@@ -204,5 +210,5 @@ def bbox_of_coords(coords: np.ndarray) -> BoundingBox:
     """Tightest box around a float (N, 2) lon/lat array. Raises on an empty input."""
     if not len(coords):
         raise ValueError("bbox_of_coords needs at least one point")
-    lo, hi = coords.min(axis=0).tolist(), coords.max(axis=0).tolist()
-    return BoundingBox(lo[0], lo[1], hi[0], hi[1])
+    lon, lat = coords[:, 0], coords[:, 1]       # a reduction per column, not per row
+    return BoundingBox(float(lon.min()), float(lat.min()), float(lon.max()), float(lat.max()))

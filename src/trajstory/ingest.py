@@ -6,8 +6,9 @@ Two source schemas:
   column holding a bracketed list of ``[lon, lat]`` pairs. Only TRIP_ID,
   TIMESTAMP and POLYLINE are consumed; rows flagged MISSING_DATA are skipped.
 * ``point_list`` -- one ``lon,lat`` pair per line (header optional), the
-  whole file being a single trajectory. A file of plain numbers only is
-  read by one ``np.fromstring`` (``_plain_points``), any other line by line.
+  whole file being a single trajectory. A file is read as bytes; plain
+  numbers only are read by ``np.fromstring`` in blocks that end at a line
+  end, into one array (``_plain_points``), any other file line by line.
 
 A parse folds the file, one chunk of trips at a time, into a ``Dataset``
 that keeps each trip's final point and, when a selection is asked for, the
@@ -44,6 +45,7 @@ one-core machines.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import itertools
@@ -84,6 +86,8 @@ _MAX_FIELD_CHARS = 2**31 - 1
 # Bytes of a Kaggle file's body per chunk: the byte range a decode worker
 # reads, and, counted in characters of lines, the rows decoded at once.
 _CHUNK_BYTES = 4 << 20
+# Bytes of a plain point_list file numpy reads at once, up to the next line end.
+_POINT_BLOCK_BYTES = 1 << 16
 
 # A POLYLINE the screen certifies: two or more [lon, lat] pairs, separated by
 # "," or ", ", each number a JSON number with a fraction and no exponent that
@@ -557,37 +561,44 @@ def _parse_in_workers(path: str, fold: _Fold) -> Dataset | None:
     return _kaggle_dataset(fold, path, workers)
 
 
-def _plain_points(text: str) -> np.ndarray | None:
-    """The numbers of a point_list text, read by one ``np.fromstring`` when the
-    text holds only ``[-.0-9,\n]``, one comma a line and no blank line; None
-    when it does not, or when numpy does not read two numbers a line."""
-    if not text.isascii():
-        return None
-    data = text.encode("ascii")
-    seps = data.translate(None, b"-.0123456789")
-    lines = (len(seps) + 1) // 2        # the last line may lack its "\n"
-    if seps != b",\n" * (len(seps) // 2) + b"," * (len(seps) % 2):
-        return None
+def _plain_points(data: bytes) -> np.ndarray | None:
+    """The numbers of a point_list file's bytes, read by ``np.fromstring`` when
+    they hold only ``[-.0-9,\n]``, one comma a line and no blank line; None
+    when they do not, or when numpy does not read two numbers a line. Checked
+    and read in blocks that end at a line end, into one array, so beside the
+    bytes only the numbers and one block's text are held."""
+    lines = data.count(b"\n") + bool(data) - data.endswith(b"\n")    # the last may lack its "\n"
+    values = np.empty(2 * lines)
+    start = filled = 0
     with warnings.catch_warnings():
         warnings.simplefilter("error", DeprecationWarning)  # numpy < 2: a short read warns
-        try:
-            values = np.fromstring(data.replace(b"\n", b","), sep=",")
-        except (DeprecationWarning, ValueError):      # an empty field, "-", "1.2.3", ...
-            return None
-    return values if len(values) == 2 * lines else None
+        while start < len(data):
+            end = data.find(b"\n", start + _POINT_BLOCK_BYTES) + 1 or len(data)
+            block = data[start:end]
+            seps = block.translate(None, b"-.0123456789")
+            if seps != b",\n" * (len(seps) // 2) + b"," * (len(seps) % 2):
+                return None
+            try:
+                numbers = np.fromstring(block.replace(b"\n", b","), sep=",")
+                values[filled:filled + len(numbers)] = numbers
+            except (DeprecationWarning, ValueError):  # an empty field, "-", "1.2.3", ...
+                return None
+            start, filled = end, filled + len(numbers)
+    return values if filled == len(values) else None
 
 
 def _parse_point_list(lines: Iterable[str], source_path: str, fold: _Fold) -> Dataset:
-    """A file that ``parse_dataset`` opened is read whole, and in one pass when
-    ``_plain_points`` takes it; any other file and every stream is read line
-    by line, which defines every skip."""
+    """A file that ``parse_dataset`` opened is read as bytes, and by
+    ``_plain_points`` when it takes them; any other file and every stream is
+    read line by line, which defines every skip."""
     skipped = fold.skipped
     plain = None
     if isinstance(lines, io.TextIOWrapper):
-        text = lines.read()
-        plain = _plain_points(text)
+        data = lines.buffer.read().removeprefix(codecs.BOM_UTF8)
+        plain = _plain_points(data)
         # else the lines a file opened with newline="" gives
-        lines = () if plain is not None else io.StringIO(text, newline="")
+        lines = () if plain is not None else io.StringIO(data.decode("utf-8"), newline="")
+        del data
     values: list[float] = []
     for line in lines:
         line = line.strip()

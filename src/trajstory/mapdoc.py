@@ -4,14 +4,19 @@ Markers carry numbers only; the legend maps each number back to a POI name
 in story order. POIs within ``cluster_distance_m`` of each other collapse
 into a single marker so that neighboring labels do not pile up, which is
 why a marker can carry several numbers. Output is a GeoJSON feature
-collection and a static HTML page over public map tiles.
+collection and a static HTML page over public map tiles, both made in
+parts as they are written: each slice of the path's coordinates is
+formatted once, written to both files and dropped (``map_files``).
 """
 
 from __future__ import annotations
 
 import html
+import itertools
 import json
+from collections import deque
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -99,7 +104,10 @@ def emit_map(pois: list[POI], trajectory: Trajectory | None = None,
     extent = as_coords(locations)
     path = None if trajectory is None else trajectory.coords
     if path is not None:
-        extent = np.concatenate([extent, path])
+        # the path's corners stand for it: numpy's min and max keep the later of
+        # equal values (a zero's two signs), so the box has the whole path's bits
+        box = bbox_of_coords(path)
+        extent = np.concatenate([extent, [[box.min_lon, box.min_lat], [box.max_lon, box.max_lat]]])
     return MapDocument(markers=markers, path=path, legend=legend,
                        bbox=_padded_bbox(extent))
 
@@ -119,25 +127,26 @@ _VERTEX = "\n          [\n            %r,\n            %r\n          ]"
 _SLICE_VERTICES = 2048
 
 
-def _coordinate_slices(path: np.ndarray) -> list[str]:
-    """The indented JSON of ``path.tolist()``'s items, in parts of ``_SLICE_VERTICES``.
+def _coordinate_slices(path: np.ndarray) -> Iterator[str]:
+    """The indented JSON of ``path.tolist()``'s items, in parts of ``_SLICE_VERTICES``,
+    each formatted as it is read.
 
     ``%r`` and ``json.dumps`` both write a finite float as ``float.__repr__``;
     non-finite values are respelled the way ``json.dumps`` spells them. A part
     holds only numbers, brackets, commas, whitespace, ``Infinity`` and ``NaN``.
     """
-    parts = []
     for start in range(0, len(path), _SLICE_VERTICES):
         chunk = path[start:start + _SLICE_VERTICES]
-        text = ",".join([_VERTEX] * len(chunk)) % tuple(chunk.ravel().tolist())
+        text = ("," if start else "") + ",".join([_VERTEX] * len(chunk))
+        text %= tuple(chunk.ravel().tolist())
         if not np.isfinite(chunk).all():
             text = text.replace("inf", "Infinity").replace("nan", "NaN")
-        parts.append("," + text if start else text)
-    return parts
+        yield text
 
 
-def render_geojson(doc: MapDocument) -> list[str]:
-    """Serialize as a FeatureCollection, in parts; byte-stable for equal documents.
+def render_geojson(doc: MapDocument) -> Iterator[str]:
+    """Serialize as a FeatureCollection, in parts made as they are read;
+    byte-stable for equal documents.
 
     The path comes first (drawn under the markers), then markers in number
     order. The legend rides along as a foreign member, which the format
@@ -172,9 +181,12 @@ def render_geojson(doc: MapDocument) -> list[str]:
     }
     text = json.dumps(collection, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
     if doc.path is None or not len(doc.path):
-        return [text]
+        yield text
+        return
     head, _, tail = text.partition(_PATH_SLOT)
-    return [head + '"coordinates": [', *_coordinate_slices(doc.path), "\n        ]" + tail]
+    yield head + '"coordinates": ['
+    yield from _coordinate_slices(doc.path)
+    yield "\n        ]" + tail
 
 
 _HTML_PAGE = """<!DOCTYPE html>
@@ -227,25 +239,56 @@ data.features.forEach(function (f) {{
 _HTML_HEAD, _HTML_TAIL = _HTML_PAGE.split("{geojson}")
 
 
-def _script_safe(text: str) -> str:
+def _embedded(part: str) -> str:
+    """A GeoJSON part as the page embeds it: no final newline, ``&<>`` as JSON escapes."""
+    part = part.rstrip("\n")
     for char, escape in (("&", "\\u0026"), ("<", "\\u003c"), (">", "\\u003e")):
-        text = text.replace(char, escape)
-    return text
+        part = part.replace(char, escape)
+    return part
 
 
-def render_html(doc: MapDocument, geojson: list[str]) -> list[str]:
+def render_html(doc: MapDocument, geojson: Iterable[str]) -> Iterator[str]:
     """Self-contained page over OpenStreetMap raster tiles, in parts; no server needed.
 
-    ``geojson`` is ``render_geojson(doc)``: the page reuses its coordinate
-    parts as they are, so the path's text is held once for both files. Names
-    are text: the legend is HTML-escaped, and the embedded GeoJSON spells
-    ``&<>`` as JSON escapes, so no name can close ``<script>``. Only the head
-    and tail parts can hold a name; a coordinate part holds none of ``&<>``.
+    ``geojson`` is ``render_geojson(doc)``'s parts, each embedded as it is
+    read. Names are text: the legend is HTML-escaped, and the embedded
+    GeoJSON spells ``&<>`` as JSON escapes, so no name can close
+    ``<script>``. Only the head and tail parts can hold a name or end in the
+    text's final newline; the coordinate slices between them hold neither,
+    so they pass as they are.
     """
     legend_items = "\n".join(f"  <li value=\"{n}\">{html.escape(name, quote=False)}</li>"
                              for n, name in doc.legend)
-    *body, tail = geojson
-    tail = _script_safe(tail.rstrip("\n"))
-    if body:
-        body[0] = _script_safe(body[0])
-    return [_HTML_HEAD.format(legend_items=legend_items), *body, tail, _HTML_TAIL.format()]
+    yield _HTML_HEAD.format(legend_items=legend_items)
+    parts = iter(geojson)
+    yield from map(_embedded, itertools.islice(parts, 1))      # the head, or the whole text
+    if doc.path is not None:
+        yield from itertools.islice(parts, -(-len(doc.path) // _SLICE_VERTICES))
+    yield from map(_embedded, parts)                            # the tail
+    yield _HTML_TAIL.format()
+
+
+def _shared(parts: Iterator[str]) -> tuple[Iterator[str], Iterator[str]]:
+    """Two iterators over ``parts``, each part drawn once and held only until
+    both have yielded it (``itertools.tee`` holds parts in blocks of 57)."""
+    queues = deque(), deque()
+
+    def column(mine: deque, other: deque) -> Iterator[str]:
+        while True:
+            if mine:
+                yield mine.popleft()
+                continue
+            part = next(parts, None)
+            if part is None:
+                return
+            other.append(part)
+            yield part
+    return column(*queues), column(*queues[::-1])
+
+
+def map_files(doc: MapDocument) -> dict[str, Iterator[str]]:
+    """``map.geojson`` and ``map.html`` as parts for ``write_files``, drawn from
+    one ``render_geojson``: read in lockstep, as ``write_files`` reads them,
+    the path's text is formatted once and held a slice or two at a time."""
+    geojson, page = _shared(render_geojson(doc))
+    return {"map.geojson": geojson, "map.html": render_html(doc, page)}

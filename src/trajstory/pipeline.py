@@ -12,13 +12,14 @@ along in the next prompt.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
 import os
 import time
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable
 
 from .errors import (ConfigurationError, InfrastructureError, MalformedStoryError,
                      NotFoundError, ParseError, StoryValidationError)
@@ -28,8 +29,7 @@ from .heatgrid import (DEFAULT_CELL_SIZE_M, HeatGrid, Hotspot, build_grid,
                        summarize_for_story, top_hotspots)
 from .ingest import (SCHEMAS, SELECTION_CRITERIA, Dataset, Trajectory, parse_dataset,
                      trajectory_digest)
-from .mapdoc import (DEFAULT_CLUSTER_DISTANCE_M, MapDocument, emit_map, render_geojson,
-                     render_html)
+from .mapdoc import DEFAULT_CLUSTER_DISTANCE_M, MapDocument, emit_map, map_files
 from .story import (NarrativeSpec, Story, StoryBackend, StoryContext,
                     build_prompt, generate_story, story_to_dict)
 from .validation import (GroundingRule, ValidationReport, feedback_text,
@@ -289,20 +289,17 @@ def trace_json(run: RunState) -> str:
     return _json_text({"attempts": run.attempt if graded else 0, "steps": rows})
 
 
-def _stage(tmp: Path, parts: list[str]) -> None:
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.writelines(parts)
-
-
-def write_files(out_dir: str | Path, files: dict[str, str | list[str]]) -> list[Path]:
+def write_files(out_dir: str | Path, files: dict[str, str | Iterable[str]]) -> list[Path]:
     """Write each ``name: text`` as UTF-8 in ``out_dir``; returns the paths written.
 
-    A text may come as a list of parts, written one after another. All or
+    A text may come as an iterable of parts. The files are staged side by
+    side, one part of each in turn, so iterables that share their parts
+    (``map_files``) hold each only until every file has written it. All or
     nothing: every text goes to a temporary sibling first, and only once all
     of them are written is each renamed over its target, with each old target
-    hard-linked aside beforehand. A failed write removes the temporaries; a
-    failed rename also puts the old files back and removes the new ones, so
-    the old files are left as they were.
+    hard-linked aside beforehand. A failed write, or a part that fails to come,
+    removes the temporaries; a failed rename also puts the old files back and
+    removes the new ones, so the old files are left as they were.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -311,8 +308,12 @@ def write_files(out_dir: str | Path, files: dict[str, str | list[str]]) -> list[
     saved = [out / f".{name}.{os.getpid()}.old" for name in files]
     renamed = 0
     try:
-        for tmp, text in zip(staged, files.values()):
-            _stage(tmp, [text] if isinstance(text, str) else text)
+        with contextlib.ExitStack() as stack:
+            handles = [stack.enter_context(open(tmp, "w", encoding="utf-8")) for tmp in staged]
+            texts = [[text] if isinstance(text, str) else text for text in files.values()]
+            for row in itertools.zip_longest(*texts, fillvalue=""):
+                for fh, part in zip(handles, row):
+                    fh.write(part)
         for path, old in zip(paths, saved):
             old.unlink(missing_ok=True)
             with contextlib.suppress(FileNotFoundError):
@@ -337,14 +338,11 @@ def write_files(out_dir: str | Path, files: dict[str, str | list[str]]) -> list[
 
 def write_bundle(run: RunState, out_dir: str | Path) -> list[Path]:
     """Drop a finished run's artifacts in ``out_dir``; returns the paths written."""
-    geojson = render_geojson(run.doc)
-    files = {"story.txt": run.story.text,
-             "story.json": _json_text(story_to_dict(run.story)),
-             **report_files(run.report),
-             "map.geojson": geojson,
-             "map.html": render_html(run.doc, geojson)}
-    files["trace.json"] = trace_json(run)
-    return write_files(out_dir, files)
+    return write_files(out_dir, {"story.txt": run.story.text,
+                                 "story.json": _json_text(story_to_dict(run.story)),
+                                 **report_files(run.report),
+                                 **map_files(run.doc),
+                                 "trace.json": trace_json(run)})
 
 
 def write_failure(run: RunState, out_dir: str | Path) -> list[Path]:

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import io
+import math
 import random
 from typing import Iterable
 
 import numpy as np
+from hypothesis import strategies as st
 
 from trajstory.gazetteer import POI
 from trajstory.geo import BoundingBox, GeoPoint, Polyline, arc_m, as_coords
@@ -112,3 +114,17 @@ def reinsert_markup(plain: str, mentions: list[Mention]) -> str:
         delta += (m.end - m.start) - len(m.name)
     out.append(plain[pos:])
     return "".join(out)
+
+
+# Values whose bounds tie but for a zero's sign, and some that do not tie.
+signed_values = st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, math.nan,
+                                 math.inf]) | st.floats(-180.0, 180.0)
+
+
+@st.composite
+def tied_rows(draw, lons=signed_values, lats=signed_values, min_size=1, max_size=300):
+    """Rows drawn from two or three values a column, so the bounds often tie."""
+    lon_values = draw(st.lists(lons, min_size=1, max_size=3))
+    lat_values = draw(st.lists(lats, min_size=1, max_size=3))
+    return draw(st.lists(st.tuples(st.sampled_from(lon_values), st.sampled_from(lat_values)),
+                         min_size=min_size, max_size=max_size))

@@ -10,14 +10,15 @@ import csv
 import html
 import json
 import math
+import warnings
 from typing import IO
 
 import numpy as np
 
 from helpers import contains
 from trajstory.errors import ConfigurationError, NotFoundError, ParseError
-from trajstory.geo import (M_PER_DEG_LAT, BoundingBox, GeoPoint, arc_m, as_coords,
-                           bbox_of_coords, haversine_h, meters_per_degree)
+from trajstory.geo import (EARTH_RADIUS_M, M_PER_DEG_LAT, BoundingBox, GeoPoint, arc_m,
+                           as_coords, bbox_of_coords, haversine_h, meters_per_degree)
 from trajstory.heatgrid import DEFAULT_CELL_SIZE_M, MAX_GRID_CELLS, HeatGrid
 from trajstory.ingest import SELECTION_CRITERIA, Trajectory, _path_lengths_m
 
@@ -368,3 +369,54 @@ def reference_render_html(doc) -> str:
     for char, escape in (("&", "\\u0026"), ("<", "\\u003c"), (">", "\\u003e")):
         geojson = geojson.replace(char, escape)
     return _HTML_PAGE.format(legend_items=legend_items, geojson=geojson)
+
+
+def one_pass_plain_points(text: str) -> np.ndarray | None:
+    """The numbers of a point_list text, read by one ``np.fromstring`` when the
+    text holds only ``[-.0-9,\n]``, one comma a line and no blank line; None
+    when it does not, or when numpy does not read two numbers a line."""
+    if not text.isascii():
+        return None
+    data = text.encode("ascii")
+    seps = data.translate(None, b"-.0123456789")
+    lines = (len(seps) + 1) // 2        # the last line may lack its "\n"
+    if seps != b",\n" * (len(seps) // 2) + b"," * (len(seps) % 2):
+        return None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)  # numpy < 2: a short read warns
+        try:
+            values = np.fromstring(data.replace(b"\n", b","), sep=",")
+        except (DeprecationWarning, ValueError):      # an empty field, "-", "1.2.3", ...
+            return None
+    return values if len(values) == 2 * lines else None
+
+
+def axis_bbox_of_coords(coords: np.ndarray) -> BoundingBox:
+    """``bbox_of_coords`` as it reduced the (N, 2) array along axis 0, before it
+    took one reduction per column. Copied verbatim but for its name."""
+    if not len(coords):
+        raise ValueError("bbox_of_coords needs at least one point")
+    lo, hi = coords.min(axis=0).tolist(), coords.max(axis=0).tolist()
+    return BoundingBox(lo[0], lo[1], hi[0], hi[1])
+
+
+def concatenated_map_bbox(places: np.ndarray, path: np.ndarray | None) -> BoundingBox:
+    """The box ``emit_map`` gave a document, as it took it: around the places
+    and the path in one concatenated array, then padded."""
+    from trajstory.mapdoc import BBOX_PAD_FRACTION
+    raw = axis_bbox_of_coords(places if path is None else np.concatenate([places, path]))
+    pad_lon = (raw.max_lon - raw.min_lon) * BBOX_PAD_FRACTION
+    pad_lat = (raw.max_lat - raw.min_lat) * BBOX_PAD_FRACTION
+    return BoundingBox(max(-180.0, raw.min_lon - pad_lon),
+                       max(-90.0, raw.min_lat - pad_lat),
+                       min(180.0, raw.max_lon + pad_lon),
+                       min(90.0, raw.max_lat + pad_lat))
+
+
+def whole_array_polyline_tables(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(xyz, length_bound) of ``Polyline(coords)`` by the whole-array formulas
+    it used before it built them in place."""
+    lon, lat = np.radians(coords[:, 0]), np.radians(coords[:, 1])
+    r_cos = EARTH_RADIUS_M * np.cos(lat)
+    xyz = np.array([r_cos * np.cos(lon), r_cos * np.sin(lon), EARTH_RADIUS_M * np.sin(lat)])
+    return xyz, EARTH_RADIUS_M * np.hypot(np.diff(lat), np.diff(lon))

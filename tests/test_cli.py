@@ -15,7 +15,7 @@ from hypothesis import event, given, settings, strategies as st
 from conftest import CENTRAL_ROUTE_NAMES, FAR_POI_NAMES
 from helpers import backtracking_walk
 from oracles import reference_segment_distances
-from trajstory import cli, errors, pipeline
+from trajstory import cli, errors, mapdoc, pipeline
 from trajstory.cli import COMMAND_FLAGS, CONFIG_KEYS, main, parse_config
 from trajstory.errors import ConfigurationError
 from trajstory.gazetteer import default_fixture_path
@@ -560,21 +560,46 @@ class TestArtifactsAreWholeOrUnchanged:
                                                ("heatmap", 2)])
     def test_failed_write_keeps_the_old_files(self, capsys, monkeypatch, command,
                                               name, fail_at):
-        real_stage = pipeline._stage
         written = []
 
-        def stage(tmp, parts):
-            written.append(tmp.name)
-            if len(written) == fail_at:
-                real_stage(tmp, [parts[0][:7]])     # a torn file
-                raise OSError(28, "No space left on device")
-            return real_stage(tmp, parts)
+        def stage(file, *args, **kwargs):       # write_files opens only staged files
+            fh = open(file, *args, **kwargs)
+            write = fh.write
 
-        monkeypatch.setattr(pipeline, "_stage", stage)
+            def first_write(part):
+                written.append(Path(file).name)
+                if len(written) == fail_at:
+                    write(part[:7])             # a torn file
+                    raise OSError(28, "No space left on device")
+                fh.write = write
+                return write(part)
+            fh.write = first_write
+            return fh
+
+        monkeypatch.setattr(pipeline, "open", stage, raising=False)
         out_dir, before, (code, _, err) = command(capsys, name)
         assert code == 2
         assert "No space left on device" in err
         assert len(written) == fail_at
+        assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
+
+    @pytest.mark.parametrize("name", ["story", "map"])
+    def test_a_part_that_fails_to_come_keeps_the_old_files(self, capsys, monkeypatch,
+                                                           command, name):
+        real_render = mapdoc.render_geojson
+        made = []
+
+        def render_geojson(doc):                # the map's head, then a failure
+            for part in real_render(doc):
+                made.append(part)
+                yield part
+                raise OSError(5, "Input/output error")
+
+        monkeypatch.setattr(mapdoc, "render_geojson", render_geojson)
+        out_dir, before, (code, _, err) = command(capsys, name)
+        assert code == 2
+        assert "Input/output error" in err
+        assert len(made) == 1
         assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
 
     @pytest.mark.parametrize("name, fail_at", [(name, n) for name, files in OLD.items()

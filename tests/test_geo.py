@@ -1,13 +1,16 @@
 import math
 import random
+import tracemalloc
+from dataclasses import astuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from helpers import backtracking_walk, contains, point_to_polyline_distance
-from oracles import (dense_polyline_distance, dense_polyline_distance_spaced,
-                     full_segment_h, haversine_distance, reference_segment_distances)
+from helpers import backtracking_walk, contains, point_to_polyline_distance, tied_rows
+from oracles import (axis_bbox_of_coords, dense_polyline_distance,
+                     dense_polyline_distance_spaced, full_segment_h, haversine_distance,
+                     reference_segment_distances, whole_array_polyline_tables)
 from trajstory.geo import (EARTH_RADIUS_M, BoundingBox, GeoPoint, Polyline, arc_m,
                            bbox_of_coords, bbox_within, first_within, meters_per_degree)
 from trajstory.geo import as_coords as coords
@@ -407,6 +410,15 @@ class TestBboxWithin:
         assert bbox_within(coords([GOLDEN_A]), radius_m) == BoundingBox(-180.0, -90.0, 180.0, 90.0)
 
 
+# The signs of a column of zeros whose contiguous copy numpy 2.4 reduces (in
+# SIMD lanes) to another zero than the row-by-row reduction keeps.
+SIMD_ZEROS = "-+--+-+-+----+--+--+---+---++-+-+"
+
+
+def box_bits(box):
+    return [v.hex() if v == v else "nan" for v in astuple(box)]
+
+
 class TestBoundingBox:
     def test_inverted_bounds_rejected(self):
         with pytest.raises(ValueError):
@@ -436,3 +448,47 @@ class TestBoundingBox:
         assert all(contains(box, p) for p in points)
         assert box.min_lon in {p.lon for p in points}
         assert box.max_lat in {p.lat for p in points}
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=tied_rows(), layout=st.sampled_from(["C", "F", "every other row"]))
+    @example(rows=[(-0.0 if sign == "-" else 0.0, 1.0) for sign in SIMD_ZEROS], layout="C")
+    def test_same_bits_as_the_axis_reduction(self, rows, layout):
+        """One reduction per column gives each bound's bits, a zero's sign
+        included, past any SIMD width: grid_meta.txt prints them with repr."""
+        array = np.array(rows, dtype=float)
+        array = {"C": array, "F": np.asfortranarray(array),
+                 "every other row": np.repeat(array, 2, axis=0)[::2]}[layout]
+        assert box_bits(bbox_of_coords(array)) == box_bits(axis_bbox_of_coords(array))
+
+
+# Longitudes at the antimeridian and latitudes at the poles, and anywhere.
+edge_lons = st.sampled_from([180.0, -180.0, 179.99999999, -179.99999999, 0.0, -0.0]) | \
+    st.floats(-180.0, 180.0)
+edge_lats = st.sampled_from([90.0, -90.0, 89.99999999, -89.99999999, 0.0, -0.0]) | \
+    st.floats(-90.0, 90.0)
+
+
+class TestPolylineTables:
+    @settings(max_examples=300, deadline=None)
+    @given(rows=st.lists(st.tuples(edge_lons, edge_lats) | st.tuples(st.floats(), st.floats()),
+                         min_size=1, max_size=100))
+    def test_same_bits_as_the_whole_array_formulas(self, rows):
+        coords = np.array(rows, dtype=float)
+        with np.errstate(invalid="ignore", over="ignore"):      # non-finite rows
+            line = Polyline(coords)
+            xyz, bound = whole_array_polyline_tables(coords)
+        assert line.xyz.tobytes() == xyz.tobytes()
+        assert line.length_bound.tobytes() == bound.tobytes()
+
+    def test_tables_are_built_in_place(self):
+        """A 50k-vertex line's tables peak at 2.6x its coordinates' bytes: the
+        tables themselves (2x) and one spare column, no whole-array temporaries."""
+        coords = np.random.default_rng(41).uniform((-8.7, 41.1), (-8.5, 41.25), (50_000, 2))
+        Polyline(coords[:10])                   # warm up
+        tracemalloc.start()
+        try:
+            Polyline(coords)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.6 * coords.nbytes, (peak, coords.nbytes)

@@ -16,6 +16,7 @@ import time
 import tracemalloc
 import types
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from helpers import (backtracking_walk, endpoints, iter_points, point_list_round_trip,
                      points, to_point_list, track, write_point_list)
-from oracles import (reference_parse_kaggle, reference_path_length_m,
+from oracles import (one_pass_plain_points, reference_parse_kaggle, reference_path_length_m,
                      reference_select_trajectory)
 from trajstory import ingest
 from trajstory.cli import main
@@ -293,7 +294,7 @@ class TestBulkPointList:
         text, plain = case
         path = walk_path(tmp_path_factory)
         path.write_bytes(text.encode("utf-8"))
-        assert (ingest._plain_points(text.removeprefix("\ufeff")) is not None) >= plain
+        assert (ingest._plain_points(text.removeprefix("\ufeff").encode()) is not None) >= plain
         bulk = parse_dataset(str(path), "point_list", selection)
         with open(path, encoding="utf-8", newline="") as fh:   # a stream: the loop
             loop = parse_dataset(fh, "point_list", selection)
@@ -310,21 +311,21 @@ class TestBulkPointList:
         lines.insert(at[0] % (len(lines) + 1), extra[0])
         lines.insert(at[1] % (len(lines) + 1), ",".join(extra[1:]))
         text = "\n".join(lines) + "\n"
-        assert ingest._plain_points(text) is None
+        assert ingest._plain_points(text.encode()) is None
         path = walk_path(tmp_path_factory)
         path.write_text(text, encoding="utf-8")
         ds = parse_dataset(str(path), "point_list", LONGEST)
         assert ds.skipped_by_reason["bad_json"] == 2
 
     def test_plain_text_is_read_in_one_pass(self):
-        values = ingest._plain_points("-8.61,41.14\n-8.62,41.15")
+        values = ingest._plain_points(b"-8.61,41.14\n-8.62,41.15")
         assert values.tolist() == [-8.61, 41.14, -8.62, 41.15]
 
     @pytest.mark.parametrize("text", ["-8.61,41.14\n\n-8.62,41.15\n", "-8.61,41.14\r\n",
                                       "-8.61,\n41.14,1\n", "1,2,\n", ",1\n", "1.2.3,4\n",
                                       "-,1\n", "1,2\n3\n4,5,6\n", "lon,lat\n1,2\n"])
     def test_other_text_goes_to_the_loop(self, text):
-        assert ingest._plain_points(text) is None
+        assert ingest._plain_points(text.encode()) is None
 
     @pytest.mark.parametrize("warn", [True, False])
     def test_a_short_read_sends_the_text_to_the_loop(self, monkeypatch, warn):
@@ -334,7 +335,53 @@ class TestBulkPointList:
                 warnings.warn("string or file could not be read to its end", DeprecationWarning)
             return np.array([1.0, 2.0])
         monkeypatch.setattr(ingest.np, "fromstring", fromstring)
-        assert ingest._plain_points("1,2\n3,4\n") is None
+        assert ingest._plain_points(b"1,2\n3,4\n") is None
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=point_list_texts(), odd=st.sampled_from(["", "é,1", "٣,4", "1,２"]),
+           at=st.integers(0, 30), block=st.integers(1, 64))
+    def test_block_read_is_the_one_pass_read(self, tmp_path_factory, case, odd, at, block):
+        """Read in blocks of a few bytes, a file gives the numbers and the
+        dataset the whole-text read gave, valid or malformed, non-ASCII or not."""
+        text, _ = case
+        if odd:                     # float() reads other Unicode digits: only the loop may
+            lines = text.split("\n")
+            lines.insert(at % (len(lines) + 1), odd)
+            text = "\n".join(lines)
+        path = walk_path(tmp_path_factory)
+        path.write_bytes(text.encode("utf-8"))
+        old = one_pass_plain_points(text.removeprefix("\ufeff"))
+        with mock.patch.object(ingest, "_POINT_BLOCK_BYTES", block):
+            new = ingest._plain_points(text.removeprefix("\ufeff").encode())
+            ds = parse_dataset(str(path), "point_list", LONGEST)
+        assert (new is None) == (old is None)
+        assert new is None or new.tobytes() == old.tobytes()
+        with open(path, encoding="utf-8", newline="") as fh:   # a stream: the loop
+            assert same_dataset(ds, parse_dataset(fh, "point_list", LONGEST))
+
+    def test_a_file_that_is_not_utf8_says_so(self, tmp_path):
+        path = tmp_path / "walk.txt"
+        path.write_bytes(b"\xef\xbb\xbf-8.61,41.14\n-8.62,\xff41.15\n")
+        # the position counts from after the byte-order mark, as a text read counted it
+        with pytest.raises(ParseError, match="not UTF-8 text: .* byte 0xff in position 18"):
+            parse_dataset(str(path), "point_list")
+
+    def test_a_long_file_is_held_once(self, tmp_path):
+        """A 50k-point file parses at 2.2x its bytes at most: its bytes, the
+        numbers in one array and a block of text, not a str and its copies."""
+        walk = np.cumsum(np.random.default_rng(27).normal(0.0, 1e-4, (50_000, 2)), axis=0)
+        path = tmp_path / "walk.txt"
+        path.write_text("".join(f"{lon!r},{lat!r}\n" for lon, lat in
+                                (walk + (-8.61, 41.15)).tolist()))
+        parse_dataset(str(path), "point_list", LONGEST)         # warm up: lazy imports
+        tracemalloc.start()
+        try:
+            ds = parse_dataset(str(path), "point_list", LONGEST)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(ds.selected.coords) == 50_000
+        assert peak <= 2.2 * path.stat().st_size, (peak, path.stat().st_size)
 
 
 class TestSelection:

@@ -1,22 +1,25 @@
+import itertools
 import json
 import math
 import random
 import tracemalloc
+from dataclasses import astuple
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import contains
-from oracles import (brute_force_clusters, haversine_distance, reference_render_geojson,
-                     reference_render_html)
+from helpers import contains, tied_rows
+from oracles import (brute_force_clusters, concatenated_map_bbox, haversine_distance,
+                     reference_render_geojson, reference_render_html)
 from trajstory.gazetteer import POI
 from trajstory.geo import BoundingBox, GeoPoint, meters_per_degree
 from trajstory.geo import as_coords as coords
 from trajstory.ingest import Trajectory
 from trajstory.mapdoc import (BBOX_PAD_FRACTION, DEFAULT_CLUSTER_DISTANCE_M,
-                              MapDocument, Marker, _SLICE_VERTICES, emit_map,
-                              render_geojson, render_html)
+                              MapDocument, Marker, _SLICE_VERTICES, _shared, emit_map,
+                              map_files, render_geojson, render_html)
 from trajstory.pipeline import write_files
 
 BASE = GeoPoint(-8.6100, 41.1500)
@@ -147,6 +150,28 @@ class TestDocumentShape:
         assert DEFAULT_CLUSTER_DISTANCE_M == 150.0
 
 
+# Coordinates whose bounds tie but for a zero's sign, and some that do not tie.
+zero_lons = st.sampled_from([0.0, -0.0, 1e-300, -1e-300]) | st.floats(-180.0, 180.0)
+zero_lats = st.sampled_from([0.0, -0.0, 1e-300, -1e-300]) | st.floats(-90.0, 90.0)
+
+
+class TestBbox:
+    @settings(max_examples=300, deadline=None)
+    @given(places=tied_rows(zero_lons, zero_lats, min_size=0, max_size=6),
+           path=st.none() | tied_rows(zero_lons, zero_lats, max_size=80))
+    def test_the_box_of_places_and_path_has_the_bits_of_one_box_around_both(self, places,
+                                                                             path):
+        """The map's bbox prints with repr, so a zero keeps its sign."""
+        if not places and path is None:
+            return
+        places = [GeoPoint(lon, lat) for lon, lat in places]
+        path = None if path is None else np.array(path, dtype=float)
+        doc = emit_map([POI(name=f"p{i}", location=p) for i, p in enumerate(places)],
+                       trajectory=None if path is None else Trajectory(id="t", coords=path))
+        want = concatenated_map_bbox(coords(places), path)
+        assert [v.hex() for v in astuple(doc.bbox)] == [v.hex() for v in astuple(want)]
+
+
 class TestGeoJson:
     def build(self):
         track = Trajectory(id="t", coords=coords([BASE, GeoPoint(-8.6000, 41.1550)]))
@@ -189,7 +214,7 @@ class TestGeoJson:
 
     def test_write_files(self, tmp_path):
         doc = self.build()
-        geojson = render_geojson(doc)
+        geojson = list(render_geojson(doc))
         geo = tmp_path / "m.geojson"
         html = tmp_path / "m.html"
         write_files(tmp_path, {"m.geojson": geojson})
@@ -258,7 +283,7 @@ class TestBulkPathEncoder:
     def test_long_path_matches_the_reference(self):
         walk = np.cumsum(np.random.default_rng(9).normal(0.0, 1e-4, (5_000, 2)), axis=0)
         doc = document(walk + (BASE.lon, BASE.lat), names=EDGE_NAMES)
-        parts = render_geojson(doc)
+        parts = list(render_geojson(doc))
         text = "".join(parts)
         assert text == reference_render_geojson(doc)
         assert "".join(render_html(doc, parts)) == reference_render_html(doc)
@@ -281,21 +306,41 @@ class TestBulkPathEncoder:
         assert "".join(render_html(doc, render_geojson(doc))) == reference_render_html(doc)
 
     def test_writing_a_long_map_holds_its_path_text_once(self, tmp_path):
-        """Both map files of a 50k-vertex trip, rendered and written, peak at 1.5x
-        the GeoJSON's bytes: the path's text exists once, in slices, with no
-        whole-document string and no whole-file encode."""
+        """Both map files of a 50k-vertex trip, rendered and written, peak at 0.3x
+        the GeoJSON's bytes: each slice of the path's text is made once, written
+        to both files and dropped, with no whole-document string and no
+        whole-file encode."""
         walk = np.cumsum(np.random.default_rng(50).normal(0.0, 1e-4, (50_000, 2)), axis=0)
         doc = emit_map([poi_at("Ribeira"), poi_at("Sé", east_m=500.0)],
                        trajectory=Trajectory(id="shift", coords=walk + (BASE.lon, BASE.lat)))
         tracemalloc.start()
         try:
-            geojson = render_geojson(doc)
-            write_files(tmp_path, {"map.geojson": geojson,
-                                   "map.html": render_html(doc, geojson)})
+            write_files(tmp_path, map_files(doc))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.5 * (tmp_path / "map.geojson").stat().st_size
+        assert peak <= 0.3 * (tmp_path / "map.geojson").stat().st_size
+        assert (tmp_path / "map.geojson").read_bytes() == reference_render_geojson(doc).encode()
+        assert (tmp_path / "map.html").read_bytes() == reference_render_html(doc).encode()
+
+    @settings(max_examples=100, deadline=None)
+    @given(doc=map_documents(), slice_vertices=st.integers(1, 4))
+    def test_map_files_are_the_rendered_texts(self, tmp_path_factory, doc, slice_vertices):
+        out = tmp_path_factory.mktemp("map")
+        with mock.patch("trajstory.mapdoc._SLICE_VERTICES", slice_vertices):
+            write_files(out, map_files(doc))
+        assert (out / "map.geojson").read_bytes() == reference_render_geojson(doc).encode()
+        assert (out / "map.html").read_bytes() == reference_render_html(doc).encode()
+
+    @given(parts=st.lists(st.text(), max_size=8), order=st.lists(st.booleans(), max_size=20))
+    def test_shared_parts_reach_both_iterators_in_any_order(self, parts, order):
+        columns = _shared(iter(parts))
+        got = ([], [])
+        for pick in order:              # an interleaving, then the rest of each
+            got[pick].extend(itertools.islice(columns[pick], 1))
+        for column, seen in zip(columns, got):
+            seen.extend(column)
+        assert got == (parts, parts)
 
 
 class TestHtmlEscaping:

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import CENTRAL_ROUTE_NAMES
 from helpers import contains, point_to_polyline_distance
-from oracles import haversine_distance, reference_parse_kaggle, reference_select_trajectory
+from oracles import (haversine_distance, reference_parse_kaggle, reference_render_geojson,
+                     reference_render_html, reference_select_trajectory)
 from trajstory.errors import (ConfigurationError, InfrastructureError,
                               ParseError, StoryValidationError)
 from trajstory.gazetteer import Gazetteer, GazetteerConfig
@@ -347,6 +349,33 @@ class TestIngestFailures:
 
 
 class TestWriteBundle:
+    def test_writing_a_long_route_bundle_holds_its_path_text_once(self, tmp_path,
+                                                                 central_route):
+        """A route story's bundle over a 50k-vertex trip peaks at 0.3x its GeoJSON's
+        bytes: each slice of the path's text is made once, written to both map
+        files and dropped."""
+        stops = coords(central_route)
+        at = np.linspace(0.0, len(stops) - 1.0, 50_000)
+        dense = np.column_stack([np.interp(at, np.arange(len(stops)), stops[:, i])
+                                 for i in (0, 1)])
+        route = tmp_path / "route.txt"
+        route.write_text("".join(f"{lon!r},{lat!r}\n" for lon, lat in dense.tolist()))
+        req = StoryRequest(dataset_path=str(route), dataset_schema="point_list",
+                           spec=NarrativeSpec(mode="single_trajectory", min_pois=5,
+                                              max_words=200))
+        run = execute(req, TemplateBackend())
+        assert len(run.doc.path) == 50_000
+        out = tmp_path / "bundle"
+        tracemalloc.start()
+        try:
+            write_bundle(run, out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.3 * (out / "map.geojson").stat().st_size
+        assert (out / "map.geojson").read_bytes() == reference_render_geojson(run.doc).encode()
+        assert (out / "map.html").read_bytes() == reference_render_html(run.doc).encode()
+
     def test_full_bundle(self, cluster_csv, tmp_path):
         run = execute(heatmap_request(cluster_csv), TemplateBackend())
         out = tmp_path / "bundle"
