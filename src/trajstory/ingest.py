@@ -23,11 +23,11 @@ exports are dirty; a bad row is data about the data.
 A Kaggle chunk whose lines csv.reader provably reads as whole records, all
 of as many fields, is read in bulk, by one split on ``"`` (``_bulk_columns``);
 any other chunk is read line by line by csv.reader. Workers and the
-in-process parse read through the one ``_read_rows``. Of a POLYLINE in the
-common form (``_CANON``) only the final pair is read, and the point count
-when a selection is asked for. Every other row, and every row when trip
-lengths are needed, is decoded exactly by ``_decode_polyline``, which
-defines every skip reason and every bit.
+in-process parse (runs of lines by ``readlines(_CHUNK_BYTES)``) read through
+the one ``_read_rows``. Of a POLYLINE in the common form (``_CANON``) only the
+final pair is read, and the point count when a selection is asked for. Every
+other row, and every row when trip lengths are needed, is decoded exactly by
+``_decode_polyline``, which defines every skip reason and every bit.
 
 A Kaggle file of two chunks or more is parsed by up to two workers forked
 by ``os.fork``, one per usable core: this process reads the header line and
@@ -39,8 +39,8 @@ a blank-id pick ``row<N>``. Where a chunk cannot be read alone (it is not
 UTF-8, csv.reader fails on it, a quoted line end crosses a cut, or a blank
 id, whose ``row<N>`` no worker knows, could change its pick), the parse
 restarts in-process, so every error comes from the in-process path, which
-also parses text streams, named pipes, one-chunk files and files on
-one-core machines.
+also parses text streams, named pipes, one-chunk files and files on one-core
+machines. Any process forks workers, a daemonic ``multiprocessing`` one too.
 """
 
 from __future__ import annotations
@@ -56,11 +56,10 @@ import pickle
 import re
 import signal
 import stat
-import sys
 import traceback
 import warnings
 from dataclasses import dataclass, field, replace
-from typing import IO, Iterable, Iterator, NoReturn
+from typing import IO, Iterable, NoReturn
 
 import numpy as np
 
@@ -417,28 +416,20 @@ def _kaggle_dataset(fold: _Fold, source_path: str, workers: int) -> Dataset:
     return ds
 
 
-def _run(lines: Iterator[str]) -> list[str]:
-    """The next lines, until they pass ``_CHUNK_BYTES`` characters."""
-    run, chars = [], 0
-    for line in lines:
-        run.append(line)
-        chars += len(line)
-        if chars > _CHUNK_BYTES:
-            break
-    return run
-
-
-def _parse_kaggle(lines: Iterator[str], source_path: str, fold: _Fold) -> Dataset:
-    """A Kaggle file parsed in this process, from its text ``lines``."""
-    reader = csv.reader(lines)
+def _parse_kaggle(fh: IO[str], source_path: str, fold: _Fold) -> Dataset:
+    """A Kaggle file parsed in this process from the text stream ``fh``, in runs of lines."""
+    first = fh.readline()       # a byte-order mark is no data; the utf-8-sig codec drops it
+    if getattr(fh, "encoding", None) != "utf-8-sig":
+        first = first.removeprefix("\ufeff")
+    reader = csv.reader(itertools.chain([first], fh))
     try:
         header = next(reader, None)
     except csv.Error as exc:
         raise ParseError(f"{source_path}: line {reader.line_num}: {exc}") from None
     columns, base, selecting = _columns(header), reader.line_num, fold.criterion is not None
     try:
-        while run := _run(lines):
-            chunk = _reduce(_read_rows("".join(run), lines, columns, selecting, base), fold)
+        while run := fh.readlines(_CHUNK_BYTES):
+            chunk = _reduce(_read_rows("".join(run), fh, columns, selecting, base), fold)
             fold.add_chunk(base, chunk)
             base += chunk[0]
     except csv.Error as exc:
@@ -493,11 +484,7 @@ def _fork_workers() -> int:
         workers = min(2, len(os.sched_getaffinity(0)))
     except AttributeError:                          # no affinity on this platform
         workers = min(2, os.cpu_count() or 1)
-    mp = sys.modules.get("multiprocessing")         # read, not imported: it is large
-    if workers < 2 or not hasattr(os, "fork") \
-            or mp is not None and mp.current_process().daemon:   # a daemon may not fork workers
-        return 0
-    return workers
+    return workers if workers > 1 and hasattr(os, "fork") else 0
 
 
 def _parse_in_workers(path: str, fold: _Fold) -> Dataset | None:
@@ -587,18 +574,19 @@ def _plain_points(data: bytes) -> np.ndarray | None:
     return values if filled == len(values) else None
 
 
-def _parse_point_list(lines: Iterable[str], source_path: str, fold: _Fold) -> Dataset:
-    """A file that ``parse_dataset`` opened is read as bytes, and by
-    ``_plain_points`` when it takes them; any other file and every stream is
-    read line by line, which defines every skip."""
+def _parse_point_list(fh: IO, source_path: str, fold: _Fold) -> Dataset:
+    """A file, which ``parse_dataset`` opens in binary, is read as bytes, and by
+    ``_plain_points`` when it takes them; any other file and every text stream,
+    from where it stands, is read line by line, which defines every skip."""
     skipped = fold.skipped
-    plain = None
-    if isinstance(lines, io.TextIOWrapper):
-        data = lines.buffer.read().removeprefix(codecs.BOM_UTF8)
+    if isinstance(fh, io.BufferedIOBase):
+        data = fh.read().removeprefix(codecs.BOM_UTF8)
         plain = _plain_points(data)
         # else the lines a file opened with newline="" gives
         lines = () if plain is not None else io.StringIO(data.decode("utf-8"), newline="")
         del data
+    else:                                               # a byte-order mark is no data
+        plain, lines = None, itertools.chain([fh.readline().removeprefix("\ufeff")], fh)
     values: list[float] = []
     for line in lines:
         line = line.strip()
@@ -633,7 +621,8 @@ def parse_dataset(source: str | IO[str], schema: str,
 
     ``selection`` is a ``(criterion, trajectory_id)`` pair naming the one
     trip to keep whole, as ``Dataset.selected``; the id is read only by
-    ``by_id``. A leading byte-order mark is not part of the data.
+    ``by_id``. A leading byte-order mark is not part of the data: the codec a
+    Kaggle file is opened in, ``utf-8-sig``, drops it, and a parser any other's.
 
     For kaggle_porto, skipped_rows + len(dataset) equals the number of data
     rows. For point_list, rows are points: the file parses to at most one
@@ -654,12 +643,11 @@ def parse_dataset(source: str | IO[str], schema: str,
         if isinstance(source, str):
             ds = _parse_in_workers(source, _Fold(selection)) if parser is _parse_kaggle else None
             if ds is None:
-                with open(source, encoding="utf-8-sig", newline="") as fh:
+                with (open(source, "rb") if parser is _parse_point_list
+                      else open(source, encoding="utf-8-sig", newline="")) as fh:
                     ds = parser(fh, source, _Fold(selection))
             return ds
-        first = source.readline().removeprefix("\ufeff")     # a byte-order mark is no data
-        return parser(itertools.chain([first], source), getattr(source, "name", "<stream>"),
-                      _Fold(selection))
+        return parser(source, getattr(source, "name", "<stream>"), _Fold(selection))
     except UnicodeDecodeError as exc:
         raise ParseError(f"dataset is not UTF-8 text: {exc}") from None
     finally:

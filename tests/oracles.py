@@ -11,7 +11,7 @@ import html
 import json
 import math
 import warnings
-from typing import IO
+from typing import IO, Iterator
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from trajstory.errors import ConfigurationError, NotFoundError, ParseError
 from trajstory.geo import (EARTH_RADIUS_M, M_PER_DEG_LAT, BoundingBox, GeoPoint, arc_m,
                            as_coords, bbox_of_coords, haversine_h, meters_per_degree)
 from trajstory.heatgrid import DEFAULT_CELL_SIZE_M, MAX_GRID_CELLS, HeatGrid
-from trajstory.ingest import SELECTION_CRITERIA, Trajectory, _path_lengths_m
+from trajstory.ingest import _CHUNK_BYTES, SELECTION_CRITERIA, Trajectory, _path_lengths_m
 
 
 def haversine_distance(a: GeoPoint, b: GeoPoint) -> float:
@@ -389,6 +389,21 @@ def one_pass_plain_points(text: str) -> np.ndarray | None:
         except (DeprecationWarning, ValueError):      # an empty field, "-", "1.2.3", ...
             return None
     return values if len(values) == 2 * lines else None
+
+
+def run_of_lines(lines: Iterator[str]) -> list[str]:
+    """The next lines, until they pass ``_CHUNK_BYTES`` characters.
+
+    The in-process Kaggle parse's ``_run``, before ``readlines(_CHUNK_BYTES)``
+    took its place; its code copied verbatim but for its name. Patch
+    ``_CHUNK_BYTES`` here to set the hint."""
+    run, chars = [], 0
+    for line in lines:
+        run.append(line)
+        chars += len(line)
+        if chars > _CHUNK_BYTES:
+            break
+    return run
 
 
 def axis_bbox_of_coords(coords: np.ndarray) -> BoundingBox:

@@ -19,7 +19,7 @@ from trajstory import cli, errors, mapdoc, pipeline
 from trajstory.cli import COMMAND_FLAGS, CONFIG_KEYS, main, parse_config
 from trajstory.errors import ConfigurationError
 from trajstory.gazetteer import default_fixture_path
-from trajstory.geo import GeoPoint
+from trajstory.geo import BoundingBox, GeoPoint
 from trajstory.ingest import KAGGLE_COLUMNS, parse_dataset
 from trajstory.story import TemplateBackend
 from trajstory.synth import SyntheticSpec, generate_dataset, write_kaggle_csv
@@ -355,6 +355,27 @@ class TestStoryCommand:
                            "--output-dir", str(tmp_path / "x"))
         assert code == 2
         assert "responses_file" in err
+
+    @pytest.mark.parametrize("config, responses, message", [
+        ("backend = remote\n", None, "backend 'remote' needs config key backend_url"),
+        ("backend = scripted\n", b"[not json", "responses.json: Expecting value"),
+        ("backend = scripted\n", b'{"draft": "A stop."}',
+         "responses.json: expected a JSON array of strings"),
+        ("backend = scripted\n", b'["A stop.", 7]',
+         "responses.json: expected a JSON array of strings"),
+    ], ids=["remote-without-url", "responses-not-json", "responses-an-object",
+            "responses-not-all-strings"])
+    def test_a_backend_it_cannot_build_is_a_config_error(self, capsys, cluster_csv, tmp_path,
+                                                          config, responses, message):
+        if responses is not None:
+            (tmp_path / "responses.json").write_bytes(responses)
+            config += f"responses_file = {tmp_path / 'responses.json'}\n"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        code, _, err = run(capsys, "story", "--dataset", str(cluster_csv), "--config", str(cfg),
+                           "--offline", "--output-dir", str(tmp_path / "x"))
+        assert code == 2
+        assert err.startswith("configuration error: ") and message in err
 
 
 class TestValidateCommand:
@@ -778,6 +799,20 @@ class TestStepTags:
 
 class TestOnlineDiscovery:
     """Online discovery asks the gazetteer for the evidence area exactly once."""
+
+    def test_region_bias_bounds_the_remote_search(self, capsys, tmp_path, loopback):
+        cfg = online_config(tmp_path, loopback, "region_bias = -8.7,41.0,-8.5,41.3\n")
+        story = tmp_path / "story.txt"
+        story.write_text("A stop at [[POI: Atlantis Pier]].\n", encoding="utf-8")
+        argv = ["map", str(story), "--config", str(cfg), "--output-dir", str(tmp_path / "out")]
+        req = cli.build_request(cli.load_settings(cli._build_parser().parse_args(argv)))
+        assert req.gazetteer.region_bias == BoundingBox(-8.7, 41.0, -8.5, 41.3)
+        hit = [{"name": "Atlantis Pier", "lon": "-8.6", "lat": "41.1"}]
+        loopback.reply = lambda r: (200, json.dumps(hit).encode())
+        code, _, _ = run(capsys, *argv)
+        assert code == 0
+        assert [(r["query"]["q"], r["query"]["viewbox"], r["query"]["bounded"])
+                for r in loopback.seen] == [("Atlantis Pier", "-8.7,41.0,-8.5,41.3", "1")]
 
     @pytest.mark.parametrize("mode", ["heatmap", "single_trajectory"])
     def test_one_area_query_per_story(self, capsys, tmp_path, cluster_csv, route_file,

@@ -119,6 +119,13 @@ class TestRemoteLeg:
         assert url == "https://geo.example/api/search"
         assert params == {"q": "Sea Terminal", "format": "json", "limit": "1"}
 
+    def test_an_online_gazetteer_needs_no_fixture(self):
+        fetch = RecordingFetch([remote_item("Ribeira", -8.61, 41.14)])
+        gaz = Gazetteer(online_cfg(fixture_path=""), fetch=fetch)
+        poi = gaz.geocode("Ribeira")        # a name the packaged fixture knows
+        assert (poi.source, poi.location) == ("remote", GeoPoint(-8.61, 41.14))
+        assert [params["q"] for _, params in fetch.calls] == ["Ribeira"]
+
     def test_region_bias_adds_bounded_viewbox(self):
         box = BoundingBox(-8.7, 41.0, -8.5, 41.3)
         fetch = RecordingFetch([])
@@ -220,6 +227,13 @@ class TestCacheJournal:
         cache.write_text(json.dumps(good) + "\n" + '{"key": "half')
         gaz = Gazetteer(online_cfg(cache_path=str(cache)), fetch=RecordingFetch([]))
         assert gaz.geocode("Sea Terminal") is not None
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        cache = tmp_path / "cache.jsonl"
+        lines = [json.dumps({"key": f"{name.lower()}|none", "name": name,
+                             "lon": -8.65, "lat": 41.18}) for name in ("Sea Terminal", "Ribeira")]
+        cache.write_text("\n" + lines[0] + "\n\n \t\r\n" + lines[1] + "\n\n")
+        assert sorted(Gazetteer._load_cache(str(cache))) == ["ribeira|none", "sea terminal|none"]
 
     def test_foreign_lines_are_skipped_like_torn_ones(self, tmp_path):
         cache = tmp_path / "cache.jsonl"

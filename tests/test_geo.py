@@ -421,8 +421,10 @@ def box_bits(box):
 
 class TestBoundingBox:
     def test_inverted_bounds_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="min_lon -8.5 > max_lon -8.7"):
             BoundingBox(-8.5, 41.0, -8.7, 41.3)
+        with pytest.raises(ValueError, match="min_lat 41.3 > max_lat 41.0"):
+            BoundingBox(-8.7, 41.3, -8.5, 41.0)
 
     def test_contains_is_inclusive(self):
         box = BoundingBox(-8.7, 41.0, -8.5, 41.3)

@@ -4,17 +4,16 @@ import csv
 import io
 import json
 import logging
+import multiprocessing
 import os
 import pickle
 import random
 import re
 import signal
-import sys
 import tempfile
 import threading
 import time
 import tracemalloc
-import types
 import warnings
 from unittest import mock
 
@@ -24,6 +23,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from helpers import (backtracking_walk, endpoints, iter_points, point_list_round_trip,
                      points, to_point_list, track, write_point_list)
+import oracles
 from oracles import (one_pass_plain_points, reference_parse_kaggle, reference_path_length_m,
                      reference_select_trajectory)
 from trajstory import ingest
@@ -176,8 +176,80 @@ class TestKaggleParsing:
                            "kaggle_porto", LONGEST)
         assert (len(ds), ds.selected.id) == (1, "t1")
 
+    @pytest.mark.parametrize("schema", ["kaggle_porto", "point_list"])
+    @pytest.mark.parametrize("from_path", [True, False])
+    def test_only_one_byte_order_mark_is_dropped(self, tmp_path, from_path, schema):
+        """A file loses one, and so does a stream's first line."""
+        body = (kaggle_csv([("t1", "1", "False", GOOD_POLY)]).getvalue()
+                if schema == "kaggle_porto" else "-8.61,41.14\n-8.62,41.15\n-8.63,41.16\n")
+        text = "\ufeff\ufeff" + body
+        path = tmp_path / "two_marks.txt"
+        path.write_text(text, encoding="utf-8", newline="")
+        ds = parse_dataset(str(path) if from_path else io.StringIO(text, newline=""), schema,
+                           LONGEST)
+        # the second mark is data: it renames the first column, or spoils the first point
+        assert ((ds.selected.id, ds.skipped_rows) == ("row2", 0) if schema == "kaggle_porto"
+                else (len(ds.selected.coords), ds.skipped_rows) == (2, 1))
+
+    def test_a_carriage_return_inside_a_streamed_header_is_a_parse_error(self):
+        # a stream that ends lines only at "\n" hands csv.reader the "\r" inside one
+        with pytest.raises(ParseError, match=r"^<stream>: line 1: new-line character seen "
+                                             "in unquoted field"):
+            parse_dataset(io.StringIO("TRIP_ID\rX,POLYLINE\nt1,[]\n"), "kaggle_porto")
+
+
+run_texts = st.lists(st.sampled_from(["a", ",", '"', "é", "\n", "\r\n", "\r"]),
+                     max_size=60).map("".join)
+
+
+def oracle_runs(lines, hint):
+    """Every run ``run_of_lines`` cuts from ``lines`` with ``hint`` as its bound."""
+    with mock.patch.object(oracles, "_CHUNK_BYTES", hint):
+        return list(iter(lambda: oracles.run_of_lines(lines), []))
+
+
+def readlines_runs(fh, hint):
+    """Every run ``fh.readlines(hint)`` gives."""
+    return list(iter(lambda: fh.readlines(hint), []))
+
+
+class TestRunsOfLines:
+    """The in-process Kaggle parse takes its lines by ``readlines(_CHUNK_BYTES)``,
+    which must cut the runs the parse's ``_run`` cut: a line is added to the run,
+    and the run ends once it is longer than the hint, not once it reaches it."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(text=run_texts, hint=st.integers(1, 64))
+    @example(text="a,a\na,a\n", hint=4)      # the first line reaches the hint, no more
+    def test_a_stream_is_cut_as_the_oracle_cuts_it(self, text, hint):
+        want = oracle_runs(io.StringIO(text, newline=""), hint)
+        assert readlines_runs(io.StringIO(text, newline=""), hint) == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(text=run_texts, copies=st.integers(1, 400), hint=st.integers(1, 64))
+    @example(text="a,a\n", copies=3, hint=4)
+    def test_a_file_is_cut_as_the_oracle_cuts_it(self, tmp_path_factory, text, copies, hint):
+        """Opened as parse_dataset opens a Kaggle file, once csv.reader has read
+        a header of two lines; long enough to cross the text layer's 8 KiB reads."""
+        path = tmp_path_factory.getbasetemp() / "runs.csv"
+        path.write_bytes(('\ufeffTRIP_ID,"POLY\nLINE"\r\n' + text * copies).encode("utf-8"))
+        runs = []
+        for cut in (oracle_runs, readlines_runs):
+            with open(path, encoding="utf-8-sig", newline="") as fh:
+                assert next(csv.reader(fh)) == ["TRIP_ID", "POLY\nLINE"]
+                runs.append(cut(fh, hint))
+        assert runs[0] == runs[1]
+
 
 class TestPointListParsing:
+    def test_a_stream_is_read_from_where_it_stands(self, tmp_path):
+        path = tmp_path / "walk.txt"
+        path.write_text("lon,lat\n-8.61,41.14\n-8.62,41.15\n-8.63,41.16\n", encoding="utf-8")
+        with open(path, encoding="utf-8", newline="") as fh:
+            assert fh.readline() == "lon,lat\n"        # the text layer has read ahead
+            ds = parse_dataset(fh, "point_list", LONGEST)
+        assert (len(ds.selected.coords), ds.skipped_rows) == (3, 0)
+
     def test_header_and_blanks_tolerated(self, tmp_path):
         path = tmp_path / "walk.txt"
         path.write_text("lon,lat\n-8.61,41.14\n\n-8.62,41.15\n-8.63,41.16\n")
@@ -1059,6 +1131,82 @@ class TestParallelDecode:
         assert (got.selected.id, got.selected.coords.tobytes()) == (
             want.selected.id, want.selected.coords.tobytes())
 
+    def test_a_daemonic_process_forks_its_workers(self, tmp_path, monkeypatch):
+        """A multiprocessing daemon, such as a Pool worker, parses a file of six
+        chunks through two forked workers, reaps them and gets the in-process
+        Dataset."""
+        path = str(self.synth_csv(tmp_path / "trips.csv"))
+        monkeypatch.setattr("trajstory.ingest._CHUNK_BYTES", 65536)
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+        def parse(out):
+            logged = []
+            handler = logging.Handler(logging.INFO)
+            handler.emit = lambda record: logged.append(record.getMessage())
+            logger = logging.getLogger("trajstory.ingest")
+            logger.addHandler(handler)
+            logger.setLevel(logging.INFO)
+            ds = parse_dataset(path, "kaggle_porto", LONGEST)
+            try:                        # a child still running, or exited but not waited for
+                os.waitpid(-1, os.WNOHANG)
+                unreaped = True
+            except ChildProcessError:   # no child left
+                unreaped = False
+            out.send((logged, ds.endpoints.tobytes(), ds.skipped_by_reason, ds.selected.id,
+                      ds.selected.coords.tobytes(), unreaped))
+
+        ctx = multiprocessing.get_context("fork")
+        receive, send = ctx.Pipe(duplex=False)
+        daemon = ctx.Process(target=parse, args=(send,), daemon=True)
+        daemon.start()
+        send.close()
+        assert receive.poll(30), "the daemon sent no answer"
+        logged, ends, skipped, pick, coords, unreaped = receive.recv()
+        daemon.join(30)
+        assert daemon.exitcode == 0
+        assert len(logged) == 1 and "in 6 chunks, 2 decode workers" in logged[0], logged
+        assert not unreaped
+        decode_workers(monkeypatch, 0)
+        want = parse_dataset(path, "kaggle_porto", LONGEST)
+        assert (ends, skipped) == (want.endpoints.tobytes(), want.skipped_by_reason)
+        assert (pick, coords) == (want.selected.id, want.selected.coords.tobytes())
+
+    # The first line of a file of six chunks, followed by the synth file's rows,
+    # that this process cannot read alone as the whole header.
+    @pytest.mark.parametrize("first_line", [
+        b"," + b"x" * (1 << 20) + b"\r\n",      # no line end within 1 MiB
+        b"," + b"x" * 9000 + b"\xff\r\n",       # not UTF-8, past the text layer's first read
+        b',"a header\n in two lines"\r\n',      # a quote still open at the line end
+    ], ids=["no-line-end-within-1-MiB", "not-utf8", "unclosed-quote"])
+    def test_a_first_line_that_is_not_the_whole_header_parses_in_process(
+            self, tmp_path, monkeypatch, first_line):
+        path = self.synth_csv(tmp_path / "trips.csv")
+        header = ",".join(KAGGLE_COLUMNS).encode() + first_line
+        path.write_bytes(header + path.read_bytes().split(b"\n", 1)[1])
+        monkeypatch.setattr("trajstory.ingest._CHUNK_BYTES", 65536)
+        got = []
+        for workers in (2, 0):
+            calls = decode_workers(monkeypatch, workers)
+            try:
+                ds = parse_dataset(str(path), "kaggle_porto", LONGEST)
+                got.append((len(ds), ds.endpoints.tobytes(), ds.skipped_by_reason,
+                            ds.selected.id, ds.selected.coords.tobytes()))
+            except ParseError as exc:
+                got.append(str(exc))
+            assert calls == []          # the header decides before any worker is asked for
+        assert got[0] == got[1]
+        if b"\xff" in first_line:      # the text layer's second read of 8 KiB holds the byte
+            position = header.index(b"\xff") - 8192
+            assert f"byte 0xff in position {position}:" in got[0]
+        else:
+            assert got[0][0] == 310
+
+    def test_without_affinity_the_cpu_count_decides(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        for cpus, workers in [(8, 2), (2, 2), (1, 0), (None, 0)]:
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            assert ingest._fork_workers() == workers
+
     def test_one_block_or_one_core_forks_nothing(self, tmp_path, monkeypatch, caplog):
         path = str(self.synth_csv(tmp_path / "trips.csv"))
         caplog.set_level(logging.INFO, logger="trajstory.ingest")
@@ -1072,13 +1220,6 @@ class TestParallelDecode:
             in caplog.text
         monkeypatch.setattr("os.sched_getaffinity", lambda pid: set(range(8)),
                             raising=False)
-        assert ingest._fork_workers() == 2
-        # a daemonic process, such as a multiprocessing.Pool worker, may not fork
-        monkeypatch.setattr("multiprocessing.current_process",
-                            lambda: types.SimpleNamespace(daemon=True))
-        assert ingest._fork_workers() == 0
-        # a process that never imported multiprocessing is no daemon of it
-        monkeypatch.delitem(sys.modules, "multiprocessing")
         assert ingest._fork_workers() == 2
         monkeypatch.delattr(os, "fork")
         assert ingest._fork_workers() == 0

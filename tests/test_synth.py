@@ -1,4 +1,5 @@
 import math
+import types
 
 import pytest
 
@@ -10,7 +11,7 @@ from trajstory.geo import GeoPoint
 from trajstory.ingest import parse_dataset, trajectory_digest
 from trajstory.story import NarrativeSpec, Story, count_words, extract_mentions
 from trajstory.synth import (EndpointCluster, PORTO_BBOX, ScriptedBackend,
-                             SyntheticSpec, generate_dataset, write_kaggle_csv)
+                             SyntheticSpec, _pick_cluster, generate_dataset, write_kaggle_csv)
 
 
 class TestScriptedBackend:
@@ -35,6 +36,19 @@ class TestSpecValidation:
                     EndpointCluster(GeoPoint(-8.62, 41.16), 0.4, 100.0)]
         with pytest.raises(ValueError, match="sum to 1"):
             SyntheticSpec(endpoint_clusters=clusters)
+
+    def test_trip_count_is_not_negative(self):
+        with pytest.raises(ValueError, match="n_trajectories must be >= 0, got -1"):
+            SyntheticSpec(n_trajectories=-1)
+
+    def test_a_draw_past_the_rounded_weight_sum_takes_the_last_cluster(self):
+        # ten weights of 0.1 sum to 1 - 2**-53, the largest draw random() gives
+        clusters = [EndpointCluster(GeoPoint(-8.61 + i / 100, 41.15), 0.1, 100.0)
+                    for i in range(10)]
+        assert sum(c.weight for c in clusters) == 1 - 2**-53
+        SyntheticSpec(endpoint_clusters=clusters)           # within the sum's tolerance
+        draw = types.SimpleNamespace(random=lambda: 1 - 2**-53)
+        assert _pick_cluster(draw, clusters) is clusters[-1]
 
     def test_point_count_bounds(self):
         with pytest.raises(ValueError):
