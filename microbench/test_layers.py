@@ -82,7 +82,7 @@ def gazetteer() -> Gazetteer:
 def test_nearest_segment_search(benchmark, walk):
     # the Polyline table is built in each call, as a fresh grounding rule builds it
     place = GeoPoint(-8.6744, 41.1488)
-    benchmark(lambda: Polyline(walk).segment_h(place))
+    benchmark(lambda: list(Polyline(walk).segment_h(place)))
 
 
 def test_validate_story_18_names(benchmark, walk, gazetteer):

@@ -4,13 +4,16 @@ Coordinate order is (lon, lat) everywhere in this package, matching the
 polyline encoding of the taxi dataset. All distances are meters on a sphere
 of mean radius 6,371,008.8 m (IUGG); good to well under 0.5% at city scale,
 which is the only scale this pipeline operates at.
+
+A ``Polyline`` is built and searched a route-order block of vertices at a time,
+and a caller after the first segment in reach stops at the first batch with one.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -100,6 +103,10 @@ def haversine_h(p: GeoPoint, lon: np.ndarray, lat: np.ndarray) -> np.ndarray:
 # and from there up the arc exceeds the chord by more than a millimetre.
 BOUND_SLACK_M = 1e-3
 
+# Vertices per block of a build or bound test; kept segments per batch of exact terms.
+_BLOCK = 10_000
+_BATCH = 1024
+
 
 class Polyline:
     """A polyline's float (N, 2) lon/lat array, with what bounds a place's
@@ -117,8 +124,8 @@ class Polyline:
         if not len(coords):
             raise ValueError("empty polyline: a trajectory needs at least one point")
         self.coords = coords
-        # In place, with one spare column: R * hypot(diff(lat), diff(lon)), then
-        # the sphere points by the operations ``segment_h`` gives ``p``, in order.
+        # In place, with one spare block: R * hypot(diff(lat), diff(lon)), then
+        # the sphere points by the operations ``_kept`` gives ``p``, in order.
         self.xyz = np.empty((3, len(coords)))
         lon, lat, z = self.xyz
         np.radians(coords.T, out=self.xyz[:2])
@@ -127,21 +134,26 @@ class Polyline:
         bound *= EARTH_RADIUS_M
         np.multiply(EARTH_RADIUS_M, np.sin(lat, out=z), out=z)
         r_cos = np.multiply(EARTH_RADIUS_M, np.cos(lat, out=lat), out=lat)
-        sin_lon = np.sin(lon)
-        np.multiply(r_cos, np.cos(lon, out=lon), out=lon)
-        np.multiply(r_cos, sin_lon, out=r_cos)
+        spare = np.empty(min(_BLOCK, len(coords)))
+        for s in range(0, len(coords), _BLOCK):
+            x, y = lon[s:s + _BLOCK], r_cos[s:s + _BLOCK]
+            sin_lon = np.sin(x, out=spare[:len(x)])
+            np.multiply(y, np.cos(x, out=x), out=x)
+            np.multiply(y, sin_lon, out=y)
 
-    def segment_h(self, p: GeoPoint, limit_m: float | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """(index, haversine term) of each segment that may lie within ``limit_m``
-        of ``p``, in route order; ``arc_m`` of a term is its distance in meters.
+    def segment_h(self, p: GeoPoint,
+                  limit_m: float | None = None) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Yield, in route order and in batches of up to ``_BATCH``, (index,
+        haversine term) of each segment that may lie within ``limit_m`` of
+        ``p``; ``arc_m`` of a term is its distance in meters.
 
-        ``limit_m`` defaults to the distance of the vertex with the smallest
-        chord to ``p``, so the nearest segment is among them. A term has the
-        bits a scan of every segment gives it: each segment is treated as
-        locally planar (equirectangular projection centered on the segment),
-        and the foot of the perpendicular is mapped back to geographic
-        coordinates and measured with the haversine. Both endpoints are
-        always candidates, so a segment is never farther than its nearer
+        ``limit_m`` defaults to the smallest chord from ``p`` to a vertex of the
+        blocks scanned so far, which the nearest segment's bound never exceeds.
+        A term has the bits a scan of every segment gives it: each segment is
+        treated as locally planar (equirectangular projection centered on the
+        segment), and the foot of the perpendicular is mapped back to
+        geographic coordinates and measured with the haversine. Both endpoints
+        are always candidates, so a segment is never farther than its nearer
         vertex. The planar approximation is accurate to well below 0.1% for
         segments up to ~50 km. A one-point line is one degenerate segment. A
         segment with a non-finite bound is kept, so non-finite evidence gives
@@ -149,33 +161,46 @@ class Polyline:
         """
         coords = self.coords
         if len(coords) == 1:
-            return np.zeros(1, dtype=np.intp), haversine_h(p, coords[:, 0], coords[:, 1])
+            yield np.zeros(1, dtype=np.intp), haversine_h(p, coords[:, 0], coords[:, 1])
+        for seg in self._kept(p, limit_m):          # none on a one-point line
+            a, b = coords[seg], coords[seg + 1]
+            a_lon, a_lat, b_lon, b_lat = a[:, 0], a[:, 1], b[:, 0], b[:, 1]
+            best = np.minimum(haversine_h(p, a_lon, a_lat), haversine_h(p, b_lon, b_lat))
+            kx, ky = M_PER_DEG_LAT * np.cos(np.radians((a_lat + b_lat) / 2.0)), M_PER_DEG_LAT
+            ax, ay = (a_lon - p.lon) * kx, (a_lat - p.lat) * ky
+            dx, dy = (b_lon - p.lon) * kx - ax, (b_lat - p.lat) * ky - ay
+            with np.errstate(divide="ignore", invalid="ignore"):
+                # a zero-length segment gives NaN here, which the range test drops
+                t = -(ax * dx + ay * dy) / (dx * dx + dy * dy)
+            inner = np.flatnonzero((t > 0.0) & (t < 1.0))
+            t = t[inner]
+            a_lon, a_lat = a_lon[inner], a_lat[inner]
+            foot = haversine_h(p, a_lon + t * (b_lon[inner] - a_lon),
+                               a_lat + t * (b_lat[inner] - a_lat))
+            best[inner] = np.minimum(best[inner], foot)
+            yield seg, best
+
+    def _kept(self, p: GeoPoint, limit_m: float | None) -> Iterator[np.ndarray]:
+        """Route-order batches of the segments whose bound lets them lie within ``limit_m``."""
         lon, lat = math.radians(p.lon), math.radians(p.lat)
         r_cos = EARTH_RADIUS_M * np.cos(lat)
-        px, py, pz = r_cos * np.cos(lon), r_cos * np.sin(lon), EARTH_RADIUS_M * np.sin(lat)
-        x, y, z = self.xyz
-        chord = np.sqrt((x - px) ** 2 + (y - py) ** 2 + (z - pz) ** 2)
-        if limit_m is None:
-            j = int(np.argmin(chord))
-            h_j = haversine_h(p, coords[j:j + 1, 0], coords[j:j + 1, 1])[0]
-            limit_m = arc_m(min(h_j, 1.0))      # a term rounded past 1 has no arc
-        far = chord[:-1] + chord[1:] - self.length_bound > 2.0 * (limit_m + BOUND_SLACK_M)
-        seg = np.flatnonzero(~far)
-        a, b = coords[seg], coords[seg + 1]
-        a_lon, a_lat, b_lon, b_lat = a[:, 0], a[:, 1], b[:, 0], b[:, 1]
-        best = np.minimum(haversine_h(p, a_lon, a_lat), haversine_h(p, b_lon, b_lat))
-        kx, ky = M_PER_DEG_LAT * np.cos(np.radians((a_lat + b_lat) / 2.0)), M_PER_DEG_LAT
-        ax, ay = (a_lon - p.lon) * kx, (a_lat - p.lat) * ky
-        dx, dy = (b_lon - p.lon) * kx - ax, (b_lat - p.lat) * ky - ay
-        with np.errstate(divide="ignore", invalid="ignore"):
-            # a zero-length segment gives NaN here, which the range test drops
-            t = -(ax * dx + ay * dy) / (dx * dx + dy * dy)
-        inner = np.flatnonzero((t > 0.0) & (t < 1.0))
-        t = t[inner]
-        a_lon, a_lat = a_lon[inner], a_lat[inner]
-        foot = haversine_h(p, a_lon + t * (b_lon[inner] - a_lon), a_lat + t * (b_lat[inner] - a_lat))
-        best[inner] = np.minimum(best[inner], foot)
-        return seg, best
+        q = np.array([[r_cos * np.cos(lon)], [r_cos * np.sin(lon)], [EARTH_RADIUS_M * np.sin(lat)]])
+        last = len(self.coords) - 1
+        buf, limit, kept = np.empty((3, min(_BLOCK, last) + 1)), math.inf, np.empty(0, np.intp)
+        for s in range(0, last, _BLOCK):
+            d = buf[:, :min(_BLOCK, last - s) + 1]
+            np.square(np.subtract(self.xyz[:, s:s + _BLOCK + 1], q, out=d), out=d)
+            d[0] += d[1]
+            d[0] += d[2]
+            chord = np.sqrt(d[0], out=d[0])
+            limit = min(limit, chord.min()) if limit_m is None else limit_m
+            bound = np.add(chord[:-1], chord[1:], out=d[1, :-1])
+            bound -= self.length_bound[s:s + _BLOCK]
+            far = bound > 2.0 * (limit + BOUND_SLACK_M)     # NaN is kept
+            kept = np.concatenate([kept, s + np.flatnonzero(~far)])
+            while len(kept) >= _BATCH or (len(kept) and s + _BLOCK >= last):
+                yield kept[:_BATCH]
+                kept = kept[_BATCH:]
 
 
 def first_within(h: np.ndarray, radius_m: float) -> tuple[int, float] | None:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Iterator
 
 import numpy as np
 
@@ -30,7 +31,8 @@ class GroundingRule:
 
     The analytics step builds one per run, from its evidence and the mode's
     threshold: ``trajectory_threshold_m`` along a trip, ``hotspot_threshold_m``
-    around the hotspot centers.
+    around the hotspot centers. ``nearest`` keeps the least term of each batch
+    ``piece_h`` yields; ``first_in_reach`` stops at the first batch with one in reach.
     """
 
     evidence: np.ndarray        # (N, 2) lon/lat: the trip's points, or the hotspot centers by rank
@@ -41,24 +43,27 @@ class GroundingRule:
     def _path(self) -> Polyline:
         return Polyline(self.evidence)
 
-    def piece_h(self, p: GeoPoint, limit_m: float | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """(index, haversine term) of each piece of evidence that may lie within
-        ``limit_m`` of ``p`` (by default, the nearest piece among them), in
-        evidence order."""
+    def piece_h(self, p: GeoPoint,
+                limit_m: float | None = None) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Yield, batch by batch in evidence order (the hotspot centers are one),
+        (index, haversine term) of each piece of evidence that may lie within
+        ``limit_m`` of ``p`` (by default, the nearest piece among them)."""
         if self.along_path:
-            return self._path.segment_h(p, limit_m)
-        return np.arange(len(self.evidence)), haversine_h(p, self.evidence[:, 0],
-                                                          self.evidence[:, 1])
+            yield from self._path.segment_h(p, limit_m)
+        else:
+            yield np.arange(len(self.evidence)), haversine_h(p, *self.evidence.T)
 
     def nearest(self, p: GeoPoint) -> float:
-        """Distance from ``p`` to its nearest piece of evidence: what grading measures."""
-        return arc_m(self.piece_h(p)[1].min())
+        """Distance from ``p`` to its nearest piece (NaN if a term is): what grading measures."""
+        return arc_m(np.min([h.min() for _, h in self.piece_h(p)]))
 
     def first_in_reach(self, p: GeoPoint) -> tuple[int, float] | None:
         """(index, distance) of the first piece within the threshold: what discovery keeps."""
-        pieces, h = self.piece_h(p, self.threshold_m)
-        hit = first_within(h, self.threshold_m)
-        return None if hit is None else (int(pieces[hit[0]]), hit[1])
+        for pieces, h in self.piece_h(p, self.threshold_m):
+            hit = first_within(h, self.threshold_m)
+            if hit is not None:
+                return int(pieces[hit[0]]), hit[1]
+        return None
 
 
 @dataclass(frozen=True)

@@ -22,9 +22,18 @@ def contains(box: BoundingBox, p: GeoPoint) -> bool:
     return box.min_lon <= p.lon <= box.max_lon and box.min_lat <= p.lat <= box.max_lat
 
 
+def kept_segments(p: GeoPoint, coords: np.ndarray,
+                  limit_m: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(index, haversine term) of every segment the search of ``Polyline(coords)``
+    keeps for ``p`` and ``limit_m``, its batches joined in route order."""
+    batches = list(Polyline(coords).segment_h(p, limit_m))
+    return (np.concatenate([np.empty(0, dtype=np.intp)] + [i for i, _ in batches]),
+            np.concatenate([np.empty(0)] + [h for _, h in batches]))
+
+
 def point_to_polyline_distance(p: GeoPoint, coords: np.ndarray) -> float:
     """Meters from ``p`` to the nearest segment of the polyline ``coords``."""
-    return arc_m(Polyline(coords).segment_h(p)[1].min())
+    return arc_m(kept_segments(p, coords)[1].min())
 
 
 def inject_hallucinations(story: Story, far_pois: list[POI]) -> Story:

@@ -2,15 +2,18 @@ import math
 import random
 import tracemalloc
 from dataclasses import astuple
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import backtracking_walk, contains, point_to_polyline_distance, tied_rows
+from helpers import (backtracking_walk, contains, kept_segments, point_to_polyline_distance,
+                     tied_rows)
 from oracles import (axis_bbox_of_coords, dense_polyline_distance,
                      dense_polyline_distance_spaced, full_segment_h, haversine_distance,
                      reference_segment_distances, whole_array_polyline_tables)
+from trajstory import geo
 from trajstory.geo import (EARTH_RADIUS_M, BoundingBox, GeoPoint, Polyline, arc_m,
                            bbox_of_coords, bbox_within, first_within, meters_per_degree)
 from trajstory.geo import as_coords as coords
@@ -19,7 +22,7 @@ from trajstory.validation import GroundingRule
 
 def segment_h(p, line):
     """The term of every segment: the table searched with no limit."""
-    return Polyline(line).segment_h(p, math.inf)[1]
+    return kept_segments(p, line, math.inf)[1]
 
 
 # Downtown-to-Boavista pair, checked against two independent high-precision
@@ -323,24 +326,44 @@ class TestBoundedSearch:
     """The chord bound leaves out only segments a full scan would not pick, and
     the ones it keeps get the full scan's bits."""
 
+    @staticmethod
+    def assert_a_full_scan(arr, q, threshold):
+        """Grading, discovery and the kept terms give what a scan of every
+        segment gives; a NaN term makes the distance NaN, as the scan's min."""
+        full = full_segment_h(q, arr)
+        distances = [arc_m(h) for h in full]
+        want = arc_m(full.min())
+        rule = GroundingRule(arr, threshold, along_path=True)
+        assert np.array_equal([rule.nearest(q), point_to_polyline_distance(q, arr)], [want] * 2,
+                              equal_nan=True)
+        assert rule.first_in_reach(q) == first_within(full, threshold)
+        kept, h = kept_segments(q, arr, threshold)
+        assert h.tobytes() == full[kept].tobytes()
+        assert all(distances[i] > threshold for i in set(range(len(full))) - set(kept.tolist()))
+
+    @staticmethod
+    def thresholds(data, arr, q):
+        exact = st.sampled_from([arc_m(h) for h in full_segment_h(q, arr)])
+        return max(0.0, data.draw(st.floats(0.0, 2e6) | exact
+                                  | exact.map(lambda d: math.nextafter(d, -math.inf))))
+
     @settings(max_examples=500, deadline=None)
     @given(data=st.data(), line=bounded_lines())
     def test_equals_a_full_scan(self, data, line):
         arr = np.array(line, dtype=np.float64)
         q = data.draw(bounded_places(line))
-        full = full_segment_h(q, arr)
-        distances = [arc_m(h) for h in full]
-        exact = st.sampled_from(distances)
-        threshold = data.draw(st.floats(0.0, 2e6) | exact
-                              | exact.map(lambda d: math.nextafter(d, -math.inf)))
-        threshold = max(threshold, 0.0)
-        rule = GroundingRule(arr, threshold, along_path=True)
-        assert rule.nearest(q) == min(distances)
-        assert point_to_polyline_distance(q, arr) == min(distances)
-        assert rule.first_in_reach(q) == first_within(full, threshold)
-        kept, h = Polyline(arr).segment_h(q, threshold)
-        assert h.tobytes() == full[kept].tobytes()
-        assert all(distances[i] > threshold for i in set(range(len(full))) - set(kept.tolist()))
+        self.assert_a_full_scan(arr, q, self.thresholds(data, arr, q))
+
+    @settings(max_examples=500, deadline=None)
+    @given(data=st.data(), line=bounded_lines(), block=st.integers(1, 8), batch=st.integers(1, 8))
+    def test_equals_a_full_scan_across_block_edges(self, data, line, block, batch):
+        """Blocks of 1-8 vertices and batches of 1-8 segments cut the lines
+        above wherever they can: the joined scan is still the full scan."""
+        arr = np.array(line, dtype=np.float64)
+        q = data.draw(bounded_places(line))
+        threshold = self.thresholds(data, arr, q)
+        with mock.patch.object(geo, "_BLOCK", block), mock.patch.object(geo, "_BATCH", batch):
+            self.assert_a_full_scan(arr, q, threshold)
 
     # Lines of about a metre where the bound, the chord and the vertex
     # distance agree to their rounding: without the slack the bound drops the
@@ -362,6 +385,48 @@ class TestBoundedSearch:
         arr = np.array([(-8.8, 41.0), (-8.8, 41.36)])
         q = GeoPoint(-8.8, 41.18)
         assert point_to_polyline_distance(q, arr) == arc_m(full_segment_h(q, arr).min()) < 1e-6
+
+    # Blocks of two vertices: the finite minimum is in the first, and the bad
+    # vertex ends the last partial block, or it is in the first block and the
+    # finite minimum, with the first piece in reach, in the last partial one.
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("line,q", [
+        ([(-8.61, 41.14), (-8.62, 41.15), (-8.63, 41.16), (-8.64, 41.17), (-8.65, 41.18),
+          (None, 41.18)], (-8.611, 41.141)),
+        ([(-8.65, 41.18), (None, 41.18), (-8.64, 41.17), (-8.63, 41.16), (-8.62, 41.15),
+          (-8.61, 41.14)], (-8.611, 41.141)),
+    ], ids=["later", "earlier"])
+    @pytest.mark.parametrize("batch", [1, 2, 8])
+    def test_a_bad_vertex_in_another_block_gives_a_full_scan(self, bad, line, q, batch):
+        arr = np.array([(bad if lon is None else lon, lat) for lon, lat in line])
+        with np.errstate(invalid="ignore"), mock.patch.object(geo, "_BLOCK", 2), \
+                mock.patch.object(geo, "_BATCH", batch):
+            rule = GroundingRule(arr, 500.0, along_path=True)
+            assert math.isnan(rule.nearest(GeoPoint(*q)))
+            assert rule.first_in_reach(GeoPoint(*q)) is not None
+            self.assert_a_full_scan(arr, GeoPoint(*q), 500.0)
+
+    @pytest.mark.parametrize("shape", ["walk", "uniform"])
+    def test_a_search_holds_a_fixed_number_of_blocks(self, shape):
+        """Beside its output, grading's and discovery's search of a 50k-vertex
+        line holds at most eight blocks of floats, one block's chords and one
+        batch's exact terms; the whole-array search held 1.06-4.9 times the
+        coordinates' bytes on these lines."""
+        if shape == "walk":         # a walk that doubles back inside downtown Porto
+            arr = coords(backtracking_walk(random.Random(50_000), steps=49_999))
+        else:
+            arr = np.random.default_rng(41).uniform((-8.7, 41.1), (-8.5, 41.25), (50_000, 2))
+        rule = GroundingRule(arr, 500.0, along_path=True)
+        for q in (GeoPoint(-8.6744, 41.1488), GeoPoint(-8.615, 41.145), GeoPoint(-8.6, 41.2)):
+            for search in (rule.nearest, rule.first_in_reach):
+                search(q)                       # builds the tables; warms up
+                tracemalloc.start()
+                try:
+                    search(q)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak <= 8 * geo._BLOCK * 8 < arr.nbytes, (search.__name__, q, peak)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_evidence_gives_what_a_full_scan_gives(self, bad):
@@ -483,8 +548,8 @@ class TestPolylineTables:
         assert line.length_bound.tobytes() == bound.tobytes()
 
     def test_tables_are_built_in_place(self):
-        """A 50k-vertex line's tables peak at 2.6x its coordinates' bytes: the
-        tables themselves (2x) and one spare column, no whole-array temporaries."""
+        """A 50k-vertex line's tables peak at 2.15x its coordinates' bytes: the
+        tables themselves (2x) and one spare block, no whole-array temporaries."""
         coords = np.random.default_rng(41).uniform((-8.7, 41.1), (-8.5, 41.25), (50_000, 2))
         Polyline(coords[:10])                   # warm up
         tracemalloc.start()
@@ -493,4 +558,4 @@ class TestPolylineTables:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.6 * coords.nbytes, (peak, coords.nbytes)
+        assert peak <= 2.15 * coords.nbytes, (peak, coords.nbytes)
