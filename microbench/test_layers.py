@@ -12,6 +12,8 @@ chunks), and a million trip endpoints around downtown Porto.
 
 from __future__ import annotations
 
+import csv
+
 import numpy as np
 import pytest
 
@@ -69,7 +71,7 @@ def trips(kaggle_file):
 def kaggle_chunk(kaggle_file) -> tuple[str, tuple]:
     """The first decode chunk of ``kaggle_file``, as a worker reads it, and its columns."""
     with open(kaggle_file, "rb") as fh:
-        columns = ingest._columns(ingest._header(fh.readline()))
+        columns = ingest._columns(next(csv.reader([fh.readline().decode("utf-8-sig")])))
         data = fh.read(ingest._CHUNK_BYTES) + fh.readline()
     return data.decode("utf-8"), columns
 

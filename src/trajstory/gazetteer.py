@@ -70,8 +70,11 @@ class GazetteerConfig:
     cache_path: str = ""        # empty disables the journal
 
     def __post_init__(self):
-        if self.rate_limit <= 0:
-            raise ValueError(f"rate_limit must be positive, got {self.rate_limit}")
+        # time.sleep adds the interval to the monotonic clock in int64 ns: half is the clock's
+        longest = threading.TIMEOUT_MAX / 2
+        if not self.rate_limit > 0 or 1.0 / self.rate_limit > longest:
+            raise ValueError(f"rate_limit must be positive, with at most {longest:.0f} s "
+                             f"between requests, got {self.rate_limit}")
         if self.offline_only and not self.fixture_path:
             raise ValueError("offline_only requires a fixture_path")
 

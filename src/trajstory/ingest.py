@@ -6,9 +6,9 @@ Two source schemas:
   column holding a bracketed list of ``[lon, lat]`` pairs. Only TRIP_ID,
   TIMESTAMP and POLYLINE are consumed; rows flagged MISSING_DATA are skipped.
 * ``point_list`` -- one ``lon,lat`` pair per line (header optional), the
-  whole file being a single trajectory. A file is read as bytes; plain
-  numbers only are read by ``np.fromstring`` in blocks that end at a line
-  end, into one array (``_plain_points``), any other file line by line.
+  whole file being a single trajectory. A file, or what is left of a text
+  stream, is read whole as bytes, in blocks that end at a line end: a block
+  of plain numbers by ``np.fromstring``, any other line by line.
 
 A parse folds the file, one chunk of trips at a time, into a ``Dataset``
 that keeps each trip's final point and, when a selection is asked for, the
@@ -22,25 +22,26 @@ exports are dirty; a bad row is data about the data.
 
 A Kaggle chunk whose lines csv.reader provably reads as whole records, all
 of as many fields, is read in bulk, by one split on ``"`` (``_bulk_columns``);
-any other chunk is read line by line by csv.reader. Workers and the
-in-process parse (runs of lines by ``readlines(_CHUNK_BYTES)``) read through
-the one ``_read_rows``. Of a POLYLINE in the common form (``_CANON``) only the
-final pair is read, and the point count when a selection is asked for. Every
-other row, and every row when trip lengths are needed, is decoded exactly by
+any other chunk by csv.reader. Workers and the in-process parse (runs of
+lines by ``readlines(_CHUNK_BYTES)``) read either's columns through the one
+``_read_rows``. Of a POLYLINE in the common form (``_CANON``) only the final
+pair is read, and the point count when a selection is asked for. Every other
+row, and every row when trip lengths are needed, is decoded exactly by
 ``_decode_polyline``, which defines every skip reason and every bit.
 
-A Kaggle file of two chunks or more is parsed by up to two workers forked
-by ``os.fork``, one per usable core: this process reads the header line and
-cuts the body into chunks at line ends; of ``w`` workers, worker ``i`` reads
-chunks ``i``, ``i + w``, ... and pickles on its own one-way ``os.pipe`` each
-one's kept trips' final points, skip counts and pick (``_Fold.pick``), and
-this process folds chunk ``k`` from pipe ``k % w``, so in file order, naming
-a blank-id pick ``row<N>``. Where a chunk cannot be read alone (it is not
-UTF-8, csv.reader fails on it, a quoted line end crosses a cut, or a blank
-id, whose ``row<N>`` no worker knows, could change its pick), the parse
-restarts in-process, so every error comes from the in-process path, which
-also parses text streams, named pipes, one-chunk files and files on one-core
-machines. Any process forks workers, a daemonic ``multiprocessing`` one too.
+This process reads the Kaggle header. The body of a regular file that
+``parse_dataset`` opened, its header on line 1, of two chunks or more, is
+parsed by up to two workers forked by ``os.fork``, one per usable core: of
+``w`` workers, worker ``i`` reads chunks ``i``, ``i + w``, ... and pickles on
+its own one-way ``os.pipe`` each one's kept trips' final points, skip counts
+and pick (``_Fold.pick``), and this process folds chunk ``k`` from pipe
+``k % w``, so in file order, naming a blank-id pick ``row<N>``. Where a chunk
+cannot be read alone (it is not UTF-8, csv.reader fails on it, a quoted line
+end crosses a cut, or a blank id, whose ``row<N>`` no worker knows, could
+change its pick), the parse goes on in-process, so every error comes from
+the in-process path, which also parses text streams, named pipes, one-chunk
+files and files on one-core machines. Any process forks workers, a daemonic
+``multiprocessing`` one too.
 """
 
 from __future__ import annotations
@@ -280,10 +281,10 @@ class _Restart(Exception):
     """A chunk's pick needs what only the in-process parse knows: it restarts there."""
 
 
-def _bulk_columns(text: str) -> tuple[list[list[str]], int] | None:
-    """``(columns, lines)`` where csv.reader provably reads each line of ``text`` as
-    one whole record, all of as many fields: ``columns[i]`` holds field ``i`` of
-    each. Else None.
+def _bulk_columns(text: str) -> tuple[list[list[str]], range, int] | None:
+    """``(columns, the line each record ends on, lines)`` where csv.reader provably
+    reads each line of ``text`` as one whole record, all of as many fields:
+    ``columns[i]`` holds field ``i`` of each. Else None.
 
     Proven where every ``"`` opens a field (at a line start or after a ``,``)
     or closes one (before a ``,`` or a line end), so that a doubled ``""``
@@ -318,13 +319,13 @@ def _bulk_columns(text: str) -> tuple[list[list[str]], int] | None:
     if quoted:                  # put each quoted field back, in row order
         quoted = iter(quoted)
         cells = [next(quoted) if cell == '"' else cell for cell in cells]
-    return [cells[i::width + 1] for i in range(width)], lines
+    return [cells[i::width + 1] for i in range(width)], range(1, lines + 1), lines
 
 
 def _csv_rows(text: str, more: Iterable, base: int | None) -> tuple[list, list[int], int]:
     """csv.reader's records of the lines of ``text``, a record still open at their
-    end continuing into ``more``: ``(records, the line each ends on, lines read)``,
-    blank lines giving no record."""
+    end continuing into ``more``: ``(columns, the line each record ends on, lines
+    read)``, blank lines giving no record and short records filled with ``""``."""
     lines = io.StringIO(text, newline="").readlines()
     reader = csv.reader(itertools.chain(lines, more))
     rows, ends = [], []
@@ -335,7 +336,7 @@ def _csv_rows(text: str, more: Iterable, base: int | None) -> tuple[list, list[i
                 ends.append(reader.line_num)
     except csv.Error as exc:
         raise csv.Error(f"line {(base or 0) + reader.line_num}: {exc}") from None
-    return rows, ends, reader.line_num
+    return list(itertools.zip_longest(*rows, fillvalue="")), ends, reader.line_num
 
 
 def _start_time(cell: str) -> int | None:
@@ -360,17 +361,10 @@ def _read_rows(text: str, more: Iterable, columns: tuple[int | None, ...], selec
     """
     polyline, trip, timestamp, missing = columns
     bulk = _bulk_columns(text)
-    if bulk:
-        fields, num = bulk
-        ends = range(1, num + 1)
+    fields, ends, num = bulk or _csv_rows(text, more, base)
 
-        def column(i):
-            return fields[i] if i is not None and i < len(fields) else [""] * num
-    else:
-        rows, ends, num = _csv_rows(text, more, base)
-
-        def column(i):
-            return [row[i] if i is not None and i < len(row) else "" for row in rows]
+    def column(i):
+        return fields[i] if i is not None and i < len(fields) else [""] * len(ends)
     keep = [cell.strip().lower() != "true" for cell in column(missing)]
     texts = list(itertools.compress(column(polyline), keep))
     ids, times = [], []
@@ -416,8 +410,10 @@ def _kaggle_dataset(fold: _Fold, source_path: str, workers: int) -> Dataset:
     return ds
 
 
-def _parse_kaggle(fh: IO[str], source_path: str, fold: _Fold) -> Dataset:
-    """A Kaggle file parsed in this process from the text stream ``fh``, in runs of lines."""
+def _parse_kaggle(fh: IO[str], source_path: str, selection: tuple[str, str | None] | None,
+                  owned: bool = False) -> Dataset:
+    """A Kaggle file from where the text stream ``fh`` stands; its body by the workers
+    where ``parse_dataset`` opened ``fh`` (``owned``), else in runs of lines."""
     first = fh.readline()       # a byte-order mark is no data; the utf-8-sig codec drops it
     if getattr(fh, "encoding", None) != "utf-8-sig":
         first = first.removeprefix("\ufeff")
@@ -426,7 +422,12 @@ def _parse_kaggle(fh: IO[str], source_path: str, fold: _Fold) -> Dataset:
         header = next(reader, None)
     except csv.Error as exc:
         raise ParseError(f"{source_path}: line {reader.line_num}: {exc}") from None
-    columns, base, selecting = _columns(header), reader.line_num, fold.criterion is not None
+    columns, base, selecting = _columns(header), reader.line_num, selection is not None
+    if owned and base == 1 and stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+        ds = _parse_in_workers(source_path, first, columns, _Fold(selection))
+        if ds is not None:
+            return ds
+    fold = _Fold(selection)
     try:
         while run := fh.readlines(_CHUNK_BYTES):
             chunk = _reduce(_read_rows("".join(run), fh, columns, selecting, base), fold)
@@ -435,17 +436,6 @@ def _parse_kaggle(fh: IO[str], source_path: str, fold: _Fold) -> Dataset:
     except csv.Error as exc:
         raise ParseError(f"{source_path}: {exc}") from None
     return _kaggle_dataset(fold, source_path, 0)
-
-
-def _header(line: bytes) -> list[str] | None:
-    """The header record, if csv.reader reads the UTF-8 ``line`` alone as one record."""
-    if not line.endswith(b"\n"):                   # the file's end, or cut short
-        return None
-    try:
-        lines = io.StringIO(line.decode("utf-8-sig"), newline="").readlines()
-        return next(csv.reader(lines + [None])) if len(lines) == 1 else None
-    except (UnicodeDecodeError, csv.Error):
-        return None
 
 
 def _decode_worker(out, path: str, jobs: list[tuple[int, int]],
@@ -487,36 +477,33 @@ def _fork_workers() -> int:
     return workers if workers > 1 and hasattr(os, "fork") else 0
 
 
-def _parse_in_workers(path: str, fold: _Fold) -> Dataset | None:
-    """The Kaggle file at ``path``, its body read by forked decode workers.
+def _parse_in_workers(path: str, first: str, columns: tuple[int | None, ...],
+                      fold: _Fold) -> Dataset | None:
+    """The body of the Kaggle file at ``path``, read by forked decode workers.
 
-    This process reads the header line and cuts the body into chunks of
-    about ``_CHUNK_BYTES`` at line ends, a seek and a readline each. Worker
-    ``i`` of ``w`` is forked, numpy already imported, with chunks ``i``,
-    ``i + w``, ... and pickles its answers on a one-way pipe; this process
-    folds chunk ``k`` from pipe ``k % w``, so in file order. A full pipe is
-    the only flow control: a worker waits on its write until this process
-    reads. No worker outlives the call. None, to parse in-process, where the
-    file is not a regular file of two chunks or more, no worker can be
-    forked, its first line is not the whole header in UTF-8, or a chunk
-    cannot be read alone.
+    This process checks that the header record ``first``, the first text line,
+    is the first byte line too, less one byte-order mark, and cuts the body into
+    chunks of about ``_CHUNK_BYTES`` at line ends. Worker ``i`` of ``w`` is
+    forked with chunks ``i``, ``i + w``, ... and pickles its answers on a
+    one-way pipe; this process folds chunk ``k`` from pipe ``k % w``, so in file
+    order. A full pipe is the only flow control: a worker waits on its write
+    until this process reads. No worker outlives the call. None, to parse
+    in-process, where ``first`` is not the first byte line, the body is one
+    chunk, no worker can be forked, or a chunk cannot be read alone.
     """
-    st = os.stat(path)
-    if not stat.S_ISREG(st.st_mode):    # a FIFO can be opened only once: the in-process parse does
-        return None
-    with open(path, "rb") as fh:
-        header = _header(fh.readline(1 << 20))      # a longer first line parses in-process
+    with open(path, "rb") as fh:        # a lone CR ends a text line, not a byte line
+        if first[-1:] != "\n" or fh.readline().removeprefix(codecs.BOM_UTF8) != first.encode():
+            return None
+        size = os.fstat(fh.fileno()).st_size
         cuts = [fh.tell()]
-        while cuts[-1] < st.st_size:
+        while cuts[-1] < size:
             fh.seek(cuts[-1] + _CHUNK_BYTES)
             fh.readline()
-            cuts.append(min(fh.tell(), st.st_size))
-    if len(cuts) < 3 or header is None or "POLYLINE" not in header:
-        return None
-    workers = _fork_workers()
+            cuts.append(min(fh.tell(), size))
+    workers = _fork_workers() if len(cuts) > 2 else 0
     if not workers:
         return None
-    jobs, columns = list(zip(cuts, cuts[1:])), _columns(header)
+    jobs = list(zip(cuts, cuts[1:]))
     pids, pipes = [], []
     base = 1                                        # the header is line 1
     try:
@@ -548,47 +535,22 @@ def _parse_in_workers(path: str, fold: _Fold) -> Dataset | None:
     return _kaggle_dataset(fold, path, workers)
 
 
-def _plain_points(data: bytes) -> np.ndarray | None:
-    """The numbers of a point_list file's bytes, read by ``np.fromstring`` when
-    they hold only ``[-.0-9,\n]``, one comma a line and no blank line; None
-    when they do not, or when numpy does not read two numbers a line. Checked
-    and read in blocks that end at a line end, into one array, so beside the
-    bytes only the numbers and one block's text are held."""
-    lines = data.count(b"\n") + bool(data) - data.endswith(b"\n")    # the last may lack its "\n"
-    values = np.empty(2 * lines)
-    start = filled = 0
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", DeprecationWarning)  # numpy < 2: a short read warns
-        while start < len(data):
-            end = data.find(b"\n", start + _POINT_BLOCK_BYTES) + 1 or len(data)
-            block = data[start:end]
-            seps = block.translate(None, b"-.0123456789")
-            if seps != b",\n" * (len(seps) // 2) + b"," * (len(seps) % 2):
-                return None
+def _block_points(block: bytes, skipped: dict[str, int]) -> np.ndarray:
+    """The numbers of ``block``, whole point_list lines: read by ``np.fromstring``
+    when they hold only ``[-.0-9,\n]``, one comma a line and no blank line, and
+    numpy reads two numbers a line; else line by line, which defines every skip."""
+    seps = block.translate(None, b"-.0123456789")
+    if seps and seps == b",\n" * (len(seps) // 2) + b"," * (len(seps) % 2):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)  # numpy < 2: a short read warns
             try:
                 numbers = np.fromstring(block.replace(b"\n", b","), sep=",")
-                values[filled:filled + len(numbers)] = numbers
             except (DeprecationWarning, ValueError):  # an empty field, "-", "1.2.3", ...
-                return None
-            start, filled = end, filled + len(numbers)
-    return values if filled == len(values) else None
-
-
-def _parse_point_list(fh: IO, source_path: str, fold: _Fold) -> Dataset:
-    """A file, which ``parse_dataset`` opens in binary, is read as bytes, and by
-    ``_plain_points`` when it takes them; any other file and every text stream,
-    from where it stands, is read line by line, which defines every skip."""
-    skipped = fold.skipped
-    if isinstance(fh, io.BufferedIOBase):
-        data = fh.read().removeprefix(codecs.BOM_UTF8)
-        plain = _plain_points(data)
-        # else the lines a file opened with newline="" gives
-        lines = () if plain is not None else io.StringIO(data.decode("utf-8"), newline="")
-        del data
-    else:                                               # a byte-order mark is no data
-        plain, lines = None, itertools.chain([fh.readline().removeprefix("\ufeff")], fh)
+                numbers = ()
+        if len(numbers) == 2 * seps.count(b","):           # a comma a line
+            return numbers
     values: list[float] = []
-    for line in lines:
+    for line in io.StringIO(block.decode("utf-8"), newline=""):
         line = line.strip()
         if not line:
             continue
@@ -603,11 +565,33 @@ def _parse_point_list(fh: IO, source_path: str, fold: _Fold) -> Dataset:
                 continue
         # a header line ("lon,lat") lands here too, which is fine
         skipped["bad_json"] += 1
-    xy = np.asarray(values if plain is None else plain, dtype=np.float64).reshape(-1, 2)
+    return np.array(values)
+
+
+def _parse_point_list(fh: IO, source_path: str,
+                      selection: tuple[str, str | None] | None) -> Dataset:
+    """The rest of ``fh`` read whole, a text stream encoded as UTF-8, in blocks that end at
+    a line end (``_block_points``): beside the bytes, only the numbers and a block are held."""
+    fold = _Fold(selection)
+    data = fh.read()
+    data = (data.encode("utf-8") if isinstance(data, str) else data).removeprefix(codecs.BOM_UTF8)
+    values = np.empty(2 * (data.count(b"\n") + data.count(b"\r") + 1))    # two a line at most
+    start = filled = 0
+    while start < len(data):
+        end = data.find(b"\n", start + _POINT_BLOCK_BYTES) + 1 or len(data)
+        try:
+            numbers = _block_points(data[start:end], fold.skipped)
+        except UnicodeDecodeError as exc:       # placed in the file's data, not the block
+            exc.object, exc.start, exc.end = data, start + exc.start, start + exc.end
+            raise
+        values[filled:filled + len(numbers)] = numbers
+        start, filled = end, filled + len(numbers)
+    del data
+    xy = values[:filled].reshape(-1, 2)
     ok = _in_range(xy)
-    skipped["out_of_range"] = int(len(ok) - ok.sum())
+    fold.skipped["out_of_range"] = int(len(ok) - ok.sum())
     xy = xy[ok]
-    log.info("%s: %d points kept, skipped %s", source_path, len(xy), skipped)
+    log.info("%s: %d points kept, skipped %s", source_path, len(xy), fold.skipped)
     if len(xy) >= 2:
         name = os.path.splitext(os.path.basename(source_path))[0] or "trajectory"
         lengths = _path_lengths_m(xy, np.array([0, len(xy)])) if fold.by_length else None
@@ -640,15 +624,14 @@ def parse_dataset(source: str | IO[str], schema: str,
     parser = _parse_kaggle if schema == "kaggle_porto" else _parse_point_list
     limit = csv.field_size_limit(_MAX_FIELD_CHARS)
     try:
-        if isinstance(source, str):
-            ds = _parse_in_workers(source, _Fold(selection)) if parser is _parse_kaggle else None
-            if ds is None:
-                with (open(source, "rb") if parser is _parse_point_list
-                      else open(source, encoding="utf-8-sig", newline="")) as fh:
-                    ds = parser(fh, source, _Fold(selection))
-            return ds
-        return parser(source, getattr(source, "name", "<stream>"), _Fold(selection))
-    except UnicodeDecodeError as exc:
+        if not isinstance(source, str):
+            return parser(source, getattr(source, "name", "<stream>"), selection)
+        if parser is _parse_point_list:
+            with open(source, "rb") as fh:
+                return _parse_point_list(fh, source, selection)
+        with open(source, encoding="utf-8-sig", newline="") as fh:
+            return _parse_kaggle(fh, source, selection, owned=True)
+    except UnicodeError as exc:     # a stream's lone surrogate, too, which UTF-8 cannot encode
         raise ParseError(f"dataset is not UTF-8 text: {exc}") from None
     finally:
         csv.field_size_limit(limit)

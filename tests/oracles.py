@@ -8,10 +8,11 @@ from __future__ import annotations
 
 import csv
 import html
+import itertools
 import json
 import math
-import warnings
-from typing import IO, Iterator
+import os
+from typing import IO, Iterable, Iterator
 
 import numpy as np
 
@@ -20,7 +21,8 @@ from trajstory.errors import ConfigurationError, NotFoundError, ParseError
 from trajstory.geo import (EARTH_RADIUS_M, M_PER_DEG_LAT, BoundingBox, GeoPoint, arc_m,
                            as_coords, bbox_of_coords, haversine_h, meters_per_degree)
 from trajstory.heatgrid import DEFAULT_CELL_SIZE_M, MAX_GRID_CELLS, HeatGrid
-from trajstory.ingest import _CHUNK_BYTES, SELECTION_CRITERIA, Trajectory, _path_lengths_m
+from trajstory.ingest import (_CHUNK_BYTES, SELECTION_CRITERIA, SKIP_REASONS, Dataset, Trajectory,
+                              _path_lengths_m)
 
 
 def haversine_distance(a: GeoPoint, b: GeoPoint) -> float:
@@ -371,24 +373,48 @@ def reference_render_html(doc) -> str:
     return _HTML_PAGE.format(legend_items=legend_items, geojson=geojson)
 
 
-def one_pass_plain_points(text: str) -> np.ndarray | None:
-    """The numbers of a point_list text, read by one ``np.fromstring`` when the
-    text holds only ``[-.0-9,\n]``, one comma a line and no blank line; None
-    when it does not, or when numpy does not read two numbers a line."""
-    if not text.isascii():
-        return None
-    data = text.encode("ascii")
-    seps = data.translate(None, b"-.0123456789")
-    lines = (len(seps) + 1) // 2        # the last line may lack its "\n"
-    if seps != b",\n" * (len(seps) // 2) + b"," * (len(seps) % 2):
-        return None
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", DeprecationWarning)  # numpy < 2: a short read warns
-        try:
-            values = np.fromstring(data.replace(b"\n", b","), sep=",")
-        except (DeprecationWarning, ValueError):      # an empty field, "-", "1.2.3", ...
-            return None
-    return values if len(values) == 2 * lines else None
+def line_loop(lines: Iterable[str], skipped: dict[str, int]) -> list[float]:
+    """The numbers of point_list ``lines``, each unusable line counted in ``skipped``.
+
+    The loop that read every point_list text stream, and every file not of
+    plain numbers, before the parse read in blocks; copied verbatim into
+    this function."""
+    values: list[float] = []
+    for line in lines:
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) == 2:
+            try:
+                lon, lat = float(parts[0]), float(parts[1])
+            except ValueError:
+                pass
+            else:
+                values += (lon, lat)
+                continue
+        # a header line ("lon,lat") lands here too, which is fine
+        skipped["bad_json"] += 1
+    return values
+
+
+def line_by_line_point_list(fh: IO[str], selection: tuple[str, str | None] | None) -> Dataset:
+    """The Dataset of the point_list text stream ``fh``, every line read by ``line_loop``
+    from where ``fh`` stands, a byte-order mark dropped from the first; the trip is
+    named after the stream's file, as ``parse_dataset`` names it."""
+    skipped = dict.fromkeys(SKIP_REASONS, 0)
+    values = line_loop(itertools.chain([fh.readline().removeprefix("\ufeff")], fh), skipped)
+    xy = np.asarray(values, dtype=np.float64).reshape(-1, 2)
+    lon, lat = xy[:, 0], xy[:, 1]
+    ok = (lon >= -180.0) & (lon <= 180.0) & (lat >= -90.0) & (lat <= 90.0)
+    skipped["out_of_range"] = int(len(ok) - ok.sum())
+    xy = xy[ok]
+    if len(xy) < 2:
+        return Dataset(skipped_by_reason=skipped)
+    name = os.path.splitext(os.path.basename(getattr(fh, "name", "<stream>")))[0] or "trajectory"
+    wanted = selection is not None and selection[0] != "by_id" or selection == ("by_id", name)
+    return Dataset(endpoints=xy[-1:], skipped_by_reason=skipped,
+                   selected=Trajectory(id=name, coords=xy) if wanted else None)
 
 
 def run_of_lines(lines: Iterator[str]) -> list[str]:

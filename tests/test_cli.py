@@ -653,6 +653,8 @@ LATIN1_STORY = "Past [[POI: São Bento Station]].\n".encode("latin-1")
 @pytest.mark.parametrize("command, config, story, flags, code, message, fixture", [
     ("story", None, None, ["--max-words", "0"], 2, "max_words must be positive", None),
     ("story", b"rate_limit = 0\n", None, [], 2, "rate_limit must be positive", None),
+    ("story", b"rate_limit = 1e-300\n", None, [], 2,
+     "rate_limit must be positive, with at most", None),
     ("story", b"require_geocode = false\n", None, [], 2,
      "unknown config key 'require_geocode'", None),
     ("story", b"min_grounded_fraction = 0.5\n", None, [], 2,
@@ -690,7 +692,7 @@ LATIN1_STORY = "Past [[POI: São Bento Station]].\n".encode("latin-1")
     ("validate", None, b"[[POI: Ribeira]]\n", [], 2,
      "places.csv: line 3: not UTF-8 text",
      "name,lon,lat\nRibeira,-8.6,41.1\nS\xe3o Bento,-8.61,41.15\n".encode("latin-1")),
-], ids=["max-words-0", "rate-limit-0", "removed-require-geocode",
+], ids=["max-words-0", "rate-limit-0", "rate-limit-1e-300", "removed-require-geocode",
         "removed-min-grounded-fraction", "negative-trajectory-threshold",
         "negative-hotspot-threshold", "nan", "not-a-number",
         "unknown-key", "latin1-config", "latin1-config-validate",

@@ -1,5 +1,7 @@
 import json
+import math
 import multiprocessing
+import threading
 
 import pytest
 from hypothesis import event, given, settings, strategies as st
@@ -61,6 +63,23 @@ class TestConfig:
     def test_rate_limit_must_be_positive(self):
         with pytest.raises(ValueError):
             GazetteerConfig(rate_limit=0)
+
+    @pytest.mark.parametrize("rate_limit", [1e-300, 5e-324, float("nan")])
+    def test_a_rate_limit_time_sleep_cannot_wait_out_is_rejected(self, rate_limit):
+        # time.sleep(1e300) raises OverflowError; nan compares false with everything
+        with pytest.raises(ValueError, match="rate_limit must be positive, with at most"):
+            GazetteerConfig(rate_limit=rate_limit, offline_only=False)
+
+    def test_the_smallest_rate_limit_waits_its_interval(self):
+        smallest = 2.0 / threading.TIMEOUT_MAX
+        with pytest.raises(ValueError, match="rate_limit"):
+            GazetteerConfig(rate_limit=math.nextafter(smallest, 0.0), offline_only=False)
+        ft = FakeTime()
+        gaz = Gazetteer(online_cfg(rate_limit=smallest), fetch=RecordingFetch([]),
+                        clock=ft.clock, sleep=ft.sleep)
+        gaz.geocode("one")
+        gaz.geocode("two")
+        assert ft.sleeps == [threading.TIMEOUT_MAX / 2]
 
     def test_offline_needs_a_fixture(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import codecs
 import collections
 import contextlib
 import csv
@@ -24,8 +25,7 @@ from hypothesis import example, given, settings, strategies as st
 from helpers import (backtracking_walk, endpoints, iter_points, point_list_round_trip,
                      points, to_point_list, track, write_point_list)
 import oracles
-from oracles import (one_pass_plain_points, reference_parse_kaggle, reference_path_length_m,
-                     reference_select_trajectory)
+from oracles import reference_parse_kaggle, reference_path_length_m, reference_select_trajectory
 from trajstory import ingest
 from trajstory.cli import main
 from trajstory.errors import ConfigurationError, NotFoundError, ParseError
@@ -355,9 +355,50 @@ def same_dataset(a, b) -> bool:
             and a.skipped_by_reason == b.skipped_by_reason)
 
 
+def numpy_read(data: bytes):
+    """``(numbers, skipped, by_numpy)``: what ``_block_points`` gives of ``data``, the
+    lines it skipped, and whether the numbers are the array np.fromstring read."""
+    real, read = np.fromstring, []
+
+    def fromstring(*args, **kwargs):
+        read.append(real(*args, **kwargs))
+        return read[-1]
+    skipped = ingest._no_skips()
+    with mock.patch.object(np, "fromstring", fromstring):
+        numbers = ingest._block_points(data, skipped)
+    return numbers, skipped, bool(read) and numbers is read[-1]
+
+
+def loop_read(text: str):
+    """``(numbers, skipped)`` of ``text`` by the reference line loop."""
+    skipped = ingest._no_skips()
+    return oracles.line_loop(io.StringIO(text, newline=""), skipped), skipped
+
+
+def parses_as_the_loop(path, selection) -> bool:
+    """Whether the file at ``path`` and the same file as a text stream each parse
+    to the Dataset the reference line loop gives."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        want = oracles.line_by_line_point_list(fh, selection)
+    with open(path, encoding="utf-8", newline="") as fh:
+        stream = parse_dataset(fh, "point_list", selection)
+    return (same_dataset(parse_dataset(str(path), "point_list", selection), want)
+            and same_dataset(stream, want))
+
+
+def headered_walk_file(path, n=50_000, header="lon,lat\n"):
+    """A random walk of ``n`` points near Porto, every float at full precision,
+    below ``header``."""
+    walk = np.cumsum(np.random.default_rng(27).normal(0.0, 1e-4, (n, 2)), axis=0)
+    path.write_text(header + "".join(f"{lon!r},{lat!r}\n" for lon, lat in
+                                     (walk + (-8.61, 41.15)).tolist()))
+    return path
+
+
 class TestBulkPointList:
-    """A point_list file is read in one pass when every line is two plain
-    numbers, and gives what the line-by-line loop gives."""
+    """A point_list file or stream is read in blocks that end at a line end: a
+    block of plain numbers by numpy, any other by the line loop, and the two
+    give what the reference loop gives of the whole."""
 
     @settings(max_examples=300, deadline=None)
     @given(case=point_list_texts(), selection=st.sampled_from([None, LONGEST,
@@ -366,11 +407,9 @@ class TestBulkPointList:
         text, plain = case
         path = walk_path(tmp_path_factory)
         path.write_bytes(text.encode("utf-8"))
-        assert (ingest._plain_points(text.removeprefix("\ufeff").encode()) is not None) >= plain
-        bulk = parse_dataset(str(path), "point_list", selection)
-        with open(path, encoding="utf-8", newline="") as fh:   # a stream: the loop
-            loop = parse_dataset(fh, "point_list", selection)
-        assert same_dataset(bulk, loop)
+        if plain and text:
+            assert numpy_read(text.encode())[2]
+        assert parses_as_the_loop(path, selection)
 
     @settings(max_examples=100, deadline=None)
     @given(pairs=st.lists(st.tuples(plain_numbers, plain_numbers).map(",".join), max_size=8),
@@ -383,38 +422,47 @@ class TestBulkPointList:
         lines.insert(at[0] % (len(lines) + 1), extra[0])
         lines.insert(at[1] % (len(lines) + 1), ",".join(extra[1:]))
         text = "\n".join(lines) + "\n"
-        assert ingest._plain_points(text.encode()) is None
+        numbers, skipped, by_numpy = numpy_read(text.encode())
+        assert not by_numpy
+        assert (numbers.tolist(), skipped) == loop_read(text)
         path = walk_path(tmp_path_factory)
         path.write_text(text, encoding="utf-8")
         ds = parse_dataset(str(path), "point_list", LONGEST)
         assert ds.skipped_by_reason["bad_json"] == 2
 
     def test_plain_text_is_read_in_one_pass(self):
-        values = ingest._plain_points(b"-8.61,41.14\n-8.62,41.15")
-        assert values.tolist() == [-8.61, 41.14, -8.62, 41.15]
+        numbers, skipped, by_numpy = numpy_read(b"-8.61,41.14\n-8.62,41.15")
+        assert by_numpy and numbers.tolist() == [-8.61, 41.14, -8.62, 41.15]
+        assert skipped == ingest._no_skips()
 
     @pytest.mark.parametrize("text", ["-8.61,41.14\n\n-8.62,41.15\n", "-8.61,41.14\r\n",
                                       "-8.61,\n41.14,1\n", "1,2,\n", ",1\n", "1.2.3,4\n",
-                                      "-,1\n", "1,2\n3\n4,5,6\n", "lon,lat\n1,2\n"])
+                                      "-,1\n", "1,2\n3\n4,5,6\n", "lon,lat\n1,2\n", "-", "5"])
     def test_other_text_goes_to_the_loop(self, text):
-        assert ingest._plain_points(text.encode()) is None
+        numbers, skipped, by_numpy = numpy_read(text.encode())
+        assert not by_numpy
+        assert (numbers.tolist(), skipped) == loop_read(text)
 
-    @pytest.mark.parametrize("warn", [True, False])
-    def test_a_short_read_sends_the_text_to_the_loop(self, monkeypatch, warn):
-        # numpy before 2 warns and returns what it read; later ones raise
+    @pytest.mark.parametrize("short", ["warns", "returns", "raises"])
+    def test_a_short_read_sends_the_block_to_the_loop(self, monkeypatch, short):
+        # numpy before 2 warns and returns what it read; numpy 2 raises
         def fromstring(data, sep):
-            if warn:
+            if short == "warns":
                 warnings.warn("string or file could not be read to its end", DeprecationWarning)
+            if short == "raises":
+                raise ValueError("string or file could not be read to its end")
             return np.array([1.0, 2.0])
         monkeypatch.setattr(ingest.np, "fromstring", fromstring)
-        assert ingest._plain_points(b"1,2\n3,4\n") is None
+        skipped = ingest._no_skips()
+        assert ingest._block_points(b"1,2\n3,4\n", skipped).tolist() == [1.0, 2.0, 3.0, 4.0]
+        assert skipped == ingest._no_skips()
 
     @settings(max_examples=300, deadline=None)
     @given(case=point_list_texts(), odd=st.sampled_from(["", "é,1", "٣,4", "1,２"]),
            at=st.integers(0, 30), block=st.integers(1, 64))
     def test_block_read_is_the_one_pass_read(self, tmp_path_factory, case, odd, at, block):
-        """Read in blocks of a few bytes, a file gives the numbers and the
-        dataset the whole-text read gave, valid or malformed, non-ASCII or not."""
+        """Read in blocks of a few bytes, a file and a stream give the dataset the
+        reference loop gives, valid or malformed, non-ASCII or not."""
         text, _ = case
         if odd:                     # float() reads other Unicode digits: only the loop may
             lines = text.split("\n")
@@ -422,38 +470,90 @@ class TestBulkPointList:
             text = "\n".join(lines)
         path = walk_path(tmp_path_factory)
         path.write_bytes(text.encode("utf-8"))
-        old = one_pass_plain_points(text.removeprefix("\ufeff"))
         with mock.patch.object(ingest, "_POINT_BLOCK_BYTES", block):
-            new = ingest._plain_points(text.removeprefix("\ufeff").encode())
-            ds = parse_dataset(str(path), "point_list", LONGEST)
-        assert (new is None) == (old is None)
-        assert new is None or new.tobytes() == old.tobytes()
-        with open(path, encoding="utf-8", newline="") as fh:   # a stream: the loop
-            assert same_dataset(ds, parse_dataset(fh, "point_list", LONGEST))
+            assert parses_as_the_loop(path, LONGEST)
 
-    def test_a_file_that_is_not_utf8_says_so(self, tmp_path):
+    @settings(max_examples=200, deadline=None)
+    @given(pairs=st.lists(st.tuples(plain_numbers, plain_numbers).map(",".join), min_size=1,
+                          max_size=40),
+           odd=st.lists(st.tuples(st.integers(0, 40), st.sampled_from(
+               ["", " ", "xyz", "-8.62;41.15", "1,2,3", "5", "-", "1.2.3,4", " 1.5,2",
+                "1e5,2", "nan,1", "é,1", "1,2\r3,4", "-8.6,95.0"])), max_size=4),
+           header=st.sampled_from(["lon,lat", "longitude,latitude", "\ufefflon,lat"]),
+           at=st.integers(0, 40), block=st.integers(1, 64), end=st.sampled_from(["", "\n"]))
+    def test_a_header_and_odd_lines_anywhere_in_a_plain_file(self, tmp_path_factory, pairs,
+                                                             odd, header, at, block, end):
+        """Plain blocks around them are read by numpy, the blocks that hold them by
+        the loop: a file and a stream both give the reference loop's dataset."""
+        lines = list(pairs)
+        for where, line in [(at, header), *odd]:
+            lines.insert(where % (len(lines) + 1), line)
+        path = walk_path(tmp_path_factory)
+        path.write_bytes(("\n".join(lines) + end).encode("utf-8"))
+        with mock.patch.object(ingest, "_POINT_BLOCK_BYTES", block):
+            assert parses_as_the_loop(path, LONGEST)
+
+    @pytest.mark.parametrize("mark", [b"", codecs.BOM_UTF8])
+    def test_a_file_that_is_not_utf8_says_so(self, tmp_path, mark):
         path = tmp_path / "walk.txt"
-        path.write_bytes(b"\xef\xbb\xbf-8.61,41.14\n-8.62,\xff41.15\n")
+        path.write_bytes(mark + b"-8.61,41.14\n-8.62,\xff41.15\n")
         # the position counts from after the byte-order mark, as a text read counted it
         with pytest.raises(ParseError, match="not UTF-8 text: .* byte 0xff in position 18"):
             parse_dataset(str(path), "point_list")
 
+    @pytest.mark.parametrize("mark", [b"", codecs.BOM_UTF8])
+    def test_a_bad_byte_in_a_later_block_is_placed_in_the_file(self, tmp_path, monkeypatch,
+                                                               mark):
+        """Blocks of about 8 bytes: the 0xff is in the fourth, and its position
+        counts from the file's first byte of data, not the block's."""
+        data = b"-8.61,41.14\n-8.62,41.15\n-8.63,41.16\nlon,lat\n-8.64,\xff41.17\n"
+        path = tmp_path / "walk.txt"
+        path.write_bytes(mark + data)
+        monkeypatch.setattr("trajstory.ingest._POINT_BLOCK_BYTES", 8)
+        position = data.index(b"\xff")
+        with pytest.raises(ParseError, match=r"not UTF-8 text: 'utf-8' codec can't decode "
+                                             rf"byte 0xff in position {position}: "
+                                             "invalid start byte$"):
+            parse_dataset(str(path), "point_list")
+
+    def test_a_lone_surrogate_in_a_stream_is_a_parse_error(self):
+        with pytest.raises(ParseError, match="not UTF-8 text: .* surrogates not allowed"):
+            parse_dataset(io.StringIO("-8.61,41.14\n-8.62,\ud80041.15\n"), "point_list")
+
+    @pytest.mark.parametrize("newline", ["\n", "\r"])
+    def test_a_lone_carriage_return_in_a_stream_ends_a_line_as_in_a_file(self, tmp_path,
+                                                                         newline):
+        path = tmp_path / "walk.txt"
+        path.write_bytes(b"-8.61,41.14\r-8.62,41.15\n-8.63,41.16\n")
+        with open(path, encoding="utf-8", newline=newline) as fh:
+            stream = parse_dataset(fh, "point_list", LONGEST)
+        assert same_dataset(stream, parse_dataset(str(path), "point_list", LONGEST))
+        assert (len(stream.selected.coords), stream.skipped_rows) == (3, 0)
+
     def test_a_long_file_is_held_once(self, tmp_path):
         """A 50k-point file parses at 2.2x its bytes at most: its bytes, the
-        numbers in one array and a block of text, not a str and its copies."""
-        walk = np.cumsum(np.random.default_rng(27).normal(0.0, 1e-4, (50_000, 2)), axis=0)
-        path = tmp_path / "walk.txt"
-        path.write_text("".join(f"{lon!r},{lat!r}\n" for lon, lat in
-                                (walk + (-8.61, 41.15)).tolist()))
-        parse_dataset(str(path), "point_list", LONGEST)         # warm up: lazy imports
-        tracemalloc.start()
-        try:
-            ds = parse_dataset(str(path), "point_list", LONGEST)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert len(ds.selected.coords) == 50_000
-        assert peak <= 2.2 * path.stat().st_size, (peak, path.stat().st_size)
+        numbers and a block of text, not a str and its copies."""
+        path = headered_walk_file(tmp_path / "walk.txt", header="")
+        assert parse_peak(path) <= 2.2 * path.stat().st_size
+
+    def test_a_headered_file_is_held_once(self, tmp_path):
+        """The header sends its block alone to the loop: a 50k-point file under a
+        ``lon,lat`` line parses at 2.2x its bytes at most, as a plain one does."""
+        path = headered_walk_file(tmp_path / "walk.txt")
+        assert parse_peak(path) <= 2.2 * path.stat().st_size
+
+
+def parse_peak(path) -> int:
+    """The traced memory peak of one point_list parse of ``path``, selecting its trip."""
+    parse_dataset(str(path), "point_list", LONGEST)         # warm up: lazy imports
+    tracemalloc.start()
+    try:
+        ds = parse_dataset(str(path), "point_list", LONGEST)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(ds.selected.coords) == 50_000
+    return peak
 
 
 class TestSelection:
@@ -1174,10 +1274,10 @@ class TestParallelDecode:
     # The first line of a file of six chunks, followed by the synth file's rows,
     # that this process cannot read alone as the whole header.
     @pytest.mark.parametrize("first_line", [
-        b"," + b"x" * (1 << 20) + b"\r\n",      # no line end within 1 MiB
         b"," + b"x" * 9000 + b"\xff\r\n",       # not UTF-8, past the text layer's first read
         b',"a header\n in two lines"\r\n',      # a quote still open at the line end
-    ], ids=["no-line-end-within-1-MiB", "not-utf8", "unclosed-quote"])
+        b"\rx\r\n",                             # a lone CR ends a text line, not a byte line
+    ], ids=["not-utf8", "unclosed-quote", "lone-CR"])
     def test_a_first_line_that_is_not_the_whole_header_parses_in_process(
             self, tmp_path, monkeypatch, first_line):
         path = self.synth_csv(tmp_path / "trips.csv")
@@ -1200,6 +1300,47 @@ class TestParallelDecode:
             assert f"byte 0xff in position {position}:" in got[0]
         else:
             assert got[0][0] == 310
+
+    def test_a_header_longer_than_1_mib_goes_to_the_workers(self, tmp_path, monkeypatch,
+                                                            caplog):
+        """The header is read once, here, however long its line: two cores fork
+        workers for the body and give the one-core Dataset."""
+        path = self.synth_csv(tmp_path / "trips.csv")
+        body = path.read_bytes().split(b"\n", 1)[1]
+        path.write_bytes(",".join(KAGGLE_COLUMNS).encode() + b"," + b"x" * (1 << 20) + b"\r\n"
+                         + body)
+        monkeypatch.setattr("trajstory.ingest._CHUNK_BYTES", 65536)
+        caplog.set_level(logging.INFO, logger="trajstory.ingest")
+        got = []
+        for workers in (2, 0):
+            calls = decode_workers(monkeypatch, workers)
+            ds = parse_dataset(str(path), "kaggle_porto", LONGEST)
+            got.append((len(ds), ds.endpoints.tobytes(), ds.skipped_by_reason,
+                        ds.selected.id, ds.selected.coords.tobytes()))
+            assert calls == [workers] and calls.reaped()
+        assert "in 6 chunks, 2 decode workers" in caplog.text
+        assert got[0] == got[1] and got[0][0] == 310
+
+    def test_an_open_file_is_read_in_process_from_where_it_stands(self, tmp_path, monkeypatch,
+                                                                  caplog):
+        """A caller's open file of six chunks, a line already read: no worker is
+        asked for, and it parses as the file without that line does."""
+        path = self.synth_csv(tmp_path / "trips.csv")
+        monkeypatch.setattr("trajstory.ingest._CHUNK_BYTES", 65536)
+        calls = decode_workers(monkeypatch, 2)
+        want = parse_dataset(str(path), "kaggle_porto", LONGEST)
+        preamble = tmp_path / "preamble.csv"
+        preamble.write_bytes(b"# exported by hand\n" + path.read_bytes())
+        caplog.set_level(logging.INFO, logger="trajstory.ingest")
+        with open(preamble, encoding="utf-8-sig", newline="") as fh:
+            assert fh.readline() == "# exported by hand\n"
+            got = parse_dataset(fh, "kaggle_porto", LONGEST)
+        assert calls == [2]                     # the path's parse alone asks for workers
+        assert "in 6 chunks, 0 decode workers" in caplog.text
+        assert got.endpoints.tobytes() == want.endpoints.tobytes()
+        assert got.skipped_by_reason == want.skipped_by_reason
+        assert (got.selected.id, got.selected.coords.tobytes()) == (
+            want.selected.id, want.selected.coords.tobytes())
 
     def test_without_affinity_the_cpu_count_decides(self, monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
@@ -1373,8 +1514,8 @@ def bulk_records(text):
     bulk = ingest._bulk_columns(text)
     if bulk is None:
         return None
-    columns, lines = bulk
-    assert {len(column) for column in columns} == {lines}
+    columns, ends, lines = bulk
+    assert {len(column) for column in columns} == {lines} and ends == range(1, lines + 1)
     return [list(row) for row in zip(*columns)]
 
 
