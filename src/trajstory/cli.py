@@ -24,7 +24,7 @@ from .errors import ConfigurationError, ParseError, StoryValidationError, Trajst
 if TYPE_CHECKING:
     from .geo import BoundingBox
     from .pipeline import StoryRequest
-    from .story import Mention
+    from .story import Story
 
 log = logging.getLogger("trajstory")
 
@@ -189,8 +189,8 @@ def build_backend(values: dict[str, object]):
     return ScriptedBackend(responses)
 
 
-def _read_story(path: str) -> tuple[str, list[Mention]]:
-    from .story import extract_mentions
+def _read_story(path: str, req: StoryRequest) -> Story:
+    from .story import Story, count_words, extract_mentions
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
@@ -198,7 +198,8 @@ def _read_story(path: str) -> tuple[str, list[Mention]]:
     mentions = extract_mentions(text)
     if not mentions:
         raise ParseError(f"story file {path!r} contains no POI markup")
-    return text, mentions
+    return Story(text=text, mentions=mentions, word_count=count_words(text),
+                 spec=req.spec, backend_id="external")
 
 
 def _out_dir(args: argparse.Namespace) -> Path:
@@ -258,13 +259,8 @@ def cmd_story(args: argparse.Namespace) -> int:
 
 def cmd_validate(args: argparse.Namespace) -> int:
     from .pipeline import report_files, run_steps, trace_json, write_files
-    from .story import Story, count_words
-    values = load_settings(args)
-    text, mentions = _read_story(args.story)
-    req = build_request(values)
-    story = Story(text=text, mentions=mentions, word_count=count_words(text),
-                  spec=req.spec, backend_id="external")
-    run = run_steps(req, ("ingest", "analytics", "validate"), story=story)
+    req = build_request(load_settings(args))
+    run = run_steps(req, ("ingest", "analytics", "validate"), story=_read_story(args.story, req))
     files = report_files(run.report)
     print(files["report.txt"], end="")
     if args.output_dir:
@@ -275,35 +271,15 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_map(args: argparse.Namespace) -> int:
-    from dataclasses import replace
-
-    from . import gazetteer, mapdoc, pipeline, validation
-    values = load_settings(args)
-    _, mentions = _read_story(args.story)
-    req = build_request({**values, "mode": "single_trajectory"})
-    located = gazetteer.Gazetteer(req.gazetteer).bulk_geocode(validation.distinct_names(mentions))
-    pois = []
-    for name, poi in located.items():
-        if poi is None:
-            print(f"warning: cannot geocode {name!r}; leaving it off the map",
-                  file=sys.stderr)
-        else:
-            pois.append(replace(poi, name=name))
-    run = (pipeline.run_steps(req, ("ingest", "analytics")) if req.dataset_path
-           else pipeline.RunState(req))
-
-    def emit(run: pipeline.RunState) -> str:
-        run.doc = mapdoc.emit_map(pois, trajectory=run.traj,
-                                  cluster_distance_m=run.req.cluster_distance_m)
-        return f"{len(run.doc.markers)} markers, {len(run.doc.legend)} legend rows"
-    try:
-        pipeline.run_step(run, ("emit", emit))
-    except ValueError as exc:   # nothing to map, or a negative cluster distance
-        raise ConfigurationError(str(exc)) from None
-    doc = run.doc
-    paths = pipeline.write_files(_out_dir(args), {**mapdoc.map_files(doc),
+    from . import mapdoc, pipeline
+    req = build_request({**load_settings(args), "mode": "single_trajectory"})
+    steps = (("ingest", "analytics") if req.dataset_path else ()) + ("validate", "emit")
+    run = pipeline.run_steps(req, steps, story=_read_story(args.story, req))
+    for p in run.report.ungeocodable():
+        print(f"warning: cannot geocode {p.name!r}; leaving it off the map", file=sys.stderr)
+    paths = pipeline.write_files(_out_dir(args), {**mapdoc.map_files(run.doc),
                                                   "trace.json": pipeline.trace_json(run)})
-    print(f"markers: {len(doc.markers)}  legend rows: {len(doc.legend)}")
+    print(f"markers: {len(run.doc.markers)}  legend rows: {len(run.doc.legend)}")
     for path in paths:
         print(f"wrote {path}")
     return 0

@@ -86,8 +86,10 @@ _MAX_FIELD_CHARS = 2**31 - 1
 # Bytes of a Kaggle file's body per chunk: the byte range a decode worker
 # reads, and, counted in characters of lines, the rows decoded at once.
 _CHUNK_BYTES = 4 << 20
-# Bytes of a plain point_list file numpy reads at once, up to the next line end.
+# Bytes of a plain point_list file numpy reads at once, up to the next line end:
+# "\n", "\r\n" or a lone "\r", as a universal-newlines read ends a line.
 _POINT_BLOCK_BYTES = 1 << 16
+_LINE_END = re.compile(rb"\r\n?|\n")
 
 # A POLYLINE the screen certifies: two or more [lon, lat] pairs, separated by
 # "," or ", ", each number a JSON number with a fraction and no exponent that
@@ -575,10 +577,12 @@ def _parse_point_list(fh: IO, source_path: str,
     fold = _Fold(selection)
     data = fh.read()
     data = (data.encode("utf-8") if isinstance(data, str) else data).removeprefix(codecs.BOM_UTF8)
-    values = np.empty(2 * (data.count(b"\n") + data.count(b"\r") + 1))    # two a line at most
+    # two numbers a line, and a line that holds them has three bytes and a line end at least
+    values = np.empty(2 * min(data.count(b"\n") + data.count(b"\r") + 1, (len(data) + 1) // 4))
     start = filled = 0
     while start < len(data):
-        end = data.find(b"\n", start + _POINT_BLOCK_BYTES) + 1 or len(data)
+        cut = _LINE_END.search(data, start + _POINT_BLOCK_BYTES)
+        end = cut.end() if cut else len(data)
         try:
             numbers = _block_points(data[start:end], fold.skipped)
         except UnicodeDecodeError as exc:       # placed in the file's data, not the block

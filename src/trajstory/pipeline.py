@@ -99,6 +99,8 @@ Step = tuple[str, Callable[[RunState], str]]
 
 def _ingest(run: RunState) -> str:
     req = run.req
+    if not req.dataset_path:
+        raise ConfigurationError("no dataset given (config key 'dataset' or --dataset)")
     # a heatmap reads only the endpoints; a route story keeps its one trip
     selection = ((req.selection, req.selection_id)
                  if req.spec.mode == "single_trajectory" else None)
@@ -170,10 +172,15 @@ def _validate(run: RunState) -> str:
 
 
 def _emit(run: RunState) -> str:
-    grounded = [POI(name=p.name, location=p.location, source="report")
-                for p in run.report.per_poi if p.verdict == "grounded"]
-    run.doc = emit_map(grounded, trajectory=run.traj,
-                       cluster_distance_m=run.req.cluster_distance_m)
+    """Map each located place, in report order; grading is done, so drop its evidence."""
+    run.rule = None
+    located = [POI(name=p.name, location=p.location, source="report")
+               for p in run.report.per_poi if p.location is not None]
+    try:
+        run.doc = emit_map(located, trajectory=run.traj,
+                           cluster_distance_m=run.req.cluster_distance_m)
+    except ValueError as exc:   # nothing to map: no place located and no trip
+        raise ConfigurationError(str(exc)) from None
     return f"{len(run.doc.markers)} markers, {len(run.doc.legend)} legend rows"
 
 
@@ -182,13 +189,12 @@ def _emit(run: RunState) -> str:
 def plan(req: StoryRequest) -> list[Step]:
     """The ``(name, fn)`` steps that run for this request, in order.
 
-    All request validation happens here; every violation is reported in one
+    All request validation happens here, but for the dataset, which the
+    ingest step checks; every violation is reported in one
     ConfigurationError rather than surfacing piecemeal.
     """
     mode = req.spec.mode        # NarrativeSpec has checked it is one of MODES
     problems = []
-    if not req.dataset_path:
-        problems.append("no dataset given (config key 'dataset' or --dataset)")
     if req.dataset_schema not in SCHEMAS:
         problems.append(f"unknown dataset schema {req.dataset_schema!r}")
     if req.max_retries < 1:
@@ -231,7 +237,8 @@ def run_steps(req: StoryRequest, names: tuple[str, ...],
 
     This is how a command reuses part of the pipeline: grading an existing
     ``story`` takes ingest, analytics and validate, with no digest and no
-    discovery.
+    discovery; mapping one adds emit, or takes only validate and emit
+    when there is no dataset.
     """
     run = RunState(req, story=story)
     for step in plan(req):

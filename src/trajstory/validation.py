@@ -23,6 +23,7 @@ from .story import Mention, Story
 GROUNDED = "grounded"
 UNGEOCODABLE = "ungeocodable"
 HALLUCINATION = "spatial_hallucination"
+UNGRADED = "ungraded"
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,14 +104,16 @@ def distinct_names(mentions: list[Mention]) -> list[str]:
     return list(display.values())
 
 
-def validate_story(story: Story, rule: GroundingRule, gazetteer: Gazetteer) -> ValidationReport:
+def validate_story(story: Story, rule: GroundingRule | None,
+                   gazetteer: Gazetteer) -> ValidationReport:
     """Grade one story: spatial verdict per distinct POI plus structural checks.
 
     The story passes when every verdict is ``grounded`` and every structural
     check passed; ``grounded_fraction`` is grounded / distinct places (1.0
     when it names none). Mentions are deduplicated by normalized name first,
     so repeating a name can neither pad the POI quota nor double-penalize a
-    miss. Gazetteer transport failures surface as InfrastructureError (retry
+    miss. With no ``rule`` (no evidence) each located place is ``ungraded``.
+    Gazetteer transport failures surface as InfrastructureError (retry
     material), not as a failing report.
     """
     spec = story.spec
@@ -123,8 +126,8 @@ def validate_story(story: Story, rule: GroundingRule, gazetteer: Gazetteer) -> V
         if poi is None:
             per_poi.append(PoiVerdict(name=name, verdict=UNGEOCODABLE))
             continue
-        d = rule.nearest(poi.location)
-        verdict = GROUNDED if d <= rule.threshold_m else HALLUCINATION
+        d = None if rule is None else rule.nearest(poi.location)
+        verdict = UNGRADED if d is None else GROUNDED if d <= rule.threshold_m else HALLUCINATION
         per_poi.append(PoiVerdict(name=name, verdict=verdict, distance_m=d,
                                   location=poi.location))
 

@@ -505,22 +505,51 @@ class TestMapCommand:
         roles = [f["properties"]["role"] for f in geo["features"]]
         assert roles[0] == "trajectory"
 
+    LEGEND_STORY = ("Past [[POI: Ribeira]], [[POI: RIBEIRA]], [[POI: Aliados Avenue]], "
+                    "[[POI: Foz do Douro]], [[POI: Atlantis Pier]] "
+                    "and [[POI: Avenida dos Aliados]].\n")
+    LEGEND = ["Ribeira", "Aliados Avenue", "Foz do Douro", "Avenida dos Aliados"]
+
     def test_legend_names_the_places_validation_grades(self, capsys, tmp_path,
                                                       route_file):
         story = tmp_path / "story.txt"
-        story.write_text("Past [[POI: Ribeira]], [[POI: RIBEIRA]], [[POI: Aliados Avenue]] "
-                         "and [[POI: Avenida dos Aliados]].\n", encoding="utf-8")
+        story.write_text(self.LEGEND_STORY, encoding="utf-8")
         data = ["--dataset", str(route_file), "--schema", "point_list"]
-        code, _, _ = run(capsys, "map", str(story), *data,
-                         "--output-dir", str(tmp_path / "map"))
+        code, _, err = run(capsys, "map", str(story), *data,
+                           "--output-dir", str(tmp_path / "map"))
         assert code == 0
+        assert err == "warning: cannot geocode 'Atlantis Pier'; leaving it off the map\n"
         code, _, _ = run(capsys, "validate", str(story), *data,
                          "--output-dir", str(tmp_path / "rep"))
-        assert code == 0
+        assert code == 5
         geo = json.loads((tmp_path / "map" / "map.geojson").read_text(encoding="utf-8"))
         report = json.loads((tmp_path / "rep" / "report.json").read_text(encoding="utf-8"))
-        assert [name for _, name in geo["legend"]] == [p["name"] for p in report["per_poi"]] \
-            == ["Ribeira", "Aliados Avenue", "Avenida dos Aliados"]
+        located = [p for p in report["per_poi"] if p["lon"] is not None]
+        assert [name for _, name in geo["legend"]] == [p["name"] for p in located] \
+            == self.LEGEND
+        assert {p["name"]: p["verdict"] for p in report["per_poi"]
+                if p["verdict"] != "grounded"} == {"Foz do Douro": "spatial_hallucination",
+                                                   "Atlantis Pier": "ungeocodable"}
+
+    def test_without_a_dataset_the_same_places_are_drawn_ungraded(self, capsys, tmp_path,
+                                                                 monkeypatch):
+        story = tmp_path / "story.txt"
+        story.write_text(self.LEGEND_STORY, encoding="utf-8")
+        reports = []
+        real_validate = pipeline.validate_story
+
+        def validate_story(*args):
+            reports.append(real_validate(*args))
+            return reports[-1]
+        monkeypatch.setattr(pipeline, "validate_story", validate_story)
+        code, _, err = run(capsys, "map", str(story), "--output-dir", str(tmp_path / "map"))
+        assert code == 0
+        assert err == "warning: cannot geocode 'Atlantis Pier'; leaving it off the map\n"
+        geo = json.loads((tmp_path / "map" / "map.geojson").read_text(encoding="utf-8"))
+        assert [name for _, name in geo["legend"]] == self.LEGEND
+        (report,) = reports
+        assert {p.verdict for p in report.per_poi if p.location is not None} == {"ungraded"}
+        assert all(p.distance_m is None for p in report.per_poi)
 
     @pytest.mark.parametrize("with_dataset", [True, False])
     def test_writes_a_trace_of_its_steps(self, capsys, tmp_path, route_file, with_dataset):
@@ -530,9 +559,9 @@ class TestMapCommand:
         code, out, _ = run(capsys, "map", str(story), *data, "--output-dir", str(tmp_path / "map"))
         assert code == 0
         trace = json.loads((tmp_path / "map" / "trace.json").read_text(encoding="utf-8"))
-        steps = ["ingest", "analytics", "emit"] if with_dataset else ["emit"]
+        steps = (["ingest", "analytics"] if with_dataset else []) + ["validate", "emit"]
         assert [s["step"] for s in trace["steps"]] == steps
-        assert trace["attempts"] == 0
+        assert trace["attempts"] == 1
         assert trace["steps"][-1]["detail"] == "1 markers, 1 legend rows"
         assert f"wrote {tmp_path / 'map' / 'trace.json'}" in out
 
@@ -672,7 +701,9 @@ LATIN1_STORY = "Past [[POI: São Bento Station]].\n".encode("latin-1")
     ("validate", None, LATIN1_STORY, [], 3, "not UTF-8", None),
     ("map", None, LATIN1_STORY, [], 3, "not UTF-8", None),
     ("map", None, b"[[POI: Ribeira]]\n", ["--cluster-distance", "-1"], 2,
-     "cluster_distance_m must be >= 0", None),
+     "invalid request: cluster_distance_m must be >= 0", None),
+    ("map", b"selection = fastest\n", b"[[POI: Ribeira]]\n", [], 2,
+     "unknown selection criterion 'fastest'", None),
     ("story", b"discovery_radius_m = 300\n", None, [], 2,
      "unknown config key 'discovery_radius_m'", None),
     ("story", b"trajectory_samples = 20\n", None, [], 2,
@@ -697,6 +728,7 @@ LATIN1_STORY = "Past [[POI: São Bento Station]].\n".encode("latin-1")
         "negative-hotspot-threshold", "nan", "not-a-number",
         "unknown-key", "latin1-config", "latin1-config-validate",
         "latin1-story-validate", "latin1-story-map", "map-negative-cluster-distance",
+        "map-bad-selection",
         "removed-discovery-radius", "removed-trajectory-samples", "oversized-grid",
         "threshold-past-the-antipode", "fixture-non-numeric-lon", "fixture-lat-95",
         "fixture-no-name-column", "fixture-empty-name", "fixture-latin1"])

@@ -386,12 +386,12 @@ def parses_as_the_loop(path, selection) -> bool:
             and same_dataset(stream, want))
 
 
-def headered_walk_file(path, n=50_000, header="lon,lat\n"):
+def headered_walk_file(path, n=50_000, header="lon,lat\n", newline="\n"):
     """A random walk of ``n`` points near Porto, every float at full precision,
-    below ``header``."""
+    below ``header``, each line ended by ``newline``."""
     walk = np.cumsum(np.random.default_rng(27).normal(0.0, 1e-4, (n, 2)), axis=0)
     path.write_text(header + "".join(f"{lon!r},{lat!r}\n" for lon, lat in
-                                     (walk + (-8.61, 41.15)).tolist()))
+                                     (walk + (-8.61, 41.15)).tolist()), newline=newline)
     return path
 
 
@@ -480,18 +480,25 @@ class TestBulkPointList:
                ["", " ", "xyz", "-8.62;41.15", "1,2,3", "5", "-", "1.2.3,4", " 1.5,2",
                 "1e5,2", "nan,1", "é,1", "1,2\r3,4", "-8.6,95.0"])), max_size=4),
            header=st.sampled_from(["lon,lat", "longitude,latitude", "\ufefflon,lat"]),
-           at=st.integers(0, 40), block=st.integers(1, 64), end=st.sampled_from(["", "\n"]))
+           at=st.integers(0, 40), block=st.integers(1, 64),
+           newline=st.sampled_from(["\n", "\r\n", "\r"]), end=st.booleans())
     def test_a_header_and_odd_lines_anywhere_in_a_plain_file(self, tmp_path_factory, pairs,
-                                                             odd, header, at, block, end):
+                                                             odd, header, at, block, newline,
+                                                             end):
         """Plain blocks around them are read by numpy, the blocks that hold them by
-        the loop: a file and a stream both give the reference loop's dataset."""
+        the loop: a file and a stream both give the reference loop's dataset. Every
+        block holds whole lines, so none ends between the two bytes of a ``\\r\\n``."""
         lines = list(pairs)
         for where, line in [(at, header), *odd]:
             lines.insert(where % (len(lines) + 1), line)
         path = walk_path(tmp_path_factory)
-        path.write_bytes(("\n".join(lines) + end).encode("utf-8"))
-        with mock.patch.object(ingest, "_POINT_BLOCK_BYTES", block):
+        path.write_bytes((newline.join(lines) + newline * end).encode("utf-8"))
+        with mock.patch.object(ingest, "_POINT_BLOCK_BYTES", block), \
+                mock.patch.object(ingest, "_block_points", wraps=ingest._block_points) as read:
             assert parses_as_the_loop(path, LONGEST)
+        whole = io.StringIO(path.read_bytes().decode("utf-8-sig"), newline="").readlines()
+        assert [line for call in read.call_args_list for line in
+                io.StringIO(call.args[0].decode("utf-8"), newline="").readlines()] == 2 * whole
 
     @pytest.mark.parametrize("mark", [b"", codecs.BOM_UTF8])
     def test_a_file_that_is_not_utf8_says_so(self, tmp_path, mark):
@@ -530,11 +537,19 @@ class TestBulkPointList:
         assert same_dataset(stream, parse_dataset(str(path), "point_list", LONGEST))
         assert (len(stream.selected.coords), stream.skipped_rows) == (3, 0)
 
-    def test_a_long_file_is_held_once(self, tmp_path):
-        """A 50k-point file parses at 2.2x its bytes at most: its bytes, the
-        numbers and a block of text, not a str and its copies."""
-        path = headered_walk_file(tmp_path / "walk.txt", header="")
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_a_long_file_is_held_once(self, tmp_path, newline):
+        """A 50k-point file parses at 2.2x its bytes at most, whatever ends its
+        lines: its bytes, the numbers and a block of text, not a str and its copies."""
+        path = headered_walk_file(tmp_path / "walk.txt", header="", newline=newline)
         assert parse_peak(path) <= 2.2 * path.stat().st_size
+
+    def test_blank_lines_reserve_two_numbers_per_four_bytes(self, tmp_path):
+        """A line of two numbers takes four bytes at least, so 1 MiB of blank
+        lines reserves 4 MiB of floats, not two per byte: 6x its bytes at most."""
+        path = tmp_path / "blank.txt"
+        path.write_bytes(b"\n" * (1 << 20))
+        assert parse_peak(path, points=0) <= 6 * path.stat().st_size
 
     def test_a_headered_file_is_held_once(self, tmp_path):
         """The header sends its block alone to the loop: a 50k-point file under a
@@ -543,8 +558,9 @@ class TestBulkPointList:
         assert parse_peak(path) <= 2.2 * path.stat().st_size
 
 
-def parse_peak(path) -> int:
-    """The traced memory peak of one point_list parse of ``path``, selecting its trip."""
+def parse_peak(path, points=50_000) -> int:
+    """The traced memory peak of one point_list parse of ``path``, selecting its
+    trip of ``points`` points (none when 0)."""
     parse_dataset(str(path), "point_list", LONGEST)         # warm up: lazy imports
     tracemalloc.start()
     try:
@@ -552,7 +568,7 @@ def parse_peak(path) -> int:
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(ds.selected.coords) == 50_000
+    assert (len(ds.selected.coords) if points else len(ds)) == points
     return peak
 
 

@@ -8,7 +8,8 @@ from trajstory.gazetteer import Gazetteer, GazetteerConfig
 from trajstory.geo import as_coords as coords
 from trajstory.pipeline import StoryRequest
 from trajstory.story import NarrativeSpec, count_words, extract_mentions
-from trajstory.validation import (GROUNDED, HALLUCINATION, UNGEOCODABLE, GroundingRule,
+from trajstory.validation import (GROUNDED, HALLUCINATION, UNGEOCODABLE, UNGRADED,
+                                  GroundingRule,
                                   PoiVerdict, Story, ValidationReport,
                                   feedback_text, malformed_story_report,
                                   report_to_dict, summarize_report,
@@ -67,6 +68,17 @@ class TestSpatialVerdicts:
         report = validate_story(story, rule, gazetteer)
         assert report.per_poi[0].verdict == GROUNDED
         assert report.per_poi[0].distance_m == pytest.approx(0.0, abs=1e-6)
+
+    def test_no_evidence_leaves_every_located_place_ungraded(self, gazetteer):
+        story = make_story(marked("Ribeira", "Foz do Douro", "Atlantis Pier"))
+        report = validate_story(story, None, gazetteer)
+        ribeira, foz = (gazetteer.geocode(n).location for n in ("Ribeira", "Foz do Douro"))
+        assert report.per_poi == [
+            PoiVerdict(name="Ribeira", verdict=UNGRADED, location=ribeira),
+            PoiVerdict(name="Foz do Douro", verdict=UNGRADED, location=foz),
+            PoiVerdict(name="Atlantis Pier", verdict=UNGEOCODABLE)]
+        assert report.grounded_fraction == 0.0
+        assert not report.overall
 
     def test_transport_failure_is_infrastructure_not_a_verdict(self, central_route):
         def fetch(url, params):
