@@ -122,11 +122,10 @@ COMMAND_FLAGS = {
     "map": ("dataset", "schema", "selection", "trajectory_id", "cluster_distance_m"),
 }
 
-# validate grades a story written elsewhere: unless the config file or a flag
-# says otherwise, against one trip, with no POI quota and no word cap.
-COMMAND_DEFAULTS = {
-    "validate": {"mode": "single_trajectory", "min_pois": "0", "max_words": "1000000"},
-}
+# validate and map grade a story written elsewhere: unless the config file or a
+# flag says otherwise, against one trip, with no POI quota and no word cap.
+_EXTERNAL_STORY = {"mode": "single_trajectory", "min_pois": "0", "max_words": "1000000"}
+COMMAND_DEFAULTS = {"validate": _EXTERNAL_STORY, "map": _EXTERNAL_STORY}
 
 
 def load_settings(args: argparse.Namespace) -> dict[str, object]:

@@ -603,9 +603,9 @@ def _parse_point_list(fh: IO, source_path: str,
     return fold.dataset(source_path)
 
 
-def parse_dataset(source: str | IO[str], schema: str,
+def parse_dataset(source: str | os.PathLike | IO[str], schema: str,
                   selection: tuple[str, str | None] | None = None) -> Dataset:
-    """Parse ``source`` (path or text stream) under the given schema.
+    """Parse ``source`` (a path, a ``str`` or path-like, or a text stream) under ``schema``.
 
     ``selection`` is a ``(criterion, trajectory_id)`` pair naming the one
     trip to keep whole, as ``Dataset.selected``; the id is read only by
@@ -626,6 +626,7 @@ def parse_dataset(source: str | IO[str], schema: str,
         if criterion == "by_id" and trajectory_id is None:
             raise ConfigurationError("selection criterion by_id needs a trajectory id")
     parser = _parse_kaggle if schema == "kaggle_porto" else _parse_point_list
+    source = os.fspath(source) if isinstance(source, os.PathLike) else source
     limit = csv.field_size_limit(_MAX_FIELD_CHARS)
     try:
         if not isinstance(source, str):

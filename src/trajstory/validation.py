@@ -111,8 +111,10 @@ def validate_story(story: Story, rule: GroundingRule | None,
     The story passes when every verdict is ``grounded`` and every structural
     check passed; ``grounded_fraction`` is grounded / distinct places (1.0
     when it names none). Mentions are deduplicated by normalized name first,
-    so repeating a name can neither pad the POI quota nor double-penalize a
-    miss. With no ``rule`` (no evidence) each located place is ``ungraded``.
+    so repeating a name cannot double-penalize a miss. The POI quota counts
+    places: names located to one POI (its name and an alias) count once, so
+    neither repeats nor aliases pad it. With no ``rule`` (no evidence) each
+    located place is ``ungraded``.
     Gazetteer transport failures surface as InfrastructureError (retry
     material), not as a failing report.
     """
@@ -131,9 +133,11 @@ def validate_story(story: Story, rule: GroundingRule | None,
         per_poi.append(PoiVerdict(name=name, verdict=verdict, distance_m=d,
                                   location=poi.location))
 
+    places = len({normalize_name(located[name].name if located[name] else name)
+                  for name in names})
     structural = [
-        StructuralCheck("min_pois", len(per_poi) >= spec.min_pois,
-                        f"{len(per_poi)} distinct POIs, need at least {spec.min_pois}"),
+        StructuralCheck("min_pois", places >= spec.min_pois,
+                        f"{places} distinct POIs, need at least {spec.min_pois}"),
         StructuralCheck("max_words", story.word_count <= spec.max_words,
                         f"{story.word_count} words, cap {spec.max_words}"),
         StructuralCheck("markup", True, f"{len(story.mentions)} spans parsed"),

@@ -74,6 +74,15 @@ FAR_POI_NAMES = [
     "Parque da Cidade",
 ]
 
+# Two downtown places, each under its fixture name and then its aliases.
+ALIASED_NAMES = [
+    "Avenida dos Aliados",
+    "Aliados Avenue",
+    "Aliados",
+    "São Bento Station",
+    "Estação de São Bento",
+]
+
 
 def pytest_runtest_logreport(report):
     """One uncaptured verdict line per acceptance criterion."""

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
-from conftest import CENTRAL_ROUTE_NAMES, FAR_POI_NAMES
+from conftest import ALIASED_NAMES, CENTRAL_ROUTE_NAMES, FAR_POI_NAMES
 from helpers import backtracking_walk
 from oracles import reference_segment_distances
 from trajstory import cli, errors, mapdoc, pipeline
@@ -31,6 +31,18 @@ def route_file(tmp_path, central_route):
     path = tmp_path / "downtown.txt"
     path.write_text("".join(f"{p.lon!r},{p.lat!r}\n" for p in central_route))
     return path
+
+
+@pytest.fixture()
+def aliased_story(tmp_path):
+    """A story marking two places under five names, and a 100-point route past both."""
+    route = tmp_path / "aliados.txt"
+    route.write_text("".join(f"{-8.6107 + i * 1e-6!r},{41.1480 - i * 2.5e-5!r}\n"
+                             for i in range(100)))
+    story = tmp_path / "aliased.txt"
+    story.write_text(" ".join(f"[[POI: {name}]]." for name in ALIASED_NAMES) + "\n",
+                     encoding="utf-8")
+    return story, route
 
 
 def run(capsys, *argv):
@@ -424,6 +436,14 @@ class TestValidateCommand:
                          "--schema", "point_list")
         assert code == 5 and not (tmp_path / "out").exists()    # no --output-dir, no files
 
+    def test_a_name_and_its_aliases_cannot_pad_the_poi_quota(self, capsys, aliased_story):
+        story, route = aliased_story
+        code, out, _ = run(capsys, "validate", str(story), "--dataset", str(route),
+                           "--schema", "point_list", "--min-pois", "5")
+        assert code == 5
+        assert out.startswith("validation: FAIL\nPOIs: 5 grounded, 0 flagged")
+        assert "  - min_pois: FAIL (2 distinct POIs, need at least 5)\n" in out
+
     def test_markup_free_story_is_a_parse_error(self, capsys, tmp_path,
                                                 route_file):
         story = self.write_story(tmp_path, "nothing marked here\n")
@@ -564,6 +584,19 @@ class TestMapCommand:
         assert trace["attempts"] == 1
         assert trace["steps"][-1]["detail"] == "1 markers, 1 legend rows"
         assert f"wrote {tmp_path / 'map' / 'trace.json'}" in out
+
+    def test_grades_as_validate_grades(self, capsys, tmp_path, aliased_story):
+        """Under validate's defaults: no POI quota and no word cap."""
+        story, route = aliased_story
+        rows = []
+        for command in ("validate", "map"):
+            out_dir = tmp_path / command
+            code, _, _ = run(capsys, command, str(story), "--dataset", str(route),
+                             "--schema", "point_list", "--output-dir", str(out_dir))
+            assert code == 0
+            trace = json.loads((out_dir / "trace.json").read_text(encoding="utf-8"))
+            rows.append(next(s["detail"] for s in trace["steps"] if s["step"] == "validate"))
+        assert rows == ["attempt 1: pass, grounded fraction 1.00"] * 2
 
     def test_nothing_mappable_is_a_config_error(self, capsys, tmp_path):
         story = tmp_path / "story.txt"

@@ -250,6 +250,13 @@ class TestPointListParsing:
             ds = parse_dataset(fh, "point_list", LONGEST)
         assert (len(ds.selected.coords), ds.skipped_rows) == (3, 0)
 
+    def test_a_path_object_is_read_as_its_str(self, tmp_path):
+        path = tmp_path / "walk.txt"
+        path.write_text("lon,lat\n-8.61,41.14\n-8.62,41.15\n-8.63,41.16\n", encoding="utf-8")
+        got = [parse_dataset(source, "point_list", LONGEST) for source in (path, str(path))]
+        assert same_dataset(*got) and got[0].source_path == str(path)
+        assert (got[0].selected.id, len(got[0].selected.coords)) == ("walk", 3)
+
     def test_header_and_blanks_tolerated(self, tmp_path):
         path = tmp_path / "walk.txt"
         path.write_text("lon,lat\n-8.61,41.14\n\n-8.62,41.15\n-8.63,41.16\n")
@@ -1316,6 +1323,17 @@ class TestParallelDecode:
             assert f"byte 0xff in position {position}:" in got[0]
         else:
             assert got[0][0] == 310
+
+    def test_a_path_object_is_read_as_its_str(self, tmp_path, monkeypatch, caplog):
+        """A ``pathlib.Path`` of six chunks goes to the workers as its ``str`` does."""
+        path = self.synth_csv(tmp_path / "trips.csv")
+        monkeypatch.setattr("trajstory.ingest._CHUNK_BYTES", 65536)
+        caplog.set_level(logging.INFO, logger="trajstory.ingest")
+        forks = decode_workers(monkeypatch, 2)
+        got = [parse_dataset(source, "kaggle_porto", LONGEST) for source in (path, str(path))]
+        assert caplog.text.count("in 6 chunks, 2 decode workers") == 2
+        assert forks == [2, 2] and forks.reaped()
+        assert same_dataset(*got) and got[0].source_path == str(path) and len(got[0]) == 310
 
     def test_a_header_longer_than_1_mib_goes_to_the_workers(self, tmp_path, monkeypatch,
                                                             caplog):

@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CENTRAL_ROUTE_NAMES, FAR_POI_NAMES
+import adversary
+from conftest import ALIASED_NAMES, CENTRAL_ROUTE_NAMES, FAR_POI_NAMES
 from trajstory.errors import InfrastructureError
 from trajstory.gazetteer import Gazetteer, GazetteerConfig
 from trajstory.geo import as_coords as coords
@@ -103,6 +104,22 @@ class TestDeduplication:
         assert not check.passed
         assert check.detail == "1 distinct POIs, need at least 2"
         assert not report.overall
+
+    def test_a_name_and_its_aliases_cannot_pad_the_poi_quota(self, gazetteer, central_route):
+        story = make_story(marked(*ALIASED_NAMES), min_pois=3)
+        report = validate_story(story, along(central_route), gazetteer)
+        assert [(p.name, p.verdict) for p in report.per_poi] == \
+            [(name, GROUNDED) for name in ALIASED_NAMES]
+        assert report.grounded_fraction == 1.0
+        check = {c.name: c for c in report.structural}["min_pois"]
+        assert check.detail == "2 distinct POIs, need at least 3"
+        assert not check.passed and not report.overall
+
+    def test_an_unknown_name_counts_as_its_own_place(self, gazetteer, central_route):
+        story = make_story(marked("Ribeira", "Cais da Ribeira", "Atlantis Pier"), min_pois=2)
+        report = validate_story(story, along(central_route), gazetteer)
+        check = {c.name: c for c in report.structural}["min_pois"]
+        assert check.passed and check.detail == "2 distinct POIs, need at least 2"
 
     def test_repeated_far_name_is_penalized_once(self, gazetteer, central_route):
         story = make_story(marked("Foz do Douro", "Foz do Douro"))
@@ -265,3 +282,19 @@ class TestExports:
         assert lines[3].startswith("  - Foz do Douro: spatial_hallucination (")
         assert "checks:" in lines
         assert any(l.startswith("  - min_pois: ok") for l in lines)
+
+
+class TestAdversary:
+    """The validator against ``tests/adversary.py``'s attacks on a passing draft."""
+
+    def test_the_draft_passes_at_its_quota(self):
+        report = adversary.grade(adversary.draft())
+        assert report.overall
+        assert len(report.per_poi) == adversary.SPEC.min_pois
+
+    @pytest.mark.parametrize("attack", adversary.ATTACKS)
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_every_attacked_draft_fails(self, attack, data):
+        text = data.draw(attack(adversary.draft()), label="attacked draft")
+        assert not adversary.grade(text).overall
