@@ -79,6 +79,15 @@ class GazetteerConfig:
             raise ValueError("offline_only requires a fixture_path")
 
 
+def _poi(record: dict, source: str) -> POI:
+    """The POI a fixture row, journal line or search result describes: its name,
+    lon and lat, and its category and blurb when given (an empty one is none)."""
+    return POI(name=record["name"],
+               location=GeoPoint(float(record["lon"]), float(record["lat"])),
+               category=record.get("category") or None, source=source,
+               blurb=record.get("blurb") or None)
+
+
 def _file_cache_entry(index: dict[str, POI], key: str, poi: POI) -> None:
     """File ``poi`` under ``key``, and under its name with that key's bias unless taken."""
     index.setdefault(f"{normalize_name(poi.name)}|{key.rpartition('|')[2]}", poi)
@@ -170,11 +179,7 @@ class Gazetteer:
         reader = csv.DictReader(io.StringIO(text, newline=""))
         for row in reader:
             try:
-                poi = POI(name=row["name"],
-                          location=GeoPoint(float(row["lon"]), float(row["lat"])),
-                          category=row.get("category") or None,
-                          source="fixture",
-                          blurb=row.get("blurb") or None)
+                poi = _poi(row, "fixture")
             except KeyError as exc:
                 raise ConfigurationError(
                     f"fixture {path}: line {reader.line_num}: no {exc} column") from None
@@ -199,10 +204,7 @@ class Gazetteer:
                     continue
                 try:
                     entry = _json_value(line.decode("utf-8"))
-                    location = GeoPoint(float(entry["lon"]), float(entry["lat"]))
-                    _file_cache_entry(index, entry["key"], POI(
-                        name=entry["name"], location=location, category=entry.get("category"),
-                        source="cache", blurb=entry.get("blurb")))
+                    _file_cache_entry(index, entry["key"], _poi(entry, "cache"))
                 except (AttributeError, KeyError, TypeError, ValueError, OverflowError):
                     continue    # a torn or foreign line must not poison the journal
         return index
@@ -247,11 +249,7 @@ class Gazetteer:
         results = []
         for item in payload:
             try:
-                results.append(POI(name=item["name"],
-                                   location=GeoPoint(float(item["lon"]), float(item["lat"])),
-                                   category=item.get("category"),
-                                   source="remote",
-                                   blurb=item.get("blurb")))
+                results.append(_poi(item, "remote"))
             except (TypeError, KeyError, ValueError, OverflowError) as exc:
                 raise ProtocolError(f"malformed search result {item!r}: {exc}") from exc
         return results
@@ -289,26 +287,3 @@ class Gazetteer:
             for poi in self._search_remote("", area, limit=50):
                 pool.setdefault(normalize_name(poi.name), poi)
         return list(pool.values())
-
-    def bulk_geocode(self, names: list[str]) -> dict[str, POI | None]:
-        """Geocode every name; per-name results match individual calls.
-
-        Transport failures do not abort the batch: every name is attempted,
-        then a single InfrastructureError summarizing the failed names is
-        raised (results for the run are discarded; the caller retries).
-        """
-        results: dict[str, POI | None] = {}
-        failures: list[str] = []
-        for name in names:
-            if name in results:
-                continue
-            try:
-                results[name] = self.geocode(name)
-            except InfrastructureError as exc:
-                results[name] = None
-                failures.append(f"{name}: {exc}")
-        if failures:
-            raise InfrastructureError(
-                f"bulk geocode: {len(failures)} name(s) failed: " + "; ".join(failures))
-        return results
-

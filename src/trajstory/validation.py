@@ -109,22 +109,23 @@ def validate_story(story: Story, rule: GroundingRule | None,
     """Grade one story: spatial verdict per distinct POI plus structural checks.
 
     The story passes when every verdict is ``grounded`` and every structural
-    check passed; ``grounded_fraction`` is grounded / distinct places (1.0
-    when it names none). Mentions are deduplicated by normalized name first,
-    so repeating a name cannot double-penalize a miss. The POI quota counts
-    places: names located to one POI (its name and an alias) count once, so
-    neither repeats nor aliases pad it. With no ``rule`` (no evidence) each
-    located place is ``ungraded``.
-    Gazetteer transport failures surface as InfrastructureError (retry
-    material), not as a failing report.
+    check passed. Mentions are deduplicated by normalized name first, so
+    repeating a name cannot double-penalize a miss. Places are counted, not
+    names: names located to one POI (its name and an alias) are one place, and
+    a name located nowhere is its own. So neither repeats nor aliases pad the
+    POI quota, and ``grounded_fraction`` is the places whose every name is
+    grounded over the distinct places (1.0 when it names none). With no
+    ``rule`` (no evidence) each located place is ``ungraded``.
+    A gazetteer transport failure surfaces as InfrastructureError (retry
+    material), not as a failing report, at the first name it hits.
     """
     spec = story.spec
     names = distinct_names(story.mentions)
-    located = gazetteer.bulk_geocode(names)
 
-    per_poi = []
+    per_poi, places = [], []
     for name in names:
-        poi = located[name]
+        poi = gazetteer.geocode(name)
+        places.append(normalize_name(poi.name if poi else name))
         if poi is None:
             per_poi.append(PoiVerdict(name=name, verdict=UNGEOCODABLE))
             continue
@@ -133,19 +134,19 @@ def validate_story(story: Story, rule: GroundingRule | None,
         per_poi.append(PoiVerdict(name=name, verdict=verdict, distance_m=d,
                                   location=poi.location))
 
-    places = len({normalize_name(located[name].name if located[name] else name)
-                  for name in names})
+    distinct = set(places)
+    missed = {place for place, p in zip(places, per_poi) if p.verdict != GROUNDED}
     structural = [
-        StructuralCheck("min_pois", places >= spec.min_pois,
-                        f"{places} distinct POIs, need at least {spec.min_pois}"),
+        StructuralCheck("min_pois", len(distinct) >= spec.min_pois,
+                        f"{len(distinct)} distinct POIs, need at least {spec.min_pois}"),
         StructuralCheck("max_words", story.word_count <= spec.max_words,
                         f"{story.word_count} words, cap {spec.max_words}"),
         StructuralCheck("markup", True, f"{len(story.mentions)} spans parsed"),
     ]
-    grounded = sum(1 for p in per_poi if p.verdict == GROUNDED)
-    overall = grounded == len(per_poi) and all(c.passed for c in structural)
+    overall = not missed and all(c.passed for c in structural)
     return ValidationReport(per_poi=per_poi, structural=structural,
-                            grounded_fraction=grounded / len(per_poi) if per_poi else 1.0,
+                            grounded_fraction=len(distinct - missed) / len(distinct)
+                            if distinct else 1.0,
                             overall=overall)
 
 

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import strategies as st
 
 from conftest import CENTRAL_ROUTE_NAMES, FAR_POI_NAMES
+from oracles import haversine_distance
 from trajstory.gazetteer import Gazetteer, GazetteerConfig, default_fixture_path
 from trajstory.geo import as_coords
 from trajstory.pipeline import StoryRequest
@@ -111,6 +112,28 @@ def far_place_named_unmarked(draw, text: str) -> str:
     return draw(inserted(text, f"Close by, {spelling}."))
 
 
+@st.composite
+def route_order_reversed(draw, text: str) -> str:
+    """A run of the marked places whose ends lie over 1 km apart, told backwards."""
+    mentions = extract_mentions(text)
+    where = [gazetteer().geocode(m.name).location for m in mentions]
+    i, j = draw(st.sampled_from([(i, j) for i in range(len(where))
+                                 for j in range(i + 1, len(where))
+                                 if haversine_distance(where[i], where[j]) > 1000.0]))
+    run = mentions[i:j + 1]
+    parts, end = [], 0
+    for m, told in zip(run, reversed(run)):
+        parts += [text[end:m.start], f"[[POI: {told.name}]]"]
+        end = m.end
+    return "".join(parts) + text[end:]
+
+
+@st.composite
+def figure_inflated(draw, text: str) -> str:
+    """A figure no digest gives, stated as the route's length."""
+    return draw(inserted(text, f"The route runs {draw(st.integers(50, 900))} km."))
+
+
 ATTACKS = [
     pytest.param(far_place_marked_in_disguise, id="far-place-marked-in-disguise"),
     pytest.param(one_place_under_two_names, id="one-place-under-two-names"),
@@ -118,4 +141,8 @@ ATTACKS = [
                  marks=pytest.mark.xfail(strict=True, reason="item 3")),
     pytest.param(far_place_named_unmarked, id="far-place-named-unmarked",
                  marks=pytest.mark.xfail(strict=True, reason="item 4")),
+    pytest.param(route_order_reversed, id="route-order-reversed",
+                 marks=pytest.mark.xfail(strict=True, reason="item 6")),
+    pytest.param(figure_inflated, id="figure-inflated",
+                 marks=pytest.mark.xfail(strict=True, reason="item 11")),
 ]

@@ -863,6 +863,19 @@ class TestStepTags:
         assert code == 4
         assert "(step: validate)" in err
 
+    def test_grading_stops_at_the_first_failed_lookup(self, capsys, tmp_path, route_file,
+                                                      loopback):
+        loopback.reply = lambda r: (500, b"{}")
+        story = tmp_path / "story.txt"
+        story.write_text("[[POI: Ghost Pier]], [[POI: Ghost Mill]] and [[POI: Ghost Quay]].\n",
+                         encoding="utf-8")
+        code, _, err = run(capsys, "validate", str(story), "--dataset", str(route_file),
+                           "--schema", "point_list",
+                           "--config", str(online_config(tmp_path, loopback)))
+        assert code == 4
+        assert "(step: validate)" in err
+        assert [r["query"]["q"] for r in loopback.seen] == ["Ghost Pier"]
+
 
 class TestOnlineDiscovery:
     """Online discovery asks the gazetteer for the evidence area exactly once."""

@@ -473,25 +473,5 @@ class TestPoisNear:
         assert "viewbox" in params
 
 
-class TestBulkGeocode:
-    def test_results_keyed_by_given_names(self, gazetteer):
-        res = gazetteer.bulk_geocode(["Clérigos Tower", "Atlantis Pier",
-                                      "Clérigos Tower"])
-        assert res["Clérigos Tower"].name == "Clérigos Tower"
-        assert res["Atlantis Pier"] is None
-
-    def test_transport_failures_are_aggregated_after_all_attempts(self):
-        fetch = RecordingFetch(
-            payload=[],
-            errors={"ghost one": InfrastructureError("down"),
-                    "ghost two": InfrastructureError("down")})
-        gaz = Gazetteer(online_cfg(), fetch=fetch)
-        with pytest.raises(InfrastructureError) as err:
-            gaz.bulk_geocode(["ghost one", "Clérigos Tower", "ghost two"])
-        assert "ghost one" in str(err.value)
-        assert "ghost two" in str(err.value)
-        assert len(fetch.calls) == 2  # both unknowns attempted despite errors
-
-
 def test_default_fixture_path_points_at_packaged_data():
     assert default_fixture_path().endswith("porto_pois.csv")

@@ -121,6 +121,19 @@ class TestDeduplication:
         check = {c.name: c for c in report.structural}["min_pois"]
         assert check.passed and check.detail == "2 distinct POIs, need at least 2"
 
+    def test_the_grounded_fraction_counts_places(self, gazetteer):
+        route = [gazetteer.geocode(n).location
+                 for n in ("Avenida dos Aliados", "São Bento Station")]
+        story = make_story(marked("Avenida dos Aliados", "Aliados Avenue", "Aliados",
+                                  "Foz do Douro"))
+        report = validate_story(story, along(route), gazetteer)
+        assert [p.verdict for p in report.per_poi] == [GROUNDED] * 3 + [HALLUCINATION]
+        assert report.grounded_fraction == 0.5
+        assert {c.name: c for c in report.structural}["min_pois"].detail == \
+            "2 distinct POIs, need at least 0"
+        assert summarize_report(report).splitlines()[1] == \
+            "POIs: 3 grounded, 1 flagged, 0 ungeocodable (grounded fraction 0.50)"
+
     def test_repeated_far_name_is_penalized_once(self, gazetteer, central_route):
         story = make_story(marked("Foz do Douro", "Foz do Douro"))
         report = validate_story(story, along(central_route), gazetteer)
